@@ -1,0 +1,96 @@
+"""Golden-report gate: every command on every shipped manifest, plus selftest.
+
+Each file under tests/golden holds the argument vector of one CLI run, its
+exit code, and either its JSON report or its error line. A rerun must match
+statuses, exit codes, keys and strings exactly, and every number to within
+max(1e-12, 1e-9 |x|), so a change of the numeric machinery may move residuals
+by rounding but never a verdict.
+
+Regenerate the files after a deliberate change of the reports with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from orthonet.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MANIFESTS = ("polar", "twisted_control", "factorize_scaled_polar", "torus_codazzi")
+COMMANDS = ("classify", "verify-product", "factorize", "codazzi")
+
+ABS_TOL = 1e-12
+REL_TOL = 1e-9
+
+
+def _runs():
+    out = {"selftest": ["--command", "selftest", "--format", "json"]}
+    for m in MANIFESTS:
+        for c in COMMANDS:
+            out[f"{m}.{c}"] = [
+                "--command", c, "--manifest", f"manifests/{m}.json", "--format", "json",
+            ]
+    return out
+
+
+def _invoke(argv) -> dict:
+    argv = [str(ROOT / a) if a.startswith("manifests/") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    result = {"exit_code": code}
+    if code == 1:
+        result["error"] = err.getvalue()
+    else:
+        result["report"] = json.loads(out.getvalue())
+    return result
+
+
+def _compare(want, got, path="$"):
+    if isinstance(want, dict):
+        assert isinstance(got, dict), path
+        assert sorted(want) == sorted(got), f"{path}: keys {sorted(got)}"
+        for k in want:
+            _compare(want[k], got[k], f"{path}.{k}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (w, g) in enumerate(zip(want, got)):
+            _compare(w, g, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), f"{path}: {got!r} is not a float"
+        tol = max(ABS_TOL, REL_TOL * abs(want))
+        assert abs(got - want) <= tol, f"{path}: {got!r} != {want!r} (tol {tol:.1e})"
+    else:
+        assert got == want and type(got) is type(want), f"{path}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("name", sorted(_runs()))
+def test_golden_report(name):
+    want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert want["argv"] == _runs()[name]
+    got = _invoke(want["argv"])
+    assert got["exit_code"] == want["exit_code"]
+    _compare({k: v for k, v in want.items() if k != "argv"}, got)
+
+
+def _write():
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in _runs().items():
+        doc = {"argv": argv, **_invoke(argv)}
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    _write()
