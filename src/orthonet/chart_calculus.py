@@ -1,9 +1,13 @@
 """Metric fields and Levi-Civita calculus on a single chart.
 
-Every operation exists in two layers: a symbolic layer producing expression
-trees (so derived fields such as mean curvature normals stay differentiable
-to any order) and a numeric layer evaluating those trees at points. The
-numeric layer is what the public signatures expose.
+The `*_exprs` builders and the cached inverse, determinant and Christoffel
+entries of a MetricField produce expression trees, so derived fields such as
+mean curvature normals stay differentiable to any order. The numeric
+functions (`metric_at`, `christoffel`, `cov_deriv`, `grad_field`, ...)
+evaluate such trees at a single point with the pointwise interpreter
+`scalar_fields.evaluate`; `codazzi` and `product_metrics` use them. A sweep of
+many fields over many points compiles the trees into one tape instead
+(`scalar_fields.compile_tape`), as `nets` does.
 
 Conventions: vectors are component tuples against the coordinate frame,
 Gamma[k][i][j] multiplies X^i Y^j, and
@@ -40,8 +44,6 @@ from .scalar_fields import (
 
 __all__ = [
     "MetricField",
-    "VectorFieldSet",
-    "coordinate_frame",
     "metric_at",
     "christoffel",
     "cov_deriv",
@@ -218,52 +220,14 @@ def christoffel(g: MetricField, p, cache: dict | None = None) -> np.ndarray:
     return out
 
 
-# --- vector fields ------------------------------------------------------------
-
-
-class VectorFieldSet:
-    """A list of vector fields, each a tuple of component expressions."""
-
-    def __init__(self, chart: Chart, fields):
-        self.chart = chart
-        self.fields = tuple(tuple(f) for f in fields)
-        for f in self.fields:
-            if len(f) != chart.dim:
-                raise ValueError("vector field needs one component per coordinate")
-
-    def __len__(self):
-        return len(self.fields)
-
-    def __getitem__(self, k):
-        return self.fields[k]
-
-    def at(self, p, cache: dict | None = None) -> np.ndarray:
-        if cache is None:
-            cache = {}
-        return np.array([eval_vector(f, p, cache) for f in self.fields])
-
-
-def coordinate_frame(chart: Chart) -> VectorFieldSet:
-    n = chart.dim
-    return VectorFieldSet(
-        chart, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    )
-
-
-def _as_components(X):
-    if isinstance(X, VectorFieldSet):
-        raise TypeError("pass a single field (tuple of expressions), not a set")
-    return tuple(X)
-
-
 # --- symbolic covariant operations -------------------------------------------
 
 
 def cov_deriv_exprs(g: MetricField, X, Y) -> tuple[Expr, ...]:
     """(nabla_X Y) as component expressions."""
     n = g.dim
-    X = _as_components(X)
-    Y = _as_components(Y)
+    X = tuple(X)
+    Y = tuple(Y)
     gamma = g.christoffel_entries()
     out = []
     for k in range(n):
@@ -287,8 +251,8 @@ def grad_exprs(g: MetricField, f: Expr) -> tuple[Expr, ...]:
 
 def inner_exprs(g: MetricField, X, Y) -> Expr:
     n = g.dim
-    X = _as_components(X)
-    Y = _as_components(Y)
+    X = tuple(X)
+    Y = tuple(Y)
     terms = []
     for i in range(n):
         for j in range(n):
@@ -297,8 +261,8 @@ def inner_exprs(g: MetricField, X, Y) -> Expr:
 
 
 def lie_bracket_exprs(X, Y, dim: int) -> tuple[Expr, ...]:
-    X = _as_components(X)
-    Y = _as_components(Y)
+    X = tuple(X)
+    Y = tuple(Y)
     out = []
     for k in range(dim):
         acc = ZERO
@@ -323,8 +287,8 @@ def cov_deriv(g: MetricField, X, Y, p, cache: dict | None = None) -> np.ndarray:
     if cache is None:
         cache = {}
     n = g.dim
-    X = _as_components(X)
-    Y = _as_components(Y)
+    X = tuple(X)
+    Y = tuple(Y)
     Xv = eval_vector(X, p, cache)
     Yv = eval_vector(Y, p, cache)
     dY = np.array(
@@ -347,8 +311,8 @@ def hessian_lc(g: MetricField, f: Expr, X, Y, p, cache: dict | None = None) -> f
     if cache is None:
         cache = {}
     n = g.dim
-    X = _as_components(X)
-    Y = _as_components(Y)
+    X = tuple(X)
+    Y = tuple(Y)
     df = [diff(f, l) for l in range(n)]
     yf = _sum_exprs([mul(Y[l], df[l]) for l in range(n)])
     xyf = sum(
@@ -362,8 +326,8 @@ def hessian_lc(g: MetricField, f: Expr, X, Y, p, cache: dict | None = None) -> f
 def lie_bracket(X, Y, p, cache: dict | None = None) -> np.ndarray:
     if cache is None:
         cache = {}
-    X = _as_components(X)
-    Y = _as_components(Y)
+    X = tuple(X)
+    Y = tuple(Y)
     n = len(X)
     exprs = lie_bracket_exprs(X, Y, n)
     return eval_vector(exprs, p, cache)

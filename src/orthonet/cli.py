@@ -733,6 +733,10 @@ def main(argv=None) -> int:
     except (OrthonetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # the pointwise interpreter recurses once per level of an expression
+        print("error: expression nested too deeply to evaluate", file=sys.stderr)
+        return 1
     elapsed = time.perf_counter() - t0
     out = emit(report, args.fmt, elapsed=elapsed if args.fmt == "text" else None)
     sys.stdout.write(out)

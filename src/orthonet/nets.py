@@ -4,7 +4,9 @@ A net splits a frame of vector fields into mutually orthogonal blocks; each
 block spans a distribution E_i with complement E_i^perp spanned by the other
 blocks. For every block the module computes second-fundamental-form data
 symbolically (so the mean curvature normal is itself a differentiable field),
-then evaluates residuals at sample points:
+compiles the metric, the frame and all those fields into one evaluation tape,
+runs it once over every sample point, and reduces the stacked values to
+residuals with numpy:
 
     umbilicity     ||(nabla_X Y)^perp - <X, Y> H||      over block pairs
     sphericity     |<nabla_X H, Z>|                     block X, complement Z
@@ -25,15 +27,23 @@ The exchange identity (cwp_residual) compares <nabla_Z eta_i, X> with
 <nabla_X H_i, Z> for X in the block and Z in the complement, where H_i and
 eta_i are the mean curvature normals of E_i and E_i^perp. It is evaluated
 only where both umbilicity preconditions hold.
+
+Errors and warnings are those of checking one sample at a time in plan
+order: the first sample that fails raises, with the first check that fails
+there (metric evaluation, positive definiteness, frame evaluation, frame
+degeneracy, block orthogonality, field evaluation), and every sample up to
+it that passes the positivity check warns if it is ill-conditioned.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chart_calculus import (
+    CONDITION_WARN,
     MetricField,
     cov_deriv_exprs,
     eval_vector,
@@ -42,13 +52,26 @@ from .chart_calculus import (
     metric_at,
 )
 from .errors import (
+    ConditionNumberWarning,
     ConstraintError,
     DegenerateFrameError,
     InconsistencyError,
     NotApplicableError,
+    NotSPDError,
 )
 from .sampling import SamplePlan, sample_points
-from .scalar_fields import Chart, Const, ONE, ZERO, add, const, div, mul, sub
+from .scalar_fields import (
+    Chart,
+    Const,
+    ONE,
+    ZERO,
+    add,
+    compile_tape,
+    const,
+    div,
+    mul,
+    sub,
+)
 
 __all__ = [
     "OrthogonalNet",
@@ -218,50 +241,225 @@ def _span_fields(g: MetricField, net: OrthogonalNet, indices) -> _SpanFields:
     return out
 
 
-# --- pointwise evaluation -----------------------------------------------------
+# --- batched evaluation ---------------------------------------------------------
+
+# checks at one sample, in the order a failure there is reported
+_METRIC_DOMAIN, _NOT_SPD, _FRAME_DOMAIN, _DEGENERATE, _NOT_ORTHOGONAL, _FIELD_DOMAIN = range(6)
+_CLEAN = 6
 
 
-class _PointData:
-    """Frame values, metric and norms at one point, shared eval cache."""
+def _ginner(v, G, w) -> np.ndarray:
+    """g(v, w) per sample; v and w are (m, ..., n) stacks, G is (m, n, n)."""
+    return np.einsum("m...i,mij,m...j->m...", v, G, w)
 
-    def __init__(self, g: MetricField, net: OrthogonalNet, p):
-        self.cache: dict = {}
-        self.G, self.Ginv = metric_at(g, p, self.cache)
-        self.F = np.array(
-            [eval_vector(f, p, self.cache) for f in net.frame]
+
+def _gnorm(v, G) -> np.ndarray:
+    return np.sqrt(np.maximum(_ginner(v, G, v), 0.0))
+
+
+@dataclass
+class _Side:
+    """Residuals of one span (a block or a complement) over the samples."""
+
+    H: np.ndarray  # (m, n) mean curvature normal
+    covH: np.ndarray  # (m, rank, n) nabla_{X_a} H over the span's fields
+    umb: np.ndarray  # (m,) each
+    sph: np.ndarray
+    geo: np.ndarray
+    integ: np.ndarray
+
+
+class _Samples:
+    """A net's metric, frame and span residuals over a batch of sample points.
+
+    Every field the pointwise definition reads goes into one tape, in the
+    order the definition reads it: the metric entries, the frame, then for
+    each requested block its span and its complement (H, the umbilicity
+    defects when the rank exceeds one, nabla H, the bracket projections).
+    The checks then run per stage over all samples, and the first sample
+    that fails any of them raises, with the stage that fails first there.
+    Condition warnings are issued for every sample up to that one."""
+
+    def __init__(self, g: MetricField, net: OrthogonalNet, blocks, pts, labels):
+        n = g.dim
+        self.net = net
+        self.spans = {
+            i: (_span_fields(g, net, net.blocks[i]), _span_fields(g, net, net.complement(i)))
+            for i in blocks
+        }
+        unique = list({id(sf): sf for pair in self.spans.values() for sf in pair}.values())
+
+        roots: list = []
+
+        def take(vectors) -> slice:
+            start = len(roots)
+            for v in vectors:
+                roots.extend(v)
+            return slice(start, len(roots))
+
+        metric = take(g.entries)
+        frame = take(net.frame)
+        parts = {}
+        for sf in unique:
+            if sf.rank:
+                parts[id(sf)] = (
+                    take([sf.H]),
+                    take([d for _, _, d in sf.umb_defects] if sf.rank > 1 else []),
+                    take(sf.covH),
+                    take([b for _, _, b in sf.bracket_perp]),
+                )
+        tape = compile_tape(roots)
+        sweep = tape.sweep(pts)
+        vals = sweep.values
+        m = vals.shape[0]
+
+        def stack(sl) -> np.ndarray:
+            return vals[:, sl].reshape(m, -1, n)
+
+        self.G, self.F = stack(metric), stack(frame)
+        self.norms = self._check(
+            g, sweep, tape.bounds[metric.stop], tape.bounds[frame.stop], labels
         )
-        self.norms = np.array(
-            [np.sqrt(max(v @ self.G @ v, 0.0)) for v in self.F]
+        self.sides = {id(sf): self._side(sf, parts.get(id(sf)), stack) for sf in unique}
+
+    def _check(self, g, sweep, metric_end, frame_end, labels) -> np.ndarray:
+        """Raise what the pointwise definition raises first, and warn on the
+        way; values at a sample past its first failure are never read.
+        Returns the g-norms of the frame fields, (m, n)."""
+        G, F = self.G, self.F
+        m, n = G.shape[:2]
+        eye = np.eye(n)
+        fb = sweep.first_bad
+        stage = np.full(m, _CLEAN)
+        stage[(fb >= frame_end) & (fb < sweep.tape.size)] = _FIELD_DOMAIN
+
+        metric_ok = fb >= metric_end
+        Gs = np.where(metric_ok[:, None, None], G, eye)
+        ev = np.linalg.eigvalsh(Gs)
+        not_spd = metric_ok & (ev[:, 0] <= g.spd_floor)
+        with np.errstate(all="ignore"):
+            cond = ev[:, -1] / ev[:, 0]
+        warn = metric_ok & ~not_spd & (cond > CONDITION_WARN)
+
+        frame_ok = metric_ok & ~not_spd & (fb >= frame_end)
+        Fs = np.where(frame_ok[:, None, None], F, eye)
+        M = Fs @ Gs @ Fs.transpose(0, 2, 1)
+        evm = np.linalg.eigvalsh(M)
+        degenerate = frame_ok & (evm[:, 0] <= _GRAM_COND_FLOOR * np.maximum(evm[:, -1], 1e-300))
+
+        groups = [b for b in self.net.blocks if b]
+        pairs = [
+            (a, c)
+            for bi in range(len(groups))
+            for bj in range(bi + 1, len(groups))
+            for a in groups[bi]
+            for c in groups[bj]
+        ]
+        pa = np.array([a for a, _ in pairs], dtype=np.intp)
+        pc = np.array([c for _, c in pairs], dtype=np.intp)
+        norms = np.sqrt(np.maximum(np.einsum("maa->ma", M), 0.0))
+        ip = np.abs(M[:, pa, pc])
+        skew = ip / np.maximum(norms[:, pa] * norms[:, pc], 1e-300) > _ORTHO_TOL
+
+        stage[frame_ok & ~degenerate & skew.any(axis=1)] = _NOT_ORTHOGONAL
+        stage[degenerate] = _DEGENERATE
+        stage[metric_ok & ~not_spd & (fb < frame_end)] = _FRAME_DOMAIN
+        stage[not_spd] = _NOT_SPD
+        stage[~metric_ok] = _METRIC_DOMAIN
+
+        failed = np.flatnonzero(stage != _CLEAN)
+        j = int(failed[0]) if failed.size else m
+        for k in np.flatnonzero(warn[: j + 1]):
+            if k < j or stage[j] > _NOT_SPD:
+                warnings.warn(
+                    f"metric condition number {cond[k]:.3e} at {labels[k]}",
+                    ConditionNumberWarning,
+                    stacklevel=4,
+                )
+        if j == m:
+            return norms
+        if stage[j] in (_METRIC_DOMAIN, _FRAME_DOMAIN, _FIELD_DOMAIN):
+            raise sweep.error(j)
+        if stage[j] == _NOT_SPD:
+            raise NotSPDError(
+                f"metric not positive definite at {labels[j]}: "
+                f"smallest eigenvalue {ev[j, 0]:.3e}"
+            )
+        if stage[j] == _DEGENERATE:
+            raise DegenerateFrameError(
+                f"frame degenerate at {labels[j]}: Gram eigenvalue ratio "
+                f"{evm[j, 0]:.3e}/{evm[j, -1]:.3e}"
+            )
+        q = int(np.argmax(skew[j]))
+        raise ConstraintError(
+            f"blocks not orthogonal at {labels[j]}: "
+            f"|<X_{pairs[q][0]}, X_{pairs[q][1]}>| = {ip[j, q]:.3e}"
         )
-        self.p = p
 
-    def gnorm(self, v) -> float:
-        return float(np.sqrt(max(v @ self.G @ v, 0.0)))
+    def _side(self, sf: _SpanFields, part, stack) -> _Side:
+        G, F, norms = self.G, self.F, self.norms
+        m, n = G.shape[:2]
+        zero = np.zeros(m)
+        if part is None:
+            return _Side(np.zeros((m, n)), np.zeros((m, 0, n)), zero, zero, zero, zero)
+        h_sl, d_sl, c_sl, b_sl = part
+        idx = np.array(sf.indices, dtype=np.intp)
+        other = np.array(sf.other_indices, dtype=np.intp)
+        H = stack(h_sl)[:, 0]
+        covH = stack(c_sl)
 
-    def ginner(self, v, w) -> float:
-        return float(v @ self.G @ w)
+        def pair_max(vectors, pairs) -> np.ndarray:
+            if not pairs:
+                return zero
+            a = idx[[p[0] for p in pairs]]
+            b = idx[[p[1] for p in pairs]]
+            scale = np.maximum(norms[:, a] * norms[:, b], 1e-300)
+            return (_gnorm(vectors, G) / scale).max(axis=1)
 
+        umb = pair_max(stack(d_sl), sf.umb_defects if sf.rank > 1 else ())
+        sph = zero
+        if other.size:
+            ip = np.abs(_ginner(covH[:, :, None], G, F[:, None, other]))
+            scale = np.maximum(norms[:, idx, None] * norms[:, None, other], 1e-300)
+            sph = (ip / scale).max(axis=(1, 2))
+        geo = umb + _gnorm(H, G)
+        integ = pair_max(stack(b_sl), sf.bracket_perp)
+        return _Side(H, covH, umb, sph, geo, integ)
 
-def _validate_net(g: MetricField, net: OrthogonalNet, pd: _PointData):
-    idx_groups = [b for b in net.blocks if b]
-    M = pd.F @ pd.G @ pd.F.T
-    ev = np.linalg.eigvalsh(M)
-    if ev[0] <= _GRAM_COND_FLOOR * max(ev[-1], 1e-300):
-        raise DegenerateFrameError(
-            f"frame degenerate at {tuple(pd.p)}: Gram eigenvalue ratio "
-            f"{ev[0]:.3e}/{ev[-1]:.3e}"
+    def block(self, i: int) -> tuple[_Side, _Side]:
+        bf, cf = self.spans[i]
+        return self.sides[id(bf)], self.sides[id(cf)]
+
+    def geometry(self, i: int, j: int) -> DistributionGeometry:
+        b, c = self.block(i)
+        return DistributionGeometry(
+            block=i,
+            H=b.H[j],
+            eta=c.H[j],
+            umbilicity=float(b.umb[j]),
+            umbilicity_perp=float(c.umb[j]),
+            sphericity=float(b.sph[j]),
+            sphericity_perp=float(c.sph[j]),
+            geodesy=float(b.geo[j]),
+            geodesy_perp=float(c.geo[j]),
+            integrability=float(b.integ[j]),
+            integrability_perp=float(c.integ[j]),
         )
-    for bi in range(len(idx_groups)):
-        for bj in range(bi + 1, len(idx_groups)):
-            for a in idx_groups[bi]:
-                for c in idx_groups[bj]:
-                    ip = abs(float(pd.F[a] @ pd.G @ pd.F[c]))
-                    scale = max(pd.norms[a] * pd.norms[c], 1e-300)
-                    if ip / scale > _ORTHO_TOL:
-                        raise ConstraintError(
-                            f"blocks not orthogonal at {tuple(pd.p)}: "
-                            f"|<X_{a}, X_{c}>| = {ip:.3e}"
-                        )
+
+    def exchange(self, i: int) -> np.ndarray:
+        """|<nabla_Z eta_i, X> - <nabla_X H_i, Z>| over normalized pairs of a
+        block field X and a complement field Z, per sample."""
+        bf, cf = self.spans[i]
+        b, c = self.block(i)
+        G, F, norms = self.G, self.F, self.norms
+        if not (bf.rank and cf.rank):
+            return np.zeros(G.shape[0])
+        blk = np.array(bf.indices, dtype=np.intp)
+        comp = np.array(cf.indices, dtype=np.intp)
+        scale = np.maximum(norms[:, blk, None] * norms[:, None, comp], 1e-300)
+        d1 = _ginner(c.covH[:, None, :], G, F[:, blk, None]) / scale
+        d2 = _ginner(b.covH[:, :, None], G, F[:, None, comp]) / scale
+        return (np.abs(d1 - d2) / (1.0 + np.abs(d1) + np.abs(d2))).max(axis=(1, 2))
 
 
 def project(g: MetricField, net: OrthogonalNet, block, v, p) -> np.ndarray:
@@ -318,99 +516,25 @@ class DistributionGeometry:
         }
 
 
-def _side_residuals(sf: _SpanFields, other_idx, pd: _PointData):
-    """(H value, umbilicity, sphericity, geodesy, integrability) for one span."""
-    n = pd.F.shape[1]
-    if sf.rank == 0:
-        z = np.zeros(n)
-        return z, 0.0, 0.0, 0.0, 0.0
-    Hv = eval_vector(sf.H, pd.p, pd.cache)
-    umb = 0.0
-    if sf.rank > 1:
-        for a, b, defect in sf.umb_defects:
-            dv = eval_vector(defect, pd.p, pd.cache)
-            na = pd.norms[sf.indices[a]]
-            nb = pd.norms[sf.indices[b]]
-            umb = max(umb, pd.gnorm(dv) / max(na * nb, 1e-300))
-    sph = 0.0
-    for a in range(sf.rank):
-        cv = eval_vector(sf.covH[a], pd.p, pd.cache)
-        na = pd.norms[sf.indices[a]]
-        for c in other_idx:
-            val = abs(pd.ginner(cv, pd.F[c]))
-            sph = max(sph, val / max(na * pd.norms[c], 1e-300))
-    geo = umb + pd.gnorm(Hv)
-    integ = 0.0
-    for a, b, perp in sf.bracket_perp:
-        bv = eval_vector(perp, pd.p, pd.cache)
-        na = pd.norms[sf.indices[a]]
-        nb = pd.norms[sf.indices[b]]
-        integ = max(integ, pd.gnorm(bv) / max(na * nb, 1e-300))
-    return Hv, umb, sph, geo, integ
-
-
-def _geometry_at(g, net, i, pd: _PointData) -> DistributionGeometry:
-    blk = net.blocks[i]
-    comp = net.complement(i)
-    bf = _span_fields(g, net, blk)
-    cf = _span_fields(g, net, comp)
-    Hv, umb, sph, geo, integ = _side_residuals(bf, comp, pd)
-    Ev, umb_p, sph_p, geo_p, integ_p = _side_residuals(cf, blk, pd)
-    return DistributionGeometry(
-        block=i,
-        H=Hv,
-        eta=Ev,
-        umbilicity=umb,
-        umbilicity_perp=umb_p,
-        sphericity=sph,
-        sphericity_perp=sph_p,
-        geodesy=geo,
-        geodesy_perp=geo_p,
-        integrability=integ,
-        integrability_perp=integ_p,
-    )
-
-
 def distribution_geometry(g: MetricField, net: OrthogonalNet, i: int, p) -> DistributionGeometry:
     """Second-fundamental residuals of block i and its complement at p."""
     if not 0 <= i < len(net.blocks):
         raise ConstraintError(f"no block {i} in a {len(net.blocks)}-block net")
-    pd = _PointData(g, net, p)
-    _validate_net(g, net, pd)
-    return _geometry_at(g, net, i, pd)
-
-
-def _exchange_residual(g, net, i, pd: _PointData) -> float:
-    """|<nabla_Z eta_i, X> - <nabla_X H_i, Z>| over normalized block pairs."""
-    blk = net.blocks[i]
-    comp = net.complement(i)
-    bf = _span_fields(g, net, blk)
-    cf = _span_fields(g, net, comp)
-    worst = 0.0
-    for ia, a in enumerate(blk):
-        cva = eval_vector(bf.covH[ia], pd.p, pd.cache)
-        for ic, c in enumerate(comp):
-            cvc = eval_vector(cf.covH[ic], pd.p, pd.cache)
-            scale = max(pd.norms[a] * pd.norms[c], 1e-300)
-            d1 = pd.ginner(cvc, pd.F[a]) / scale
-            d2 = pd.ginner(cva, pd.F[c]) / scale
-            worst = max(worst, abs(d1 - d2) / (1.0 + abs(d1) + abs(d2)))
-    return worst
+    return _Samples(g, net, (i,), [p], [tuple(p)]).geometry(i, 0)
 
 
 def cwp_residual(g: MetricField, net: OrthogonalNet, i: int, p, tol: float = 1e-8) -> float:
     """Mean-curvature exchange residual for block i at p. Raises
     NotApplicableError when the umbilicity preconditions fail at p, so the
     caller never mistakes an unevaluable identity for a zero residual."""
-    pd = _PointData(g, net, p)
-    _validate_net(g, net, pd)
-    geom = _geometry_at(g, net, i, pd)
+    samples = _Samples(g, net, (i,), [p], [tuple(p)])
+    geom = samples.geometry(i, 0)
     if geom.umbilicity > tol or geom.umbilicity_perp > tol:
         raise NotApplicableError(
             f"umbilicity preconditions fail at {tuple(p)}: "
             f"block {geom.umbilicity:.3e}, complement {geom.umbilicity_perp:.3e}"
         )
-    return _exchange_residual(g, net, i, pd)
+    return float(samples.exchange(i)[0])
 
 
 # --- classification -------------------------------------------------------------
@@ -470,66 +594,47 @@ def classify_net(
     if nblocks < 2:
         raise ConstraintError("classification needs at least two blocks")
 
-    maxes = {name: 0.0 for name in FLAG_NAMES}
+    labels = [tuple(float(x) for x in p) for p in pts]
+    samples = _Samples(g, net, range(nblocks), pts, labels)
+    sides = [samples.block(i) for i in range(nblocks)]
+    table = [[samples.geometry(i, j) for i in range(nblocks)] for j in range(len(pts))]
+
+    # per-block residuals, shape (blocks, samples)
+    umb, sph = (np.stack([getattr(b, a) for b, _ in sides]) for a in ("umb", "sph"))
+    umb_p, geo_p, integ_p = (
+        np.stack([getattr(c, a) for _, c in sides]) for a in ("umb", "geo", "integ")
+    )
+    tp = np.maximum(umb, integ_p).max(axis=0)
+    wp = np.maximum.reduce([umb[1:], sph[1:], geo_p[1:]]).max(axis=0)
+    qw = np.maximum(umb[1:], geo_p[1:]).max(axis=0)
+    cqw = np.maximum(umb[1:], umb_p[1:]).max(axis=0)
+    cqw0 = np.maximum(cqw, umb_p[0])
+
+    cwp = cqw
     eq_evaluated = False
-    eq0_evaluated = False
+    for i in range(1, nblocks):
+        admitted = (umb[i] <= tol) & (umb_p[i] <= tol)
+        if admitted.any():
+            cwp = np.where(admitted, np.maximum(cwp, samples.exchange(i)), cwp)
+            eq_evaluated = True
+    cp = np.maximum(cwp, umb_p[0])
     cp_hs0_max = 0.0
-    h0_max = 0.0
-    table = []
+    admitted = (umb[0] <= tol) & (umb_p[0] <= tol)
+    eq0_evaluated = bool(net.blocks[0]) and bool(admitted.any())
+    if eq0_evaluated:
+        cp_hs0_max = max(0.0, float(samples.exchange(0)[admitted].max()))
 
-    for p in pts:
-        p = tuple(float(x) for x in p)
-        pd = _PointData(g, net, p)
-        _validate_net(g, net, pd)
-        geoms = [_geometry_at(g, net, i, pd) for i in range(nblocks)]
-        table.append(geoms)
+    G = samples.G
+    H0 = sides[0][0].H
+    etas = [c.H for _, c in sides[1:]]
+    hsum = H0 - sum(etas)
+    hscale = 1.0 + _gnorm(H0, G) + sum(_gnorm(e, G) for e in etas)
+    h0_max = max(0.0, float((_gnorm(hsum, G) / hscale).max()))
 
-        tp = max(
-            max(gm.umbilicity, gm.integrability_perp) for gm in geoms
-        )
-        rest = geoms[1:]
-        wp = max(
-            (max(gm.umbilicity, gm.sphericity, gm.geodesy_perp) for gm in rest),
-            default=0.0,
-        )
-        qw = max(
-            (max(gm.umbilicity, gm.geodesy_perp) for gm in rest), default=0.0
-        )
-        cqw = max(
-            (max(gm.umbilicity, gm.umbilicity_perp) for gm in rest), default=0.0
-        )
-        cqw0 = max(cqw, geoms[0].umbilicity_perp)
-
-        cwp = cqw
-        for i in range(1, nblocks):
-            gm = geoms[i]
-            if gm.umbilicity <= tol and gm.umbilicity_perp <= tol:
-                cwp = max(cwp, _exchange_residual(g, net, i, pd))
-                eq_evaluated = True
-        cp = max(cwp, geoms[0].umbilicity_perp)
-        if (
-            geoms[0].umbilicity <= tol
-            and geoms[0].umbilicity_perp <= tol
-            and net.blocks[0]
-        ):
-            cp_hs0_max = max(cp_hs0_max, _exchange_residual(g, net, 0, pd))
-            eq0_evaluated = True
-
-        hsum = geoms[0].H - sum(gm.eta for gm in rest)
-        hscale = 1.0 + pd.gnorm(geoms[0].H) + sum(pd.gnorm(gm.eta) for gm in rest)
-        h0_max = max(h0_max, pd.gnorm(hsum) / hscale)
-
-        for name, val in (
-            ("TP", tp),
-            ("WP", wp),
-            ("QW", qw),
-            ("CQW", cqw),
-            ("CQW0", cqw0),
-            ("CWP", cwp),
-            ("CP", cp),
-        ):
-            maxes[name] = max(maxes[name], val)
-
+    maxes = {
+        name: max(0.0, float(val.max()))
+        for name, val in zip(FLAG_NAMES, (tp, wp, qw, cqw, cqw0, cwp, cp))
+    }
     flags = {name: Flag(_status(maxes[name], tol), maxes[name]) for name in FLAG_NAMES}
     if not eq_evaluated and flags["CWP"].status == "inconclusive":
         flags["CWP"] = Flag("not_applicable", maxes["CWP"])

@@ -5,6 +5,12 @@ differentiation. There is no algebraic simplification beyond constant folding
 and the 0/1 identities, so correctness rests on evaluation, not on canonical
 form. Derivatives are cached per node, which keeps repeated differentiation
 of shared subtrees cheap and keeps derivative trees compact DAGs.
+
+Two evaluators share one set of domain rules: `evaluate` interprets a tree
+at one point, and `compile_tape` turns a list of trees into a tape that
+`Tape.run` evaluates over a whole array of points with numpy. Tree walks
+that may meet deep trees (differentiation, substitution, printing, tape
+compilation) keep their own stack instead of recursing.
 """
 
 from __future__ import annotations
@@ -39,6 +45,9 @@ __all__ = [
     "format_expr",
     "diff",
     "evaluate",
+    "Tape",
+    "Sweep",
+    "compile_tape",
     "eval_jet2",
     "fd_oracle",
     "free_vars",
@@ -442,25 +451,283 @@ def _eval(e: Expr, point, cache: dict) -> float:
     return out
 
 
+# --- evaluation tapes ---------------------------------------------------------
+#
+# A tape is the straight-line program of a list of expressions (Griewank and
+# Walther, Evaluating Derivatives, 2008): one slot per distinct node in the
+# post-order that _eval visits, each evaluated once over a whole batch of
+# points. Structurally equal nodes share a slot and Call bodies are inlined,
+# so the first failing slot at a point is the node the interpreter would have
+# failed on, and its error names the same sub-expression.
+
+_UNARY_UFUNC = {
+    "neg": np.negative,
+    "exp": np.exp,
+    "log": np.log,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
+    "sqrt": np.sqrt,
+    "abs": np.absolute,
+}
+_UFUNC = {
+    **_UNARY_UFUNC,
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": np.power,
+}
+# slot values evaluated at once; larger batches of points go in chunks
+_CHUNK = 1 << 20
+
+
+class Tape:
+    """Compiled roots, evaluated together over an (m, dim) array of points."""
+
+    def __init__(self, nodes, instrs, root_slots, bounds):
+        self.nodes = nodes  # per slot: the first expression node that reached it
+        # per slot: ("const", value), ("var", index), (unary op, operand),
+        # (binary op, operand, operand) or ("^", operand, exponent)
+        self.instrs = instrs
+        self.root_slots = np.array(root_slots, dtype=np.intp)
+        # bounds[r]: number of slots first reached by the first r roots
+        self.bounds = tuple(bounds)
+        consts = [k for k, ins in enumerate(instrs) if ins[0] == "const"]
+        coords = [k for k, ins in enumerate(instrs) if ins[0] == "var"]
+        self._const_slots = np.array(consts, dtype=np.intp)
+        self._const_values = np.array([instrs[k][1] for k in consts], dtype=float)
+        self._var_slots = np.array(coords, dtype=np.intp)
+        self._var_index = np.array([instrs[k][1] for k in coords], dtype=np.intp)
+        self._ops = [k for k, ins in enumerate(instrs) if ins[0] in _UFUNC]
+
+    @property
+    def size(self) -> int:
+        return len(self.instrs)
+
+    def _slot_values(self, points) -> np.ndarray:
+        """(size, m) values of every slot; failures leave non-finite values."""
+        V = np.empty((self.size, len(points)))
+        with np.errstate(all="ignore"):
+            V[self._const_slots] = self._const_values[:, None]
+            V[self._var_slots] = points.T[self._var_index]
+            instrs = self.instrs
+            for k in self._ops:
+                ins = instrs[k]
+                op = ins[0]
+                if len(ins) == 2:
+                    _UFUNC[op](V[ins[1]], out=V[k])
+                elif op == "^":
+                    np.power(V[ins[1]], ins[2], out=V[k])
+                else:
+                    _UFUNC[op](V[ins[1]], V[ins[2]], out=V[k])
+        return V
+
+    def sweep(self, points) -> "Sweep":
+        """Evaluate the roots over an (m, dim) array without raising. Points
+        go through in chunks of at most _CHUNK slot values."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2:
+            raise ValueError("points must be an (m, dim) array")
+        step = max(1, _CHUNK // max(self.size, 1))
+        values, first_bad = [], []
+        for lo in range(0, max(len(pts), 1), step):
+            V = self._slot_values(pts[lo : lo + step])
+            # every domain violation leaves a non-finite value in its own slot
+            bad = np.isfinite(V)
+            np.logical_not(bad, out=bad)
+            first = np.full(V.shape[1], self.size)
+            if self.size:
+                hit = bad.any(axis=0)
+                first[hit] = bad.argmax(axis=0)[hit]
+            values.append(V[self.root_slots].T)
+            first_bad.append(first)
+        return Sweep(self, pts, np.concatenate(values), np.concatenate(first_bad))
+
+    def run(self, points) -> np.ndarray:
+        """(m, roots) values. Raises the EvalDomainError of the first sample
+        that fails, naming the sub-expression the interpreter would name."""
+        sw = self.sweep(points)
+        failed = np.flatnonzero(sw.first_bad < self.size)
+        if failed.size:
+            raise sw.error(int(failed[0]))
+        return sw.values
+
+
+class Sweep:
+    """Root values of one tape over a batch of points.
+
+    first_bad[j] is the first slot, in evaluation order, that fails at point
+    j, or tape.size where point j evaluates cleanly."""
+
+    def __init__(self, tape: Tape, points: np.ndarray, values: np.ndarray, first_bad: np.ndarray):
+        self.tape = tape
+        self.points = points
+        self.values = values
+        self.first_bad = first_bad
+
+    def error(self, j: int) -> EvalDomainError:
+        """The error the interpreter raises at point j."""
+        k = int(self.first_bad[j])
+        op, *args = self.tape.instrs[k]
+        col = self.tape._slot_values(self.points[j : j + 1])[:, 0]
+        message = "non-finite value"
+        if op == "log" and col[args[0]] <= 0.0:
+            message = "log of a nonpositive value"
+        elif op == "sqrt" and col[args[0]] < 0.0:
+            message = "sqrt of a negative value"
+        elif op in _UNARY_UFUNC:
+            message = "overflow"
+        elif op == "/" and col[args[1]] == 0.0:
+            message = "division by zero"
+        elif op == "^":
+            base, c = col[args[0]], args[1]
+            if base == 0.0 and c < 0.0:
+                message = "zero raised to a negative power"
+            elif base < 0.0 and c != int(c):
+                message = "fractional power of a negative base"
+            else:
+                message = "overflow in power"
+        return EvalDomainError(message, format_expr(self.tape.nodes[k]))
+
+
+def compile_tape(roots) -> Tape:
+    """Compile expressions into one tape, without recursion.
+
+    Slots follow the post-order of evaluating the roots in turn with a shared
+    cache. A node structurally equal to an earlier one (same kind, operation,
+    constant or exponent, and operand slots) reuses its slot. A Call's body
+    is inlined with its variable bound to the argument's slot."""
+    nodes: list = []
+    instrs: list = []
+    by_key: dict = {}
+    # per Call-argument slot (None outside Call bodies): node -> slot
+    memos: dict = {None: {}}
+    root_slots: list = []
+    bounds = [0]
+
+    for root in roots:
+        stack = [(root, None)]
+        while stack:
+            node, ctx = stack[-1]
+            memo = memos[ctx]
+            if node in memo:
+                stack.pop()
+                continue
+            t = type(node)
+            if t is Binary:
+                a, b = memo.get(node.a), memo.get(node.b)
+                if a is None or b is None:
+                    if b is None:
+                        stack.append((node.b, ctx))
+                    if a is None:
+                        stack.append((node.a, ctx))
+                    continue
+                key = (node.op, a, b)
+            elif t is Unary or t is Power:
+                child = node.arg if t is Unary else node.base
+                a = memo.get(child)
+                if a is None:
+                    stack.append((child, ctx))
+                    continue
+                if t is Power:
+                    key = ("^", a, node.exponent)
+                elif node.op in _UNARY_UFUNC:
+                    key = (node.op, a)
+                else:
+                    raise ValueError(f"unknown unary operation {node.op!r}")
+            elif t is Const:
+                key = ("const", node.value)
+            elif t is Var:
+                if ctx is None:
+                    key = ("var", node.index)
+                elif node.index == 0:
+                    memo[node] = ctx
+                    continue
+                else:
+                    raise ValueError(f"a call body reads variable {node.index}")
+            elif t is Call:
+                a = memo.get(node.arg)
+                if a is None:
+                    stack.append((node.arg, ctx))
+                    continue
+                body = memos.setdefault(a, {}).get(node.body)
+                if body is None:
+                    stack.append((node.body, a))
+                    continue
+                memo[node] = body
+                continue
+            else:
+                raise TypeError(f"unknown expression node {type(node).__name__}")
+            slot = by_key.get(key)
+            if slot is None:
+                slot = by_key[key] = len(instrs)
+                instrs.append(key)
+                nodes.append(node)
+            memo[node] = slot
+            stack.pop()
+        root_slots.append(memos[None][root])
+        bounds.append(len(instrs))
+    return Tape(nodes, instrs, root_slots, bounds)
+
+
 # --- differentiation --------------------------------------------------------
 
 
 def diff(e: Expr, i: int) -> Expr:
-    """Exact partial derivative with respect to coordinate i."""
+    """Exact partial derivative with respect to coordinate i.
+
+    Children are differentiated before their parents from an explicit
+    stack, so the depth of the tree is not bounded by the interpreter's
+    recursion limit."""
     cached = e._dcache.get(i)
-    if cached is None:
-        cached = _diff(e, i)
-        e._dcache[i] = cached
-    return cached
+    if cached is not None:
+        return cached
+    stack = [(e, i)]
+    while stack:
+        node, k = stack[-1]
+        if k in node._dcache:
+            stack.pop()
+            continue
+        # push the first operand derivative still missing, if any
+        t = type(node)
+        if t is Binary:
+            if k not in node.a._dcache:
+                stack.append((node.a, k))
+                continue
+            if k not in node.b._dcache:
+                stack.append((node.b, k))
+                continue
+        elif t is Unary:
+            if k not in node.arg._dcache:
+                stack.append((node.arg, k))
+                continue
+        elif t is Power:
+            if k not in node.base._dcache:
+                stack.append((node.base, k))
+                continue
+        elif t is Call:
+            if 0 not in node.body._dcache:
+                stack.append((node.body, 0))
+                continue
+            if k not in node.arg._dcache:
+                stack.append((node.arg, k))
+                continue
+        stack.pop()
+        node._dcache[k] = _diff(node, k)
+    return e._dcache[i]
 
 
 def _diff(e: Expr, i: int) -> Expr:
+    """Derivative of one node from the cached derivatives of its children."""
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.index == i else ZERO
     if isinstance(e, Unary):
-        da = diff(e.arg, i)
+        da = e.arg._dcache[i]
         a = e.arg
         op = e.op
         if op == "neg":
@@ -485,7 +752,7 @@ def _diff(e: Expr, i: int) -> Expr:
             return mul(div(e, a), da)
         raise ValueError(f"unknown unary operation {op!r}")
     if isinstance(e, Binary):
-        da, db = diff(e.a, i), diff(e.b, i)
+        da, db = e.a._dcache[i], e.b._dcache[i]
         if e.op == "+":
             return add(da, db)
         if e.op == "-":
@@ -494,10 +761,10 @@ def _diff(e: Expr, i: int) -> Expr:
             return add(mul(da, e.b), mul(e.a, db))
         return div(sub(mul(da, e.b), mul(e.a, db)), powc(e.b, 2.0))
     if isinstance(e, Power):
-        return mul(mul(const(e.exponent), powc(e.base, e.exponent - 1.0)), diff(e.base, i))
+        return mul(mul(const(e.exponent), powc(e.base, e.exponent - 1.0)), e.base._dcache[i])
     if isinstance(e, Call):
-        inner = substitute(diff(e.body, 0), {0: e.arg})
-        return mul(inner, diff(e.arg, i))
+        inner = substitute(e.body._dcache[0], {0: e.arg})
+        return mul(inner, e.arg._dcache[i])
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
@@ -516,15 +783,7 @@ def free_vars(e: Expr) -> frozenset[int]:
         seen.add(id(node))
         if isinstance(node, Var):
             out.add(node.index)
-        elif isinstance(node, Unary):
-            stack.append(node.arg)
-        elif isinstance(node, Binary):
-            stack.append(node.a)
-            stack.append(node.b)
-        elif isinstance(node, Power):
-            stack.append(node.base)
-        elif isinstance(node, Call):
-            stack.append(node.arg)  # body lives in its own variable space
+        stack.extend(_children(node))
     return frozenset(out)
 
 
@@ -532,30 +791,47 @@ def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
     """Replace Var(i) by mapping[i] wherever present. Missing indices keep
     their variables. Call bodies are untouched (their variable is private)."""
     memo: dict[int, Expr] = {}
-
-    def walk(node: Expr) -> Expr:
-        hit = memo.get(id(node))
-        if hit is not None:
-            return hit
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in memo:
+            stack.pop()
+            continue
+        pending = [c for c in _children(node) if id(c) not in memo]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
         if isinstance(node, Const):
             out = node
         elif isinstance(node, Var):
             out = mapping.get(node.index, node)
         elif isinstance(node, Unary):
-            out = apply_unary(node.op, walk(node.arg))
+            out = apply_unary(node.op, memo[id(node.arg)])
         elif isinstance(node, Binary):
-            a, b = walk(node.a), walk(node.b)
+            a, b = memo[id(node.a)], memo[id(node.b)]
             out = {"+": add, "-": sub, "*": mul, "/": div}[node.op](a, b)
         elif isinstance(node, Power):
-            out = powc(walk(node.base), node.exponent)
+            out = powc(memo[id(node.base)], node.exponent)
         elif isinstance(node, Call):
-            out = Call(node.name, node.body, walk(node.arg))
+            out = Call(node.name, node.body, memo[id(node.arg)])
         else:
             raise TypeError(f"unknown expression node {type(node).__name__}")
         memo[id(node)] = out
-        return out
+    return memo[id(e)]
 
-    return walk(e)
+
+def _children(e: Expr) -> tuple:
+    """Operands in the coordinate space of e (a Call body has its own)."""
+    if isinstance(e, Unary):
+        return (e.arg,)
+    if isinstance(e, Binary):
+        return (e.a, e.b)
+    if isinstance(e, Power):
+        return (e.base,)
+    if isinstance(e, Call):
+        return (e.arg,)
+    return ()
 
 
 def is_const_one(e: Expr) -> bool:
@@ -586,37 +862,47 @@ def format_expr(e: Expr, names=None) -> str:
             return names[i]
         return f"x{i}"
 
-    def fmt(node: Expr, ctx: int) -> str:
+    # per node: its text and the precedence below which a parent must wrap it
+    done: dict[int, tuple[str, int]] = {}
+
+    def wrap(node: Expr, ctx: int) -> str:
+        text, prec = done[id(node)]
+        return f"({text})" if ctx > prec else text
+
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        pending = [c for c in _children(node) if id(c) not in done]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
         if isinstance(node, Const):
-            text = _fmt_float(node.value)
-            if node.value < 0 and ctx > _PREC_NEG:
-                return f"({text})"
-            return text
-        if isinstance(node, Var):
-            return name_of(node.index)
-        if isinstance(node, Unary):
+            out = _fmt_float(node.value), _PREC_NEG if node.value < 0 else _PREC_ATOM
+        elif isinstance(node, Var):
+            out = name_of(node.index), _PREC_ATOM
+        elif isinstance(node, Unary):
             if node.op == "neg":
-                text = f"-{fmt(node.arg, _PREC_NEG + 1)}"
-                return f"({text})" if ctx > _PREC_NEG else text
-            return f"{node.op}({fmt(node.arg, 0)})"
-        if isinstance(node, Binary):
+                out = f"-{wrap(node.arg, _PREC_NEG + 1)}", _PREC_NEG
+            else:
+                out = f"{node.op}({wrap(node.arg, 0)})", _PREC_ATOM
+        elif isinstance(node, Binary):
             prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
             right_bump = 1 if node.op in "-/" else 0
-            text = (
-                f"{fmt(node.a, prec)} {node.op} {fmt(node.b, prec + right_bump)}"
-                if node.op in "+-"
-                else f"{fmt(node.a, prec)}{node.op}{fmt(node.b, prec + right_bump)}"
-            )
-            return f"({text})" if ctx > prec else text
-        if isinstance(node, Power):
-            expo = _fmt_float(node.exponent)
-            text = f"{fmt(node.base, _PREC_POW + 1)}^{expo}"
-            return f"({text})" if ctx > _PREC_POW else text
-        if isinstance(node, Call):
-            return f"{node.name}({fmt(node.arg, 0)})"
-        raise TypeError(f"unknown expression node {type(node).__name__}")
-
-    return fmt(e, 0)
+            a, b = wrap(node.a, prec), wrap(node.b, prec + right_bump)
+            sep = f" {node.op} " if node.op in "+-" else node.op
+            out = f"{a}{sep}{b}", prec
+        elif isinstance(node, Power):
+            out = f"{wrap(node.base, _PREC_POW + 1)}^{_fmt_float(node.exponent)}", _PREC_POW
+        elif isinstance(node, Call):
+            out = f"{node.name}({wrap(node.arg, 0)})", _PREC_ATOM
+        else:
+            raise TypeError(f"unknown expression node {type(node).__name__}")
+        done[id(node)] = out
+    return done[id(e)][0]
 
 
 # --- parser -----------------------------------------------------------------

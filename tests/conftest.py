@@ -9,6 +9,7 @@ difference oracles meaningful at fixed step sizes.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from orthonet.product_metrics import FactorSpec, ProductSpec
 from orthonet.scalar_fields import (
@@ -23,6 +24,11 @@ from orthonet.scalar_fields import (
     sub,
     var,
 )
+
+# fixed examples and no deadline: the suite gives the same verdict on every
+# run and on a slow or busy host
+settings.register_profile("orthonet", derandomize=True, deadline=None, database=None)
+settings.load_profile("orthonet")
 
 
 def random_expr(rng: np.random.Generator, dim: int, depth: int = 3):

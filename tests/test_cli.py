@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from orthonet.cli import (
+    COMMANDS,
     DEFAULT_TOLERANCE,
     _canonical,
     build_parser,
@@ -260,3 +261,22 @@ def test_parser_defaults():
     assert args.fmt == "text"
     assert args.tolerance is None
     assert DEFAULT_TOLERANCE == 1e-8
+
+
+def test_deep_expression_manifest(tmp_path, capsys):
+    # a 1000-term metric entry parses to a sum 1000 levels deep
+    terms = " + ".join(["0.001*x0"] * 999)
+    data = {
+        "chart": {"domain": [[0.5, 1.5], [0.5, 1.5]], "names": ["x0", "x1"]},
+        "metric": {"components": [[f"1 + {terms}", "0"], ["0", "1"]]},
+    }
+    path = str(write_manifest(tmp_path, data))
+    assert main(["--command", "classify", "--manifest", path, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert {v["status"] for v in report["verdicts"].values()} == {"pass"}
+    for command in COMMANDS:
+        for fmt in ("text", "json"):
+            code = main(["--command", command, "--manifest", path, "--format", fmt])
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert (code == 1) == err.startswith("error: ")

@@ -1,15 +1,20 @@
 """Orthogonal nets: flag classification, span geometry, invariances."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import random_positive_scale
 from orthonet import fixtures
-from orthonet.chart_calculus import MetricField
+from orthonet.chart_calculus import MetricField, metric_at
 from orthonet.errors import (
+    ConditionNumberWarning,
     ConstraintError,
     DegenerateFrameError,
+    EvalDomainError,
     NotApplicableError,
+    NotSPDError,
 )
 from orthonet.nets import (
     NetReport,
@@ -20,7 +25,7 @@ from orthonet.nets import (
     project,
 )
 from orthonet.product_metrics import conformal_scale
-from orthonet.sampling import SamplePlan
+from orthonet.sampling import SamplePlan, sample_points
 from orthonet.scalar_fields import Chart, ONE, ZERO, const, mul, parse_expr
 
 PLAN = SamplePlan(grid=4, margin=0.1, random=6, seed=1)
@@ -233,3 +238,77 @@ def test_report_serialization_shape():
     assert set(d["flags"]) == {"TP", "WP", "QW", "CQW", "CQW0", "CWP", "CP"}
     assert d["n_samples"] == rep.n_samples
     assert len(rep.table) == rep.n_samples
+
+
+# --- failure order over the sample plan ----------------------------------------
+
+# grid points in plan order: x0 = 1 for samples 0-2, 1.5 for 3-5, 2 for 6-8
+ORDER_PLAN = SamplePlan(grid=3, margin=0.0, random=0)
+
+
+def _diag2(g00: str, g11: str) -> MetricField:
+    ch = Chart.box([(1.0, 2.0), (0.0, 1.0)], blocks=((0,), (1,)))
+    return MetricField.diagonal(ch, [parse_expr(g00, ch), parse_expr(g11, ch)])
+
+
+def _classify_recording(g):
+    """classify_net's outcome and the condition warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = classify_net(g, _coordinate(g), ORDER_PLAN)
+        except Exception as e:  # noqa: BLE001 - the outcome under test
+            outcome = e
+    texts = [str(w.message) for w in caught if w.category is ConditionNumberWarning]
+    return outcome, texts
+
+
+def _pointwise_warnings(g, samples):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for p in samples:
+            metric_at(g, tuple(float(x) for x in p))
+    return [str(w.message) for w in caught]
+
+
+def test_domain_error_precedes_a_later_non_spd_sample():
+    # the metric is positive definite up to x0 = 1.5 and not at x0 = 2
+    # (sample 6); earlier samples fail evaluation in different stages
+    in_field = _diag2("1.75 - x0", "1 + sqrt(x0 - 1)")  # d/dx0 at x0 = 1
+    outcome, _ = _classify_recording(in_field)
+    assert isinstance(outcome, EvalDomainError)
+    assert outcome.subexpr == "1/(2*sqrt(x0 - 1))"
+
+    in_metric = _diag2("1.75 - x0", "1 + log(x0 - 1.2)^2")  # samples 0-2
+    outcome, _ = _classify_recording(in_metric)
+    assert isinstance(outcome, EvalDomainError)
+    assert outcome.subexpr == "log(x0 - 1.2)"
+
+    # and the other way round: the first failing sample decides
+    outcome, _ = _classify_recording(_diag2("x0 - 1.25", "1 + sqrt(2 - x0)"))
+    assert isinstance(outcome, NotSPDError)
+    assert "at (1.0, 0.0)" in str(outcome)
+
+
+def test_condition_warnings_once_each_in_plan_order():
+    g = _diag2("1", "1e-9*(1 + x0*x1)")
+    outcome, texts = _classify_recording(g)
+    assert isinstance(outcome, NetReport)
+    samples = sample_points(g.chart, ORDER_PLAN)
+    assert len(texts) == len(samples) == 9
+    assert texts == _pointwise_warnings(g, samples)
+
+
+def test_condition_warnings_stop_at_the_failing_sample():
+    # ill-conditioned at samples 0-5, not positive definite from sample 6
+    g = _diag2("1.75 - x0", "1e-9*(1 + x1)")
+    outcome, texts = _classify_recording(g)
+    assert isinstance(outcome, NotSPDError)
+    samples = sample_points(g.chart, ORDER_PLAN)
+    assert texts == _pointwise_warnings(g, samples[:6])
+
+    # a failure after the metric check at sample 0 keeps that sample's warning
+    g = _diag2("1", "1e-9*(1 + sqrt(x0 - 1))")
+    outcome, texts = _classify_recording(g)
+    assert isinstance(outcome, EvalDomainError)
+    assert texts == _pointwise_warnings(g, samples[:1])

@@ -1,0 +1,214 @@
+"""Evaluation tapes against the pointwise interpreter, and deep expressions."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orthonet import scalar_fields
+from orthonet.errors import EvalDomainError
+from orthonet.scalar_fields import (
+    Binary,
+    Call,
+    Chart,
+    Const,
+    Power,
+    Unary,
+    Var,
+    add,
+    compile_tape,
+    const,
+    diff,
+    evaluate,
+    format_expr,
+    parse_expr,
+    substitute,
+    var,
+)
+
+DIM = 2
+UNARY = ["neg", "exp", "log", "sin", "cos", "tan", "sinh", "cosh", "sqrt", "abs"]
+# 0 and negatives reach the log, sqrt, division and power rules; 1000 makes
+# exp, sinh, cosh and powers overflow
+SPECIAL = [0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1000.0]
+EXPONENTS = [2.0, 3.0, -1.0, -2.0, 0.5, 1.5, -0.5, 400.0]
+
+
+def _trees(leaves, calls):
+    def extend(children):
+        options = [
+            st.tuples(st.sampled_from(UNARY), children).map(lambda t: Unary(*t)),
+            st.tuples(st.sampled_from("+-*/"), children, children).map(
+                lambda t: Binary(*t)
+            ),
+            st.tuples(children, st.sampled_from(EXPONENTS)).map(lambda t: Power(*t)),
+        ]
+        if calls is not None:
+            options.append(
+                st.tuples(st.sampled_from("fg"), calls, children).map(lambda t: Call(*t))
+            )
+        return st.one_of(options)
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+_constants = st.sampled_from(SPECIAL).map(Const)
+_bodies = _trees(st.one_of(st.just(Var(0)), _constants), None)
+_exprs = _trees(st.one_of(st.integers(0, DIM - 1).map(Var), _constants), _bodies)
+_coordinate = st.one_of(st.sampled_from(SPECIAL), st.floats(-3.0, 3.0))
+_points = st.lists(
+    st.lists(_coordinate, min_size=DIM, max_size=DIM), min_size=1, max_size=6
+)
+
+
+@st.composite
+def _roots(draw):
+    roots = draw(st.lists(_exprs, min_size=1, max_size=4))
+    # shared node objects across roots, on top of the structural repeats
+    roots.append(Binary("*", roots[0], roots[-1]))
+    return roots
+
+
+def _interpret(roots, points):
+    """Values row by row, or (point index, error) of the first failure."""
+    rows = []
+    for j, p in enumerate(points):
+        cache: dict = {}
+        try:
+            rows.append([evaluate(r, tuple(p), cache) for r in roots])
+        except EvalDomainError as e:
+            return None, (j, e)
+    return np.array(rows), None
+
+
+@settings(max_examples=300)  # enough to reach every error kind
+@given(_roots(), _points)
+def test_tape_matches_interpreter(roots, points):
+    want, failure = _interpret(roots, points)
+    tape = compile_tape(roots)
+    sweep = tape.sweep(points)
+    failed = np.flatnonzero(sweep.first_bad < tape.size)
+    if failure is None:
+        assert failed.size == 0
+        got = tape.run(points)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        return
+    j, err = failure
+    assert failed.size and failed[0] == j
+    with pytest.raises(EvalDomainError) as raised:
+        tape.run(points)
+    assert raised.value.subexpr == err.subexpr
+    assert str(raised.value) == str(err)
+    assert str(sweep.error(j)) == str(err)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("log(x0 - 0.5)", "log of a nonpositive value"),
+        ("sqrt(x0 - 0.75)", "sqrt of a negative value"),
+        ("x1/(x0 - 0.5)", "division by zero"),
+        ("(x0 - 0.5)^-2", "zero raised to a negative power"),
+        ("(x0 - 0.75)^1.5", "fractional power of a negative base"),
+        ("(1000*x0)^400", "overflow in power"),
+        ("cosh(2000*x0)", "overflow"),
+        ("exp(700*x0)*exp(700*x1)", "non-finite value"),
+    ],
+)
+def test_each_domain_rule_matches_interpreter(text, message):
+    e = parse_expr(text, Chart.box([(0.0, 1.0)] * 2))
+    pts = [[1.0, 0.5], [0.5, 1.0]]
+    _, (j, err) = _interpret([e], pts)
+    assert str(err).startswith(message)
+    tape = compile_tape([e])
+    with pytest.raises(EvalDomainError) as raised:
+        tape.run(pts)
+    assert str(raised.value) == str(err)
+    assert np.flatnonzero(tape.sweep(pts).first_bad < tape.size)[0] == j
+
+
+def test_structurally_equal_nodes_share_a_slot():
+    ch = Chart.box([(0.1, 1.0)] * 2)
+    a = parse_expr("sin(x0) * x1 + sin(x0)", ch)
+    b = parse_expr("sin(x0) * x1", ch)
+    tape = compile_tape([a, b])
+    # x0, sin(x0), x1, the product and the sum; b is all repeats
+    assert tape.size == 5
+    assert tape.bounds == (0, 5, 5)
+    assert tape.root_slots[1] == 3
+
+
+def test_call_bodies_are_inlined():
+    ch = Chart.box([(0.1, 1.0)] * 2)
+    body = parse_expr("log(x0) + 1", Chart.box([(0.0, 1.0)]))
+    e = parse_expr("f(x0 * x1) - f(x1)", ch, {"f": body})
+    p = np.array([[0.3, 0.7], [0.9, 0.2]])
+    got = compile_tape([e]).run(p)[:, 0]
+    want = [evaluate(e, tuple(q)) for q in p]
+    assert np.allclose(got, want, rtol=1e-14)
+    with pytest.raises(EvalDomainError, match=r"log of a nonpositive value: log\(x0\)"):
+        compile_tape([e]).run([[0.5, -1.0]])
+
+
+def test_first_failing_sample_is_reported():
+    ch = Chart.box([(-1.0, 1.0)] * 2)
+    e = parse_expr("sqrt(x1) + 1/x0", ch)
+    tape = compile_tape([e])
+    pts = [[0.5, 0.5], [0.0, 0.2], [0.5, -0.1]]
+    sweep = tape.sweep(pts)
+    assert list(sweep.first_bad < tape.size) == [False, True, True]
+    with pytest.raises(EvalDomainError, match=r"division by zero: 1/x0"):
+        tape.run(pts)
+    with pytest.raises(EvalDomainError, match=r"sqrt of a negative value: sqrt\(x1\)"):
+        tape.run(pts[2:])
+
+
+def test_chunked_sweep_matches_one_pass(monkeypatch):
+    ch = Chart.box([(-1.0, 1.0)] * 2)
+    e = parse_expr("exp(x0) * sin(x1) + 1/(x0 - 0.3)", ch)
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(40, 2))
+    pts[29] = (0.3, 0.5)
+    tape = compile_tape([e])
+    whole = tape.sweep(pts)
+    monkeypatch.setattr(scalar_fields, "_CHUNK", 3 * tape.size)
+    parts = tape.sweep(pts)
+    assert np.array_equal(parts.values, whole.values, equal_nan=True)
+    assert np.array_equal(parts.first_bad, whole.first_bad)
+    assert list(np.flatnonzero(parts.first_bad < tape.size)) == [29]
+    assert str(parts.error(29)) == "division by zero: 1/(x0 - 0.3)"
+
+
+# --- deep expressions ----------------------------------------------------------
+
+
+def _long_sum(terms: int):
+    e = var(0)
+    for k in range(terms - 1):
+        e = add(e, Binary("*", const(0.5 + k % 7), var(k % 2)))
+    return e
+
+
+def test_diff_of_a_long_sum():
+    e = _long_sum(500)
+    d = diff(e, 0)
+    p = (0.3, 0.9)
+    want = 1.0 + sum(0.5 + k % 7 for k in range(499) if k % 2 == 0)
+    assert math.isclose(compile_tape([d]).run([p])[0, 0], want, rel_tol=1e-12)
+
+
+def test_format_and_substitute_of_a_long_sum():
+    ch = Chart.box([(0.0, 1.0)] * 2)
+    e = _long_sum(5000)
+    text = format_expr(e)
+    assert text.count("+") == 4999
+    back = parse_expr(text, ch)
+    swapped = substitute(back, {0: var(1), 1: var(0)})
+    p = np.array([[0.25, 0.75]])
+    assert math.isclose(
+        compile_tape([swapped]).run(p)[0, 0],
+        compile_tape([e]).run(p[:, ::-1])[0, 0],
+        rel_tol=1e-12,
+    )
