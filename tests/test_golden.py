@@ -25,7 +25,9 @@ from orthonet.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
-MANIFESTS = ("polar", "twisted_control", "factorize_scaled_polar", "torus_codazzi")
+MANIFESTS = (
+    "polar", "twisted_control", "factorize_scaled_polar", "torus_codazzi", "warped_three",
+)
 COMMANDS = ("classify", "verify-product", "factorize", "codazzi")
 
 ABS_TOL = 1e-12
