@@ -40,6 +40,7 @@ from .chart_calculus import (
     cov_deriv,
     det_expr,
     eval_vector,
+    grad_exprs,
     grad_field,
     hessian_lc,
     metric_at,
@@ -57,6 +58,7 @@ from .scalar_fields import (
     Expr,
     ONE,
     ZERO,
+    compile_tape,
     const,
     diff,
     div,
@@ -67,6 +69,7 @@ from .scalar_fields import (
     mul,
     powc,
     substitute,
+    var,
 )
 
 __all__ = [
@@ -176,14 +179,15 @@ class ProductSpec:
 
 
 def _check_positive(e: Expr, chart: Chart, label: str):
-    axes = grid_axes(chart, _POSITIVITY_GRID)
-    for pt in itertools.product(*axes):
-        try:
-            v = evaluate(e, pt)
-        except EvalDomainError as exc:
-            raise ConstraintError(f"{label} not evaluable at {pt}: {exc}") from exc
-        if v <= 0.0:
-            raise ConstraintError(f"{label} is {v:.6g} <= 0 at {pt}")
+    pts = _mesh(grid_axes(chart, _POSITIVITY_GRID))
+    sweep = compile_tape([e]).sweep(pts)
+    hit = _first_fault(sweep, sweep.values <= 0.0)
+    if hit and hit[2]:
+        exc = sweep.error(hit[0])
+        raise ConstraintError(f"{label} not evaluable at {tuple(pts[hit[0]])}: {exc}") from exc
+    if hit:
+        j = hit[0]
+        raise ConstraintError(f"{label} is {sweep.values[j, 0]:.6g} <= 0 at {tuple(pts[j])}")
 
 
 def build_metric(spec: ProductSpec) -> MetricField:
@@ -199,7 +203,7 @@ def build_metric(spec: ProductSpec) -> MetricField:
         rho = spec.twists[i]
         if not is_const_one(rho):
             _check_positive(rho, chart, f"twist {i}")
-        remap = {j: _gvar(off + j) for j in range(f.chart.dim)}
+        remap = {j: var(off + j) for j in range(f.chart.dim)}
         rho2 = mul(rho, rho)
         for a in range(f.chart.dim):
             for b in range(a, f.chart.dim):
@@ -217,12 +221,6 @@ def build_metric(spec: ProductSpec) -> MetricField:
     g.provenance = spec
     spec.__dict__["_metric"] = g
     return g
-
-
-def _gvar(i: int) -> Expr:
-    from .scalar_fields import var
-
-    return var(i)
 
 
 def conformal_scale(g: MetricField, phi: Expr) -> MetricField:
@@ -303,51 +301,103 @@ def separability_residual(rho: Expr, block_a, block_b, p) -> float:
     return worst
 
 
-# --- quadrature ---------------------------------------------------------------
+# --- batched evaluation -------------------------------------------------------
+#
+# Every grid and every quadrature level is one tape run over a stacked array of
+# points. Failures are found afterwards and raised in the order the pointwise
+# definition meets them: points in itertools.product order, and at each point
+# the roots in the order they are listed.
+
+# points per tape run of the quadrature
+_QUAD_POINTS = 1 << 14
 
 
-def _segment_quad(f, t0: float, t1: float) -> float:
-    """Composite trapezoid with Richardson refinement to QUAD_TOL."""
-    if t0 == t1:
-        return 0.0
+def _mesh(axes) -> np.ndarray:
+    """(m, len(axes)) points of the tensor grid, in itertools.product order."""
+    if not axes:
+        return np.zeros((1, 0))
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _first_fault(sweep, bad: np.ndarray):
+    """(j, q, domain) for the first point j, and there the first root q, whose
+    evaluation fails (domain) or where bad[j, q] holds; None if there is none."""
+    # the first failing slot at a point belongs to the first root that reaches it
+    fails = np.searchsorted(np.asarray(sweep.tape.bounds[1:]), sweep.first_bad, side="right")
+    r = bad.shape[1]
+    q = np.minimum(fails, np.where(bad.any(axis=1), bad.argmax(axis=1), r))
+    hit = np.flatnonzero(q < r)
+    if not hit.size:
+        return None
+    j = int(hit[0])
+    return j, int(q[j]), bool(fails[j] == q[j])
+
+
+def _integrate(segments: list):
+    """Line integrals of one-root tapes along axis-parallel segments.
+
+    A segment (tape, ax, start, t1) integrates the tape along axis ax from
+    the point start to start[ax] = t1 with the composite trapezoid rule on 8
+    intervals, halved up to 16 times with Richardson extrapolation until two
+    successive estimates differ by less than QUAD_TOL. Each level of all
+    unfinished segments on one tape is evaluated in one run. Returns the
+    integrals and, per segment, the EvalDomainError of its first failing node
+    in the order the rule visits them, or None."""
+    count = len(segments)
+    start = np.array([s for _, _, s, _ in segments], dtype=float, ndmin=2)
+    axis = np.array([ax for _, ax, _, _ in segments], dtype=np.intp)
+    t0 = start[np.arange(count), axis]
+    h = (np.array([t1 for *_, t1 in segments], dtype=float) - t0) / 8
+    faults: list = [None] * count
+
+    def integrand(rows: np.ndarray, offsets: np.ndarray, reduce) -> np.ndarray:
+        """reduce(values at t0 + offsets * h) on the segments `rows`, one
+        number per segment; runs hold at most _QUAD_POINTS points."""
+        out = np.empty(len(rows))
+        tapes = [segments[s][0] for s in rows]
+        per = max(1, _QUAD_POINTS // len(offsets))
+        for tape in dict.fromkeys(tapes):
+            mine = np.array([r for r, t in enumerate(tapes) if t is tape], dtype=np.intp)
+            for lo in range(0, len(mine), per):
+                part = mine[lo : lo + per]
+                seg = rows[part]
+                pts = np.repeat(start[seg], len(offsets), axis=0)
+                pts[np.arange(len(pts)), np.repeat(axis[seg], len(offsets))] = (
+                    t0[seg, None] + offsets * h[seg, None]
+                ).ravel()
+                sweep = tape.sweep(pts)
+                out[part] = reduce(sweep.values[:, 0].reshape(len(part), len(offsets)))
+                bad = (sweep.first_bad < tape.size).reshape(len(part), len(offsets))
+                for r in np.flatnonzero(bad.any(axis=1)):
+                    faults[seg[r]] = sweep.error(r * len(offsets) + int(bad[r].argmax()))
+        return out
+
+    def clean(rows: np.ndarray) -> np.ndarray:
+        return rows[[faults[s] is None for s in rows]]
+
+    def seqsum(v: np.ndarray) -> np.ndarray:
+        # left to right along each row, the order of the builtin sum
+        return np.cumsum(v, axis=1)[:, -1]
+
+    rows = np.arange(count)
+    trap = h * integrand(
+        rows, np.arange(9.0), lambda v: 0.5 * v[:, 0] + seqsum(v[:, 1:-1]) + 0.5 * v[:, -1]
+    )
+    rich = np.full(count, np.inf)
+    rows = clean(rows)
     n = 8
-    h = (t1 - t0) / n
-    vals = [f(t0 + j * h) for j in range(n + 1)]
-    trap = h * (0.5 * vals[0] + sum(vals[1:-1]) + 0.5 * vals[-1])
-    prev_rich = None
     for _ in range(16):
-        mid = [f(t0 + (j + 0.5) * h) for j in range(n)]
-        trap2 = 0.5 * trap + 0.5 * h * sum(mid)
-        rich = (4.0 * trap2 - trap) / 3.0
-        if prev_rich is not None and abs(rich - prev_rich) < QUAD_TOL:
-            return rich
-        prev_rich = rich
-        trap = trap2
+        if not rows.size:
+            break
+        trap2 = 0.5 * trap[rows] + 0.5 * h[rows] * integrand(rows, np.arange(n) + 0.5, seqsum)
+        new = (4.0 * trap2 - trap[rows]) / 3.0
+        converged = np.abs(new - rich[rows]) < QUAD_TOL
+        rich[rows] = new
+        trap[rows] = trap2
+        h[rows] *= 0.5
+        rows = clean(rows[~converged])
         n *= 2
-        h *= 0.5
-    return prev_rich
-
-
-def _corner_path_segments(dexprs, base, target, order):
-    """Per-axis line integrals along the axis-parallel path from base to
-    target that fixes axes in the given visiting order."""
-    cur = list(base)
-    out = []
-    for ax in order:
-        t0, t1 = cur[ax], float(target[ax])
-        if t0 != t1:
-            fixed = tuple(cur)
-
-            def f(t, _ax=ax, _fixed=fixed):
-                pt = list(_fixed)
-                pt[_ax] = t
-                return evaluate(dexprs[_ax], tuple(pt))
-
-            out.append((ax, _segment_quad(f, t0, t1)))
-            cur[ax] = t1
-        else:
-            out.append((ax, 0.0))
-    return out
+    return rich, faults
 
 
 # --- factorization --------------------------------------------------------------
@@ -423,11 +473,6 @@ class Factorization:
         return out
 
 
-def _blk_det_expr(g: MetricField, blk) -> Expr:
-    sub = [[g.entries[a][b] for b in blk] for a in blk]
-    return det_expr(sub)
-
-
 def factorize_cwp(
     g: MetricField,
     net: OrthogonalNet | None = None,
@@ -444,6 +489,12 @@ def factorize_cwp(
     residual over a `grid`-per-axis box, and the path-order residual of the
     defining line integrals. Adds a conformal-to-product section when CP
     passes and a separable-sum section for 1/phi when sphericity holds.
+
+    Each grid is evaluated with one tape run. The line integrals of all paths
+    (warpings, fiber factors, both axis orders to every box corner) are
+    integrated together, one tape run per integrand and refinement level.
+    Failures are raised as the pointwise definition meets them: sections in
+    the order above, points in itertools.product order.
     """
     chart = g.chart
     n = chart.dim
@@ -468,29 +519,57 @@ def factorize_cwp(
         raise ConstraintError(f"base point {base} outside the chart domain")
 
     # block-diagonality gate
-    probe_axes = grid_axes(chart, 3)
-    for pt in itertools.product(*probe_axes):
-        cache: dict = {}
-        for bi, bj in itertools.combinations(range(k + 1), 2):
-            for a in blocks[bi]:
-                for b in blocks[bj]:
-                    if abs(evaluate(g.entries[a][b], pt, cache)) > 1e-12:
-                        raise ConstraintError(
-                            f"metric has off-block entry ({a},{b}) at {pt}"
-                        )
+    off = [
+        (a, b)
+        for bi, bj in itertools.combinations(range(k + 1), 2)
+        for a in blocks[bi]
+        for b in blocks[bj]
+    ]
+    if off:
+        probe = _mesh(grid_axes(chart, 3))
+        sweep = compile_tape([g.entries[a][b] for a, b in off]).sweep(probe)
+        hit = _first_fault(sweep, np.abs(sweep.values) > 1e-12)
+        if hit and hit[2]:
+            raise sweep.error(hit[0])
+        if hit:
+            a, b = off[hit[1]]
+            raise ConstraintError(f"metric has off-block entry ({a},{b}) at {tuple(probe[hit[0]])}")
 
     axes = grid_axes(chart, grid)
-    dets = [_blk_det_expr(g, blk) if blk else None for blk in blocks]
-    det_base = [evaluate(d, base) if d is not None else 1.0 for d in dets]
+    dets = [det_expr([[g.entries[a][b] for b in blk] for a in blk]) if blk else None
+            for blk in blocks]
+    at_base = iter(compile_tape([d for d in dets if d is not None]).run(np.array([base]))[0])
+    det_base = [1.0 if d is None else float(next(at_base)) for d in dets]
     dims = [len(blk) for blk in blocks]
 
-    def rho_bar(i: int, pt, cache=None) -> float:
+    def floats(pt) -> tuple:
+        return tuple(pt.tolist())
+
+    def rho_bar(i: int, pts, pairs=(), label=tuple, before=()):
+        """rho_i normalized at base, (m,), and the metric entries `pairs`,
+        (m, len(pairs)), at pts. Raises what the pointwise loop meets first:
+        at each point in turn before[j], then a failing or nonpositive block
+        determinant, then a failing entry."""
+        roots = [g.entries[a][b] for a, b in pairs]
+        if dets[i] is not None:
+            roots.insert(0, dets[i])
+        sweep = compile_tape(roots).sweep(pts)
+        vals = sweep.values
+        bad = np.zeros(vals.shape, dtype=bool)
+        if dets[i] is not None:
+            bad[:, 0] = vals[:, 0] <= 0.0
+        hit = _first_fault(sweep, bad)
+        for exc in before[: hit[0] + 1 if hit else len(pts)]:
+            if exc is not None:
+                raise exc
+        if hit and hit[2]:
+            raise sweep.error(hit[0])
+        if hit:
+            j = hit[0]
+            raise ConstraintError(f"block {i} determinant {vals[j, 0]:.6g} <= 0 at {label(pts[j])}")
         if dets[i] is None:
-            return 1.0
-        dv = evaluate(dets[i], pt, cache)
-        if dv <= 0.0:
-            raise ConstraintError(f"block {i} determinant {dv:.6g} <= 0 at {pt}")
-        return (dv / det_base[i]) ** (1.0 / (2.0 * dims[i]))
+            return np.ones(len(pts)), vals
+        return (vals[:, 0] / det_base[i]) ** (1.0 / (2.0 * dims[i])), vals[:, 1:]
 
     # d log(rho_i / rho_0) per axis, symbolic
     dL = {}
@@ -500,115 +579,115 @@ def factorize_cwp(
             L = L - mul(const(1.0 / (2.0 * dims[0])), log(dets[0]))
         dL[i] = [diff(L, ax) for ax in range(n)]
 
+    def slice_points(blk) -> np.ndarray:
+        """The grid over the coordinates in blk, the others held at base."""
+        pts = np.tile(np.array(base), (grid ** len(blk), 1))
+        pts[:, list(blk)] = _mesh([axes[a] for a in blk])
+        return pts
+
     b0 = blocks[0]
-    shape0 = tuple(grid for _ in b0)
-    axgrids0 = [axes[a] for a in b0]
+    shape0 = (grid,) * len(b0)
+    subs = [slice_points(blk) for blk in blocks]
 
-    def slice_point(blk, target_vals):
-        pt = list(base)
-        for a, v in zip(blk, target_vals):
-            pt[a] = float(v)
-        return tuple(pt)
+    # every axis-parallel leg of every path, integrated in one batch
+    tapes = {i: [compile_tape([d]) for d in dL[i]] for i in dL}
+    legs: dict = {}
 
-    # warpings psi_i on the block-0 subgrid
-    warpings = {}
-    for i in range(1, k + 1):
-        vals = np.zeros(shape0) if shape0 else np.zeros(())
-        for idx in np.ndindex(*shape0) if shape0 else [()]:
-            tgt = slice_point(b0, [axgrids0[j][idx[j]] for j in range(len(b0))])
-            segs = _corner_path_segments(dL[i], base, tgt, list(b0))
-            vals[idx] = math.exp(sum(v for _, v in segs))
-        warpings[i] = vals
+    def path(i: int, target, order) -> list:
+        """(axis, leg number, or -1 where the leg has no length) along the
+        path from base to target that fixes the axes in the given order."""
+        cur = list(base)
+        out = []
+        for ax in order:
+            t1 = float(target[ax])
+            s = -1
+            if cur[ax] != t1:
+                s = legs.setdefault((tapes[i][ax], ax, tuple(cur), t1), len(legs))
+                cur[ax] = t1
+            out.append((ax, s))
+        return out
 
-    # base factor on the block-0 subgrid
+    targets = list(itertools.product(*chart.domain)) + [base, chart.center()]
+    order = list(range(n))
+    warp_paths = {i: [path(i, pt, b0) for pt in subs[0]] for i in dL}
+    fiber_paths = {i: [path(i, pt, blocks[i]) for pt in subs[i]] for i in dL}
+    order_paths = {i: [(path(i, t, order), path(i, t, order[::-1])) for t in targets] for i in dL}
+    integral, faults = _integrate(list(legs))
+
+    def fault(p):
+        return next((faults[s] for _, s in p if s >= 0 and faults[s] is not None), None)
+
+    def segments(p) -> list:
+        """(axis, line integral) per leg of a path; raises its first failure."""
+        exc = fault(p)
+        if exc is not None:
+            raise exc
+        return [(ax, 0.0 if s < 0 else float(integral[s])) for ax, s in p]
+
+    def beta(p) -> float:
+        return sum(v for _, v in segments(p))
+
+    # warpings psi_i and the base factor on the block-0 subgrid
+    warpings = {i: np.exp([beta(p) for p in warp_paths[i]]).reshape(shape0) for i in dL}
     base_factor = None
     if b0:
         d0 = dims[0]
-        base_factor = np.zeros(shape0 + (d0, d0))
-        for idx in np.ndindex(*shape0):
-            pt = slice_point(b0, [axgrids0[j][idx[j]] for j in range(len(b0))])
-            cache = {}
-            r2 = rho_bar(0, pt, cache) ** 2
-            for a in range(d0):
-                for b in range(d0):
-                    base_factor[idx + (a, b)] = (
-                        evaluate(g.entries[b0[a]][b0[b]], pt, cache) / r2
-                    )
+        r, E = rho_bar(0, subs[0], [(a, b) for a in b0 for b in b0], floats)
+        base_factor = (E / (r**2)[:, None]).reshape(shape0 + (d0, d0))
 
     # fiber factors on block-i subgrids
     fiber_factors = {}
-    for i in range(1, k + 1):
-        blk = blocks[i]
-        di = dims[i]
-        shape_i = tuple(grid for _ in blk)
-        axgrids = [axes[a] for a in blk]
-        mat = np.zeros(shape_i + (di, di))
-        for idx in np.ndindex(*shape_i):
-            pt = slice_point(blk, [axgrids[j][idx[j]] for j in range(di)])
-            segs = _corner_path_segments(dL[i], base, pt, list(blk))
-            beta = sum(v for _, v in segs)
-            cache = {}
-            r2 = rho_bar(i, pt, cache) ** 2
-            scale = math.exp(2.0 * beta) / r2
-            for a in range(di):
-                for b in range(di):
-                    mat[idx + (a, b)] = scale * evaluate(
-                        g.entries[blk[a]][blk[b]], pt, cache
-                    )
-        fiber_factors[i] = mat
+    for i in dL:
+        blk, paths = blocks[i], fiber_paths[i]
+        r, E = rho_bar(i, subs[i], [(a, b) for a in blk for b in blk], floats,
+                       [fault(p) for p in paths])
+        scale = np.exp(2.0 * np.array([beta(p) for p in paths])) / r**2
+        fiber_factors[i] = (scale[:, None] * E).reshape((grid,) * dims[i] + (dims[i], dims[i]))
 
     # phi on the full grid + reconstruction residual
-    phi_grid = np.zeros((grid,) * n)
-    worst = 0.0
-    for idx in np.ndindex(*phi_grid.shape):
-        pt = tuple(axes[a][idx[a]] for a in range(n))
-        cache = {}
-        r0 = rho_bar(0, pt, cache)
-        phi_grid[idx] = r0
-        idx0 = tuple(idx[a] for a in b0)
-        G = np.zeros((n, n))
-        R = np.zeros((n, n))
-        for a in range(n):
-            for b in range(a, n):
-                G[a, b] = G[b, a] = evaluate(g.entries[a][b], pt, cache)
-        if base_factor is not None:
-            for a in range(dims[0]):
-                for b in range(dims[0]):
-                    R[b0[a], b0[b]] = r0 * r0 * base_factor[idx0 + (a, b)]
-        for i in range(1, k + 1):
-            blk = blocks[i]
-            idxi = tuple(idx[a] for a in blk)
-            psi = float(warpings[i][idx0])
-            for a in range(dims[i]):
-                for b in range(dims[i]):
-                    R[blk[a], blk[b]] = (
-                        r0 * r0 * psi * psi * fiber_factors[i][idxi + (a, b)]
-                    )
-        worst = max(worst, np.linalg.norm(R - G) / max(np.linalg.norm(G), 1e-300))
+    full = _mesh(axes)
+    upper = [(a, b) for a in range(n) for b in range(a, n)]
+    r0, E = rho_bar(0, full, upper)
+    phi_grid = r0.reshape((grid,) * n)
+    index = np.unravel_index(np.arange(len(full)), phi_grid.shape)
+
+    def spread(vals, blk) -> np.ndarray:
+        """At each point of the full grid, vals at its projection onto the
+        subgrid of blk."""
+        flat = vals.reshape((grid ** len(blk),) + vals.shape[len(blk):])
+        if not blk:
+            return flat[np.zeros(len(full), dtype=np.intp)]
+        return flat[np.ravel_multi_index([index[a] for a in blk], (grid,) * len(blk))]
+
+    def norm(X) -> np.ndarray:
+        return np.sqrt(np.einsum("mab,mab->m", X, X))
+
+    ia, ib = np.array(upper).T
+    G = np.zeros((len(full), n, n))
+    G[:, ia, ib] = G[:, ib, ia] = E
+    R = np.zeros_like(G)
+    r2 = r0 * r0
+    for i, blk in enumerate(blocks):
+        sel = np.array(blk)
+        if i == 0 and blk:
+            R[:, sel[:, None], sel] = r2[:, None, None] * spread(base_factor, blk)
+        elif i:
+            psi = spread(warpings[i], b0)
+            R[:, sel[:, None], sel] = (r2 * psi * psi)[:, None, None] * spread(fiber_factors[i], blk)
+    worst = np.max(norm(R - G) / np.maximum(norm(G), 1e-300))
 
     # path-order residual over box corners + center (full paths, both orders)
-    corner_axes = [(chart.domain[a][0], chart.domain[a][1]) for a in range(n)]
-    targets = list(itertools.product(*corner_axes)) + [base, chart.center()]
     path_worst = 0.0
-    order_f = list(range(n))
-    order_r = list(reversed(order_f))
-    for i in range(1, k + 1):
-        in_block = set(blocks[i])
-        in_base = set(b0)
-        for tgt in targets:
-            segs_f = _corner_path_segments(dL[i], base, tgt, order_f)
-            segs_r = _corner_path_segments(dL[i], base, tgt, order_r)
+    for i in dL:
 
-            def class_sums(segs):
-                alpha = sum(v for ax, v in segs if ax in in_base)
-                beta = sum(v for ax, v in segs if ax in in_block)
-                gamma = sum(
-                    abs(v) for ax, v in segs if ax not in in_base and ax not in in_block
-                )
-                return alpha, beta, gamma
+        def class_sums(segs):
+            alpha = sum(v for ax, v in segs if ax in b0)
+            beta = sum(v for ax, v in segs if ax in blocks[i])
+            gamma = sum(abs(v) for ax, v in segs if ax not in b0 and ax not in blocks[i])
+            return alpha, beta, gamma
 
-            af, bf, gf = class_sums(segs_f)
-            ar, br, gr = class_sums(segs_r)
+        for pf, pr in order_paths[i]:
+            (af, bf, gf), (ar, br, gr) = class_sums(segments(pf)), class_sums(segments(pr))
             path_worst = max(path_worst, abs(af - ar), abs(bf - br), gf, gr)
     if path_worst > PATH_ORDER_TOL:
         raise PathInconsistencyError(
@@ -627,21 +706,16 @@ def factorize_cwp(
             la = float(np.mean(d))
             constants[i] = math.exp(la)
             fit = max(fit, float(np.max(np.abs(d - la))) if d.size else 0.0)
-        psi1_full = np.zeros_like(phi_grid)
-        for idx in np.ndindex(*phi_grid.shape):
-            psi1_full[idx] = warpings[1][tuple(idx[a] for a in b0)]
         cp_base = None
         if base_factor is not None:
-            cp_base = base_factor.copy()
-            for idx in np.ndindex(*shape0):
-                cp_base[idx] /= float(warpings[1][idx]) ** 2
+            cp_base = base_factor / (warpings[1] ** 2)[..., None, None]
         cp_fibers = {1: fiber_factors[1]}
         for i in range(2, k + 1):
             cp_fibers[i] = constants[i] ** 2 * fiber_factors[i]
         cp = CpSection(
             constants=constants,
             fit_residual=fit,
-            phi=phi_grid * psi1_full,
+            phi=phi_grid * spread(warpings[1], b0).reshape(phi_grid.shape),
             base_factor=cp_base,
             fiber_factors=cp_fibers,
         )
@@ -660,32 +734,20 @@ def factorize_cwp(
         ):
             kind = "product"
         Kb = 1.0
-        phi0 = np.zeros(shape0) if shape0 else np.array(1.0)
-        for idx in np.ndindex(*shape0) if shape0 else [()]:
-            pt = slice_point(b0, [axgrids0[j][idx[j]] for j in range(len(b0))])
-            phi0[idx] = 1.0 / rho_bar(0, pt)
-        phis = {}
-        for i in range(1, k + 1):
-            blk = blocks[i]
-            shape_i = tuple(grid for _ in blk)
-            axg = [axes[a] for a in blk]
-            vals = np.zeros(shape_i)
-            for idx in np.ndindex(*shape_i):
-                pt = slice_point(blk, [axg[j][idx[j]] for j in range(dims[i])])
-                vals[idx] = 1.0 / rho_bar(0, pt) - Kb
-            phis[i] = vals
-        sph_worst = 0.0
-        for idx in np.ndindex(*phi_grid.shape):
-            Kv = 1.0 / phi_grid[idx]
-            idx0 = tuple(idx[a] for a in b0)
-            rebuilt = float(phi0[idx0]) if b0 else 1.0
-            for i in range(1, k + 1):
-                idxi = tuple(idx[a] for a in blocks[i])
-                rebuilt += float(warpings[i][idx0]) * float(phis[i][idxi])
-            sph_worst = max(sph_worst, abs(Kv - rebuilt) / (1.0 + abs(Kv)))
+        phi0 = (1.0 / rho_bar(0, subs[0], label=floats)[0]).reshape(shape0)
+        phis = {
+            i: (1.0 / rho_bar(0, subs[i], label=floats)[0] - Kb).reshape((grid,) * dims[i])
+            for i in dL
+        }
+        Kv = 1.0 / r0
+        rebuilt = spread(phi0, b0)
+        for i in dL:
+            rebuilt = rebuilt + spread(warpings[i], b0) * spread(phis[i], blocks[i])
+        sph_worst = float(np.max(np.abs(Kv - rebuilt) / (1.0 + np.abs(Kv))))
         spherical = SphericalSection(kind=kind, phi0=phi0, phis=phis, residual=sph_worst)
 
-    # closed-form conformal factor when provenance provides one that matches
+    # closed-form conformal factor when provenance provides one that matches;
+    # the check stops at the first mismatch, as the pointwise one did
     phi_expr = None
     prov = getattr(g, "provenance", None)
     if isinstance(prov, ProductSpec):
@@ -693,17 +755,14 @@ def factorize_cwp(
         if cand is None and prov.kind in ("product", "warped"):
             cand = ONE
         if cand is not None:
-            cand = div(cand, const(evaluate(cand, base)))
-            ok = True
-            for idx in np.ndindex(*phi_grid.shape):
-                pt = tuple(axes[a][idx[a]] for a in range(n))
-                if abs(evaluate(cand, pt) - phi_grid[idx]) > 1e-8 * (
-                    1.0 + abs(phi_grid[idx])
-                ):
-                    ok = False
-                    break
-            if ok:
+            cand = div(cand, const(float(compile_tape([cand]).run(np.array([base]))[0, 0])))
+            sweep = compile_tape([cand]).sweep(full)
+            mismatch = np.abs(sweep.values[:, 0] - r0) > 1e-8 * (1.0 + np.abs(r0))
+            hit = _first_fault(sweep, mismatch[:, None])
+            if hit is None:
                 phi_expr = cand
+            elif hit[2]:
+                raise sweep.error(hit[0])
 
     out = Factorization(
         base=base,
@@ -765,7 +824,7 @@ def spherical_factor_check(spec: ProductSpec, phi: Expr, i: int, p) -> Spherical
 
     cache: dict = {}
     G, _ = metric_at(g, p, cache)
-    W = tuple(mul(const(-1.0), w) for w in _grad_exprs_cached(g, log(phi)))
+    W = tuple(mul(const(-1.0), w) for w in grad_exprs(g, log(phi)))
     Wv = eval_vector(W, p, cache)
     basis = np.eye(n)
     norms = [math.sqrt(G[a, a]) for a in range(n)]
@@ -791,17 +850,3 @@ def spherical_factor_check(spec: ProductSpec, phi: Expr, i: int, p) -> Spherical
         for b in other:
             r5 = max(r5, abs(evaluate(diff(q, b), p, cache)))
     return SphericalCheck(residual_ii=r2, residual_iii=r3, residual_v=r5)
-
-
-def _grad_exprs_cached(g: MetricField, f: Expr):
-    from .chart_calculus import grad_exprs
-
-    cache = getattr(g, "_pm_cache", None)
-    if cache is None:
-        cache = {}
-        g._pm_cache = cache
-    hit = cache.get(id(f))
-    if hit is None:
-        hit = (grad_exprs(g, f), f)
-        cache[id(f)] = hit
-    return hit[0]

@@ -280,3 +280,10 @@ def test_deep_expression_manifest(tmp_path, capsys):
             err = capsys.readouterr().err
             assert "Traceback" not in err
             assert (code == 1) == err.startswith("error: ")
+    # with coordinate blocks the metric factors, evaluated on tapes throughout
+    data["chart"]["blocks"] = [[0], [1]]
+    path = str(write_manifest(tmp_path, data, "blocks.json"))
+    assert main(["--command", "factorize", "--manifest", path, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report["verdicts"]) == {"path_order", "reconstruction"}
+    assert {v["status"] for v in report["verdicts"].values()} == {"pass"}

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_twisted_spec
 from orthonet import fixtures
-from orthonet.chart_calculus import metric_at
-from orthonet.errors import ConstraintError
+from orthonet.chart_calculus import MetricField, metric_at
+from orthonet.errors import ConstraintError, EvalDomainError
 from orthonet.product_metrics import (
     FactorSpec,
     ProductSpec,
@@ -201,3 +203,100 @@ def test_factor_spec_rejects_foreign_variables():
     ch = Chart.box([(0.0, 1.0)], names=("a",))
     with pytest.raises(ConstraintError):
         FactorSpec(ch, ((var(1),),))
+
+
+# --- factorization failures: the error the pointwise definition meets first ---
+#
+# The expected messages are those of the pointwise implementation: points in
+# itertools.product order, and grid coordinates printed as that loop held them.
+
+
+def _unit_chart(n):
+    names = tuple(f"x{a}" for a in range(n))
+    return Chart.box([(0.0, 1.0)] * n, names=names, blocks=tuple((a,) for a in range(n)))
+
+
+def _bump(center):
+    """1e-9 at the center, below 1e-40 at every sample point."""
+    terms = " + ".join(f"(x{a} - {c})^2" for a, c in enumerate(center))
+    return f"1e-9*exp(-10000*({terms}))"
+
+
+def test_factorize_off_block_entry_names_first_probe_point():
+    ch = _unit_chart(3)
+    upper = {(0, 1): _bump((1.0, 0.5, 0.0)), (1, 2): _bump((0.5, 0.0, 1.0))}
+    text = [[upper.get((min(a, b), max(a, b)), "1" if a == b else "0")
+             for b in range(3)] for a in range(3)]
+    g = MetricField(ch, [[parse_expr(t, ch) for t in row] for row in text])
+    # (0.5, 0, 1) precedes (1, 0.5, 0) on the 3^3 probe grid
+    with pytest.raises(ConstraintError) as err:
+        factorize_cwp(g)
+    assert str(err.value) == (
+        "metric has off-block entry (1,2) at "
+        "(np.float64(0.5), np.float64(0.0), np.float64(1.0))"
+    )
+
+
+@pytest.mark.parametrize("coord, block, point", [
+    ("x0", 0, "(0.0, 0.5)"),  # base factor subgrid
+    ("x1", 1, "(0.5, 0.0)"),  # fiber subgrid, after its path integrals
+])
+def test_factorize_block_determinant_off_the_sample_plan(coord, block, point):
+    # conformally flat with factor x - 0.05: positive on every sample, negative
+    # on the boundary of the factor grid
+    ch = _unit_chart(2)
+    u = parse_expr(f"{coord} - 0.05", ch)
+    with pytest.raises(ConstraintError) as err:
+        factorize_cwp(MetricField.diagonal(ch, [u, u]))
+    assert str(err.value) == f"block {block} determinant -0.05 <= 0 at {point}"
+
+
+def test_factorize_quadrature_failure_in_visiting_order():
+    # the path to x0 = 0 is integrated first and first fails at a level-1
+    # node (x0 = 1/64); later paths on the grid of 17 fail at level 0 on the
+    # second singular point
+    ch = _unit_chart(2)
+    w = "exp(0.1*log((x0 - 0.015625)^2) + 0.1*log((x0 - 0.4921875)^2))"
+    g = MetricField.diagonal(ch, [ONE, parse_expr(w, ch)])
+    with pytest.raises(EvalDomainError) as err:
+        factorize_cwp(g, grid=17)
+    assert str(err.value) == "log of a nonpositive value: log((x0 - 0.015625)^2)"
+
+
+def test_factorize_fiber_path_failure_precedes_later_determinant():
+    # the fiber path to x1 = 0 fails at x1 = 1/64 before the block 1
+    # determinant, negative at x1 = 1, is reached
+    ch = _unit_chart(2)
+    w = "exp(0.1*log((x1 - 0.015625)^2))*(0.95 - x1)"
+    g = MetricField.diagonal(ch, [ONE, parse_expr(w, ch)])
+    with pytest.raises(EvalDomainError) as err:
+        factorize_cwp(g)
+    assert str(err.value) == "log of a nonpositive value: log((x1 - 0.015625)^2)"
+
+
+@pytest.mark.parametrize("twist, message", [
+    ("1/(x0 - 0.75) + 3", "twist 1 is -1 <= 0 at (np.float64(0.5), np.float64(0.0))"),
+    ("1/(x0 - 0.75) + 5", "twist 1 not evaluable at (np.float64(0.75), np.float64(0.0)): "
+                          "division by zero: 1/(x0 - 0.75)"),
+])
+def test_positivity_gate_names_first_grid_point(twist, message):
+    ch = _unit_chart(2)
+    spec = ProductSpec("warped", (_line(0.0, 1.0, "x0"), _line(0.0, 1.0, "x1")),
+                       twists=(ONE, parse_expr(twist, ch)))
+    with pytest.raises(ConstraintError) as err:
+        build_metric(spec)
+    assert str(err.value) == message
+
+
+@settings(max_examples=20)
+@given(a=st.floats(-2.0, 2.0), c=st.floats(0.5, 3.0))
+def test_factorize_recovers_warpings_in_closed_form(a, c):
+    ch = _unit_chart(3)
+    twists = (ONE, parse_expr(f"exp({a!r}*x0)", ch), parse_expr(f"{c!r} + x0^2", ch))
+    factors = tuple(_line(0.0, 1.0, f"x{i}") for i in range(3))
+    fac = factorize_cwp(build_metric(ProductSpec("warped", factors, twists=twists)))
+    x, b = fac.axes[0], fac.base[0]
+    want = {1: np.exp(a * x) / math.exp(a * b), 2: (c + x**2) / (c + b**2)}
+    for i, rho in want.items():
+        assert np.allclose(fac.warpings[i], rho, rtol=1e-9, atol=0.0)
+    assert fac.reconstruction_residual <= 1e-9
