@@ -47,7 +47,6 @@ from .chart_calculus import (
 )
 from .errors import (
     ConstraintError,
-    EvalDomainError,
     PathInconsistencyError,
     NotApplicableError,
 )
@@ -673,7 +672,8 @@ def factorize_cwp(
             R[:, sel[:, None], sel] = r2[:, None, None] * spread(base_factor, blk)
         elif i:
             psi = spread(warpings[i], b0)
-            R[:, sel[:, None], sel] = (r2 * psi * psi)[:, None, None] * spread(fiber_factors[i], blk)
+            fiber = spread(fiber_factors[i], blk)
+            R[:, sel[:, None], sel] = (r2 * psi * psi)[:, None, None] * fiber
     worst = np.max(norm(R - G) / np.maximum(norm(G), 1e-300))
 
     # path-order residual over box corners + center (full paths, both orders)
