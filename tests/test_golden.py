@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFESTS = (
     "polar", "twisted_control", "factorize_scaled_polar", "torus_codazzi", "warped_three",
+    "conformal_pair3",
 )
 COMMANDS = ("classify", "verify-product", "factorize", "codazzi")
 
