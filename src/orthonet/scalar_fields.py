@@ -482,6 +482,8 @@ _UFUNC = {
 }
 # slot values evaluated at once; larger batches of points go in chunks
 _CHUNK = 1 << 20
+# values in a temporary block when slot rows are copied out or checked
+_BLOCK = 1 << 12
 
 
 class Tape:
@@ -508,21 +510,21 @@ class Tape:
         return len(self.instrs)
 
     def _slot_values(self, points) -> np.ndarray:
-        """(size, m) values of every slot; failures leave non-finite values."""
+        """(size, m) values of every slot; failures leave non-finite values.
+        Callers ignore floating-point errors (np.errstate)."""
         V = np.empty((self.size, len(points)))
-        with np.errstate(all="ignore"):
-            V[self._const_slots] = self._const_values[:, None]
-            V[self._var_slots] = points.T[self._var_index]
-            instrs = self.instrs
-            for k in self._ops:
-                ins = instrs[k]
-                op = ins[0]
-                if len(ins) == 2:
-                    _UFUNC[op](V[ins[1]], out=V[k])
-                elif op == "^":
-                    np.power(V[ins[1]], ins[2], out=V[k])
-                else:
-                    _UFUNC[op](V[ins[1]], V[ins[2]], out=V[k])
+        V[self._const_slots] = self._const_values[:, None]
+        V[self._var_slots] = points.T[self._var_index]
+        instrs = self.instrs
+        for k in self._ops:
+            ins = instrs[k]
+            op = ins[0]
+            if len(ins) == 2:
+                _UFUNC[op](V[ins[1]], out=V[k])
+            elif op == "^":
+                np.power(V[ins[1]], ins[2], out=V[k])
+            else:
+                _UFUNC[op](V[ins[1]], V[ins[2]], out=V[k])
         return V
 
     def sweep(self, points) -> "Sweep":
@@ -532,19 +534,17 @@ class Tape:
         if pts.ndim != 2:
             raise ValueError("points must be an (m, dim) array")
         step = max(1, _CHUNK // max(self.size, 1))
-        values, first_bad = [], []
-        for lo in range(0, max(len(pts), 1), step):
-            V = self._slot_values(pts[lo : lo + step])
-            # every domain violation leaves a non-finite value in its own slot
-            bad = np.isfinite(V)
-            np.logical_not(bad, out=bad)
-            first = np.full(V.shape[1], self.size)
-            if self.size:
-                hit = bad.any(axis=0)
-                first[hit] = bad.argmax(axis=0)[hit]
-            values.append(V[self.root_slots].T)
-            first_bad.append(first)
-        return Sweep(self, pts, np.concatenate(values), np.concatenate(first_bad))
+        values = np.empty((len(pts), len(self.root_slots)))
+        first_bad = np.empty(len(pts), dtype=np.intp)
+        with np.errstate(all="ignore"):
+            for lo in range(0, len(pts), step):
+                V = self._slot_values(pts[lo : lo + step])
+                # root rows go out a few at a time, so no full second copy is made
+                rows = max(1, _BLOCK // V.shape[1])
+                for a in range(0, len(self.root_slots), rows):
+                    values[lo : lo + step, a : a + rows] = V[self.root_slots[a : a + rows]].T
+                first_bad[lo : lo + step] = _first_nonfinite(V)
+        return Sweep(self, pts, values, first_bad)
 
     def run(self, points) -> np.ndarray:
         """(m, roots) values. Raises the EvalDomainError of the first sample
@@ -554,6 +554,25 @@ class Tape:
         if failed.size:
             raise sw.error(int(failed[0]))
         return sw.values
+
+
+def _first_nonfinite(V: np.ndarray) -> np.ndarray:
+    """Per column of V, the first row holding a non-finite value, or len(V).
+
+    Every domain violation leaves a non-finite value in its own slot, and a
+    column with one has a non-finite sum, so only those columns are searched,
+    a block of rows at a time."""
+    first = np.full(V.shape[1], len(V))
+    cols = np.flatnonzero(~np.isfinite(V.sum(axis=0)))
+    rows = max(1, _BLOCK // max(V.shape[1], 1))
+    for lo in range(0, len(V), rows):
+        if not cols.size:
+            break
+        bad = ~np.isfinite(V[lo : lo + rows, cols])
+        hit = bad.any(axis=0)
+        first[cols[hit]] = lo + bad.argmax(axis=0)[hit]
+        cols = cols[~hit]
+    return first
 
 
 class Sweep:
@@ -572,7 +591,8 @@ class Sweep:
         """The error the interpreter raises at point j."""
         k = int(self.first_bad[j])
         op, *args = self.tape.instrs[k]
-        col = self.tape._slot_values(self.points[j : j + 1])[:, 0]
+        with np.errstate(all="ignore"):
+            col = self.tape._slot_values(self.points[j : j + 1])[:, 0]
         message = "non-finite value"
         if op == "log" and col[args[0]] <= 0.0:
             message = "log of a nonpositive value"
