@@ -5,9 +5,10 @@ entries of a MetricField produce expression trees, so derived fields such as
 mean curvature normals stay differentiable to any order. The numeric
 functions (`metric_at`, `christoffel`, `cov_deriv`, `grad_field`, ...)
 evaluate such trees at a single point with the pointwise interpreter
-`scalar_fields.evaluate`; `codazzi` and `product_metrics` use them. A sweep of
-many fields over many points compiles the trees into one tape instead
-(`scalar_fields.compile_tape`), as `nets` does.
+`scalar_fields.evaluate`; the per-point helpers of `product_metrics` use
+them. A sweep of many fields over many points compiles the trees into one
+tape instead (`scalar_fields.compile_tape`), as `nets`, `codazzi` and
+`factorize_cwp` do.
 
 Conventions: vectors are component tuples against the coordinate frame,
 Gamma[k][i][j] multiplies X^i Y^j, and

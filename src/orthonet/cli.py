@@ -734,7 +734,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except RecursionError:
-        # the pointwise interpreter recurses once per level of an expression
+        # the pointwise interpreter, which verify-product still uses, recurses
+        # once per level of an expression
         print("error: expression nested too deeply to evaluate", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - t0

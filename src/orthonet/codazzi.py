@@ -6,9 +6,15 @@ all X, Y. When such a tensor has exactly two distinct eigenvalues lambda and
 mu everywhere, the two eigenbundles form an orthogonal net whose geometry is
 governed by a handful of scalar identities in lambda, mu and their covariant
 Hessians. This module evaluates the defining residual, extracts the
-eigenstructure both pointwise and as closed-form scalar fields, scores the
-identities, classifies the pair (metric, tensor), and builds the two
+eigenstructure both sample by sample and as closed-form scalar fields, scores
+the identities, classifies the pair (metric, tensor), and builds the two
 canonical model pairs that realize the classification.
+
+Every field is compiled into an evaluation tape and run once over all sample
+points; residuals are stacked numpy over the sample axis, and covariant
+Hessians and derivatives are contracted numerically from the compiled partial
+derivatives and Christoffel symbols. Errors and warnings are those of checking
+one sample at a time in plan order.
 
 Residual vocabulary (all residuals are normalized to be scale-free):
 
@@ -39,28 +45,31 @@ else is reported as "outside_hypotheses".
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .chart_calculus import (
-    MetricField,
-    cov_deriv,
-    det_expr,
-    eval_matrix,
-    eval_vector,
-    hessian_lc,
-    inner,
-    metric_at,
-)
+from .chart_calculus import CONDITION_WARN, MetricField, det_expr
 from .errors import (
     CoalescenceError,
+    ConditionNumberWarning,
     ConstraintError,
     InconsistencyError,
     NotCodazziError,
+    NotSPDError,
 )
-from .nets import Flag, NetReport, OrthogonalNet, _span_fields, _status, classify_net
+from .nets import (
+    Flag,
+    NetReport,
+    OrthogonalNet,
+    _ginner,
+    _gnorm,
+    _span_fields,
+    _status,
+    classify_net,
+)
 from .product_metrics import (
     FactorSpec,
     ProductSpec,
@@ -75,10 +84,10 @@ from .scalar_fields import (
     ONE,
     ZERO,
     add,
+    compile_tape,
     const,
     diff,
     div,
-    evaluate,
     free_vars,
     mul,
     powc,
@@ -153,32 +162,15 @@ class SymTensorField:
         comp = [[diag_entries[i] if i == j else ZERO for j in range(n)] for i in range(n)]
         return SymTensorField(chart, comp, metric)
 
-    def matrix(self, p, cache: dict | None = None) -> np.ndarray:
-        return eval_matrix(self.components, p, {} if cache is None else cache)
 
+# --- metric, tensor and Codazzi residual over the samples ----------------------
 
-def self_adjoint_defect(g: MetricField, phi: SymTensorField, p, cache: dict | None = None) -> float:
-    """Relative asymmetry of g Phi at p; zero iff Phi is g-self-adjoint there."""
-    if cache is None:
-        cache = {}
-    G, _ = metric_at(g, p, cache)
-    P = eval_matrix(phi.components, p, cache)
-    S = G @ P
-    return float(np.linalg.norm(S - S.T) / (1.0 + np.linalg.norm(S)))
-
-
-# --- Codazzi residual ---------------------------------------------------------
+# checks at one sample, in the order a failure there is reported
+_METRIC_DOMAIN, _NOT_SPD, _TENSOR_DOMAIN, _NOT_ADJOINT, _PAIR_DOMAIN, _CLEAN = range(6)
 
 
 def _codazzi_pair_exprs(g: MetricField, phi: SymTensorField):
-    """Components of (nabla_i Phi)e_j - (nabla_j Phi)e_i for i < j, cached."""
-    cache = getattr(g, "_codazzi_cache", None)
-    if cache is None:
-        cache = {}
-        g._codazzi_cache = cache
-    hit = cache.get(id(phi))
-    if hit is not None:
-        return hit[0]
+    """Components of (nabla_i Phi)e_j - (nabla_j Phi)e_i for i < j."""
     n = g.dim
     gamma = g.christoffel_entries()
     comp = phi.components
@@ -196,31 +188,103 @@ def _codazzi_pair_exprs(g: MetricField, phi: SymTensorField):
         for j in range(i + 1, n):
             vec = tuple(sub(nabla(i, j, k), nabla(j, i, k)) for k in range(n))
             pairs.append((i, j, vec))
-    pairs = tuple(pairs)
-    cache[id(phi)] = (pairs, phi)
-    return pairs
+    return tuple(pairs)
+
+
+@dataclass
+class _Fields:
+    """Metric, tensor, self-adjointness defect and Codazzi residual over the
+    samples; the residual is zero where no pair vectors were evaluated."""
+
+    G: np.ndarray  # (m, n, n)
+    P: np.ndarray  # (m, n, n)
+    defect: np.ndarray  # (m,)
+    codazzi: np.ndarray  # (m,)
+
+
+def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
+                   pairs=()) -> _Fields:
+    """Evaluate the metric, the tensor and the Codazzi pair vectors over the
+    samples with one tape run.
+
+    Raises what checking one sample at a time raises first: metric
+    evaluation, positive definiteness, tensor evaluation, self-adjointness
+    beyond tol, pair vector evaluation. Every sample up to that one that
+    passes the positivity check warns if it is ill-conditioned."""
+    n = g.dim
+    nn = n * n
+    roots = [e for row in g.entries for e in row]
+    roots += [e for row in phi.components for e in row]
+    for _, _, vec in pairs:
+        roots.extend(vec)
+    tape = compile_tape(roots)
+    sweep = tape.sweep(np.asarray(pts, dtype=float))
+    vals, fb = sweep.values, sweep.first_bad
+    m = len(vals)
+
+    metric_ok = fb >= tape.bounds[nn]
+    tensor_ok = fb >= tape.bounds[2 * nn]
+    G = np.where(metric_ok[:, None, None], vals[:, :nn].reshape(m, n, n), np.eye(n))
+    P = np.where(tensor_ok[:, None, None], vals[:, nn : 2 * nn].reshape(m, n, n), 0.0)
+    ev = np.linalg.eigvalsh(G)
+    not_spd = metric_ok & (ev[:, 0] <= g.spd_floor)
+    with np.errstate(all="ignore"):
+        cond = ev[:, -1] / ev[:, 0]
+    warn = metric_ok & ~not_spd & (cond > CONDITION_WARN)
+    S = G @ P
+    defect = np.linalg.norm(S - S.transpose(0, 2, 1), axis=(1, 2)) / (
+        1.0 + np.linalg.norm(S, axis=(1, 2))
+    )
+
+    stage = np.full(m, _CLEAN)
+    stage[fb < tape.size] = _PAIR_DOMAIN
+    stage[defect > tol] = _NOT_ADJOINT
+    stage[metric_ok & ~not_spd & ~tensor_ok] = _TENSOR_DOMAIN
+    stage[not_spd] = _NOT_SPD
+    stage[~metric_ok] = _METRIC_DOMAIN
+    failed = np.flatnonzero(stage != _CLEAN)
+    j = int(failed[0]) if failed.size else m
+    for k in np.flatnonzero(warn[: j + 1]):
+        if k < j or stage[j] > _NOT_SPD:
+            warnings.warn(
+                f"metric condition number {cond[k]:.3e} at {labels[k]}",
+                ConditionNumberWarning,
+                stacklevel=3,
+            )
+    if j < m:
+        if stage[j] in (_METRIC_DOMAIN, _TENSOR_DOMAIN, _PAIR_DOMAIN):
+            raise sweep.error(j)
+        if stage[j] == _NOT_SPD:
+            raise NotSPDError(
+                f"metric not positive definite at {labels[j]}: "
+                f"smallest eigenvalue {ev[j, 0]:.3e}"
+            )
+        raise ConstraintError(
+            f"tensor is not self-adjoint at {labels[j]}: defect {defect[j]:.3e}"
+        )
+
+    vecs = vals[:, 2 * nn :].reshape(m, len(pairs), n)
+    norms = np.sqrt(np.maximum(np.einsum("mii->mi", G), 0.0))
+    a = [i for i, _, _ in pairs]
+    b = [j for _, j, _ in pairs]
+    scale = np.maximum(norms[:, a] * norms[:, b], 1e-300)
+    codazzi = (_gnorm(vecs, G) / scale).max(axis=1, initial=0.0)
+    return _Fields(G, P, defect, codazzi)
+
+
+def self_adjoint_defect(g: MetricField, phi: SymTensorField, p) -> float:
+    """Relative asymmetry of g Phi at p; zero iff Phi is g-self-adjoint there."""
+    return float(_metric_tensor(g, phi, [p], [tuple(p)], np.inf).defect[0])
 
 
 def codazzi_residual(g: MetricField, phi: SymTensorField, p, tol: float = 1e-8) -> float:
     """Max over coordinate pairs of the antisymmetry defect of nabla Phi at p,
     measured in the metric norm and normalized by the coordinate norms."""
-    cache: dict = {}
-    defect = self_adjoint_defect(g, phi, p, cache)
-    if defect > tol:
-        raise ConstraintError(
-            f"tensor is not self-adjoint at {tuple(p)}: defect {defect:.3e}"
-        )
-    G, _ = metric_at(g, p, cache)
-    norms = np.sqrt(np.maximum(np.diag(G), 0.0))
-    worst = 0.0
-    for i, j, vec in _codazzi_pair_exprs(g, phi):
-        v = eval_vector(vec, p, cache)
-        val = float(np.sqrt(max(v @ G @ v, 0.0)))
-        worst = max(worst, val / max(norms[i] * norms[j], 1e-300))
-    return worst
+    pairs = _codazzi_pair_exprs(g, phi)
+    return float(_metric_tensor(g, phi, [p], [tuple(p)], tol, pairs).codazzi[0])
 
 
-# --- pointwise eigenstructure ---------------------------------------------------
+# --- eigenstructure over the samples ---------------------------------------------
 
 
 @dataclass
@@ -248,62 +312,113 @@ class EigenPair:
         return len(self.basis_mu)
 
 
+class _Eigen:
+    """Eigenvalues of Phi split into two clusters at every sample.
+
+    One generalized eigenproblem eigh(G Phi, G) per sample; the clusters,
+    their means, the labeling and the invariance residual are stacked.
+    lam_low[j] says whether lam is the lower cluster at sample j."""
+
+    def __init__(self, G: np.ndarray, P: np.ndarray, gap_min: float):
+        m, n = G.shape[:2]
+        self.n = n
+        w = np.empty((m, n))
+        V = np.empty((m, n, n))
+        for j in range(m):
+            S = G[j] @ P[j]
+            S = 0.5 * (S + S.T)
+            w[j], V[j] = scipy.linalg.eigh(S, G[j])
+        self.w, self.V = w, V
+        self.spread = w[:, -1] - w[:, 0]
+        self.coalesced = (self.spread < gap_min) | (n < 2)
+        if n < 2:
+            self.split = np.zeros(m, dtype=bool)
+            return
+        k = np.argmax(np.diff(w, axis=1), axis=1) + 1
+        rows = np.arange(m)
+        self.k = k
+        self.gap = w[rows, k] - w[rows, k - 1]
+        self.spreads = (w[rows, k - 1] - w[:, 0], w[:, -1] - w[rows, k])
+        self.split = ~self.coalesced & (
+            (self.gap < gap_min) | (np.maximum(*self.spreads) >= gap_min)
+        )
+        # cluster means and the weight of coordinate 0 in each eigenspace
+        low, high = np.empty(m), np.empty(m)
+        score_low, score_high = np.empty(m), np.empty(m)
+        for c in np.unique(k):
+            at = k == c
+            low[at] = np.mean(w[at, :c], axis=1)
+            high[at] = np.mean(w[at, c:], axis=1)
+            score_low[at] = np.sum(V[at, 0, :c] ** 2, axis=1)
+            score_high[at] = np.sum(V[at, 0, c:] ** 2, axis=1)
+        self.lam_low = ~(score_high > score_low)
+        self.lam = np.where(self.lam_low, low, high)
+        self.mu = np.where(self.lam_low, high, low)
+
+    def failed(self) -> np.ndarray:
+        return self.coalesced | self.split
+
+    def error(self, j: int, label) -> CoalescenceError:
+        if self.coalesced[j]:
+            return CoalescenceError(
+                f"eigenvalues coalesce at {label}: spread {self.spread[j]:.3e}"
+            )
+        lo, hi = self.spreads
+        return CoalescenceError(
+            f"eigenvalues do not form two clusters at {label}: "
+            f"gap {self.gap[j]:.3e}, cluster spreads {lo[j]:.3e}/{hi[j]:.3e}"
+        )
+
+    def align(self, lam_ref: np.ndarray):
+        """Relabel so that lam is the cluster nearer lam_ref at every sample."""
+        swap = np.abs(self.lam - lam_ref) > np.abs(self.mu - lam_ref)
+        self.lam, self.mu = np.where(swap, self.mu, self.lam), np.where(swap, self.lam, self.mu)
+        self.lam_low = self.lam_low ^ swap
+
+    def rank_lambda(self) -> np.ndarray:
+        return np.where(self.lam_low, self.k, self.n - self.k)
+
+    def bases(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
+        """(m, rank, n) lambda and (m, n - rank, n) mu eigenvectors, where the
+        lambda cluster has the given rank."""
+        n = self.n
+        lam_start = np.where(self.lam_low, 0, self.k)
+        mu_start = np.where(self.lam_low, self.k, 0)
+
+        def take(start, r):
+            cols = np.minimum(start[:, None] + np.arange(r), n - 1)
+            return np.take_along_axis(self.V, cols[:, None, :], axis=2).transpose(0, 2, 1)
+
+        return take(lam_start, rank), take(mu_start, n - rank)
+
+    def pair(self, j: int, G: np.ndarray, P: np.ndarray) -> EigenPair:
+        """The EigenPair of sample j; G and P are that sample's matrices."""
+        rank = int(self.rank_lambda()[j])
+        X, Y = (B[j] for B in self.bases(rank))
+        lam, mu = float(self.lam[j]), float(self.mu[j])
+        # rows P v - value v over both bases
+        B = np.concatenate([X, Y])
+        R = B @ P.T - np.repeat([lam, mu], [len(X), len(Y)])[:, None] * B
+        inv = float(np.max(_gnorm(R[None], G[None]))) / (1.0 + float(np.max(np.abs(self.w[j]))))
+        return EigenPair(
+            lam=lam,
+            mu=mu,
+            basis_lambda=tuple(x.copy() for x in X),
+            basis_mu=tuple(y.copy() for y in Y),
+            gap=float(self.gap[j]),
+            invariance_residual=inv,
+        )
+
+
 def eigen_two(g: MetricField, phi: SymTensorField, p, gap_min: float = GAP_MIN,
               tol: float = 1e-8) -> EigenPair:
     """Eigenvalues of Phi at p, required to split into exactly two clusters
     separated by at least gap_min."""
-    cache: dict = {}
-    defect = self_adjoint_defect(g, phi, p, cache)
-    if defect > tol:
-        raise ConstraintError(
-            f"tensor is not self-adjoint at {tuple(p)}: defect {defect:.3e}"
-        )
-    G, _ = metric_at(g, p, cache)
-    P = eval_matrix(phi.components, p, cache)
-    S = G @ P
-    S = 0.5 * (S + S.T)
-    w, V = scipy.linalg.eigh(S, G)
-    n = len(w)
-    if n < 2 or w[-1] - w[0] < gap_min:
-        raise CoalescenceError(
-            f"eigenvalues coalesce at {tuple(p)}: spread {w[-1] - w[0]:.3e}"
-        )
-    k = int(np.argmax(np.diff(w))) + 1
-    gap = float(w[k] - w[k - 1])
-    spread_low = float(w[k - 1] - w[0])
-    spread_high = float(w[-1] - w[k])
-    if gap < gap_min or max(spread_low, spread_high) >= gap_min:
-        raise CoalescenceError(
-            f"eigenvalues do not form two clusters at {tuple(p)}: "
-            f"gap {gap:.3e}, cluster spreads {spread_low:.3e}/{spread_high:.3e}"
-        )
-    low_val = float(np.mean(w[:k]))
-    high_val = float(np.mean(w[k:]))
-    # label lambda by weight of the lowest-index coordinate in each eigenspace
-    score_low = float(np.sum(V[0, :k] ** 2))
-    score_high = float(np.sum(V[0, k:] ** 2))
-    if score_high > score_low:
-        lam_val, mu_val = high_val, low_val
-        lam_cols, mu_cols = range(k, n), range(k)
-    else:
-        lam_val, mu_val = low_val, high_val
-        lam_cols, mu_cols = range(k), range(k, n)
-    basis_lambda = tuple(V[:, c].copy() for c in lam_cols)
-    basis_mu = tuple(V[:, c].copy() for c in mu_cols)
-    scale = 1.0 + float(np.max(np.abs(w)))
-    inv = 0.0
-    for val, basis in ((lam_val, basis_lambda), (mu_val, basis_mu)):
-        for v in basis:
-            r = P @ v - val * v
-            inv = max(inv, float(np.sqrt(max(r @ G @ r, 0.0))) / scale)
-    return EigenPair(
-        lam=lam_val,
-        mu=mu_val,
-        basis_lambda=basis_lambda,
-        basis_mu=basis_mu,
-        gap=gap,
-        invariance_residual=inv,
-    )
+    fields = _metric_tensor(g, phi, [p], [tuple(p)], tol)
+    eig = _Eigen(fields.G, fields.P, gap_min)
+    if eig.failed()[0]:
+        raise eig.error(0, tuple(p))
+    return eig.pair(0, fields.G[0], fields.P[0])
 
 
 # --- closed-form eigen fields ---------------------------------------------------
@@ -311,7 +426,7 @@ def eigen_two(g: MetricField, phi: SymTensorField, p, gap_min: float = GAP_MIN,
 
 class _EigenModel:
     """Eigenvalue fields, derivative fields and the eigen-net of (g, Phi),
-    anchored at one sample point.
+    anchored at one sample point where the pointwise decomposition is pair.
 
     With two eigenvalues of constant ranks p and q the trace invariants
     t1 = tr Phi and t2 = tr Phi^2 determine both eigenvalue fields in closed
@@ -320,12 +435,11 @@ class _EigenModel:
     taking the columns that pivoted QR selects at the anchor.
     """
 
-    def __init__(self, g: MetricField, phi: SymTensorField, p0, gap_min: float,
-                 tol: float):
+    def __init__(self, g: MetricField, phi: SymTensorField, p0, pair: EigenPair):
         self.g = g
         self.phi = phi
         self.anchor = tuple(float(x) for x in p0)
-        pair = eigen_two(g, phi, self.anchor, gap_min=gap_min, tol=tol)
+        at_anchor = np.array([self.anchor])
         self.pair0 = pair
         n = g.dim
         pr, qr = pair.rank_lambda, pair.rank_mu
@@ -341,17 +455,19 @@ class _EigenModel:
                 t2 = add(t2, mul(comp[i][j], comp[j][i]))
         disc = mul(const(float(pr * qr)), sub(mul(const(float(n)), t2), mul(t1, t1)))
         root = powc(disc, 0.5)
-        best = None
+        signs = []
         for s in (1.0, -1.0):
             lam_e = div(add(mul(const(float(pr)), t1), mul(const(s), root)),
                         const(float(pr * n)))
             mu_e = div(sub(mul(const(float(qr)), t1), mul(const(s), root)),
                        const(float(qr * n)))
-            err = abs(evaluate(lam_e, self.anchor) - pair.lam) + abs(
-                evaluate(mu_e, self.anchor) - pair.mu
-            )
+            signs.append((lam_e, mu_e))
+        vals = compile_tape([e for pair_e in signs for e in pair_e]).run(at_anchor)[0]
+        best = None
+        for a, (lam_e, mu_e) in enumerate(signs):
+            err = abs(vals[2 * a] - pair.lam) + abs(vals[2 * a + 1] - pair.mu)
             if best is None or err < best[0]:
-                best = (err, lam_e, mu_e)
+                best = (float(err), lam_e, mu_e)
         scale = 1.0 + abs(pair.lam) + abs(pair.mu)
         if best[0] > 1e-6 * scale:
             raise InconsistencyError(
@@ -377,8 +493,8 @@ class _EigenModel:
                 ]
                 for i in range(n)
             ]
-            vals = eval_matrix(mat, self.anchor, {})
-            _, _, piv = scipy.linalg.qr(vals, pivoting=True)
+            vals = compile_tape([e for row in mat for e in row]).run(at_anchor)
+            _, _, piv = scipy.linalg.qr(vals.reshape(n, n), pivoting=True)
             cols = sorted(int(c) for c in piv[:rank])
             return [tuple(mat[i][c] for i in range(n)) for c in cols]
 
@@ -421,125 +537,301 @@ class CriteriaRecord:
         }
 
 
-def _aligned_pair(model: _EigenModel, p, gap_min: float, tol: float) -> EigenPair:
-    """eigen_two at p with the labeling matched to the closed-form fields."""
-    pair = eigen_two(model.g, model.phi, p, gap_min=gap_min, tol=tol)
-    lam_val = evaluate(model.lam_expr, p)
-    if abs(pair.lam - lam_val) > abs(pair.mu - lam_val):
-        pair = EigenPair(
-            lam=pair.mu,
-            mu=pair.lam,
-            basis_lambda=pair.basis_mu,
-            basis_mu=pair.basis_lambda,
-            gap=pair.gap,
-            invariance_residual=pair.invariance_residual,
-        )
-    if pair.rank_lambda != model.rank_lambda:
-        raise CoalescenceError(
-            f"eigenvalue ranks change at {tuple(p)}: "
-            f"{pair.rank_lambda} vs {model.rank_lambda} at the anchor"
-        )
-    return pair
+# --- identity residuals over the samples ------------------------------------------
+
+# checks at one sample, in the order a failure there is reported
+_COALESCED, _LAM_DOMAIN, _RANK_CHANGE, _FIELD_DOMAIN = range(4)
+_OK = 4
 
 
-def _criteria_at(model: _EigenModel, p, gap_min: float, tol: float):
-    """(CriteriaRecord, EigenPair, shared eval cache) at one point."""
-    g, phi = model.g, model.phi
-    pair = _aligned_pair(model, p, gap_min, tol)
-    lam, mu = pair.lam, pair.mu
-    cache: dict = {}
-    G, Ginv = metric_at(g, p, cache)
+def _hess(d2f, gamma, df, X, Y) -> np.ndarray:
+    """Covariant Hessian Hess f(X_a, Y_b) = X_a^T (d2f - Gamma^k d_k f) Y_b.
+
+    d2f[m, i, l] = d_i d_l f, gamma[m, k, i, j] = Gamma^k_ij, df[m, k] = d_k f;
+    X is (m, a, n) and Y is (m, b, n). Returns (m, a, b)."""
+    A = d2f - np.einsum("mkij,mk->mij", gamma, df)
+    return np.einsum("mai,mij,mbj->mab", X, A, Y)
+
+
+def _cov(dV, gamma, V, X) -> np.ndarray:
+    """nabla_{X_a} V = dV X_a + Gamma(X_a, V) for a field V with
+    dV[m, k, i] = d_i V^k; X is (m, a, n). Returns (m, a, n)."""
+    return np.einsum("mki,mai->mak", dV, X) + np.einsum("mkij,mai,mj->mak", gamma, X, V)
+
+
+def _rel(*terms) -> np.ndarray:
+    """|sum of terms| / (1 + sum of |terms|), summed left to right."""
+    total, scale = terms[0], 1.0 + np.abs(terms[0])
+    for t in terms[1:]:
+        total = total + t
+        scale = scale + np.abs(t)
+    return np.abs(total) / scale
+
+
+@dataclass
+class _Scores:
+    """Per-sample eigenvalues and identity residuals, each of shape (m,).
+
+    conformal_product is read only where cp_ok holds; relation and ode are
+    None without a relation h, and ode is None unless lambda has rank one."""
+
+    lam: np.ndarray
+    mu: np.ndarray
+    mean_curvature: np.ndarray
+    cp_ok: np.ndarray
+    conformal_product: np.ndarray
+    mu_spherical: np.ndarray
+    lambda_spherical: np.ndarray
+    eta_two_path: np.ndarray
+    zeta_two_path: np.ndarray
+    lam_along: np.ndarray
+    mu_along: np.ndarray
+    X: np.ndarray  # (m, rank_lambda, n) lambda eigenvectors
+    relation: np.ndarray | None
+    ode: np.ndarray | None
+
+    def record(self, j: int) -> CriteriaRecord:
+        return CriteriaRecord(
+            lam=float(self.lam[j]),
+            mu=float(self.mu[j]),
+            mean_curvature=float(self.mean_curvature[j]),
+            conformal_product=float(self.conformal_product[j]) if self.cp_ok[j] else None,
+            mu_spherical=float(self.mu_spherical[j]),
+            lambda_spherical=float(self.lambda_spherical[j]),
+            eta_two_path=float(self.eta_two_path[j]),
+            zeta_two_path=float(self.zeta_two_path[j]),
+        )
+
+
+def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, pts, labels,
+              gap_min: float, h_expr: Expr | None = None) -> _Scores:
+    """Score every identity at every sample from one tape run.
+
+    The tape holds lambda, the first partials of lambda, mu, alpha and beta,
+    both mean curvature normals and their partials, the Christoffel symbols,
+    the second partials of lambda, mu and alpha, and h(mu). Failures are
+    raised in the order of checking one sample at a time: the two clusters,
+    the evaluation of lambda, a change of rank, then the fields in the order
+    the pointwise definition reads them, restricted to those it reads there
+    (alpha and beta only where lambda + mu is bounded away from zero, second
+    partials d_i d_l only for l in the support of a mu eigenvector)."""
+    g = model.g
     n = g.dim
+    m = len(pts)
+    pr, qr = model.rank_lambda, model.rank_mu
+    eta, zeta = model.sf_lam.H, model.sf_mu.H
+    gamma = g.christoffel_entries()
 
-    def gn(v):
-        return float(np.sqrt(max(v @ G @ v, 0.0)))
+    def second(df):
+        return [[diff(df[l], i) for l in range(n)] for i in range(n)]
 
-    dlam_v = np.array([evaluate(d, p, cache) for d in model.dlam])
-    dmu_v = np.array([evaluate(d, p, cache) for d in model.dmu])
-    P = eval_matrix(phi.components, p, cache)
-    eta_v = eval_vector(model.sf_lam.H, p, cache)
-    zeta_v = eval_vector(model.sf_mu.H, p, cache)
+    def partials(V):
+        return [[diff(V[k], i) for i in range(n)] for k in range(n)]
+
+    d2lam, d2mu, d2alpha = second(model.dlam), second(model.dmu), second(model.dalpha)
+    deta, dzeta = partials(eta), partials(zeta)
+
+    roots: list = []
+    parts = {}
+
+    def take(name, exprs, shape):
+        parts[name] = (len(roots), shape)
+        roots.extend(exprs)
+
+    def flat(rows):
+        return [e for row in rows for e in row]
+
+    take("lam", [model.lam_expr], ())
+    for name, vec in (("dlam", model.dlam), ("dmu", model.dmu), ("eta", eta),
+                      ("zeta", zeta), ("dalpha", model.dalpha), ("dbeta", model.dbeta)):
+        take(name, vec, (n,))
+    take("deta", flat(deta), (n, n))
+    take("gamma", [gamma[k][i][j] for k in range(n) for i in range(n) for j in range(n)],
+         (n, n, n))
+    for name, rows in (("d2lam", d2lam), ("d2mu", d2mu), ("dzeta", dzeta),
+                       ("d2alpha", d2alpha)):
+        take(name, flat(rows), (n, n))
+    take("h", [h_expr] if h_expr is not None else [], ())
+    tape = compile_tape(roots)
+    sweep = tape.sweep(np.asarray(pts, dtype=float))
+    fb = sweep.first_bad
+
+    # stages per sample: lambda is evaluated before the rank check, the other
+    # fields after it
+    lam_ok = fb >= tape.bounds[1]
+    eig.align(np.where(lam_ok, sweep.values[:, 0], 0.0))
+    stage = np.full(m, _OK)
+    stage[fb < tape.size] = _FIELD_DOMAIN
+    stage[eig.rank_lambda() != pr] = _RANK_CHANGE
+    stage[~lam_ok] = _LAM_DOMAIN
+    stage[eig.failed()] = _COALESCED
+
+    lam, mu = eig.lam, eig.mu
+    cp_ok = np.abs(lam + mu) > gap_min * (1.0 + np.abs(lam) + np.abs(mu))
+    X, Y = eig.bases(pr)
+
+    def read(cp: bool, support) -> list:
+        """The fields the pointwise definition reads, in order, at a sample
+        where cp_ok is cp and support[b, l] says whether the b-th mu
+        eigenvector has a nonzero l-th component."""
+        out = [*model.dlam, *model.dmu, *eta, *zeta]
+        if cp:
+            out += [*model.dalpha, *model.dbeta]
+        out += flat(deta)
+        out += [gamma[k][i][c] for k in range(n) for i in range(n) for c in range(i, n)]
+        seen: set = set()
+        for b in range(qr):
+            new = [l for l in range(n) if support[b][l] and l not in seen]
+            seen.update(new)
+            out += [d2lam[i][l] for i in range(n) for l in new]
+            out += [d2mu[i][l] for i in range(n) for l in new]
+            if b == 0:
+                out += flat(dzeta)
+            if cp:
+                out += [d2alpha[i][l] for i in range(n) for l in new]
+        if h_expr is not None:
+            out.append(h_expr)
+        return out
+
+    # the first failing slot may belong to a field not read at its sample:
+    # rerun those samples on the fields they read, one tape per reading
+    suspects: dict = {}
+    for j in np.flatnonzero(stage == _FIELD_DOMAIN):
+        key = (bool(cp_ok[j]), tuple(map(tuple, Y[j] != 0.0)))
+        suspects.setdefault(key, []).append(j)
+    field_errors = {}
+    for (cp, support), js in suspects.items():
+        exact = compile_tape(read(cp, support)).sweep(sweep.points[js])
+        for r, j in enumerate(js):
+            if exact.first_bad[r] < exact.tape.size:
+                field_errors[j] = (exact, r)
+
+    for j in np.flatnonzero(stage != _OK):
+        if stage[j] == _COALESCED:
+            raise eig.error(j, labels[j])
+        if stage[j] == _LAM_DOMAIN:
+            raise sweep.error(j)
+        if stage[j] == _RANK_CHANGE:
+            raise CoalescenceError(
+                f"eigenvalue ranks change at {labels[j]}: "
+                f"{eig.rank_lambda()[j]} vs {pr} at the anchor"
+            )
+        if j in field_errors:
+            exact, r = field_errors[j]
+            raise exact.error(r)
+
+    vals = sweep.values
+    if (fb < tape.size).any():
+        # failures left are in fields never read at their samples
+        vals = np.where(np.isfinite(vals), vals, 0.0)
+
+    def field(name):
+        start, shape = parts[name]
+        size = int(np.prod(shape, dtype=int))
+        return vals[:, start : start + size].reshape((m,) + shape)
+
+    G, P = fields.G, fields.P
+    Ginv = np.linalg.inv(G)
+    dlam, dmu, eta_v, zeta_v = field("dlam"), field("dmu"), field("eta"), field("zeta")
+    gam = field("gamma")
+    grad_lam = np.einsum("mij,mj->mi", Ginv, dlam)
+    grad_mu = np.einsum("mij,mj->mi", Ginv, dmu)
+
+    def along(grad, B):
+        """Projection of grad onto the span of the g-orthonormal rows of B."""
+        return np.einsum("mb,mbi->mi", _ginner(grad[:, None], G, B), B)
 
     # mean curvature identity: (lam I - Phi) eta = (grad lam) on the mu side
-    grad_lam = Ginv @ dlam_v
-    lhs = (lam * np.eye(n) - P) @ eta_v
-    rhs = np.zeros(n)
-    for Y in pair.basis_mu:
-        rhs += float(grad_lam @ G @ Y) * Y
-    mcn = gn(lhs - rhs) / (1.0 + gn(lhs) + gn(rhs))
+    lhs = lam[:, None] * eta_v - np.einsum("mij,mj->mi", P, eta_v)
+    rhs = along(grad_lam, Y)
+    mcn = _gnorm(lhs - rhs, G) / (1.0 + _gnorm(lhs, G) + _gnorm(rhs, G))
 
-    cp_ok = abs(lam + mu) > gap_min * (1.0 + abs(lam) + abs(mu))
-    if cp_ok:
-        dalpha_v = np.array([evaluate(d, p, cache) for d in model.dalpha])
-        dbeta_v = np.array([evaluate(d, p, cache) for d in model.dbeta])
-        alpha = 0.5 * (lam + mu)
-        beta = (mu - lam) / (mu + lam)
+    def on(v, B):
+        """v(B_a) per basis vector, (m, a)."""
+        return np.einsum("mai,mi->ma", B, v)
 
-    cp_max = 0.0
-    m1_max = m2_max = s1_max = s2_max = 0.0
-    inv_gap2 = 1.0 / (lam - mu) ** 2
-    for X in pair.basis_lambda:
-        Xc = tuple(const(float(x)) for x in X)
-        Xlam = float(X @ dlam_v)
-        Xmu = float(X @ dmu_v)
-        cov_eta = cov_deriv(g, Xc, model.sf_lam.H, p, cache)
-        for Y in pair.basis_mu:
-            Yc = tuple(const(float(y)) for y in Y)
-            Ylam = float(Y @ dlam_v)
-            Ymu = float(Y @ dmu_v)
-            hess_lam = hessian_lc(g, model.lam_expr, Xc, Yc, p, cache)
-            hess_mu = hessian_lc(g, model.mu_expr, Xc, Yc, p, cache)
+    Xlam, Xmu, Ylam, Ymu = on(dlam, X), on(dmu, X), on(dlam, Y), on(dmu, Y)
+    col, row = (slice(None), slice(None), None), (slice(None), None, slice(None))
+    gap = (lam - mu)[:, None, None]
+    u1 = 2.0 * Xmu[col] * Ymu[row]
+    u2 = -Xmu[col] * Ylam[row]
+    u3 = gap * _hess(field("d2mu"), gam, dmu, X, Y)
+    v1 = 2.0 * Xlam[col] * Ylam[row]
+    v2 = u2
+    v3 = -gap * _hess(field("d2lam"), gam, dlam, X, Y)
+    # <nabla_X eta, Y> and <nabla_Y zeta, X> against the closed formulas
+    d1 = _ginner(_cov(field("deta"), gam, eta_v, X)[:, :, None], G, Y[:, None])
+    d2 = _ginner(_cov(field("dzeta"), gam, zeta_v, Y)[:, None], G, X[:, :, None])
+    inv_gap2 = 1.0 / gap**2
+    f1 = -inv_gap2 * (v1 + v2 + v3)
+    f2 = -inv_gap2 * (u1 + u2 + u3)
 
-            u1 = 2.0 * Xmu * Ymu
-            u2 = -Xmu * Ylam
-            u3 = (lam - mu) * hess_mu
-            m1_max = max(
-                m1_max, abs(u1 + u2 + u3) / (1.0 + abs(u1) + abs(u2) + abs(u3))
-            )
+    def pair_max(r) -> np.ndarray:
+        return r.max(axis=(1, 2), initial=0.0)
 
-            v1 = 2.0 * Xlam * Ylam
-            v2 = -Xmu * Ylam
-            v3 = -(lam - mu) * hess_lam
-            m2_max = max(
-                m2_max, abs(v1 + v2 + v3) / (1.0 + abs(v1) + abs(v2) + abs(v3))
-            )
+    cp = np.zeros(m)
+    if cp_ok.any():
+        dalpha, dbeta = field("dalpha"), field("dbeta")
+        alpha = (0.5 * (lam + mu))[:, None, None]
+        with np.errstate(all="ignore"):
+            beta = np.where(cp_ok, (mu - lam) / (mu + lam), 0.0)[:, None, None]
+        Xa, Ya, Xb, Yb = on(dalpha, X), on(dalpha, Y), on(dbeta, X), on(dbeta, Y)
+        cp = pair_max(_rel(
+            2.0 * beta * Xa[col] * Ya[row],
+            alpha * Xa[col] * Yb[row],
+            alpha * Ya[row] * Xb[col],
+            -alpha * beta * _hess(field("d2alpha"), gam, dalpha, X, Y),
+        ))
 
-            d1 = inner(g, cov_eta, Y, p, cache)
-            f1 = -inv_gap2 * (v1 + v2 + v3)
-            s1_max = max(s1_max, abs(d1 - f1) / (1.0 + abs(d1) + abs(f1)))
+    relation = ode = None
+    if h_expr is not None:
+        hval = field("h")
+        relation = np.abs(lam - hval) / (1.0 + np.abs(lam))
+        if pr == 1:
+            # differentiated warping relation along the rank-one direction:
+            # X(mu) = (h(mu) - mu) X(log sigma) with X(log sigma) = -<zeta, X>
+            xhat = X[:, 0]
+            logsig_prime = -_ginner(zeta_v, G, xhat)
+            ode = np.abs(np.einsum("mi,mi->m", xhat, dmu) - (hval - mu) * logsig_prime)
 
-            cov_zeta = cov_deriv(g, Yc, model.sf_mu.H, p, cache)
-            d2 = inner(g, cov_zeta, X, p, cache)
-            f2 = -inv_gap2 * (u1 + u2 + u3)
-            s2_max = max(s2_max, abs(d2 - f2) / (1.0 + abs(d2) + abs(f2)))
-
-            if cp_ok:
-                Xa = float(X @ dalpha_v)
-                Ya = float(Y @ dalpha_v)
-                Xb = float(X @ dbeta_v)
-                Yb = float(Y @ dbeta_v)
-                hess_a = hessian_lc(g, model.alpha, Xc, Yc, p, cache)
-                c1 = 2.0 * beta * Xa * Ya
-                c2 = alpha * Xa * Yb
-                c3 = alpha * Ya * Xb
-                c4 = -alpha * beta * hess_a
-                cp_max = max(
-                    cp_max,
-                    abs(c1 + c2 + c3 + c4)
-                    / (1.0 + abs(c1) + abs(c2) + abs(c3) + abs(c4)),
-                )
-
-    record = CriteriaRecord(
+    return _Scores(
         lam=lam,
         mu=mu,
         mean_curvature=mcn,
-        conformal_product=cp_max if cp_ok else None,
-        mu_spherical=m1_max,
-        lambda_spherical=m2_max,
-        eta_two_path=s1_max,
-        zeta_two_path=s2_max,
+        cp_ok=cp_ok,
+        conformal_product=cp,
+        mu_spherical=pair_max(_rel(u1, u2, u3)),
+        lambda_spherical=pair_max(_rel(v1, v2, v3)),
+        eta_two_path=pair_max(_rel(d1, -f1)),
+        zeta_two_path=pair_max(_rel(d2, -f2)),
+        lam_along=_gnorm(along(grad_lam, X), G) / (1.0 + _gnorm(grad_lam, G)),
+        mu_along=_gnorm(along(grad_mu, Y), G) / (1.0 + _gnorm(grad_mu, G)),
+        X=X,
+        relation=relation,
+        ode=ode,
     )
-    return record, pair, cache
+
+
+def _eigen_model(g: MetricField, phi: SymTensorField, pts, labels, gap_min: float,
+                 tol: float, pairs=()):
+    """Fields and eigenstructure over the samples, and the eigen model
+    anchored at the first sample. Raises NotCodazziError at the worst sample
+    when pair vectors are given and the residual exceeds tol."""
+    fields = _metric_tensor(g, phi, pts, labels, tol, pairs)
+    if pairs:
+        j = int(np.argmax(fields.codazzi))
+        worst = float(fields.codazzi[j])
+        if worst > tol:
+            err = NotCodazziError(
+                f"Codazzi residual {worst:.3e} exceeds tol {tol:.1e} at {labels[j]}"
+            )
+            err.residual = worst
+            raise err
+    eig = _Eigen(fields.G, fields.P, gap_min)
+    if eig.failed()[0]:
+        raise eig.error(0, labels[0])
+    model = _EigenModel(g, phi, labels[0], eig.pair(0, fields.G[0], fields.P[0]))
+    return fields, eig, model
 
 
 def criteria_residuals(g: MetricField, phi: SymTensorField, p,
@@ -547,9 +839,8 @@ def criteria_residuals(g: MetricField, phi: SymTensorField, p,
     """Evaluate all eigenvalue identities at one point, anchoring the
     closed-form fields at that same point."""
     p = tuple(float(x) for x in p)
-    model = _EigenModel(g, phi, p, gap_min, tol)
-    record, _, _ = _criteria_at(model, p, gap_min, tol)
-    return record
+    fields, eig, model = _eigen_model(g, phi, [p], [p], gap_min, tol)
+    return _criteria(model, fields, eig, [p], [p], gap_min).record(0)
 
 
 # --- classification -------------------------------------------------------------
@@ -606,6 +897,18 @@ def _h_of_mu(h: Expr, mu_expr: Expr) -> Expr:
     return substitute(h, {i: mu_expr for i in fv})
 
 
+def _axis(X: np.ndarray) -> int | None:
+    """The coordinate axis that the rank-one eigenvector follows at every
+    sample, if there is one."""
+    comp = np.abs(X[:, 0])
+    a = np.argmax(comp, axis=1)
+    others = np.where(np.arange(comp.shape[1]) == a[:, None], 0.0, comp).max(axis=1)
+    good = others <= _AXIS_TOL * comp[np.arange(len(a)), a]
+    if good.all() and (a == a[0]).all():
+        return int(a[0])
+    return None
+
+
 def classify_codazzi(
     g: MetricField,
     phi: SymTensorField,
@@ -626,97 +929,28 @@ def classify_codazzi(
     case whose net flags do not match).
     """
     plan = plan or SamplePlan()
-    pts = [tuple(float(x) for x in p) for p in sample_points(g.chart, plan)]
-
-    worst = 0.0
-    worst_at = pts[0]
-    for p in pts:
-        r = codazzi_residual(g, phi, p, tol=tol)
-        if r > worst:
-            worst, worst_at = r, p
-    if worst > tol:
-        err = NotCodazziError(
-            f"Codazzi residual {worst:.3e} exceeds tol {tol:.1e} at {worst_at}"
-        )
-        err.residual = worst
-        raise err
-
-    model = _EigenModel(g, phi, pts[0], gap_min, tol)
-    n = g.dim
+    pts = sample_points(g.chart, plan)
+    labels = [tuple(float(x) for x in p) for p in pts]
+    pairs = _codazzi_pair_exprs(g, phi)
+    fields, eig, model = _eigen_model(g, phi, pts, labels, gap_min, tol, pairs)
+    worst = float(fields.codazzi.max())
     h_expr = _h_of_mu(h, model.mu_expr) if h is not None else None
+    sc = _criteria(model, fields, eig, pts, labels, gap_min, h_expr)
 
+    eigen_samples = [
+        {"point": list(p), "lam": float(lv), "mu": float(mv)}
+        for p, lv, mv in zip(labels, sc.lam, sc.mu)
+    ]
     maxes = {
-        "mean_curvature": 0.0,
-        "conformal_product": 0.0,
-        "mu_spherical": 0.0,
-        "lambda_spherical": 0.0,
-        "eta_two_path": 0.0,
-        "zeta_two_path": 0.0,
+        key: float(getattr(sc, key).max(initial=0.0))
+        for key in ("mean_curvature", "conformal_product", "mu_spherical",
+                    "lambda_spherical", "eta_two_path", "zeta_two_path")
     }
-    cp_evaluated = False
-    eigen_samples = []
-    lam_vals = []
-    mu_vals = []
-    lam_along_max = 0.0
-    mu_along_max = 0.0
-    rel_max = 0.0
-    ode_max = 0.0
-    axis_candidates: set | None = set(range(n))
-
-    for p in pts:
-        record, pair, cache = _criteria_at(model, p, gap_min, tol)
-        G, Ginv = metric_at(g, p, cache)
-
-        def gn(v):
-            return float(np.sqrt(max(v @ G @ v, 0.0)))
-
-        eigen_samples.append({"point": list(p), "lam": record.lam, "mu": record.mu})
-        lam_vals.append(record.lam)
-        mu_vals.append(record.mu)
-        for key in ("mean_curvature", "mu_spherical", "lambda_spherical",
-                    "eta_two_path", "zeta_two_path"):
-            maxes[key] = max(maxes[key], getattr(record, key))
-        if record.conformal_product is not None:
-            cp_evaluated = True
-            maxes["conformal_product"] = max(
-                maxes["conformal_product"], record.conformal_product
-            )
-
-        # constancy of each eigenvalue along its own eigenbundle
-        dlam_v = np.array([evaluate(d, p, cache) for d in model.dlam])
-        dmu_v = np.array([evaluate(d, p, cache) for d in model.dmu])
-        grad_lam = Ginv @ dlam_v
-        grad_mu = Ginv @ dmu_v
-        along_lam = np.zeros(n)
-        for X in pair.basis_lambda:
-            along_lam += float(grad_lam @ G @ X) * X
-        along_mu = np.zeros(n)
-        for Y in pair.basis_mu:
-            along_mu += float(grad_mu @ G @ Y) * Y
-        lam_along_max = max(lam_along_max, gn(along_lam) / (1.0 + gn(grad_lam)))
-        mu_along_max = max(mu_along_max, gn(along_mu) / (1.0 + gn(grad_mu)))
-
-        if h_expr is not None:
-            hval = evaluate(h_expr, p, cache)
-            rel_max = max(rel_max, abs(record.lam - hval) / (1.0 + abs(record.lam)))
-            if model.rank_lambda == 1:
-                # differentiated warping relation along the rank-one direction:
-                # X(mu) = (h(mu) - mu) X(log sigma) with X(log sigma) = -<zeta, X>
-                xhat = pair.basis_lambda[0]
-                zeta_v = eval_vector(model.sf_mu.H, p, cache)
-                mu_prime = float(xhat @ dmu_v)
-                logsig_prime = -inner(g, zeta_v, xhat, p, cache)
-                ode_max = max(
-                    ode_max, abs(mu_prime - (hval - record.mu) * logsig_prime)
-                )
-                if axis_candidates:
-                    comp = np.abs(xhat)
-                    a = int(np.argmax(comp))
-                    others = max(
-                        (comp[i] for i in range(n) if i != a), default=0.0
-                    )
-                    good = {a} if others <= _AXIS_TOL * comp[a] else set()
-                    axis_candidates &= good
+    # the conformal-product identity only counts where lambda + mu is not small
+    maxes["conformal_product"] = float(sc.conformal_product[sc.cp_ok].max(initial=0.0))
+    cp_evaluated = bool(sc.cp_ok.any())
+    lam_along_max = float(sc.lam_along.max(initial=0.0))
+    mu_along_max = float(sc.mu_along.max(initial=0.0))
 
     if model.rank_lambda >= 2 and lam_along_max > tol:
         raise InconsistencyError(
@@ -752,10 +986,10 @@ def classify_codazzi(
     warping_samples = None
     base_point = None
     if h is not None:
-        lam0, mu0 = lam_vals[0], mu_vals[0]
-        lam_spread = max(abs(v - lam0) for v in lam_vals)
-        mu_spread = max(abs(v - mu0) for v in mu_vals)
-        hyp_ok = rel_max <= tol and mu_along_max <= tol
+        lam0, mu0 = float(sc.lam[0]), float(sc.mu[0])
+        lam_spread = float(np.abs(sc.lam - lam0).max())
+        mu_spread = float(np.abs(sc.mu - mu0).max())
+        hyp_ok = float(sc.relation.max(initial=0.0)) <= tol and mu_along_max <= tol
         if not hyp_ok:
             relation_case = "outside_hypotheses"
         elif (
@@ -763,7 +997,7 @@ def classify_codazzi(
             and mu_spread <= tol * (1.0 + abs(mu0))
         ):
             relation_case = "constant_product"
-            constants = (float(np.mean(lam_vals)), float(np.mean(mu_vals)))
+            constants = (float(np.mean(sc.lam)), float(np.mean(sc.mu)))
             geod = max(
                 max(gm.geodesy for gm in geoms) for geoms in net_report.table
             )
@@ -780,11 +1014,11 @@ def classify_codazzi(
                     "net, but the WP flag fails with residual "
                     f"{net_report.flags['WP'].residual:.3e}"
                 )
-            ode_out = ode_max
-            if axis_candidates:
-                axis_out = min(axis_candidates)
+            ode_out = float(sc.ode.max(initial=0.0))
+            axis_out = _axis(sc.X)
+            if axis_out is not None:
                 warping_samples, base_point = _warping_profile(
-                    g, model, axis_out, plan, pts
+                    g, model, axis_out, plan, fields.G
                 )
         else:
             relation_case = "outside_hypotheses"
@@ -808,40 +1042,38 @@ def classify_codazzi(
 
 
 def _warping_profile(g: MetricField, model: _EigenModel, axis: int,
-                     plan: SamplePlan, pts):
+                     plan: SamplePlan, G: np.ndarray):
     """Sample (t, mu, relative sigma) along the rank-one coordinate axis.
 
-    Only meaningful when the chart is adapted: the metric must be block
-    diagonal between the axis and the remaining coordinates. The warping is
-    recovered from determinant ratios of the complementary block, so it is
-    normalized to 1 at the chart center.
+    Only meaningful when the chart is adapted: the metric, G over the
+    samples, must be block diagonal between the axis and the remaining
+    coordinates. The warping is recovered from determinant ratios of the
+    complementary block, so it is normalized to 1 at the chart center.
     """
     n = g.dim
     others = [i for i in range(n) if i != axis]
-    for p in pts:
-        G, _ = metric_at(g, p, {})
-        for j in others:
-            off = abs(G[axis, j]) / max(
-                np.sqrt(max(G[axis, axis] * G[j, j], 0.0)), 1e-300
-            )
-            if off > _AXIS_TOL:
-                return None, None
+    diag = np.einsum("mii->mi", G)
+    off = np.abs(G[:, axis, others]) / np.maximum(
+        np.sqrt(np.maximum(diag[:, axis, None] * diag[:, others], 0.0)), 1e-300
+    )
+    if (off > _AXIS_TOL).any():
+        return None, None
     sub_det = det_expr([[g.entries[i][j] for j in others] for i in others])
     base = tuple(g.chart.center())
-    base_det = evaluate(sub_det, base)
     ts = grid_axes(g.chart, plan.grid, plan.margin)[axis]
+    line = np.array([[t if i == axis else base[i] for i in range(n)] for t in ts])
+    # the determinant at the base point first, then per t the determinant and mu
+    base_det = float(compile_tape([sub_det]).run(np.array([base]))[0, 0])
+    vals = compile_tape([sub_det, model.mu_expr]).run(line)
     power = 1.0 / (2.0 * model.rank_mu)
-    out = []
-    for t in ts:
-        pt = tuple(t if i == axis else base[i] for i in range(n))
-        ratio = (evaluate(sub_det, pt) / base_det) ** power
-        out.append(
-            {
-                "t": float(t),
-                "mu_tilde": evaluate(model.mu_expr, pt),
-                "sigma_ratio": float(ratio),
-            }
-        )
+    out = [
+        {
+            "t": float(t),
+            "mu_tilde": float(mu),
+            "sigma_ratio": float((float(d) / base_det) ** power),
+        }
+        for t, (d, mu) in zip(ts, vals)
+    ]
     return out, base
 
 
@@ -861,10 +1093,10 @@ _COARSE_PLAN = SamplePlan(grid=3, margin=0.1, random=4, seed=7)
 
 
 def _coarse_codazzi(g: MetricField, phi: SymTensorField) -> float:
-    return max(
-        codazzi_residual(g, phi, tuple(float(x) for x in p))
-        for p in sample_points(g.chart, _COARSE_PLAN)
-    )
+    pts = sample_points(g.chart, _COARSE_PLAN)
+    labels = [tuple(float(x) for x in p) for p in pts]
+    fields = _metric_tensor(g, phi, pts, labels, 1e-8, _codazzi_pair_exprs(g, phi))
+    return float(fields.codazzi.max())
 
 
 def build_codazzi_candidate(kind: str, **params) -> CodazziCandidate:
@@ -932,15 +1164,11 @@ def build_codazzi_candidate(kind: str, **params) -> CodazziCandidate:
         # differentiated warping relation on a base grid, rejected when violated
         dmu = diff(mu, 0)
         dsig = diff(sigma, 0)
-        worst = 0.0
-        for t in grid_axes(base, 9)[0]:
-            pt = (float(t),)
-            lhs = evaluate(dmu, pt)
-            rhs = (evaluate(h_mu, pt) - evaluate(mu, pt)) * (
-                evaluate(dsig, pt) / evaluate(sigma, pt)
-            )
-            worst = max(worst, abs(lhs - rhs))
-        if worst > tol:
+        ts = grid_axes(base, 9)[0][:, None]
+        lhs, h_val, mu_val, dsig_val, sig_val = compile_tape([dmu, h_mu, mu, dsig, sigma]).run(ts).T
+        with np.errstate(all="ignore"):
+            worst = float(np.abs(lhs - (h_val - mu_val) * (dsig_val / sig_val)).max())
+        if not worst <= tol:
             raise ConstraintError(
                 f"(h, sigma, mu) violate the warping relation: residual {worst:.3e}"
             )

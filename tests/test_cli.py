@@ -287,3 +287,17 @@ def test_deep_expression_manifest(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert set(report["verdicts"]) == {"path_order", "reconstruction"}
     assert {v["status"] for v in report["verdicts"].values()} == {"pass"}
+    # a tensor diag(3 + the same sum, 1) is Codazzi, with the verdicts of its
+    # one-term equivalent diag(3 + 0.999*x0, 1) over 1 + 0.999*x0
+    statuses = []
+    for sum_text in (terms, "0.999*x0"):
+        data["metric"]["components"][0][0] = f"1 + {sum_text}"
+        data["tensors"] = [
+            {"name": "t", "components": [[f"3 + {sum_text}", "0"], ["0", "1"]]}
+        ]
+        path = str(write_manifest(tmp_path, data, "tensor.json"))
+        assert main(["--command", "codazzi", "--manifest", path, "--format", "json"]) == 0
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        statuses.append({k: v["status"] for k, v in verdicts.items()})
+    assert statuses[0] == statuses[1]
+    assert set(statuses[0]) == {"t.codazzi", "t.conformal_product", "t.spherical_eigenbundles"}

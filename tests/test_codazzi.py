@@ -1,13 +1,21 @@
 """Two-eigenvalue Codazzi tensor analysis: pointwise eigenstructure, identity
 residuals, grid classification, and the canonical constructions."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orthonet.chart_calculus import MetricField, metric_at
+from conftest import random_expr, random_point
+from orthonet import fixtures
+from orthonet.chart_calculus import MetricField, hessian_lc, metric_at
 from orthonet.codazzi import (
     CodazziCandidate,
     SymTensorField,
+    _hess,
     build_codazzi_candidate,
     classify_codazzi,
     codazzi_residual,
@@ -17,7 +25,9 @@ from orthonet.codazzi import (
 )
 from orthonet.errors import (
     CoalescenceError,
+    ConditionNumberWarning,
     ConstraintError,
+    EvalDomainError,
     NotCodazziError,
 )
 from orthonet.fixtures import (
@@ -34,7 +44,9 @@ from orthonet.scalar_fields import (
     ONE,
     ZERO,
     add,
+    compile_tape,
     const,
+    diff,
     evaluate,
     parse_expr,
     sub,
@@ -373,3 +385,165 @@ def test_report_to_dict_shape():
     assert all(set(s) == {"t", "mu_tilde", "sigma_ratio"}
                for s in d["warping_samples"])
     assert d["base_point"] == [0.7, 1.0]
+
+
+# --- failure order and warnings ---------------------------------------------------
+#
+# Each expected message is the one that checking one sample at a time raises:
+# the first failing sample, and there the first failing check.
+
+GRID4 = SamplePlan(grid=4, margin=0.1, random=0, seed=0)
+# the second grid coordinate of GRID4 on [0, 1]
+C = repr(float(np.linspace(0.1, 0.9, 4)[1]))
+
+
+def _unit_chart(n):
+    return Chart.box([(0.0, 1.0)] * n, names=tuple(f"x{i}" for i in range(n)))
+
+
+def _flat_diagonal(diag):
+    """A diagonal tensor on flat space; Codazzi when entry i reads only x_i."""
+    chart = _unit_chart(len(diag))
+    g = MetricField.diagonal(chart, [ONE] * len(diag))
+    return g, SymTensorField.diagonal(chart, [parse_expr(t, chart) for t in diag], metric=g)
+
+
+def _raises(g, phi, exc, message, plan=GRID4, h=None):
+    with pytest.raises(exc) as info:
+        classify_codazzi(g, phi, h=h, plan=plan)
+    assert str(info.value) == message
+
+
+def test_self_adjoint_at_center_fails_at_a_later_sample():
+    chart = _unit_chart(2)
+    g = MetricField.diagonal(chart, [ONE, ONE])
+    # the off-diagonal entry vanishes for x0 <= 0.55, so at the center too
+    s = parse_expr("(x0 - 0.55) + abs(x0 - 0.55)", chart)
+    phi = SymTensorField(chart, [[const(2.0), s], [ZERO, ONE]], metric=g)
+    _raises(g, phi, ConstraintError,
+            "tensor is not self-adjoint at (0.6333333333333333, 0.1): defect 7.270e-02")
+
+
+def test_field_domain_error_precedes_later_coalescence():
+    # at x0 = C the first eigenvalue has no second derivative (samples 4-7);
+    # the eigenvalues coalesce at (C, C), sample 5
+    g, phi = _flat_diagonal([f"2 + ((x0 - {C})^2)^0.75", f"2 - (x1 - {C})^2"])
+    _raises(g, phi, EvalDomainError,
+            f"zero raised to a negative power: ((x0 - {C})^2)^-0.25")
+
+
+def test_coalescence_precedes_later_field_domain_error():
+    # coalescence at (0.1, 0.9), sample 3; the field error from sample 4 on
+    g, phi = _flat_diagonal([f"2 + (x0 - 0.1)*(1 + ((x0 - {C})^2)^0.75)", "2 - (x1 - 0.9)^2"])
+    _raises(g, phi, CoalescenceError, "eigenvalues coalesce at (0.1, 0.9): spread 0.000e+00")
+
+
+def test_eigenvalue_rank_change():
+    # eigenvalues (1, 2, 1) at the anchor, (1, 2, 2) once x2 > 0.45
+    g, phi = _flat_diagonal(["1", "2", "1.5 + 0.5*(x2 - 0.45)/abs(x2 - 0.45)"])
+    _raises(g, phi, CoalescenceError,
+            "eigenvalue ranks change at (0.1, 0.1, 0.6333333333333333): 1 vs 2 at the anchor")
+
+
+def test_not_codazzi_names_the_first_worst_sample():
+    # the residual 2 x1 peaks on the x1 = 0.9 column, first at (0.1, 0.9)
+    g, phi = _flat_diagonal(["1 + x1^2", "3"])
+    _raises(g, phi, NotCodazziError,
+            "Codazzi residual 1.800e+00 exceeds tol 1.0e-08 at (0.1, 0.9)")
+
+
+def _condition_texts(g, phi, h=None):
+    plan = SamplePlan(grid=3, margin=0.1, random=3, seed=2)
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        try:
+            classify_codazzi(g, phi, h=h, plan=plan)
+        except ConstraintError as e:
+            error = str(e)
+        else:
+            error = None
+    texts = [str(w.message) for w in rec if issubclass(w.category, ConditionNumberWarning)]
+    return list(dict.fromkeys(texts)), error
+
+
+def test_ill_conditioned_metric_warnings():
+    chart = _unit_chart(2)
+    # a cone-like warped pair whose metric has condition number 2e8 exp(-3 x0)
+    g = MetricField.diagonal(chart, [ONE, parse_expr("5e-9*exp(3*x0)", chart)])
+    phi = SymTensorField.diagonal(chart, [ZERO, parse_expr("exp(-1.5*x0)", chart)], metric=g)
+    assert _condition_texts(g, phi, h=ZERO) == (
+        [
+            "metric condition number 1.482e+08 at (0.1, 0.1)",
+            "metric condition number 1.482e+08 at (0.1, 0.5)",
+            "metric condition number 1.482e+08 at (0.1, 0.9)",
+        ],
+        None,
+    )
+    # ill-conditioned along x1 = 0.1; not self-adjoint at (0.5, 0.1), so the
+    # samples after it never warn
+    g = MetricField.diagonal(chart, [ONE, parse_expr("5e-9*exp(3*x1)", chart)])
+    s = parse_expr("((x0 - 0.3) + abs(x0 - 0.3))*((0.3 - x1) + abs(0.3 - x1))", chart)
+    phi = SymTensorField(chart, [[ONE, s], [ZERO, const(2.0)]], metric=g)
+    assert _condition_texts(g, phi) == (
+        [
+            "metric condition number 1.482e+08 at (0.1, 0.1)",
+            "metric condition number 1.482e+08 at (0.5, 0.1)",
+        ],
+        "tensor is not self-adjoint at (0.5, 0.1): defect 1.124e-01",
+    )
+
+
+# --- independent oracles ----------------------------------------------------------
+
+_HESSIAN_METRICS = {
+    "torus": lambda: fixtures.torus()[0],
+    "polar": fixtures.polar,
+    "warped_three": fixtures.warped_three,
+    "cqw_three": fixtures.cqw_three,
+}
+
+
+@settings(max_examples=40)
+@given(
+    name=st.sampled_from(sorted(_HESSIAN_METRICS)),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_numeric_hessian_matches_hessian_lc(name, seed, data):
+    g = _HESSIAN_METRICS[name]()
+    n = g.dim
+    rng = np.random.default_rng(seed)
+    f = random_expr(rng, n)
+    p = random_point(rng, g.chart)
+    vector = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+    X, Y = np.array(data.draw(vector)), np.array(data.draw(vector))
+    gamma = g.christoffel_entries()
+    roots = [diff(diff(f, l), i) for i in range(n) for l in range(n)]
+    roots += [gamma[k][i][j] for k in range(n) for i in range(n) for j in range(n)]
+    roots += [diff(f, k) for k in range(n)]
+    vals = compile_tape(roots).run(np.array([p]))[0]
+    d2f = vals[: n * n].reshape(1, n, n)
+    gam = vals[n * n : n * n + n**3].reshape(1, n, n, n)
+    df = vals[n * n + n**3 :].reshape(1, n)
+    got = float(_hess(d2f, gam, df, X[None, None], Y[None, None])[0, 0, 0])
+    want = hessian_lc(g, f, [const(x) for x in X], [const(y) for y in Y], p)
+    # relative to the size of the terms of the contraction
+    scale = np.abs(X) @ (np.abs(d2f[0]) + np.abs(np.einsum("kij,k->ij", gam[0], df[0]))) @ np.abs(Y)
+    assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-10 * scale)
+
+
+@settings(max_examples=15)
+@given(R=st.floats(1.6, 2.8))
+def test_torus_eigen_samples_match_closed_form(R):
+    chart = Chart.box([(0.0, 1.4), (0.0, 2.0)], names=("u", "v"))
+    g = MetricField.diagonal(chart, [ONE, parse_expr(f"({R!r} + cos(u))^2", chart)])
+    phi = SymTensorField.diagonal(
+        chart, [ONE, parse_expr(f"cos(u) / ({R!r} + cos(u))", chart)], metric=g
+    )
+    rep = classify_codazzi(g, phi, h=const(1.0), plan=PLAN)
+    for s in rep.eigen_samples:
+        u = s["point"][0]
+        assert abs(s["mu"] - math.cos(u) / (R + math.cos(u))) <= 1e-12
+        assert abs(s["lam"] - 1.0) <= 1e-12
+    assert rep.residuals["eta_two_path"] <= 1e-10
+    assert rep.residuals["zeta_two_path"] <= 1e-10
