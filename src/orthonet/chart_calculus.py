@@ -205,6 +205,34 @@ def metric_at(g: MetricField, p, cache: dict | None = None):
     return G, np.linalg.inv(G)
 
 
+def _metric_checks(g: MetricField, G: np.ndarray, ok: np.ndarray):
+    """The checks of metric_at over stacked (m, n, n) metric values.
+
+    Samples where ok is false (their evaluation failed) are given the
+    identity. Returns that G, the eigenvalues, the condition numbers and the
+    masks of samples that are not positive definite and of samples that are
+    but are ill-conditioned."""
+    G = np.where(ok[:, None, None], G, np.eye(G.shape[-1]))
+    ev = np.linalg.eigvalsh(G)
+    not_spd = ok & (ev[:, 0] <= g.spd_floor)
+    with np.errstate(all="ignore"):
+        cond = ev[:, -1] / ev[:, 0]
+    return G, ev, cond, not_spd, ok & ~not_spd & (cond > CONDITION_WARN)
+
+
+def _warn_conditions(cond, ill, labels, j: int, at_j: bool) -> None:
+    """Warn as metric_at does at every ill-conditioned sample before the
+    first failing sample j, and at j itself when at_j (its failure comes
+    after the positivity check)."""
+    for k in np.flatnonzero(ill[: j + 1]):
+        if k < j or at_j:
+            warnings.warn(
+                f"metric condition number {cond[k]:.3e} at {labels[k]}",
+                ConditionNumberWarning,
+                stacklevel=5,
+            )
+
+
 def christoffel(g: MetricField, p, cache: dict | None = None) -> np.ndarray:
     """Gamma[k, i, j] at p."""
     metric_at(g, p, cache)  # SPD gate

@@ -45,16 +45,14 @@ else is reported as "outside_hypotheses".
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .chart_calculus import CONDITION_WARN, MetricField, det_expr
+from .chart_calculus import MetricField, _metric_checks, _warn_conditions, det_expr
 from .errors import (
     CoalescenceError,
-    ConditionNumberWarning,
     ConstraintError,
     InconsistencyError,
     NotCodazziError,
@@ -224,13 +222,8 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
 
     metric_ok = fb >= tape.bounds[nn]
     tensor_ok = fb >= tape.bounds[2 * nn]
-    G = np.where(metric_ok[:, None, None], vals[:, :nn].reshape(m, n, n), np.eye(n))
+    G, ev, cond, not_spd, ill = _metric_checks(g, vals[:, :nn].reshape(m, n, n), metric_ok)
     P = np.where(tensor_ok[:, None, None], vals[:, nn : 2 * nn].reshape(m, n, n), 0.0)
-    ev = np.linalg.eigvalsh(G)
-    not_spd = metric_ok & (ev[:, 0] <= g.spd_floor)
-    with np.errstate(all="ignore"):
-        cond = ev[:, -1] / ev[:, 0]
-    warn = metric_ok & ~not_spd & (cond > CONDITION_WARN)
     S = G @ P
     defect = np.linalg.norm(S - S.transpose(0, 2, 1), axis=(1, 2)) / (
         1.0 + np.linalg.norm(S, axis=(1, 2))
@@ -244,13 +237,7 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
     stage[~metric_ok] = _METRIC_DOMAIN
     failed = np.flatnonzero(stage != _CLEAN)
     j = int(failed[0]) if failed.size else m
-    for k in np.flatnonzero(warn[: j + 1]):
-        if k < j or stage[j] > _NOT_SPD:
-            warnings.warn(
-                f"metric condition number {cond[k]:.3e} at {labels[k]}",
-                ConditionNumberWarning,
-                stacklevel=3,
-            )
+    _warn_conditions(cond, ill, labels, j, j < m and stage[j] > _NOT_SPD)
     if j < m:
         if stage[j] in (_METRIC_DOMAIN, _TENSOR_DOMAIN, _PAIR_DOMAIN):
             raise sweep.error(j)
@@ -941,13 +928,16 @@ def classify_codazzi(
         {"point": list(p), "lam": float(lv), "mu": float(mv)}
         for p, lv, mv in zip(labels, sc.lam, sc.mu)
     ]
-    maxes = {
-        key: float(getattr(sc, key).max(initial=0.0))
-        for key in ("mean_curvature", "conformal_product", "mu_spherical",
-                    "lambda_spherical", "eta_two_path", "zeta_two_path")
+    per_sample = {
+        "mean_curvature": sc.mean_curvature,
+        # the conformal-product identity only counts where lambda + mu is not small
+        "conformal_product": sc.conformal_product[sc.cp_ok],
+        "mu_spherical": sc.mu_spherical,
+        "lambda_spherical": sc.lambda_spherical,
+        "eta_two_path": sc.eta_two_path,
+        "zeta_two_path": sc.zeta_two_path,
     }
-    # the conformal-product identity only counts where lambda + mu is not small
-    maxes["conformal_product"] = float(sc.conformal_product[sc.cp_ok].max(initial=0.0))
+    maxes = {key: float(v.max(initial=0.0)) for key, v in per_sample.items()}
     cp_evaluated = bool(sc.cp_ok.any())
     lam_along_max = float(sc.lam_along.max(initial=0.0))
     mu_along_max = float(sc.mu_along.max(initial=0.0))
@@ -1165,7 +1155,8 @@ def build_codazzi_candidate(kind: str, **params) -> CodazziCandidate:
         dmu = diff(mu, 0)
         dsig = diff(sigma, 0)
         ts = grid_axes(base, 9)[0][:, None]
-        lhs, h_val, mu_val, dsig_val, sig_val = compile_tape([dmu, h_mu, mu, dsig, sigma]).run(ts).T
+        tape = compile_tape([dmu, h_mu, mu, dsig, sigma])
+        lhs, h_val, mu_val, dsig_val, sig_val = tape.run(ts).T
         with np.errstate(all="ignore"):
             worst = float(np.abs(lhs - (h_val - mu_val) * (dsig_val / sig_val)).max())
         if not worst <= tol:

@@ -37,14 +37,14 @@ it that passes the positivity check warns if it is ill-conditioned.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chart_calculus import (
-    CONDITION_WARN,
     MetricField,
+    _metric_checks,
+    _warn_conditions,
     cov_deriv_exprs,
     eval_vector,
     inner_exprs,
@@ -52,7 +52,6 @@ from .chart_calculus import (
     metric_at,
 )
 from .errors import (
-    ConditionNumberWarning,
     ConstraintError,
     DegenerateFrameError,
     InconsistencyError,
@@ -334,12 +333,7 @@ class _Samples:
         stage[(fb >= frame_end) & (fb < sweep.tape.size)] = _FIELD_DOMAIN
 
         metric_ok = fb >= metric_end
-        Gs = np.where(metric_ok[:, None, None], G, eye)
-        ev = np.linalg.eigvalsh(Gs)
-        not_spd = metric_ok & (ev[:, 0] <= g.spd_floor)
-        with np.errstate(all="ignore"):
-            cond = ev[:, -1] / ev[:, 0]
-        warn = metric_ok & ~not_spd & (cond > CONDITION_WARN)
+        Gs, ev, cond, not_spd, ill = _metric_checks(g, G, metric_ok)
 
         frame_ok = metric_ok & ~not_spd & (fb >= frame_end)
         Fs = np.where(frame_ok[:, None, None], F, eye)
@@ -369,13 +363,7 @@ class _Samples:
 
         failed = np.flatnonzero(stage != _CLEAN)
         j = int(failed[0]) if failed.size else m
-        for k in np.flatnonzero(warn[: j + 1]):
-            if k < j or stage[j] > _NOT_SPD:
-                warnings.warn(
-                    f"metric condition number {cond[k]:.3e} at {labels[k]}",
-                    ConditionNumberWarning,
-                    stacklevel=4,
-                )
+        _warn_conditions(cond, ill, labels, j, j < m and stage[j] > _NOT_SPD)
         if j == m:
             return norms
         if stage[j] in (_METRIC_DOMAIN, _FRAME_DOMAIN, _FIELD_DOMAIN):

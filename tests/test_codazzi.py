@@ -528,7 +528,8 @@ def test_numeric_hessian_matches_hessian_lc(name, seed, data):
     got = float(_hess(d2f, gam, df, X[None, None], Y[None, None])[0, 0, 0])
     want = hessian_lc(g, f, [const(x) for x in X], [const(y) for y in Y], p)
     # relative to the size of the terms of the contraction
-    scale = np.abs(X) @ (np.abs(d2f[0]) + np.abs(np.einsum("kij,k->ij", gam[0], df[0]))) @ np.abs(Y)
+    terms = np.abs(d2f[0]) + np.abs(np.einsum("kij,k->ij", gam[0], df[0]))
+    scale = np.abs(X) @ terms @ np.abs(Y)
     assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-10 * scale)
 
 
