@@ -32,6 +32,7 @@ from .scalar_fields import (
     Expr,
     ZERO,
     ONE,
+    _is_zero,
     add,
     const,
     diff,
@@ -233,6 +234,13 @@ def _warn_conditions(cond, ill, labels, j: int, at_j: bool) -> None:
             )
 
 
+def _cov(dV, gamma, V, X) -> np.ndarray:
+    """nabla_{X_a} V = dV X_a + Gamma(X_a, V) over stacked samples, for a
+    field V with dV[m, k, i] = d_i V^k and gamma[m, k, i, j] = Gamma^k_ij;
+    X is (m, a, n). Returns (m, a, n)."""
+    return np.einsum("mki,mai->mak", dV, X) + np.einsum("mkij,mai,mj->mak", gamma, X, V)
+
+
 def christoffel(g: MetricField, p, cache: dict | None = None) -> np.ndarray:
     """Gamma[k, i, j] at p."""
     metric_at(g, p, cache)  # SPD gate
@@ -252,19 +260,27 @@ def christoffel(g: MetricField, p, cache: dict | None = None) -> np.ndarray:
 # --- symbolic covariant operations -------------------------------------------
 
 
+# The builders below skip every term with a folded-zero factor: mul would
+# fold it to ZERO and add would drop it, so they build the trees of the
+# dense sums without differentiating what a zero multiplies.
+
+
 def cov_deriv_exprs(g: MetricField, X, Y) -> tuple[Expr, ...]:
     """(nabla_X Y) as component expressions."""
     n = g.dim
     X = tuple(X)
     Y = tuple(Y)
     gamma = g.christoffel_entries()
+    xs = [i for i in range(n) if not _is_zero(X[i])]
+    ys = [j for j in range(n) if not _is_zero(Y[j])]
     out = []
     for k in range(n):
         acc = ZERO
-        for i in range(n):
+        for i in xs:
             acc = add(acc, mul(X[i], diff(Y[k], i)))
-            for j in range(n):
-                acc = add(acc, mul(gamma[k][i][j], mul(X[i], Y[j])))
+            for j in ys:
+                if not _is_zero(gamma[k][i][j]):
+                    acc = add(acc, mul(gamma[k][i][j], mul(X[i], Y[j])))
         out.append(acc)
     return tuple(out)
 
@@ -282,10 +298,14 @@ def inner_exprs(g: MetricField, X, Y) -> Expr:
     n = g.dim
     X = tuple(X)
     Y = tuple(Y)
+    ys = [j for j in range(n) if not _is_zero(Y[j])]
     terms = []
     for i in range(n):
-        for j in range(n):
-            terms.append(mul(g.entries[i][j], mul(X[i], Y[j])))
+        if _is_zero(X[i]):
+            continue
+        for j in ys:
+            if not _is_zero(g.entries[i][j]):
+                terms.append(mul(g.entries[i][j], mul(X[i], Y[j])))
     return _sum_exprs(terms)
 
 
@@ -296,7 +316,11 @@ def lie_bracket_exprs(X, Y, dim: int) -> tuple[Expr, ...]:
     for k in range(dim):
         acc = ZERO
         for i in range(dim):
-            acc = add(acc, sub(mul(X[i], diff(Y[k], i)), mul(Y[i], diff(X[k], i))))
+            if _is_zero(X[i]) and _is_zero(Y[i]):
+                continue
+            xy = ZERO if _is_zero(X[i]) else mul(X[i], diff(Y[k], i))
+            yx = ZERO if _is_zero(Y[i]) else mul(Y[i], diff(X[k], i))
+            acc = add(acc, sub(xy, yx))
         out.append(acc)
     return tuple(out)
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .chart_calculus import MetricField, _metric_checks, _warn_conditions, det_expr
+from .chart_calculus import MetricField, _cov, _metric_checks, _warn_conditions, det_expr
 from .errors import (
     CoalescenceError,
     ConstraintError,
@@ -538,12 +538,6 @@ def _hess(d2f, gamma, df, X, Y) -> np.ndarray:
     X is (m, a, n) and Y is (m, b, n). Returns (m, a, b)."""
     A = d2f - np.einsum("mkij,mk->mij", gamma, df)
     return np.einsum("mai,mij,mbj->mab", X, A, Y)
-
-
-def _cov(dV, gamma, V, X) -> np.ndarray:
-    """nabla_{X_a} V = dV X_a + Gamma(X_a, V) for a field V with
-    dV[m, k, i] = d_i V^k; X is (m, a, n). Returns (m, a, n)."""
-    return np.einsum("mki,mai->mak", dV, X) + np.einsum("mkij,mai,mj->mak", gamma, X, V)
 
 
 def _rel(*terms) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 A net splits a frame of vector fields into mutually orthogonal blocks; each
 block spans a distribution E_i with complement E_i^perp spanned by the other
-blocks. For every block the module computes second-fundamental-form data
-symbolically (so the mean curvature normal is itself a differentiable field),
-compiles the metric, the frame and all those fields into one evaluation tape,
-runs it once over every sample point, and reduces the stacked values to
-residuals with numpy:
+blocks. For every block the module builds second-fundamental-form data
+symbolically, compiles the metric, the frame, those fields and the
+Christoffel symbols into one evaluation tape, and runs it once over every
+sample point. The same sweep carries tangents forward to give the first
+partials of each mean curvature normal H, so nabla_X H = (dH) X + Gamma(X, H)
+is a stacked contraction and no derivative tree of H is built. numpy then
+reduces the stacked values to residuals:
 
     umbilicity     ||(nabla_X Y)^perp - <X, Y> H||      over block pairs
     sphericity     |<nabla_X H, Z>|                     block X, complement Z
@@ -32,7 +34,10 @@ Errors and warnings are those of checking one sample at a time in plan
 order: the first sample that fails raises, with the first check that fails
 there (metric evaluation, positive definiteness, frame evaluation, frame
 degeneracy, block orthogonality, field evaluation), and every sample up to
-it that passes the positivity check warns if it is ill-conditioned.
+it that passes the positivity check warns if it is ill-conditioned. A field
+evaluation error names the sub-expression the pointwise definition, which
+differentiates H symbolically, fails on first. A residual that is not
+finite raises InconsistencyError instead of passing.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import numpy as np
 
 from .chart_calculus import (
     MetricField,
+    _cov,
     _metric_checks,
     _warn_conditions,
     cov_deriv_exprs,
@@ -64,6 +70,7 @@ from .scalar_fields import (
     Const,
     ONE,
     ZERO,
+    _is_zero,
     add,
     compile_tape,
     const,
@@ -156,9 +163,14 @@ class _SpanFields:
         others = [k for k in range(n) if k not in self.indices]
         self.other_indices = tuple(others)
 
+        self.fields = fields
+        # coordinates the fields may read; along the others every field
+        # component is a folded zero, so nabla_{X_a} H never reads d_i H
+        self.support = tuple(i for i in range(n) if any(not _is_zero(f[i]) for f in fields))
+
         if r == 0:
             self.H = tuple([ZERO] * n)
-            self.covH = ()
+            self.gamma_read = ()
             self.umb_defects = ()
             self.bracket_perp = ()
             return
@@ -170,11 +182,12 @@ class _SpanFields:
 
         def proj(v):
             # g-orthogonal projection onto the span
+            ips = [inner_exprs(g, v, fields[b]) for b in range(r)]
             comps = []
             for a in range(r):
                 coeff = ZERO
                 for b in range(r):
-                    coeff = add(coeff, mul(gram_inv[a][b], inner_exprs(g, v, fields[b])))
+                    coeff = add(coeff, mul(gram_inv[a][b], ips[b]))
                 comps.append(coeff)
             out = [ZERO] * n
             for a in range(r):
@@ -197,9 +210,17 @@ class _SpanFields:
                 for k in range(n):
                     H[k] = add(H[k], mul(gram_inv[a][b], sperp[(a, b)][k]))
         self.H = tuple(div(h, const(float(r))) for h in H)
+        # the Christoffel symbols Gamma^k_ij that nabla_{X_a} H reads
+        gamma = g.christoffel_entries()
+        self.gamma_read = tuple(
+            (k, i, j)
+            for k in range(n)
+            for i in self.support
+            for j in range(n)
+            if not _is_zero(self.H[j]) and not _is_zero(gamma[k][i][j])
+        )
 
         self.gram = gram
-        self.fields = fields
         # umbilicity defect per ordered pair a <= b
         defects = []
         for a in range(r):
@@ -215,8 +236,6 @@ class _SpanFields:
                     )
                 )
         self.umb_defects = tuple(defects)
-
-        self.covH = tuple(cov_deriv_exprs(g, fields[a], self.H) for a in range(r))
 
         brackets = []
         for a in range(r):
@@ -268,16 +287,59 @@ class _Side:
     integ: np.ndarray
 
 
+def _layout(g: MetricField, unique, frame, symbolic_cov: bool):
+    """Roots in the order the pointwise definition reads them: the metric
+    entries, the frame, then per span its H, its umbilicity defects when the
+    rank exceeds one, nabla_{X_a} H built symbolically when symbolic_cov,
+    and its bracket projections. Without symbolic_cov the Christoffel
+    symbols that nabla H reads come last instead.
+
+    Returns the roots, the slices of the metric, the frame and the
+    Christoffel symbols, the triples (k, i, j) of those symbols, and per
+    span (by id) the slices of H, the defects, nabla H and the brackets."""
+    roots: list = []
+
+    def take(vectors) -> slice:
+        start = len(roots)
+        for v in vectors:
+            roots.extend(v)
+        return slice(start, len(roots))
+
+    metric = take(g.entries)
+    frame = take(frame)
+    parts = {}
+    for sf in unique:
+        if sf.rank:
+            parts[id(sf)] = (
+                take([sf.H]),
+                take([d for _, _, d in sf.umb_defects] if sf.rank > 1 else []),
+                take([cov_deriv_exprs(g, f, sf.H) for f in sf.fields] if symbolic_cov else []),
+                take([b for _, _, b in sf.bracket_perp]),
+            )
+    triples = [] if symbolic_cov else sorted({t for sf in unique for t in sf.gamma_read})
+    gamma = g.christoffel_entries()
+    gam = take([[gamma[k][i][j] for k, i, j in triples]])
+    return roots, metric, frame, gam, triples, parts
+
+
 class _Samples:
     """A net's metric, frame and span residuals over a batch of sample points.
 
-    Every field the pointwise definition reads goes into one tape, in the
-    order the definition reads it: the metric entries, the frame, then for
-    each requested block its span and its complement (H, the umbilicity
-    defects when the rank exceeds one, nabla H, the bracket projections).
+    The metric entries, the frame, and per requested block its span and its
+    complement (H, the umbilicity defects when the rank exceeds one, the
+    bracket projections) go into one tape, with the Christoffel symbols that
+    nabla H reads. One sweep gives their values and the first partials d_i H
+    for i in the support of each span's fields, and
+    nabla_{X_a} H = (dH) X_a + Gamma(X_a, H) is a stacked contraction.
     The checks then run per stage over all samples, and the first sample
     that fails any of them raises, with the stage that fails first there.
-    Condition warnings are issued for every sample up to that one."""
+    Condition warnings are issued for every sample up to that one.
+
+    The pointwise definition reads nabla H as a symbolic tree, after the
+    defects and before the brackets. A sample that fails past the frame, or
+    whose tangents or nabla H are not finite, is swept again on those trees
+    in that order: the error is the one that sweep raises first, and where
+    it is clean its nabla H is used."""
 
     def __init__(self, g: MetricField, net: OrthogonalNet, blocks, pts, labels):
         n = g.dim
@@ -288,27 +350,16 @@ class _Samples:
         }
         unique = list({id(sf): sf for pair in self.spans.values() for sf in pair}.values())
 
-        roots: list = []
-
-        def take(vectors) -> slice:
-            start = len(roots)
-            for v in vectors:
-                roots.extend(v)
-            return slice(start, len(roots))
-
-        metric = take(g.entries)
-        frame = take(net.frame)
-        parts = {}
-        for sf in unique:
-            if sf.rank:
-                parts[id(sf)] = (
-                    take([sf.H]),
-                    take([d for _, _, d in sf.umb_defects] if sf.rank > 1 else []),
-                    take(sf.covH),
-                    take([b for _, _, b in sf.bracket_perp]),
-                )
+        roots, metric, frame, gam, triples, parts = _layout(g, unique, net.frame, False)
+        partials = [
+            (parts[id(sf)][0].start + k, i)
+            for sf in unique
+            if sf.rank
+            for k in range(n)
+            for i in sf.support
+        ]
         tape = compile_tape(roots)
-        sweep = tape.sweep(pts)
+        sweep = tape.sweep(pts, partials)
         vals = sweep.values
         m = vals.shape[0]
 
@@ -316,21 +367,57 @@ class _Samples:
             return vals[:, sl].reshape(m, -1, n)
 
         self.G, self.F = stack(metric), stack(frame)
-        self.norms = self._check(
-            g, sweep, tape.bounds[metric.stop], tape.bounds[frame.stop], labels
-        )
-        self.sides = {id(sf): self._side(sf, parts.get(id(sf)), stack) for sf in unique}
+        gamma = np.zeros((m, n, n, n))
+        if triples:
+            k, i, j = np.array(triples, dtype=np.intp).T
+            gamma[:, k, i, j] = vals[:, gam]
+        covH = {}
+        q = 0
+        for sf in unique:
+            if sf.rank:
+                support = list(sf.support)
+                width = n * len(support)
+                dH = np.zeros((m, n, n))
+                dH[:, :, support] = sweep.partials[:, q : q + width].reshape(m, n, -1)
+                q += width
+                X = self.F[:, list(sf.indices)]
+                covH[id(sf)] = _cov(dH, gamma, stack(parts[id(sf)][0])[:, 0], X)
 
-    def _check(self, g, sweep, metric_end, frame_end, labels) -> np.ndarray:
+        frame_end = tape.bounds[frame.stop]
+        suspect = sweep.tangent_bad | (sweep.first_bad < tape.size)
+        for c in covH.values():
+            suspect |= ~np.isfinite(c).all(axis=(1, 2))
+        js = np.flatnonzero(suspect & (sweep.first_bad >= frame_end))
+        field_errors = {}
+        if js.size:
+            exact_roots, _, _, _, _, exact_parts = _layout(g, unique, net.frame, True)
+            exact = compile_tape(exact_roots).sweep(sweep.points[js])
+            for r, j in enumerate(js):
+                if exact.first_bad[r] < exact.tape.size:
+                    field_errors[int(j)] = (exact, r)
+                    continue
+                for sf in unique:
+                    if sf.rank:
+                        covH[id(sf)][j] = exact.values[r, exact_parts[id(sf)][2]].reshape(-1, n)
+
+        self.norms = self._check(
+            g, sweep, tape.bounds[metric.stop], frame_end, labels, field_errors
+        )
+        self.sides = {
+            id(sf): self._side(sf, parts.get(id(sf)), stack, covH.get(id(sf))) for sf in unique
+        }
+
+    def _check(self, g, sweep, metric_end, frame_end, labels, field_errors) -> np.ndarray:
         """Raise what the pointwise definition raises first, and warn on the
         way; values at a sample past its first failure are never read.
-        Returns the g-norms of the frame fields, (m, n)."""
+        field_errors maps the samples whose fields fail to the sweep and row
+        that name the failure. Returns the g-norms of the frame fields, (m, n)."""
         G, F = self.G, self.F
         m, n = G.shape[:2]
         eye = np.eye(n)
         fb = sweep.first_bad
         stage = np.full(m, _CLEAN)
-        stage[(fb >= frame_end) & (fb < sweep.tape.size)] = _FIELD_DOMAIN
+        stage[np.array(sorted(field_errors), dtype=np.intp)] = _FIELD_DOMAIN
 
         metric_ok = fb >= metric_end
         Gs, ev, cond, not_spd, ill = _metric_checks(g, G, metric_ok)
@@ -366,8 +453,11 @@ class _Samples:
         _warn_conditions(cond, ill, labels, j, j < m and stage[j] > _NOT_SPD)
         if j == m:
             return norms
-        if stage[j] in (_METRIC_DOMAIN, _FRAME_DOMAIN, _FIELD_DOMAIN):
+        if stage[j] in (_METRIC_DOMAIN, _FRAME_DOMAIN):
             raise sweep.error(j)
+        if stage[j] == _FIELD_DOMAIN:
+            exact, r = field_errors[j]
+            raise exact.error(r)
         if stage[j] == _NOT_SPD:
             raise NotSPDError(
                 f"metric not positive definite at {labels[j]}: "
@@ -384,17 +474,16 @@ class _Samples:
             f"|<X_{pairs[q][0]}, X_{pairs[q][1]}>| = {ip[j, q]:.3e}"
         )
 
-    def _side(self, sf: _SpanFields, part, stack) -> _Side:
+    def _side(self, sf: _SpanFields, part, stack, covH) -> _Side:
         G, F, norms = self.G, self.F, self.norms
         m, n = G.shape[:2]
         zero = np.zeros(m)
         if part is None:
             return _Side(np.zeros((m, n)), np.zeros((m, 0, n)), zero, zero, zero, zero)
-        h_sl, d_sl, c_sl, b_sl = part
+        h_sl, d_sl, _, b_sl = part
         idx = np.array(sf.indices, dtype=np.intp)
         other = np.array(sf.other_indices, dtype=np.intp)
         H = stack(h_sl)[:, 0]
-        covH = stack(c_sl)
 
         def pair_max(vectors, pairs) -> np.ndarray:
             if not pairs:
@@ -418,21 +507,14 @@ class _Samples:
         bf, cf = self.spans[i]
         return self.sides[id(bf)], self.sides[id(cf)]
 
-    def geometry(self, i: int, j: int) -> DistributionGeometry:
+    def geometries(self, i: int) -> list:
+        """The DistributionGeometry of block i at every sample."""
         b, c = self.block(i)
-        return DistributionGeometry(
-            block=i,
-            H=b.H[j],
-            eta=c.H[j],
-            umbilicity=float(b.umb[j]),
-            umbilicity_perp=float(c.umb[j]),
-            sphericity=float(b.sph[j]),
-            sphericity_perp=float(c.sph[j]),
-            geodesy=float(b.geo[j]),
-            geodesy_perp=float(c.geo[j]),
-            integrability=float(b.integ[j]),
-            integrability_perp=float(c.integ[j]),
-        )
+        scores = (b.umb, c.umb, b.sph, c.sph, b.geo, c.geo, b.integ, c.integ)
+        return [
+            DistributionGeometry(i, *row)
+            for row in zip(b.H, c.H, *(x.tolist() for x in scores))
+        ]
 
     def exchange(self, i: int) -> np.ndarray:
         """|<nabla_Z eta_i, X> - <nabla_X H_i, Z>| over normalized pairs of a
@@ -508,7 +590,7 @@ def distribution_geometry(g: MetricField, net: OrthogonalNet, i: int, p) -> Dist
     """Second-fundamental residuals of block i and its complement at p."""
     if not 0 <= i < len(net.blocks):
         raise ConstraintError(f"no block {i} in a {len(net.blocks)}-block net")
-    return _Samples(g, net, (i,), [p], [tuple(p)]).geometry(i, 0)
+    return _Samples(g, net, (i,), [p], [tuple(p)]).geometries(i)[0]
 
 
 def cwp_residual(g: MetricField, net: OrthogonalNet, i: int, p, tol: float = 1e-8) -> float:
@@ -516,7 +598,7 @@ def cwp_residual(g: MetricField, net: OrthogonalNet, i: int, p, tol: float = 1e-
     NotApplicableError when the umbilicity preconditions fail at p, so the
     caller never mistakes an unevaluable identity for a zero residual."""
     samples = _Samples(g, net, (i,), [p], [tuple(p)])
-    geom = samples.geometry(i, 0)
+    geom = samples.geometries(i)[0]
     if geom.umbilicity > tol or geom.umbilicity_perp > tol:
         raise NotApplicableError(
             f"umbilicity preconditions fail at {tuple(p)}: "
@@ -562,6 +644,19 @@ def _status(max_resid: float, tol: float) -> str:
     return "inconclusive"
 
 
+def _worst(name: str, resid: np.ndarray, labels) -> float:
+    """The largest residual over the samples, at least 0. A maximum that is
+    not finite raises, naming the flag and the first sample that is not:
+    max(0.0, nan) is 0.0, which would read as a pass."""
+    worst = float(resid.max())
+    if not np.isfinite(worst):
+        j = int(np.flatnonzero(~np.isfinite(resid))[0])
+        raise InconsistencyError(
+            f"{name} residual is {resid[j]} at {labels[j]}; residuals must be finite"
+        )
+    return max(0.0, worst)
+
+
 def classify_net(
     g: MetricField,
     net: OrthogonalNet,
@@ -585,7 +680,7 @@ def classify_net(
     labels = [tuple(float(x) for x in p) for p in pts]
     samples = _Samples(g, net, range(nblocks), pts, labels)
     sides = [samples.block(i) for i in range(nblocks)]
-    table = [[samples.geometry(i, j) for i in range(nblocks)] for j in range(len(pts))]
+    table = [list(row) for row in zip(*(samples.geometries(i) for i in range(nblocks)))]
 
     # per-block residuals, shape (blocks, samples)
     umb, sph = (np.stack([getattr(b, a) for b, _ in sides]) for a in ("umb", "sph"))
@@ -606,23 +701,24 @@ def classify_net(
             cwp = np.where(admitted, np.maximum(cwp, samples.exchange(i)), cwp)
             eq_evaluated = True
     cp = np.maximum(cwp, umb_p[0])
-    cp_hs0_max = 0.0
-    admitted = (umb[0] <= tol) & (umb_p[0] <= tol)
-    eq0_evaluated = bool(net.blocks[0]) and bool(admitted.any())
-    if eq0_evaluated:
-        cp_hs0_max = max(0.0, float(samples.exchange(0)[admitted].max()))
+    maxes = {
+        name: _worst(name, val, labels)
+        for name, val in zip(FLAG_NAMES, (tp, wp, qw, cqw, cqw0, cwp, cp))
+    }
 
     G = samples.G
     H0 = sides[0][0].H
     etas = [c.H for _, c in sides[1:]]
     hsum = H0 - sum(etas)
     hscale = 1.0 + _gnorm(H0, G) + sum(_gnorm(e, G) for e in etas)
-    h0_max = max(0.0, float((_gnorm(hsum, G) / hscale).max()))
+    h0_max = _worst("h0_sum_residual", _gnorm(hsum, G) / hscale, labels)
 
-    maxes = {
-        name: max(0.0, float(val.max()))
-        for name, val in zip(FLAG_NAMES, (tp, wp, qw, cqw, cqw0, cwp, cp))
-    }
+    cp_hs0_max = 0.0
+    admitted = (umb[0] <= tol) & (umb_p[0] <= tol)
+    eq0_evaluated = bool(net.blocks[0]) and bool(admitted.any())
+    if eq0_evaluated:
+        exchange = np.where(admitted, samples.exchange(0), 0.0)
+        cp_hs0_max = _worst("cp_hs0_residual", exchange, labels)
     flags = {name: Flag(_status(maxes[name], tol), maxes[name]) for name in FLAG_NAMES}
     if not eq_evaluated and flags["CWP"].status == "inconclusive":
         flags["CWP"] = Flag("not_applicable", maxes["CWP"])

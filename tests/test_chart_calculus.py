@@ -11,11 +11,14 @@ from orthonet.chart_calculus import (
     MetricField,
     christoffel,
     cov_deriv,
+    cov_deriv_exprs,
     grad_field,
     hessian_lc,
     inner,
+    inner_exprs,
     lc_axiom_residuals,
     lie_bracket,
+    lie_bracket_exprs,
     metric_at,
     norm,
 )
@@ -25,10 +28,14 @@ from orthonet.scalar_fields import (
     Chart,
     ONE,
     ZERO,
+    add,
+    compile_tape,
     const,
     diff,
     evaluate,
+    mul,
     parse_expr,
+    sub,
     var,
 )
 
@@ -195,3 +202,72 @@ def test_cov_deriv_metric_compatibility_seeded():
             Yv @ G @ cov_deriv(g, X, Z, p, cache)
         )
         assert math.isclose(lhs, rhs, rel_tol=1e-6, abs_tol=1e-6)
+
+
+# --- the symbolic builders against their dense sums ----------------------------
+
+
+def _dense_sum(terms):
+    acc = ZERO
+    for t in terms:
+        acc = add(acc, t)
+    return acc
+
+
+def _dense_inner(g, X, Y):
+    n = g.dim
+    return _dense_sum(mul(g.entries[i][j], mul(X[i], Y[j])) for i in range(n) for j in range(n))
+
+
+def _dense_cov(g, X, Y):
+    n = g.dim
+    gamma = g.christoffel_entries()
+    out = []
+    for k in range(n):
+        terms = []
+        for i in range(n):
+            terms.append(mul(X[i], diff(Y[k], i)))
+            terms.extend(mul(gamma[k][i][j], mul(X[i], Y[j])) for j in range(n))
+        out.append(_dense_sum(terms))
+    return out
+
+
+def _dense_bracket(X, Y, n):
+    return [
+        _dense_sum(sub(mul(X[i], diff(Y[k], i)), mul(Y[i], diff(X[k], i))) for i in range(n))
+        for k in range(n)
+    ]
+
+
+def _builder_cases():
+    ch = Chart.box([(0.5, 1.5)] * 3, blocks=((0,), (1, 2)))
+    skew = [
+        (ONE, ZERO, ZERO),
+        (ZERO, parse_expr("1 + x0*x1", ch), ONE),
+        (ZERO, const(-0.5), parse_expr("cos(x2)", ch)),
+        (parse_expr("x1", ch), ZERO, parse_expr("x0 - x2", ch)),
+    ]
+    cases = [(MetricField.diagonal(ch, [ONE, parse_expr("exp(2*x0)", ch), ONE]), skew)]
+    fixture_metrics = (fixtures.polar, fixtures.warped_three, fixtures.cqw_three, fixtures.twisted_flat)
+    for g in (f() for f in fixture_metrics):
+        n = g.dim
+        basis = [tuple(ONE if a == i else ZERO for a in range(n)) for i in range(n)]
+        linear = [tuple(var((a + s) % n) for a in range(n)) for s in (1, 2)]
+        cases.append((g, basis + linear))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_builders_match_dense_sums(case):
+    # skipping terms with a folded-zero factor leaves the trees as they were
+    g, fields = _builder_cases()[case]
+    n = g.dim
+    for X in fields:
+        for Y in fields:
+            pairs = [
+                ([inner_exprs(g, X, Y)], [_dense_inner(g, X, Y)]),
+                (cov_deriv_exprs(g, X, Y), _dense_cov(g, X, Y)),
+                (lie_bracket_exprs(X, Y, n), _dense_bracket(X, Y, n)),
+            ]
+            for got, want in pairs:
+                assert compile_tape(list(got)).instrs == compile_tape(list(want)).instrs

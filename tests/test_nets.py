@@ -8,11 +8,13 @@ import pytest
 from conftest import random_positive_scale
 from orthonet import fixtures
 from orthonet.chart_calculus import MetricField, metric_at
+from orthonet import nets
 from orthonet.errors import (
     ConditionNumberWarning,
     ConstraintError,
     DegenerateFrameError,
     EvalDomainError,
+    InconsistencyError,
     NotApplicableError,
     NotSPDError,
 )
@@ -312,3 +314,72 @@ def test_condition_warnings_stop_at_the_failing_sample():
     outcome, texts = _classify_recording(g)
     assert isinstance(outcome, EvalDomainError)
     assert texts == _pointwise_warnings(g, samples[:1])
+
+
+# --- nabla H from tape partials ------------------------------------------------
+
+# a tangent pass over every coordinate, reduced without the symbolic re-sweep,
+# gets both cases below wrong: (a) returns verdicts where the pointwise
+# definition fails on d_1 H, (b) reads a partial the definition never reads
+
+
+@pytest.mark.parametrize("blocks", [((0,), (1,), (2,)), ((0,), (1, 2))])
+def test_singular_partial_of_h_raises_the_pointwise_error(blocks):
+    # d_1 H reads (x1 - 0.5)^-0.5, which fails at x1 = 0.5 (sample 0)
+    ch = Chart.box([(0.5, 1.5)] * 3, blocks=blocks)
+    g = MetricField.diagonal(
+        ch, [parse_expr(t, ch) for t in ("1", "1 + (x1 - 0.5)^1.5", "1 + x0^2")]
+    )
+    with pytest.raises(EvalDomainError) as raised:
+        classify_net(g, OrthogonalNet.coordinate(ch), ORDER_PLAN)
+    assert str(raised.value) == "zero raised to a negative power: (x1 - 0.5)^-0.5"
+    assert raised.value.subexpr == "(x1 - 0.5)^-0.5"
+
+
+def test_unread_singular_partial_of_h_is_never_evaluated():
+    # d_0 H of block 1 is singular at x0 = 1, but block 1 is spanned by d/dx1
+    g = _diag2("1", "1 + (x0 - 1)^1.5")
+    outcome, texts = _classify_recording(g)
+    assert isinstance(outcome, NetReport)
+    assert texts == []
+    assert {k: (f.status, f.residual) for k, f in outcome.flags.items()} == {
+        k: ("pass", 0.0) for k in ("TP", "WP", "QW", "CQW", "CQW0", "CWP", "CP")
+    }
+    assert outcome.h0_sum_residual == 0.0
+    assert outcome.cp_hs0_residual == 0.0
+
+
+def test_non_finite_residual_raises(monkeypatch):
+    side = nets._Samples._side
+
+    def poisoned(self, sf, part, stack, covH):
+        out = side(self, sf, part, stack, covH)
+        if sf.indices == (1,):
+            out.sph = out.sph.copy()
+            out.sph[2] = np.nan
+        return out
+
+    monkeypatch.setattr(nets._Samples, "_side", poisoned)
+    g = fixtures.polar()
+    with pytest.raises(InconsistencyError, match=r"^WP residual is nan at \(") as raised:
+        classify_net(g, _coordinate(g), PLAN)
+    label = tuple(float(x) for x in sample_points(g.chart, PLAN)[2])
+    assert str(label) in str(raised.value)
+
+
+def test_classify_tape_stays_small(monkeypatch):
+    # metric, frame, H, defects, brackets and the Christoffel symbols nabla H
+    # reads; nabla H built symbolically took 906 slots here
+    sizes = []
+    compile_tape = nets.compile_tape
+
+    def spy(roots):
+        tape = compile_tape(roots)
+        sizes.append(tape.size)
+        return tape
+
+    monkeypatch.setattr(nets, "compile_tape", spy)
+    g = fixtures.cqw_three()
+    classify_net(g, _coordinate(g), PLAN)
+    assert len(sizes) == 1
+    assert sizes[0] <= 203
