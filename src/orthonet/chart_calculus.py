@@ -2,13 +2,16 @@
 
 The `*_exprs` builders and the cached inverse, determinant and Christoffel
 entries of a MetricField produce expression trees, so derived fields such as
-mean curvature normals stay differentiable to any order. The numeric
-functions (`metric_at`, `christoffel`, `cov_deriv`, `grad_field`, ...)
-evaluate such trees at a single point with the pointwise interpreter
-`scalar_fields.evaluate`; the per-point helpers of `product_metrics` use
-them. A sweep of many fields over many points compiles the trees into one
-tape instead (`scalar_fields.compile_tape`), as `nets`, `codazzi` and
-`factorize_cwp` do.
+mean curvature normals stay differentiable to any order. Numbers come from
+one path: the trees a check reads are compiled with the metric entries into
+one tape (`scalar_fields.compile_tape`) and swept over all its sample points
+at once. `_stacked` does that with the checks of the metric (positive
+definiteness, conditioning) and raises at the first sample that fails, as
+checking one sample at a time would; contractions such as `_cov` are numpy
+over the sample axis. The single-point functions (`metric_at`,
+`christoffel`, `cov_deriv`, `grad_field`, `hessian_lc`, `lie_bracket`,
+`inner`, `norm`, `lc_axiom_residuals`) are that sweep at one point, and
+check the metric before they evaluate any field.
 
 Conventions: vectors are component tuples against the coordinate frame,
 Gamma[k][i][j] multiplies X^i Y^j, and
@@ -22,6 +25,7 @@ Gamma[k][i][j] multiplies X^i Y^j, and
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -34,14 +38,14 @@ from .scalar_fields import (
     ONE,
     _is_zero,
     add,
+    compile_tape,
     const,
     diff,
     div,
-    evaluate,
     mul,
     neg,
-    powc,
     sub,
+    var,
 )
 
 __all__ = [
@@ -70,6 +74,8 @@ def det_expr(m) -> Expr:
         return m[0][0]
     total = ZERO
     for j in range(n):
+        if _is_zero(m[0][j]):
+            continue  # mul would fold the term to ZERO and add would drop it
         minor = [[m[r][c] for c in range(n) if c != j] for r in range(1, n)]
         term = mul(m[0][j], det_expr(minor))
         total = add(total, term) if j % 2 == 0 else sub(total, term)
@@ -95,14 +101,6 @@ def inverse_exprs(m) -> list[list[Expr]]:
                 cof = neg(cof)
             inv[j][i] = div(cof, d)  # transpose of the cofactor matrix
     return inv
-
-
-def eval_matrix(m, p, cache) -> np.ndarray:
-    return np.array([[evaluate(e, p, cache) for e in row] for row in m])
-
-
-def eval_vector(v, p, cache) -> np.ndarray:
-    return np.array([evaluate(e, p, cache) for e in v])
 
 
 # --- metric fields ------------------------------------------------------------
@@ -169,92 +167,21 @@ class MetricField:
                 for i in range(n)
             ]
             gamma = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-            for k in range(n):
-                for i in range(n):
-                    for j in range(i, n):
+            for i in range(n):
+                for j in range(i, n):
+                    brackets = [
+                        sub(add(dg[j][l][i], dg[i][l][j]), dg[i][j][l]) for l in range(n)
+                    ]
+                    for k in range(n):
                         acc = ZERO
                         for l in range(n):
-                            bracket = sub(
-                                add(dg[j][l][i], dg[i][l][j]), dg[i][j][l]
-                            )
-                            acc = add(acc, mul(ginv[k][l], bracket))
+                            if not _is_zero(ginv[k][l]):
+                                acc = add(acc, mul(ginv[k][l], brackets[l]))
                         term = mul(const(0.5), acc)
                         gamma[k][i][j] = term
                         gamma[k][j][i] = term
             self._gamma = gamma
         return self._gamma
-
-
-def metric_at(g: MetricField, p, cache: dict | None = None):
-    """Evaluate (g(p), g(p)^-1) with an SPD check and a conditioning warning."""
-    if cache is None:
-        cache = {}
-    G = eval_matrix(g.entries, p, cache)
-    eigvals = np.linalg.eigvalsh(G)
-    if eigvals[0] <= g.spd_floor:
-        raise NotSPDError(
-            f"metric not positive definite at {tuple(p)}: "
-            f"smallest eigenvalue {eigvals[0]:.3e}"
-        )
-    cond = eigvals[-1] / eigvals[0]
-    if cond > CONDITION_WARN:
-        warnings.warn(
-            f"metric condition number {cond:.3e} at {tuple(p)}",
-            ConditionNumberWarning,
-            stacklevel=2,
-        )
-    return G, np.linalg.inv(G)
-
-
-def _metric_checks(g: MetricField, G: np.ndarray, ok: np.ndarray):
-    """The checks of metric_at over stacked (m, n, n) metric values.
-
-    Samples where ok is false (their evaluation failed) are given the
-    identity. Returns that G, the eigenvalues, the condition numbers and the
-    masks of samples that are not positive definite and of samples that are
-    but are ill-conditioned."""
-    G = np.where(ok[:, None, None], G, np.eye(G.shape[-1]))
-    ev = np.linalg.eigvalsh(G)
-    not_spd = ok & (ev[:, 0] <= g.spd_floor)
-    with np.errstate(all="ignore"):
-        cond = ev[:, -1] / ev[:, 0]
-    return G, ev, cond, not_spd, ok & ~not_spd & (cond > CONDITION_WARN)
-
-
-def _warn_conditions(cond, ill, labels, j: int, at_j: bool) -> None:
-    """Warn as metric_at does at every ill-conditioned sample before the
-    first failing sample j, and at j itself when at_j (its failure comes
-    after the positivity check)."""
-    for k in np.flatnonzero(ill[: j + 1]):
-        if k < j or at_j:
-            warnings.warn(
-                f"metric condition number {cond[k]:.3e} at {labels[k]}",
-                ConditionNumberWarning,
-                stacklevel=5,
-            )
-
-
-def _cov(dV, gamma, V, X) -> np.ndarray:
-    """nabla_{X_a} V = dV X_a + Gamma(X_a, V) over stacked samples, for a
-    field V with dV[m, k, i] = d_i V^k and gamma[m, k, i, j] = Gamma^k_ij;
-    X is (m, a, n). Returns (m, a, n)."""
-    return np.einsum("mki,mai->mak", dV, X) + np.einsum("mkij,mai,mj->mak", gamma, X, V)
-
-
-def christoffel(g: MetricField, p, cache: dict | None = None) -> np.ndarray:
-    """Gamma[k, i, j] at p."""
-    metric_at(g, p, cache)  # SPD gate
-    if cache is None:
-        cache = {}
-    gamma = g.christoffel_entries()
-    n = g.dim
-    out = np.empty((n, n, n))
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                out[k, i, j] = evaluate(gamma[k][i][j], p, cache)
-                out[k, j, i] = out[k, i, j]
-    return out
 
 
 # --- symbolic covariant operations -------------------------------------------
@@ -332,73 +259,221 @@ def _sum_exprs(terms) -> Expr:
     return acc
 
 
-# --- numeric covariant operations ---------------------------------------------
+# --- stacked evaluation -------------------------------------------------------
 
 
-def cov_deriv(g: MetricField, X, Y, p, cache: dict | None = None) -> np.ndarray:
-    """(nabla_X Y)(p). X and Y are component expression sequences."""
-    if cache is None:
-        cache = {}
+def _metric_checks(g: MetricField, G: np.ndarray, ok: np.ndarray):
+    """The checks of metric_at over stacked (m, n, n) metric values.
+
+    Samples where ok is false (their evaluation failed) are given the
+    identity. Returns that G, the eigenvalues, the condition numbers and the
+    masks of samples that are not positive definite and of samples that are
+    but are ill-conditioned."""
+    G = np.where(ok[:, None, None], G, np.eye(G.shape[-1]))
+    ev = np.linalg.eigvalsh(G)
+    not_spd = ok & (ev[:, 0] <= g.spd_floor)
+    with np.errstate(all="ignore"):
+        cond = ev[:, -1] / ev[:, 0]
+    return G, ev, cond, not_spd, ok & ~not_spd & (cond > CONDITION_WARN)
+
+
+def _warn_conditions(cond, ill, labels, j: int, at_j: bool) -> None:
+    """Warn as metric_at does at every ill-conditioned sample before the
+    first failing sample j, and at j itself when at_j (its failure comes
+    after the positivity check)."""
+    for k in np.flatnonzero(ill[: j + 1]):
+        if k < j or at_j:
+            warnings.warn(
+                f"metric condition number {cond[k]:.3e} at {labels[k]}",
+                ConditionNumberWarning,
+                stacklevel=5,
+            )
+
+
+def _cov(dV, gamma, V, X) -> np.ndarray:
+    """nabla_{X_a} V = dV X_a + Gamma(X_a, V) over stacked samples, for a
+    field V with dV[m, k, i] = d_i V^k and gamma[m, k, i, j] = Gamma^k_ij;
+    X is (m, a, n). Returns (m, a, n)."""
+    return np.einsum("mki,mai->mak", dV, X) + np.einsum("mkij,mai,mj->mak", gamma, X, V)
+
+
+def _ginner(v, G, w) -> np.ndarray:
+    """g(v, w) per sample; v and w are (m, ..., n) stacks, G is (m, n, n)."""
+    return np.einsum("m...i,mij,m...j->m...", v, G, w)
+
+
+def _gnorm(v, G) -> np.ndarray:
+    return np.sqrt(np.maximum(_ginner(v, G, v), 0.0))
+
+
+def _gamma_roots(g: MetricField) -> list:
+    """Gamma^k_ij, k-major; their values reshape to (m, n, n, n)."""
+    return [e for plane in g.christoffel_entries() for row in plane for e in row]
+
+
+def _jet_roots(V) -> list:
+    """The components V^k of a field, then its first partials d_i V^k, k-major."""
+    n = len(V)
+    return list(V) + [diff(V[k], i) for k in range(n) for i in range(n)]
+
+
+def _split(vals: np.ndarray, *shapes) -> list:
+    """Consecutive columns of stacked root values, as (m, *shape) arrays."""
+    out, at = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape, dtype=int))
+        out.append(vals[:, at : at + size].reshape((len(vals), *shape)))
+        at += size
+    return out
+
+
+def _first_fault(sweep, bad: np.ndarray):
+    """(j, q, domain) for the first point j, and there the first root q, whose
+    evaluation fails (domain) or where bad[j, q] holds; None if there is none."""
+    # the first failing slot at a point belongs to the first root that reaches it
+    fails = np.searchsorted(np.asarray(sweep.tape.bounds[1:]), sweep.first_bad, side="right")
+    r = bad.shape[1]
+    q = np.minimum(fails, np.where(bad.any(axis=1), bad.argmax(axis=1), r))
+    hit = np.flatnonzero(q < r)
+    if not hit.size:
+        return None
+    j = int(hit[0])
+    return j, int(q[j]), bool(fails[j] == q[j])
+
+
+def _stacked(g: MetricField, roots, pts, labels=None, checks=()):
+    """Evaluate the metric of g and the roots over an (m, dim) array of
+    points on one tape; return G, (m, n, n), and the root values.
+
+    Raises at the first sample that fails, with its first failure in the
+    order metric evaluation, positive definiteness, root evaluation, and
+    warns as metric_at does at every ill-conditioned sample up to it.
+    checks lists (r, failing, error), run in that order once root r has
+    evaluated: failing(G, vals) masks the samples that fail, reading roots
+    up to r only, and error(G[j], vals[j], labels[j]) is the exception at
+    such a sample j. labels default to the points as tuples."""
     n = g.dim
-    X = tuple(X)
-    Y = tuple(Y)
-    Xv = eval_vector(X, p, cache)
-    Yv = eval_vector(Y, p, cache)
-    dY = np.array(
-        [[evaluate(diff(Y[k], i), p, cache) for i in range(n)] for k in range(n)]
+    nn = n * n
+    pts = np.array(pts, dtype=float, ndmin=2)
+    m = len(pts)
+    if labels is None:
+        labels = [tuple(p) for p in pts.tolist()]
+    tape = compile_tape([e for row in g.entries for e in row] + list(roots))
+    sweep = tape.sweep(pts)
+    G, ev, cond, not_spd, ill = _metric_checks(
+        g, sweep.values[:, :nn].reshape(m, n, n), sweep.first_bad >= tape.bounds[nn]
     )
-    gam = christoffel(g, p, cache)
-    return dY @ Xv + np.einsum("kij,i,j->k", gam, Xv, Yv)
+    vals = sweep.values[:, nn:]
+    bad = np.zeros(sweep.values.shape, dtype=bool)
+    bad[:, nn - 1] = not_spd  # after the entries, before the roots
+    with np.errstate(all="ignore"):
+        masks = [failing(G, vals) for _, failing, _ in checks]
+    for (r, _, _), mask in zip(checks, masks):
+        bad[:, nn + r] |= mask
+    hit = _first_fault(sweep, bad)
+    _warn_conditions(cond, ill, labels, hit[0] if hit else m, hit is not None and hit[1] >= nn)
+    if hit is None:
+        return G, vals
+    j, q, domain = hit
+    if domain:
+        raise sweep.error(j)
+    if q < nn:
+        raise NotSPDError(
+            f"metric not positive definite at {labels[j]}: "
+            f"smallest eigenvalue {ev[j, 0]:.3e}"
+        )
+    raise next(
+        error(G[j], vals[j], labels[j])
+        for (r, _, error), mask in zip(checks, masks)
+        if nn + r == q and mask[j]
+    )
 
 
-def grad_field(g: MetricField, f: Expr, p, cache: dict | None = None) -> np.ndarray:
-    if cache is None:
-        cache = {}
-    _, Ginv = metric_at(g, p, cache)
-    df = np.array([evaluate(diff(f, l), p, cache) for l in range(g.dim)])
-    return Ginv @ df
+def _at(g: MetricField, roots, p):
+    """_stacked at the single point p: (G, root values)."""
+    G, vals = _stacked(g, roots, [p], [tuple(p)])
+    return G[0], vals[0]
 
 
-def hessian_lc(g: MetricField, f: Expr, X, Y, p, cache: dict | None = None) -> float:
+# --- single-point operations ------------------------------------------------------
+
+
+def metric_at(g: MetricField, p):
+    """Evaluate (g(p), g(p)^-1) with an SPD check and a conditioning warning."""
+    G, _ = _at(g, (), p)
+    return G, np.linalg.inv(G)
+
+
+def christoffel(g: MetricField, p) -> np.ndarray:
+    """Gamma[k, i, j] at p."""
+    return _at(g, _gamma_roots(g), p)[1].reshape((g.dim,) * 3)
+
+
+def cov_deriv(g: MetricField, X, Y, p) -> np.ndarray:
+    """(nabla_X Y)(p). X and Y are component expression sequences."""
+    return _at(g, cov_deriv_exprs(g, X, Y), p)[1]
+
+
+def grad_field(g: MetricField, f: Expr, p) -> np.ndarray:
+    return _at(g, grad_exprs(g, f), p)[1]
+
+
+def hessian_lc(g: MetricField, f: Expr, X, Y, p) -> float:
     """Covariant Hessian Hess f(X, Y) = X(Y f) - (nabla_X Y) f at p."""
-    if cache is None:
-        cache = {}
     n = g.dim
-    X = tuple(X)
-    Y = tuple(Y)
     df = [diff(f, l) for l in range(n)]
     yf = _sum_exprs([mul(Y[l], df[l]) for l in range(n)])
-    xyf = sum(
-        evaluate(X[i], p, cache) * evaluate(diff(yf, i), p, cache) for i in range(n)
-    )
-    nxy = cov_deriv(g, X, Y, p, cache)
-    dfv = np.array([evaluate(d, p, cache) for d in df])
-    return xyf - float(nxy @ dfv)
+    xyf = _sum_exprs([mul(X[i], diff(yf, i)) for i in range(n)])
+    nxy = cov_deriv_exprs(g, X, Y)
+    hess = sub(xyf, _sum_exprs([mul(nxy[k], df[k]) for k in range(n)]))
+    return float(_at(g, [hess], p)[1][0])
 
 
-def lie_bracket(X, Y, p, cache: dict | None = None) -> np.ndarray:
-    if cache is None:
-        cache = {}
-    X = tuple(X)
-    Y = tuple(Y)
-    n = len(X)
-    exprs = lie_bracket_exprs(X, Y, n)
-    return eval_vector(exprs, p, cache)
+def lie_bracket(X, Y, p) -> np.ndarray:
+    return compile_tape(lie_bracket_exprs(X, Y, len(X))).run(np.array([p], dtype=float))[0]
 
 
-def inner(g: MetricField, v, w, p, cache: dict | None = None) -> float:
+def inner(g: MetricField, v, w, p) -> float:
     """g_p(v, w) for numeric vectors v, w."""
-    G, _ = metric_at(g, p, cache)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return float(v @ G @ w)
+    return float(np.asarray(v, dtype=float) @ _at(g, (), p)[0] @ np.asarray(w, dtype=float))
 
 
-def norm(g: MetricField, v, p, cache: dict | None = None) -> float:
-    return float(np.sqrt(max(inner(g, v, v, p, cache), 0.0)))
+def norm(g: MetricField, v, p) -> float:
+    return float(np.sqrt(max(inner(g, v, v, p), 0.0)))
 
 
-def lc_axiom_residuals(g: MetricField, p, cache: dict | None = None):
+# --- Levi-Civita axioms ---------------------------------------------------------
+
+
+def _lc_axioms(g: MetricField, pts, labels=None):
+    """(compatibility, torsion) residuals of lc_axiom_residuals over an
+    (m, dim) array of points, each (m,)."""
+    n = g.dim
+    basis = [tuple(ONE if a == i else ZERO for a in range(n)) for i in range(n)]
+    linear = [tuple(var((a + s) % n) for a in range(n)) for s in (1, 2)]
+    fields = basis + linear
+    iu, ju = np.triu_indices(n)
+    dg = [diff(g.entries[i][j], k) for k in range(n) for i, j in zip(iu, ju)]
+    roots = _gamma_roots(g) + dg + [r for V in fields for r in _jet_roots(V)]
+    G, vals = _stacked(g, roots, pts, labels)
+    gam, dk, *jets = _split(vals, (n, n, n), (n, len(iu)), *[(n,), (n, n)] * len(fields))
+
+    # d_k g_ij against Gamma^l_ki g_lj + Gamma^l_kj g_il, i <= j
+    T = np.einsum("mlki,mlj->mkij", gam, G)
+    t1, t2 = T[:, :, iu, ju], T[:, :, ju, iu]
+    big = np.maximum.reduce([np.abs(dk), np.abs(t1), np.abs(t2)])
+    compat = (np.abs(dk - t1 - t2) / (1.0 + big)).max(axis=(1, 2))
+
+    # nabla_X Y - nabla_Y X - [X, Y] over pairs of fields
+    torsion = np.zeros(len(G))
+    for (X, dX), (Y, dY) in itertools.combinations(zip(jets[::2], jets[1::2]), 2):
+        bracket = np.einsum("mki,mi->mk", dY, X) - np.einsum("mki,mi->mk", dX, Y)
+        r = _cov(dY, gam, Y, X[:, None])[:, 0] - _cov(dX, gam, X, Y[:, None])[:, 0] - bracket
+        torsion = np.maximum(torsion, _gnorm(r, G) / (1.0 + _gnorm(X, G) * _gnorm(Y, G)))
+    return compat, torsion
+
+
+def lc_axiom_residuals(g: MetricField, p):
     """(compatibility, torsion) residuals of the connection at p.
 
     Compatibility evaluates d_k g_ij - Gamma^l_ki g_lj - Gamma^l_kj g_il over
@@ -408,38 +483,5 @@ def lc_axiom_residuals(g: MetricField, p, cache: dict | None = None):
     nonconstant components. Both residuals are relative to the magnitude of
     the terms involved.
     """
-    if cache is None:
-        cache = {}
-    from .scalar_fields import var
-
-    n = g.dim
-    G, _ = metric_at(g, p, cache)
-    gam = christoffel(g, p, cache)
-    ge = g.entries
-
-    compat = 0.0
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                dk = evaluate(diff(ge[i][j], k), p, cache)
-                t1 = float(gam[:, k, i] @ G[:, j])
-                t2 = float(gam[:, k, j] @ G[:, i])
-                big = max(abs(dk), abs(t1), abs(t2))
-                compat = max(compat, abs(dk - t1 - t2) / (1.0 + big))
-
-    basis = [tuple(ONE if a == i else ZERO for a in range(n)) for i in range(n)]
-    linear = [tuple(var((a + s) % n) for a in range(n)) for s in (1, 2)]
-    fields = basis + linear
-    torsion = 0.0
-    for ai in range(len(fields)):
-        for bi in range(ai + 1, len(fields)):
-            X, Y = fields[ai], fields[bi]
-            r = (
-                cov_deriv(g, X, Y, p, cache)
-                - cov_deriv(g, Y, X, p, cache)
-                - lie_bracket(X, Y, p, cache)
-            )
-            nx = norm(g, eval_vector(X, p, cache), p, cache)
-            ny = norm(g, eval_vector(Y, p, cache), p, cache)
-            torsion = max(torsion, norm(g, r, p, cache) / (1.0 + nx * ny))
-    return compat, torsion
+    compat, torsion = _lc_axioms(g, [p], [tuple(p)])
+    return float(compat[0]), float(torsion[0])

@@ -50,20 +50,26 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .chart_calculus import MetricField, _cov, _metric_checks, _warn_conditions, det_expr
+from .chart_calculus import (
+    MetricField,
+    _cov,
+    _gamma_roots,
+    _ginner,
+    _gnorm,
+    _split,
+    _stacked,
+    det_expr,
+)
 from .errors import (
     CoalescenceError,
     ConstraintError,
     InconsistencyError,
     NotCodazziError,
-    NotSPDError,
 )
 from .nets import (
     Flag,
     NetReport,
     OrthogonalNet,
-    _ginner,
-    _gnorm,
     _span_fields,
     _status,
     classify_net,
@@ -163,9 +169,6 @@ class SymTensorField:
 
 # --- metric, tensor and Codazzi residual over the samples ----------------------
 
-# checks at one sample, in the order a failure there is reported
-_METRIC_DOMAIN, _NOT_SPD, _TENSOR_DOMAIN, _NOT_ADJOINT, _PAIR_DOMAIN, _CLEAN = range(6)
-
 
 def _codazzi_pair_exprs(g: MetricField, phi: SymTensorField):
     """Components of (nabla_i Phi)e_j - (nabla_j Phi)e_i for i < j."""
@@ -211,52 +214,34 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
     passes the positivity check warns if it is ill-conditioned."""
     n = g.dim
     nn = n * n
-    roots = [e for row in g.entries for e in row]
-    roots += [e for row in phi.components for e in row]
+    roots = [e for row in phi.components for e in row]
     for _, _, vec in pairs:
         roots.extend(vec)
-    tape = compile_tape(roots)
-    sweep = tape.sweep(np.asarray(pts, dtype=float))
-    vals, fb = sweep.values, sweep.first_bad
-    m = len(vals)
 
-    metric_ok = fb >= tape.bounds[nn]
-    tensor_ok = fb >= tape.bounds[2 * nn]
-    G, ev, cond, not_spd, ill = _metric_checks(g, vals[:, :nn].reshape(m, n, n), metric_ok)
-    P = np.where(tensor_ok[:, None, None], vals[:, nn : 2 * nn].reshape(m, n, n), 0.0)
-    S = G @ P
-    defect = np.linalg.norm(S - S.transpose(0, 2, 1), axis=(1, 2)) / (
-        1.0 + np.linalg.norm(S, axis=(1, 2))
-    )
-
-    stage = np.full(m, _CLEAN)
-    stage[fb < tape.size] = _PAIR_DOMAIN
-    stage[defect > tol] = _NOT_ADJOINT
-    stage[metric_ok & ~not_spd & ~tensor_ok] = _TENSOR_DOMAIN
-    stage[not_spd] = _NOT_SPD
-    stage[~metric_ok] = _METRIC_DOMAIN
-    failed = np.flatnonzero(stage != _CLEAN)
-    j = int(failed[0]) if failed.size else m
-    _warn_conditions(cond, ill, labels, j, j < m and stage[j] > _NOT_SPD)
-    if j < m:
-        if stage[j] in (_METRIC_DOMAIN, _TENSOR_DOMAIN, _PAIR_DOMAIN):
-            raise sweep.error(j)
-        if stage[j] == _NOT_SPD:
-            raise NotSPDError(
-                f"metric not positive definite at {labels[j]}: "
-                f"smallest eigenvalue {ev[j, 0]:.3e}"
-            )
-        raise ConstraintError(
-            f"tensor is not self-adjoint at {labels[j]}: defect {defect[j]:.3e}"
+    def defect(G, vals):
+        """Relative asymmetry of G P, P the tensor among the root values, for
+        stacked samples or one."""
+        S = G @ vals[..., :nn].reshape(G.shape)
+        return np.linalg.norm(S - np.swapaxes(S, -1, -2), axis=(-2, -1)) / (
+            1.0 + np.linalg.norm(S, axis=(-2, -1))
         )
 
-    vecs = vals[:, 2 * nn :].reshape(m, len(pairs), n)
+    adjoint = (
+        nn - 1,
+        lambda G, vals: defect(G, vals) > tol,
+        lambda G, v, label: ConstraintError(
+            f"tensor is not self-adjoint at {label}: defect {defect(G, v):.3e}"
+        ),
+    )
+    G, vals = _stacked(g, roots, pts, labels, [adjoint])
+    m = len(G)
+    vecs = vals[:, nn:].reshape(m, len(pairs), n)
     norms = np.sqrt(np.maximum(np.einsum("mii->mi", G), 0.0))
     a = [i for i, _, _ in pairs]
     b = [j for _, j, _ in pairs]
     scale = np.maximum(norms[:, a] * norms[:, b], 1e-300)
     codazzi = (_gnorm(vecs, G) / scale).max(axis=1, initial=0.0)
-    return _Fields(G, P, defect, codazzi)
+    return _Fields(G, vals[:, :nn].reshape(m, n, n), defect(G, vals), codazzi)
 
 
 def self_adjoint_defect(g: MetricField, phi: SymTensorField, p) -> float:
@@ -612,27 +597,13 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, pts, labels,
     d2lam, d2mu, d2alpha = second(model.dlam), second(model.dmu), second(model.dalpha)
     deta, dzeta = partials(eta), partials(zeta)
 
-    roots: list = []
-    parts = {}
-
-    def take(name, exprs, shape):
-        parts[name] = (len(roots), shape)
-        roots.extend(exprs)
-
     def flat(rows):
         return [e for row in rows for e in row]
 
-    take("lam", [model.lam_expr], ())
-    for name, vec in (("dlam", model.dlam), ("dmu", model.dmu), ("eta", eta),
-                      ("zeta", zeta), ("dalpha", model.dalpha), ("dbeta", model.dbeta)):
-        take(name, vec, (n,))
-    take("deta", flat(deta), (n, n))
-    take("gamma", [gamma[k][i][j] for k in range(n) for i in range(n) for j in range(n)],
-         (n, n, n))
-    for name, rows in (("d2lam", d2lam), ("d2mu", d2mu), ("dzeta", dzeta),
-                       ("d2alpha", d2alpha)):
-        take(name, flat(rows), (n, n))
-    take("h", [h_expr] if h_expr is not None else [], ())
+    hs = [h_expr] if h_expr is not None else []
+    roots = [model.lam_expr, *model.dlam, *model.dmu, *eta, *zeta, *model.dalpha, *model.dbeta,
+             *flat(deta), *_gamma_roots(g), *flat(d2lam), *flat(d2mu), *flat(dzeta),
+             *flat(d2alpha), *hs]
     tape = compile_tape(roots)
     sweep = tape.sweep(np.asarray(pts, dtype=float))
     fb = sweep.first_bad
@@ -706,15 +677,11 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, pts, labels,
         # failures left are in fields never read at their samples
         vals = np.where(np.isfinite(vals), vals, 0.0)
 
-    def field(name):
-        start, shape = parts[name]
-        size = int(np.prod(shape, dtype=int))
-        return vals[:, start : start + size].reshape((m,) + shape)
-
+    (_, dlam, dmu, eta_v, zeta_v, dalpha, dbeta, deta_v, gam, d2lam_v, d2mu_v, dzeta_v,
+     d2alpha_v, *h_vals) = _split(vals, (), *[(n,)] * 6, (n, n), (n, n, n), *[(n, n)] * 4,
+                                *[()] * len(hs))
     G, P = fields.G, fields.P
     Ginv = np.linalg.inv(G)
-    dlam, dmu, eta_v, zeta_v = field("dlam"), field("dmu"), field("eta"), field("zeta")
-    gam = field("gamma")
     grad_lam = np.einsum("mij,mj->mi", Ginv, dlam)
     grad_mu = np.einsum("mij,mj->mi", Ginv, dmu)
 
@@ -736,13 +703,13 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, pts, labels,
     gap = (lam - mu)[:, None, None]
     u1 = 2.0 * Xmu[col] * Ymu[row]
     u2 = -Xmu[col] * Ylam[row]
-    u3 = gap * _hess(field("d2mu"), gam, dmu, X, Y)
+    u3 = gap * _hess(d2mu_v, gam, dmu, X, Y)
     v1 = 2.0 * Xlam[col] * Ylam[row]
     v2 = u2
-    v3 = -gap * _hess(field("d2lam"), gam, dlam, X, Y)
+    v3 = -gap * _hess(d2lam_v, gam, dlam, X, Y)
     # <nabla_X eta, Y> and <nabla_Y zeta, X> against the closed formulas
-    d1 = _ginner(_cov(field("deta"), gam, eta_v, X)[:, :, None], G, Y[:, None])
-    d2 = _ginner(_cov(field("dzeta"), gam, zeta_v, Y)[:, None], G, X[:, :, None])
+    d1 = _ginner(_cov(deta_v, gam, eta_v, X)[:, :, None], G, Y[:, None])
+    d2 = _ginner(_cov(dzeta_v, gam, zeta_v, Y)[:, None], G, X[:, :, None])
     inv_gap2 = 1.0 / gap**2
     f1 = -inv_gap2 * (v1 + v2 + v3)
     f2 = -inv_gap2 * (u1 + u2 + u3)
@@ -752,7 +719,6 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, pts, labels,
 
     cp = np.zeros(m)
     if cp_ok.any():
-        dalpha, dbeta = field("dalpha"), field("dbeta")
         alpha = (0.5 * (lam + mu))[:, None, None]
         with np.errstate(all="ignore"):
             beta = np.where(cp_ok, (mu - lam) / (mu + lam), 0.0)[:, None, None]
@@ -761,12 +727,12 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, pts, labels,
             2.0 * beta * Xa[col] * Ya[row],
             alpha * Xa[col] * Yb[row],
             alpha * Ya[row] * Xb[col],
-            -alpha * beta * _hess(field("d2alpha"), gam, dalpha, X, Y),
+            -alpha * beta * _hess(d2alpha_v, gam, dalpha, X, Y),
         ))
 
     relation = ode = None
     if h_expr is not None:
-        hval = field("h")
+        hval = h_vals[0]
         relation = np.abs(lam - hval) / (1.0 + np.abs(lam))
         if pr == 1:
             # differentiated warping relation along the rank-one direction:

@@ -48,14 +48,15 @@ import numpy as np
 
 from .chart_calculus import (
     MetricField,
+    _at,
     _cov,
+    _ginner,
+    _gnorm,
     _metric_checks,
     _warn_conditions,
     cov_deriv_exprs,
-    eval_vector,
     inner_exprs,
     lie_bracket_exprs,
-    metric_at,
 )
 from .errors import (
     ConstraintError,
@@ -264,15 +265,6 @@ def _span_fields(g: MetricField, net: OrthogonalNet, indices) -> _SpanFields:
 # checks at one sample, in the order a failure there is reported
 _METRIC_DOMAIN, _NOT_SPD, _FRAME_DOMAIN, _DEGENERATE, _NOT_ORTHOGONAL, _FIELD_DOMAIN = range(6)
 _CLEAN = 6
-
-
-def _ginner(v, G, w) -> np.ndarray:
-    """g(v, w) per sample; v and w are (m, ..., n) stacks, G is (m, n, n)."""
-    return np.einsum("m...i,mij,m...j->m...", v, G, w)
-
-
-def _gnorm(v, G) -> np.ndarray:
-    return np.sqrt(np.maximum(_ginner(v, G, v), 0.0))
 
 
 @dataclass
@@ -539,9 +531,8 @@ def project(g: MetricField, net: OrthogonalNet, block, v, p) -> np.ndarray:
     indices = tuple(block)
     if not indices:
         return np.zeros(g.dim)
-    cache: dict = {}
-    G, _ = metric_at(g, p, cache)
-    F = np.array([eval_vector(net.frame[a], p, cache) for a in indices])
+    G, F = _at(g, [c for a in indices for c in net.frame[a]], p)
+    F = F.reshape(len(indices), g.dim)
     M = F @ G @ F.T
     ev = np.linalg.eigvalsh(M)
     if ev[0] <= _GRAM_COND_FLOOR * max(ev[-1], 1e-300):

@@ -29,6 +29,7 @@ the gradient condition that the analysis guarantees.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,13 +38,16 @@ import numpy as np
 
 from .chart_calculus import (
     MetricField,
-    cov_deriv,
+    _cov,
+    _first_fault,
+    _gamma_roots,
+    _ginner,
+    _gnorm,
+    _jet_roots,
+    _split,
+    _stacked,
     det_expr,
-    eval_vector,
     grad_exprs,
-    grad_field,
-    hessian_lc,
-    metric_at,
 )
 from .errors import (
     ConstraintError,
@@ -61,7 +65,6 @@ from .scalar_fields import (
     const,
     diff,
     div,
-    evaluate,
     free_vars,
     is_const_one,
     log,
@@ -166,15 +169,40 @@ class ProductSpec:
             off += f.chart.dim
         return tuple(out)
 
-    @property
+    @functools.cached_property
     def chart(self) -> Chart:
-        cached = self.__dict__.get("_chart")
-        if cached is None:
-            domain = [iv for f in self.factors for iv in f.chart.domain]
-            names = tuple(n for f in self.factors for n in f.chart.names)
-            cached = Chart.box(domain, names=names, blocks=self.blocks)
-            self.__dict__["_chart"] = cached
-        return cached
+        domain = [iv for f in self.factors for iv in f.chart.domain]
+        names = tuple(n for f in self.factors for n in f.chart.names)
+        return Chart.box(domain, names=names, blocks=self.blocks)
+
+    @functools.cached_property
+    def _metric(self) -> MetricField:
+        """The block-diagonal metric of build_metric, built once per spec."""
+        chart = self.chart
+        n = chart.dim
+        entries = [[ZERO] * n for _ in range(n)]
+        off = 0
+        for i, f in enumerate(self.factors):
+            rho = self.twists[i]
+            if not is_const_one(rho):
+                _check_positive(rho, chart, f"twist {i}")
+            remap = {j: var(off + j) for j in range(f.chart.dim)}
+            rho2 = mul(rho, rho)
+            for a in range(f.chart.dim):
+                for b in range(a, f.chart.dim):
+                    e = substitute(f.metric[a][b], remap)
+                    entries[off + a][off + b] = mul(rho2, e)
+            off += f.chart.dim
+        if self.conformal_factor is not None:
+            phi = self.conformal_factor
+            _check_positive(phi, chart, "conformal factor")
+            phi2 = mul(phi, phi)
+            entries = [
+                [mul(phi2, e) if e is not ZERO else ZERO for e in row] for row in entries
+            ]
+        g = MetricField(chart, entries)
+        g.provenance = self
+        return g
 
 
 def _check_positive(e: Expr, chart: Chart, label: str):
@@ -191,35 +219,7 @@ def _check_positive(e: Expr, chart: Chart, label: str):
 
 def build_metric(spec: ProductSpec) -> MetricField:
     """Assemble the block-diagonal metric of the spec on its product chart."""
-    cached = spec.__dict__.get("_metric")
-    if cached is not None:
-        return cached
-    chart = spec.chart
-    n = chart.dim
-    entries = [[ZERO] * n for _ in range(n)]
-    off = 0
-    for i, f in enumerate(spec.factors):
-        rho = spec.twists[i]
-        if not is_const_one(rho):
-            _check_positive(rho, chart, f"twist {i}")
-        remap = {j: var(off + j) for j in range(f.chart.dim)}
-        rho2 = mul(rho, rho)
-        for a in range(f.chart.dim):
-            for b in range(a, f.chart.dim):
-                e = substitute(f.metric[a][b], remap)
-                entries[off + a][off + b] = mul(rho2, e)
-        off += f.chart.dim
-    if spec.conformal_factor is not None:
-        phi = spec.conformal_factor
-        _check_positive(phi, chart, "conformal factor")
-        phi2 = mul(phi, phi)
-        entries = [
-            [mul(phi2, e) if e is not ZERO else ZERO for e in row] for row in entries
-        ]
-    g = MetricField(chart, entries)
-    g.provenance = spec
-    spec.__dict__["_metric"] = g
-    return g
+    return spec._metric
 
 
 def conformal_scale(g: MetricField, phi: Expr) -> MetricField:
@@ -236,6 +236,59 @@ def conformal_scale(g: MetricField, phi: Expr) -> MetricField:
     return out
 
 
+def _connection_residuals(spec: ProductSpec, pts, X, Y) -> np.ndarray:
+    """verify_connection_identity at every sample of an (m, dim) array of
+    points, (m,). X and Y are component expression sequences shared by the
+    samples, or (m, dim) arrays of constant fields, one pair per sample.
+
+    The metric, the Christoffel symbols of it and of the product metric,
+    and per twist its value and the partials of its log are swept on one
+    tape, after the fields when they are expressions. Errors are those of
+    _stacked; a twist that is not positive fails right after its value."""
+    if spec.conformal_factor is not None:
+        raise ConstraintError("connection identity applies to unscaled twisted specs")
+    g = build_metric(spec)
+    gt = build_metric(dataclasses.replace(spec, kind="product", twists=(ONE,) * len(spec.twists)))
+    n = g.dim
+    fields = [] if isinstance(X, np.ndarray) else [*X, *_jet_roots(Y)]
+    roots = fields + _gamma_roots(g) + _gamma_roots(gt)
+    twisted = [i for i, rho in enumerate(spec.twists) if not is_const_one(rho)]
+    checks = []
+    for i in twisted:
+        r = len(roots)
+        checks.append((
+            r,
+            lambda G, vals, r=r: vals[:, r] <= 0.0,
+            lambda G, v, label, r=r, i=i: ConstraintError(f"twist {i} is {v[r]:.6g} <= 0 at {label}"),
+        ))
+        roots += [spec.twists[i]] + [diff(log(spec.twists[i]), l) for l in range(n)]
+    G, vals = _stacked(g, roots, pts, checks=checks)
+    field_shapes = [(n,), (n,), (n, n)] if fields else []
+    parts = _split(vals, *field_shapes, (n, n, n), (n, n, n), *[(1,), (n,)] * len(twisted))
+    if fields:
+        X, Y, dY, *parts = parts
+    else:
+        dY = np.zeros((len(G), n, n))
+    gam, gam_product, *parts = parts
+    lhs = _cov(dY, gam, Y, X[:, None])[:, 0]
+    rhs = _cov(dY, gam_product, Y, X[:, None])[:, 0]
+    Ginv = np.linalg.inv(G)
+    unorm_sum = 0.0
+    for i, dlog in zip(twisted, parts[1::2]):
+        U = -np.einsum("mkl,ml->mk", Ginv, dlog)
+        block = np.isin(np.arange(n), spec.blocks[i])
+        Xi, Yi = np.where(block, X, 0.0), np.where(block, Y, 0.0)
+        rhs = (
+            rhs
+            + _ginner(Xi, G, Yi)[:, None] * U
+            - _ginner(X, G, U)[:, None] * Yi
+            - _ginner(Y, G, U)[:, None] * Xi
+        )
+        unorm_sum += _gnorm(U, G)
+    denom = np.maximum(_gnorm(X, G) * _gnorm(Y, G) * (1.0 + unorm_sum), 1e-30)
+    return _gnorm(lhs - rhs, G) / denom
+
+
 def verify_connection_identity(spec: ProductSpec, X, Y, p) -> float:
     """Residual of the twisted-vs-product connection identity at p.
 
@@ -246,58 +299,15 @@ def verify_connection_identity(spec: ProductSpec, X, Y, p) -> float:
     norms use the twisted metric; the residual is normalized by
     ||X|| ||Y|| (1 + sum ||U_i||).
     """
-    if spec.conformal_factor is not None:
-        raise ConstraintError("connection identity applies to unscaled twisted specs")
-    g = build_metric(spec)
-    key = "_product_metric"
-    gt = spec.__dict__.get(key)
-    if gt is None:
-        gt = build_metric(
-            dataclasses.replace(
-                spec, kind="product", twists=(ONE,) * len(spec.twists)
-            )
-        )
-        spec.__dict__[key] = gt
-    p = tuple(float(x) for x in p)
-    cache: dict = {}
-    G, _ = metric_at(g, p, cache)
-    lhs = cov_deriv(g, X, Y, p, cache)
-    rhs = cov_deriv(gt, X, Y, p)
-    Xv = eval_vector(X, p, cache)
-    Yv = eval_vector(Y, p, cache)
-    unorm_sum = 0.0
-    for i, rho in enumerate(spec.twists):
-        if is_const_one(rho):
-            continue
-        rv = evaluate(rho, p, cache)
-        if rv <= 0.0:
-            raise ConstraintError(f"twist {i} is {rv:.6g} <= 0 at {p}")
-        U = -grad_field(g, log(rho), p, cache)
-        blk = spec.blocks[i]
-        Xi = np.zeros_like(Xv)
-        Yi = np.zeros_like(Yv)
-        Xi[list(blk)] = Xv[list(blk)]
-        Yi[list(blk)] = Yv[list(blk)]
-        rhs = rhs + float(Xi @ G @ Yi) * U - float(Xv @ G @ U) * Yi - float(Yv @ G @ U) * Xi
-        unorm_sum += math.sqrt(max(U @ G @ U, 0.0))
-    diff_v = lhs - rhs
-    nx = math.sqrt(max(Xv @ G @ Xv, 0.0))
-    ny = math.sqrt(max(Yv @ G @ Yv, 0.0))
-    denom = max(nx * ny * (1.0 + unorm_sum), 1e-30)
-    return float(math.sqrt(max(diff_v @ G @ diff_v, 0.0)) / denom)
+    return float(_connection_residuals(spec, [p], tuple(X), tuple(Y))[0])
 
 
 def separability_residual(rho: Expr, block_a, block_b, p) -> float:
     """max |d^2 log rho / dx_a dx_b| over a in block_a, b in block_b at p."""
     lr = log(rho)
-    p = tuple(float(x) for x in p)
-    worst = 0.0
-    cache: dict = {}
-    for a in block_a:
-        da = diff(lr, a)
-        for b in block_b:
-            worst = max(worst, abs(evaluate(diff(da, b), p, cache)))
-    return worst
+    roots = [diff(diff(lr, a), b) for a in block_a for b in block_b]
+    vals = compile_tape(roots).run(np.array([p], dtype=float))[0]
+    return float(np.abs(vals).max(initial=0.0))
 
 
 # --- batched evaluation -------------------------------------------------------
@@ -316,20 +326,6 @@ def _mesh(axes) -> np.ndarray:
     if not axes:
         return np.zeros((1, 0))
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-
-
-def _first_fault(sweep, bad: np.ndarray):
-    """(j, q, domain) for the first point j, and there the first root q, whose
-    evaluation fails (domain) or where bad[j, q] holds; None if there is none."""
-    # the first failing slot at a point belongs to the first root that reaches it
-    fails = np.searchsorted(np.asarray(sweep.tape.bounds[1:]), sweep.first_bad, side="right")
-    r = bad.shape[1]
-    q = np.minimum(fails, np.where(bad.any(axis=1), bad.argmax(axis=1), r))
-    hit = np.flatnonzero(q < r)
-    if not hit.size:
-        return None
-    j = int(hit[0])
-    return j, int(q[j]), bool(fails[j] == q[j])
 
 
 def _integrate(segments: list):
@@ -800,6 +796,52 @@ class SphericalCheck:
         }
 
 
+def _spherical_residuals(spec: ProductSpec, phi: Expr, i: int, pts) -> np.ndarray:
+    """spherical_factor_check at every sample of an (m, dim) array of points:
+    (m, 3) residuals ii, iii and v.
+
+    The scaled metric, W and its partials, the Christoffel symbols, the
+    first and mixed second partials of phi and the residual_v terms are
+    swept on one tape, with the errors of _stacked."""
+    if spec.kind not in ("product", "warped"):
+        raise ConstraintError("spherical factor check expects a product or warped spec")
+    if spec.conformal_factor is not None:
+        raise ConstraintError("pass phi separately; spec must be unscaled")
+    if not 1 <= i <= len(spec.factors) - 1:
+        raise ConstraintError(f"block index {i} out of range for the spec")
+    g = conformal_scale(build_metric(spec), phi)
+    n = g.dim
+    blk = list(spec.blocks[i])
+    other = [a for a in range(n) if a not in blk]
+
+    W = tuple(mul(const(-1.0), w) for w in grad_exprs(g, log(phi)))
+    dphi = [diff(phi, l) for l in range(n)]
+    mixed = [diff(dphi[c], a) for c in other for a in blk]
+    inv_phi = powc(phi, -1.0)
+    rho = spec.twists[i]
+    sep = [diff(div(diff(inv_phi, a), rho), b) for a in blk for b in other]
+    roots = _jet_roots(W) + _gamma_roots(g) + dphi + mixed + sep
+    G, vals = _stacked(g, roots, pts)
+    m = len(G)
+    Wv, dW, gam, df, d2f, r5 = _split(
+        vals, (n,), (n, n), (n, n, n), (n,), (len(other), len(blk)), (len(sep),)
+    )
+
+    norms = np.sqrt(np.einsum("maa->ma", G))
+    scale = np.maximum(norms[:, other, None] * norms[:, None, blk], 1e-300)  # (m, c, a)
+    # <nabla_Z W, X> = <Z, W><X, W> for Z = d_c, X = d_a
+    E = np.broadcast_to(np.eye(n)[other], (m, len(other), n))
+    GdW = np.einsum("mij,mcj->mci", G, _cov(dW, gam, Wv, E))
+    GW = np.einsum("mij,mj->mi", G, Wv)
+    lhs = GdW[:, :, blk] / scale
+    rhs = GW[:, other, None] * GW[:, None, blk] / scale
+    r2 = np.abs(lhs - rhs).max(axis=(1, 2), initial=0.0)
+    # Hess phi(d_a, d_c) = d_a d_c phi - Gamma^k_ac d_k phi
+    T = np.einsum("mkij,mk->mji", gam, df)[:, other][:, :, blk]
+    r3 = (np.abs(d2f - T) / scale).max(axis=(1, 2), initial=0.0)
+    return np.stack([r2, r3, np.abs(r5).max(axis=1, initial=0.0)], axis=1)
+
+
 def spherical_factor_check(spec: ProductSpec, phi: Expr, i: int, p) -> SphericalCheck:
     """Three equivalent sphericity tests for block i of phi^2 * spec at p.
 
@@ -809,44 +851,5 @@ def spherical_factor_check(spec: ProductSpec, phi: Expr, i: int, p) -> Spherical
     non-block coordinates. All derivatives use the scaled metric except the
     purely symbolic residual_v.
     """
-    if spec.kind not in ("product", "warped"):
-        raise ConstraintError("spherical factor check expects a product or warped spec")
-    if spec.conformal_factor is not None:
-        raise ConstraintError("pass phi separately; spec must be unscaled")
-    if not 1 <= i <= len(spec.factors) - 1:
-        raise ConstraintError(f"block index {i} out of range for the spec")
-    g = conformal_scale(build_metric(spec), phi)
-    chart = g.chart
-    n = chart.dim
-    p = tuple(float(x) for x in p)
-    blk = spec.blocks[i]
-    other = [a for a in range(n) if a not in blk]
-
-    cache: dict = {}
-    G, _ = metric_at(g, p, cache)
-    W = tuple(mul(const(-1.0), w) for w in grad_exprs(g, log(phi)))
-    Wv = eval_vector(W, p, cache)
-    basis = np.eye(n)
-    norms = [math.sqrt(G[a, a]) for a in range(n)]
-
-    r2 = 0.0
-    r3 = 0.0
-    for c in other:
-        ec = tuple(ONE if j == c else ZERO for j in range(n))
-        dW = cov_deriv(g, ec, W, p, cache)
-        for a in blk:
-            scale = max(norms[a] * norms[c], 1e-300)
-            lhs = float(basis[a] @ G @ dW) / scale
-            rhs = float(basis[c] @ G @ Wv) * float(basis[a] @ G @ Wv) / scale
-            r2 = max(r2, abs(lhs - rhs))
-            ea = tuple(ONE if j == a else ZERO for j in range(n))
-            r3 = max(r3, abs(hessian_lc(g, phi, ea, ec, p, cache)) / scale)
-
-    rho = spec.twists[i]
-    inv_phi = powc(phi, -1.0)
-    r5 = 0.0
-    for a in blk:
-        q = div(diff(inv_phi, a), rho)
-        for b in other:
-            r5 = max(r5, abs(evaluate(diff(q, b), p, cache)))
+    r2, r3, r5 = _spherical_residuals(spec, phi, i, [p])[0].tolist()
     return SphericalCheck(residual_ii=r2, residual_iii=r3, residual_v=r5)

@@ -1261,6 +1261,10 @@ class _Tokens:
         return tok
 
 
+# the deepest nesting of factors parse_expr accepts; it recurses once per level
+MAX_NESTING = 100
+
+
 def parse_expr(text: str, chart: Chart, functions: dict[str, Expr] | None = None) -> Expr:
     """Parse an expression over the chart's coordinate names.
 
@@ -1273,11 +1277,13 @@ def parse_expr(text: str, chart: Chart, functions: dict[str, Expr] | None = None
         base   := number | coord | "(" expr ")" | func "(" expr ")"
 
     `functions` maps declared univariate function names to their bodies
-    (expressions in one auxiliary variable).
+    (expressions in one auxiliary variable). Each parenthesis, call and
+    unary minus nests a factor, at most MAX_NESTING deep.
     """
     toks = _Tokens(text)
     functions = functions or {}
     index = {name: i for i, name in enumerate(chart.names)}
+    depth = 0
 
     def parse_sum() -> Expr:
         node = parse_term()
@@ -1296,20 +1302,26 @@ def parse_expr(text: str, chart: Chart, functions: dict[str, Expr] | None = None
         return node
 
     def parse_factor() -> Expr:
+        nonlocal depth
+        depth += 1
+        if depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", toks.peek()[2])
         if toks.peek()[0] == "-":
             toks.take()
-            return neg(parse_factor())
-        node = parse_base()
-        if toks.peek()[0] == "^":
-            toks.take()
-            sign = 1.0
-            if toks.peek()[0] == "-":
+            node = neg(parse_factor())
+        else:
+            node = parse_base()
+            if toks.peek()[0] == "^":
                 toks.take()
-                sign = -1.0
-            kind, text_, pos = toks.take()
-            if kind != "num":
-                raise ParseError("exponent must be a numeric literal", pos)
-            node = powc(node, sign * float(text_))
+                sign = 1.0
+                if toks.peek()[0] == "-":
+                    toks.take()
+                    sign = -1.0
+                kind, text_, pos = toks.take()
+                if kind != "num":
+                    raise ParseError("exponent must be a numeric literal", pos)
+                node = powc(node, sign * float(text_))
+        depth -= 1
         return node
 
     def parse_base() -> Expr:

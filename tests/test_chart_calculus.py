@@ -1,6 +1,7 @@
 """Levi-Civita calculus: Christoffel symbols, covariant operations, axioms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from conftest import random_expr, random_point
 from orthonet import fixtures
 from orthonet.chart_calculus import (
     MetricField,
+    _lc_axioms,
+    _stacked,
     christoffel,
     cov_deriv,
     cov_deriv_exprs,
@@ -22,7 +25,7 @@ from orthonet.chart_calculus import (
     metric_at,
     norm,
 )
-from orthonet.errors import ConditionNumberWarning, NotSPDError
+from orthonet.errors import ConditionNumberWarning, ConstraintError, EvalDomainError, NotSPDError
 from orthonet.sampling import SamplePlan, sample_points
 from orthonet.scalar_fields import (
     Chart,
@@ -32,8 +35,10 @@ from orthonet.scalar_fields import (
     compile_tape,
     const,
     diff,
+    div,
     evaluate,
     mul,
+    neg,
     parse_expr,
     sub,
     var,
@@ -183,10 +188,9 @@ def test_cov_deriv_metric_compatibility_seeded():
         Xv = np.array([evaluate(x, p, cache) for x in X])
 
         def ip(q):
-            qc: dict = {}
-            G, _ = metric_at(g, q, qc)
-            Yq = np.array([evaluate(y, q, qc) for y in Y])
-            Zq = np.array([evaluate(z, q, qc) for z in Z])
+            G, _ = metric_at(g, q)
+            Yq = np.array([evaluate(y, q) for y in Y])
+            Zq = np.array([evaluate(z, q) for z in Z])
             return float(Yq @ G @ Zq)
 
         lhs = sum(
@@ -195,12 +199,10 @@ def test_cov_deriv_metric_compatibility_seeded():
             / (2.0 * h)
             for i, e in enumerate(np.eye(n))
         )
-        G, _ = metric_at(g, p, cache)
+        G, _ = metric_at(g, p)
         Yv = np.array([evaluate(y, p, cache) for y in Y])
         Zv = np.array([evaluate(z, p, cache) for z in Z])
-        rhs = float(cov_deriv(g, X, Y, p, cache) @ G @ Zv) + float(
-            Yv @ G @ cov_deriv(g, X, Z, p, cache)
-        )
+        rhs = float(cov_deriv(g, X, Y, p) @ G @ Zv) + float(Yv @ G @ cov_deriv(g, X, Z, p))
         assert math.isclose(lhs, rhs, rel_tol=1e-6, abs_tol=1e-6)
 
 
@@ -271,3 +273,170 @@ def test_builders_match_dense_sums(case):
             ]
             for got, want in pairs:
                 assert compile_tape(list(got)).instrs == compile_tape(list(want)).instrs
+
+
+def _dense_det(m):
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    total = ZERO
+    for j in range(n):
+        minor = [[m[r][c] for c in range(n) if c != j] for r in range(1, n)]
+        term = mul(m[0][j], _dense_det(minor))
+        total = add(total, term) if j % 2 == 0 else sub(total, term)
+    return total
+
+
+def _dense_inverse(rows):
+    n = len(rows)
+    d = _dense_det(rows)
+    inv = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            cof = _dense_det(minor)
+            inv[j][i] = div(neg(cof) if (i + j) % 2 else cof, d)
+    return inv
+
+
+def _dense_gamma(g, ginv):
+    n = g.dim
+    out = []
+    for k in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                acc = ZERO
+                for l in range(n):
+                    bracket = sub(
+                        add(diff(g.entries[j][l], i), diff(g.entries[i][l], j)),
+                        diff(g.entries[i][j], l),
+                    )
+                    acc = add(acc, mul(ginv[k][l], bracket))
+                out.append(mul(const(0.5), acc))
+    return out
+
+
+def _inverse_cases():
+    metrics = [g for g, _ in _builder_cases()]
+    ch = Chart.box([(0.5, 1.5)] * 4)
+    dense = [["2 + x0^2", "0.1*x1", "0.2"], ["0.1*x1", "3", "x2/9"], ["0.2", "x2/9", "2 + x0*x1"]]
+    sparse = [["2", "0", "0.1*x3", "0"], ["0", "1 + x0^2", "0", "0.1"],
+              ["0.1*x3", "0", "3", "0"], ["0", "0.1", "0", "2 + x1*x2"]]
+    for rows in (dense, sparse):
+        chart = Chart.box(ch.domain[: len(rows)])
+        metrics.append(MetricField(chart, [[parse_expr(t, chart) for t in r] for r in rows]))
+    return metrics
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_det_inverse_and_christoffel_match_dense_sums(case):
+    # skipping the minors and brackets that a folded zero multiplies leaves
+    # the trees as they were
+    g = _inverse_cases()[case]
+    n = g.dim
+    ginv = _dense_inverse([list(r) for r in g.entries])
+    gamma = g.christoffel_entries()
+    got = [g.det()] + [e for row in g.inverse_entries() for e in row]
+    got += [gamma[k][i][j] for k in range(n) for i in range(n) for j in range(i, n)]
+    assert all(gamma[k][i][j] is gamma[k][j][i] for k in range(n) for i in range(n) for j in range(n))
+    want = [_dense_det([list(r) for r in g.entries])] + [e for row in ginv for e in row]
+    want += _dense_gamma(g, ginv)
+    assert compile_tape(got).instrs == compile_tape(want).instrs
+
+
+# --- stacked evaluation ----------------------------------------------------------
+
+
+def test_stacked_lc_axioms_rows_match_single_point():
+    # bit for bit: the stacked arithmetic is the one-sample arithmetic per row
+    plan = SamplePlan(grid=3, margin=0.1, random=4, seed=2)
+    for g in (fixtures.polar(), fixtures.torus()[0], fixtures.cqw_three()):
+        pts = sample_points(g.chart, plan)
+        compat, torsion = _lc_axioms(g, pts)
+        for j, p in enumerate(pts):
+            assert lc_axiom_residuals(g, p) == (compat[j], torsion[j])
+
+
+# grid points in plan order: x0 = 1 for samples 0-2, 1.5 for 3-5, 2 for 6-8
+ORDER_PLAN = SamplePlan(grid=3, margin=0.0, random=0)
+
+
+def _positive(r):
+    """A check that root r is positive."""
+    return (
+        r,
+        lambda G, vals: vals[:, r] <= 0.0,
+        lambda G, v, label: ConstraintError(f"root {r} is {v[r]:.6g} <= 0 at {label}"),
+    )
+
+
+def _stacked_recording(g00, g11, roots=(), checks=()):
+    ch = Chart.box([(1.0, 2.0), (0.0, 1.0)], names=("x0", "x1"))
+    g = MetricField.diagonal(ch, [parse_expr(g00, ch), parse_expr(g11, ch)])
+    pts = sample_points(ch, ORDER_PLAN)
+    roots = [parse_expr(r, ch) for r in roots]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = _stacked(g, roots, pts, checks=checks)
+        except Exception as e:  # noqa: BLE001 - the outcome under test
+            outcome = e
+    texts = [str(w.message) for w in caught if w.category is ConditionNumberWarning]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for p in pts:
+            try:
+                metric_at(g, tuple(float(x) for x in p))
+            except (EvalDomainError, NotSPDError):
+                break
+    pointwise = [str(w.message) for w in caught]
+    return outcome, texts, pointwise
+
+
+def test_stacked_failure_order():
+    # ill-conditioned at samples 0-5 and not positive definite from sample 6
+    outcome, texts, pointwise = _stacked_recording("1.75 - x0", "1e-9*(1 + x1)")
+    assert isinstance(outcome, NotSPDError)
+    assert "at (2.0, 0.0)" in str(outcome)
+    assert len(texts) == 6 and texts == pointwise
+
+    # a root fails at sample 3, after that sample's metric checks
+    outcome, texts, pointwise = _stacked_recording(
+        "1.75 - x0", "1e-9*(1 + x1)", ["1 + x1", "sqrt(1.25 - x0)"]
+    )
+    assert isinstance(outcome, EvalDomainError)
+    assert str(outcome) == "sqrt of a negative value: sqrt(1.25 - x0)"
+    assert texts == pointwise[:4]
+
+    # a check fails right after its root; checks on one root run in order
+    outcome, _, _ = _stacked_recording(
+        "1", "1", ["1.25 - x0", "log(1.25 - x0)"], [_positive(0)]
+    )
+    assert isinstance(outcome, ConstraintError)
+    assert str(outcome) == "root 0 is -0.25 <= 0 at (1.5, 0.0)"
+    outcome, _, _ = _stacked_recording(
+        "1", "1", ["log(1.25 - x0)", "1.25 - x0"], [_positive(1)]
+    )
+    assert str(outcome) == "log of a nonpositive value: log(1.25 - x0)"
+    outcome, _, _ = _stacked_recording(
+        "1", "1", ["x1 - 0.25", "1.25 - x0"], [_positive(1), _positive(0)]
+    )
+    assert str(outcome) == "root 0 is -0.25 <= 0 at (1.0, 0.0)"
+    first = (1, lambda G, vals: vals[:, 1] < 0.0, lambda G, v, label: ConstraintError("first"))
+    outcome, _, _ = _stacked_recording("1", "1", ["x0", "x1 - 2"], [first, _positive(1)])
+    assert str(outcome) == "first"
+    outcome, _, _ = _stacked_recording("1", "1", ["x0", "x1 - 2"], [_positive(1), first])
+    assert str(outcome) == "root 1 is -2 <= 0 at (1.0, 0.0)"
+
+    # the metric fails at sample 3 before the root that fails there
+    outcome, texts, pointwise = _stacked_recording(
+        "1 + sqrt(1.25 - x0)", "1e-9*(1 + x1)", ["log(1.25 - x0)"]
+    )
+    assert str(outcome) == "sqrt of a negative value: sqrt(1.25 - x0)"
+    assert texts == pointwise[:3]
+
+    # clean samples return the metric and the root values
+    G, vals = _stacked_recording("1", "x0", ["x0*x1"])[0]
+    pts = sample_points(Chart.box([(1.0, 2.0), (0.0, 1.0)]), ORDER_PLAN)
+    assert np.array_equal(G[:, 1, 1], pts[:, 0])
+    assert np.array_equal(vals[:, 0], pts[:, 0] * pts[:, 1])

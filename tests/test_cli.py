@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from orthonet import cli
 from orthonet.cli import (
     COMMANDS,
     DEFAULT_TOLERANCE,
@@ -17,6 +18,7 @@ from orthonet.cli import (
     run,
 )
 from orthonet.errors import ConstraintError, ManifestError
+from orthonet.sampling import sample_points
 
 MANIFESTS = Path(__file__).resolve().parents[1] / "manifests"
 
@@ -263,6 +265,28 @@ def test_parser_defaults():
     assert DEFAULT_TOLERANCE == 1e-8
 
 
+def test_verify_product_draws_pairs_in_pointwise_order(monkeypatch):
+    # per point, per pair, X then Y: the order of drawing each field just
+    # before checking it at that point
+    calls = []
+
+    def record(spec, pts, X, Y):
+        calls.append((pts, X, Y))
+        return np.zeros(len(pts))
+
+    monkeypatch.setattr(cli, "_connection_residuals", record)
+    man = load_manifest(MANIFESTS / "twisted_control.json")
+    report, _ = run("verify-product", man)
+    (pts, X, Y), = calls
+    samples = sample_points(man.chart, man.plan)
+    rng = np.random.default_rng(man.plan.seed)
+    for j in range(len(samples) * 4):
+        assert np.array_equal(pts[j], samples[j // 4])
+        assert np.array_equal(X[j], rng.uniform(-1.0, 1.0, 2))
+        assert np.array_equal(Y[j], rng.uniform(-1.0, 1.0, 2))
+    assert report["results"]["n_samples"] == len(samples)
+
+
 def test_deep_expression_manifest(tmp_path, capsys):
     # a 1000-term metric entry parses to a sum 1000 levels deep
     terms = " + ".join(["0.001*x0"] * 999)
@@ -301,3 +325,26 @@ def test_deep_expression_manifest(tmp_path, capsys):
         statuses.append({k: v["status"] for k, v in verdicts.items()})
     assert statuses[0] == statuses[1]
     assert set(statuses[0]) == {"t.codazzi", "t.conformal_product", "t.spherical_eigenbundles"}
+    # 500 nested parentheses are refused by the parser, naming the entry
+    data = flat_manifest()
+    data["metric"]["components"][0][0] = "(" * 500 + "1" + ")" * 500
+    path = str(write_manifest(tmp_path, data, "nested.json"))
+    assert main(["--command", "classify", "--manifest", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad expression")
+    assert "nested deeper than 100 levels" in err
+    assert err.rstrip().endswith("(at /metric/components/0/0)")
+    # a 1000-term twist: the connection identity holds on the tapes
+    twist = "1 + " + " + ".join(["0.001*x0*x1"] * 999)
+    data = {
+        "product": {
+            "kind": "twisted",
+            "factors": [{"names": ["x0"], "domain": [[0.2, 1.2]]},
+                        {"names": ["x1"], "domain": [[0.2, 1.2]]}],
+            "twists": ["1", twist],
+        },
+    }
+    path = str(write_manifest(tmp_path, data, "twist.json"))
+    assert main(["--command", "verify-product", "--manifest", path, "--format", "json"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts["connection_identity"]["status"] == "pass"

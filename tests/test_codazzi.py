@@ -106,7 +106,7 @@ def test_eigen_two_torus_point():
     assert abs(pair.gap - 0.8) <= 1e-10
     assert pair.rank_lambda == 1 and pair.rank_mu == 1
     assert pair.invariance_residual <= 1e-12
-    G, _ = metric_at(g, P_TORUS, {})
+    G, _ = metric_at(g, P_TORUS)
     for v in pair.basis_lambda + pair.basis_mu:
         assert abs(float(v @ G @ v) - 1.0) <= 1e-12
     # lambda is labeled by the u-direction, so its basis vector rides axis 0

@@ -85,6 +85,23 @@ def test_golden_report(name):
     _compare({k: v for k, v in want.items() if k != "argv"}, got)
 
 
+@pytest.mark.parametrize("name", sorted(n for n in _runs() if n != "selftest"))
+def test_commands_never_use_the_interpreter(name, monkeypatch):
+    # every command runs on tapes: the pointwise interpreter is an oracle only
+    def refuse(*args):
+        raise AssertionError("scalar_fields._eval called")
+
+    monkeypatch.setattr("orthonet.scalar_fields._eval", refuse)
+    want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    got = _invoke(want["argv"])
+    assert got["exit_code"] == want["exit_code"]
+    if "error" in want:
+        assert got["error"] == want["error"]
+    else:
+        statuses = {k: v["status"] for k, v in got["report"]["verdicts"].items()}
+        assert statuses == {k: v["status"] for k, v in want["report"]["verdicts"].items()}
+
+
 def _write():
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in _runs().items():

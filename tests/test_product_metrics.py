@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_twisted_spec
+from conftest import random_expr, random_twisted_spec
 from orthonet import fixtures
 from orthonet.chart_calculus import MetricField, metric_at
 from orthonet.errors import ConstraintError, EvalDomainError
 from orthonet.product_metrics import (
     FactorSpec,
     ProductSpec,
+    _connection_residuals,
+    _spherical_residuals,
     build_metric,
     conformal_scale,
     factorize_cwp,
@@ -21,6 +23,7 @@ from orthonet.product_metrics import (
     spherical_factor_check,
     verify_connection_identity,
 )
+from orthonet.sampling import SamplePlan, sample_points
 from orthonet.scalar_fields import (
     Chart,
     ONE,
@@ -129,6 +132,46 @@ def test_connection_identity_rejects_scaled_specs():
     X = (const(1.0), const(0.0))
     with pytest.raises(ConstraintError):
         verify_connection_identity(spec, X, X, (0.5, 0.5))
+
+
+# --- stacked checks against their one-sample wrappers --------------------------
+#
+# Row j of a stacked residual is the one-sample call at sample j, bit for bit:
+# the stacked arithmetic is the one-sample arithmetic per row.
+
+PLAN = SamplePlan(grid=3, margin=0.1, random=6, seed=4)
+
+
+def test_stacked_connection_identity_rows_match_single_point():
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        spec = random_twisted_spec(rng)
+        n = spec.chart.dim
+        pts = sample_points(spec.chart, PLAN)
+        X, Y = rng.uniform(-1.0, 1.0, (2, len(pts), n))
+        rows = _connection_residuals(spec, pts, X, Y)
+        for j, p in enumerate(pts):
+            Xj = tuple(const(v) for v in X[j].tolist())
+            Yj = tuple(const(v) for v in Y[j].tolist())
+            assert rows[j] == verify_connection_identity(spec, Xj, Yj, p)
+        # fields given as expressions are shared by every sample
+        Xe = tuple(random_expr(rng, n, depth=1) for _ in range(n))
+        Ye = tuple(random_expr(rng, n, depth=1) for _ in range(n))
+        rows = _connection_residuals(spec, pts, Xe, Ye)
+        assert rows.max() <= 1e-9
+        for j, p in enumerate(pts):
+            assert rows[j] == verify_connection_identity(spec, Xe, Ye, p)
+
+
+def test_stacked_spherical_check_rows_match_single_point():
+    spec, phi_sum, phi_ctl = fixtures.sum_reciprocal()
+    pts = sample_points(spec.chart, PLAN)
+    for phi in (phi_sum, phi_ctl):
+        rows = _spherical_residuals(spec, phi, 1, pts)
+        for j, p in enumerate(pts):
+            chk = spherical_factor_check(spec, phi, 1, p)
+            assert rows[j].tolist() == [chk.residual_ii, chk.residual_iii, chk.residual_v]
+    assert rows.min() > 1e-3  # the control fails at every sample
 
 
 def test_separability_residual():
