@@ -114,7 +114,7 @@ class MetricField:
     checked at evaluation points, not symbolically.
     """
 
-    def __init__(self, chart: Chart, entries, spd_floor: float = SPD_FLOOR):
+    def __init__(self, chart: Chart, entries):
         n = chart.dim
         rows = [list(r) for r in entries]
         if len(rows) != n or any(len(r) != n for r in rows):
@@ -126,7 +126,6 @@ class MetricField:
                 mirrored[j][i] = rows[i][j]
         self.chart = chart
         self.entries = tuple(tuple(r) for r in mirrored)
-        self.spd_floor = float(spd_floor)
         self.provenance = None  # set by builders that know the structure
         self._inv = None
         self._gamma = None
@@ -262,7 +261,7 @@ def _sum_exprs(terms) -> Expr:
 # --- stacked evaluation -------------------------------------------------------
 
 
-def _metric_checks(g: MetricField, G: np.ndarray, ok: np.ndarray):
+def _metric_checks(G: np.ndarray, ok: np.ndarray):
     """The checks of metric_at over stacked (m, n, n) metric values.
 
     Samples where ok is false (their evaluation failed) are given the
@@ -271,7 +270,7 @@ def _metric_checks(g: MetricField, G: np.ndarray, ok: np.ndarray):
     but are ill-conditioned."""
     G = np.where(ok[:, None, None], G, np.eye(G.shape[-1]))
     ev = np.linalg.eigvalsh(G)
-    not_spd = ok & (ev[:, 0] <= g.spd_floor)
+    not_spd = ok & (ev[:, 0] <= SPD_FLOOR)
     with np.errstate(all="ignore"):
         cond = ev[:, -1] / ev[:, 0]
     return G, ev, cond, not_spd, ok & ~not_spd & (cond > CONDITION_WARN)
@@ -361,7 +360,7 @@ def _stacked(g: MetricField, roots, pts, labels=None, checks=()):
     tape = compile_tape([e for row in g.entries for e in row] + list(roots))
     sweep = tape.sweep(pts)
     G, ev, cond, not_spd, ill = _metric_checks(
-        g, sweep.values[:, :nn].reshape(m, n, n), sweep.first_bad >= tape.bounds[nn]
+        sweep.values[:, :nn].reshape(m, n, n), sweep.first_bad >= tape.bounds[nn]
     )
     vals = sweep.values[:, nn:]
     bad = np.zeros(sweep.values.shape, dtype=bool)

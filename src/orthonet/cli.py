@@ -662,6 +662,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _bounded(kind, ok, need: str):
+    """An argparse type: kind(text), rejected unless ok(value). The bounds
+    are those the manifest schema sets for the same fields."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="orthonet",
@@ -672,14 +686,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="path to a manifest JSON file")
     p.add_argument(
         "--tolerance",
-        type=float,
+        type=_bounded(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
         default=None,
         help=f"residual tolerance (default {DEFAULT_TOLERANCE:g} or manifest value)",
     )
     p.add_argument(
-        "--samples", type=int, default=None, help="grid points per axis override"
+        "--samples",
+        type=_bounded(int, lambda v: v >= 2, ">= 2"),
+        default=None,
+        help="grid points per axis override",
     )
-    p.add_argument("--seed", type=int, default=None, help="sampling seed override")
+    p.add_argument(
+        "--seed",
+        type=_bounded(int, lambda v: v >= 0, ">= 0"),
+        default=None,
+        help="sampling seed override",
+    )
     p.add_argument(
         "--format", choices=("text", "json"), default="text", dest="fmt"
     )

@@ -126,11 +126,11 @@ class SymTensorField:
 
     The optional metric reference records which metric the tensor is
     self-adjoint against; when given, self-adjointness is spot-checked at the
-    chart center so a transposed or mis-indexed component matrix fails fast.
+    chart center, to 1e-8, so a transposed or mis-indexed component matrix
+    fails fast.
     """
 
-    def __init__(self, chart: Chart, components, metric: MetricField | None = None,
-                 tol: float = 1e-8):
+    def __init__(self, chart: Chart, components, metric: MetricField | None = None):
         self.chart = chart
         self.components = tuple(tuple(row) for row in components)
         n = chart.dim
@@ -148,7 +148,7 @@ class SymTensorField:
             if metric.dim != n:
                 raise ConstraintError("metric and tensor dimensions differ")
             defect = self_adjoint_defect(metric, self, chart.center())
-            if defect > tol:
+            if defect > 1e-8:
                 raise ConstraintError(
                     f"tensor is not self-adjoint at the chart center: defect {defect:.3e}"
                 )
@@ -948,9 +948,7 @@ def classify_codazzi(
         ):
             relation_case = "constant_product"
             constants = (float(np.mean(sc.lam)), float(np.mean(sc.mu)))
-            geod = max(
-                max(gm.geodesy for gm in geoms) for geoms in net_report.table
-            )
+            geod = float(net_report.residuals["geodesy"].max())
             if geod > tol:
                 raise InconsistencyError(
                     "constant eigenvalues force a metric product, but a block "
@@ -1063,7 +1061,8 @@ def build_codazzi_candidate(kind: str, **params) -> CodazziCandidate:
     metric is the warped product dt^2 + sigma(t)^2 g_fiber and the tensor is
     h(mu(t)) on the base direction and mu(t) on the fiber block. The supplied
     triple must satisfy the differentiated warping relation
-    mu' = (h(mu) - mu) (log sigma)', otherwise it is rejected.
+    mu' = (h(mu) - mu) (log sigma)' to 1e-8 on a base grid, otherwise it is
+    rejected.
 
     The Codazzi residual is verified on a coarse grid and attached; it is
     reported, never assumed.
@@ -1072,7 +1071,6 @@ def build_codazzi_candidate(kind: str, **params) -> CodazziCandidate:
         factors = params.pop("factors")
         phi0 = params.pop("phi0")
         phi1 = params.pop("phi1")
-        tol = params.pop("tol", 1e-8)
         if params:
             raise ConstraintError(f"unexpected parameters {sorted(params)}")
         factors = tuple(factors)
@@ -1101,7 +1099,6 @@ def build_codazzi_candidate(kind: str, **params) -> CodazziCandidate:
         h = params.pop("h")
         sigma = params.pop("sigma")
         mu = params.pop("mu")
-        tol = params.pop("tol", 1e-8)
         if params:
             raise ConstraintError(f"unexpected parameters {sorted(params)}")
         if base.dim != 1:
@@ -1119,7 +1116,7 @@ def build_codazzi_candidate(kind: str, **params) -> CodazziCandidate:
         lhs, h_val, mu_val, dsig_val, sig_val = tape.run(ts).T
         with np.errstate(all="ignore"):
             worst = float(np.abs(lhs - (h_val - mu_val) * (dsig_val / sig_val)).max())
-        if not worst <= tol:
+        if not worst <= 1e-8:
             raise ConstraintError(
                 f"(h, sigma, mu) violate the warping relation: residual {worst:.3e}"
             )

@@ -42,7 +42,7 @@ finite raises InconsistencyError instead of passing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,12 +196,10 @@ class _SpanFields:
                     out[k] = add(out[k], mul(comps[a], fields[a][k]))
             return tuple(out)
 
-        covs = {}
         sperp = {}
         for a in range(r):
             for b in range(r):
                 cv = cov_deriv_exprs(g, fields[a], fields[b])
-                covs[(a, b)] = cv
                 pv = proj(cv)
                 sperp[(a, b)] = tuple(sub(cv[k], pv[k]) for k in range(n))
 
@@ -221,7 +219,6 @@ class _SpanFields:
             if not _is_zero(self.H[j]) and not _is_zero(gamma[k][i][j])
         )
 
-        self.gram = gram
         # umbilicity defect per ordered pair a <= b
         defects = []
         for a in range(r):
@@ -265,6 +262,10 @@ def _span_fields(g: MetricField, net: OrthogonalNet, indices) -> _SpanFields:
 # checks at one sample, in the order a failure there is reported
 _METRIC_DOMAIN, _NOT_SPD, _FRAME_DOMAIN, _DEGENERATE, _NOT_ORTHOGONAL, _FIELD_DOMAIN = range(6)
 _CLEAN = 6
+
+
+# DistributionGeometry name -> _Side field of each residual of a span
+_RESIDUALS = {"umbilicity": "umb", "sphericity": "sph", "geodesy": "geo", "integrability": "integ"}
 
 
 @dataclass
@@ -392,14 +393,12 @@ class _Samples:
                     if sf.rank:
                         covH[id(sf)][j] = exact.values[r, exact_parts[id(sf)][2]].reshape(-1, n)
 
-        self.norms = self._check(
-            g, sweep, tape.bounds[metric.stop], frame_end, labels, field_errors
-        )
+        self.norms = self._check(sweep, tape.bounds[metric.stop], frame_end, labels, field_errors)
         self.sides = {
             id(sf): self._side(sf, parts.get(id(sf)), stack, covH.get(id(sf))) for sf in unique
         }
 
-    def _check(self, g, sweep, metric_end, frame_end, labels, field_errors) -> np.ndarray:
+    def _check(self, sweep, metric_end, frame_end, labels, field_errors) -> np.ndarray:
         """Raise what the pointwise definition raises first, and warn on the
         way; values at a sample past its first failure are never read.
         field_errors maps the samples whose fields fail to the sweep and row
@@ -412,7 +411,7 @@ class _Samples:
         stage[np.array(sorted(field_errors), dtype=np.intp)] = _FIELD_DOMAIN
 
         metric_ok = fb >= metric_end
-        Gs, ev, cond, not_spd, ill = _metric_checks(g, G, metric_ok)
+        Gs, ev, cond, not_spd, ill = _metric_checks(G, metric_ok)
 
         frame_ok = metric_ok & ~not_spd & (fb >= frame_end)
         Fs = np.where(frame_ok[:, None, None], F, eye)
@@ -499,14 +498,22 @@ class _Samples:
         bf, cf = self.spans[i]
         return self.sides[id(bf)], self.sides[id(cf)]
 
-    def geometries(self, i: int) -> list:
-        """The DistributionGeometry of block i at every sample."""
+    def residuals(self, blocks) -> dict:
+        """The residuals of DistributionGeometry by name, each (blocks, m)."""
+        sides = [self.block(i) for i in blocks]
+        return {
+            name + perp: np.stack([getattr(pair[k], attr) for pair in sides])
+            for name, attr in _RESIDUALS.items()
+            for k, perp in enumerate(("", "_perp"))
+        }
+
+    def geometry(self, i: int) -> DistributionGeometry:
+        """The DistributionGeometry of block i at the first sample."""
         b, c = self.block(i)
-        scores = (b.umb, c.umb, b.sph, c.sph, b.geo, c.geo, b.integ, c.integ)
-        return [
-            DistributionGeometry(i, *row)
-            for row in zip(b.H, c.H, *(x.tolist() for x in scores))
-        ]
+        res = self.residuals((i,))
+        return DistributionGeometry(
+            i, b.H[0], c.H[0], **{k: float(v[0, 0]) for k, v in res.items()}
+        )
 
     def exchange(self, i: int) -> np.ndarray:
         """|<nabla_Z eta_i, X> - <nabla_X H_i, Z>| over normalized pairs of a
@@ -561,27 +568,12 @@ class DistributionGeometry:
     integrability: float
     integrability_perp: float
 
-    def to_dict(self) -> dict:
-        return {
-            "block": self.block,
-            "H": [float(x) for x in self.H],
-            "eta": [float(x) for x in self.eta],
-            "umbilicity": self.umbilicity,
-            "umbilicity_perp": self.umbilicity_perp,
-            "sphericity": self.sphericity,
-            "sphericity_perp": self.sphericity_perp,
-            "geodesy": self.geodesy,
-            "geodesy_perp": self.geodesy_perp,
-            "integrability": self.integrability,
-            "integrability_perp": self.integrability_perp,
-        }
-
 
 def distribution_geometry(g: MetricField, net: OrthogonalNet, i: int, p) -> DistributionGeometry:
     """Second-fundamental residuals of block i and its complement at p."""
     if not 0 <= i < len(net.blocks):
         raise ConstraintError(f"no block {i} in a {len(net.blocks)}-block net")
-    return _Samples(g, net, (i,), [p], [tuple(p)]).geometries(i)[0]
+    return _Samples(g, net, (i,), [p], [tuple(p)]).geometry(i)
 
 
 def cwp_residual(g: MetricField, net: OrthogonalNet, i: int, p, tol: float = 1e-8) -> float:
@@ -589,7 +581,7 @@ def cwp_residual(g: MetricField, net: OrthogonalNet, i: int, p, tol: float = 1e-
     NotApplicableError when the umbilicity preconditions fail at p, so the
     caller never mistakes an unevaluable identity for a zero residual."""
     samples = _Samples(g, net, (i,), [p], [tuple(p)])
-    geom = samples.geometries(i)[0]
+    geom = samples.geometry(i)
     if geom.umbilicity > tol or geom.umbilicity_perp > tol:
         raise NotApplicableError(
             f"umbilicity preconditions fail at {tuple(p)}: "
@@ -616,7 +608,8 @@ class NetReport:
     h0_sum_residual: float
     cp_hs0_residual: float | None
     n_samples: int
-    table: list = field(default_factory=list)
+    # the residuals of DistributionGeometry by name, each (blocks, samples)
+    residuals: dict
 
     def to_dict(self) -> dict:
         return {
@@ -671,12 +664,10 @@ def classify_net(
     labels = [tuple(float(x) for x in p) for p in pts]
     samples = _Samples(g, net, range(nblocks), pts, labels)
     sides = [samples.block(i) for i in range(nblocks)]
-    table = [list(row) for row in zip(*(samples.geometries(i) for i in range(nblocks)))]
-
-    # per-block residuals, shape (blocks, samples)
-    umb, sph = (np.stack([getattr(b, a) for b, _ in sides]) for a in ("umb", "sph"))
+    res = samples.residuals(range(nblocks))
+    umb, sph = res["umbilicity"], res["sphericity"]
     umb_p, geo_p, integ_p = (
-        np.stack([getattr(c, a) for _, c in sides]) for a in ("umb", "geo", "integ")
+        res[k] for k in ("umbilicity_perp", "geodesy_perp", "integrability_perp")
     )
     tp = np.maximum(umb, integ_p).max(axis=0)
     wp = np.maximum.reduce([umb[1:], sph[1:], geo_p[1:]]).max(axis=0)
@@ -726,5 +717,5 @@ def classify_net(
         h0_sum_residual=h0_max,
         cp_hs0_residual=cp_hs0_max if eq0_evaluated else None,
         n_samples=len(pts),
-        table=table,
+        residuals=res,
     )

@@ -70,6 +70,7 @@ from .scalar_fields import (
     log,
     mul,
     powc,
+    sub,
     substitute,
     var,
 )
@@ -209,12 +210,13 @@ def _check_positive(e: Expr, chart: Chart, label: str):
     pts = _mesh(grid_axes(chart, _POSITIVITY_GRID))
     sweep = compile_tape([e]).sweep(pts)
     hit = _first_fault(sweep, sweep.values <= 0.0)
-    if hit and hit[2]:
-        exc = sweep.error(hit[0])
-        raise ConstraintError(f"{label} not evaluable at {tuple(pts[hit[0]])}: {exc}") from exc
     if hit:
         j = hit[0]
-        raise ConstraintError(f"{label} is {sweep.values[j, 0]:.6g} <= 0 at {tuple(pts[j])}")
+        at = tuple(pts[j].tolist())
+        if hit[2]:
+            exc = sweep.error(j)
+            raise ConstraintError(f"{label} not evaluable at {at}: {exc}") from exc
+        raise ConstraintError(f"{label} is {sweep.values[j, 0]:.6g} <= 0 at {at}")
 
 
 def build_metric(spec: ProductSpec) -> MetricField:
@@ -337,7 +339,10 @@ def _integrate(segments: list):
     successive estimates differ by less than QUAD_TOL. Each level of all
     unfinished segments on one tape is evaluated in one run. Returns the
     integrals and, per segment, the EvalDomainError of its first failing node
-    in the order the rule visits them, or None."""
+    in the order the rule visits them, or None.
+
+    Segments come in the order the caller reads them, and it stops at the
+    first failing one, so segments past it are left unrefined."""
     count = len(segments)
     start = np.array([s for _, _, s, _ in segments], dtype=float, ndmin=2)
     axis = np.array([ax for _, ax, _, _ in segments], dtype=np.intp)
@@ -368,7 +373,8 @@ def _integrate(segments: list):
         return out
 
     def clean(rows: np.ndarray) -> np.ndarray:
-        return rows[[faults[s] is None for s in rows]]
+        first = next((s for s, exc in enumerate(faults) if exc is not None), count)
+        return rows[rows < first]
 
     def seqsum(v: np.ndarray) -> np.ndarray:
         # left to right along each row, the order of the builtin sum
@@ -430,6 +436,7 @@ class Factorization:
     cp: CpSection | None
     spherical: SphericalSection | None
     report: object
+    names: tuple  # the chart's coordinate names, for phi_expr
 
     def to_dict(self) -> dict:
         out = {
@@ -448,10 +455,7 @@ class Factorization:
         if self.phi_expr is not None:
             from .scalar_fields import format_expr
 
-            chart = getattr(self, "_chart", None)
-            out["phi_expr"] = format_expr(
-                self.phi_expr, getattr(chart, "names", None)
-            )
+            out["phi_expr"] = format_expr(self.phi_expr, self.names)
         if self.cp is not None:
             out["cp"] = {
                 "constants": {str(i): float(a) for i, a in self.cp.constants.items()},
@@ -528,7 +532,8 @@ def factorize_cwp(
             raise sweep.error(hit[0])
         if hit:
             a, b = off[hit[1]]
-            raise ConstraintError(f"metric has off-block entry ({a},{b}) at {tuple(probe[hit[0]])}")
+            at = tuple(probe[hit[0]].tolist())
+            raise ConstraintError(f"metric has off-block entry ({a},{b}) at {at}")
 
     axes = grid_axes(chart, grid)
     dets = [det_expr([[g.entries[a][b] for b in blk] for a in blk]) if blk else None
@@ -537,10 +542,7 @@ def factorize_cwp(
     det_base = [1.0 if d is None else float(next(at_base)) for d in dets]
     dims = [len(blk) for blk in blocks]
 
-    def floats(pt) -> tuple:
-        return tuple(pt.tolist())
-
-    def rho_bar(i: int, pts, pairs=(), label=tuple, before=()):
+    def rho_bar(i: int, pts, pairs=(), before=()):
         """rho_i normalized at base, (m,), and the metric entries `pairs`,
         (m, len(pairs)), at pts. Raises what the pointwise loop meets first:
         at each point in turn before[j], then a failing or nonpositive block
@@ -561,7 +563,9 @@ def factorize_cwp(
             raise sweep.error(hit[0])
         if hit:
             j = hit[0]
-            raise ConstraintError(f"block {i} determinant {vals[j, 0]:.6g} <= 0 at {label(pts[j])}")
+            raise ConstraintError(
+                f"block {i} determinant {vals[j, 0]:.6g} <= 0 at {tuple(pts[j].tolist())}"
+            )
         if dets[i] is None:
             return np.ones(len(pts)), vals
         return (vals[:, 0] / det_base[i]) ** (1.0 / (2.0 * dims[i])), vals[:, 1:]
@@ -571,7 +575,7 @@ def factorize_cwp(
     for i in range(1, k + 1):
         L = mul(const(1.0 / (2.0 * dims[i])), log(dets[i]))
         if dets[0] is not None:
-            L = L - mul(const(1.0 / (2.0 * dims[0])), log(dets[0]))
+            L = sub(L, mul(const(1.0 / (2.0 * dims[0])), log(dets[0])))
         dL[i] = [diff(L, ax) for ax in range(n)]
 
     def slice_points(blk) -> np.ndarray:
@@ -627,15 +631,14 @@ def factorize_cwp(
     base_factor = None
     if b0:
         d0 = dims[0]
-        r, E = rho_bar(0, subs[0], [(a, b) for a in b0 for b in b0], floats)
+        r, E = rho_bar(0, subs[0], [(a, b) for a in b0 for b in b0])
         base_factor = (E / (r**2)[:, None]).reshape(shape0 + (d0, d0))
 
     # fiber factors on block-i subgrids
     fiber_factors = {}
     for i in dL:
         blk, paths = blocks[i], fiber_paths[i]
-        r, E = rho_bar(i, subs[i], [(a, b) for a in blk for b in blk], floats,
-                       [fault(p) for p in paths])
+        r, E = rho_bar(i, subs[i], [(a, b) for a in blk for b in blk], [fault(p) for p in paths])
         scale = np.exp(2.0 * np.array([beta(p) for p in paths])) / r**2
         fiber_factors[i] = (scale[:, None] * E).reshape((grid,) * dims[i] + (dims[i], dims[i]))
 
@@ -718,21 +721,18 @@ def factorize_cwp(
 
     # separable-sum section for 1/phi under sphericity
     spherical = None
-    sph_ok = all(
-        max(row[i].sphericity, row[i].sphericity_perp) <= tol
-        for row in report.table
-        for i in range(1, k + 1)
+    res = report.residuals
+    sph_ok = bool(
+        (np.maximum(res["sphericity"][1:], res["sphericity_perp"][1:]) <= tol).all()
     )
     if sph_ok and k >= 1:
         kind = "warped"
-        if cp is not None and all(
-            row[0].sphericity_perp <= tol for row in report.table
-        ):
+        if cp is not None and (res["sphericity_perp"][0] <= tol).all():
             kind = "product"
         Kb = 1.0
-        phi0 = (1.0 / rho_bar(0, subs[0], label=floats)[0]).reshape(shape0)
+        phi0 = (1.0 / rho_bar(0, subs[0])[0]).reshape(shape0)
         phis = {
-            i: (1.0 / rho_bar(0, subs[i], label=floats)[0] - Kb).reshape((grid,) * dims[i])
+            i: (1.0 / rho_bar(0, subs[i])[0] - Kb).reshape((grid,) * dims[i])
             for i in dL
         }
         Kv = 1.0 / r0
@@ -760,7 +760,7 @@ def factorize_cwp(
             elif hit[2]:
                 raise sweep.error(hit[0])
 
-    out = Factorization(
+    return Factorization(
         base=base,
         axes=tuple(axes),
         blocks=blocks,
@@ -774,9 +774,8 @@ def factorize_cwp(
         cp=cp,
         spherical=spherical,
         report=report,
+        names=chart.names,
     )
-    out._chart = chart
-    return out
 
 
 # --- spherical-factor equivalence ----------------------------------------------

@@ -126,47 +126,8 @@ class Expr:
     def __init__(self):
         object.__setattr__(self, "_dcache", {})
 
-    # arithmetic sugar, used heavily by the geometry modules
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, exponent):
-        return powc(self, float(exponent))
-
     def __repr__(self):
         return f"<Expr {format_expr(self)}>"
-
-
-def _wrap(value) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, (int, float)):
-        return const(float(value))
-    raise TypeError(f"cannot use {type(value).__name__} as an expression")
 
 
 class Const(Expr):

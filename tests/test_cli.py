@@ -248,6 +248,30 @@ def test_main_error_paths(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid JSON" in err
 
+    # overrides outside the bounds the manifest schema sets
+    polar = str(MANIFESTS / "polar.json")
+    for flag, value in [("--samples", "0"), ("--samples", "1"), ("--seed", "-1"),
+                        ("--tolerance", "nan"), ("--tolerance", "inf"),
+                        ("--tolerance", "0")]:
+        assert main(["--command", "classify", "--manifest", polar, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {flag}: "), err
+    assert main(["--command", "selftest", "--samples", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: argument --samples: ")
+
+    # sample points print as plain floats
+    warped = tmp_path / "warped.json"
+    warped.write_text(json.dumps({"product": {
+        "kind": "warped",
+        "factors": [{"names": ["x0"], "domain": [[0.0, 1.0]]},
+                    {"names": ["x1"], "domain": [[0.0, 1.0]]}],
+        "twists": ["1", "1/(x0 - 0.75) + 3"],
+    }}), encoding="utf-8")
+    assert main(["--command", "classify", "--manifest", str(warped)]) == 1
+    assert capsys.readouterr().err == (
+        "error: twist 1 is -1 <= 0 at (0.5, 0.0) (at /product)\n"
+    )
+
 
 def test_main_sampling_overrides(capsys):
     argv = ["--command", "classify", "--manifest", str(MANIFESTS / "polar.json"),

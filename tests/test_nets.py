@@ -239,7 +239,7 @@ def test_report_serialization_shape():
     assert set(d) == {"flags", "h0_sum_residual", "cp_hs0_residual", "n_samples"}
     assert set(d["flags"]) == {"TP", "WP", "QW", "CQW", "CQW0", "CWP", "CP"}
     assert d["n_samples"] == rep.n_samples
-    assert len(rep.table) == rep.n_samples
+    assert all(r.shape == (2, rep.n_samples) for r in rep.residuals.values())
 
 
 # --- failure order over the sample plan ----------------------------------------
