@@ -297,8 +297,10 @@ def _cov(dV, gamma, V, X) -> np.ndarray:
 
 
 def _ginner(v, G, w) -> np.ndarray:
-    """g(v, w) per sample; v and w are (m, ..., n) stacks, G is (m, n, n)."""
-    return np.einsum("m...i,mij,m...j->m...", v, G, w)
+    """g(v, w) per sample; v and w are (m, ..., n) stacks with the same
+    number of axes, which broadcast, and G is (m, n, n)."""
+    vG = (v.reshape(len(v), -1, v.shape[-1]) @ G).reshape(v.shape)
+    return (vG * w).sum(axis=-1)
 
 
 def _gnorm(v, G) -> np.ndarray:

@@ -25,6 +25,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -325,8 +326,8 @@ def _cmd_verify_product(man: Manifest, tol: float, plan: SamplePlan):
     pairs = 4
     pts = sample_points(man.chart, plan)
     X, Y = _draw_pairs(plan.seed, len(pts) * pairs, man.chart.dim)
-    residuals = _connection_residuals(man.spec, np.repeat(pts, pairs, axis=0), X, Y)
-    per_point = residuals.reshape(len(pts), pairs).tolist()
+    shape = (len(pts), pairs, man.chart.dim)
+    per_point = _connection_residuals(man.spec, pts, X.reshape(shape), Y.reshape(shape)).tolist()
     rows = [{"point": p, "residual": max(0.0, *r)} for p, r in zip(pts.tolist(), per_point)]
     worst = max(0.0, *(row["residual"] for row in rows))
     results = {
@@ -463,9 +464,9 @@ def _cmd_selftest(tol: float, plan: SamplePlan):
     put("h0_sum_three_block", rep.h0_sum_residual, rep.h0_sum_residual <= 1e-9)
 
     spec = fixtures.twisted_flat_spec()
-    pts = np.repeat([(0.4, 0.5), (0.8, 0.3), (1.0, 1.0)], 4, axis=0)
-    X, Y = _draw_pairs(plan.seed, len(pts), 2)
-    worst = max(0.0, *_connection_residuals(spec, pts, X, Y).tolist())
+    pts = np.array([(0.4, 0.5), (0.8, 0.3), (1.0, 1.0)])
+    X, Y = _draw_pairs(plan.seed, 4 * len(pts), 2)
+    worst = max(0.0, *_connection_residuals(spec, pts, X.reshape(3, 4, 2), Y.reshape(3, 4, 2)).flat)
     put("connection_identity", worst, worst <= 1e-9)
 
     g = fixtures.polar()
@@ -658,6 +659,13 @@ class _UsageError(OrthonetError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes an argument for a value only if it looks like a
+        # negative number, and its pattern has no exponent: without this,
+        # "--tolerance -1e-3" reads -1e-3 as an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise _UsageError(message)
 

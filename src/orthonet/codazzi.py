@@ -70,7 +70,7 @@ from .nets import (
     Flag,
     NetReport,
     OrthogonalNet,
-    _span_fields,
+    _SpanFields,
     _status,
     classify_net,
 )
@@ -476,8 +476,8 @@ class _EigenModel:
         mu_frame = [tuple(mul(const(-1.0), e) for e in col) for col in mu_mat_cols]
         blocks = (tuple(range(pr)), tuple(range(pr, n)))
         self.net = OrthogonalNet(g.chart, lam_frame + mu_frame, blocks)
-        self.sf_lam = _span_fields(g, self.net, self.net.blocks[0])
-        self.sf_mu = _span_fields(g, self.net, self.net.blocks[1])
+        self.sf_lam = _SpanFields(g, self.net, self.net.blocks[0])
+        self.sf_mu = _SpanFields(g, self.net, self.net.blocks[1])
 
 
 @dataclass

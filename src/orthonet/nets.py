@@ -2,13 +2,15 @@
 
 A net splits a frame of vector fields into mutually orthogonal blocks; each
 block spans a distribution E_i with complement E_i^perp spanned by the other
-blocks. For every block the module builds second-fundamental-form data
-symbolically, compiles the metric, the frame, those fields and the
-Christoffel symbols into one evaluation tape, and runs it once over every
-sample point. The same sweep carries tangents forward to give the first
-partials of each mean curvature normal H, so nabla_X H = (dH) X + Gamma(X, H)
-is a stacked contraction and no derivative tree of H is built. numpy then
-reduces the stacked values to residuals:
+blocks. The module compiles the metric and frame entries with their first
+and second partials (diff of these small trees) into one evaluation tape
+and runs it once over every sample point. From these second-order jets,
+stacked numpy gives the Christoffel symbols and their partials, and per
+block and complement the projector onto the span, nabla_{X_a} X_b, the mean
+curvature normal H and its partials by the product rule, so
+nabla_X H = (dH) X + Gamma(X, H) needs no derivative tree of H (O'Neill,
+Semi-Riemannian Geometry, 1983, ch. 4 and 7). numpy then reduces the
+stacked values to residuals:
 
     umbilicity     ||(nabla_X Y)^perp - <X, Y> H||      over block pairs
     sphericity     |<nabla_X H, Z>|                     block X, complement Z
@@ -34,14 +36,19 @@ Errors and warnings are those of checking one sample at a time in plan
 order: the first sample that fails raises, with the first check that fails
 there (metric evaluation, positive definiteness, frame evaluation, frame
 degeneracy, block orthogonality, field evaluation), and every sample up to
-it that passes the positivity check warns if it is ill-conditioned. A field
-evaluation error names the sub-expression the pointwise definition, which
-differentiates H symbolically, fails on first. A residual that is not
-finite raises InconsistencyError instead of passing.
+it that passes the positivity check warns if it is ill-conditioned. The
+pointwise definition builds H, the defects, the brackets and nabla H as
+symbolic trees (_SpanFields); they are built and swept only at samples
+whose jets or derived values are not finite, so a field evaluation error
+names the sub-expression that definition fails on first, and a clean rerun
+gives the values. A residual that is not finite raises InconsistencyError
+instead of passing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +56,13 @@ import numpy as np
 from .chart_calculus import (
     MetricField,
     _at,
-    _cov,
     _ginner,
     _gnorm,
     _metric_checks,
     _warn_conditions,
     cov_deriv_exprs,
     inner_exprs,
+    inverse_exprs,
     lie_bracket_exprs,
 )
 from .errors import (
@@ -71,10 +78,10 @@ from .scalar_fields import (
     Const,
     ONE,
     ZERO,
-    _is_zero,
     add,
     compile_tape,
     const,
+    diff,
     div,
     mul,
     sub,
@@ -149,115 +156,83 @@ class OrthogonalNet:
         )
 
 
-# --- cached symbolic geometry of a sub-frame ---------------------------------
+# --- the symbolic reference -----------------------------------------------------
 
 
 class _SpanFields:
-    """Symbolic second-fundamental data of the span of a frame subset."""
+    """Symbolic second-fundamental data of the span of a frame subset, as
+    the pointwise definition builds it. _Samples sweeps these trees only at
+    samples whose jets are not finite."""
 
     def __init__(self, g: MetricField, net: OrthogonalNet, indices):
-        self.indices = tuple(indices)
-        r = len(self.indices)
+        n, r = g.dim, len(indices)
         self.rank = r
-        n = g.dim
-        fields = [net.frame[a] for a in self.indices]
-        others = [k for k in range(n) if k not in self.indices]
-        self.other_indices = tuple(others)
-
-        self.fields = fields
-        # coordinates the fields may read; along the others every field
-        # component is a folded zero, so nabla_{X_a} H never reads d_i H
-        self.support = tuple(i for i in range(n) if any(not _is_zero(f[i]) for f in fields))
-
+        self.fields = fields = [net.frame[a] for a in indices]
+        self.H = tuple([ZERO] * n)
+        self.umb_defects = self.bracket_perp = ()
         if r == 0:
-            self.H = tuple([ZERO] * n)
-            self.gamma_read = ()
-            self.umb_defects = ()
-            self.bracket_perp = ()
             return
 
         gram = [[inner_exprs(g, fields[a], fields[b]) for b in range(r)] for a in range(r)]
-        from .chart_calculus import inverse_exprs
-
         gram_inv = inverse_exprs(gram)
 
-        def proj(v):
-            # g-orthogonal projection onto the span
-            ips = [inner_exprs(g, v, fields[b]) for b in range(r)]
-            comps = []
-            for a in range(r):
-                coeff = ZERO
-                for b in range(r):
-                    coeff = add(coeff, mul(gram_inv[a][b], ips[b]))
-                comps.append(coeff)
-            out = [ZERO] * n
-            for a in range(r):
-                for k in range(n):
-                    out[k] = add(out[k], mul(comps[a], fields[a][k]))
-            return tuple(out)
+        def total(terms):
+            return functools.reduce(add, terms, ZERO)
 
-        sperp = {}
-        for a in range(r):
-            for b in range(r):
-                cv = cov_deriv_exprs(g, fields[a], fields[b])
-                pv = proj(cv)
-                sperp[(a, b)] = tuple(sub(cv[k], pv[k]) for k in range(n))
+        def perp(v):
+            # minus the g-orthogonal projection onto the span
+            ips = [inner_exprs(g, v, f) for f in fields]
+            comps = [total(mul(gram_inv[a][b], ips[b]) for b in range(r)) for a in range(r)]
+            return tuple(
+                sub(v[k], total(mul(comps[a], fields[a][k]) for a in range(r))) for k in range(n)
+            )
 
-        H = [ZERO] * n
-        for a in range(r):
-            for b in range(r):
-                for k in range(n):
-                    H[k] = add(H[k], mul(gram_inv[a][b], sperp[(a, b)][k]))
+        sperp = {
+            (a, b): perp(cov_deriv_exprs(g, fields[a], fields[b])) for a in range(r) for b in range(r)
+        }
+        H = [total(mul(gram_inv[a][b], sperp[(a, b)][k]) for a in range(r) for b in range(r))
+             for k in range(n)]
         self.H = tuple(div(h, const(float(r))) for h in H)
-        # the Christoffel symbols Gamma^k_ij that nabla_{X_a} H reads
-        gamma = g.christoffel_entries()
-        self.gamma_read = tuple(
-            (k, i, j)
-            for k in range(n)
-            for i in self.support
-            for j in range(n)
-            if not _is_zero(self.H[j]) and not _is_zero(gamma[k][i][j])
+        # umbilicity defects over a <= b, bracket projections over a < b
+        self.umb_defects = tuple(
+            tuple(sub(sperp[(a, b)][k], mul(gram[a][b], self.H[k])) for k in range(n))
+            for a in range(r) for b in range(a, r)
+        )
+        self.bracket_perp = tuple(
+            perp(lie_bracket_exprs(fields[a], fields[b], n)) for a in range(r) for b in range(a + 1, r)
         )
 
-        # umbilicity defect per ordered pair a <= b
-        defects = []
-        for a in range(r):
-            for b in range(a, r):
-                defects.append(
-                    (
-                        a,
-                        b,
-                        tuple(
-                            sub(sperp[(a, b)][k], mul(gram[a][b], self.H[k]))
-                            for k in range(n)
-                        ),
-                    )
-                )
-        self.umb_defects = tuple(defects)
 
-        brackets = []
-        for a in range(r):
-            for b in range(a + 1, r):
-                lb = lie_bracket_exprs(fields[a], fields[b], n)
-                pv = proj(lb)
-                brackets.append((a, b, tuple(sub(lb[k], pv[k]) for k in range(n))))
-        self.bracket_perp = tuple(brackets)
+def _layout(g: MetricField, sfs):
+    """The symbolic roots of the spans, in the order the pointwise definition
+    reads them: per span its H, its umbilicity defects when the rank exceeds
+    one, nabla_{X_a} H over its fields, and its bracket projections.
 
+    Returns the roots and per span the slices of those four, or None for a
+    span of rank 0."""
+    roots: list = []
 
-def _span_fields(g: MetricField, net: OrthogonalNet, indices) -> _SpanFields:
-    key = (net, frozenset(indices))
-    cache = getattr(g, "_span_cache", None)
-    if cache is None:
-        cache = {}
-        g._span_cache = cache
-    out = cache.get(key)
-    if out is None:
-        out = _SpanFields(g, net, indices)
-        cache[key] = out
-    return out
+    def take(vectors) -> slice:
+        start = len(roots)
+        for v in vectors:
+            roots.extend(v)
+        return slice(start, len(roots))
+
+    parts = [
+        (
+            take([sf.H]),
+            take(sf.umb_defects if sf.rank > 1 else []),
+            take([cov_deriv_exprs(g, f, sf.H) for f in sf.fields]),
+            take(sf.bracket_perp),
+        )
+        if sf.rank
+        else None
+        for sf in sfs
+    ]
+    return roots, parts
 
 
-# --- batched evaluation ---------------------------------------------------------
+# --- geometry from jets -----------------------------------------------------------
 
 # checks at one sample, in the order a failure there is reported
 _METRIC_DOMAIN, _NOT_SPD, _FRAME_DOMAIN, _DEGENERATE, _NOT_ORTHOGONAL, _FIELD_DOMAIN = range(6)
@@ -266,6 +241,176 @@ _CLEAN = 6
 
 # DistributionGeometry name -> _Side field of each residual of a span
 _RESIDUALS = {"umbilicity": "umb", "sphericity": "sph", "geodesy": "geo", "integrability": "integ"}
+
+
+def _inv(A: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of square matrices, non-finite where one is
+    singular; 1 x 1 and 2 x 2 blocks in closed form."""
+    if A.shape[-1] == 1:
+        return 1.0 / A
+    if A.shape[-1] == 2:
+        det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+        adj = A[..., ::-1, ::-1].swapaxes(-1, -2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        return adj / det[..., None, None]
+    try:
+        return np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        out = np.full(A.shape, np.nan)
+        for j, a in enumerate(A):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[j] = np.linalg.inv(a)
+        return out
+
+
+@functools.cache
+def _pairs(r: int, k: int) -> tuple:
+    """The index pairs (a, b) with a + k <= b < r, row by row, as two
+    read-only arrays (every caller shares them)."""
+    ia, ib = np.triu_indices(r, k)
+    ia.flags.writeable = ib.flags.writeable = False
+    return ia, ib
+
+
+def _input_jets(g: MetricField, net: OrthogonalNet) -> list:
+    """The upper triangle of the metric and the frame entries, then their
+    first partials along each coordinate p, then their second partials
+    along each p <= q."""
+    n = g.dim
+    pairs = list(zip(*_pairs(n, 0)))
+    inputs = [g.entries[i][j] for i, j in pairs] + [e for f in net.frame for e in f]
+    firsts = [[diff(e, p) for e in inputs] for p in range(n)]
+    seconds = [diff(e, q) for p, q in pairs for e in firsts[p]]
+    return inputs + [e for row in firsts for e in row] + seconds
+
+
+def _mul(T: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """T @ B per sample: T is (m, ..., i) and B is (m, i, j), or (i, j) for
+    every sample, which takes one product over all rows of T."""
+    rows = T.reshape(-1, T.shape[-1]) if B.ndim == 2 else T.reshape(len(T), -1, T.shape[-1])
+    return (rows @ B).reshape(T.shape[:-1] + B.shape[-1:])
+
+
+def _geometry(vals: np.ndarray, n: int, spans, frame) -> tuple:
+    """The geometry of each of the spans, tuples of frame indices, from the
+    jet values of _input_jets, (m, roots).
+
+    frame is the frame as an (n, n) array when all its entries are
+    constants, and the terms with a frame partial are then skipped; it is
+    None otherwise. Per span of rank r > 0 the result holds
+
+        H          (m, n)         (I - R g) K / r
+        defects    (m, pairs, n)  C_ab^perp - M_ab H, a <= b, when r > 1
+        nabla H    (m, r, n)      (dH) X_a + Gamma(X_a, H)
+        brackets   (m, pairs, n)  [X_a, X_b]^perp, a < b
+
+    where X holds the span's fields as rows, M = X g X^T is their Gram
+    matrix, R = X^T M^-1 X (so R g projects onto the span and I - R g onto
+    its normal space), C_ab = nabla_{X_a} X_b and K = sum_ab (M^-1)_ab C_ab
+    = Gamma : R + sum_b (M^-1 X)_b^i d_i X_b. The partials follow by the
+    product rule, with d(M^-1) = -M^-1 (dM) M^-1:
+
+        d_p R = -R (d_p g) R + N_p + N_p^T,   N_p = (I - R g)(d_p X)^T M^-1 X
+        d_p H = ((I - R g) d_p K - (d_p R) g K - R (d_p g) K) / r
+
+    Spans of rank 0 map to None. All spans go through each step together.
+    Returns the metric G (m, n, n), the frame F (m, n, n) and that map."""
+    m = len(vals)
+    nt = n * (n + 1) // 2
+    width = nt + n * n
+    iu, ju = _pairs(n, 0)
+
+    def sym(cols) -> np.ndarray:
+        out = np.empty(cols.shape[:-1] + (n, n))
+        out[..., iu, ju] = cols
+        out[..., ju, iu] = cols
+        return out
+
+    jets = vals[:, :width]
+    firsts = vals[:, width : width * (n + 1)].reshape(m, n, width)
+    seconds = np.empty((m, n, n, width))
+    seconds[:, iu, ju] = seconds[:, ju, iu] = vals[:, width * (n + 1) :].reshape(m, nt, width)
+    G, dG, d2G = sym(jets[:, :nt]), sym(firsts[..., :nt]), sym(seconds[..., :nt])
+    F = jets[:, nt:].reshape(m, n, n)
+
+    # Gamma^k_ij = g^kl B_lij / 2 with B_lij = d_i g_jl + d_j g_il - d_l g_ij,
+    # and d_p Gamma = g^-1 (d_p B / 2 - (d_p g) Gamma); rows k, columns ij
+    Ginv = _inv(G)
+    B = dG.transpose(0, 3, 1, 2) + dG.transpose(0, 3, 2, 1) - dG
+    gamma = 0.5 * (Ginv @ B.reshape(m, n, n * n))
+    dB = d2G.transpose(0, 1, 4, 2, 3) + d2G.transpose(0, 1, 4, 3, 2) - d2G
+    T = 0.5 * dB.reshape(m, n * n, n * n) - dG.reshape(m, n * n, n) @ gamma
+    T = T.reshape(m, n, n, n * n).swapaxes(1, 2).reshape(m, n, n**3)
+    dgamma = (Ginv @ T).reshape(m, n, n, n * n).swapaxes(1, 2).reshape(m, n * n, n * n)
+    gammaT = np.ascontiguousarray(gamma.swapaxes(1, 2))  # rows ij, columns k
+
+    live = [s for s in spans if s]
+    S = len(live)
+    rank = np.array([len(s) for s in live], dtype=float)[:, None, None]
+    if frame is None:
+        dF = firsts[..., nt:].reshape(m, n, n, n)  # d_p X_a^k
+        d2F = seconds[..., nt:].reshape(m, n, n, n, n)  # d_p d_q X_a^k
+    X = [F[:, list(s)] if frame is None else frame[list(s)] for s in live]
+    Xt = [x.swapaxes(-1, -2) for x in X]
+    M = [_mul(_mul(G, xt).swapaxes(1, 2), xt) for xt in Xt]
+    Y = [_mul(_inv(a), x) for a, x in zip(M, X)]  # M^-1 X
+    R = np.empty((m, S, n, n))
+    for t, (y, x) in enumerate(zip(Y, X)):
+        R[:, t] = _mul(y.swapaxes(1, 2), x)
+    Rcols = R.reshape(m, S, n * n).swapaxes(1, 2)
+
+    # K = Gamma : R and d_p K = (d_p Gamma) : R + Gamma : d_p R, with
+    # d_p R = -R (d_p g) R over rows (s, p, k), columns j
+    K = (gamma @ Rcols).swapaxes(1, 2)  # (m, S, k)
+    dK = (dgamma @ Rcols).reshape(m, n, n, S).transpose(0, 3, 1, 2)  # (m, S, p, k)
+    RdG = R.reshape(m, S * n, n) @ dG.swapaxes(1, 2).reshape(m, n, n * n)
+    dR = -(RdG.reshape(m, S, n * n, n) @ R).reshape(m, S, n, n, n).swapaxes(2, 3).copy()
+    Pis = np.eye(n) - (R.reshape(m, S * n, n) @ G).reshape(m, S, n, n)
+    if frame is None:
+        for t, s in enumerate(live):
+            # the terms with a frame partial: d_i X_b over rows (b, i)
+            r, y, Pi = len(s), Y[t], Pis[:, t]
+            D = dF[:, :, list(s)]
+            Db = D.swapaxes(1, 2).reshape(m, r * n, n)
+            K[:, t] += (y.reshape(m, 1, r * n) @ Db)[:, 0]
+            Z = (D.swapaxes(2, 3).reshape(m, n * n, r) @ y).reshape(m, n, n, n)
+            N = (Pi @ Z.swapaxes(1, 2).reshape(m, n, n * n)).reshape(m, n, n, n).swapaxes(1, 2)
+            dR[:, t] += N + N.swapaxes(2, 3)
+            # d_p (M^-1 X) = M^-1 ((d_p X)(I - R g)^T - X ((d_p g) R + g Z_p))
+            V = (D.reshape(m, n * r, n) @ Pi.swapaxes(1, 2)).reshape(m, n, r, n).swapaxes(1, 2)
+            gRZ = (dG.reshape(m, n * n, n) @ R[:, t]).reshape(m, n, n, n).swapaxes(1, 2)
+            gRZ = gRZ.reshape(m, n, n * n) + G @ Z.swapaxes(1, 2).reshape(m, n, n * n)
+            V = V - (X[t] @ gRZ).reshape(m, r, n, n)
+            dY = (_inv(M[t]) @ V.reshape(m, r, n * n)).reshape(m, r, n, n).swapaxes(1, 2)
+            dD = d2F[:, :, :, list(s)].transpose(0, 3, 2, 1, 4).reshape(m, r * n, n * n)
+            dK[:, t] += dY.reshape(m, n, r * n) @ Db + (y.reshape(m, 1, r * n) @ dD).reshape(m, n, n)
+    dK += (dR.reshape(m, S * n, n * n) @ gammaT).reshape(m, S, n, n)
+
+    GK = K @ G
+    H = (K - (GK[:, :, None] @ R)[:, :, 0]) / rank[..., 0]
+    dGK = (dG.reshape(m, n * n, n) @ K.swapaxes(1, 2)).reshape(m, n, n, S).transpose(0, 3, 1, 2)
+    dH = dK - (_mul(dK, G) + dGK) @ R - (dR.reshape(m, S, n * n, n) @ GK[..., None]).reshape(m, S, n, n)
+    dH /= rank
+    gamH = (gamma.reshape(m, n * n, n) @ H.swapaxes(1, 2)).reshape(m, n, n, S)  # Gamma(e_i, H)^k
+
+    out = dict.fromkeys(spans)
+    for t, s in enumerate(live):
+        r = len(s)
+        covH = _mul(dH[:, t].swapaxes(1, 2) + gamH[..., t], Xt[t]).swapaxes(1, 2)
+        defects, brackets = np.zeros((m, 0, n)), np.zeros((m, r * (r - 1) // 2, n))
+        if r > 1:
+            # C^perp_ab over rows k, columns ab; the Gamma term is symmetric
+            Pi = Pis[:, t]
+            C = _mul(_mul(gamma.reshape(m, n * n, n), Xt[t]).reshape(m, n, n, r).swapaxes(2, 3), Xt[t])
+            if frame is None:
+                A = (X[t] @ dF[:, :, list(s)].reshape(m, n, r * n)).reshape(m, r, r, n)  # X_a(X_b)
+                C = C + A.transpose(0, 3, 1, 2)
+                ia, ib = _pairs(r, 1)
+                brackets = (A[:, ia, ib] - A[:, ib, ia]) @ Pi.swapaxes(1, 2)
+            ia, ib = _pairs(r, 0)
+            Sp = Pi @ C.reshape(m, n, r * r)
+            defects = (Sp[:, :, ia * r + ib] - H[:, t, :, None] * M[t][:, ia, ib][:, None]).swapaxes(1, 2)
+        out[s] = (H[:, t], defects, covH, brackets)
+    return G, F, out
 
 
 @dataclass
@@ -280,123 +425,60 @@ class _Side:
     integ: np.ndarray
 
 
-def _layout(g: MetricField, unique, frame, symbolic_cov: bool):
-    """Roots in the order the pointwise definition reads them: the metric
-    entries, the frame, then per span its H, its umbilicity defects when the
-    rank exceeds one, nabla_{X_a} H built symbolically when symbolic_cov,
-    and its bracket projections. Without symbolic_cov the Christoffel
-    symbols that nabla H reads come last instead.
-
-    Returns the roots, the slices of the metric, the frame and the
-    Christoffel symbols, the triples (k, i, j) of those symbols, and per
-    span (by id) the slices of H, the defects, nabla H and the brackets."""
-    roots: list = []
-
-    def take(vectors) -> slice:
-        start = len(roots)
-        for v in vectors:
-            roots.extend(v)
-        return slice(start, len(roots))
-
-    metric = take(g.entries)
-    frame = take(frame)
-    parts = {}
-    for sf in unique:
-        if sf.rank:
-            parts[id(sf)] = (
-                take([sf.H]),
-                take([d for _, _, d in sf.umb_defects] if sf.rank > 1 else []),
-                take([cov_deriv_exprs(g, f, sf.H) for f in sf.fields] if symbolic_cov else []),
-                take([b for _, _, b in sf.bracket_perp]),
-            )
-    triples = [] if symbolic_cov else sorted({t for sf in unique for t in sf.gamma_read})
-    gamma = g.christoffel_entries()
-    gam = take([[gamma[k][i][j] for k, i, j in triples]])
-    return roots, metric, frame, gam, triples, parts
-
-
 class _Samples:
     """A net's metric, frame and span residuals over a batch of sample points.
 
-    The metric entries, the frame, and per requested block its span and its
-    complement (H, the umbilicity defects when the rank exceeds one, the
-    bracket projections) go into one tape, with the Christoffel symbols that
-    nabla H reads. One sweep gives their values and the first partials d_i H
-    for i in the support of each span's fields, and
-    nabla_{X_a} H = (dH) X_a + Gamma(X_a, H) is a stacked contraction.
-    The checks then run per stage over all samples, and the first sample
-    that fails any of them raises, with the stage that fails first there.
-    Condition warnings are issued for every sample up to that one.
+    One tape holds the metric and frame entries and their first and second
+    partials; one sweep gives their values over all samples, and _geometry
+    computes from them, per requested block, the geometry of its span and of
+    its complement. The checks then run per stage over all samples, and the
+    first sample that fails any of them raises, with the stage that fails
+    first there. Condition warnings are issued for every sample up to that
+    one.
 
-    The pointwise definition reads nabla H as a symbolic tree, after the
-    defects and before the brackets. A sample that fails past the frame, or
-    whose tangents or nabla H are not finite, is swept again on those trees
-    in that order: the error is the one that sweep raises first, and where
-    it is clean its nabla H is used."""
+    The pointwise definition differentiates symbolic trees of H (see
+    _SpanFields), so it may fail where the jets do not, and the reverse. A
+    sample whose metric and frame evaluate but whose jets or derived values
+    are not finite is swept again on those trees, built only then: the error
+    is the one that sweep raises first, and where it is clean its values
+    replace the derived ones."""
 
     def __init__(self, g: MetricField, net: OrthogonalNet, blocks, pts, labels):
         n = g.dim
         self.net = net
-        self.spans = {
-            i: (_span_fields(g, net, net.blocks[i]), _span_fields(g, net, net.complement(i)))
-            for i in blocks
-        }
-        unique = list({id(sf): sf for pair in self.spans.values() for sf in pair}.values())
+        self.spans = {i: (net.blocks[i], net.complement(i)) for i in blocks}
+        unique = list(dict.fromkeys(s for pair in self.spans.values() for s in pair))
 
-        roots, metric, frame, gam, triples, parts = _layout(g, unique, net.frame, False)
-        partials = [
-            (parts[id(sf)][0].start + k, i)
-            for sf in unique
-            if sf.rank
-            for k in range(n)
-            for i in sf.support
-        ]
-        tape = compile_tape(roots)
-        sweep = tape.sweep(pts, partials)
-        vals = sweep.values
-        m = vals.shape[0]
+        nt = n * (n + 1) // 2
+        inputs = nt + n * n
+        frame = None
+        if all(isinstance(e, Const) for f in net.frame for e in f):
+            frame = np.array([[e.value for e in f] for f in net.frame])
+        tape = compile_tape(_input_jets(g, net))
+        sweep = tape.sweep(pts)
+        m = len(sweep.values)
+        with np.errstate(all="ignore"):
+            self.G, self.F, geometry = _geometry(sweep.values, n, unique, frame)
 
-        def stack(sl) -> np.ndarray:
-            return vals[:, sl].reshape(m, -1, n)
-
-        self.G, self.F = stack(metric), stack(frame)
-        gamma = np.zeros((m, n, n, n))
-        if triples:
-            k, i, j = np.array(triples, dtype=np.intp).T
-            gamma[:, k, i, j] = vals[:, gam]
-        covH = {}
-        q = 0
-        for sf in unique:
-            if sf.rank:
-                support = list(sf.support)
-                width = n * len(support)
-                dH = np.zeros((m, n, n))
-                dH[:, :, support] = sweep.partials[:, q : q + width].reshape(m, n, -1)
-                q += width
-                X = self.F[:, list(sf.indices)]
-                covH[id(sf)] = _cov(dH, gamma, stack(parts[id(sf)][0])[:, 0], X)
-
-        frame_end = tape.bounds[frame.stop]
-        suspect = sweep.tangent_bad | (sweep.first_bad < tape.size)
-        for c in covH.values():
-            suspect |= ~np.isfinite(c).all(axis=(1, 2))
+        frame_end = tape.bounds[inputs]
+        derived = [a.reshape(m, -1) for parts in filter(None, geometry.values()) for a in parts]
+        suspect = ~np.isfinite(np.concatenate(derived, axis=1).sum(axis=1))
+        suspect |= sweep.first_bad < tape.size
         js = np.flatnonzero(suspect & (sweep.first_bad >= frame_end))
         field_errors = {}
         if js.size:
-            exact_roots, _, _, _, _, exact_parts = _layout(g, unique, net.frame, True)
+            exact_roots, exact_parts = _layout(g, [_SpanFields(g, net, s) for s in unique])
             exact = compile_tape(exact_roots).sweep(sweep.points[js])
             for r, j in enumerate(js):
                 if exact.first_bad[r] < exact.tape.size:
                     field_errors[int(j)] = (exact, r)
                     continue
-                for sf in unique:
-                    if sf.rank:
-                        covH[id(sf)][j] = exact.values[r, exact_parts[id(sf)][2]].reshape(-1, n)
+                for s, sls in zip(unique, exact_parts):
+                    for a, sl in zip(geometry[s] or (), sls or ()):
+                        a[j] = exact.values[r, sl].reshape(a.shape[1:])
 
-        self.norms = self._check(sweep, tape.bounds[metric.stop], frame_end, labels, field_errors)
-        self.sides = {
-            id(sf): self._side(sf, parts.get(id(sf)), stack, covH.get(id(sf))) for sf in unique
-        }
+        self.norms = self._check(sweep, tape.bounds[nt], frame_end, labels, field_errors)
+        self.sides = {s: self._side(s, geometry[s]) for s in unique}
 
     def _check(self, sweep, metric_end, frame_end, labels, field_errors) -> np.ndarray:
         """Raise what the pointwise definition raises first, and warn on the
@@ -465,38 +547,36 @@ class _Samples:
             f"|<X_{pairs[q][0]}, X_{pairs[q][1]}>| = {ip[j, q]:.3e}"
         )
 
-    def _side(self, sf: _SpanFields, part, stack, covH) -> _Side:
+    def _side(self, span, geometry) -> _Side:
         G, F, norms = self.G, self.F, self.norms
         m, n = G.shape[:2]
         zero = np.zeros(m)
-        if part is None:
+        if geometry is None:
             return _Side(np.zeros((m, n)), np.zeros((m, 0, n)), zero, zero, zero, zero)
-        h_sl, d_sl, _, b_sl = part
-        idx = np.array(sf.indices, dtype=np.intp)
-        other = np.array(sf.other_indices, dtype=np.intp)
-        H = stack(h_sl)[:, 0]
+        H, defects, covH, brackets = geometry
+        r = len(span)
+        idx = np.array(span, dtype=np.intp)
+        other = np.array([k for k in range(n) if k not in span], dtype=np.intp)
 
-        def pair_max(vectors, pairs) -> np.ndarray:
-            if not pairs:
+        def pair_max(vectors, a, b) -> np.ndarray:
+            if not len(a):
                 return zero
-            a = idx[[p[0] for p in pairs]]
-            b = idx[[p[1] for p in pairs]]
-            scale = np.maximum(norms[:, a] * norms[:, b], 1e-300)
+            scale = np.maximum(norms[:, idx[a]] * norms[:, idx[b]], 1e-300)
             return (_gnorm(vectors, G) / scale).max(axis=1)
 
-        umb = pair_max(stack(d_sl), sf.umb_defects if sf.rank > 1 else ())
+        umb = pair_max(defects, *_pairs(r, 0)) if r > 1 else zero
         sph = zero
         if other.size:
             ip = np.abs(_ginner(covH[:, :, None], G, F[:, None, other]))
             scale = np.maximum(norms[:, idx, None] * norms[:, None, other], 1e-300)
             sph = (ip / scale).max(axis=(1, 2))
         geo = umb + _gnorm(H, G)
-        integ = pair_max(stack(b_sl), sf.bracket_perp)
+        integ = pair_max(brackets, *_pairs(r, 1))
         return _Side(H, covH, umb, sph, geo, integ)
 
     def block(self, i: int) -> tuple[_Side, _Side]:
-        bf, cf = self.spans[i]
-        return self.sides[id(bf)], self.sides[id(cf)]
+        b, c = self.spans[i]
+        return self.sides[b], self.sides[c]
 
     def residuals(self, blocks) -> dict:
         """The residuals of DistributionGeometry by name, each (blocks, m)."""
@@ -521,10 +601,10 @@ class _Samples:
         bf, cf = self.spans[i]
         b, c = self.block(i)
         G, F, norms = self.G, self.F, self.norms
-        if not (bf.rank and cf.rank):
+        if not (bf and cf):
             return np.zeros(G.shape[0])
-        blk = np.array(bf.indices, dtype=np.intp)
-        comp = np.array(cf.indices, dtype=np.intp)
+        blk = np.array(bf, dtype=np.intp)
+        comp = np.array(cf, dtype=np.intp)
         scale = np.maximum(norms[:, blk, None] * norms[:, None, comp], 1e-300)
         d1 = _ginner(c.covH[:, None, :], G, F[:, blk, None]) / scale
         d2 = _ginner(b.covH[:, :, None], G, F[:, None, comp]) / scale
@@ -661,7 +741,7 @@ def classify_net(
     if nblocks < 2:
         raise ConstraintError("classification needs at least two blocks")
 
-    labels = [tuple(float(x) for x in p) for p in pts]
+    labels = [tuple(p) for p in pts.tolist()]
     samples = _Samples(g, net, range(nblocks), pts, labels)
     sides = [samples.block(i) for i in range(nblocks)]
     res = samples.residuals(range(nblocks))

@@ -205,6 +205,12 @@ class ProductSpec:
         g.provenance = self
         return g
 
+    @functools.cached_property
+    def _product_metric(self) -> MetricField:
+        """The metric of the same factors with every twist 1, built once per
+        spec."""
+        return dataclasses.replace(self, kind="product", twists=(ONE,) * len(self.twists))._metric
+
 
 def _check_positive(e: Expr, chart: Chart, label: str):
     pts = _mesh(grid_axes(chart, _POSITIVITY_GRID))
@@ -240,8 +246,10 @@ def conformal_scale(g: MetricField, phi: Expr) -> MetricField:
 
 def _connection_residuals(spec: ProductSpec, pts, X, Y) -> np.ndarray:
     """verify_connection_identity at every sample of an (m, dim) array of
-    points, (m,). X and Y are component expression sequences shared by the
-    samples, or (m, dim) arrays of constant fields, one pair per sample.
+    points. X and Y are component expression sequences shared by the
+    samples, and the result is (m,); or they are (m, ..., dim) arrays of
+    constant fields, and the result has their shape without the last axis,
+    so that several pairs at one sample share its sweep.
 
     The metric, the Christoffel symbols of it and of the product metric,
     and per twist its value and the partials of its log are swept on one
@@ -250,10 +258,9 @@ def _connection_residuals(spec: ProductSpec, pts, X, Y) -> np.ndarray:
     if spec.conformal_factor is not None:
         raise ConstraintError("connection identity applies to unscaled twisted specs")
     g = build_metric(spec)
-    gt = build_metric(dataclasses.replace(spec, kind="product", twists=(ONE,) * len(spec.twists)))
     n = g.dim
     fields = [] if isinstance(X, np.ndarray) else [*X, *_jet_roots(Y)]
-    roots = fields + _gamma_roots(g) + _gamma_roots(gt)
+    roots = fields + _gamma_roots(g) + _gamma_roots(spec._product_metric)
     twisted = [i for i, rho in enumerate(spec.twists) if not is_const_one(rho)]
     checks = []
     for i in twisted:
@@ -267,24 +274,26 @@ def _connection_residuals(spec: ProductSpec, pts, X, Y) -> np.ndarray:
     G, vals = _stacked(g, roots, pts, checks=checks)
     field_shapes = [(n,), (n,), (n, n)] if fields else []
     parts = _split(vals, *field_shapes, (n, n, n), (n, n, n), *[(1,), (n,)] * len(twisted))
+    lead = 0.0
     if fields:
         X, Y, dY, *parts = parts
-    else:
-        dY = np.zeros((len(G), n, n))
+        lead = np.einsum("mki,m...i->m...k", dY, X)
     gam, gam_product, *parts = parts
-    lhs = _cov(dY, gam, Y, X[:, None])[:, 0]
-    rhs = _cov(dY, gam_product, Y, X[:, None])[:, 0]
+    # nabla_X Y = X(Y) + Gamma(X, Y) under either connection
+    lhs = lead + np.einsum("mkij,m...i,m...j->m...k", gam, X, Y)
+    rhs = lead + np.einsum("mkij,m...i,m...j->m...k", gam_product, X, Y)
     Ginv = np.linalg.inv(G)
     unorm_sum = 0.0
+    pairs = (slice(None),) + (None,) * (X.ndim - 2)
     for i, dlog in zip(twisted, parts[1::2]):
-        U = -np.einsum("mkl,ml->mk", Ginv, dlog)
+        U = -np.einsum("mkl,ml->mk", Ginv, dlog)[pairs]
         block = np.isin(np.arange(n), spec.blocks[i])
         Xi, Yi = np.where(block, X, 0.0), np.where(block, Y, 0.0)
         rhs = (
             rhs
-            + _ginner(Xi, G, Yi)[:, None] * U
-            - _ginner(X, G, U)[:, None] * Yi
-            - _ginner(Y, G, U)[:, None] * Xi
+            + _ginner(Xi, G, Yi)[..., None] * U
+            - _ginner(X, G, U)[..., None] * Yi
+            - _ginner(Y, G, U)[..., None] * Xi
         )
         unorm_sum += _gnorm(U, G)
     denom = np.maximum(_gnorm(X, G) * _gnorm(Y, G) * (1.0 + unorm_sum), 1e-30)

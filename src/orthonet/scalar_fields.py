@@ -8,17 +8,17 @@ of shared subtrees cheap and keeps derivative trees compact DAGs.
 
 Two evaluators share one set of domain rules: `evaluate` interprets a tree
 at one point, and `compile_tape` turns a list of trees into a tape that
-`Tape.run` evaluates over a whole array of points with numpy. `Tape.sweep`
-also gives first partials of chosen roots along chosen coordinates: tangents
-are carried forward through the slots those roots read, in the same pass,
-by the rules `diff` uses, so no derivative tree is built. Tree walks that
-may meet deep trees (differentiation, substitution, printing, tape
-compilation) keep their own stack instead of recursing.
+`Tape.run` evaluates over a whole array of points with numpy. Derivatives
+are trees too: a caller that needs partials puts `diff` of its (small)
+input trees on the tape. Tree walks that may meet deep trees
+(differentiation, substitution, printing, tape compilation) keep their own
+stack instead of recursing.
 """
 
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,10 +124,16 @@ class Expr:
     __slots__ = ("_dcache",)
 
     def __init__(self):
-        object.__setattr__(self, "_dcache", {})
+        object.__setattr__(self, "_dcache", _NO_PARTIALS)
 
     def __repr__(self):
         return f"<Expr {format_expr(self)}>"
+
+
+# the derivative cache of every node until its first partial is cached: most
+# nodes are never differentiated, and a dict each doubled the objects the
+# garbage collector tracks per node
+_NO_PARTIALS = types.MappingProxyType({})
 
 
 class Const(Expr):
@@ -473,48 +479,45 @@ class Tape:
     def size(self) -> int:
         return len(self.instrs)
 
-    def _slot_values(self, points, tangents: "_Tangents | None" = None) -> np.ndarray:
-        """(size, m) values of every slot, followed by the rows of the
-        tangent program when one is given; failures leave non-finite values.
+    def _slot_values(self, points) -> np.ndarray:
+        """(size, m) values of every slot; failures leave non-finite values.
         Callers ignore floating-point errors (np.errstate)."""
-        extra = tangents.rows if tangents is not None else 0
-        V = np.empty((self.size + extra, len(points)))
+        V = np.empty((self.size, len(points)))
         V[self._const_slots] = self._const_values[:, None]
         V[self._var_slots] = points.T[self._var_index]
-        _run_ops(V, self._ops)
-        if tangents is not None:
-            V[tangents.const_rows] = tangents.const_values[:, None]
-            _run_ops(V, tangents.ops)
+        for k, ins in self._ops:
+            op = ins[0]
+            if len(ins) == 2:
+                _UFUNC[op](V[ins[1]], out=V[k])
+            elif op == "^":
+                np.power(V[ins[1]], ins[2], out=V[k])
+            else:
+                _UFUNC[op](V[ins[1]], V[ins[2]], out=V[k])
         return V
 
-    def sweep(self, points, partials=()) -> "Sweep":
+    def sweep(self, points) -> "Sweep":
         """Evaluate the roots over an (m, dim) array without raising. Points
-        go through in chunks of at most _CHUNK values, tangents included.
-
-        partials lists (root index, coordinate index) pairs: the sweep then
-        also holds each root's first partial along its coordinate, carried
-        forward from the slot values of the same chunk (see _Tangents)."""
+        go through in chunks of at most _CHUNK slot values. A caller that
+        needs partials compiles diff trees of its inputs among the roots, as
+        nets does with the jets of the metric and the frame."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be an (m, dim) array")
-        tangents = _Tangents(self, partials) if len(partials) else None
-        extra = tangents.rows if tangents is not None else 0
-        step = max(1, _CHUNK // max(self.size + extra, 1))
+        step = max(1, _CHUNK // max(self.size, 1))
         m = len(pts)
-        values = np.empty((m, len(self.root_slots)))
+        roots = self.root_slots
+        values = np.empty((m, len(roots)))
         first_bad = np.empty(m, dtype=np.intp)
-        grads = np.zeros((m, len(partials)))
-        tangent_bad = np.zeros(m, dtype=bool)
         with np.errstate(all="ignore"):
             for lo in range(0, m, step):
                 chunk = slice(lo, lo + step)
-                V = self._slot_values(pts[chunk], tangents)
-                _copy_rows(values[chunk], V, self.root_slots)
-                first_bad[chunk] = _first_nonfinite(V[: self.size])
-                if tangents is not None:
-                    _copy_rows(grads[chunk], V, tangents.out_rows, tangents.out_cols)
-                    tangent_bad[chunk] = _first_nonfinite(V[self.size :]) < extra
-        return Sweep(self, pts, values, first_bad, grads, tangent_bad)
+                V = self._slot_values(pts[chunk])
+                # a few rows at a time, so no full second copy of them is made
+                rows = max(1, _BLOCK // max(V.shape[1], 1))
+                for a in range(0, len(roots), rows):
+                    values[chunk, a : a + rows] = V[roots[a : a + rows]].T
+                first_bad[chunk] = _first_nonfinite(V)
+        return Sweep(self, pts, values, first_bad)
 
     def run(self, points) -> np.ndarray:
         """(m, roots) values. Raises the EvalDomainError of the first sample
@@ -524,26 +527,6 @@ class Tape:
         if failed.size:
             raise sw.error(int(failed[0]))
         return sw.values
-
-
-def _run_ops(V: np.ndarray, ops) -> None:
-    for k, ins in ops:
-        op = ins[0]
-        if len(ins) == 2:
-            _UFUNC[op](V[ins[1]], out=V[k])
-        elif op == "^":
-            np.power(V[ins[1]], ins[2], out=V[k])
-        else:
-            _UFUNC[op](V[ins[1]], V[ins[2]], out=V[k])
-
-
-def _copy_rows(dst: np.ndarray, V: np.ndarray, rows, cols=None) -> None:
-    """dst[:, cols] = V[rows].T, a few rows at a time, so no full second
-    copy of those rows is made."""
-    step = max(1, _BLOCK // max(V.shape[1], 1))
-    for a in range(0, len(rows), step):
-        part = slice(a, a + step) if cols is None else cols[a : a + step]
-        dst[:, part] = V[rows[a : a + step]].T
 
 
 def _first_nonfinite(V: np.ndarray) -> np.ndarray:
@@ -565,255 +548,17 @@ def _first_nonfinite(V: np.ndarray) -> np.ndarray:
     return first
 
 
-class _Tangents:
-    """Forward-mode program for first partials of chosen roots (Griewank and
-    Walther, Evaluating Derivatives, 2008, ch. 3).
-
-    Its instructions write rows after the tape's slots, in the format of the
-    tape's own, and read slot values and earlier tangents. The tangent of
-    slot k along coordinate i is the value of diff(node, i) for the node of
-    slot k (see _tangent_rows), so a slot that does not read x_i has no
-    tangent along i. Call bodies are inlined in the tape, so their tangents
-    come from the same rules. Only slots that some requested partial reads
-    get tangents, and only the rows the partials read are evaluated."""
-
-    def __init__(self, tape: Tape, partials):
-        instrs = tape.instrs
-        size = len(instrs)
-        # reads[k]: bit i is set when slot k depends on coordinate i
-        reads = [0] * size
-        for k, ins in enumerate(instrs):
-            op = ins[0]
-            if op == "var":
-                reads[k] = 1 << ins[1]
-            elif op == "const":
-                continue
-            elif op == "^" or len(ins) == 2:
-                reads[k] = reads[ins[1]]
-            else:
-                reads[k] = reads[ins[1]] | reads[ins[2]]
-        # need[k]: the coordinates along which slot k needs a tangent
-        need = [0] * size
-        roots = [int(tape.root_slots[r]) for r, _ in partials]
-        for k, (_, i) in zip(roots, partials):
-            need[k] |= reads[k] & (1 << i)
-        for k in range(size - 1, -1, -1):
-            mask = need[k]
-            ins = instrs[k]
-            if mask and ins[0] not in ("var", "const"):
-                need[ins[1]] |= mask & reads[ins[1]]
-                if len(ins) == 3 and ins[0] != "^":
-                    need[ins[2]] |= mask & reads[ins[2]]
-
-        extra, tan = _tangent_rows(instrs, need)
-        out = [tan.get((k, i)) for k, (_, i) in zip(roots, partials)]
-        # a fold may drop rows already built, as the smart constructors build
-        # nodes that no tree keeps: such rows are set to 0, not evaluated
-        live = bytearray(len(extra))
-        for t in out:
-            if t is not None and t >= size:
-                live[t - size] = 1
-        for q in range(len(extra) - 1, -1, -1):
-            ins = extra[q]
-            if live[q] and ins[0] != "const":
-                for t in ins[1:2] if ins[0] == "^" else ins[1:]:
-                    if t >= size:
-                        live[t - size] = 1
-        fixed = [
-            (size + q, ins[1] if live[q] else 0.0)
-            for q, ins in enumerate(extra)
-            if ins[0] == "const" or not live[q]
-        ]
-        self.rows = len(extra)
-        self.const_rows = np.array([k for k, _ in fixed], dtype=np.intp)
-        self.const_values = np.array([v for _, v in fixed], dtype=float)
-        self.ops = [
-            (size + q, ins) for q, ins in enumerate(extra) if live[q] and ins[0] != "const"
-        ]
-        # partials with a tangent row; the others are ZERO
-        self.out_cols = np.array([q for q, t in enumerate(out) if t is not None], dtype=np.intp)
-        self.out_rows = np.array([t for t in out if t is not None], dtype=np.intp)
-
-
-def _tangent_rows(instrs, need):
-    """The rows of diff(node, i) for every slot k and coordinate i in
-    need[k], by the rules of _diff in its operand order, built with the
-    folding of the smart constructors over rows: None stands for ZERO and a
-    constant row for a Const. Rows are merged by structure like the tape's
-    slots, so a factor such as cos(a) for sin(a) may be an existing slot.
-
-    Returns the new instructions, the q-th writing row len(instrs) + q, and
-    the map (slot, coordinate) -> row (None or absent for ZERO)."""
-    size = len(instrs)
-    by_key = {ins: k for k, ins in enumerate(instrs)}
-    consts = {k: ins[1] for k, ins in enumerate(instrs) if ins[0] == "const"}
-    extra: list = []
-
-    def emit(ins) -> int:
-        k = by_key.get(ins)
-        if k is None:
-            k = by_key[ins] = size + len(extra)
-            extra.append(ins)
-        return k
-
-    def const_row(value: float) -> int:
-        k = emit(("const", value))
-        consts[k] = value
-        return k
-
-    def const(value: float):
-        return None if value == 0.0 else const_row(value)
-
-    def row(t) -> int:
-        return const_row(0.0) if t is None else t
-
-    def add(a, b):
-        ca = 0.0 if a is None else consts.get(a)
-        cb = 0.0 if b is None else consts.get(b)
-        if ca is not None and cb is not None:
-            return const(ca + cb)
-        if ca == 0.0:
-            return b
-        if cb == 0.0:
-            return a
-        return emit(("+", a, b))
-
-    def sub(a, b):
-        ca = 0.0 if a is None else consts.get(a)
-        cb = 0.0 if b is None else consts.get(b)
-        if ca is not None and cb is not None:
-            return const(ca - cb)
-        if cb == 0.0:
-            return a
-        if ca == 0.0:
-            return neg(b)
-        return emit(("-", a, b))
-
-    def mul(a, b):
-        ca = 0.0 if a is None else consts.get(a)
-        cb = 0.0 if b is None else consts.get(b)
-        if ca is not None and cb is not None:
-            return const(ca * cb)
-        if ca == 0.0 or cb == 0.0:
-            return None
-        if ca == 1.0:
-            return b
-        if cb == 1.0:
-            return a
-        return emit(("*", a, b))
-
-    def div(a, b):
-        ca = 0.0 if a is None else consts.get(a)
-        cb = 0.0 if b is None else consts.get(b)
-        if cb is not None and cb != 0.0:
-            if ca is not None:
-                return const(ca / cb)
-            if cb == 1.0:
-                return a
-        if ca == 0.0 and cb != 0.0:
-            return None
-        return emit(("/", row(a), row(b)))
-
-    def neg(a):
-        ca = 0.0 if a is None else consts.get(a)
-        if ca is not None:
-            return const(-ca)
-        return emit(("neg", a))
-
-    def powc(base, exponent: float):
-        if exponent == 1.0:
-            return base
-        if exponent == 0.0:
-            return const(1.0)
-        cb = 0.0 if base is None else consts.get(base)
-        if cb is not None:
-            try:
-                return const(_pow_value(cb, exponent, None))
-            except (EvalDomainError, OverflowError):
-                pass
-        return emit(("^", row(base), exponent))
-
-    def unary(op: str, a):
-        ca = 0.0 if a is None else consts.get(a)
-        if ca is not None:
-            try:
-                return const(_unary_value(op, ca, None))
-            except (EvalDomainError, OverflowError):
-                pass
-        return emit((op, row(a)))
-
-    tan: dict = {}
-    for e in range(size):
-        mask = need[e]
-        if not mask:
-            continue
-        ins = instrs[e]
-        op = ins[0]
-        for i in range(mask.bit_length()):
-            if not mask >> i & 1:
-                continue
-            if op == "var":
-                tan[e, i] = const(1.0)
-                continue
-            a = ins[1]
-            da = tan.get((a, i))
-            if op == "^":
-                c = ins[2]
-                t = mul(mul(const(c), powc(a, c - 1.0)), da)
-            elif len(ins) == 3:
-                b = ins[2]
-                db = tan.get((b, i))
-                if op == "+":
-                    t = add(da, db)
-                elif op == "-":
-                    t = sub(da, db)
-                elif op == "*":
-                    t = add(mul(da, b), mul(a, db))
-                else:
-                    t = div(sub(mul(da, b), mul(a, db)), powc(b, 2.0))
-            elif op == "neg":
-                t = neg(da)
-            elif op == "exp":
-                t = mul(e, da)
-            elif op == "log":
-                t = div(da, a)
-            elif op == "sin":
-                t = mul(unary("cos", a), da)
-            elif op == "cos":
-                t = neg(mul(unary("sin", a), da))
-            elif op == "tan":
-                t = div(da, powc(unary("cos", a), 2.0))
-            elif op == "sinh":
-                t = mul(unary("cosh", a), da)
-            elif op == "cosh":
-                t = mul(unary("sinh", a), da)
-            elif op == "sqrt":
-                t = div(da, mul(const(2.0), e))
-            elif op == "abs":
-                t = mul(div(e, a), da)
-            else:
-                raise ValueError(f"unknown operation {op!r}")
-            tan[e, i] = t
-    return extra, tan
-
-
 class Sweep:
     """Root values of one tape over a batch of points.
 
     first_bad[j] is the first slot, in evaluation order, that fails at point
-    j, or tape.size where point j evaluates cleanly. partials[j, q] is the
-    q-th requested first partial at point j, and tangent_bad[j] says whether
-    any row of the tangent program is non-finite there: where diff would
-    build a node that fails, its row fails too."""
+    j, or tape.size where point j evaluates cleanly."""
 
-    def __init__(self, tape: Tape, points: np.ndarray, values: np.ndarray,
-                 first_bad: np.ndarray, partials: np.ndarray, tangent_bad: np.ndarray):
+    def __init__(self, tape: Tape, points: np.ndarray, values: np.ndarray, first_bad: np.ndarray):
         self.tape = tape
         self.points = points
         self.values = values
         self.first_bad = first_bad
-        self.partials = partials
-        self.tangent_bad = tangent_bad
 
     def error(self, j: int) -> EvalDomainError:
         """The error the interpreter raises at point j."""
@@ -964,6 +709,8 @@ def diff(e: Expr, i: int) -> Expr:
                 stack.append((node.arg, k))
                 continue
         stack.pop()
+        if node._dcache is _NO_PARTIALS:
+            object.__setattr__(node, "_dcache", {})
         node._dcache[k] = _diff(node, k)
     return e._dcache[i]
 

@@ -19,6 +19,7 @@ from orthonet.cli import (
 )
 from orthonet.errors import ConstraintError, ManifestError
 from orthonet.sampling import sample_points
+from orthonet.scalar_fields import Tape
 
 MANIFESTS = Path(__file__).resolve().parents[1] / "manifests"
 
@@ -256,6 +257,12 @@ def test_main_error_paths(tmp_path, capsys):
         assert main(["--command", "classify", "--manifest", polar, flag, value]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: argument {flag}: "), err
+    # a negative value in exponent form is a value, in either spelling
+    for argv in (["--tolerance", "-1e-3"], ["--tolerance=-1e-3"]):
+        assert main(["--command", "classify", "--manifest", polar, *argv]) == 1
+        assert capsys.readouterr().err == (
+            "error: argument --tolerance: must be finite and > 0, got -1e-3\n"
+        )
     assert main(["--command", "selftest", "--samples", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: argument --samples: ")
 
@@ -296,19 +303,35 @@ def test_verify_product_draws_pairs_in_pointwise_order(monkeypatch):
 
     def record(spec, pts, X, Y):
         calls.append((pts, X, Y))
-        return np.zeros(len(pts))
+        return np.zeros(X.shape[:2])
 
     monkeypatch.setattr(cli, "_connection_residuals", record)
     man = load_manifest(MANIFESTS / "twisted_control.json")
     report, _ = run("verify-product", man)
     (pts, X, Y), = calls
     samples = sample_points(man.chart, man.plan)
+    assert np.array_equal(pts, samples)
     rng = np.random.default_rng(man.plan.seed)
     for j in range(len(samples) * 4):
-        assert np.array_equal(pts[j], samples[j // 4])
-        assert np.array_equal(X[j], rng.uniform(-1.0, 1.0, 2))
-        assert np.array_equal(Y[j], rng.uniform(-1.0, 1.0, 2))
+        assert np.array_equal(X[j // 4, j % 4], rng.uniform(-1.0, 1.0, 2))
+        assert np.array_equal(Y[j // 4, j % 4], rng.uniform(-1.0, 1.0, 2))
     assert report["results"]["n_samples"] == len(samples)
+
+
+def test_verify_product_sweeps_each_point_once(monkeypatch):
+    # the four pairs of a point are contracted against one swept row
+    man = load_manifest(MANIFESTS / "twisted_control.json")
+    seen = []
+    sweep = Tape.sweep
+
+    def spy(self, points):
+        seen.append(len(points))
+        return sweep(self, points)
+
+    monkeypatch.setattr(Tape, "sweep", spy)
+    report, _ = run("verify-product", man)
+    assert seen == [len(sample_points(man.chart, man.plan))]
+    assert report["results"]["pairs_per_point"] == 4
 
 
 def test_deep_expression_manifest(tmp_path, capsys):

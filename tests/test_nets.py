@@ -8,7 +8,7 @@ import pytest
 from conftest import random_positive_scale
 from orthonet import fixtures
 from orthonet.chart_calculus import MetricField, metric_at
-from orthonet import nets
+from orthonet import codazzi, nets
 from orthonet.errors import (
     ConditionNumberWarning,
     ConstraintError,
@@ -316,11 +316,11 @@ def test_condition_warnings_stop_at_the_failing_sample():
     assert texts == _pointwise_warnings(g, samples[:1])
 
 
-# --- nabla H from tape partials ------------------------------------------------
+# --- samples whose jets are not finite ---------------------------------------------
 
-# a tangent pass over every coordinate, reduced without the symbolic re-sweep,
-# gets both cases below wrong: (a) returns verdicts where the pointwise
-# definition fails on d_1 H, (b) reads a partial the definition never reads
+# both cases need the symbolic rerun: (a) must raise the error of the pointwise
+# definition on d_1 H, and (b) must pass, although the jets there hold a second
+# partial that is not finite and that the definition never reads
 
 
 @pytest.mark.parametrize("blocks", [((0,), (1,), (2,)), ((0,), (1, 2))])
@@ -352,9 +352,9 @@ def test_unread_singular_partial_of_h_is_never_evaluated():
 def test_non_finite_residual_raises(monkeypatch):
     side = nets._Samples._side
 
-    def poisoned(self, sf, part, stack, covH):
-        out = side(self, sf, part, stack, covH)
-        if sf.indices == (1,):
+    def poisoned(self, span, geometry):
+        out = side(self, span, geometry)
+        if span == (1,):
             out.sph = out.sph.copy()
             out.sph[2] = np.nan
         return out
@@ -368,8 +368,16 @@ def test_non_finite_residual_raises(monkeypatch):
 
 
 def test_classify_tape_stays_small(monkeypatch):
-    # metric, frame, H, defects, brackets and the Christoffel symbols nabla H
-    # reads; nabla H built symbolically took 906 slots here
+    # a clean run builds no symbolic span trees, and tapes only the metric
+    # and frame entries with their first and second partials; the tape of
+    # H, the defects, the brackets and the Christoffel symbols took 203 slots
+    built = []
+    init = nets._SpanFields.__init__
+
+    def counting(self, *args):
+        built.append(args[-1])
+        init(self, *args)
+
     sizes = []
     compile_tape = nets.compile_tape
 
@@ -378,8 +386,89 @@ def test_classify_tape_stays_small(monkeypatch):
         sizes.append(tape.size)
         return tape
 
+    monkeypatch.setattr(nets._SpanFields, "__init__", counting)
     monkeypatch.setattr(nets, "compile_tape", spy)
     g = fixtures.cqw_three()
     classify_net(g, _coordinate(g), PLAN)
+    assert built == []
     assert len(sizes) == 1
-    assert sizes[0] <= 203
+    assert sizes[0] <= 65
+
+
+# --- jets against the symbolic reference on moving frames -------------------------
+
+
+def _rotated_polar():
+    # an orthonormal frame of the polar metric turned by the angle t*theta
+    g = fixtures.polar()
+    c, s, ct, st = (
+        parse_expr(t, g.chart)
+        for t in ("cos(t*theta)", "sin(t*theta)", "cos(t*theta)/t", "sin(t*theta)/t")
+    )
+    frame = [(c, st), (mul(const(-1.0), s), ct)]
+    return g, OrthogonalNet(g.chart, frame, ((0,), (1,)))
+
+
+def _skew_warped_three():
+    # block (1, 2) is spanned by d/dx1 and x1 d/dx0 + d/dx2, whose bracket
+    # d/dx0 leaves it: a moving frame of a distribution that is not integrable
+    g = fixtures.warped_three()
+    ch = g.chart
+    frame = [
+        (parse_expr("exp(4*x0)", ch), ZERO, parse_expr("-x1", ch)),
+        (ZERO, ONE, ZERO),
+        (parse_expr("x1", ch), ZERO, ONE),
+    ]
+    return g, OrthogonalNet(ch, frame, ((0,), (1, 2)))
+
+
+def _eigen_net(make):
+    def build():
+        made = make()
+        g, phi = (made.metric, made.tensor) if hasattr(made, "metric") else made
+        pts = sample_points(g.chart, PLAN)
+        labels = [tuple(p) for p in pts.tolist()]
+        return g, codazzi._eigen_model(g, phi, pts, labels, codazzi.GAP_MIN, 1e-8)[2].net
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _eigen_net(fixtures.torus),
+        _eigen_net(fixtures.conformal_product_pair),
+        _rotated_polar,
+        _skew_warped_three,
+    ],
+    ids=["torus_eigen", "conformal_pair_eigen", "rotated_polar", "skew_warped_three"],
+)
+def test_jet_geometry_matches_symbolic_trees_on_moving_frames(make):
+    g, net = make()
+    assert not net.is_coordinate
+    pts = sample_points(g.chart, PLAN)
+    blocks = range(len(net.blocks))
+    samples = nets._Samples(g, net, blocks, pts, [tuple(p) for p in pts.tolist()])
+    spans = list(samples.sides)
+    sfs = [nets._SpanFields(g, net, s) for s in spans]
+    roots, parts = nets._layout(g, sfs)
+    vals = nets.compile_tape(roots).run(pts)
+    m, n = len(pts), g.dim
+
+    def close(got, want):
+        scale = np.maximum(1.0, np.abs(want).max(axis=tuple(range(1, want.ndim)), keepdims=True))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), np.abs(got - want).max()
+
+    for span, part in zip(spans, parts):
+        side = samples.sides[span]
+        if part is None:
+            continue
+        exact = tuple(vals[:, sl].reshape(m, -1, n) for sl in part)
+        want = samples._side(span, (exact[0][:, 0], *exact[1:]))
+        close(side.H, want.H)
+        close(side.covH, want.covH)
+        close(side.umb, want.umb)
+        close(side.integ, want.integ)
+    if net.blocks[1] == (1, 2):
+        assert samples.sides[(1, 2)].integ.min() > 1e-3
+        assert samples.sides[(1, 2)].umb.max() > 1e-3

@@ -105,85 +105,6 @@ def test_tape_matches_interpreter(roots, points):
     assert str(sweep.error(j)) == str(err)
 
 
-@settings(max_examples=300)
-@given(_roots(), _points)
-def test_tape_partials_match_diff(roots, points):
-    # every root along every coordinate, against diff compiled on one tape
-    # with the roots, so a sample fails there when a root or a derivative does
-    partials = [(r, i) for r in range(len(roots)) for i in range(DIM)]
-    tape = compile_tape(roots)
-    sweep = tape.sweep(points, partials)
-    ref = compile_tape([*roots, *(diff(roots[r], i) for r, i in partials)]).sweep(points)
-    failed = (sweep.first_bad < tape.size) | sweep.tangent_bad
-    assert list(failed) == list(ref.first_bad < ref.tape.size)
-    want = ref.values[~failed, len(roots) :]
-    got = sweep.partials[~failed]
-    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-
-
-def test_partials_cover_every_rule():
-    ch = Chart.box([(0.1, 1.0)] * 2)
-    body = parse_expr("sqrt(x0) * log(x0) + x0^-1.5", Chart.box([(0.0, 1.0)]))
-    texts = [f"{op}(0.5*x0 + x1*x0)" for op in UNARY if op != "neg"] + [
-        "-(x0*x1)",
-        "(x0 + x1)^0.5 - x1^-2 + x0^2.5/x1",
-        "x0/(x1 - x0^2) - 3/x1",
-        "f(x0*x1) * f(x1)",
-    ]
-    roots = [parse_expr(t, ch, {"f": body}) for t in texts]
-    pts = np.random.default_rng(3).uniform(0.2, 0.9, size=(9, 2))
-    partials = [(r, i) for r in range(len(roots)) for i in range(2)]
-    sweep = compile_tape(roots).sweep(pts, partials)
-    assert not sweep.tangent_bad.any()
-    want = compile_tape([diff(roots[r], i) for r, i in partials]).run(pts)
-    assert np.allclose(sweep.partials, want, rtol=1e-12, atol=0.0)
-    # without Call the rows are the nodes diff builds, evaluated alike
-    assert np.array_equal(sweep.partials[:, :-2], want[:, :-2])
-
-
-def test_unread_coordinate_has_no_tangent():
-    ch = Chart.box([(0.1, 1.0)] * 3)
-    e = parse_expr("sin(x0) * exp(x2) + x0^2", ch)
-    tape = compile_tape([e])
-    assert scalar_fields._Tangents(tape, [(0, 1)]).rows == 0
-    both = scalar_fields._Tangents(tape, [(0, 0), (0, 1)])
-    assert both.rows == scalar_fields._Tangents(tape, [(0, 0)]).rows
-    assert list(both.out_cols) == [0]
-    pts = [[0.3, 0.5, 0.7], [0.9, 0.2, 0.4]]
-    sweep = tape.sweep(pts, [(0, 1), (0, 2)])
-    assert np.array_equal(sweep.partials[:, 0], [0.0, 0.0])
-    want = [np.sin(0.3) * np.exp(0.7), np.sin(0.9) * np.exp(0.4)]
-    assert np.allclose(sweep.partials[:, 1], want)
-
-
-def test_partials_fail_where_diff_fails():
-    # d/dx0 of (x0 - 0.5)^1.5 is finite at x0 = 0.5, the second partial is not
-    ch = Chart.box([(0.0, 1.0)] * 2)
-    e = diff(parse_expr("(x0 - 0.5)^1.5 * x1", ch), 0)
-    tape = compile_tape([e])
-    pts = [[0.7, 0.5], [0.5, 0.5], [0.5, 0.0]]
-    sweep = tape.sweep(pts, [(0, 0), (0, 1)])
-    assert list(sweep.first_bad < tape.size) == [False, False, False]
-    assert list(sweep.tangent_bad) == [False, True, True]
-    with pytest.raises(EvalDomainError, match=r"zero raised to a negative power"):
-        compile_tape([diff(e, 0)]).run(pts[1:2])
-
-    # and only there: diff folds d/dx0 (2*x0 - x0*2) to ZERO, so the partial
-    # of its square root is ZERO, not 0/0
-    e = parse_expr("sqrt(2*x0 - x0*2) + x1", ch)
-    tape = compile_tape([e])
-    sweep = tape.sweep(pts, [(0, 0), (0, 1)])
-    assert not sweep.tangent_bad.any()
-    assert scalar_fields._Tangents(tape, [(0, 0)]).ops == []
-    assert np.array_equal(sweep.partials, [[0.0, 1.0]] * 3)
-    # the quotient rule builds x1^2 before its numerator folds to ZERO; that
-    # row is never evaluated, so its overflow at x1 = 1e200 is no failure
-    e = parse_expr("(2*x0 - x0*2)/x1", ch)
-    sweep = compile_tape([e]).sweep([[0.5, 1e200]], [(0, 0)])
-    assert not sweep.tangent_bad.any()
-    assert np.array_equal(sweep.partials, [[0.0]])
-
-
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -251,16 +172,12 @@ def test_chunked_sweep_matches_one_pass(monkeypatch):
     pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(40, 2))
     pts[29] = (0.3, 0.5)
     tape = compile_tape([e])
-    partials = [(0, 0), (0, 1)]
-    whole = tape.sweep(pts, partials)
-    # the bound counts tangent rows too: three points per chunk
-    rows = tape.size + scalar_fields._Tangents(tape, partials).rows
-    monkeypatch.setattr(scalar_fields, "_CHUNK", 3 * rows)
-    parts = tape.sweep(pts, partials)
+    whole = tape.sweep(pts)
+    # three points per chunk
+    monkeypatch.setattr(scalar_fields, "_CHUNK", 3 * tape.size)
+    parts = tape.sweep(pts)
     assert np.array_equal(parts.values, whole.values, equal_nan=True)
-    assert np.array_equal(parts.partials, whole.partials, equal_nan=True)
     assert np.array_equal(parts.first_bad, whole.first_bad)
-    assert np.array_equal(parts.tangent_bad, whole.tangent_bad)
     assert list(np.flatnonzero(parts.first_bad < tape.size)) == [29]
     assert str(parts.error(29)) == "division by zero: 1/(x0 - 0.3)"
 
