@@ -276,16 +276,16 @@ def _metric_checks(G: np.ndarray, ok: np.ndarray):
     return G, ev, cond, not_spd, ok & ~not_spd & (cond > CONDITION_WARN)
 
 
-def _warn_conditions(cond, ill, labels, j: int, at_j: bool) -> None:
+def _warn_conditions(cond, ill, labels, j: int, at_j: bool, stacklevel: int = 5) -> None:
     """Warn as metric_at does at every ill-conditioned sample before the
     first failing sample j, and at j itself when at_j (its failure comes
-    after the positivity check)."""
+    after the positivity check). stacklevel is that of warnings.warn here."""
     for k in np.flatnonzero(ill[: j + 1]):
         if k < j or at_j:
             warnings.warn(
                 f"metric condition number {cond[k]:.3e} at {labels[k]}",
                 ConditionNumberWarning,
-                stacklevel=5,
+                stacklevel=stacklevel,
             )
 
 

@@ -11,10 +11,11 @@ the identities, classifies the pair (metric, tensor), and builds the two
 canonical model pairs that realize the classification.
 
 Every field is compiled into an evaluation tape and run once over all sample
-points; residuals are stacked numpy over the sample axis, and covariant
-Hessians and derivatives are contracted numerically from the compiled partial
-derivatives and Christoffel symbols. Errors and warnings are those of checking
-one sample at a time in plan order.
+points; residuals are stacked numpy over the sample axis. The eigen-net's
+mean curvature normals, their partials and the Christoffel symbols come from
+the batch of second-order jets that also classifies the net (nets._Samples),
+and covariant Hessians and derivatives are contracted numerically. Errors and
+warnings are those of checking one sample at a time in plan order.
 
 Residual vocabulary (all residuals are normalized to be scale-free):
 
@@ -45,6 +46,7 @@ else is reported as "outside_hypotheses".
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +55,9 @@ import scipy.linalg
 from .chart_calculus import (
     MetricField,
     _cov,
-    _gamma_roots,
     _ginner,
     _gnorm,
+    _jet_roots,
     _split,
     _stacked,
     det_expr,
@@ -70,9 +72,9 @@ from .nets import (
     Flag,
     NetReport,
     OrthogonalNet,
-    _SpanFields,
+    _classify,
+    _Samples,
     _status,
-    classify_net,
 )
 from .product_metrics import (
     FactorSpec,
@@ -409,10 +411,8 @@ class _EigenModel:
 
     def __init__(self, g: MetricField, phi: SymTensorField, p0, pair: EigenPair):
         self.g = g
-        self.phi = phi
-        self.anchor = tuple(float(x) for x in p0)
-        at_anchor = np.array([self.anchor])
-        self.pair0 = pair
+        anchor = tuple(float(x) for x in p0)
+        at_anchor = np.array([anchor])
         n = g.dim
         pr, qr = pair.rank_lambda, pair.rank_mu
         self.rank_lambda, self.rank_mu = pr, qr
@@ -435,18 +435,14 @@ class _EigenModel:
                        const(float(qr * n)))
             signs.append((lam_e, mu_e))
         vals = compile_tape([e for pair_e in signs for e in pair_e]).run(at_anchor)[0]
-        best = None
-        for a, (lam_e, mu_e) in enumerate(signs):
-            err = abs(vals[2 * a] - pair.lam) + abs(vals[2 * a + 1] - pair.mu)
-            if best is None or err < best[0]:
-                best = (float(err), lam_e, mu_e)
-        scale = 1.0 + abs(pair.lam) + abs(pair.mu)
-        if best[0] > 1e-6 * scale:
+        errs = [abs(vals[2 * a] - pair.lam) + abs(vals[2 * a + 1] - pair.mu) for a in range(2)]
+        best = min(range(2), key=errs.__getitem__)
+        if errs[best] > 1e-6 * (1.0 + abs(pair.lam) + abs(pair.mu)):
             raise InconsistencyError(
                 "closed-form eigenvalue fields disagree with the pointwise "
-                f"decomposition at {self.anchor}: error {best[0]:.3e}"
+                f"decomposition at {anchor}: error {errs[best]:.3e}"
             )
-        self.lam_expr, self.mu_expr = best[1], best[2]
+        self.lam_expr, self.mu_expr = signs[best]
         self.dlam = tuple(diff(self.lam_expr, i) for i in range(n))
         self.dmu = tuple(diff(self.mu_expr, i) for i in range(n))
         self.alpha = mul(const(0.5), add(self.lam_expr, self.mu_expr))
@@ -457,27 +453,22 @@ class _EigenModel:
 
         gap_e = sub(self.lam_expr, self.mu_expr)
 
-        def projector_cols(shift: Expr, rank: int):
-            mat = [
-                [
-                    div(sub(comp[i][j], shift) if i == j else comp[i][j], gap_e)
-                    for j in range(n)
-                ]
+        def projector(shift: Expr):
+            return [
+                [div(sub(comp[i][j], shift) if i == j else comp[i][j], gap_e) for j in range(n)]
                 for i in range(n)
             ]
-            vals = compile_tape([e for row in mat for e in row]).run(at_anchor)
-            _, _, piv = scipy.linalg.qr(vals.reshape(n, n), pivoting=True)
-            cols = sorted(int(c) for c in piv[:rank])
-            return [tuple(mat[i][c] for i in range(n)) for c in cols]
 
-        lam_frame = projector_cols(self.mu_expr, pr)
         # the mu projector is (Phi - lam I)/(mu - lam); reuse gap_e with a sign
-        mu_mat_cols = projector_cols(self.lam_expr, qr)
-        mu_frame = [tuple(mul(const(-1.0), e) for e in col) for col in mu_mat_cols]
+        mats = (projector(self.mu_expr), projector(self.lam_expr))
+        vals = compile_tape([e for mat in mats for row in mat for e in row]).run(at_anchor)
+        frame = []
+        for mat, v, rank, sign in zip(mats, vals.reshape(2, n, n), (pr, qr), (ONE, const(-1.0))):
+            _, _, piv = scipy.linalg.qr(v, pivoting=True)
+            for c in sorted(int(c) for c in piv[:rank]):
+                frame.append(tuple(mul(sign, mat[i][c]) for i in range(n)))
         blocks = (tuple(range(pr)), tuple(range(pr, n)))
-        self.net = OrthogonalNet(g.chart, lam_frame + mu_frame, blocks)
-        self.sf_lam = _SpanFields(g, self.net, self.net.blocks[0])
-        self.sf_mu = _SpanFields(g, self.net, self.net.blocks[1])
+        self.net = OrthogonalNet(g.chart, frame, blocks)
 
 
 @dataclass
@@ -497,16 +488,7 @@ class CriteriaRecord:
     zeta_two_path: float
 
     def to_dict(self) -> dict:
-        return {
-            "lam": self.lam,
-            "mu": self.mu,
-            "mean_curvature": self.mean_curvature,
-            "conformal_product": self.conformal_product,
-            "mu_spherical": self.mu_spherical,
-            "lambda_spherical": self.lambda_spherical,
-            "eta_two_path": self.eta_two_path,
-            "zeta_two_path": self.zeta_two_path,
-        }
+        return dataclasses.asdict(self)
 
 
 # --- identity residuals over the samples ------------------------------------------
@@ -569,51 +551,52 @@ class _Scores:
         )
 
 
-def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, pts, labels,
+def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Samples,
               gap_min: float, h_expr: Expr | None = None) -> _Scores:
-    """Score every identity at every sample from one tape run.
+    """Score every identity at every sample.
 
-    The tape holds lambda, the first partials of lambda, mu, alpha and beta,
-    both mean curvature normals and their partials, the Christoffel symbols,
-    the second partials of lambda, mu and alpha, and h(mu). Failures are
-    raised in the order of checking one sample at a time: the two clusters,
-    the evaluation of lambda, a change of rank, then the fields in the order
-    the pointwise definition reads them, restricted to those it reads there
-    (alpha and beta only where lambda + mu is bounded away from zero, second
-    partials d_i d_l only for l in the support of a mu eigenvector)."""
-    g = model.g
-    n = g.dim
-    m = len(pts)
+    The mean curvature normals eta and zeta, their partials, the Christoffel
+    symbols and the inverse metric come from the eigen-net's jets in
+    samples; one tape holds lambda, the first partials of lambda, mu, alpha
+    and beta, the second partials of lambda, mu and alpha, and h(mu).
+    Failures are raised in the order of checking one sample at a time: the
+    two clusters, the evaluation of lambda, a change of rank, then the
+    fields in the order the pointwise definition reads them, restricted to
+    those it reads there (alpha and beta only where lambda + mu is bounded
+    away from zero, second partials d_i d_l only for l in the support of a
+    mu eigenvector). Where the jets are not finite, that definition's
+    symbolic trees (samples.reference) are swept, and replace them."""
+    n = model.g.dim
+    labels = samples.labels
+    m = len(labels)
     pr, qr = model.rank_lambda, model.rank_mu
-    eta, zeta = model.sf_lam.H, model.sf_mu.H
-    gamma = g.christoffel_entries()
 
     def second(df):
         return [[diff(df[l], i) for l in range(n)] for i in range(n)]
 
-    def partials(V):
-        return [[diff(V[k], i) for i in range(n)] for k in range(n)]
-
     d2lam, d2mu, d2alpha = second(model.dlam), second(model.dmu), second(model.dalpha)
-    deta, dzeta = partials(eta), partials(zeta)
 
     def flat(rows):
         return [e for row in rows for e in row]
 
     hs = [h_expr] if h_expr is not None else []
-    roots = [model.lam_expr, *model.dlam, *model.dmu, *eta, *zeta, *model.dalpha, *model.dbeta,
-             *flat(deta), *_gamma_roots(g), *flat(d2lam), *flat(d2mu), *flat(dzeta),
-             *flat(d2alpha), *hs]
+    roots = [model.lam_expr, *model.dlam, *model.dmu, *model.dalpha, *model.dbeta,
+             *flat(d2lam), *flat(d2mu), *flat(d2alpha), *hs]
     tape = compile_tape(roots)
-    sweep = tape.sweep(np.asarray(pts, dtype=float))
+    sweep = tape.sweep(samples.sweep.points)
     fb = sweep.first_bad
+
+    # eta, zeta, d_i eta^k, d_i zeta^k and Gamma^k_ij from the jets
+    lam_side, mu_side = (samples.sides[s] for s in model.net.blocks)
+    jets = [a.copy() for a in (lam_side.H, mu_side.H, lam_side.dH, mu_side.dH, samples.gamma)]
+    jets_ok = np.logical_and.reduce([np.isfinite(a.reshape(m, -1)).all(axis=1) for a in jets])
 
     # stages per sample: lambda is evaluated before the rank check, the other
     # fields after it
     lam_ok = fb >= tape.bounds[1]
     eig.align(np.where(lam_ok, sweep.values[:, 0], 0.0))
     stage = np.full(m, _OK)
-    stage[fb < tape.size] = _FIELD_DOMAIN
+    stage[(fb < tape.size) | ~jets_ok] = _FIELD_DOMAIN
     stage[eig.rank_lambda() != pr] = _RANK_CHANGE
     stage[~lam_ok] = _LAM_DOMAIN
     stage[eig.failed()] = _COALESCED
@@ -622,15 +605,16 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, pts, labels,
     cp_ok = np.abs(lam + mu) > gap_min * (1.0 + np.abs(lam) + np.abs(mu))
     X, Y = eig.bases(pr)
 
-    def read(cp: bool, support) -> list:
+    def read(cp: bool, support, trees) -> list:
         """The fields the pointwise definition reads, in order, at a sample
         where cp_ok is cp and support[b, l] says whether the b-th mu
-        eigenvector has a nonzero l-th component."""
+        eigenvector has a nonzero l-th component; trees are the symbolic
+        eta, zeta, partials and Gamma, or None where the jets stand in."""
+        eta, zeta, deta, dzeta, gam = trees or ([],) * 5
         out = [*model.dlam, *model.dmu, *eta, *zeta]
         if cp:
             out += [*model.dalpha, *model.dbeta]
-        out += flat(deta)
-        out += [gamma[k][i][c] for k in range(n) for i in range(n) for c in range(i, n)]
+        out += deta + gam
         seen: set = set()
         for b in range(qr):
             new = [l for l in range(n) if support[b][l] and l not in seen]
@@ -638,7 +622,7 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, pts, labels,
             out += [d2lam[i][l] for i in range(n) for l in new]
             out += [d2mu[i][l] for i in range(n) for l in new]
             if b == 0:
-                out += flat(dzeta)
+                out += dzeta
             if cp:
                 out += [d2alpha[i][l] for i in range(n) for l in new]
         if h_expr is not None:
@@ -649,14 +633,27 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, pts, labels,
     # rerun those samples on the fields they read, one tape per reading
     suspects: dict = {}
     for j in np.flatnonzero(stage == _FIELD_DOMAIN):
-        key = (bool(cp_ok[j]), tuple(map(tuple, Y[j] != 0.0)))
+        key = (bool(cp_ok[j]), tuple(map(tuple, Y[j] != 0.0)), bool(jets_ok[j]))
         suspects.setdefault(key, []).append(j)
+    trees = None
+    if not all(finite for *_, finite in suspects):
+        eta, zeta = (_jet_roots(samples.reference(s).H) for s in model.net.blocks)
+        # Gamma^k_ji is the node of Gamma^k_ij, so all of Gamma reads as its
+        # upper triangle does
+        gamma = flat(flat(model.g.christoffel_entries()))
+        trees = (eta[:n], zeta[:n], eta[n:], zeta[n:], gamma)
     field_errors = {}
-    for (cp, support), js in suspects.items():
-        exact = compile_tape(read(cp, support)).sweep(sweep.points[js])
+    for (cp, support, finite), js in suspects.items():
+        # a reading reads every tree, so appending them adds no slot
+        roots = read(cp, support, None) if finite else read(cp, support, trees) + flat(trees)
+        exact = compile_tape(roots).sweep(sweep.points[js])
         for r, j in enumerate(js):
             if exact.first_bad[r] < exact.tape.size:
                 field_errors[j] = (exact, r)
+            elif not finite:
+                clean = exact.values[r : r + 1, -len(flat(trees)):]
+                for a, v in zip(jets, _split(clean, (n,), (n,), (n, n), (n, n), (n, n, n))):
+                    a[j] = v[0]
 
     for j in np.flatnonzero(stage != _OK):
         if stage[j] == _COALESCED:
@@ -677,11 +674,10 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, pts, labels,
         # failures left are in fields never read at their samples
         vals = np.where(np.isfinite(vals), vals, 0.0)
 
-    (_, dlam, dmu, eta_v, zeta_v, dalpha, dbeta, deta_v, gam, d2lam_v, d2mu_v, dzeta_v,
-     d2alpha_v, *h_vals) = _split(vals, (), *[(n,)] * 6, (n, n), (n, n, n), *[(n, n)] * 4,
-                                *[()] * len(hs))
-    G, P = fields.G, fields.P
-    Ginv = np.linalg.inv(G)
+    (_, dlam, dmu, dalpha, dbeta, d2lam_v, d2mu_v, d2alpha_v, *h_vals) = _split(
+        vals, (), *[(n,)] * 4, *[(n, n)] * 3, *[()] * len(hs))
+    eta_v, zeta_v, deta_v, dzeta_v, gam = jets
+    G, P, Ginv = fields.G, fields.P, samples.Ginv
     grad_lam = np.einsum("mij,mj->mi", Ginv, dlam)
     grad_mu = np.einsum("mij,mj->mi", Ginv, dmu)
 
@@ -761,9 +757,10 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, pts, labels,
 
 def _eigen_model(g: MetricField, phi: SymTensorField, pts, labels, gap_min: float,
                  tol: float, pairs=()):
-    """Fields and eigenstructure over the samples, and the eigen model
-    anchored at the first sample. Raises NotCodazziError at the worst sample
-    when pair vectors are given and the residual exceeds tol."""
+    """Fields and eigenstructure over the samples, the eigen model anchored
+    at the first sample, and the unchecked samples of its net. Raises
+    NotCodazziError at the worst sample when pair vectors are given and the
+    residual exceeds tol."""
     fields = _metric_tensor(g, phi, pts, labels, tol, pairs)
     if pairs:
         j = int(np.argmax(fields.codazzi))
@@ -778,7 +775,7 @@ def _eigen_model(g: MetricField, phi: SymTensorField, pts, labels, gap_min: floa
     if eig.failed()[0]:
         raise eig.error(0, labels[0])
     model = _EigenModel(g, phi, labels[0], eig.pair(0, fields.G[0], fields.P[0]))
-    return fields, eig, model
+    return fields, eig, model, _Samples(g, model.net, range(2), pts, labels)
 
 
 def criteria_residuals(g: MetricField, phi: SymTensorField, p,
@@ -786,8 +783,8 @@ def criteria_residuals(g: MetricField, phi: SymTensorField, p,
     """Evaluate all eigenvalue identities at one point, anchoring the
     closed-form fields at that same point."""
     p = tuple(float(x) for x in p)
-    fields, eig, model = _eigen_model(g, phi, [p], [p], gap_min, tol)
-    return _criteria(model, fields, eig, [p], [p], gap_min).record(0)
+    fields, eig, model, samples = _eigen_model(g, phi, [p], [p], gap_min, tol)
+    return _criteria(model, fields, eig, samples, gap_min).record(0)
 
 
 # --- classification -------------------------------------------------------------
@@ -879,10 +876,10 @@ def classify_codazzi(
     pts = sample_points(g.chart, plan)
     labels = [tuple(float(x) for x in p) for p in pts]
     pairs = _codazzi_pair_exprs(g, phi)
-    fields, eig, model = _eigen_model(g, phi, pts, labels, gap_min, tol, pairs)
+    fields, eig, model, samples = _eigen_model(g, phi, pts, labels, gap_min, tol, pairs)
     worst = float(fields.codazzi.max())
     h_expr = _h_of_mu(h, model.mu_expr) if h is not None else None
-    sc = _criteria(model, fields, eig, pts, labels, gap_min, h_expr)
+    sc = _criteria(model, fields, eig, samples, gap_min, h_expr)
 
     eigen_samples = [
         {"point": list(p), "lam": float(lv), "mu": float(mv)}
@@ -902,32 +899,24 @@ def classify_codazzi(
     lam_along_max = float(sc.lam_along.max(initial=0.0))
     mu_along_max = float(sc.mu_along.max(initial=0.0))
 
-    if model.rank_lambda >= 2 and lam_along_max > tol:
-        raise InconsistencyError(
-            "a rank >= 2 eigenvalue must be constant along its eigenbundle, "
-            f"but the lambda field varies by {lam_along_max:.3e}"
-        )
-    if model.rank_mu >= 2 and mu_along_max > tol:
-        raise InconsistencyError(
-            "a rank >= 2 eigenvalue must be constant along its eigenbundle, "
-            f"but the mu field varies by {mu_along_max:.3e}"
-        )
+    for name, rank, along in (("lambda", model.rank_lambda, lam_along_max),
+                              ("mu", model.rank_mu, mu_along_max)):
+        if rank >= 2 and along > tol:
+            raise InconsistencyError(
+                "a rank >= 2 eigenvalue must be constant along its eigenbundle, "
+                f"but the {name} field varies by {along:.3e}"
+            )
 
-    residuals: dict = dict(maxes)
+    cp_max = maxes["conformal_product"]
+    spherical = max(maxes["mu_spherical"], maxes["lambda_spherical"])
+    residuals = {**maxes, "conformal_product": cp_max if cp_evaluated else None}
     flags = {
-        "conformal_product": Flag(
-            _status(maxes["conformal_product"], tol) if cp_evaluated else "not_applicable",
-            maxes["conformal_product"],
-        ),
-        "spherical_eigenbundles": Flag(
-            _status(max(maxes["mu_spherical"], maxes["lambda_spherical"]), tol),
-            max(maxes["mu_spherical"], maxes["lambda_spherical"]),
-        ),
+        "conformal_product": Flag(_status(cp_max, tol) if cp_evaluated else "not_applicable", cp_max),
+        "spherical_eigenbundles": Flag(_status(spherical, tol), spherical),
     }
-    if not cp_evaluated:
-        residuals["conformal_product"] = None
 
-    net_report = classify_net(g, model.net, plan, tol)
+    # the metric checks and their warnings ran in the first pass
+    net_report = _classify(samples.check(metric=False), tol)
 
     relation_case = None
     constants = None

@@ -48,7 +48,9 @@ instead of passing.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,6 +304,7 @@ def _geometry(vals: np.ndarray, n: int, spans, frame) -> tuple:
         defects    (m, pairs, n)  C_ab^perp - M_ab H, a <= b, when r > 1
         nabla H    (m, r, n)      (dH) X_a + Gamma(X_a, H)
         brackets   (m, pairs, n)  [X_a, X_b]^perp, a < b
+        dH         (m, n, n)      d_i H^k at [k, i]
 
     where X holds the span's fields as rows, M = X g X^T is their Gram
     matrix, R = X^T M^-1 X (so R g projects onto the span and I - R g onto
@@ -313,7 +316,8 @@ def _geometry(vals: np.ndarray, n: int, spans, frame) -> tuple:
         d_p H = ((I - R g) d_p K - (d_p R) g K - R (d_p g) K) / r
 
     Spans of rank 0 map to None. All spans go through each step together.
-    Returns the metric G (m, n, n), the frame F (m, n, n) and that map."""
+    Returns the metric G (m, n, n), its inverse, the Christoffel symbols
+    Gamma^k_ij (m, k, i, j), the frame F (m, n, n) and that map."""
     m = len(vals)
     nt = n * (n + 1) // 2
     width = nt + n * n
@@ -409,8 +413,8 @@ def _geometry(vals: np.ndarray, n: int, spans, frame) -> tuple:
             ia, ib = _pairs(r, 0)
             Sp = Pi @ C.reshape(m, n, r * r)
             defects = (Sp[:, :, ia * r + ib] - H[:, t, :, None] * M[t][:, ia, ib][:, None]).swapaxes(1, 2)
-        out[s] = (H[:, t], defects, covH, brackets)
-    return G, F, out
+        out[s] = (H[:, t], defects, covH, brackets, dH[:, t].swapaxes(1, 2))
+    return G, Ginv, gamma.reshape(m, n, n, n), F, out
 
 
 @dataclass
@@ -418,6 +422,7 @@ class _Side:
     """Residuals of one span (a block or a complement) over the samples."""
 
     H: np.ndarray  # (m, n) mean curvature normal
+    dH: np.ndarray  # (m, n, n) d_i H^k at [k, i]
     covH: np.ndarray  # (m, rank, n) nabla_{X_a} H over the span's fields
     umb: np.ndarray  # (m,) each
     sph: np.ndarray
@@ -431,103 +436,105 @@ class _Samples:
     One tape holds the metric and frame entries and their first and second
     partials; one sweep gives their values over all samples, and _geometry
     computes from them, per requested block, the geometry of its span and of
-    its complement. The checks then run per stage over all samples, and the
-    first sample that fails any of them raises, with the stage that fails
-    first there. Condition warnings are issued for every sample up to that
-    one.
+    its complement, and the residuals. The checks run later, when the caller
+    calls check: per stage over all samples, the first sample that fails any
+    of them raises, with the stage that fails first there, and condition
+    warnings are issued for every sample up to that one.
 
     The pointwise definition differentiates symbolic trees of H (see
-    _SpanFields), so it may fail where the jets do not, and the reverse. A
-    sample whose metric and frame evaluate but whose jets or derived values
-    are not finite is swept again on those trees, built only then: the error
-    is the one that sweep raises first, and where it is clean its values
-    replace the derived ones."""
+    _SpanFields, built on first use by reference), so it may fail where the
+    jets do not, and the reverse. A sample whose metric and frame evaluate
+    but whose jets or derived values are not finite is swept again on those
+    trees: the error is the one that sweep raises first, and where it is
+    clean its values replace the derived ones."""
 
     def __init__(self, g: MetricField, net: OrthogonalNet, blocks, pts, labels):
         n = g.dim
-        self.net = net
+        self.g, self.net, self.labels = g, net, labels
         self.spans = {i: (net.blocks[i], net.complement(i)) for i in blocks}
         unique = list(dict.fromkeys(s for pair in self.spans.values() for s in pair))
+        self._reference: dict = {}
 
         nt = n * (n + 1) // 2
-        inputs = nt + n * n
-        frame = None
-        if all(isinstance(e, Const) for f in net.frame for e in f):
-            frame = np.array([[e.value for e in f] for f in net.frame])
+        constant = all(isinstance(e, Const) for f in net.frame for e in f)
+        frame = np.array([[e.value for e in f] for f in net.frame]) if constant else None
         tape = compile_tape(_input_jets(g, net))
-        sweep = tape.sweep(pts)
+        self.sweep = sweep = tape.sweep(pts)
+        self._metric_end, self._frame_end = tape.bounds[nt], tape.bounds[nt + n * n]
         m = len(sweep.values)
         with np.errstate(all="ignore"):
-            self.G, self.F, geometry = _geometry(sweep.values, n, unique, frame)
+            self.G, self.Ginv, self.gamma, self.F, geometry = _geometry(sweep.values, n, unique, frame)
 
-        frame_end = tape.bounds[inputs]
         derived = [a.reshape(m, -1) for parts in filter(None, geometry.values()) for a in parts]
         suspect = ~np.isfinite(np.concatenate(derived, axis=1).sum(axis=1))
         suspect |= sweep.first_bad < tape.size
-        js = np.flatnonzero(suspect & (sweep.first_bad >= frame_end))
-        field_errors = {}
+        js = np.flatnonzero(suspect & (sweep.first_bad >= self._frame_end))
+        self._field_errors = {}
         if js.size:
-            exact_roots, exact_parts = _layout(g, [_SpanFields(g, net, s) for s in unique])
+            exact_roots, exact_parts = _layout(g, [self.reference(s) for s in unique])
             exact = compile_tape(exact_roots).sweep(sweep.points[js])
             for r, j in enumerate(js):
                 if exact.first_bad[r] < exact.tape.size:
-                    field_errors[int(j)] = (exact, r)
+                    self._field_errors[int(j)] = (exact, r)
                     continue
                 for s, sls in zip(unique, exact_parts):
+                    # the trees give all parts but dH, which keeps its jet values
                     for a, sl in zip(geometry[s] or (), sls or ()):
                         a[j] = exact.values[r, sl].reshape(a.shape[1:])
 
-        self.norms = self._check(sweep, tape.bounds[nt], frame_end, labels, field_errors)
-        self.sides = {s: self._side(s, geometry[s]) for s in unique}
+        with np.errstate(all="ignore"):
+            # the Gram matrix of the frame, and the g-norms of its fields
+            self.M = self.F @ self.G @ self.F.transpose(0, 2, 1)
+            self.norms = np.sqrt(np.maximum(np.einsum("maa->ma", self.M), 0.0))
+            self.sides = {s: self._side(s, geometry[s]) for s in unique}
 
-    def _check(self, sweep, metric_end, frame_end, labels, field_errors) -> np.ndarray:
+    def reference(self, span) -> _SpanFields:
+        """The symbolic trees of a span, built on first use."""
+        if span not in self._reference:
+            self._reference[span] = _SpanFields(self.g, self.net, span)
+        return self._reference[span]
+
+    def check(self, metric: bool = True) -> "_Samples":
         """Raise what the pointwise definition raises first, and warn on the
         way; values at a sample past its first failure are never read.
-        field_errors maps the samples whose fields fail to the sweep and row
-        that name the failure. Returns the g-norms of the frame fields, (m, n)."""
-        G, F = self.G, self.F
+        metric=False skips the metric's checks and warnings, for a caller
+        that has run them on the same samples. Returns self."""
+        G, labels, field_errors = self.G, self.labels, self._field_errors
         m, n = G.shape[:2]
-        eye = np.eye(n)
-        fb = sweep.first_bad
+        fb = self.sweep.first_bad
         stage = np.full(m, _CLEAN)
         stage[np.array(sorted(field_errors), dtype=np.intp)] = _FIELD_DOMAIN
 
-        metric_ok = fb >= metric_end
-        Gs, ev, cond, not_spd, ill = _metric_checks(G, metric_ok)
+        metric_ok = fb >= self._metric_end
+        not_spd = np.zeros(m, dtype=bool)
+        if metric:
+            _, ev, cond, not_spd, ill = _metric_checks(G, metric_ok)
 
-        frame_ok = metric_ok & ~not_spd & (fb >= frame_end)
-        Fs = np.where(frame_ok[:, None, None], F, eye)
-        M = Fs @ Gs @ Fs.transpose(0, 2, 1)
-        evm = np.linalg.eigvalsh(M)
+        frame_ok = metric_ok & ~not_spd & (fb >= self._frame_end)
+        evm = np.linalg.eigvalsh(np.where(frame_ok[:, None, None], self.M, np.eye(n)))
         degenerate = frame_ok & (evm[:, 0] <= _GRAM_COND_FLOOR * np.maximum(evm[:, -1], 1e-300))
 
-        groups = [b for b in self.net.blocks if b]
-        pairs = [
-            (a, c)
-            for bi in range(len(groups))
-            for bj in range(bi + 1, len(groups))
-            for a in groups[bi]
-            for c in groups[bj]
-        ]
-        pa = np.array([a for a, _ in pairs], dtype=np.intp)
-        pc = np.array([c for _, c in pairs], dtype=np.intp)
-        norms = np.sqrt(np.maximum(np.einsum("maa->ma", M), 0.0))
-        ip = np.abs(M[:, pa, pc])
-        skew = ip / np.maximum(norms[:, pa] * norms[:, pc], 1e-300) > _ORTHO_TOL
+        pairs = [(a, c) for b, d in itertools.combinations(self.net.blocks, 2) for a in b for c in d]
+        pa, pc = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        ip = np.abs(self.M[:, pa, pc])
+        with np.errstate(all="ignore"):  # read only where frame_ok
+            skew = ip / np.maximum(self.norms[:, pa] * self.norms[:, pc], 1e-300) > _ORTHO_TOL
 
         stage[frame_ok & ~degenerate & skew.any(axis=1)] = _NOT_ORTHOGONAL
         stage[degenerate] = _DEGENERATE
-        stage[metric_ok & ~not_spd & (fb < frame_end)] = _FRAME_DOMAIN
+        stage[metric_ok & ~not_spd & (fb < self._frame_end)] = _FRAME_DOMAIN
         stage[not_spd] = _NOT_SPD
         stage[~metric_ok] = _METRIC_DOMAIN
 
         failed = np.flatnonzero(stage != _CLEAN)
         j = int(failed[0]) if failed.size else m
-        _warn_conditions(cond, ill, labels, j, j < m and stage[j] > _NOT_SPD)
+        if metric:
+            # at the caller of classify_net, distribution_geometry or cwp_residual
+            _warn_conditions(cond, ill, labels, j, j < m and stage[j] > _NOT_SPD, stacklevel=4)
         if j == m:
-            return norms
+            return self
         if stage[j] in (_METRIC_DOMAIN, _FRAME_DOMAIN):
-            raise sweep.error(j)
+            raise self.sweep.error(j)
         if stage[j] == _FIELD_DOMAIN:
             exact, r = field_errors[j]
             raise exact.error(r)
@@ -552,8 +559,9 @@ class _Samples:
         m, n = G.shape[:2]
         zero = np.zeros(m)
         if geometry is None:
-            return _Side(np.zeros((m, n)), np.zeros((m, 0, n)), zero, zero, zero, zero)
-        H, defects, covH, brackets = geometry
+            return _Side(np.zeros((m, n)), np.zeros((m, n, n)), np.zeros((m, 0, n)),
+                         zero, zero, zero, zero)
+        H, defects, covH, brackets, dH = geometry
         r = len(span)
         idx = np.array(span, dtype=np.intp)
         other = np.array([k for k in range(n) if k not in span], dtype=np.intp)
@@ -572,7 +580,7 @@ class _Samples:
             sph = (ip / scale).max(axis=(1, 2))
         geo = umb + _gnorm(H, G)
         integ = pair_max(brackets, *_pairs(r, 1))
-        return _Side(H, covH, umb, sph, geo, integ)
+        return _Side(H, dH, covH, umb, sph, geo, integ)
 
     def block(self, i: int) -> tuple[_Side, _Side]:
         b, c = self.spans[i]
@@ -653,14 +661,14 @@ def distribution_geometry(g: MetricField, net: OrthogonalNet, i: int, p) -> Dist
     """Second-fundamental residuals of block i and its complement at p."""
     if not 0 <= i < len(net.blocks):
         raise ConstraintError(f"no block {i} in a {len(net.blocks)}-block net")
-    return _Samples(g, net, (i,), [p], [tuple(p)]).geometry(i)
+    return _Samples(g, net, (i,), [p], [tuple(p)]).check().geometry(i)
 
 
 def cwp_residual(g: MetricField, net: OrthogonalNet, i: int, p, tol: float = 1e-8) -> float:
     """Mean-curvature exchange residual for block i at p. Raises
     NotApplicableError when the umbilicity preconditions fail at p, so the
     caller never mistakes an unevaluable identity for a zero residual."""
-    samples = _Samples(g, net, (i,), [p], [tuple(p)])
+    samples = _Samples(g, net, (i,), [p], [tuple(p)]).check()
     geom = samples.geometry(i)
     if geom.umbilicity > tol or geom.umbilicity_perp > tol:
         raise NotApplicableError(
@@ -679,7 +687,7 @@ class Flag:
     residual: float
 
     def to_dict(self) -> dict:
-        return {"status": self.status, "residual": self.residual}
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -737,12 +745,14 @@ def classify_net(
     """
     plan = plan or SamplePlan()
     pts = sample_points(g.chart, plan)
-    nblocks = len(net.blocks)
-    if nblocks < 2:
-        raise ConstraintError("classification needs at least two blocks")
+    samples = _Samples(g, net, range(len(net.blocks)), pts, [tuple(p) for p in pts.tolist()])
+    return _classify(samples.check(), tol)
 
-    labels = [tuple(p) for p in pts.tolist()]
-    samples = _Samples(g, net, range(nblocks), pts, labels)
+
+def _classify(samples: _Samples, tol: float) -> NetReport:
+    """classify_net on samples of every block whose checks have passed."""
+    nblocks = len(samples.net.blocks)
+    labels = samples.labels
     sides = [samples.block(i) for i in range(nblocks)]
     res = samples.residuals(range(nblocks))
     umb, sph = res["umbilicity"], res["sphericity"]
@@ -777,7 +787,7 @@ def classify_net(
 
     cp_hs0_max = 0.0
     admitted = (umb[0] <= tol) & (umb_p[0] <= tol)
-    eq0_evaluated = bool(net.blocks[0]) and bool(admitted.any())
+    eq0_evaluated = bool(samples.net.blocks[0]) and bool(admitted.any())
     if eq0_evaluated:
         exchange = np.where(admitted, samples.exchange(0), 0.0)
         cp_hs0_max = _worst("cp_hs0_residual", exchange, labels)
@@ -796,6 +806,6 @@ def classify_net(
         flags=flags,
         h0_sum_residual=h0_max,
         cp_hs0_residual=cp_hs0_max if eq0_evaluated else None,
-        n_samples=len(pts),
+        n_samples=len(labels),
         residuals=res,
     )

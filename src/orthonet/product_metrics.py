@@ -253,13 +253,14 @@ def _connection_residuals(spec: ProductSpec, pts, X, Y) -> np.ndarray:
 
     The metric, the Christoffel symbols of it and of the product metric,
     and per twist its value and the partials of its log are swept on one
-    tape, after the fields when they are expressions. Errors are those of
+    tape, after the fields when they are expressions. The identity is
+    tensorial, so the fields are taped without their partials. Errors are those of
     _stacked; a twist that is not positive fails right after its value."""
     if spec.conformal_factor is not None:
         raise ConstraintError("connection identity applies to unscaled twisted specs")
     g = build_metric(spec)
     n = g.dim
-    fields = [] if isinstance(X, np.ndarray) else [*X, *_jet_roots(Y)]
+    fields = [] if isinstance(X, np.ndarray) else [*X, *Y]
     roots = fields + _gamma_roots(g) + _gamma_roots(spec._product_metric)
     twisted = [i for i, rho in enumerate(spec.twists) if not is_const_one(rho)]
     checks = []
@@ -272,16 +273,15 @@ def _connection_residuals(spec: ProductSpec, pts, X, Y) -> np.ndarray:
         ))
         roots += [spec.twists[i]] + [diff(log(spec.twists[i]), l) for l in range(n)]
     G, vals = _stacked(g, roots, pts, checks=checks)
-    field_shapes = [(n,), (n,), (n, n)] if fields else []
+    field_shapes = [(n,), (n,)] if fields else []
     parts = _split(vals, *field_shapes, (n, n, n), (n, n, n), *[(1,), (n,)] * len(twisted))
-    lead = 0.0
     if fields:
-        X, Y, dY, *parts = parts
-        lead = np.einsum("mki,m...i->m...k", dY, X)
+        X, Y, *parts = parts
     gam, gam_product, *parts = parts
-    # nabla_X Y = X(Y) + Gamma(X, Y) under either connection
-    lhs = lead + np.einsum("mkij,m...i,m...j->m...k", gam, X, Y)
-    rhs = lead + np.einsum("mkij,m...i,m...j->m...k", gam_product, X, Y)
+    # nabla_X Y = X(Y) + Gamma(X, Y) under either connection; X(Y) cancels
+    # in lhs - rhs, so only the Gamma terms are kept
+    lhs = np.einsum("mkij,m...i,m...j->m...k", gam, X, Y)
+    rhs = np.einsum("mkij,m...i,m...j->m...k", gam_product, X, Y)
     Ginv = np.linalg.inv(G)
     unorm_sum = 0.0
     pairs = (slice(None),) + (None,) * (X.ndim - 2)

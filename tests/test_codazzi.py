@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_expr, random_point
-from orthonet import fixtures
+from orthonet import fixtures, nets
 from orthonet.chart_calculus import MetricField, hessian_lc, metric_at
 from orthonet.codazzi import (
     CodazziCandidate,
@@ -491,6 +491,61 @@ def test_ill_conditioned_metric_warnings():
         ],
         "tensor is not self-adjoint at (0.5, 0.1): defect 1.124e-01",
     )
+
+
+def test_each_condition_warning_is_issued_once():
+    # the first pass checks the metric and warns; the eigen-net's checks of
+    # the same samples do not warn again
+    chart = _unit_chart(2)
+    g = MetricField.diagonal(chart, [ONE, parse_expr("5e-9*exp(3*x0)", chart)])
+    phi = SymTensorField.diagonal(chart, [ZERO, parse_expr("exp(-1.5*x0)", chart)], metric=g)
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        classify_codazzi(g, phi, h=ZERO, plan=SamplePlan(grid=3, margin=0.1, random=3, seed=2))
+    assert [str(w.message) for w in rec] == [
+        "metric condition number 1.482e+08 at (0.1, 0.1)",
+        "metric condition number 1.482e+08 at (0.1, 0.5)",
+        "metric condition number 1.482e+08 at (0.1, 0.9)",
+    ]
+
+
+def _numbers(tree, path=""):
+    """The numbers of a nested report dict by path."""
+    if isinstance(tree, dict):
+        return {k: v for key, sub in tree.items() for k, v in _numbers(sub, f"{path}.{key}").items()}
+    if isinstance(tree, list):
+        return {k: v for i, sub in enumerate(tree) for k, v in _numbers(sub, f"{path}[{i}]").items()}
+    return {path: tree}
+
+
+def test_non_finite_jets_fall_back_to_the_symbolic_normals(monkeypatch):
+    # where the eigen-net's jets of eta, zeta, their partials or Gamma are not
+    # finite, the symbolic trees of the pointwise definition give them
+    g, phi = torus()
+    want = _numbers(classify_codazzi(g, phi, h=const(1.0), plan=PLAN).to_dict())
+    built = []
+    init, reference = nets._Samples.__init__, nets._Samples.reference
+
+    def poisoned(self, *args):
+        init(self, *args)
+        self.sides[self.net.blocks[0]].dH[2] = np.nan  # d eta at sample 2
+        self.sides[self.net.blocks[1]].H[4] = np.inf  # zeta at sample 4
+        self.gamma[5] = np.nan
+
+    def counting(self, span):
+        built.append(span)
+        return reference(self, span)
+
+    monkeypatch.setattr(nets._Samples, "__init__", poisoned)
+    monkeypatch.setattr(nets._Samples, "reference", counting)
+    got = _numbers(classify_codazzi(g, phi, h=const(1.0), plan=PLAN).to_dict())
+    assert built == [(0,), (1,)]
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert math.isclose(got[key], value, rel_tol=1e-9, abs_tol=1e-12), key
+        else:
+            assert got[key] == value, key
 
 
 # --- independent oracles ----------------------------------------------------------

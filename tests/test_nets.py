@@ -301,6 +301,18 @@ def test_condition_warnings_once_each_in_plan_order():
     assert texts == _pointwise_warnings(g, samples)
 
 
+def test_condition_warnings_name_the_caller():
+    g = _diag2("1", "1e-9*(1 + x0*x1)")
+    p = (1.5, 0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        classify_net(g, _coordinate(g), ORDER_PLAN)
+        distribution_geometry(g, _coordinate(g), 1, p)
+        cwp_residual(g, _coordinate(g), 1, p)
+    assert len(caught) == 11
+    assert {w.filename for w in caught} == {__file__}
+
+
 def test_condition_warnings_stop_at_the_failing_sample():
     # ill-conditioned at samples 0-5, not positive definite from sample 6
     g = _diag2("1.75 - x0", "1e-9*(1 + x1)")
@@ -395,6 +407,58 @@ def test_classify_tape_stays_small(monkeypatch):
     assert sizes[0] <= 65
 
 
+def _conformal_pair():
+    cand = fixtures.conformal_product_pair()
+    return cand.metric, cand.tensor
+
+
+@pytest.mark.parametrize(
+    "make, h, bound",
+    [(fixtures.torus, const(1.0), 101), (_conformal_pair, None, 120)],
+    ids=["torus", "conformal_pair"],
+)
+def test_codazzi_reads_the_eigen_net_jets_once(monkeypatch, make, h, bound):
+    # a clean classify_codazzi sweeps the eigen-net's jets once, for both the
+    # identities and the net classification, and builds no symbolic span
+    # trees; the criteria tape took 205 (torus) and 424 (pair) slots when it
+    # held eta, zeta, their partials and the Christoffel symbols
+    built, jets, criteria, public = [], [], [], []
+    init = nets._SpanFields.__init__
+    net_compile, codazzi_compile = nets.compile_tape, codazzi.compile_tape
+    scores = codazzi._criteria
+
+    def counting(self, *args):
+        built.append(args[-1])
+        init(self, *args)
+
+    def jet_compile(roots):
+        tape = net_compile(roots)
+        jets.append(tape.size)
+        return tape
+
+    def criteria_compile(roots):
+        tape = codazzi_compile(roots)
+        criteria.append(tape.size)
+        return tape
+
+    def criteria_spy(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(codazzi, "compile_tape", criteria_compile)
+            return scores(*args, **kwargs)
+
+    monkeypatch.setattr(nets._SpanFields, "__init__", counting)
+    monkeypatch.setattr(nets, "compile_tape", jet_compile)
+    for module in (nets, codazzi):
+        monkeypatch.setattr(module, "classify_net", lambda *args: public.append(args), raising=False)
+    monkeypatch.setattr(codazzi, "_criteria", criteria_spy)
+    g, phi = make()
+    rep = codazzi.classify_codazzi(g, phi, h=h, plan=SamplePlan(grid=6, seed=1))
+    assert rep.flags["spherical_eigenbundles"].status == "pass"
+    assert built == [] and public == []
+    assert len(jets) == 1
+    assert criteria[0] <= bound
+
+
 # --- jets against the symbolic reference on moving frames -------------------------
 
 
@@ -464,7 +528,7 @@ def test_jet_geometry_matches_symbolic_trees_on_moving_frames(make):
         if part is None:
             continue
         exact = tuple(vals[:, sl].reshape(m, -1, n) for sl in part)
-        want = samples._side(span, (exact[0][:, 0], *exact[1:]))
+        want = samples._side(span, (exact[0][:, 0], *exact[1:], side.dH))
         close(side.H, want.H)
         close(side.covH, want.covH)
         close(side.umb, want.umb)

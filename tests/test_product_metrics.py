@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_expr, random_twisted_spec
-from orthonet import fixtures
+from orthonet import fixtures, product_metrics
 from orthonet.chart_calculus import MetricField, metric_at
 from orthonet.errors import ConstraintError, EvalDomainError
 from orthonet.product_metrics import (
@@ -30,6 +30,7 @@ from orthonet.scalar_fields import (
     Tape,
     const,
     evaluate,
+    is_const_one,
     mul,
     parse_expr,
     var,
@@ -162,6 +163,31 @@ def test_stacked_connection_identity_rows_match_single_point():
         assert rows.max() <= 1e-9
         for j, p in enumerate(pts):
             assert rows[j] == verify_connection_identity(spec, Xe, Ye, p)
+
+
+def test_connection_identity_tapes_fields_without_partials(monkeypatch):
+    # the identity is tensorial: X(Y) cancels in lhs - rhs, so the tape holds
+    # the 2n components of X and Y and no partial of Y
+    taped = []
+    stacked = product_metrics._stacked
+
+    def spy(g, roots, *args, **kwargs):
+        taped.append(list(roots))
+        return stacked(g, roots, *args, **kwargs)
+
+    monkeypatch.setattr(product_metrics, "_stacked", spy)
+    rng = np.random.default_rng(11)
+    spec = random_twisted_spec(rng)
+    n = spec.chart.dim
+    X = tuple(random_expr(rng, n, depth=1) for _ in range(n))
+    Y = tuple(random_expr(rng, n, depth=1) for _ in range(n))
+    assert verify_connection_identity(spec, X, Y, spec.chart.center()) <= 1e-9
+    twisted = sum(1 for rho in spec.twists if not is_const_one(rho))
+    (roots,) = taped
+    # then the Christoffel symbols of both metrics, and per twist its value
+    # and the partials of its log
+    assert len(roots) - 2 * n**3 - twisted * (1 + n) == 2 * n
+    assert roots[: 2 * n] == [*X, *Y]
 
 
 def test_stacked_spherical_check_rows_match_single_point():

@@ -1,15 +1,17 @@
 """Exact oracle: sympy computes the Christoffel symbols, each span's mean
 curvature normal H, nabla_X H over the span's fields, and the umbilicity,
 sphericity and geodesy residuals of the fixtures from their closed-form
-metrics, at dyadic rational points (so the float sample is the rational
-point itself). The numeric paths must agree to 1e-12 relative."""
+metrics, and the mean curvature normals eta and zeta of the eigen-nets of
+two Codazzi pairs with <nabla_X eta, Y> and <nabla_Y zeta, X>, at dyadic
+rational points (so the float sample is the rational point itself). The
+numeric paths must agree to 1e-12 relative."""
 
 import numpy as np
 import pytest
 
-from orthonet import fixtures
+from orthonet import codazzi, fixtures
 from orthonet.chart_calculus import christoffel, metric_at
-from orthonet.codazzi import codazzi_residual
+from orthonet.codazzi import codazzi_residual, criteria_residuals
 from orthonet.nets import OrthogonalNet, _Samples, distribution_geometry
 
 sp = pytest.importorskip("sympy")
@@ -191,3 +193,52 @@ def test_codazzi_defect_simplifies_to_zero(name, make, phi):
     g, tensor = make()
     for p in points:
         assert codazzi_residual(g, tensor, tuple(float(c) for c in p)) <= RTOL
+
+
+def _nabla(V, xs, gamma):
+    """nabla_i V^k = d_i V^k + Gamma^k_ij V^j, at [i][k]."""
+    n = len(xs)
+    return [[sp.diff(V[k], xs[i]) + sum(gamma[k][i][j] * V[j] for j in range(n))
+             for k in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("name, make", [
+    ("torus", fixtures.torus),
+    ("conformal_product_pair", _conformal_pair),
+])
+def test_eigen_net_normals_match_exact(name, make, monkeypatch):
+    # both pairs are diagonal with lambda on the first axis, so the lambda
+    # and mu eigenbundles are spanned by d/dx0 and d/dx1
+    _, xs, gm, points = FORMS[name]
+    gamma = _gamma(gm, xs)
+    eta = _span(gm, xs, gamma, [0])[0]
+    zeta = _span(gm, xs, gamma, [1])[0]
+    nabla_eta, nabla_zeta = _nabla(eta, xs, gamma), _nabla(zeta, xs, gamma)
+    calls = []
+    cov = codazzi._cov
+
+    def spy(dV, gam, V, X):
+        out = cov(dV, gam, V, X)
+        calls.append((V[0], X[0], out[0]))
+        return out
+
+    monkeypatch.setattr(codazzi, "_cov", spy)
+    g, tensor = make()
+    for p in points:
+        calls.clear()
+        criteria_residuals(g, tensor, tuple(float(c) for c in p))
+        # _criteria takes nabla_X eta over the lambda eigenvectors X, then
+        # nabla_Y zeta over the mu eigenvectors Y
+        (eta_v, X, cov_eta), (zeta_v, Y, cov_zeta) = calls
+        at = _At(xs, p)
+        n = len(xs)
+        G = at([gm[i, j] for i in range(n) for j in range(n)]).reshape(n, n)
+        _close(eta_v, at(eta))
+        _close(zeta_v, at(zeta))
+        exact_eta = np.stack([at(row) for row in nabla_eta])
+        exact_zeta = np.stack([at(row) for row in nabla_zeta])
+        _close(cov_eta, X @ exact_eta)
+        _close(cov_zeta, Y @ exact_zeta)
+        # <nabla_X eta, Y> and <nabla_Y zeta, X>, which vanish on both pairs
+        _close(cov_eta @ G @ Y.T, X @ exact_eta @ G @ Y.T)
+        _close(X @ G @ cov_zeta.T, X @ G @ (Y @ exact_zeta).T)
