@@ -26,6 +26,8 @@ Gamma[k][i][j] multiplies X^i Y^j, and
 from __future__ import annotations
 
 import itertools
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -276,16 +278,25 @@ def _metric_checks(G: np.ndarray, ok: np.ndarray):
     return G, ev, cond, not_spd, ok & ~not_spd & (cond > CONDITION_WARN)
 
 
-def _warn_conditions(cond, ill, labels, j: int, at_j: bool, stacklevel: int = 5) -> None:
+# warnings name the first frame outside this directory (warnings.warn
+# takes skip_file_prefixes only from Python 3.12 on)
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _warn_conditions(cond, ill, labels, j: int, at_j: bool) -> None:
     """Warn as metric_at does at every ill-conditioned sample before the
     first failing sample j, and at j itself when at_j (its failure comes
-    after the positivity check). stacklevel is that of warnings.warn here."""
+    after the positivity check). Each warning names the first caller
+    outside the package."""
+    level, frame = 1, sys._getframe()
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        level, frame = level + 1, frame.f_back
     for k in np.flatnonzero(ill[: j + 1]):
         if k < j or at_j:
             warnings.warn(
                 f"metric condition number {cond[k]:.3e} at {labels[k]}",
                 ConditionNumberWarning,
-                stacklevel=stacklevel,
+                stacklevel=level,
             )
 
 

@@ -445,11 +445,6 @@ class _EigenModel:
         self.lam_expr, self.mu_expr = signs[best]
         self.dlam = tuple(diff(self.lam_expr, i) for i in range(n))
         self.dmu = tuple(diff(self.mu_expr, i) for i in range(n))
-        self.alpha = mul(const(0.5), add(self.lam_expr, self.mu_expr))
-        self.beta = div(sub(self.mu_expr, self.lam_expr),
-                        add(self.mu_expr, self.lam_expr))
-        self.dalpha = tuple(diff(self.alpha, i) for i in range(n))
-        self.dbeta = tuple(diff(self.beta, i) for i in range(n))
 
         gap_e = sub(self.lam_expr, self.mu_expr)
 
@@ -557,14 +552,15 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Sample
 
     The mean curvature normals eta and zeta, their partials, the Christoffel
     symbols and the inverse metric come from the eigen-net's jets in
-    samples; one tape holds lambda, the first partials of lambda, mu, alpha
-    and beta, the second partials of lambda, mu and alpha, and h(mu).
+    samples; one tape holds lambda, mu, the first and second partials of
+    lambda and mu, and h(mu). The partials of alpha = (lambda + mu)/2 and
+    beta = (mu - lambda)/(mu + lambda) follow from these where lambda + mu
+    is bounded away from zero, the only samples that read them.
     Failures are raised in the order of checking one sample at a time: the
     two clusters, the evaluation of lambda, a change of rank, then the
     fields in the order the pointwise definition reads them, restricted to
-    those it reads there (alpha and beta only where lambda + mu is bounded
-    away from zero, second partials d_i d_l only for l in the support of a
-    mu eigenvector). Where the jets are not finite, that definition's
+    those it reads there (second partials d_i d_l only for l in the support
+    of a mu eigenvector). Where the jets are not finite, that definition's
     symbolic trees (samples.reference) are swept, and replace them."""
     n = model.g.dim
     labels = samples.labels
@@ -574,14 +570,14 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Sample
     def second(df):
         return [[diff(df[l], i) for l in range(n)] for i in range(n)]
 
-    d2lam, d2mu, d2alpha = second(model.dlam), second(model.dmu), second(model.dalpha)
+    d2lam, d2mu = second(model.dlam), second(model.dmu)
 
     def flat(rows):
         return [e for row in rows for e in row]
 
     hs = [h_expr] if h_expr is not None else []
-    roots = [model.lam_expr, *model.dlam, *model.dmu, *model.dalpha, *model.dbeta,
-             *flat(d2lam), *flat(d2mu), *flat(d2alpha), *hs]
+    roots = [model.lam_expr, model.mu_expr, *model.dlam, *model.dmu,
+             *flat(d2lam), *flat(d2mu), *hs]
     tape = compile_tape(roots)
     sweep = tape.sweep(samples.sweep.points)
     fb = sweep.first_bad
@@ -605,16 +601,13 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Sample
     cp_ok = np.abs(lam + mu) > gap_min * (1.0 + np.abs(lam) + np.abs(mu))
     X, Y = eig.bases(pr)
 
-    def read(cp: bool, support, trees) -> list:
+    def read(support, trees) -> list:
         """The fields the pointwise definition reads, in order, at a sample
-        where cp_ok is cp and support[b, l] says whether the b-th mu
-        eigenvector has a nonzero l-th component; trees are the symbolic
-        eta, zeta, partials and Gamma, or None where the jets stand in."""
+        where support[b, l] says whether the b-th mu eigenvector has a
+        nonzero l-th component; trees are the symbolic eta, zeta, partials
+        and Gamma, or None where the jets stand in."""
         eta, zeta, deta, dzeta, gam = trees or ([],) * 5
-        out = [*model.dlam, *model.dmu, *eta, *zeta]
-        if cp:
-            out += [*model.dalpha, *model.dbeta]
-        out += deta + gam
+        out = [*model.dlam, *model.dmu, *eta, *zeta, *deta, *gam]
         seen: set = set()
         for b in range(qr):
             new = [l for l in range(n) if support[b][l] and l not in seen]
@@ -623,8 +616,6 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Sample
             out += [d2mu[i][l] for i in range(n) for l in new]
             if b == 0:
                 out += dzeta
-            if cp:
-                out += [d2alpha[i][l] for i in range(n) for l in new]
         if h_expr is not None:
             out.append(h_expr)
         return out
@@ -633,7 +624,7 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Sample
     # rerun those samples on the fields they read, one tape per reading
     suspects: dict = {}
     for j in np.flatnonzero(stage == _FIELD_DOMAIN):
-        key = (bool(cp_ok[j]), tuple(map(tuple, Y[j] != 0.0)), bool(jets_ok[j]))
+        key = (tuple(map(tuple, Y[j] != 0.0)), bool(jets_ok[j]))
         suspects.setdefault(key, []).append(j)
     trees = None
     if not all(finite for *_, finite in suspects):
@@ -643,9 +634,9 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Sample
         gamma = flat(flat(model.g.christoffel_entries()))
         trees = (eta[:n], zeta[:n], eta[n:], zeta[n:], gamma)
     field_errors = {}
-    for (cp, support, finite), js in suspects.items():
+    for (support, finite), js in suspects.items():
         # a reading reads every tree, so appending them adds no slot
-        roots = read(cp, support, None) if finite else read(cp, support, trees) + flat(trees)
+        roots = read(support, None) if finite else read(support, trees) + flat(trees)
         exact = compile_tape(roots).sweep(sweep.points[js])
         for r, j in enumerate(js):
             if exact.first_bad[r] < exact.tape.size:
@@ -674,8 +665,8 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Sample
         # failures left are in fields never read at their samples
         vals = np.where(np.isfinite(vals), vals, 0.0)
 
-    (_, dlam, dmu, dalpha, dbeta, d2lam_v, d2mu_v, d2alpha_v, *h_vals) = _split(
-        vals, (), *[(n,)] * 4, *[(n, n)] * 3, *[()] * len(hs))
+    (lam_c, mu_c, dlam, dmu, d2lam_v, d2mu_v, *h_vals) = _split(
+        vals, (), (), (n,), (n,), (n, n), (n, n), *[()] * len(hs))
     eta_v, zeta_v, deta_v, dzeta_v, gam = jets
     G, P, Ginv = fields.G, fields.P, samples.Ginv
     grad_lam = np.einsum("mij,mj->mi", Ginv, dlam)
@@ -716,14 +707,19 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Sample
     cp = np.zeros(m)
     if cp_ok.any():
         alpha = (0.5 * (lam + mu))[:, None, None]
+        dalpha, d2alpha = 0.5 * (dlam + dmu), 0.5 * (d2lam_v + d2mu_v)
+        # the quotient rule for beta, on the closed-form lambda and mu
+        plus, minus = (mu_c + lam_c)[:, None], (mu_c - lam_c)[:, None]
         with np.errstate(all="ignore"):
             beta = np.where(cp_ok, (mu - lam) / (mu + lam), 0.0)[:, None, None]
+            dbeta = np.where(cp_ok[:, None],
+                             ((dmu - dlam) * plus - minus * (dmu + dlam)) / plus**2, 0.0)
         Xa, Ya, Xb, Yb = on(dalpha, X), on(dalpha, Y), on(dbeta, X), on(dbeta, Y)
         cp = pair_max(_rel(
             2.0 * beta * Xa[col] * Ya[row],
             alpha * Xa[col] * Yb[row],
             alpha * Ya[row] * Xb[col],
-            -alpha * beta * _hess(d2alpha_v, gam, dalpha, X, Y),
+            -alpha * beta * _hess(d2alpha, gam, dalpha, X, Y),
         ))
 
     relation = ode = None

@@ -529,8 +529,7 @@ class _Samples:
         failed = np.flatnonzero(stage != _CLEAN)
         j = int(failed[0]) if failed.size else m
         if metric:
-            # at the caller of classify_net, distribution_geometry or cwp_residual
-            _warn_conditions(cond, ill, labels, j, j < m and stage[j] > _NOT_SPD, stacklevel=4)
+            _warn_conditions(cond, ill, labels, j, j < m and stage[j] > _NOT_SPD)
         if j == m:
             return self
         if stage[j] in (_METRIC_DOMAIN, _FRAME_DOMAIN):

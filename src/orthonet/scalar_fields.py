@@ -8,11 +8,13 @@ of shared subtrees cheap and keeps derivative trees compact DAGs.
 
 Two evaluators share one set of domain rules: `evaluate` interprets a tree
 at one point, and `compile_tape` turns a list of trees into a tape that
-`Tape.run` evaluates over a whole array of points with numpy. Derivatives
-are trees too: a caller that needs partials puts `diff` of its (small)
-input trees on the tape. Tree walks that may meet deep trees
-(differentiation, substitution, printing, tape compilation) keep their own
-stack instead of recursing.
+`Tape.run` evaluates over a whole array of points with numpy; the error at
+a failing point comes from the interpreter, run on the failing node
+(`Sweep.error`). `parse_expr` expands a named function by substitution, so
+every tree reads chart coordinates only. Derivatives are trees too: a
+caller that needs partials puts `diff` of its (small) input trees on the
+tape. Tree walks that may meet deep trees (differentiation, substitution,
+printing, tape compilation) keep their own stack instead of recursing.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "Unary",
     "Binary",
     "Power",
-    "Call",
     "Jet2",
     "const",
     "var",
@@ -182,20 +183,6 @@ class Power(Expr):
         object.__setattr__(self, "exponent", float(exponent))
 
 
-class Call(Expr):
-    """Named univariate user function applied to a sub-expression. The body
-    is an expression in a single auxiliary variable (index 0); composition
-    and differentiation go through substitution."""
-
-    __slots__ = ("name", "body", "arg")
-
-    def __init__(self, name: str, body: Expr, arg: Expr):
-        super().__init__()
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "arg", arg)
-
-
 ZERO = Const(0.0)
 ONE = Const(1.0)
 
@@ -300,24 +287,8 @@ def apply_unary(op: str, arg: Expr) -> Expr:
     return Unary(op, arg)
 
 
-def exp(a: Expr) -> Expr:
-    return apply_unary("exp", a)
-
-
 def log(a: Expr) -> Expr:
     return apply_unary("log", a)
-
-
-def sin(a: Expr) -> Expr:
-    return apply_unary("sin", a)
-
-
-def cos(a: Expr) -> Expr:
-    return apply_unary("cos", a)
-
-
-def sqrt(a: Expr) -> Expr:
-    return apply_unary("sqrt", a)
 
 
 # --- evaluation -------------------------------------------------------------
@@ -411,8 +382,6 @@ def _eval(e: Expr, point, cache: dict) -> float:
             out = va / vb
     elif isinstance(e, Power):
         out = _pow_value(_eval(e.base, point, cache), e.exponent, e)
-    elif isinstance(e, Call):
-        out = _eval(e.body, (_eval(e.arg, point, cache),), {})
     else:
         raise TypeError(f"unknown expression node {type(e).__name__}")
     if not math.isfinite(out):
@@ -426,9 +395,9 @@ def _eval(e: Expr, point, cache: dict) -> float:
 # A tape is the straight-line program of a list of expressions (Griewank and
 # Walther, Evaluating Derivatives, 2008): one slot per distinct node in the
 # post-order that _eval visits, each evaluated once over a whole batch of
-# points. Structurally equal nodes share a slot and Call bodies are inlined,
-# so the first failing slot at a point is the node the interpreter would have
-# failed on, and its error names the same sub-expression.
+# points. Structurally equal nodes share a slot, so the first failing slot at
+# a point is the node the interpreter would have failed on, and its error
+# names the same sub-expression.
 
 _UNARY_UFUNC = {
     "neg": np.negative,
@@ -561,29 +530,21 @@ class Sweep:
         self.first_bad = first_bad
 
     def error(self, j: int) -> EvalDomainError:
-        """The error the interpreter raises at point j."""
+        """The error the interpreter raises at point j: the node of the first
+        failing slot, evaluated by the interpreter from its operands' slot
+        values, which are finite."""
         k = int(self.first_bad[j])
-        op, *args = self.tape.instrs[k]
+        node = self.tape.nodes[k]
         with np.errstate(all="ignore"):
             col = self.tape._slot_values(self.points[j : j + 1])[:, 0]
-        message = "non-finite value"
-        if op == "log" and col[args[0]] <= 0.0:
-            message = "log of a nonpositive value"
-        elif op == "sqrt" and col[args[0]] < 0.0:
-            message = "sqrt of a negative value"
-        elif op in _UNARY_UFUNC:
-            message = "overflow"
-        elif op == "/" and col[args[1]] == 0.0:
-            message = "division by zero"
-        elif op == "^":
-            base, c = col[args[0]], args[1]
-            if base == 0.0 and c < 0.0:
-                message = "zero raised to a negative power"
-            elif base < 0.0 and c != int(c):
-                message = "fractional power of a negative base"
-            else:
-                message = "overflow in power"
-        return EvalDomainError(message, format_expr(self.tape.nodes[k]))
+        # instrs[k][1:] starts with the operand slots, in the order of _children
+        operands = {c: float(col[s]) for c, s in zip(_children(node), self.tape.instrs[k][1:])}
+        try:
+            _eval(node, self.points[j], operands)
+            # numpy left a non-finite value where math did not
+            _raise_domain("non-finite value", node)
+        except EvalDomainError as e:
+            return e
 
 
 def compile_tape(roots) -> Tape:
@@ -591,21 +552,18 @@ def compile_tape(roots) -> Tape:
 
     Slots follow the post-order of evaluating the roots in turn with a shared
     cache. A node structurally equal to an earlier one (same kind, operation,
-    constant or exponent, and operand slots) reuses its slot. A Call's body
-    is inlined with its variable bound to the argument's slot."""
+    constant or exponent, and operand slots) reuses its slot."""
     nodes: list = []
     instrs: list = []
     by_key: dict = {}
-    # per Call-argument slot (None outside Call bodies): node -> slot
-    memos: dict = {None: {}}
+    memo: dict = {}  # node -> slot
     root_slots: list = []
     bounds = [0]
 
     for root in roots:
-        stack = [(root, None)]
+        stack = [root]
         while stack:
-            node, ctx = stack[-1]
-            memo = memos[ctx]
+            node = stack[-1]
             if node in memo:
                 stack.pop()
                 continue
@@ -614,16 +572,16 @@ def compile_tape(roots) -> Tape:
                 a, b = memo.get(node.a), memo.get(node.b)
                 if a is None or b is None:
                     if b is None:
-                        stack.append((node.b, ctx))
+                        stack.append(node.b)
                     if a is None:
-                        stack.append((node.a, ctx))
+                        stack.append(node.a)
                     continue
                 key = (node.op, a, b)
             elif t is Unary or t is Power:
                 child = node.arg if t is Unary else node.base
                 a = memo.get(child)
                 if a is None:
-                    stack.append((child, ctx))
+                    stack.append(child)
                     continue
                 if t is Power:
                     key = ("^", a, node.exponent)
@@ -634,24 +592,7 @@ def compile_tape(roots) -> Tape:
             elif t is Const:
                 key = ("const", node.value)
             elif t is Var:
-                if ctx is None:
-                    key = ("var", node.index)
-                elif node.index == 0:
-                    memo[node] = ctx
-                    continue
-                else:
-                    raise ValueError(f"a call body reads variable {node.index}")
-            elif t is Call:
-                a = memo.get(node.arg)
-                if a is None:
-                    stack.append((node.arg, ctx))
-                    continue
-                body = memos.setdefault(a, {}).get(node.body)
-                if body is None:
-                    stack.append((node.body, a))
-                    continue
-                memo[node] = body
-                continue
+                key = ("var", node.index)
             else:
                 raise TypeError(f"unknown expression node {type(node).__name__}")
             slot = by_key.get(key)
@@ -661,7 +602,7 @@ def compile_tape(roots) -> Tape:
                 nodes.append(node)
             memo[node] = slot
             stack.pop()
-        root_slots.append(memos[None][root])
+        root_slots.append(memo[root])
         bounds.append(len(instrs))
     return Tape(nodes, instrs, root_slots, bounds)
 
@@ -700,13 +641,6 @@ def diff(e: Expr, i: int) -> Expr:
         elif t is Power:
             if k not in node.base._dcache:
                 stack.append((node.base, k))
-                continue
-        elif t is Call:
-            if 0 not in node.body._dcache:
-                stack.append((node.body, 0))
-                continue
-            if k not in node.arg._dcache:
-                stack.append((node.arg, k))
                 continue
         stack.pop()
         if node._dcache is _NO_PARTIALS:
@@ -757,9 +691,6 @@ def _diff(e: Expr, i: int) -> Expr:
         return div(sub(mul(da, e.b), mul(e.a, db)), powc(e.b, 2.0))
     if isinstance(e, Power):
         return mul(mul(const(e.exponent), powc(e.base, e.exponent - 1.0)), e.base._dcache[i])
-    if isinstance(e, Call):
-        inner = substitute(e.body._dcache[0], {0: e.arg})
-        return mul(inner, e.arg._dcache[i])
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
@@ -783,8 +714,8 @@ def free_vars(e: Expr) -> frozenset[int]:
 
 
 def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
-    """Replace Var(i) by mapping[i] wherever present. Missing indices keep
-    their variables. Call bodies are untouched (their variable is private)."""
+    """Replace Var(i) by mapping[i] wherever present, rebuilding with the
+    folding constructors. Missing indices keep their variables."""
     memo: dict[int, Expr] = {}
     stack = [e]
     while stack:
@@ -808,8 +739,6 @@ def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
             out = {"+": add, "-": sub, "*": mul, "/": div}[node.op](a, b)
         elif isinstance(node, Power):
             out = powc(memo[id(node.base)], node.exponent)
-        elif isinstance(node, Call):
-            out = Call(node.name, node.body, memo[id(node.arg)])
         else:
             raise TypeError(f"unknown expression node {type(node).__name__}")
         memo[id(node)] = out
@@ -817,15 +746,13 @@ def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
 
 
 def _children(e: Expr) -> tuple:
-    """Operands in the coordinate space of e (a Call body has its own)."""
+    """Operands of e, in evaluation order."""
     if isinstance(e, Unary):
         return (e.arg,)
     if isinstance(e, Binary):
         return (e.a, e.b)
     if isinstance(e, Power):
         return (e.base,)
-    if isinstance(e, Call):
-        return (e.arg,)
     return ()
 
 
@@ -854,8 +781,8 @@ def _fmt_float(v: float) -> str:
 
 
 def format_expr(e: Expr, names=None) -> str:
-    """Render to a string the parser accepts back (given the same chart names
-    and user-function declarations)."""
+    """Render to a string the parser accepts back (given the same chart
+    names)."""
 
     def name_of(i: int) -> str:
         if names is not None and i < len(names):
@@ -897,8 +824,6 @@ def format_expr(e: Expr, names=None) -> str:
             out = f"{a}{sep}{b}", prec
         elif isinstance(node, Power):
             out = f"{wrap(node.base, _PREC_POW + 1)}^{_fmt_float(node.exponent)}", _PREC_POW
-        elif isinstance(node, Call):
-            out = f"{node.name}({wrap(node.arg, 0)})", _PREC_ATOM
         else:
             raise TypeError(f"unknown expression node {type(node).__name__}")
         done[id(node)] = out
@@ -984,12 +909,18 @@ def parse_expr(text: str, chart: Chart, functions: dict[str, Expr] | None = None
         factor := "-" factor | base ("^" snumber)?
         base   := number | coord | "(" expr ")" | func "(" expr ")"
 
-    `functions` maps declared univariate function names to their bodies
-    (expressions in one auxiliary variable). Each parenthesis, call and
-    unary minus nests a factor, at most MAX_NESTING deep.
+    `functions` maps declared univariate function names to their bodies,
+    expressions in variable 0 only. A call is expanded where it is parsed:
+    the body with its variable replaced by the argument (`substitute`).
+    Each parenthesis, call and unary minus nests a factor, at most
+    MAX_NESTING deep.
     """
     toks = _Tokens(text)
     functions = functions or {}
+    for name, body in functions.items():
+        extra = free_vars(body) - {0}
+        if extra:
+            raise ValueError(f"function {name!r} reads variable {max(extra)}, not only variable 0")
     index = {name: i for i, name in enumerate(chart.names)}
     depth = 0
 
@@ -1056,7 +987,7 @@ def parse_expr(text: str, chart: Chart, functions: dict[str, Expr] | None = None
                 if text_ in _BUILTINS:
                     return apply_unary(text_, arg)
                 if text_ in functions:
-                    return Call(text_, functions[text_], arg)
+                    return substitute(functions[text_], {0: arg})
                 raise ParseError(f"unknown function {text_!r}", pos)
             if text_ in index:
                 return var(index[text_])

@@ -1,11 +1,14 @@
 """Manifest loading, command plumbing, exit codes, and output formats."""
 
+import importlib
 import json
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orthonet
 from orthonet import cli
 from orthonet.cli import (
     COMMANDS,
@@ -395,3 +398,12 @@ def test_deep_expression_manifest(tmp_path, capsys):
     assert main(["--command", "verify-product", "--manifest", path, "--format", "json"]) == 0
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
     assert verdicts["connection_identity"]["status"] == "pass"
+
+
+def test_every_exported_name_resolves():
+    # a deleted class or function must leave __all__ with it
+    names = ["orthonet"] + [f"orthonet.{m.name}" for m in pkgutil.iter_modules(orthonet.__path__)]
+    for name in names:
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], name

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_expr, random_point
-from orthonet import fixtures, nets
+from orthonet import codazzi, fixtures, nets
 from orthonet.chart_calculus import MetricField, hessian_lc, metric_at
 from orthonet.codazzi import (
     CodazziCandidate,
@@ -204,11 +204,25 @@ def test_classify_projection_tensor_on_flat_chart():
     assert rep.constants == (0.0, 1.0)
 
 
-def test_trace_free_pair_skips_conformal_product_criterion():
+def test_trace_free_pair_skips_conformal_product_criterion(monkeypatch):
     # lam + mu = 0 everywhere, so the alpha-beta identity has no meaning
     g = euclidean(2)
     phi = SymTensorField.diagonal(g.chart, [ONE, const(-1.0)], metric=g)
+    scores, tapes = codazzi._criteria, []
+
+    def counting(roots):
+        tapes.append(roots)
+        return compile_tape(roots)
+
+    def criteria_spy(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(codazzi, "compile_tape", counting)
+            return scores(*args, **kwargs)
+
+    monkeypatch.setattr(codazzi, "_criteria", criteria_spy)
     rep = classify_codazzi(g, phi, plan=PLAN)
+    # no sample fails the criteria sweep, so none is swept again
+    assert len(tapes) == 1
     assert rep.flags["conformal_product"].status == "not_applicable"
     assert rep.residuals["conformal_product"] is None
     assert rep.relation_case is None
@@ -507,6 +521,21 @@ def test_each_condition_warning_is_issued_once():
         "metric condition number 1.482e+08 at (0.1, 0.5)",
         "metric condition number 1.482e+08 at (0.1, 0.9)",
     ]
+
+
+def test_condition_warnings_name_the_caller():
+    chart = _unit_chart(2)
+    g = MetricField.diagonal(chart, [ONE, const(1e9)])
+    p = (0.5, 0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        phi = SymTensorField.diagonal(chart, [ZERO, ONE], metric=g)
+        classify_codazzi(g, phi, h=ZERO, plan=SamplePlan(grid=2, random=0))
+        criteria_residuals(g, phi, p)
+        eigen_two(g, phi, p)
+        codazzi_residual(g, phi, p)
+    assert len(caught) == 8
+    assert {w.filename for w in caught} == {__file__}
 
 
 def _numbers(tree, path=""):

@@ -13,6 +13,7 @@ from orthonet.scalar_fields import (
     ZERO,
     add,
     apply_unary,
+    compile_tape,
     const,
     diff,
     div,
@@ -78,9 +79,31 @@ def test_parse_named_functions():
     e = parse_expr("h(t^2) + 1", ch, functions={"h": h})
     t = 0.5
     assert math.isclose(evaluate(e, (t,)), (1.0 - 2.0 / t**2) + 1.0, rel_tol=1e-14)
-    # chain rule through the call node
+    # chain rule through the expanded body
     d = diff(e, 0)
     assert math.isclose(evaluate(d, (t,)), (2.0 / t**4) * 2.0 * t, rel_tol=1e-12)
+
+
+def test_named_functions_expand_to_the_substituted_tree():
+    ch = Chart.box([(0.2, 1.0)] * 2)
+    aux = Chart.box([(-10.0, 10.0)], names=("s",))
+    functions = {"f": parse_expr("log(s) + s^2", aux), "c": parse_expr("3", aux)}
+    e = parse_expr("f(x0*x1) - f(sin(x1)) + c(x0/0)", ch, functions)
+    by_hand = parse_expr("(log(x0*x1) + (x0*x1)^2) - (log(sin(x1)) + sin(x1)^2) + 3", ch)
+    assert compile_tape([e]).instrs == compile_tape([by_hand]).instrs
+    # the expanded tree prints and parses back without the declarations
+    back = parse_expr(format_expr(e), ch)
+    assert compile_tape([back]).instrs == compile_tape([e]).instrs
+    # a body that ignores its variable drops its argument, division by zero
+    # included
+    assert free_vars(parse_expr("c(x0/0)", ch, functions)) == frozenset()
+
+
+def test_function_body_may_read_only_its_variable():
+    ch = Chart.box([(0.2, 1.0)] * 2)
+    bodies = {"f": parse_expr("x0", ch), "g": parse_expr("x0*x1", ch)}
+    with pytest.raises(ValueError, match="function 'g' reads variable 1"):
+        parse_expr("f(x1)", ch, bodies)
 
 
 def test_parse_errors_carry_position():
