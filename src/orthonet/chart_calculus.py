@@ -1,17 +1,19 @@
 """Metric fields and Levi-Civita calculus on a single chart.
 
-The `*_exprs` builders and the cached inverse, determinant and Christoffel
-entries of a MetricField produce expression trees, so derived fields such as
-mean curvature normals stay differentiable to any order. Numbers come from
-one path: the trees a check reads are compiled with the metric entries into
-one tape (`scalar_fields.compile_tape`) and swept over all its sample points
-at once. `_stacked` does that with the checks of the metric (positive
-definiteness, conditioning) and raises at the first sample that fails, as
-checking one sample at a time would; contractions such as `_cov` are numpy
-over the sample axis. The single-point functions (`metric_at`,
-`christoffel`, `cov_deriv`, `grad_field`, `hessian_lc`, `lie_bracket`,
-`inner`, `norm`, `lc_axiom_residuals`) are that sweep at one point, and
-check the metric before they evaluate any field.
+Numbers come from one path: the fields a check reads are compiled with the
+metric entries into one tape (`scalar_fields.compile_tape`) and swept over
+all its sample points at once. `_stacked` does that with the checks of the
+metric (positive definiteness, conditioning) and raises at the first sample
+that fails, as checking one sample at a time would. The Christoffel symbols
+come from one numpy kernel over the metric's jets (`_levi_civita`), and
+contractions such as `_cov` are numpy over the sample axis too. The
+single-point functions (`metric_at`, `christoffel`, `cov_deriv`, ...,
+`lc_axiom_residuals`) are that sweep at one point.
+
+The `*_exprs` builders and the cached inverse and Christoffel entries of a
+MetricField are the pointwise reference only. A tape takes the metric
+partials in the order those trees read them first (`_Roots`), so the first
+failure at a sample is the one the trees name.
 
 Conventions: vectors are component tuples against the coordinate frame,
 Gamma[k][i][j] multiplies X^i Y^j, and
@@ -25,6 +27,8 @@ Gamma[k][i][j] multiplies X^i Y^j, and
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import os
 import sys
@@ -38,6 +42,7 @@ from .scalar_fields import (
     Expr,
     ZERO,
     ONE,
+    _cval,
     _is_zero,
     add,
     compile_tape,
@@ -213,15 +218,6 @@ def cov_deriv_exprs(g: MetricField, X, Y) -> tuple[Expr, ...]:
     return tuple(out)
 
 
-def grad_exprs(g: MetricField, f: Expr) -> tuple[Expr, ...]:
-    n = g.dim
-    ginv = g.inverse_entries()
-    df = [diff(f, l) for l in range(n)]
-    return tuple(
-        _sum_exprs([mul(ginv[k][l], df[l]) for l in range(n)]) for k in range(n)
-    )
-
-
 def inner_exprs(g: MetricField, X, Y) -> Expr:
     n = g.dim
     X = tuple(X)
@@ -318,9 +314,133 @@ def _gnorm(v, G) -> np.ndarray:
     return np.sqrt(np.maximum(_ginner(v, G, v), 0.0))
 
 
-def _gamma_roots(g: MetricField) -> list:
-    """Gamma^k_ij, k-major; their values reshape to (m, n, n, n)."""
-    return [e for plane in g.christoffel_entries() for row in plane for e in row]
+def _inv(A: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of square matrices, non-finite where one is
+    singular; 1 x 1 and 2 x 2 blocks in closed form."""
+    if A.shape[-1] == 1:
+        return 1.0 / A
+    if A.shape[-1] == 2:
+        det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+        adj = A[..., ::-1, ::-1].swapaxes(-1, -2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        return adj / det[..., None, None]
+    try:
+        return np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        out = np.full(A.shape, np.nan)
+        for j, a in enumerate(A):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[j] = np.linalg.inv(a)
+        return out
+
+
+def _levi_civita(G, dG, d2G=None):
+    """G^-1, Gamma (m, k, i, j) and, given d2G, d Gamma (m, p, k, i, j) from
+    stacked metric jets: G (m, n, n), dG[:, p] = d_p G, d2G[:, p, q] = d_p d_q G
+    (O'Neill, Semi-Riemannian Geometry, 1983, ch. 3):
+
+        Gamma^k_ij = g^kl B_lij / 2,  B_lij = d_i g_jl + d_j g_il - d_l g_ij
+        d_p Gamma  = g^-1 (d_p B / 2 - (d_p g) Gamma)
+    """
+    m, n = G.shape[:2]
+    Ginv = _inv(G)
+    B = dG.transpose(0, 3, 1, 2) + dG.transpose(0, 3, 2, 1) - dG
+    gamma = 0.5 * (Ginv @ B.reshape(m, n, n * n))  # rows k, columns ij
+    if d2G is None:
+        return Ginv, gamma.reshape(m, n, n, n), None
+    dB = d2G.transpose(0, 1, 4, 2, 3) + d2G.transpose(0, 1, 4, 3, 2) - d2G
+    T = 0.5 * dB.reshape(m, n * n, n * n) - dG.reshape(m, n * n, n) @ gamma
+    T = T.reshape(m, n, n, n * n).swapaxes(1, 2).reshape(m, n, n**3)
+    dgamma = (Ginv @ T).reshape(m, n, n, n * n).swapaxes(1, 2)
+    return Ginv, gamma.reshape(m, n, n, n), dgamma.reshape(m, n, n, n, n)
+
+
+def _partials(pairs) -> list:
+    """d_p e for each (e, p): every tape of metric (and frame) jets takes
+    its partials from here."""
+    return [diff(e, p) for e, p in pairs]
+
+
+def _gamma_reads(support, k: int, i: int, j: int) -> list:
+    """The (p, a, b), a <= b, of the partials d_p g_ab that the tree of
+    Gamma^k_ij (christoffel_entries) reads, in its order: over the l where
+    g^kl does not fold to zero (support), d_i g_jl, d_j g_il and d_l g_ij."""
+    return [(p, min(a, b), max(a, b)) for l in range(len(support)) if support[k][l]
+            for (a, b), p in (((j, l), i), ((i, l), j), ((i, j), l))]
+
+
+@functools.lru_cache(maxsize=64)
+def _christoffel_reads(pattern) -> tuple:
+    """Where the entries of inverse_exprs do not fold to zero, for a metric
+    whose constant entries are the floats of pattern (None elsewhere; the
+    smart constructors fold on constants only), and the _gamma_reads of all
+    of Gamma in the order its trees read them first."""
+    n = len(pattern)
+    stand_in = [[var(0) if v is None else const(v) for v in row] for row in pattern]
+    support = tuple(tuple(not _is_zero(e) for e in row) for row in inverse_exprs(stand_in))
+    kij = itertools.product(range(n), repeat=3)
+    return support, tuple(dict.fromkeys(r for t in kij for r in _gamma_reads(support, *t)))
+
+
+class _Roots:
+    """Roots of one tape, each taken once, in the order the pointwise
+    reference trees read them first. A metric partial d_p g_ab is keyed
+    (g, p, a, b), a <= b; unkeyed roots are appended to exprs."""
+
+    def __init__(self, exprs=()):
+        self.exprs, self.at = list(exprs), {}
+        self._reads, self._gamma, self._dg = {}, {}, {}
+
+    def take(self, key, e: Expr) -> None:
+        if key not in self.at:
+            self.at[key] = len(self.exprs)
+            self.exprs.append(e)
+
+    def reads(self, g: MetricField) -> tuple:
+        """_christoffel_reads of g."""
+        if g not in self._reads:
+            self._reads[g] = _christoffel_reads(tuple(tuple(_cval(e) for e in row) for row in g.entries))
+        return self._reads[g]
+
+    def partials(self, g: MetricField, reads) -> None:
+        """Take d_p g_ab for the (p, a, b) of reads."""
+        new = [r for r in dict.fromkeys(reads) if (g, *r) not in self.at]
+        start, cols = len(self.exprs), self._dg.setdefault(g, [])
+        self.exprs += _partials((g.entries[a][b], p) for p, a, b in new)
+        for t, r in enumerate(new, start):
+            self.at[(g, *r)] = t
+            cols.append((t, *r))
+
+    def gamma(self, g: MetricField, k: int, i: int, j: int) -> bool:
+        """Take what the tree of Gamma^k_ij reads; False where it folds to
+        zero (all it reads is then constant)."""
+        key = (g, k, min(i, j), max(i, j))
+        if key not in self._gamma:
+            reads = _gamma_reads(self.reads(g)[0], k, i, j)
+            self.partials(g, reads)
+            c = [_cval(self.exprs[self.at[(g, *r)]]) for r in reads]
+            self._gamma[key] = any(
+                None in c[t : t + 3] or c[t] + c[t + 1] - c[t + 2] != 0.0 for t in range(0, len(c), 3)
+            )
+        return self._gamma[key]
+
+    def christoffel(self, g: MetricField) -> None:
+        """Take the metric partials all of Gamma reads."""
+        self.partials(g, self.reads(g)[1])
+
+    def stack(self, vals: np.ndarray, keys) -> np.ndarray:
+        """The values of the keyed roots side by side, zero where not taken."""
+        cols = np.array([self.at.get(key, -1) for key in keys], dtype=np.intp)
+        out = np.zeros((len(vals), len(cols)))
+        out[:, cols >= 0] = vals[:, cols[cols >= 0]]
+        return out
+
+    def dG(self, g: MetricField, vals: np.ndarray) -> np.ndarray:
+        """d_p g_ij at [:, p, i, j], zero where no tree read it."""
+        n = g.dim
+        out = np.zeros((len(vals), n, n, n))
+        c, p, a, b = np.array(self._dg.get(g, []), dtype=np.intp).reshape(-1, 4).T
+        out[:, p, a, b] = out[:, p, b, a] = vals[:, c]
+        return out
 
 
 def _jet_roots(V) -> list:
@@ -418,16 +538,47 @@ def metric_at(g: MetricField, p):
 
 def christoffel(g: MetricField, p) -> np.ndarray:
     """Gamma[k, i, j] at p."""
-    return _at(g, _gamma_roots(g), p)[1].reshape((g.dim,) * 3)
+    R = _Roots()
+    R.christoffel(g)
+    G, vals = _stacked(g, R.exprs, [p], [tuple(p)])
+    return _levi_civita(G, R.dG(g, vals))[1][0]
 
 
 def cov_deriv(g: MetricField, X, Y, p) -> np.ndarray:
-    """(nabla_X Y)(p). X and Y are component expression sequences."""
-    return _at(g, cov_deriv_exprs(g, X, Y), p)[1]
+    """(nabla_X Y)(p). X and Y are component expression sequences; the tape
+    reads what cov_deriv_exprs reads, in its order."""
+    n = g.dim
+    xs = [i for i in range(n) if not _is_zero(X[i])]
+    ys = [j for j in range(n) if not _is_zero(Y[j])]
+    R = _Roots()
+    for k in range(n):
+        for i in xs:
+            d = diff(Y[k], i)
+            if not _is_zero(d):
+                R.take(("X", i), X[i])
+                R.take(("dY", k, i), d)
+            for j in ys:
+                if R.gamma(g, k, i, j):
+                    R.take(("X", i), X[i])
+                    R.take(("Y", j), Y[j])
+    G, vals = _stacked(g, R.exprs, [p], [tuple(p)])
+    Xv, Yv = (R.stack(vals, [(c, a) for a in range(n)]) for c in "XY")
+    dY = R.stack(vals, [("dY", k, i) for k in range(n) for i in range(n)]).reshape(1, n, n)
+    gamma = _levi_civita(G, R.dG(g, vals))[1]
+    return _cov(dY, gamma, Yv, Xv[:, None])[0, 0]
 
 
 def grad_field(g: MetricField, f: Expr, p) -> np.ndarray:
-    return _at(g, grad_exprs(g, f), p)[1]
+    """(grad f)(p) = g^-1 df, reading the partials of f in the order the
+    trees of g^kl d_l f do."""
+    n = g.dim
+    R = _Roots()
+    support = R.reads(g)[0]
+    for k, l in itertools.product(range(n), repeat=2):
+        if support[k][l] and not _is_zero(df := diff(f, l)):
+            R.take(("df", l), df)
+    G, vals = _stacked(g, R.exprs, [p], [tuple(p)])
+    return _inv(G)[0] @ R.stack(vals, [("df", l) for l in range(n)])[0]
 
 
 def hessian_lc(g: MetricField, f: Expr, X, Y, p) -> float:
@@ -465,10 +616,14 @@ def _lc_axioms(g: MetricField, pts, labels=None):
     linear = [tuple(var((a + s) % n) for a in range(n)) for s in (1, 2)]
     fields = basis + linear
     iu, ju = np.triu_indices(n)
-    dg = [diff(g.entries[i][j], k) for k in range(n) for i, j in zip(iu, ju)]
-    roots = _gamma_roots(g) + dg + [r for V in fields for r in _jet_roots(V)]
-    G, vals = _stacked(g, roots, pts, labels)
-    gam, dk, *jets = _split(vals, (n, n, n), (n, len(iu)), *[(n,), (n, n)] * len(fields))
+    R = _Roots()
+    R.christoffel(g)
+    at = len(R.exprs)
+    G, vals = _stacked(g, R.exprs + [r for V in fields for r in _jet_roots(V)], pts, labels)
+    dG = R.dG(g, vals)
+    gam = _levi_civita(G, dG)[1]
+    dk = dG[:, :, iu, ju]
+    jets = _split(vals[:, at:], *[(n,), (n, n)] * len(fields))
 
     # d_k g_ij against Gamma^l_ki g_lj + Gamma^l_kj g_il, i <= j
     T = np.einsum("mlki,mlj->mkij", gam, G)

@@ -47,6 +47,7 @@ else is reported as "outside_hypotheses".
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,8 @@ from .chart_calculus import (
     _ginner,
     _gnorm,
     _jet_roots,
+    _levi_civita,
+    _Roots,
     _split,
     _stacked,
     det_expr,
@@ -89,6 +92,7 @@ from .scalar_fields import (
     Expr,
     ONE,
     ZERO,
+    _is_zero,
     add,
     compile_tape,
     const,
@@ -172,28 +176,6 @@ class SymTensorField:
 # --- metric, tensor and Codazzi residual over the samples ----------------------
 
 
-def _codazzi_pair_exprs(g: MetricField, phi: SymTensorField):
-    """Components of (nabla_i Phi)e_j - (nabla_j Phi)e_i for i < j."""
-    n = g.dim
-    gamma = g.christoffel_entries()
-    comp = phi.components
-
-    def nabla(i, j, k):
-        # (nabla_i Phi)^k_j = d_i Phi^k_j + Gamma^k_il Phi^l_j - Phi^k_l Gamma^l_ij
-        acc = diff(comp[k][j], i)
-        for l in range(n):
-            acc = add(acc, mul(gamma[k][i][l], comp[l][j]))
-            acc = sub(acc, mul(comp[k][l], gamma[l][i][j]))
-        return acc
-
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = tuple(sub(nabla(i, j, k), nabla(j, i, k)) for k in range(n))
-            pairs.append((i, j, vec))
-    return tuple(pairs)
-
-
 @dataclass
 class _Fields:
     """Metric, tensor, self-adjointness defect and Codazzi residual over the
@@ -206,19 +188,34 @@ class _Fields:
 
 
 def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
-                   pairs=()) -> _Fields:
-    """Evaluate the metric, the tensor and the Codazzi pair vectors over the
-    samples with one tape run.
+                   codazzi: bool = False) -> _Fields:
+    """Evaluate the metric and the tensor over the samples with one tape
+    run, and with codazzi the Codazzi residual: the tape then also holds the
+    first partials of the tensor and of the metric, and numpy forms
+    Gamma (_levi_civita) and (nabla_i Phi)e_j - (nabla_j Phi)e_i, i < j, with
 
-    Raises what checking one sample at a time raises first: metric
-    evaluation, positive definiteness, tensor evaluation, self-adjointness
-    beyond tol, pair vector evaluation. Every sample up to that one that
-    passes the positivity check warns if it is ill-conditioned."""
+        (nabla_i Phi)^k_j = d_i Phi^k_j + Gamma^k_il Phi^l_j - Phi^k_l Gamma^l_ij.
+
+    The partials are taped in the order the symbolic pair vectors read them
+    first, and only those. Raises what checking one sample at a time raises
+    first: metric evaluation, positive definiteness, tensor evaluation,
+    self-adjointness beyond tol, evaluation of a partial. Every sample up to
+    that one that passes the positivity check warns if it is
+    ill-conditioned."""
     n = g.dim
     nn = n * n
-    roots = [e for row in phi.components for e in row]
-    for _, _, vec in pairs:
-        roots.extend(vec)
+    comp = phi.components
+    R = _Roots([e for row in comp for e in row])
+    pairs = list(itertools.combinations(range(n), 2)) if codazzi else []
+    for i, j in pairs:
+        for k in range(n):
+            for a, b in ((i, j), (j, i)):
+                R.take(("dphi", k, b, a), diff(comp[k][b], a))
+                for l in range(n):
+                    if not _is_zero(comp[l][b]):
+                        R.gamma(g, k, a, l)
+                    if not _is_zero(comp[k][l]):
+                        R.gamma(g, l, a, b)
 
     def defect(G, vals):
         """Relative asymmetry of G P, P the tensor among the root values, for
@@ -235,15 +232,20 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
             f"tensor is not self-adjoint at {label}: defect {defect(G, v):.3e}"
         ),
     )
-    G, vals = _stacked(g, roots, pts, labels, [adjoint])
+    G, vals = _stacked(g, R.exprs, pts, labels, [adjoint])
     m = len(G)
-    vecs = vals[:, nn:].reshape(m, len(pairs), n)
-    norms = np.sqrt(np.maximum(np.einsum("mii->mi", G), 0.0))
-    a = [i for i, _, _ in pairs]
-    b = [j for _, j, _ in pairs]
-    scale = np.maximum(norms[:, a] * norms[:, b], 1e-300)
-    codazzi = (_gnorm(vecs, G) / scale).max(axis=1, initial=0.0)
-    return _Fields(G, vals[:, :nn].reshape(m, n, n), defect(G, vals), codazzi)
+    P = vals[:, :nn].reshape(m, n, n)
+    codazzi_res = np.zeros(m)
+    if pairs:
+        ia, ib = np.array(pairs).T
+        dP = R.stack(vals, [("dphi", k, b, a) for a, b, k in itertools.product(range(n), repeat=3)])
+        gam = _levi_civita(G, R.dG(g, vals))[1]
+        # (nabla_a Phi)^k_b at [:, a, b, k]
+        N = dP.reshape(m, n, n, n) + np.einsum("mkal,mlb->mabk", gam, P) - np.einsum("mkl,mlab->mabk", P, gam)
+        norms = np.sqrt(np.maximum(np.einsum("mii->mi", G), 0.0))
+        scale = np.maximum(norms[:, ia] * norms[:, ib], 1e-300)
+        codazzi_res = (_gnorm(N[:, ia, ib] - N[:, ib, ia], G) / scale).max(axis=1)
+    return _Fields(G, P, defect(G, vals), codazzi_res)
 
 
 def self_adjoint_defect(g: MetricField, phi: SymTensorField, p) -> float:
@@ -254,8 +256,7 @@ def self_adjoint_defect(g: MetricField, phi: SymTensorField, p) -> float:
 def codazzi_residual(g: MetricField, phi: SymTensorField, p, tol: float = 1e-8) -> float:
     """Max over coordinate pairs of the antisymmetry defect of nabla Phi at p,
     measured in the metric norm and normalized by the coordinate norms."""
-    pairs = _codazzi_pair_exprs(g, phi)
-    return float(_metric_tensor(g, phi, [p], [tuple(p)], tol, pairs).codazzi[0])
+    return float(_metric_tensor(g, phi, [p], [tuple(p)], tol, codazzi=True).codazzi[0])
 
 
 # --- eigenstructure over the samples ---------------------------------------------
@@ -752,13 +753,13 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Sample
 
 
 def _eigen_model(g: MetricField, phi: SymTensorField, pts, labels, gap_min: float,
-                 tol: float, pairs=()):
+                 tol: float, codazzi: bool = False):
     """Fields and eigenstructure over the samples, the eigen model anchored
     at the first sample, and the unchecked samples of its net. Raises
-    NotCodazziError at the worst sample when pair vectors are given and the
-    residual exceeds tol."""
-    fields = _metric_tensor(g, phi, pts, labels, tol, pairs)
-    if pairs:
+    NotCodazziError at the worst sample when codazzi is set and the residual
+    exceeds tol."""
+    fields = _metric_tensor(g, phi, pts, labels, tol, codazzi)
+    if codazzi:
         j = int(np.argmax(fields.codazzi))
         worst = float(fields.codazzi[j])
         if worst > tol:
@@ -871,8 +872,7 @@ def classify_codazzi(
     plan = plan or SamplePlan()
     pts = sample_points(g.chart, plan)
     labels = [tuple(float(x) for x in p) for p in pts]
-    pairs = _codazzi_pair_exprs(g, phi)
-    fields, eig, model, samples = _eigen_model(g, phi, pts, labels, gap_min, tol, pairs)
+    fields, eig, model, samples = _eigen_model(g, phi, pts, labels, gap_min, tol, codazzi=True)
     worst = float(fields.codazzi.max())
     h_expr = _h_of_mu(h, model.mu_expr) if h is not None else None
     sc = _criteria(model, fields, eig, samples, gap_min, h_expr)
@@ -1028,7 +1028,7 @@ _COARSE_PLAN = SamplePlan(grid=3, margin=0.1, random=4, seed=7)
 def _coarse_codazzi(g: MetricField, phi: SymTensorField) -> float:
     pts = sample_points(g.chart, _COARSE_PLAN)
     labels = [tuple(float(x) for x in p) for p in pts]
-    fields = _metric_tensor(g, phi, pts, labels, 1e-8, _codazzi_pair_exprs(g, phi))
+    fields = _metric_tensor(g, phi, pts, labels, 1e-8, codazzi=True)
     return float(fields.codazzi.max())
 
 

@@ -3,11 +3,13 @@
 A net splits a frame of vector fields into mutually orthogonal blocks; each
 block spans a distribution E_i with complement E_i^perp spanned by the other
 blocks. The module compiles the metric and frame entries with their first
-and second partials (diff of these small trees) into one evaluation tape
-and runs it once over every sample point. From these second-order jets,
-stacked numpy gives the Christoffel symbols and their partials, and per
-block and complement the projector onto the span, nabla_{X_a} X_b, the mean
-curvature normal H and its partials by the product rule, so
+and second partials (chart_calculus._partials, diff of these small trees)
+into one evaluation tape and runs it once over every sample point. From
+these second-order jets, the Christoffel kernel every consumer shares
+(chart_calculus._levi_civita) gives the Christoffel symbols and their
+partials, and stacked numpy gives per block and complement the projector
+onto the span, nabla_{X_a} X_b, the mean curvature normal H and its
+partials by the product rule, so
 nabla_X H = (dH) X + Gamma(X, H) needs no derivative tree of H (O'Neill,
 Semi-Riemannian Geometry, 1983, ch. 4 and 7). numpy then reduces the
 stacked values to residuals:
@@ -38,7 +40,8 @@ there (metric evaluation, positive definiteness, frame evaluation, frame
 degeneracy, block orthogonality, field evaluation), and every sample up to
 it that passes the positivity check warns if it is ill-conditioned. The
 pointwise definition builds H, the defects, the brackets and nabla H as
-symbolic trees (_SpanFields); they are built and swept only at samples
+symbolic trees (_SpanFields, on the symbolic Christoffel entries, which are
+the pointwise reference only); they are built and swept only at samples
 whose jets or derived values are not finite, so a field evaluation error
 names the sub-expression that definition fails on first, and a clean rerun
 gives the values. A residual that is not finite raises InconsistencyError
@@ -47,7 +50,6 @@ instead of passing.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import itertools
@@ -60,7 +62,10 @@ from .chart_calculus import (
     _at,
     _ginner,
     _gnorm,
+    _inv,
+    _levi_civita,
     _metric_checks,
+    _partials,
     _warn_conditions,
     cov_deriv_exprs,
     inner_exprs,
@@ -83,7 +88,6 @@ from .scalar_fields import (
     add,
     compile_tape,
     const,
-    diff,
     div,
     mul,
     sub,
@@ -245,25 +249,6 @@ _CLEAN = 6
 _RESIDUALS = {"umbilicity": "umb", "sphericity": "sph", "geodesy": "geo", "integrability": "integ"}
 
 
-def _inv(A: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of square matrices, non-finite where one is
-    singular; 1 x 1 and 2 x 2 blocks in closed form."""
-    if A.shape[-1] == 1:
-        return 1.0 / A
-    if A.shape[-1] == 2:
-        det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-        adj = A[..., ::-1, ::-1].swapaxes(-1, -2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        return adj / det[..., None, None]
-    try:
-        return np.linalg.inv(A)
-    except np.linalg.LinAlgError:
-        out = np.full(A.shape, np.nan)
-        for j, a in enumerate(A):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                out[j] = np.linalg.inv(a)
-        return out
-
-
 @functools.cache
 def _pairs(r: int, k: int) -> tuple:
     """The index pairs (a, b) with a + k <= b < r, row by row, as two
@@ -280,8 +265,8 @@ def _input_jets(g: MetricField, net: OrthogonalNet) -> list:
     n = g.dim
     pairs = list(zip(*_pairs(n, 0)))
     inputs = [g.entries[i][j] for i, j in pairs] + [e for f in net.frame for e in f]
-    firsts = [[diff(e, p) for e in inputs] for p in range(n)]
-    seconds = [diff(e, q) for p, q in pairs for e in firsts[p]]
+    firsts = [_partials((e, p) for e in inputs) for p in range(n)]
+    seconds = [e for p, q in pairs for e in _partials((e, q) for e in firsts[p])]
     return inputs + [e for row in firsts for e in row] + seconds
 
 
@@ -336,15 +321,9 @@ def _geometry(vals: np.ndarray, n: int, spans, frame) -> tuple:
     G, dG, d2G = sym(jets[:, :nt]), sym(firsts[..., :nt]), sym(seconds[..., :nt])
     F = jets[:, nt:].reshape(m, n, n)
 
-    # Gamma^k_ij = g^kl B_lij / 2 with B_lij = d_i g_jl + d_j g_il - d_l g_ij,
-    # and d_p Gamma = g^-1 (d_p B / 2 - (d_p g) Gamma); rows k, columns ij
-    Ginv = _inv(G)
-    B = dG.transpose(0, 3, 1, 2) + dG.transpose(0, 3, 2, 1) - dG
-    gamma = 0.5 * (Ginv @ B.reshape(m, n, n * n))
-    dB = d2G.transpose(0, 1, 4, 2, 3) + d2G.transpose(0, 1, 4, 3, 2) - d2G
-    T = 0.5 * dB.reshape(m, n * n, n * n) - dG.reshape(m, n * n, n) @ gamma
-    T = T.reshape(m, n, n, n * n).swapaxes(1, 2).reshape(m, n, n**3)
-    dgamma = (Ginv @ T).reshape(m, n, n, n * n).swapaxes(1, 2).reshape(m, n * n, n * n)
+    # Gamma over rows k, columns ij, and d Gamma over rows (p, k), columns ij
+    Ginv, gamma, dgamma = _levi_civita(G, dG, d2G)
+    gamma, dgamma = gamma.reshape(m, n, n * n), dgamma.reshape(m, n * n, n * n)
     gammaT = np.ascontiguousarray(gamma.swapaxes(1, 2))  # rows ij, columns k
 
     live = [s for s in spans if s]

@@ -1,16 +1,20 @@
 """Levi-Civita calculus: Christoffel symbols, covariant operations, axioms."""
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_expr, random_point
-from orthonet import fixtures
+from orthonet import chart_calculus, codazzi, fixtures
 from orthonet.chart_calculus import (
     MetricField,
     _lc_axioms,
+    _levi_civita,
     _stacked,
     christoffel,
     cov_deriv,
@@ -25,11 +29,15 @@ from orthonet.chart_calculus import (
     metric_at,
     norm,
 )
+from orthonet.codazzi import SymTensorField
 from orthonet.errors import ConditionNumberWarning, ConstraintError, EvalDomainError, NotSPDError
 from orthonet.sampling import SamplePlan, sample_points
 from orthonet.scalar_fields import (
+    Binary,
     Chart,
     ONE,
+    Power,
+    Unary,
     ZERO,
     add,
     compile_tape,
@@ -37,9 +45,11 @@ from orthonet.scalar_fields import (
     diff,
     div,
     evaluate,
+    format_expr,
     mul,
     neg,
     parse_expr,
+    powc,
     sub,
     var,
 )
@@ -440,3 +450,159 @@ def test_stacked_failure_order():
     pts = sample_points(Chart.box([(1.0, 2.0), (0.0, 1.0)]), ORDER_PLAN)
     assert np.array_equal(G[:, 1, 1], pts[:, 0])
     assert np.array_equal(vals[:, 0], pts[:, 0] * pts[:, 1])
+
+
+# --- the Christoffel kernel ---------------------------------------------------------
+
+
+def _spd_metric(rng, n, depth):
+    """B B^T + I for a matrix B of random smooth expressions."""
+    ch = Chart.box([(0.1, 1.9)] * n)
+    B = [[random_expr(rng, n, depth) for _ in range(n)] for _ in range(n)]
+    rows = [[_dense_sum([ONE] * (i == j) + [mul(B[i][k], B[j][k]) for k in range(n)])
+             for j in range(n)] for i in range(n)]
+    return MetricField(ch, rows)
+
+
+@settings(max_examples=20)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**16))
+def test_levi_civita_kernel_matches_christoffel_trees(n, seed):
+    # Gamma and d Gamma from swept metric jets against the swept symbolic
+    # Christoffel trees and diff of them
+    rng = np.random.default_rng(seed)
+    g = _spd_metric(rng, n, 2 if n < 4 else 1)
+    pts = np.array([random_point(rng, g.chart) for _ in range(3)])
+    m = len(pts)
+    iu, ju = np.triu_indices(n)
+    t = len(iu)
+    upper = [g.entries[i][j] for i, j in zip(iu, ju)]
+    firsts = [diff(e, p) for p in range(n) for e in upper]
+    seconds = [diff(e, q) for p in range(n) for q in range(n) for e in firsts[p * t : (p + 1) * t]]
+    vals = compile_tape(upper + firsts + seconds).run(pts)
+
+    def sym(cols):
+        out = np.empty(cols.shape[:-1] + (n, n))
+        out[..., iu, ju] = out[..., ju, iu] = cols
+        return out
+
+    G = sym(vals[:, :t])
+    dG = sym(vals[:, t : t * (n + 1)].reshape(m, n, t))
+    d2G = sym(vals[:, t * (n + 1) :].reshape(m, n, n, t))
+    _, gamma, dgamma = _levi_civita(G, dG, d2G)
+
+    trees = g.christoffel_entries()
+    ref = [trees[k][i][j] for k, i, j in itertools.product(range(n), repeat=3)]
+    want = compile_tape(ref + [diff(e, p) for p in range(n) for e in ref]).run(pts)
+    got = np.concatenate([gamma.reshape(m, -1), dgamma.reshape(m, -1)], axis=1)
+    assert np.all(np.abs(got - want) <= np.maximum(1e-12, 1e-9 * np.abs(want)))
+
+
+def _powers(rng, n):
+    """A product of one or two powers (b + x_k)^e with a fresh b each: every
+    partial of it holds powers no other expression holds."""
+    out = ONE
+    for k in rng.choice(n, size=int(rng.integers(1, 3)), replace=False):
+        base = add(const(round(float(rng.uniform(1.0, 9.0)), 6)), var(int(k)))
+        out = mul(out, powc(base, float(rng.choice([0.5, 1.5, 2.5]))))
+    return out
+
+
+def _pattern_metric(rng, n):
+    """A metric whose entries are zeros, constants and products of powers,
+    so that inverse entries and brackets fold to zero in varied patterns."""
+    ch = Chart.box([(0.5, 1.5)] * n)
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            r = rng.random()
+            if i != j and r < 0.45:
+                e = ZERO
+            elif r < 0.6:
+                e = const(round(float(rng.uniform(0.5, 2.0)), 2))
+            else:
+                e = _powers(rng, n)
+            rows[i][j] = rows[j][i] = e
+    return MetricField(ch, rows)
+
+
+def _fallible(roots, start, skip):
+    """The nodes from root start on, in tape order, whose evaluation can
+    fail (a unary function, a division, a power), as text; skip holds nodes
+    to leave out."""
+    tape = compile_tape(roots)
+    return [
+        text for e in tape.nodes[tape.bounds[start]:]
+        if (isinstance(e, Power) or isinstance(e, Unary) and e.op != "neg"
+            or isinstance(e, Binary) and e.op == "/")
+        and (text := format_expr(e)) not in skip
+    ]
+
+
+def _taped(monkeypatch, module, call):
+    """The roots that call hands to module._stacked."""
+    seen = []
+
+    def spy(g, roots, *args, **kwargs):
+        seen.append(list(roots))
+        raise StopIteration
+
+    monkeypatch.setattr(module, "_stacked", spy)
+    with pytest.raises(StopIteration):
+        call()
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _pair_exprs(g, comp):
+    """(nabla_i Phi)e_j - (nabla_j Phi)e_i, i < j, as the pointwise trees."""
+    n = g.dim
+    gamma = g.christoffel_entries()
+
+    def nabla(i, j, k):
+        acc = diff(comp[k][j], i)
+        for l in range(n):
+            acc = add(acc, mul(gamma[k][i][l], comp[l][j]))
+            acc = sub(acc, mul(comp[k][l], gamma[l][i][j]))
+        return acc
+
+    return [sub(nabla(i, j, k), nabla(j, i, k))
+            for i, j in itertools.combinations(range(n), 2) for k in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kernel_tapes_read_what_the_christoffel_trees_read(seed, monkeypatch):
+    # every tape that feeds the kernel holds the sub-expressions that can
+    # fail in the order the symbolic trees reach them first, and no other,
+    # so a sample where several fail names the one the trees name
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    g = _pattern_metric(rng, n)
+    p = g.chart.center()
+    entries = [e for row in g.entries for e in row]
+    skip = set(_fallible([e for row in g.inverse_entries() for e in row], 0, ()))
+
+    def same(taped, reference, start=0):
+        assert _fallible(entries + taped, len(entries) + start, skip) == _fallible(
+            entries + reference, len(entries) + start, skip)
+
+    trees = g.christoffel_entries()
+    gamma = [e for plane in trees for row in plane for e in row]
+    same(_taped(monkeypatch, chart_calculus, lambda: christoffel(g, p)), gamma)
+
+    def field():
+        return tuple(ZERO if rng.random() < 0.4 else _powers(rng, n) for _ in range(n))
+
+    X, Y = field(), field()
+    same(_taped(monkeypatch, chart_calculus, lambda: cov_deriv(g, X, Y, p)), list(cov_deriv_exprs(g, X, Y)))
+
+    f = add(_powers(rng, n), _powers(rng, n))
+    ginv = g.inverse_entries()
+    grad = [_dense_sum([mul(ginv[k][l], diff(f, l)) for l in range(n)]) for k in range(n)]
+    same(_taped(monkeypatch, chart_calculus, lambda: grad_field(g, f, p)), grad)
+
+    rows = [field() for _ in range(n)]
+    comp = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    phi = SymTensorField(g.chart, comp)
+    taped = _taped(monkeypatch, codazzi, lambda: codazzi._metric_tensor(g, phi, [p], [p], 1.0, True))
+    flat = [e for row in comp for e in row]
+    same(taped, flat + _pair_exprs(g, comp), len(flat))

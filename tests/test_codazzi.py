@@ -577,6 +577,27 @@ def test_non_finite_jets_fall_back_to_the_symbolic_normals(monkeypatch):
             assert got[key] == value, key
 
 
+def _conformal_pair():
+    cand = conformal_product_pair()
+    return cand.metric, cand.tensor
+
+
+@pytest.mark.parametrize("make, h", [(torus, const(1.0)), (_conformal_pair, None)],
+                         ids=["torus", "conformal_pair"])
+def test_classify_codazzi_builds_no_symbolic_christoffel_symbols(monkeypatch, make, h):
+    # pass 1, the eigen-net and the criteria take Gamma from metric jets
+    g, phi = make()
+    want = classify_codazzi(g, phi, h=h, plan=PLAN).to_dict()
+
+    def refuse(self):
+        raise AssertionError("symbolic Christoffel or inverse entries built")
+
+    monkeypatch.setattr(MetricField, "christoffel_entries", refuse)
+    monkeypatch.setattr(MetricField, "inverse_entries", refuse)
+    g, phi = make()
+    assert classify_codazzi(g, phi, h=h, plan=PLAN).to_dict() == want
+
+
 # --- independent oracles ----------------------------------------------------------
 
 _HESSIAN_METRICS = {

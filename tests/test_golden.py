@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from orthonet.chart_calculus import MetricField
 from orthonet.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -100,6 +101,21 @@ def test_commands_never_use_the_interpreter(name, monkeypatch):
     else:
         statuses = {k: v["status"] for k, v in got["report"]["verdicts"].items()}
         assert statuses == {k: v["status"] for k, v in want["report"]["verdicts"].items()}
+
+
+@pytest.mark.parametrize("name", sorted(_runs()))
+def test_runs_build_no_symbolic_christoffel_symbols(name, monkeypatch):
+    # Gamma comes from the numpy kernel over metric jets: the symbolic
+    # Christoffel and inverse entries are the pointwise reference only
+    def refuse(self):
+        raise AssertionError("symbolic Christoffel or inverse entries built")
+
+    monkeypatch.setattr(MetricField, "christoffel_entries", refuse)
+    monkeypatch.setattr(MetricField, "inverse_entries", refuse)
+    want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    got = _invoke(want["argv"])
+    assert got["exit_code"] == want["exit_code"]
+    _compare({k: v for k, v in want.items() if k != "argv"}, got)
 
 
 def _write():

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_positive_scale
 from orthonet import fixtures
-from orthonet.chart_calculus import MetricField, metric_at
+from orthonet.chart_calculus import MetricField, christoffel, lc_axiom_residuals, metric_at
 from orthonet import codazzi, nets
 from orthonet.errors import (
     ConditionNumberWarning,
@@ -326,6 +326,27 @@ def test_condition_warnings_stop_at_the_failing_sample():
     outcome, texts = _classify_recording(g)
     assert isinstance(outcome, EvalDomainError)
     assert texts == _pointwise_warnings(g, samples[:1])
+
+
+def test_ill_conditioned_geodesy_keeps_rounding_at_the_scale_of_k():
+    # on diag(1, 1e-9 (1 + x0 x1)) the mean curvature normal of block 1
+    # vanishes at x1 = 0, but H = (I - R g) K / r cancels the tangential part
+    # of K, so the geodesy residual there reads 1.88e-12 (x0 = 1) and 3.77e-12
+    # (x0 = 1.5, 2) instead of 0; the slack is bounded at 1e-11
+    g = _diag2("1", "1e-9*(1 + x0*x1)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditionNumberWarning)
+        rep = classify_net(g, _coordinate(g), ORDER_PLAN)
+        pts = sample_points(g.chart, ORDER_PLAN)
+        at = pts[:, 1] == 0.0
+        assert rep.residuals["geodesy"][1][at].max() <= 1e-11
+        for x0, x1 in pts[at]:
+            # Gamma^1_11 = x0 / (2 (1 + x0 x1)) is the only one not zero at x1 = 0
+            want = np.zeros((2, 2, 2))
+            want[1, 1, 1] = x0 / 2.0
+            assert np.allclose(christoffel(g, (x0, x1)), want, rtol=1e-12, atol=0.0)
+        # compatibility and torsion measure 4.1e-25 and 6.1e-21 at most
+        assert max(max(lc_axiom_residuals(g, tuple(p))) for p in pts) <= 1e-16
 
 
 # --- samples whose jets are not finite ---------------------------------------------

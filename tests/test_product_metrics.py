@@ -184,9 +184,10 @@ def test_connection_identity_tapes_fields_without_partials(monkeypatch):
     assert verify_connection_identity(spec, X, Y, spec.chart.center()) <= 1e-9
     twisted = sum(1 for rho in spec.twists if not is_const_one(rho))
     (roots,) = taped
-    # then the Christoffel symbols of both metrics, and per twist its value
-    # and the partials of its log
-    assert len(roots) - 2 * n**3 - twisted * (1 + n) == 2 * n
+    # then the n(n+1)/2 first partials of the metric along each coordinate,
+    # the n^2 entries of the product metric and its first partials, and per
+    # twist its value and the partials of its log
+    assert len(roots) - n**2 * (n + 1) - n**2 - twisted * (1 + n) == 2 * n
     assert roots[: 2 * n] == [*X, *Y]
 
 
