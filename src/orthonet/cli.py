@@ -93,8 +93,9 @@ class Manifest:
 
 
 @functools.cache
-def _schema() -> dict:
-    return json.loads(resources.files("orthonet").joinpath("manifest.schema.json").read_text())
+def _validator() -> jsonschema.Draft7Validator:
+    schema = resources.files("orthonet").joinpath("manifest.schema.json").read_text()
+    return jsonschema.Draft7Validator(json.loads(schema))
 
 
 def _parse(text: str, chart: Chart, pointer: str) -> Expr:
@@ -202,8 +203,7 @@ def load_manifest(path) -> Manifest:
             f"invalid JSON: {e.msg} (line {e.lineno} column {e.colno})", ""
         ) from e
 
-    validator = jsonschema.Draft7Validator(_schema())
-    best = jsonschema.exceptions.best_match(validator.iter_errors(data))
+    best = jsonschema.exceptions.best_match(_validator().iter_errors(data))
     if best is not None:
         ptr = "/" + "/".join(str(x) for x in best.absolute_path)
         raise ManifestError(best.message, ptr)
@@ -684,6 +684,7 @@ def _bounded(kind, ok, need: str):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="orthonet",

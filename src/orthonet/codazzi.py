@@ -47,11 +47,11 @@ else is reported as "outside_hypotheses".
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .chart_calculus import (
     MetricField,
@@ -290,20 +290,19 @@ class EigenPair:
 class _Eigen:
     """Eigenvalues of Phi split into two clusters at every sample.
 
-    One generalized eigenproblem eigh(G Phi, G) per sample; the clusters,
-    their means, the labeling and the invariance residual are stacked.
-    lam_low[j] says whether lam is the lower cluster at sample j."""
+    S v = w G v, S = G Phi symmetrized, is reduced at all samples at once
+    as LAPACK sygvd reduces one sample: with G = L L^T (G is SPD, or
+    _stacked raised), the eigenvectors U of L^-1 S L^-T give V = L^-T U and
+    V^T G V = I. lam_low[j] says whether lam is the lower cluster at j."""
 
     def __init__(self, G: np.ndarray, P: np.ndarray, gap_min: float):
         m, n = G.shape[:2]
         self.n = n
-        w = np.empty((m, n))
-        V = np.empty((m, n, n))
-        for j in range(m):
-            S = G[j] @ P[j]
-            S = 0.5 * (S + S.T)
-            w[j], V[j] = scipy.linalg.eigh(S, G[j])
-        self.w, self.V = w, V
+        S = G @ P
+        S = 0.5 * (S + S.swapaxes(-1, -2))
+        Lti = np.linalg.inv(np.linalg.cholesky(G)).swapaxes(-1, -2)  # L^-T
+        w, U = np.linalg.eigh(Lti.swapaxes(-1, -2) @ S @ Lti)
+        self.w, self.V = w, Lti @ U
         self.spread = w[:, -1] - w[:, 0]
         self.coalesced = (self.spread < gap_min) | (n < 2)
         if n < 2:
@@ -317,18 +316,13 @@ class _Eigen:
         self.split = ~self.coalesced & (
             (self.gap < gap_min) | (np.maximum(*self.spreads) >= gap_min)
         )
-        # cluster means and the weight of coordinate 0 in each eigenspace
-        low, high = np.empty(m), np.empty(m)
-        score_low, score_high = np.empty(m), np.empty(m)
-        for c in np.unique(k):
-            at = k == c
-            low[at] = np.mean(w[at, :c], axis=1)
-            high[at] = np.mean(w[at, c:], axis=1)
-            score_low[at] = np.sum(V[at, 0, :c] ** 2, axis=1)
-            score_high[at] = np.sum(V[at, 0, c:] ** 2, axis=1)
-        self.lam_low = ~(score_high > score_low)
-        self.lam = np.where(self.lam_low, low, high)
-        self.mu = np.where(self.lam_low, high, low)
+        # cluster means, and lam is the cluster where coordinate 0 weighs more
+        low = np.arange(n) < k[:, None]
+        v0 = self.V[:, 0] ** 2
+        self.lam_low = ~(np.sum(v0, axis=1, where=~low) > np.sum(v0, axis=1, where=low))
+        means = np.sum(w, axis=1, where=low) / k, np.sum(w, axis=1, where=~low) / (n - k)
+        self.lam = np.where(self.lam_low, *means)
+        self.mu = np.where(self.lam_low, *means[::-1])
 
     def failed(self) -> np.ndarray:
         return self.coalesced | self.split
@@ -399,6 +393,25 @@ def eigen_two(g: MetricField, phi: SymTensorField, p, gap_min: float = GAP_MIN,
 # --- closed-form eigen fields ---------------------------------------------------
 
 
+def _pivots(a: np.ndarray, rank: int) -> list[int]:
+    """The first rank (at most the rank of a) columns that QR with column
+    pivoting (Businger & Golub, 1965) picks from a: each step takes the
+    column of largest remaining norm and projects it out of the others.
+    Norms within 1e-12 of the largest column tie, and a tie goes to the
+    lowest index, so rounding does not decide between equal columns."""
+    a = np.array(a, dtype=float)
+    slack = 1e-12 * np.max(np.linalg.norm(a, axis=0))
+    picked = []
+    for _ in range(rank):
+        norms = np.linalg.norm(a, axis=0)
+        norms[picked] = -np.inf
+        c = int(np.argmax(norms >= norms.max() - slack))
+        picked.append(c)
+        q = a[:, c] / norms[c]
+        a -= np.outer(q, q @ a)
+    return picked
+
+
 class _EigenModel:
     """Eigenvalue fields, derivative fields and the eigen-net of (g, Phi),
     anchored at one sample point where the pointwise decomposition is pair.
@@ -407,7 +420,7 @@ class _EigenModel:
     t1 = tr Phi and t2 = tr Phi^2 determine both eigenvalue fields in closed
     form up to a global sign, which the anchor point fixes. The eigen-net
     frame is read off the spectral projector (Phi - mu I)/(lambda - mu),
-    taking the columns that pivoted QR selects at the anchor.
+    taking the columns that _pivots selects at the anchor.
     """
 
     def __init__(self, g: MetricField, phi: SymTensorField, p0, pair: EigenPair):
@@ -419,13 +432,9 @@ class _EigenModel:
         self.rank_lambda, self.rank_mu = pr, qr
 
         comp = phi.components
-        t1 = ZERO
-        for i in range(n):
-            t1 = add(t1, comp[i][i])
-        t2 = ZERO
-        for i in range(n):
-            for j in range(n):
-                t2 = add(t2, mul(comp[i][j], comp[j][i]))
+        t1 = functools.reduce(add, (comp[i][i] for i in range(n)), ZERO)
+        t2 = functools.reduce(add, (mul(comp[i][j], comp[j][i])
+                                    for i in range(n) for j in range(n)), ZERO)
         disc = mul(const(float(pr * qr)), sub(mul(const(float(n)), t2), mul(t1, t1)))
         root = powc(disc, 0.5)
         signs = []
@@ -460,8 +469,7 @@ class _EigenModel:
         vals = compile_tape([e for mat in mats for row in mat for e in row]).run(at_anchor)
         frame = []
         for mat, v, rank, sign in zip(mats, vals.reshape(2, n, n), (pr, qr), (ONE, const(-1.0))):
-            _, _, piv = scipy.linalg.qr(v, pivoting=True)
-            for c in sorted(int(c) for c in piv[:rank]):
+            for c in sorted(_pivots(v, rank)):
                 frame.append(tuple(mul(sign, mat[i][c]) for i in range(n)))
         blocks = (tuple(range(pr)), tuple(range(pr, n)))
         self.net = OrthogonalNet(g.chart, frame, blocks)
@@ -914,12 +922,7 @@ def classify_codazzi(
     # the metric checks and their warnings ran in the first pass
     net_report = _classify(samples.check(metric=False), tol)
 
-    relation_case = None
-    constants = None
-    ode_out = None
-    axis_out = None
-    warping_samples = None
-    base_point = None
+    relation_case = constants = ode_out = axis_out = warping_samples = base_point = None
     if h is not None:
         lam0, mu0 = float(sc.lam[0]), float(sc.mu[0])
         lam_spread = float(np.abs(sc.lam - lam0).max())
@@ -999,14 +1002,8 @@ def _warping_profile(g: MetricField, model: _EigenModel, axis: int,
     base_det = float(compile_tape([sub_det]).run(np.array([base]))[0, 0])
     vals = compile_tape([sub_det, model.mu_expr]).run(line)
     power = 1.0 / (2.0 * model.rank_mu)
-    out = [
-        {
-            "t": float(t),
-            "mu_tilde": float(mu),
-            "sigma_ratio": float((float(d) / base_det) ** power),
-        }
-        for t, (d, mu) in zip(ts, vals)
-    ]
+    out = [{"t": float(t), "mu_tilde": float(mu),
+            "sigma_ratio": float((float(d) / base_det) ** power)} for t, (d, mu) in zip(ts, vals)]
     return out, base
 
 
@@ -1053,9 +1050,7 @@ def build_codazzi_candidate(kind: str, **params) -> CodazziCandidate:
     reported, never assumed.
     """
     if kind == "conformal_product":
-        factors = params.pop("factors")
-        phi0 = params.pop("phi0")
-        phi1 = params.pop("phi1")
+        factors, phi0, phi1 = (params.pop(k) for k in ("factors", "phi0", "phi1"))
         if params:
             raise ConstraintError(f"unexpected parameters {sorted(params)}")
         factors = tuple(factors)
@@ -1079,11 +1074,7 @@ def build_codazzi_candidate(kind: str, **params) -> CodazziCandidate:
         return CodazziCandidate(g, tensor, _coarse_codazzi(g, tensor))
 
     if kind == "warped_rank_one":
-        base = params.pop("base")
-        fiber = params.pop("fiber")
-        h = params.pop("h")
-        sigma = params.pop("sigma")
-        mu = params.pop("mu")
+        base, fiber, h, sigma, mu = (params.pop(k) for k in ("base", "fiber", "h", "sigma", "mu"))
         if params:
             raise ConstraintError(f"unexpected parameters {sorted(params)}")
         if base.dim != 1:

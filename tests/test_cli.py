@@ -2,7 +2,10 @@
 
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,14 @@ from orthonet.sampling import sample_points
 from orthonet.scalar_fields import Tape
 
 MANIFESTS = Path(__file__).resolve().parents[1] / "manifests"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports orthonet from this tree."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=False)
 
 
 def write_manifest(tmp_path, data, name="m.json"):
@@ -234,6 +245,31 @@ def test_main_json_runs_are_byte_identical(capsys):
     assert out1 == out2
     parsed = json.loads(out1)
     assert parsed["command"] == "classify"
+
+
+def test_consecutive_main_calls_match_fresh_processes(capsys):
+    # the parser and the schema validator are built once per process; a
+    # second call without the first call's flags must not inherit them
+    polar = str(MANIFESTS / "polar.json")
+    runs = [["--command", "classify", "--manifest", polar, "--samples", "3",
+             "--seed", "5", "--format", "json"],
+            ["--command", "classify", "--manifest", polar, "--format", "json"]]
+    in_process = []
+    for argv in runs:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out.encode()))
+    assert in_process[0][1] != in_process[1][1]
+    for argv, (code, out) in zip(runs, in_process):
+        fresh = fresh_python("import sys; from orthonet.cli import main; "
+                             "sys.exit(main(sys.argv[1:]))", *argv)
+        assert (fresh.returncode, fresh.stdout) == (code, out)
+
+
+def test_cli_import_loads_no_scipy():
+    fresh = fresh_python("import sys, orthonet.cli; "
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout == b"[]\n"
 
 
 def test_main_error_paths(tmp_path, capsys):

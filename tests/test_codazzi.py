@@ -29,6 +29,7 @@ from orthonet.errors import (
     ConstraintError,
     EvalDomainError,
     NotCodazziError,
+    NotSPDError,
 )
 from orthonet.fixtures import (
     conformal_product_pair,
@@ -121,6 +122,70 @@ def test_eigen_two_coalescence():
     gt, pht = torus()
     with pytest.raises(CoalescenceError):
         eigen_two(gt, pht, P_TORUS, gap_min=1.0)
+
+
+def test_eigen_two_splits_just_above_gap_min():
+    g = euclidean(2)
+    for factor in (1.001, 0.999):
+        phi = SymTensorField.diagonal(
+            g.chart, [ONE, const(1.0 + factor * codazzi.GAP_MIN)], metric=g
+        )
+        if factor > 1.0:
+            assert eigen_two(g, phi, (0.5, 0.5)).gap == pytest.approx(factor * codazzi.GAP_MIN)
+        else:
+            with pytest.raises(CoalescenceError, match="coalesce at"):
+                eigen_two(g, phi, (0.5, 0.5))
+
+
+def test_classify_on_a_chart_through_the_polar_origin_is_not_spd():
+    # the stacked Cholesky factorization never sees the singular sample
+    chart = Chart.box([(0.0, 1.0), (0.0, 2.0)], names=("t", "theta"))
+    g = MetricField.diagonal(chart, [ONE, parse_expr("t^2", chart)])
+    phi = SymTensorField.diagonal(chart, [ONE, const(2.0)], metric=g)
+    with pytest.raises(NotSPDError, match=r"not positive definite at \(0\.0, 0\.0\)"):
+        classify_codazzi(g, phi, plan=SamplePlan(grid=3, margin=0.0, random=0))
+
+
+@settings(max_examples=60)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**16), log_cond=st.floats(0.0, 8.0))
+def test_stacked_eigensolve_on_random_spd_pencils(n, seed, log_cond):
+    # three pencils (S, G) per call, G with condition number 10^log_cond
+    rng = np.random.default_rng(seed)
+    m = 3
+    Q = np.linalg.qr(rng.standard_normal((m, n, n)))[0]
+    d = 10.0 ** (log_cond * np.concatenate([[0.0], rng.random(n - 2), [1.0]]))
+    G = (Q * d) @ Q.swapaxes(1, 2)
+    G = 0.5 * (G + G.swapaxes(1, 2))
+    A = rng.standard_normal((m, n, n))
+    P = np.linalg.solve(G, A + A.swapaxes(1, 2))
+    eig = codazzi._Eigen(G, P, codazzi.GAP_MIN)
+    for j in range(m):
+        w, V = eig.w[j], eig.V[j]
+        S = G[j] @ P[j]
+        S = 0.5 * (S + S.T)
+        vnorm = np.linalg.norm(V)
+        gnorm = np.linalg.norm(G[j])
+        res = np.linalg.norm(S @ V - G[j] @ V * w)
+        assert res <= 1e-12 * (np.linalg.norm(S) + gnorm * np.max(np.abs(w))) * vnorm
+        assert np.linalg.norm(V.T @ G[j] @ V - np.eye(n)) <= 1e-12 * gnorm * vnorm**2
+        assert np.all(np.diff(w) >= 0.0)
+
+
+def test_pivots_take_the_largest_remaining_column():
+    # a 0/1 projector: its nonzero columns, the lowest indices on a tie
+    assert codazzi._pivots(np.diag([0.0, 1.0, 0.0, 1.0]), 2) == [1, 3]
+    assert sorted(codazzi._pivots(np.diag([1.0, 1.0, 0.0, 1.0]), 2)) == [0, 1]
+    # the oblique rank-2 projector I - v w^T, v = (-2, -2, -1), w = (-3, 1, 3):
+    # column 2 leads (norm^2 88); against it columns 0 and 1 keep
+    # 70 - 78^2/88 = 19/22 and 14 - 34^2/88 = 19/22, a tie that goes to
+    # column 0 though rounding leaves column 1 an ulp ahead
+    v, w = np.array([-2.0, -2.0, -1.0]), np.array([-3.0, 1.0, 3.0])
+    assert codazzi._pivots(np.eye(3) - np.outer(v, w), 2) == [2, 0]
+    # v = (-2, -2, -1), w = (-2, 1, 1): column 0 (norm^2 29) leads; against
+    # it column 1 (norm^2 14) keeps 14 - 20^2/29 = 6/29 and column 2
+    # (norm^2 12) keeps 12 - 18^2/29 = 24/29
+    v, w = np.array([-2.0, -2.0, -1.0]), np.array([-2.0, 1.0, 1.0])
+    assert codazzi._pivots(np.eye(3) - np.outer(v, w), 2) == [0, 2]
 
 
 def test_criteria_residuals_torus_point():
