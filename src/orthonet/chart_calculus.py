@@ -11,9 +11,11 @@ single-point functions (`metric_at`, `christoffel`, `cov_deriv`, ...,
 `lc_axiom_residuals`) are that sweep at one point.
 
 The `*_exprs` builders and the cached inverse and Christoffel entries of a
-MetricField are the pointwise reference only. A tape takes the metric
-partials in the order those trees read them first (`_Roots`), so the first
-failure at a sample is the one the trees name.
+MetricField are the pointwise reference only. Every first-order metric tape
+takes all partials d_p g_ab in one layout, over p and then a <= b
+(`_metric_jets`, unpacked by `_symmetric`), as one block at a documented
+place among its roots, so the first failure at a sample is that of the
+first failing root in that order.
 
 Conventions: vectors are component tuples against the coordinate frame,
 Gamma[k][i][j] multiplies X^i Y^j, and
@@ -28,7 +30,6 @@ Gamma[k][i][j] multiplies X^i Y^j, and
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import os
 import sys
@@ -42,7 +43,6 @@ from .scalar_fields import (
     Expr,
     ZERO,
     ONE,
-    _cval,
     _is_zero,
     add,
     compile_tape,
@@ -354,93 +354,22 @@ def _levi_civita(G, dG, d2G=None):
     return Ginv, gamma.reshape(m, n, n, n), dgamma.reshape(m, n, n, n, n)
 
 
-def _partials(pairs) -> list:
-    """d_p e for each (e, p): every tape of metric (and frame) jets takes
-    its partials from here."""
-    return [diff(e, p) for e, p in pairs]
+def _metric_jets(g: MetricField) -> list:
+    """The first partials d_p g_ab of the metric, over p and then a <= b in
+    np.triu_indices order: the one layout of every first-order metric tape,
+    which _symmetric unpacks."""
+    upper = list(zip(*np.triu_indices(g.dim)))
+    return [diff(g.entries[a][b], p) for p in range(g.dim) for a, b in upper]
 
 
-def _gamma_reads(support, k: int, i: int, j: int) -> list:
-    """The (p, a, b), a <= b, of the partials d_p g_ab that the tree of
-    Gamma^k_ij (christoffel_entries) reads, in its order: over the l where
-    g^kl does not fold to zero (support), d_i g_jl, d_j g_il and d_l g_ij."""
-    return [(p, min(a, b), max(a, b)) for l in range(len(support)) if support[k][l]
-            for (a, b), p in (((j, l), i), ((i, l), j), ((i, j), l))]
-
-
-@functools.lru_cache(maxsize=64)
-def _christoffel_reads(pattern) -> tuple:
-    """Where the entries of inverse_exprs do not fold to zero, for a metric
-    whose constant entries are the floats of pattern (None elsewhere; the
-    smart constructors fold on constants only), and the _gamma_reads of all
-    of Gamma in the order its trees read them first."""
-    n = len(pattern)
-    stand_in = [[var(0) if v is None else const(v) for v in row] for row in pattern]
-    support = tuple(tuple(not _is_zero(e) for e in row) for row in inverse_exprs(stand_in))
-    kij = itertools.product(range(n), repeat=3)
-    return support, tuple(dict.fromkeys(r for t in kij for r in _gamma_reads(support, *t)))
-
-
-class _Roots:
-    """Roots of one tape, each taken once, in the order the pointwise
-    reference trees read them first. A metric partial d_p g_ab is keyed
-    (g, p, a, b), a <= b; unkeyed roots are appended to exprs."""
-
-    def __init__(self, exprs=()):
-        self.exprs, self.at = list(exprs), {}
-        self._reads, self._gamma, self._dg = {}, {}, {}
-
-    def take(self, key, e: Expr) -> None:
-        if key not in self.at:
-            self.at[key] = len(self.exprs)
-            self.exprs.append(e)
-
-    def reads(self, g: MetricField) -> tuple:
-        """_christoffel_reads of g."""
-        if g not in self._reads:
-            self._reads[g] = _christoffel_reads(tuple(tuple(_cval(e) for e in row) for row in g.entries))
-        return self._reads[g]
-
-    def partials(self, g: MetricField, reads) -> None:
-        """Take d_p g_ab for the (p, a, b) of reads."""
-        new = [r for r in dict.fromkeys(reads) if (g, *r) not in self.at]
-        start, cols = len(self.exprs), self._dg.setdefault(g, [])
-        self.exprs += _partials((g.entries[a][b], p) for p, a, b in new)
-        for t, r in enumerate(new, start):
-            self.at[(g, *r)] = t
-            cols.append((t, *r))
-
-    def gamma(self, g: MetricField, k: int, i: int, j: int) -> bool:
-        """Take what the tree of Gamma^k_ij reads; False where it folds to
-        zero (all it reads is then constant)."""
-        key = (g, k, min(i, j), max(i, j))
-        if key not in self._gamma:
-            reads = _gamma_reads(self.reads(g)[0], k, i, j)
-            self.partials(g, reads)
-            c = [_cval(self.exprs[self.at[(g, *r)]]) for r in reads]
-            self._gamma[key] = any(
-                None in c[t : t + 3] or c[t] + c[t + 1] - c[t + 2] != 0.0 for t in range(0, len(c), 3)
-            )
-        return self._gamma[key]
-
-    def christoffel(self, g: MetricField) -> None:
-        """Take the metric partials all of Gamma reads."""
-        self.partials(g, self.reads(g)[1])
-
-    def stack(self, vals: np.ndarray, keys) -> np.ndarray:
-        """The values of the keyed roots side by side, zero where not taken."""
-        cols = np.array([self.at.get(key, -1) for key in keys], dtype=np.intp)
-        out = np.zeros((len(vals), len(cols)))
-        out[:, cols >= 0] = vals[:, cols[cols >= 0]]
-        return out
-
-    def dG(self, g: MetricField, vals: np.ndarray) -> np.ndarray:
-        """d_p g_ij at [:, p, i, j], zero where no tree read it."""
-        n = g.dim
-        out = np.zeros((len(vals), n, n, n))
-        c, p, a, b = np.array(self._dg.get(g, []), dtype=np.intp).reshape(-1, 4).T
-        out[:, p, a, b] = out[:, p, b, a] = vals[:, c]
-        return out
+def _symmetric(cols: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric (..., n, n) matrices whose upper triangles, in
+    np.triu_indices order, fill the last axis of cols: the (m, p, a, b)
+    array d_p g_ab from the (m, p, n(n+1)/2) columns of _metric_jets."""
+    iu, ju = np.triu_indices(n)
+    out = np.empty(cols.shape[:-1] + (n, n))
+    out[..., iu, ju] = out[..., ju, iu] = cols
+    return out
 
 
 def _jet_roots(V) -> list:
@@ -538,47 +467,26 @@ def metric_at(g: MetricField, p):
 
 def christoffel(g: MetricField, p) -> np.ndarray:
     """Gamma[k, i, j] at p."""
-    R = _Roots()
-    R.christoffel(g)
-    G, vals = _stacked(g, R.exprs, [p], [tuple(p)])
-    return _levi_civita(G, R.dG(g, vals))[1][0]
+    n = g.dim
+    G, vals = _stacked(g, _metric_jets(g), [p], [tuple(p)])
+    return _levi_civita(G, _symmetric(vals.reshape(1, n, -1), n))[1][0]
 
 
 def cov_deriv(g: MetricField, X, Y, p) -> np.ndarray:
     """(nabla_X Y)(p). X and Y are component expression sequences; the tape
-    reads what cov_deriv_exprs reads, in its order."""
+    holds X, then Y and its partials d_i Y^k (k-major), then the metric jets
+    (_metric_jets), and a failure is named in that order."""
     n = g.dim
-    xs = [i for i in range(n) if not _is_zero(X[i])]
-    ys = [j for j in range(n) if not _is_zero(Y[j])]
-    R = _Roots()
-    for k in range(n):
-        for i in xs:
-            d = diff(Y[k], i)
-            if not _is_zero(d):
-                R.take(("X", i), X[i])
-                R.take(("dY", k, i), d)
-            for j in ys:
-                if R.gamma(g, k, i, j):
-                    R.take(("X", i), X[i])
-                    R.take(("Y", j), Y[j])
-    G, vals = _stacked(g, R.exprs, [p], [tuple(p)])
-    Xv, Yv = (R.stack(vals, [(c, a) for a in range(n)]) for c in "XY")
-    dY = R.stack(vals, [("dY", k, i) for k in range(n) for i in range(n)]).reshape(1, n, n)
-    gamma = _levi_civita(G, R.dG(g, vals))[1]
-    return _cov(dY, gamma, Yv, Xv[:, None])[0, 0]
+    G, vals = _stacked(g, [*X, *_jet_roots(Y), *_metric_jets(g)], [p], [tuple(p)])
+    Xv, Yv, dY, dG = _split(vals, (n,), (n,), (n, n), (n, n * (n + 1) // 2))
+    return _cov(dY, _levi_civita(G, _symmetric(dG, n))[1], Yv, Xv[:, None])[0, 0]
 
 
 def grad_field(g: MetricField, f: Expr, p) -> np.ndarray:
-    """(grad f)(p) = g^-1 df, reading the partials of f in the order the
-    trees of g^kl d_l f do."""
-    n = g.dim
-    R = _Roots()
-    support = R.reads(g)[0]
-    for k, l in itertools.product(range(n), repeat=2):
-        if support[k][l] and not _is_zero(df := diff(f, l)):
-            R.take(("df", l), df)
-    G, vals = _stacked(g, R.exprs, [p], [tuple(p)])
-    return _inv(G)[0] @ R.stack(vals, [("df", l) for l in range(n)])[0]
+    """(grad f)(p) = g^-1 df; the tape holds the partials d_l f in order l,
+    and no metric partial."""
+    G, df = _stacked(g, [diff(f, l) for l in range(g.dim)], [p], [tuple(p)])
+    return _inv(G)[0] @ df[0]
 
 
 def hessian_lc(g: MetricField, f: Expr, X, Y, p) -> float:
@@ -615,15 +523,10 @@ def _lc_axioms(g: MetricField, pts, labels=None):
     basis = [tuple(ONE if a == i else ZERO for a in range(n)) for i in range(n)]
     linear = [tuple(var((a + s) % n) for a in range(n)) for s in (1, 2)]
     fields = basis + linear
+    G, vals = _stacked(g, _metric_jets(g) + [r for V in fields for r in _jet_roots(V)], pts, labels)
+    dk, *jets = _split(vals, (n, n * (n + 1) // 2), *[(n,), (n, n)] * len(fields))
+    gam = _levi_civita(G, _symmetric(dk, n))[1]
     iu, ju = np.triu_indices(n)
-    R = _Roots()
-    R.christoffel(g)
-    at = len(R.exprs)
-    G, vals = _stacked(g, R.exprs + [r for V in fields for r in _jet_roots(V)], pts, labels)
-    dG = R.dG(g, vals)
-    gam = _levi_civita(G, dG)[1]
-    dk = dG[:, :, iu, ju]
-    jets = _split(vals[:, at:], *[(n,), (n, n)] * len(fields))
 
     # d_k g_ij against Gamma^l_ki g_lj + Gamma^l_kj g_il, i <= j
     T = np.einsum("mlki,mlj->mkij", gam, G)

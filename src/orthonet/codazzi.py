@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +59,10 @@ from .chart_calculus import (
     _gnorm,
     _jet_roots,
     _levi_civita,
-    _Roots,
+    _metric_jets,
     _split,
     _stacked,
+    _symmetric,
     det_expr,
 )
 from .errors import (
@@ -92,7 +92,6 @@ from .scalar_fields import (
     Expr,
     ONE,
     ZERO,
-    _is_zero,
     add,
     compile_tape,
     const,
@@ -190,32 +189,27 @@ class _Fields:
 def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
                    codazzi: bool = False) -> _Fields:
     """Evaluate the metric and the tensor over the samples with one tape
-    run, and with codazzi the Codazzi residual: the tape then also holds the
-    first partials of the tensor and of the metric, and numpy forms
-    Gamma (_levi_civita) and (nabla_i Phi)e_j - (nabla_j Phi)e_i, i < j, with
+    run, and with codazzi the Codazzi residual: the tape then also holds,
+    after the tensor, its partials d_a Phi^k_b for a != b (the only ones the
+    pairs read) over a, b and then k, then the metric jets (_metric_jets),
+    and numpy forms Gamma (_levi_civita) and (nabla_i Phi)e_j -
+    (nabla_j Phi)e_i, i < j, with
 
         (nabla_i Phi)^k_j = d_i Phi^k_j + Gamma^k_il Phi^l_j - Phi^k_l Gamma^l_ij.
 
-    The partials are taped in the order the symbolic pair vectors read them
-    first, and only those. Raises what checking one sample at a time raises
-    first: metric evaluation, positive definiteness, tensor evaluation,
-    self-adjointness beyond tol, evaluation of a partial. Every sample up to
-    that one that passes the positivity check warns if it is
-    ill-conditioned."""
+    Raises what checking one sample at a time in that order raises first:
+    metric evaluation, positive definiteness, tensor evaluation,
+    self-adjointness beyond tol, evaluation of a partial of the tensor,
+    evaluation of a metric partial. Every sample up to that one that passes
+    the positivity check warns if it is ill-conditioned."""
     n = g.dim
     nn = n * n
     comp = phi.components
-    R = _Roots([e for row in comp for e in row])
-    pairs = list(itertools.combinations(range(n), 2)) if codazzi else []
-    for i, j in pairs:
-        for k in range(n):
-            for a, b in ((i, j), (j, i)):
-                R.take(("dphi", k, b, a), diff(comp[k][b], a))
-                for l in range(n):
-                    if not _is_zero(comp[l][b]):
-                        R.gamma(g, k, a, l)
-                    if not _is_zero(comp[k][l]):
-                        R.gamma(g, l, a, b)
+    roots = [e for row in comp for e in row]
+    oa, ob = np.nonzero(~np.eye(n, dtype=bool))  # the a != b of d_a Phi^k_b
+    codazzi = codazzi and n > 1
+    if codazzi:
+        roots += [diff(comp[k][b], a) for a, b in zip(oa, ob) for k in range(n)] + _metric_jets(g)
 
     def defect(G, vals):
         """Relative asymmetry of G P, P the tensor among the root values, for
@@ -232,17 +226,19 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
             f"tensor is not self-adjoint at {label}: defect {defect(G, v):.3e}"
         ),
     )
-    G, vals = _stacked(g, R.exprs, pts, labels, [adjoint])
+    G, vals = _stacked(g, roots, pts, labels, [adjoint])
     m = len(G)
     P = vals[:, :nn].reshape(m, n, n)
     codazzi_res = np.zeros(m)
-    if pairs:
-        ia, ib = np.array(pairs).T
-        dP = R.stack(vals, [("dphi", k, b, a) for a, b, k in itertools.product(range(n), repeat=3)])
-        gam = _levi_civita(G, R.dG(g, vals))[1]
+    if codazzi:
+        dPo, dG = _split(vals[:, nn:], (len(oa), n), (n, n * (n + 1) // 2))
+        dP = np.zeros((m, n, n, n))
+        dP[:, oa, ob] = dPo
+        gam = _levi_civita(G, _symmetric(dG, n))[1]
         # (nabla_a Phi)^k_b at [:, a, b, k]
-        N = dP.reshape(m, n, n, n) + np.einsum("mkal,mlb->mabk", gam, P) - np.einsum("mkl,mlab->mabk", P, gam)
+        N = dP + np.einsum("mkal,mlb->mabk", gam, P) - np.einsum("mkl,mlab->mabk", P, gam)
         norms = np.sqrt(np.maximum(np.einsum("mii->mi", G), 0.0))
+        ia, ib = np.triu_indices(n, 1)
         scale = np.maximum(norms[:, ia] * norms[:, ib], 1e-300)
         codazzi_res = (_gnorm(N[:, ia, ib] - N[:, ib, ia], G) / scale).max(axis=1)
     return _Fields(G, P, defect(G, vals), codazzi_res)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .chart_calculus import MetricField
 from .codazzi import CodazziCandidate, SymTensorField, build_codazzi_candidate
 from .product_metrics import FactorSpec, ProductSpec, build_metric, conformal_scale
-from .scalar_fields import Chart, Expr, ONE, ZERO, const, parse_expr, var
+from .scalar_fields import Chart, Expr, ONE, ZERO, parse_expr, var
 
 __all__ = [
     "euclidean",

@@ -3,9 +3,9 @@
 A net splits a frame of vector fields into mutually orthogonal blocks; each
 block spans a distribution E_i with complement E_i^perp spanned by the other
 blocks. The module compiles the metric and frame entries with their first
-and second partials (chart_calculus._partials, diff of these small trees)
-into one evaluation tape and runs it once over every sample point. From
-these second-order jets, the Christoffel kernel every consumer shares
+and second partials (diff of these small trees) into one evaluation tape
+and runs it once over every sample point. From these second-order jets,
+the Christoffel kernel every consumer shares
 (chart_calculus._levi_civita) gives the Christoffel symbols and their
 partials, and stacked numpy gives per block and complement the projector
 onto the span, nabla_{X_a} X_b, the mean curvature normal H and its
@@ -65,7 +65,7 @@ from .chart_calculus import (
     _inv,
     _levi_civita,
     _metric_checks,
-    _partials,
+    _symmetric,
     _warn_conditions,
     cov_deriv_exprs,
     inner_exprs,
@@ -88,6 +88,7 @@ from .scalar_fields import (
     add,
     compile_tape,
     const,
+    diff,
     div,
     mul,
     sub,
@@ -265,8 +266,8 @@ def _input_jets(g: MetricField, net: OrthogonalNet) -> list:
     n = g.dim
     pairs = list(zip(*_pairs(n, 0)))
     inputs = [g.entries[i][j] for i, j in pairs] + [e for f in net.frame for e in f]
-    firsts = [_partials((e, p) for e in inputs) for p in range(n)]
-    seconds = [e for p, q in pairs for e in _partials((e, q) for e in firsts[p])]
+    firsts = [[diff(e, p) for e in inputs] for p in range(n)]
+    seconds = [diff(e, q) for p, q in pairs for e in firsts[p]]
     return inputs + [e for row in firsts for e in row] + seconds
 
 
@@ -308,17 +309,11 @@ def _geometry(vals: np.ndarray, n: int, spans, frame) -> tuple:
     width = nt + n * n
     iu, ju = _pairs(n, 0)
 
-    def sym(cols) -> np.ndarray:
-        out = np.empty(cols.shape[:-1] + (n, n))
-        out[..., iu, ju] = cols
-        out[..., ju, iu] = cols
-        return out
-
     jets = vals[:, :width]
     firsts = vals[:, width : width * (n + 1)].reshape(m, n, width)
     seconds = np.empty((m, n, n, width))
     seconds[:, iu, ju] = seconds[:, ju, iu] = vals[:, width * (n + 1) :].reshape(m, nt, width)
-    G, dG, d2G = sym(jets[:, :nt]), sym(firsts[..., :nt]), sym(seconds[..., :nt])
+    G, dG, d2G = (_symmetric(a[..., :nt], n) for a in (jets, firsts, seconds))
     F = jets[:, nt:].reshape(m, n, n)
 
     # Gamma over rows k, columns ij, and d Gamma over rows (p, k), columns ij

@@ -43,9 +43,10 @@ from .chart_calculus import (
     _ginner,
     _gnorm,
     _levi_civita,
-    _Roots,
+    _metric_jets,
     _split,
     _stacked,
+    _symmetric,
     det_expr,
 )
 from .errors import (
@@ -60,7 +61,6 @@ from .scalar_fields import (
     Expr,
     ONE,
     ZERO,
-    _is_zero,
     compile_tape,
     const,
     diff,
@@ -251,39 +251,38 @@ def _connection_residuals(spec: ProductSpec, pts, X, Y) -> np.ndarray:
     constant fields, and the result has their shape without the last axis,
     so that several pairs at one sample share its sweep.
 
-    The metric with its first partials, the entries and first partials of
-    the product metric, and per twist its value and the partials of its log
-    are swept on one tape, after the fields when they are expressions; the
-    Christoffel symbols of both metrics come from _levi_civita. The identity
-    is tensorial, so the fields are taped without their partials. Errors are
-    those of _stacked, with the partials in the order the Christoffel trees
-    read them; a twist that is not positive fails right after its value."""
+    One tape holds, in this order, the fields when they are expressions,
+    the metric jets of g (_metric_jets), the entries and metric jets of the
+    product metric, and per twist its value and the partials of its log;
+    the Christoffel symbols of both metrics come from _levi_civita. The
+    identity is tensorial, so the fields are taped without their partials.
+    Errors are those of _stacked in tape order; a twist that is not
+    positive fails right after its value."""
     if spec.conformal_factor is not None:
         raise ConstraintError("connection identity applies to unscaled twisted specs")
     g, product = build_metric(spec), spec._product_metric
     n = g.dim
+    nt = n * (n + 1) // 2
     fields = [] if isinstance(X, np.ndarray) else [*X, *Y]
-    R = _Roots(fields)
-    R.christoffel(g)
-    at = len(R.exprs)
-    R.exprs += [e for row in product.entries for e in row]
-    R.christoffel(product)
+    roots = fields + _metric_jets(g) + [e for row in product.entries for e in row] + _metric_jets(product)
     twisted = [i for i, rho in enumerate(spec.twists) if not is_const_one(rho)]
-    checks, tw = [], len(R.exprs)
+    checks = []
     for i in twisted:
-        r = len(R.exprs)
+        r = len(roots)
         checks.append((
             r,
             lambda G, vals, r=r: vals[:, r] <= 0.0,
             lambda G, v, label, r=r, i=i: ConstraintError(f"twist {i} is {v[r]:.6g} <= 0 at {label}"),
         ))
-        R.exprs += [spec.twists[i]] + [diff(log(spec.twists[i]), l) for l in range(n)]
-    G, vals = _stacked(g, R.exprs, pts, checks=checks)
+        roots += [spec.twists[i]] + [diff(log(spec.twists[i]), l) for l in range(n)]
+    G, vals = _stacked(g, roots, pts, checks=checks)
     if fields:
         X, Y = _split(vals, (n,), (n,))
-    Ginv, gam, _ = _levi_civita(G, R.dG(g, vals))
-    gam_product = _levi_civita(vals[:, at : at + n * n].reshape(G.shape), R.dG(product, vals))[1]
-    parts = _split(vals[:, tw:], *[(1,), (n,)] * len(twisted))
+    dG, G_product, dG_product, *parts = _split(
+        vals[:, len(fields) :], (n, nt), (n, n), (n, nt), *[(1,), (n,)] * len(twisted)
+    )
+    Ginv, gam, _ = _levi_civita(G, _symmetric(dG, n))
+    gam_product = _levi_civita(G_product, _symmetric(dG_product, n))[1]
     # nabla_X Y = X(Y) + Gamma(X, Y) under either connection; X(Y) cancels
     # in lhs - rhs, so only the Gamma terms are kept
     lhs = np.einsum("mkij,m...i,m...j->m...k", gam, X, Y)
@@ -813,9 +812,10 @@ def _spherical_residuals(spec: ProductSpec, phi: Expr, i: int, pts) -> np.ndarra
     """spherical_factor_check at every sample of an (m, dim) array of points:
     (m, 3) residuals ii, iii and v.
 
-    The scaled metric with its first partials, the first and second
-    partials of log phi, the first and mixed second partials of phi and the
-    residual_v terms are swept on one tape, with the errors of _stacked.
+    One tape holds the first partials of log phi, its second partials
+    d_a d_l log phi (a-major), the metric jets of the scaled metric
+    (_metric_jets), the first and mixed second partials of phi and the
+    residual_v terms, and errors are those of _stacked in that order.
     W = -grad log phi, its partials and the Christoffel symbols are numpy:
     d_i W = -g^-1 ((d_i g) W + d_i d log phi)."""
     if spec.kind not in ("product", "warped"):
@@ -829,32 +829,20 @@ def _spherical_residuals(spec: ProductSpec, phi: Expr, i: int, pts) -> np.ndarra
     blk = list(spec.blocks[i])
     other = [a for a in range(n) if a not in blk]
 
-    # the trees of W^k = -g^kl d_l log phi read d_l log phi where g^kl does
-    # not fold to zero, and those of its partials d_i d_l log phi; the
-    # metric partials come after them
-    R = _Roots()
     dlog = [diff(log(phi), l) for l in range(n)]
-    support = R.reads(g)[0]
-    rows = [[l for l in range(n) if support[k][l] and not _is_zero(dlog[l])] for k in range(n)]
-    for l in itertools.chain(*rows):
-        R.take(("dlog", l), dlog[l])
-    for k, a in itertools.product(range(n), repeat=2):
-        for l in rows[k]:
-            R.take(("d2log", a, l), diff(dlog[l], a))
-    R.christoffel(g)
-    at = len(R.exprs)
+    d2log = [diff(dlog[l], a) for a in range(n) for l in range(n)]
     dphi = [diff(phi, l) for l in range(n)]
     mixed = [diff(dphi[c], a) for c in other for a in blk]
     inv_phi = powc(phi, -1.0)
     rho = spec.twists[i]
     sep = [diff(div(diff(inv_phi, a), rho), b) for a in blk for b in other]
-    G, vals = _stacked(g, R.exprs + dphi + mixed + sep, pts)
+    G, vals = _stacked(g, dlog + d2log + _metric_jets(g) + dphi + mixed + sep, pts)
     m = len(G)
-    df, d2f, r5 = _split(vals[:, at:], (n,), (len(other), len(blk)), (len(sep),))
-    dG = R.dG(g, vals)
+    dl, d2l, dG, df, d2f, r5 = _split(
+        vals, (n,), (n, n), (n, n * (n + 1) // 2), (n,), (len(other), len(blk)), (len(sep),)
+    )
+    dG = _symmetric(dG, n)
     Ginv, gam, _ = _levi_civita(G, dG)
-    dl = R.stack(vals, [("dlog", l) for l in range(n)])
-    d2l = R.stack(vals, [("d2log", a, l) for a in range(n) for l in range(n)]).reshape(m, n, n)
     Wv = -np.einsum("mkl,ml->mk", Ginv, dl)
     dW = -np.einsum("mka,mia->mki", Ginv, np.einsum("miab,mb->mia", dG, Wv) + d2l)
 

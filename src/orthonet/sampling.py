@@ -13,9 +13,14 @@ from itertools import product
 
 import numpy as np
 
+from .errors import OrthonetError
 from .scalar_fields import Chart
 
 __all__ = ["SamplePlan", "sample_points"]
+
+# the most points a plan may draw: every tape holds a row per point, so a
+# larger plan would exhaust memory before it is refused
+MAX_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -44,8 +49,13 @@ def _margin_box(chart: Chart, margin: float):
 
 
 def sample_points(chart: Chart, plan: SamplePlan | None = None) -> np.ndarray:
-    """(m, dim) array of sample points for the plan."""
+    """(m, dim) array of sample points for the plan, at most MAX_POINTS."""
     plan = plan or SamplePlan()
+    if int(plan.grid) ** chart.dim + int(plan.random) > MAX_POINTS:
+        raise OrthonetError(
+            f"sample plan of grid {plan.grid} over {chart.dim} axes and {plan.random} "
+            f"random points exceeds {MAX_POINTS} points"
+        )
     lows, highs = _margin_box(chart, plan.margin)
     axes = [np.linspace(lows[i], highs[i], plan.grid) for i in range(chart.dim)]
     pts = [np.array(c) for c in product(*axes)]

@@ -775,7 +775,7 @@ _PREC_ATOM = 40
 
 
 def _fmt_float(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):
         return str(int(v))
     return repr(v)
 

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_expr, random_point
-from orthonet import chart_calculus, codazzi, fixtures
+from conftest import random_expr, random_point, random_twisted_spec
+from orthonet import chart_calculus, codazzi, fixtures, product_metrics
 from orthonet.chart_calculus import (
     MetricField,
     _lc_axioms,
@@ -31,13 +31,11 @@ from orthonet.chart_calculus import (
 )
 from orthonet.codazzi import SymTensorField
 from orthonet.errors import ConditionNumberWarning, ConstraintError, EvalDomainError, NotSPDError
+from orthonet.product_metrics import FactorSpec, ProductSpec, spherical_factor_check, verify_connection_identity
 from orthonet.sampling import SamplePlan, sample_points
 from orthonet.scalar_fields import (
-    Binary,
     Chart,
     ONE,
-    Power,
-    Unary,
     ZERO,
     add,
     compile_tape,
@@ -45,11 +43,10 @@ from orthonet.scalar_fields import (
     diff,
     div,
     evaluate,
-    format_expr,
+    is_const_one,
     mul,
     neg,
     parse_expr,
-    powc,
     sub,
     var,
 )
@@ -497,112 +494,146 @@ def test_levi_civita_kernel_matches_christoffel_trees(n, seed):
     assert np.all(np.abs(got - want) <= np.maximum(1e-12, 1e-9 * np.abs(want)))
 
 
-def _powers(rng, n):
-    """A product of one or two powers (b + x_k)^e with a fresh b each: every
-    partial of it holds powers no other expression holds."""
-    out = ONE
-    for k in rng.choice(n, size=int(rng.integers(1, 3)), replace=False):
-        base = add(const(round(float(rng.uniform(1.0, 9.0)), 6)), var(int(k)))
-        out = mul(out, powc(base, float(rng.choice([0.5, 1.5, 2.5]))))
-    return out
+# --- the metric-jet layout ----------------------------------------------------------
 
 
-def _pattern_metric(rng, n):
-    """A metric whose entries are zeros, constants and products of powers,
-    so that inverse entries and brackets fold to zero in varied patterns."""
-    ch = Chart.box([(0.5, 1.5)] * n)
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            r = rng.random()
-            if i != j and r < 0.45:
-                e = ZERO
-            elif r < 0.6:
-                e = const(round(float(rng.uniform(0.5, 2.0)), 2))
-            else:
-                e = _powers(rng, n)
-            rows[i][j] = rows[j][i] = e
-    return MetricField(ch, rows)
+def _layout(g):
+    """d_p g_ab over p and then a <= b, in np.triu_indices order."""
+    iu, ju = np.triu_indices(g.dim)
+    return [diff(g.entries[a][b], p) for p in range(g.dim) for a, b in zip(iu, ju)]
 
 
-def _fallible(roots, start, skip):
-    """The nodes from root start on, in tape order, whose evaluation can
-    fail (a unary function, a division, a power), as text; skip holds nodes
-    to leave out."""
-    tape = compile_tape(roots)
-    return [
-        text for e in tape.nodes[tape.bounds[start]:]
-        if (isinstance(e, Power) or isinstance(e, Unary) and e.op != "neg"
-            or isinstance(e, Binary) and e.op == "/")
-        and (text := format_expr(e)) not in skip
-    ]
-
-
-def _taped(monkeypatch, module, call):
-    """The roots that call hands to module._stacked."""
+def _tapes(monkeypatch, module, call):
+    """(metric, roots) of every tape that call hands to module._stacked."""
     seen = []
+    stacked = module._stacked
 
     def spy(g, roots, *args, **kwargs):
-        seen.append(list(roots))
-        raise StopIteration
+        seen.append((g, list(roots)))
+        return stacked(g, roots, *args, **kwargs)
 
     monkeypatch.setattr(module, "_stacked", spy)
-    with pytest.raises(StopIteration):
-        call()
+    call()
     monkeypatch.undo()
-    return seen[0]
+    return seen
 
 
-def _pair_exprs(g, comp):
-    """(nabla_i Phi)e_j - (nabla_j Phi)e_i, i < j, as the pointwise trees."""
-    n = g.dim
-    gamma = g.christoffel_entries()
-
-    def nabla(i, j, k):
-        acc = diff(comp[k][j], i)
-        for l in range(n):
-            acc = add(acc, mul(gamma[k][i][l], comp[l][j]))
-            acc = sub(acc, mul(comp[k][l], gamma[l][i][j]))
-        return acc
-
-    return [sub(nabla(i, j, k), nabla(j, i, k))
-            for i, j in itertools.combinations(range(n), 2) for k in range(n)]
+def _curved(n):
+    """A dense metric with nonconstant entries on [0.5, 1.5]^n."""
+    chart = Chart.box([(0.5, 1.5)] * n)
+    rows = [[parse_expr(f"{2 + n if a == b else 0.5} + 0.25*x{a}*x{b}^2", chart)
+             for b in range(n)] for a in range(n)]
+    return MetricField(chart, rows)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_kernel_tapes_read_what_the_christoffel_trees_read(seed, monkeypatch):
-    # every tape that feeds the kernel holds the sub-expressions that can
-    # fail in the order the symbolic trees reach them first, and no other,
-    # so a sample where several fail names the one the trees name
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 5))
-    g = _pattern_metric(rng, n)
-    p = g.chart.center()
-    entries = [e for row in g.entries for e in row]
-    skip = set(_fallible([e for row in g.inverse_entries() for e in row], 0, ()))
+# in the roots a test expects, the _layout block of the metric handed to
+# _stacked (the spherical check scales its metric inside)
+_JETS = "jets"
 
-    def same(taped, reference, start=0):
-        assert _fallible(entries + taped, len(entries) + start, skip) == _fallible(
-            entries + reference, len(entries) + start, skip)
 
-    trees = g.christoffel_entries()
-    gamma = [e for plane in trees for row in plane for e in row]
-    same(_taped(monkeypatch, chart_calculus, lambda: christoffel(g, p)), gamma)
-
-    def field():
-        return tuple(ZERO if rng.random() < 0.4 else _powers(rng, n) for _ in range(n))
-
-    X, Y = field(), field()
-    same(_taped(monkeypatch, chart_calculus, lambda: cov_deriv(g, X, Y, p)), list(cov_deriv_exprs(g, X, Y)))
-
-    f = add(_powers(rng, n), _powers(rng, n))
-    ginv = g.inverse_entries()
-    grad = [_dense_sum([mul(ginv[k][l], diff(f, l)) for l in range(n)]) for k in range(n)]
-    same(_taped(monkeypatch, chart_calculus, lambda: grad_field(g, f, p)), grad)
-
-    rows = [field() for _ in range(n)]
-    comp = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+def _layout_cases():
+    """name -> (module, call, the documented roots of its one tape; None
+    stands for a root the check skips, _JETS or a metric for a _layout
+    block)."""
+    g = _curved(3)
+    n, p = g.dim, g.chart.center()
+    X = tuple(parse_expr(t, g.chart) for t in ("x1", "1 + x0*x2", "0"))
+    Y = tuple(parse_expr(t, g.chart) for t in ("x2^2", "0", "x0*x1"))
+    dY = [diff(Y[k], i) for k in range(n) for i in range(n)]
+    f = parse_expr("x0*x1*x2", g.chart)
+    comp = [[parse_expr(f"1 + x{max(a, b)}*x{min(a, b)}", g.chart) for b in range(n)] for a in range(n)]
     phi = SymTensorField(g.chart, comp)
-    taped = _taped(monkeypatch, codazzi, lambda: codazzi._metric_tensor(g, phi, [p], [p], 1.0, True))
-    flat = [e for row in comp for e in row]
-    same(taped, flat + _pair_exprs(g, comp), len(flat))
+    dphi = [diff(comp[k][b], a) for a in range(n) for b in range(n) if a != b for k in range(n)]
+
+    spec, sphi, _ = fixtures.sum_reciprocal()
+    twisted = random_twisted_spec(np.random.default_rng(3))
+    tn = twisted.chart.dim
+    product = twisted._product_metric
+    E = twisted.chart.center()
+    TX = tuple(var(a) for a in range(tn))
+    TY = tuple(ONE for _ in range(tn))
+    rest = [None] * sum(1 + tn for rho in twisted.twists if not is_const_one(rho))
+    return {
+        "christoffel": (chart_calculus, lambda: christoffel(g, p), [_JETS]),
+        "cov_deriv": (chart_calculus, lambda: cov_deriv(g, X, Y, p), [*X, *Y, *dY, _JETS]),
+        "grad_field": (chart_calculus, lambda: grad_field(g, f, p), [diff(f, l) for l in range(n)]),
+        "lc_axioms": (chart_calculus, lambda: lc_axiom_residuals(g, p), [_JETS] + [None] * (n + 2) * (n + n * n)),
+        "connection": (
+            product_metrics,
+            lambda: verify_connection_identity(twisted, TX, TY, E),
+            [*TX, *TY, _JETS, *[e for row in product.entries for e in row], product, *rest],
+        ),
+        "spherical": (
+            product_metrics,
+            lambda: spherical_factor_check(spec, sphi, 1, (0.5, 0.5)),
+            [None] * 6 + [_JETS] + [None] * 4,
+        ),
+        "codazzi": (
+            codazzi,
+            lambda: codazzi.codazzi_residual(g, phi, p, np.inf),
+            [e for row in comp for e in row] + dphi + [_JETS],
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_layout_cases()))
+def test_consumers_tape_metric_jets_as_one_block(name, monkeypatch):
+    # every first-order metric tape holds the partials d_p g_ab of each
+    # metric it reads as one contiguous block in the layout of _layout, at
+    # the place its docstring gives, and grad_field holds none
+    module, call, want = _layout_cases()[name]
+    ((g, roots),) = _tapes(monkeypatch, module, call)
+    expected = []
+    for r in want:
+        if r is _JETS or isinstance(r, MetricField):
+            expected += _layout(g if r is _JETS else r)
+        else:
+            expected.append(r)
+    assert len(roots) == len(expected)
+    assert all(e is None or r is e for r, e in zip(roots, expected))
+
+
+# At (0.5, 0.5) the metric partials d_0 g_11 and d_1 g_00 both fail; a
+# failure is named by the first failing root in the documented tape order
+_SINGULAR = ("2 + ((x1 - 0.5)^2)^0.75", "2 + ((x0 - 0.5)^2)^0.75")
+_D0G11 = "zero raised to a negative power: ((x0 - 0.5)^2)^-0.25"
+_ROOT = "zero raised to a negative power: ((x1 - 0.5)^2)^-0.375"
+
+
+def _singular_factors():
+    """1 + 1 factors whose product metric is diag(_SINGULAR[1], 1)."""
+    x0, x1 = (Chart.box([(0.0, 1.0)], names=(name,)) for name in ("x0", "x1"))
+    return FactorSpec(x0, ((parse_expr(_SINGULAR[1], x0),),)), FactorSpec(x1, ((ONE,),))
+
+
+def _order_cases():
+    chart = Chart.box([(0.0, 1.0)] * 2)
+    g = MetricField.diagonal(chart, [parse_expr(t, chart) for t in _SINGULAR])
+    p = (0.5, 0.5)
+    singular = parse_expr("((x1 - 0.5)^2)^0.625", chart)
+    phi = SymTensorField.diagonal(chart, [add(const(2.0), singular), ONE])
+    twisted = ProductSpec("twisted", _singular_factors(), (ONE, parse_expr("1 + 0.25*x0", chart)))
+    product = ProductSpec("product", _singular_factors(), (ONE, ONE))
+    return {
+        # d_0 g_11 precedes d_1 g_00: the block runs over p, then a <= b
+        "christoffel": (lambda: christoffel(g, p), _D0G11),
+        "lc_axioms": (lambda: lc_axiom_residuals(g, p), _D0G11),
+        # the partials of Y precede the metric jets
+        "cov_deriv": (lambda: cov_deriv(g, (ONE, ONE), (singular, ZERO), p), _ROOT),
+        # d_1 Phi^0_0 (a != b) precedes the metric jets
+        "codazzi": (lambda: codazzi.codazzi_residual(g, phi, p, np.inf), _ROOT),
+        # the fields precede the metric jets
+        "connection": (
+            lambda: verify_connection_identity(twisted, (diff(singular, 1), ONE), (ONE, ONE), p), _ROOT),
+        # the partials of log phi precede the metric jets
+        "spherical": (lambda: spherical_factor_check(product, add(ONE, singular), 1, p), _ROOT),
+    }
+
+
+@pytest.mark.parametrize("name", list(_order_cases()))
+def test_metric_partial_and_other_root_fail_in_documented_order(name):
+    call, message = _order_cases()[name]
+    with pytest.raises(EvalDomainError) as info:
+        call()
+    assert str(info.value) == message
+

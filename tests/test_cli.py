@@ -1,5 +1,6 @@
 """Manifest loading, command plumbing, exit codes, and output formats."""
 
+import ast
 import importlib
 import json
 import os
@@ -23,8 +24,9 @@ from orthonet.cli import (
     main,
     run,
 )
-from orthonet.errors import ConstraintError, ManifestError
-from orthonet.sampling import sample_points
+from orthonet import sampling
+from orthonet.errors import ConstraintError, ManifestError, OrthonetError
+from orthonet.sampling import SamplePlan, sample_points
 from orthonet.scalar_fields import Tape
 
 MANIFESTS = Path(__file__).resolve().parents[1] / "manifests"
@@ -443,3 +445,58 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(name)
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert missing == [], name
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a name counts as used where the module reads it or lists it in __all__
+    for path in sorted((SRC / "orthonet").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        assert sorted(imported - used) == [], path.name
+
+
+def test_non_finite_constant_manifest_exits_1(tmp_path, capsys):
+    # 1e400 parses to an infinite constant; its message formats it
+    data = json.loads((MANIFESTS / "polar.json").read_text(encoding="utf-8"))
+    data["metric"]["components"][1][1] = "t^2*1e400"
+    path = str(write_manifest(tmp_path, data))
+    for command in ("classify", "factorize"):
+        assert main(["--command", command, "--manifest", path]) == 1
+        assert capsys.readouterr().err == "error: non-finite value: inf\n"
+    proc = fresh_python("import sys; from orthonet.cli import main; sys.exit(main(sys.argv[1:]))",
+                        "--command", "classify", "--manifest", path)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == "error: non-finite value: inf\n"
+
+
+def test_sample_plan_size_is_bounded(tmp_path, capsys, monkeypatch):
+    # the bound is checked in integers before anything is allocated
+    def unreachable(*args):
+        raise AssertionError("allocated a refused plan")
+
+    monkeypatch.setattr(sampling, "_margin_box", unreachable)
+    chart = load_manifest(MANIFESTS / "polar.json").chart
+    with pytest.raises(OrthonetError, match="sample plan of grid 1000000000 over 2 axes and 16 random points"):
+        sample_points(chart, SamplePlan(grid=10**9))
+    monkeypatch.undo()
+    monkeypatch.setattr(sampling, "MAX_POINTS", 20)
+    assert len(sample_points(chart, SamplePlan(grid=4, random=4))) == 20
+    with pytest.raises(OrthonetError, match="exceeds 20 points"):
+        sample_points(chart, SamplePlan(grid=4, random=5))
+    monkeypatch.undo()
+    data = json.loads((MANIFESTS / "polar.json").read_text(encoding="utf-8"))
+    data["sampling"] = {"grid": 10**9}
+    path = str(write_manifest(tmp_path, data))
+    monkeypatch.setattr(sampling, "_margin_box", unreachable)
+    for argv in (["--manifest", path], ["--manifest", str(MANIFESTS / "polar.json"), "--samples", "400"]):
+        assert main(["--command", "classify", *argv]) == 1
+        assert "exceeds 100000 points" in capsys.readouterr().err

@@ -558,3 +558,11 @@ def test_jet_geometry_matches_symbolic_trees_on_moving_frames(make):
     if net.blocks[1] == (1, 2):
         assert samples.sides[(1, 2)].integ.min() > 1e-3
         assert samples.sides[(1, 2)].umb.max() > 1e-3
+
+
+def test_status_boundaries():
+    # pass up to tol, inconclusive above it up to 10 tol, fail beyond
+    tol = 1e-8
+    cases = [(tol, "pass"), (np.nextafter(tol, np.inf), "inconclusive"),
+             (10 * tol, "inconclusive"), (np.nextafter(10 * tol, np.inf), "fail")]
+    assert [nets._status(r, tol) for r, _ in cases] == [want for _, want in cases]

@@ -184,6 +184,13 @@ def test_eval_domain_errors():
         evaluate(powc(var(0), 0.5), (-2.0,))
 
 
+def test_format_non_finite_constants():
+    # the integer test must not run int() on a non-finite value
+    assert [format_expr(const(v)) for v in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
+    assert format_expr(const(1e15)) == "1000000000000000"
+    assert format_expr(const(1e16)) == "1e+16"
+
+
 def test_eval_cache_is_reusable():
     ch = Chart.box([(0.1, 1.0)] * 2)
     e = parse_expr("sin(x0) * exp(x1) + x0^2", ch)
