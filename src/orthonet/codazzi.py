@@ -449,8 +449,6 @@ class _EigenModel:
                 f"decomposition at {anchor}: error {errs[best]:.3e}"
             )
         self.lam_expr, self.mu_expr = signs[best]
-        self.dlam = tuple(diff(self.lam_expr, i) for i in range(n))
-        self.dmu = tuple(diff(self.mu_expr, i) for i in range(n))
 
         gap_e = sub(self.lam_expr, self.mu_expr)
 
@@ -469,6 +467,25 @@ class _EigenModel:
                 frame.append(tuple(mul(sign, mat[i][c]) for i in range(n)))
         blocks = (tuple(range(pr)), tuple(range(pr, n)))
         self.net = OrthogonalNet(g.chart, frame, blocks)
+
+    # the symbolic partials of lambda and mu, built only where the jets of
+    # the eigenvalue fields are not finite or a field fails to evaluate
+    @functools.cached_property
+    def dlam(self) -> tuple:
+        return tuple(diff(self.lam_expr, i) for i in range(self.g.dim))
+
+    @functools.cached_property
+    def dmu(self) -> tuple:
+        return tuple(diff(self.mu_expr, i) for i in range(self.g.dim))
+
+    @functools.cached_property
+    def d2lam(self) -> list:
+        """d_i d_l lambda at [i][l]."""
+        return [[diff(d, i) for d in self.dlam] for i in range(self.g.dim)]
+
+    @functools.cached_property
+    def d2mu(self) -> list:
+        return [[diff(d, i) for d in self.dmu] for i in range(self.g.dim)]
 
 
 @dataclass
@@ -557,35 +574,35 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Sample
 
     The mean curvature normals eta and zeta, their partials, the Christoffel
     symbols and the inverse metric come from the eigen-net's jets in
-    samples; one tape holds lambda, mu, the first and second partials of
-    lambda and mu, and h(mu). The partials of alpha = (lambda + mu)/2 and
-    beta = (mu - lambda)/(mu + lambda) follow from these where lambda + mu
-    is bounded away from zero, the only samples that read them.
+    samples; one tape holds lambda, mu and h(mu), and its jet sweep gives
+    the first and second partials of lambda and mu. The partials of
+    alpha = (lambda + mu)/2 and beta = (mu - lambda)/(mu + lambda) follow
+    from these where lambda + mu is bounded away from zero, the only samples
+    that read them.
     Failures are raised in the order of checking one sample at a time: the
     two clusters, the evaluation of lambda, a change of rank, then the
     fields in the order the pointwise definition reads them, restricted to
     those it reads there (second partials d_i d_l only for l in the support
     of a mu eigenvector). Where the jets are not finite, that definition's
-    symbolic trees (samples.reference) are swept, and replace them."""
+    symbolic trees (samples.reference, and diff of lambda and mu) are
+    swept, and replace them."""
     n = model.g.dim
     labels = samples.labels
     m = len(labels)
     pr, qr = model.rank_lambda, model.rank_mu
 
-    def second(df):
-        return [[diff(df[l], i) for l in range(n)] for i in range(n)]
-
-    d2lam, d2mu = second(model.dlam), second(model.dmu)
-
     def flat(rows):
         return [e for row in rows for e in row]
 
     hs = [h_expr] if h_expr is not None else []
-    roots = [model.lam_expr, model.mu_expr, *model.dlam, *model.dmu,
-             *flat(d2lam), *flat(d2mu), *hs]
-    tape = compile_tape(roots)
-    sweep = tape.sweep(samples.sweep.points)
+    tape = compile_tape([model.lam_expr, model.mu_expr, *hs])
+    sweep = tape.jet_sweep(samples.sweep.points)
     fb = sweep.first_bad
+    # d_i lambda, d_i mu, d_i d_l lambda and d_i d_l mu from the jets
+    firsts = sweep.jets[:, 1 : n + 1]
+    partials = [firsts[..., 0].copy(), firsts[..., 1].copy(),
+                *(_symmetric(sweep.jets[:, n + 1 :, k], n) for k in range(2))]
+    partials_ok = np.isfinite(sweep.jets[:, :, :2].reshape(m, -1)).all(axis=1)
 
     # eta, zeta, d_i eta^k, d_i zeta^k and Gamma^k_ij from the jets
     lam_side, mu_side = (samples.sides[s] for s in model.net.blocks)
@@ -597,7 +614,7 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Sample
     lam_ok = fb >= tape.bounds[1]
     eig.align(np.where(lam_ok, sweep.values[:, 0], 0.0))
     stage = np.full(m, _OK)
-    stage[(fb < tape.size) | ~jets_ok] = _FIELD_DOMAIN
+    stage[(fb < tape.size) | ~jets_ok | ~partials_ok] = _FIELD_DOMAIN
     stage[eig.rank_lambda() != pr] = _RANK_CHANGE
     stage[~lam_ok] = _LAM_DOMAIN
     stage[eig.failed()] = _COALESCED
@@ -617,16 +634,17 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Sample
         for b in range(qr):
             new = [l for l in range(n) if support[b][l] and l not in seen]
             seen.update(new)
-            out += [d2lam[i][l] for i in range(n) for l in new]
-            out += [d2mu[i][l] for i in range(n) for l in new]
+            out += [model.d2lam[i][l] for i in range(n) for l in new]
+            out += [model.d2mu[i][l] for i in range(n) for l in new]
             if b == 0:
                 out += dzeta
         if h_expr is not None:
             out.append(h_expr)
         return out
 
-    # the first failing slot may belong to a field not read at its sample:
-    # rerun those samples on the fields they read, one tape per reading
+    # the first failing slot or partial may belong to a field not read at its
+    # sample: rerun those samples on the fields they read, one tape per
+    # reading, and take the partials of lambda and mu from the trees there
     suspects: dict = {}
     for j in np.flatnonzero(stage == _FIELD_DOMAIN):
         key = (tuple(map(tuple, Y[j] != 0.0)), bool(jets_ok[j]))
@@ -640,16 +658,22 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Sample
         trees = (eta[:n], zeta[:n], eta[n:], zeta[n:], gamma)
     field_errors = {}
     for (support, finite), js in suspects.items():
-        # a reading reads every tree, so appending them adds no slot
-        roots = read(support, None) if finite else read(support, trees) + flat(trees)
-        exact = compile_tape(roots).sweep(sweep.points[js])
+        # a reading reads every tree, so appending them adds no slot; the
+        # partials of lambda and mu go last, where an unread one may fail
+        extra = [] if finite else flat(trees)
+        reading = read(support, None if finite else trees) + extra
+        exact = compile_tape(reading + [*model.dlam, *model.dmu, *flat(model.d2lam),
+                                        *flat(model.d2mu)]).sweep(sweep.points[js])
+        end = exact.tape.bounds[len(reading)]
+        targets = (jets if extra else []) + partials
+        shapes = ([(n,), (n,), (n, n), (n, n), (n, n, n)] if extra else []) + [(n,), (n,), (n, n), (n, n)]
         for r, j in enumerate(js):
-            if exact.first_bad[r] < exact.tape.size:
+            if exact.first_bad[r] < end:
                 field_errors[j] = (exact, r)
-            elif not finite:
-                clean = exact.values[r : r + 1, -len(flat(trees)):]
-                for a, v in zip(jets, _split(clean, (n,), (n,), (n, n), (n, n), (n, n, n))):
-                    a[j] = v[0]
+                continue
+            clean = exact.values[r : r + 1, len(reading) - len(extra) :]
+            for a, v in zip(targets, _split(clean, *shapes)):
+                a[j] = v[0]
 
     for j in np.flatnonzero(stage != _OK):
         if stage[j] == _COALESCED:
@@ -665,13 +689,12 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Sample
             exact, r = field_errors[j]
             raise exact.error(r)
 
+    # failures left are in fields never read at their samples
     vals = sweep.values
     if (fb < tape.size).any():
-        # failures left are in fields never read at their samples
         vals = np.where(np.isfinite(vals), vals, 0.0)
-
-    (lam_c, mu_c, dlam, dmu, d2lam_v, d2mu_v, *h_vals) = _split(
-        vals, (), (), (n,), (n,), (n, n), (n, n), *[()] * len(hs))
+    dlam, dmu, d2lam_v, d2mu_v = (np.where(np.isfinite(a), a, 0.0) for a in partials)
+    lam_c, mu_c, *h_vals = vals.T
     eta_v, zeta_v, deta_v, dzeta_v, gam = jets
     G, P, Ginv = fields.G, fields.P, samples.Ginv
     grad_lam = np.einsum("mij,mj->mi", Ginv, dlam)

@@ -2,10 +2,11 @@
 
 A net splits a frame of vector fields into mutually orthogonal blocks; each
 block spans a distribution E_i with complement E_i^perp spanned by the other
-blocks. The module compiles the metric and frame entries with their first
-and second partials (diff of these small trees) into one evaluation tape
-and runs it once over every sample point. From these second-order jets,
-the Christoffel kernel every consumer shares
+blocks. The module compiles the metric and frame entries into one evaluation
+tape and runs its jet sweep once over every sample point, which carries
+their first and second partials through the tape by forward propagation
+(Tape.jet_sweep; a clean run builds no derivative tree). From these
+second-order jets, the Christoffel kernel every consumer shares
 (chart_calculus._levi_civita) gives the Christoffel symbols and their
 partials, and stacked numpy gives per block and complement the projector
 onto the span, nabla_{X_a} X_b, the mean curvature normal H and its
@@ -88,7 +89,6 @@ from .scalar_fields import (
     add,
     compile_tape,
     const,
-    diff,
     div,
     mul,
     sub,
@@ -259,18 +259,6 @@ def _pairs(r: int, k: int) -> tuple:
     return ia, ib
 
 
-def _input_jets(g: MetricField, net: OrthogonalNet) -> list:
-    """The upper triangle of the metric and the frame entries, then their
-    first partials along each coordinate p, then their second partials
-    along each p <= q."""
-    n = g.dim
-    pairs = list(zip(*_pairs(n, 0)))
-    inputs = [g.entries[i][j] for i, j in pairs] + [e for f in net.frame for e in f]
-    firsts = [[diff(e, p) for e in inputs] for p in range(n)]
-    seconds = [diff(e, q) for p, q in pairs for e in firsts[p]]
-    return inputs + [e for row in firsts for e in row] + seconds
-
-
 def _mul(T: np.ndarray, B: np.ndarray) -> np.ndarray:
     """T @ B per sample: T is (m, ..., i) and B is (m, i, j), or (i, j) for
     every sample, which takes one product over all rows of T."""
@@ -278,9 +266,10 @@ def _mul(T: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (rows @ B).reshape(T.shape[:-1] + B.shape[-1:])
 
 
-def _geometry(vals: np.ndarray, n: int, spans, frame) -> tuple:
+def _geometry(jets: np.ndarray, n: int, spans, frame) -> tuple:
     """The geometry of each of the spans, tuples of frame indices, from the
-    jet values of _input_jets, (m, roots).
+    jets of the upper triangle of the metric and of the frame entries,
+    (m, 1 + n + n(n+1)/2, roots) as Tape.jet_sweep gives them.
 
     frame is the frame as an (n, n) array when all its entries are
     constants, and the terms with a frame partial are then skipped; it is
@@ -304,17 +293,15 @@ def _geometry(vals: np.ndarray, n: int, spans, frame) -> tuple:
     Spans of rank 0 map to None. All spans go through each step together.
     Returns the metric G (m, n, n), its inverse, the Christoffel symbols
     Gamma^k_ij (m, k, i, j), the frame F (m, n, n) and that map."""
-    m = len(vals)
+    m = len(jets)
     nt = n * (n + 1) // 2
-    width = nt + n * n
     iu, ju = _pairs(n, 0)
 
-    jets = vals[:, :width]
-    firsts = vals[:, width : width * (n + 1)].reshape(m, n, width)
-    seconds = np.empty((m, n, n, width))
-    seconds[:, iu, ju] = seconds[:, ju, iu] = vals[:, width * (n + 1) :].reshape(m, nt, width)
-    G, dG, d2G = (_symmetric(a[..., :nt], n) for a in (jets, firsts, seconds))
-    F = jets[:, nt:].reshape(m, n, n)
+    values, firsts = jets[:, 0], jets[:, 1 : n + 1]
+    seconds = np.empty((m, n, n, jets.shape[2]))
+    seconds[:, iu, ju] = seconds[:, ju, iu] = jets[:, n + 1 :]
+    G, dG, d2G = (_symmetric(a[..., :nt], n) for a in (values, firsts, seconds))
+    F = values[:, nt:].reshape(m, n, n)
 
     # Gamma over rows k, columns ij, and d Gamma over rows (p, k), columns ij
     Ginv, gamma, dgamma = _levi_civita(G, dG, d2G)
@@ -407,8 +394,8 @@ class _Side:
 class _Samples:
     """A net's metric, frame and span residuals over a batch of sample points.
 
-    One tape holds the metric and frame entries and their first and second
-    partials; one sweep gives their values over all samples, and _geometry
+    One tape holds the metric and frame entries; one jet sweep gives their
+    values and first and second partials over all samples, and _geometry
     computes from them, per requested block, the geometry of its span and of
     its complement, and the residuals. The checks run later, when the caller
     calls check: per stage over all samples, the first sample that fails any
@@ -418,9 +405,10 @@ class _Samples:
     The pointwise definition differentiates symbolic trees of H (see
     _SpanFields, built on first use by reference), so it may fail where the
     jets do not, and the reverse. A sample whose metric and frame evaluate
-    but whose jets or derived values are not finite is swept again on those
-    trees: the error is the one that sweep raises first, and where it is
-    clean its values replace the derived ones."""
+    but whose jets (a first or second partial) or derived values are not
+    finite is swept again on those trees: the error is the one that sweep
+    raises first, and where it is clean its values replace the derived
+    ones."""
 
     def __init__(self, g: MetricField, net: OrthogonalNet, blocks, pts, labels):
         n = g.dim
@@ -432,17 +420,19 @@ class _Samples:
         nt = n * (n + 1) // 2
         constant = all(isinstance(e, Const) for f in net.frame for e in f)
         frame = np.array([[e.value for e in f] for f in net.frame]) if constant else None
-        tape = compile_tape(_input_jets(g, net))
-        self.sweep = sweep = tape.sweep(pts)
-        self._metric_end, self._frame_end = tape.bounds[nt], tape.bounds[nt + n * n]
+        tape = compile_tape([g.entries[i][j] for i, j in zip(*_pairs(n, 0))]
+                            + [e for f in net.frame for e in f])
+        self.sweep = sweep = tape.jet_sweep(pts)
+        self._metric_end = tape.bounds[nt]
         m = len(sweep.values)
         with np.errstate(all="ignore"):
-            self.G, self.Ginv, self.gamma, self.F, geometry = _geometry(sweep.values, n, unique, frame)
+            self.G, self.Ginv, self.gamma, self.F, geometry = _geometry(sweep.jets, n, unique, frame)
 
         derived = [a.reshape(m, -1) for parts in filter(None, geometry.values()) for a in parts]
-        suspect = ~np.isfinite(np.concatenate(derived, axis=1).sum(axis=1))
-        suspect |= sweep.first_bad < tape.size
-        js = np.flatnonzero(suspect & (sweep.first_bad >= self._frame_end))
+        derived.append(sweep.jets.reshape(m, -1))
+        with np.errstate(all="ignore"):
+            suspect = ~np.isfinite(np.concatenate(derived, axis=1).sum(axis=1))
+        js = np.flatnonzero(suspect & (sweep.first_bad == tape.size))
         self._field_errors = {}
         if js.size:
             exact_roots, exact_parts = _layout(g, [self.reference(s) for s in unique])
@@ -480,11 +470,12 @@ class _Samples:
         stage[np.array(sorted(field_errors), dtype=np.intp)] = _FIELD_DOMAIN
 
         metric_ok = fb >= self._metric_end
+        size = self.sweep.tape.size
         not_spd = np.zeros(m, dtype=bool)
         if metric:
             _, ev, cond, not_spd, ill = _metric_checks(G, metric_ok)
 
-        frame_ok = metric_ok & ~not_spd & (fb >= self._frame_end)
+        frame_ok = metric_ok & ~not_spd & (fb == size)
         evm = np.linalg.eigvalsh(np.where(frame_ok[:, None, None], self.M, np.eye(n)))
         degenerate = frame_ok & (evm[:, 0] <= _GRAM_COND_FLOOR * np.maximum(evm[:, -1], 1e-300))
 
@@ -496,7 +487,7 @@ class _Samples:
 
         stage[frame_ok & ~degenerate & skew.any(axis=1)] = _NOT_ORTHOGONAL
         stage[degenerate] = _DEGENERATE
-        stage[metric_ok & ~not_spd & (fb < self._frame_end)] = _FRAME_DOMAIN
+        stage[metric_ok & ~not_spd & (fb < size)] = _FRAME_DOMAIN
         stage[not_spd] = _NOT_SPD
         stage[~metric_ok] = _METRIC_DOMAIN
 

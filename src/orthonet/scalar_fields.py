@@ -11,10 +11,14 @@ at one point, and `compile_tape` turns a list of trees into a tape that
 `Tape.run` evaluates over a whole array of points with numpy; the error at
 a failing point comes from the interpreter, run on the failing node
 (`Sweep.error`). `parse_expr` expands a named function by substitution, so
-every tree reads chart coordinates only. Derivatives are trees too: a
-caller that needs partials puts `diff` of its (small) input trees on the
-tape. Tree walks that may meet deep trees (differentiation, substitution,
-printing, tape compilation) keep their own stack instead of recursing.
+every tree reads chart coordinates only. A caller that needs first and
+second partials takes them from `Tape.jet_sweep`, which propagates value,
+gradient and Hessian through the tape of its (small) input trees in one
+pass (Griewank and Walther, Evaluating Derivatives, 2008, ch. 13); `diff`
+trees name the error where those jets are not finite. One table of unary
+rules serves both. Tree walks that may meet deep trees (differentiation,
+substitution, printing, tape compilation) keep their own stack instead of
+recursing.
 """
 
 from __future__ import annotations
@@ -282,7 +286,7 @@ def apply_unary(op: str, arg: Expr) -> Expr:
     if ca is not None:
         try:
             return const(_unary_value(op, ca, None))
-        except (EvalDomainError, OverflowError):
+        except (EvalDomainError, OverflowError, ValueError):  # math.sin(inf) raises ValueError
             pass
     return Unary(op, arg)
 
@@ -464,29 +468,90 @@ class Tape:
                 _UFUNC[op](V[ins[1]], V[ins[2]], out=V[k])
         return V
 
+    def _slot_jets(self, points) -> np.ndarray:
+        """(size, 1 + n + n(n+1)/2, m) jets of every slot over (m, n) points:
+        its value, its gradient, and its Hessian upper triangle in
+        np.triu_indices order, by second-order forward propagation. Value
+        rows are those of _slot_values; failures leave non-finite values.
+        Callers ignore floating-point errors (np.errstate)."""
+        m, n = points.shape
+        iu, ju = np.triu_indices(n)
+        J = np.zeros((self.size, 1 + n + len(iu), m))
+        J[self._const_slots, 0] = self._const_values[:, None]
+        J[self._var_slots, 0] = points.T[self._var_index]
+        J[self._var_slots, 1 + self._var_index] = 1.0
+        d1, d2 = slice(1, n + 1), slice(n + 1, None)
+        for k, ins in self._ops:
+            op, a, out = ins[0], J[ins[1]], J[k]
+            if op == "+" or op == "-":
+                _UFUNC[op](a, J[ins[2]], out=out)
+            elif op == "*" or op == "/":
+                b = J[ins[2]]
+                ga, gb = a[d1], b[d1]
+                if op == "*":
+                    np.multiply(a[0], b[0], out=out[0])
+                    out[d1] = ga * b[0] + a[0] * gb
+                    out[d2] = a[d2] * b[0] + a[0] * b[d2] + ga[iu] * gb[ju] + ga[ju] * gb[iu]
+                else:
+                    # the quotient q = a/b through a = q b
+                    np.divide(a[0], b[0], out=out[0])
+                    q = out[0]
+                    gq = out[d1] = (ga - q * gb) / b[0]
+                    out[d2] = (a[d2] - q * b[d2] - gq[iu] * gb[ju] - gq[ju] * gb[iu]) / b[0]
+            else:
+                if op == "^":
+                    c = ins[2]
+                    np.power(a[0], c, out=out[0])
+                    f1 = c * np.power(a[0], c - 1.0)
+                    f2 = c * (c - 1.0) * np.power(a[0], c - 2.0)
+                else:
+                    _UFUNC[op](a[0], out=out[0])
+                    f1, f2 = _unary_jets(op, a[0])
+                ga = a[d1]
+                out[d1] = f1 * ga
+                out[d2] = f1 * a[d2] + f2 * (ga[iu] * ga[ju])
+        return J
+
     def sweep(self, points) -> "Sweep":
         """Evaluate the roots over an (m, dim) array without raising. Points
-        go through in chunks of at most _CHUNK slot values. A caller that
-        needs partials compiles diff trees of its inputs among the roots, as
-        nets does with the jets of the metric and the frame."""
+        go through in chunks of at most _CHUNK slot values."""
+        return self._sweep(points, jets=False)
+
+    def jet_sweep(self, points) -> "Sweep":
+        """sweep, and the jets of the roots: Sweep.jets is (m, 1 + n +
+        n(n+1)/2, roots), per point the values, the first partials d_p and
+        the second partials d_p d_q over p <= q in np.triu_indices order,
+        where n = dim. first_bad and error read the value rows only, so a
+        value error is named as sweep names it; a partial that is not finite
+        is left for the caller to check. Chunks count the jet rows."""
+        return self._sweep(points, jets=True)
+
+    def _sweep(self, points, jets: bool) -> "Sweep":
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be an (m, dim) array")
-        step = max(1, _CHUNK // max(self.size, 1))
+        n = pts.shape[1]
+        width = 1 + n + n * (n + 1) // 2 if jets else 1
+        step = max(1, _CHUNK // max(self.size * width, 1))
         m = len(pts)
         roots = self.root_slots
-        values = np.empty((m, len(roots)))
+        out = np.empty((m, width, len(roots)))
         first_bad = np.empty(m, dtype=np.intp)
         with np.errstate(all="ignore"):
             for lo in range(0, m, step):
                 chunk = slice(lo, lo + step)
-                V = self._slot_values(pts[chunk])
+                if jets:
+                    S = self._slot_jets(pts[chunk])
+                    V = S[:, 0]
+                else:
+                    V = self._slot_values(pts[chunk])
+                    S = V[:, None]
                 # a few rows at a time, so no full second copy of them is made
-                rows = max(1, _BLOCK // max(V.shape[1], 1))
+                rows = max(1, _BLOCK // max(S[0].size, 1))
                 for a in range(0, len(roots), rows):
-                    values[chunk, a : a + rows] = V[roots[a : a + rows]].T
+                    out[chunk, :, a : a + rows] = S[roots[a : a + rows]].transpose(2, 1, 0)
                 first_bad[chunk] = _first_nonfinite(V)
-        return Sweep(self, pts, values, first_bad)
+        return Sweep(self, pts, out[:, 0], first_bad, out if jets else None)
 
     def run(self, points) -> np.ndarray:
         """(m, roots) values. Raises the EvalDomainError of the first sample
@@ -523,11 +588,13 @@ class Sweep:
     first_bad[j] is the first slot, in evaluation order, that fails at point
     j, or tape.size where point j evaluates cleanly."""
 
-    def __init__(self, tape: Tape, points: np.ndarray, values: np.ndarray, first_bad: np.ndarray):
+    def __init__(self, tape: Tape, points: np.ndarray, values: np.ndarray, first_bad: np.ndarray,
+                 jets: np.ndarray | None = None):
         self.tape = tape
         self.points = points
         self.values = values
         self.first_bad = first_bad
+        self.jets = jets  # (m, 1 + n + n(n+1)/2, roots) from Tape.jet_sweep
 
     def error(self, j: int) -> EvalDomainError:
         """The error the interpreter raises at point j: the node of the first
@@ -649,6 +716,23 @@ def diff(e: Expr, i: int) -> Expr:
     return e._dcache[i]
 
 
+# d f(a) of a unary node e = f(a), from a, e and da: the one table of unary
+# derivative rules. _diff applies it to trees, and the jet sweep reads f' and
+# f'' off it (_UNARY_JETS).
+_UNARY_RULES = {
+    "neg": lambda a, e, da: neg(da),
+    "exp": lambda a, e, da: mul(e, da),
+    "log": lambda a, e, da: div(da, a),
+    "sin": lambda a, e, da: mul(apply_unary("cos", a), da),
+    "cos": lambda a, e, da: neg(mul(apply_unary("sin", a), da)),
+    "tan": lambda a, e, da: div(da, powc(apply_unary("cos", a), 2.0)),
+    "sinh": lambda a, e, da: mul(apply_unary("cosh", a), da),
+    "cosh": lambda a, e, da: mul(apply_unary("sinh", a), da),
+    "sqrt": lambda a, e, da: div(da, mul(const(2.0), e)),
+    "abs": lambda a, e, da: mul(div(e, a), da),
+}
+
+
 def _diff(e: Expr, i: int) -> Expr:
     """Derivative of one node from the cached derivatives of its children."""
     if isinstance(e, Const):
@@ -656,30 +740,10 @@ def _diff(e: Expr, i: int) -> Expr:
     if isinstance(e, Var):
         return ONE if e.index == i else ZERO
     if isinstance(e, Unary):
-        da = e.arg._dcache[i]
-        a = e.arg
-        op = e.op
-        if op == "neg":
-            return neg(da)
-        if op == "exp":
-            return mul(e, da)
-        if op == "log":
-            return div(da, a)
-        if op == "sin":
-            return mul(apply_unary("cos", a), da)
-        if op == "cos":
-            return neg(mul(apply_unary("sin", a), da))
-        if op == "tan":
-            return div(da, powc(apply_unary("cos", a), 2.0))
-        if op == "sinh":
-            return mul(apply_unary("cosh", a), da)
-        if op == "cosh":
-            return mul(apply_unary("sinh", a), da)
-        if op == "sqrt":
-            return div(da, mul(const(2.0), e))
-        if op == "abs":
-            return mul(div(e, a), da)
-        raise ValueError(f"unknown unary operation {op!r}")
+        rule = _UNARY_RULES.get(e.op)
+        if rule is None:
+            raise ValueError(f"unknown unary operation {e.op!r}")
+        return rule(e.arg, e, e.arg._dcache[i])
     if isinstance(e, Binary):
         da, db = e.a._dcache[i], e.b._dcache[i]
         if e.op == "+":
@@ -690,27 +754,49 @@ def _diff(e: Expr, i: int) -> Expr:
             return add(mul(da, e.b), mul(e.a, db))
         return div(sub(mul(da, e.b), mul(e.a, db)), powc(e.b, 2.0))
     if isinstance(e, Power):
+        # the jet sweep applies the same rule, c a^(c - 1), twice
         return mul(mul(const(e.exponent), powc(e.base, e.exponent - 1.0)), e.base._dcache[i])
     raise TypeError(f"unknown expression node {type(e).__name__}")
+
+
+def _unary_templates() -> dict:
+    """Per unary op f, the tape of f'(x0) and f''(x0): the table's rule
+    applied to f(x0), and to that."""
+    x = Var(0)
+    out = {}
+    for op in _UNARY_RULES:
+        d1 = diff(Unary(op, x), 0)
+        out[op] = compile_tape([d1, diff(d1, 0)])
+    return out
+
+
+_UNARY_JETS = _unary_templates()
+
+
+def _unary_jets(op: str, a: np.ndarray) -> tuple:
+    """f'(a) and f''(a) of a unary op over an array of operand values."""
+    tape = _UNARY_JETS[op]
+    V = tape._slot_values(a[:, None])
+    return V[tape.root_slots[0]], V[tape.root_slots[1]]
 
 
 # --- structure helpers ------------------------------------------------------
 
 
-def free_vars(e: Expr) -> frozenset[int]:
-    """Set of coordinate indices the expression actually reads."""
-    out: set[int] = set()
-    stack = [e]
-    seen: set[int] = set()
+def _nodes(e: Expr):
+    """The distinct nodes of e, each once."""
+    stack, seen = [e], set()
     while stack:
         node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Var):
-            out.add(node.index)
-        stack.extend(_children(node))
-    return frozenset(out)
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            stack.extend(_children(node))
+
+
+def free_vars(e: Expr) -> frozenset[int]:
+    """Set of coordinate indices the expression actually reads."""
+    return frozenset(node.index for node in _nodes(e) if isinstance(node, Var))
 
 
 def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
@@ -913,7 +999,9 @@ def parse_expr(text: str, chart: Chart, functions: dict[str, Expr] | None = None
     expressions in variable 0 only. A call is expanded where it is parsed:
     the body with its variable replaced by the argument (`substitute`).
     Each parenthesis, call and unary minus nests a factor, at most
-    MAX_NESTING deep.
+    MAX_NESTING deep. A number, or a constant folded from numbers, that is
+    not finite raises a ParseError at its number or operator, since such a
+    constant has no text the parser accepts back.
     """
     toks = _Tokens(text)
     functions = functions or {}
@@ -924,20 +1012,31 @@ def parse_expr(text: str, chart: Chart, functions: dict[str, Expr] | None = None
     index = {name: i for i, name in enumerate(chart.names)}
     depth = 0
 
+    def finite(node: Expr, pos: int) -> Expr:
+        if isinstance(node, Const) and not math.isfinite(node.value):
+            raise ParseError(f"constant folds to {_fmt_float(node.value)}", pos)
+        return node
+
+    def number(text_: str, pos: int) -> float:
+        value = float(text_)
+        if not math.isfinite(value):
+            raise ParseError(f"number {text_} is not finite", pos)
+        return value
+
     def parse_sum() -> Expr:
         node = parse_term()
         while toks.peek()[0] in "+-":
-            op = toks.take()[0]
+            op, _, pos = toks.take()
             rhs = parse_term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
+            node = finite(add(node, rhs) if op == "+" else sub(node, rhs), pos)
         return node
 
     def parse_term() -> Expr:
         node = parse_factor()
         while toks.peek()[0] in "*/":
-            op = toks.take()[0]
+            op, _, pos = toks.take()
             rhs = parse_factor()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
+            node = finite(mul(node, rhs) if op == "*" else div(node, rhs), pos)
         return node
 
     def parse_factor() -> Expr:
@@ -959,14 +1058,14 @@ def parse_expr(text: str, chart: Chart, functions: dict[str, Expr] | None = None
                 kind, text_, pos = toks.take()
                 if kind != "num":
                     raise ParseError("exponent must be a numeric literal", pos)
-                node = powc(node, sign * float(text_))
+                node = finite(powc(node, sign * number(text_, pos)), pos)
         depth -= 1
         return node
 
     def parse_base() -> Expr:
         kind, text_, pos = toks.take()
         if kind == "num":
-            return const(float(text_))
+            return const(number(text_, pos))
         if kind == "(":
             node = parse_sum()
             kind2, _, pos2 = toks.take()
@@ -985,9 +1084,12 @@ def parse_expr(text: str, chart: Chart, functions: dict[str, Expr] | None = None
                 if kind2 != ")":
                     raise ParseError("expected ')'", pos2)
                 if text_ in _BUILTINS:
-                    return apply_unary(text_, arg)
+                    return finite(apply_unary(text_, arg), pos)
                 if text_ in functions:
-                    return substitute(functions[text_], {0: arg})
+                    body = substitute(functions[text_], {0: arg})
+                    for node in _nodes(body):
+                        finite(node, pos)
+                    return body
                 raise ParseError(f"unknown function {text_!r}", pos)
             if text_ in index:
                 return var(index[text_])
@@ -1016,28 +1118,33 @@ class Jet2:
 
 
 def eval_jet2(e: Expr, p) -> Jet2:
-    """Second-order jet by evaluating cached symbolic derivatives. Symmetry
-    of the Hessian is exact: entry (i, j) with i <= j is mirrored."""
-    p = tuple(float(x) for x in p)
-    n = len(p)
-    cache: dict = {}
-    value = evaluate(e, p, cache)
-    grad = np.empty(n)
-    firsts = [diff(e, i) for i in range(n)]
-    for i in range(n):
-        grad[i] = evaluate(firsts[i], p, cache)
+    """Second-order jet at one point: the one-sample jet sweep. Symmetry of
+    the Hessian is exact: entry (i, j) with i <= j is mirrored.
+
+    Raises the error of evaluating e there; where its value is clean but a
+    partial is not finite, the error of the symbolic derivative trees (diff)
+    there, in the order gradient, then Hessian row by row, which give the
+    jet instead where they evaluate."""
+    pts = np.array([p], dtype=float)
+    n = pts.shape[1]
+    iu, ju = np.triu_indices(n)
+    sweep = compile_tape([e]).jet_sweep(pts)
+    if sweep.first_bad[0] < sweep.tape.size:
+        raise sweep.error(0)
+    jet = sweep.jets[0, :, 0]
+    if not np.isfinite(jet).all():
+        firsts = [diff(e, i) for i in range(n)]
+        seconds = [diff(firsts[i], j) for i, j in zip(iu, ju)]
+        jet = compile_tape([e, *firsts, *seconds]).run(pts)[0]
     hess = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            hess[i, j] = evaluate(diff(firsts[i], j), p, cache)
-            hess[j, i] = hess[i, j]
-    return Jet2(value, grad, hess)
+    hess[iu, ju] = hess[ju, iu] = jet[1 + n :]
+    return Jet2(float(jet[0]), jet[1 : 1 + n].copy(), hess)
 
 
 def fd_oracle(e: Expr, p, h: float, chart: Chart | None = None):
     """Central finite-difference gradient and Hessian, O(h^2). Used as the
-    independent check of the symbolic derivatives, never the other way
-    around."""
+    independent check of the exact derivatives (jets and diff trees), never
+    the other way around."""
     p = np.asarray(p, dtype=float)
     n = p.size
     if h <= 0.0:

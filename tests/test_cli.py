@@ -465,17 +465,30 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def test_non_finite_constant_manifest_exits_1(tmp_path, capsys):
-    # 1e400 parses to an infinite constant; its message formats it
+    # 1e400 is refused where it is parsed, with the entry's pointer
     data = json.loads((MANIFESTS / "polar.json").read_text(encoding="utf-8"))
     data["metric"]["components"][1][1] = "t^2*1e400"
     path = str(write_manifest(tmp_path, data))
+    want = ("error: bad expression 't^2*1e400': number 1e400 is not finite (at position 4) "
+            "(at /metric/components/1/1)\n")
     for command in ("classify", "factorize"):
         assert main(["--command", command, "--manifest", path]) == 1
-        assert capsys.readouterr().err == "error: non-finite value: inf\n"
+        assert capsys.readouterr().err == want
     proc = fresh_python("import sys; from orthonet.cli import main; sys.exit(main(sys.argv[1:]))",
                         "--command", "classify", "--manifest", path)
     assert proc.returncode == 1
-    assert proc.stderr.decode() == "error: non-finite value: inf\n"
+    assert proc.stderr.decode() == want
+
+
+def test_folded_non_finite_constant_names_the_entry(tmp_path, capsys):
+    data = json.loads((MANIFESTS / "polar.json").read_text(encoding="utf-8"))
+    data["metric"]["components"][1][1] = "t^2*(1e200*1e200)"
+    path = str(write_manifest(tmp_path, data))
+    assert main(["--command", "classify", "--manifest", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad expression 't^2*(1e200*1e200)': constant folds to inf (at position 10) "
+        "(at /metric/components/1/1)\n"
+    )
 
 
 def test_sample_plan_size_is_bounded(tmp_path, capsys, monkeypatch):

@@ -103,6 +103,24 @@ def test_commands_never_use_the_interpreter(name, monkeypatch):
         assert statuses == {k: v["status"] for k, v in want["report"]["verdicts"].items()}
 
 
+@pytest.mark.parametrize("name", sorted(n for n in _runs() if n.endswith(".classify")))
+def test_classify_builds_no_derivative_trees(name, monkeypatch):
+    # classify takes the partials of the metric and the frame from the jet
+    # sweep of their tape; diff trees only name errors where jets are not finite
+    def refuse(*args):
+        raise AssertionError("scalar_fields._diff called")
+
+    monkeypatch.setattr("orthonet.scalar_fields._diff", refuse)
+    want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    got = _invoke(want["argv"])
+    assert got["exit_code"] == want["exit_code"]
+    if "error" in want:
+        assert got["error"] == want["error"]
+    else:
+        statuses = {k: v["status"] for k, v in got["report"]["verdicts"].items()}
+        assert statuses == {k: v["status"] for k, v in want["report"]["verdicts"].items()}
+
+
 @pytest.mark.parametrize("name", sorted(_runs()))
 def test_runs_build_no_symbolic_christoffel_symbols(name, monkeypatch):
     # Gamma comes from the numpy kernel over metric jets: the symbolic

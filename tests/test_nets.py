@@ -402,8 +402,9 @@ def test_non_finite_residual_raises(monkeypatch):
 
 def test_classify_tape_stays_small(monkeypatch):
     # a clean run builds no symbolic span trees, and tapes only the metric
-    # and frame entries with their first and second partials; the tape of
-    # H, the defects, the brackets and the Christoffel symbols took 203 slots
+    # and frame entries, whose jet sweep gives their partials; the tape of
+    # H, the defects, the brackets and the Christoffel symbols took 203
+    # slots, and the entries with their diff trees 65
     built = []
     init = nets._SpanFields.__init__
 
@@ -425,7 +426,7 @@ def test_classify_tape_stays_small(monkeypatch):
     classify_net(g, _coordinate(g), PLAN)
     assert built == []
     assert len(sizes) == 1
-    assert sizes[0] <= 65
+    assert sizes[0] <= 13
 
 
 def _conformal_pair():
@@ -434,16 +435,19 @@ def _conformal_pair():
 
 
 @pytest.mark.parametrize(
-    "make, h, bound",
-    [(fixtures.torus, const(1.0), 88), (_conformal_pair, None, 93)],
+    "make, h, bound, jet_bound",
+    [(fixtures.torus, const(1.0), 17, 26), (_conformal_pair, None, 17, 28)],
     ids=["torus", "conformal_pair"],
 )
-def test_codazzi_reads_the_eigen_net_jets_once(monkeypatch, make, h, bound):
+def test_codazzi_reads_the_eigen_net_jets_once(monkeypatch, make, h, bound, jet_bound):
     # a clean classify_codazzi sweeps the eigen-net's jets once, for both the
     # identities and the net classification, and builds no symbolic span
     # trees; the criteria tape took 205 (torus) and 424 (pair) slots when it
-    # held eta, zeta, their partials and the Christoffel symbols, and 101 and
-    # 120 when it held the partials of alpha and beta
+    # held eta, zeta, their partials and the Christoffel symbols, 101 and
+    # 120 when it held the partials of alpha and beta, and 88 and 93 when it
+    # held the diff trees of lambda and mu; it now holds lambda, mu and h.
+    # The eigen-net tape took 139 and 213 slots with the diff trees of the
+    # metric and the frame
     built, jets, criteria, public = [], [], [], []
     init = nets._SpanFields.__init__
     net_compile, codazzi_compile = nets.compile_tape, codazzi.compile_tape
@@ -477,7 +481,7 @@ def test_codazzi_reads_the_eigen_net_jets_once(monkeypatch, make, h, bound):
     rep = codazzi.classify_codazzi(g, phi, h=h, plan=SamplePlan(grid=6, seed=1))
     assert rep.flags["spherical_eigenbundles"].status == "pass"
     assert built == [] and public == []
-    assert len(jets) == 1
+    assert len(jets) == 1 and jets[0] <= jet_bound
     assert criteria[0] <= bound
 
 

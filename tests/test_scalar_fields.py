@@ -191,6 +191,28 @@ def test_format_non_finite_constants():
     assert format_expr(const(1e16)) == "1e+16"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x0*1e400", "number 1e400 is not finite (at position 3)"),
+        ("x0^1e400", "number 1e400 is not finite (at position 3)"),
+        ("x0 + 1e308*10", "constant folds to inf (at position 10)"),
+        ("1e308 + 1e308 - x0", "constant folds to inf (at position 6)"),
+        ("x0*(1e200*1e200 - 1e200*1e200)", "constant folds to inf (at position 9)"),
+        ("sin(1e300*1e300)", "constant folds to inf (at position 9)"),
+        ("x0*(2/1e-320)", "constant folds to inf (at position 5)"),
+        ("f(1e10)", "constant folds to inf (at position 0)"),
+    ],
+)
+def test_non_finite_constants_are_refused(text, message):
+    # no such constant has a text parse_expr accepts back
+    ch = Chart.box([(0.0, 1.0)])
+    body = parse_expr("sin(x0*1e300)", ch)
+    with pytest.raises(ParseError) as raised:
+        parse_expr(text, ch, {"f": body})
+    assert str(raised.value) == message
+
+
 def test_eval_cache_is_reusable():
     ch = Chart.box([(0.1, 1.0)] * 2)
     e = parse_expr("sin(x0) * exp(x1) + x0^2", ch)

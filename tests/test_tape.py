@@ -20,6 +20,7 @@ from orthonet.scalar_fields import (
     compile_tape,
     const,
     diff,
+    eval_jet2,
     evaluate,
     format_expr,
     parse_expr,
@@ -174,6 +175,82 @@ def test_chunked_sweep_matches_one_pass(monkeypatch):
     assert np.array_equal(parts.first_bad, whole.first_bad)
     assert list(np.flatnonzero(parts.first_bad < tape.size)) == [29]
     assert str(parts.error(29)) == "division by zero: 1/(x0 - 0.3)"
+
+
+# --- jets by forward propagation ---------------------------------------------------
+
+
+def _symbolic_jets(roots, points):
+    """The diff-tree jets of the roots, laid out as Tape.jet_sweep lays them
+    out; per point, whether a slot of their tape is subnormal; and per point
+    the largest finite slot value of that tape."""
+    iu, ju = np.triu_indices(DIM)
+    firsts = [[diff(r, p) for r in roots] for p in range(DIM)]
+    seconds = [[diff(firsts[p][k], q) for k in range(len(roots))] for p, q in zip(iu, ju)]
+    tape = compile_tape([e for row in [roots, *firsts, *seconds] for e in row])
+    pts = np.asarray(points, dtype=float)
+    with np.errstate(all="ignore"):
+        V = np.abs(tape._slot_values(pts))
+    subnormal = ((V != 0.0) & (V < np.finfo(float).tiny)).any(axis=0)
+    largest = np.where(np.isfinite(V), V, 0.0).max(axis=0)
+    values = tape.sweep(pts).values.reshape(len(pts), 1 + DIM + len(iu), len(roots))
+    return values, subnormal, largest
+
+
+@settings(max_examples=200, deadline=None)
+@given(_roots(), _points)
+def test_jet_sweep_matches_diff_trees(roots, points):
+    tape = compile_tape(roots)
+    plain, jet = tape.sweep(points), tape.jet_sweep(points)
+    # the value rows are those of a plain sweep, and so are their errors
+    assert np.array_equal(jet.first_bad, plain.first_bad)
+    assert np.array_equal(jet.values, plain.values, equal_nan=True)
+    assert np.array_equal(jet.jets[:, 0], plain.values, equal_nan=True)
+    want, subnormal, largest = _symbolic_jets(roots, points)
+    # the two evaluations round their terms in different orders, so x is
+    # the largest term the trees take at the point (x0*(1/x0) at 1e-30
+    # cancels terms of 1e60 in its second partial). Points where the trees
+    # pass through a subnormal value are skipped: there the trees lose the
+    # digits (x1/x0 at x0 = 1e-159 reads d_1 as x0/x0^2).
+    x = largest[:, None, None]
+    with np.errstate(all="ignore"):
+        both = np.isfinite(want) & np.isfinite(jet.jets) & ~subnormal[:, None, None]
+        close = np.abs(jet.jets - want) <= np.maximum(1e-12, 1e-9 * x)
+    assert close[both].all()
+
+
+def test_chunked_jet_sweep_matches_one_pass(monkeypatch):
+    ch = Chart.box([(-1.0, 1.0)] * 2)
+    e = parse_expr("exp(x0) * sin(x1) / (x0 - 0.3) + sqrt(x1 + 1)^3", ch)
+    pts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(40, 2))
+    pts[11] = (0.3, 0.5)
+    tape = compile_tape([e, diff(e, 1)])
+    whole = tape.jet_sweep(pts)
+    # three points per chunk: a chunk counts the six jet rows of every slot
+    monkeypatch.setattr(scalar_fields, "_CHUNK", 3 * 6 * tape.size)
+    parts = tape.jet_sweep(pts)
+    assert np.array_equal(parts.jets, whole.jets, equal_nan=True)
+    assert np.array_equal(parts.values, whole.values, equal_nan=True)
+    assert np.array_equal(parts.first_bad, whole.first_bad)
+    assert list(np.flatnonzero(parts.first_bad < tape.size)) == [11]
+    assert str(parts.error(11)) == "division by zero: exp(x0)*sin(x1)/(x0 - 0.3)"
+
+
+def test_eval_jet2_names_the_error_of_the_derivative_tree():
+    # sqrt is 0 at 0, its jet is not finite, and the tree 1/(2*sqrt(x0)) fails
+    e = parse_expr("sqrt(x0)", Chart.box([(0.0, 1.0)]))
+    with pytest.raises(EvalDomainError) as want:
+        evaluate(diff(e, 0), (0.0,))
+    with pytest.raises(EvalDomainError) as got:
+        eval_jet2(e, (0.0,))
+    assert str(got.value) == str(want.value) == "division by zero: 1/(2*sqrt(x0))"
+    # where the trees evaluate, they give the jet: the jet of sqrt(x0 - x0)
+    # is inf*0, but its partials fold to zero as trees
+    e = parse_expr("x1^2 + sqrt(x0 - x0)", Chart.box([(0.0, 1.0)] * 2))
+    sweep = compile_tape([e]).jet_sweep([(0.5, 0.25)])
+    assert sweep.first_bad[0] == sweep.tape.size and not np.isfinite(sweep.jets).all()
+    jet = eval_jet2(e, (0.5, 0.25))
+    assert (jet.value, list(jet.grad), jet.hess.tolist()) == (0.0625, [0.0, 0.5], [[0.0, 0.0], [0.0, 2.0]])
 
 
 # --- deep expressions ----------------------------------------------------------
