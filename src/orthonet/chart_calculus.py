@@ -218,21 +218,6 @@ def cov_deriv_exprs(g: MetricField, X, Y) -> tuple[Expr, ...]:
     return tuple(out)
 
 
-def inner_exprs(g: MetricField, X, Y) -> Expr:
-    n = g.dim
-    X = tuple(X)
-    Y = tuple(Y)
-    ys = [j for j in range(n) if not _is_zero(Y[j])]
-    terms = []
-    for i in range(n):
-        if _is_zero(X[i]):
-            continue
-        for j in ys:
-            if not _is_zero(g.entries[i][j]):
-                terms.append(mul(g.entries[i][j], mul(X[i], Y[j])))
-    return _sum_exprs(terms)
-
-
 def lie_bracket_exprs(X, Y, dim: int) -> tuple[Expr, ...]:
     X = tuple(X)
     Y = tuple(Y)

@@ -57,7 +57,6 @@ from .chart_calculus import (
     _cov,
     _ginner,
     _gnorm,
-    _jet_roots,
     _levi_civita,
     _metric_jets,
     _split,
@@ -468,25 +467,6 @@ class _EigenModel:
         blocks = (tuple(range(pr)), tuple(range(pr, n)))
         self.net = OrthogonalNet(g.chart, frame, blocks)
 
-    # the symbolic partials of lambda and mu, built only where the jets of
-    # the eigenvalue fields are not finite or a field fails to evaluate
-    @functools.cached_property
-    def dlam(self) -> tuple:
-        return tuple(diff(self.lam_expr, i) for i in range(self.g.dim))
-
-    @functools.cached_property
-    def dmu(self) -> tuple:
-        return tuple(diff(self.mu_expr, i) for i in range(self.g.dim))
-
-    @functools.cached_property
-    def d2lam(self) -> list:
-        """d_i d_l lambda at [i][l]."""
-        return [[diff(d, i) for d in self.dlam] for i in range(self.g.dim)]
-
-    @functools.cached_property
-    def d2mu(self) -> list:
-        return [[diff(d, i) for d in self.dmu] for i in range(self.g.dim)]
-
 
 @dataclass
 class CriteriaRecord:
@@ -581,121 +561,58 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Sample
     that read them.
     Failures are raised in the order of checking one sample at a time: the
     two clusters, the evaluation of lambda, a change of rank, then the
-    fields in the order the pointwise definition reads them, restricted to
-    those it reads there (second partials d_i d_l only for l in the support
-    of a mu eigenvector). Where the jets are not finite, that definition's
-    symbolic trees (samples.reference, and diff of lambda and mu) are
-    swept, and replace them."""
+    fields. Where the jets of lambda or mu are not finite but the values
+    are clean, their diff trees give the jets or the error (Sweep.repair;
+    h is read by value only). The fields fail in this order: the values of
+    mu and h, the diff trees of lambda and mu, then the field stage of the
+    eigen-net (_Samples.field_error)."""
     n = model.g.dim
     labels = samples.labels
     m = len(labels)
-    pr, qr = model.rank_lambda, model.rank_mu
-
-    def flat(rows):
-        return [e for row in rows for e in row]
+    pr = model.rank_lambda
 
     hs = [h_expr] if h_expr is not None else []
     tape = compile_tape([model.lam_expr, model.mu_expr, *hs])
     sweep = tape.jet_sweep(samples.sweep.points)
+    errors = sweep.repair(2)
     fb = sweep.first_bad
     # d_i lambda, d_i mu, d_i d_l lambda and d_i d_l mu from the jets
-    firsts = sweep.jets[:, 1 : n + 1]
-    partials = [firsts[..., 0].copy(), firsts[..., 1].copy(),
-                *(_symmetric(sweep.jets[:, n + 1 :, k], n) for k in range(2))]
-    partials_ok = np.isfinite(sweep.jets[:, :, :2].reshape(m, -1)).all(axis=1)
-
-    # eta, zeta, d_i eta^k, d_i zeta^k and Gamma^k_ij from the jets
-    lam_side, mu_side = (samples.sides[s] for s in model.net.blocks)
-    jets = [a.copy() for a in (lam_side.H, mu_side.H, lam_side.dH, mu_side.dH, samples.gamma)]
-    jets_ok = np.logical_and.reduce([np.isfinite(a.reshape(m, -1)).all(axis=1) for a in jets])
+    dlam, dmu = sweep.jets[:, 1 : n + 1, 0], sweep.jets[:, 1 : n + 1, 1]
+    d2lam_v, d2mu_v = (_symmetric(sweep.jets[:, n + 1 :, k], n) for k in range(2))
 
     # stages per sample: lambda is evaluated before the rank check, the other
     # fields after it
     lam_ok = fb >= tape.bounds[1]
     eig.align(np.where(lam_ok, sweep.values[:, 0], 0.0))
     stage = np.full(m, _OK)
-    stage[(fb < tape.size) | ~jets_ok | ~partials_ok] = _FIELD_DOMAIN
+    stage[(fb < tape.size) | ~samples.derived_ok] = _FIELD_DOMAIN
+    stage[[*errors, *samples.input_errors]] = _FIELD_DOMAIN
     stage[eig.rank_lambda() != pr] = _RANK_CHANGE
     stage[~lam_ok] = _LAM_DOMAIN
     stage[eig.failed()] = _COALESCED
 
-    lam, mu = eig.lam, eig.mu
-    cp_ok = np.abs(lam + mu) > gap_min * (1.0 + np.abs(lam) + np.abs(mu))
-    X, Y = eig.bases(pr)
-
-    def read(support, trees) -> list:
-        """The fields the pointwise definition reads, in order, at a sample
-        where support[b, l] says whether the b-th mu eigenvector has a
-        nonzero l-th component; trees are the symbolic eta, zeta, partials
-        and Gamma, or None where the jets stand in."""
-        eta, zeta, deta, dzeta, gam = trees or ([],) * 5
-        out = [*model.dlam, *model.dmu, *eta, *zeta, *deta, *gam]
-        seen: set = set()
-        for b in range(qr):
-            new = [l for l in range(n) if support[b][l] and l not in seen]
-            seen.update(new)
-            out += [model.d2lam[i][l] for i in range(n) for l in new]
-            out += [model.d2mu[i][l] for i in range(n) for l in new]
-            if b == 0:
-                out += dzeta
-        if h_expr is not None:
-            out.append(h_expr)
-        return out
-
-    # the first failing slot or partial may belong to a field not read at its
-    # sample: rerun those samples on the fields they read, one tape per
-    # reading, and take the partials of lambda and mu from the trees there
-    suspects: dict = {}
-    for j in np.flatnonzero(stage == _FIELD_DOMAIN):
-        key = (tuple(map(tuple, Y[j] != 0.0)), bool(jets_ok[j]))
-        suspects.setdefault(key, []).append(j)
-    trees = None
-    if not all(finite for *_, finite in suspects):
-        eta, zeta = (_jet_roots(samples.reference(s).H) for s in model.net.blocks)
-        # Gamma^k_ji is the node of Gamma^k_ij, so all of Gamma reads as its
-        # upper triangle does
-        gamma = flat(flat(model.g.christoffel_entries()))
-        trees = (eta[:n], zeta[:n], eta[n:], zeta[n:], gamma)
-    field_errors = {}
-    for (support, finite), js in suspects.items():
-        # a reading reads every tree, so appending them adds no slot; the
-        # partials of lambda and mu go last, where an unread one may fail
-        extra = [] if finite else flat(trees)
-        reading = read(support, None if finite else trees) + extra
-        exact = compile_tape(reading + [*model.dlam, *model.dmu, *flat(model.d2lam),
-                                        *flat(model.d2mu)]).sweep(sweep.points[js])
-        end = exact.tape.bounds[len(reading)]
-        targets = (jets if extra else []) + partials
-        shapes = ([(n,), (n,), (n, n), (n, n), (n, n, n)] if extra else []) + [(n,), (n,), (n, n), (n, n)]
-        for r, j in enumerate(js):
-            if exact.first_bad[r] < end:
-                field_errors[j] = (exact, r)
-                continue
-            clean = exact.values[r : r + 1, len(reading) - len(extra) :]
-            for a, v in zip(targets, _split(clean, *shapes)):
-                a[j] = v[0]
-
-    for j in np.flatnonzero(stage != _OK):
+    failed = np.flatnonzero(stage != _OK)
+    if failed.size:
+        j = int(failed[0])
         if stage[j] == _COALESCED:
             raise eig.error(j, labels[j])
-        if stage[j] == _LAM_DOMAIN:
-            raise sweep.error(j)
         if stage[j] == _RANK_CHANGE:
             raise CoalescenceError(
                 f"eigenvalue ranks change at {labels[j]}: "
                 f"{eig.rank_lambda()[j]} vs {pr} at the anchor"
             )
-        if j in field_errors:
-            exact, r = field_errors[j]
-            raise exact.error(r)
+        if fb[j] < tape.size:  # lambda, or at the field stage mu or h
+            raise sweep.error(j)
+        raise errors[j] if j in errors else samples.field_error(j)
 
-    # failures left are in fields never read at their samples
-    vals = sweep.values
-    if (fb < tape.size).any():
-        vals = np.where(np.isfinite(vals), vals, 0.0)
-    dlam, dmu, d2lam_v, d2mu_v = (np.where(np.isfinite(a), a, 0.0) for a in partials)
-    lam_c, mu_c, *h_vals = vals.T
-    eta_v, zeta_v, deta_v, dzeta_v, gam = jets
+    lam, mu = eig.lam, eig.mu
+    cp_ok = np.abs(lam + mu) > gap_min * (1.0 + np.abs(lam) + np.abs(mu))
+    X, Y = eig.bases(pr)
+    lam_c, mu_c, *h_vals = sweep.values.T
+    # eta, zeta, d_i eta^k, d_i zeta^k and Gamma^k_ij from the eigen-net's jets
+    lam_side, mu_side = (samples.sides[s] for s in model.net.blocks)
+    eta_v, zeta_v, deta_v, dzeta_v, gam = (
+        lam_side.H, mu_side.H, lam_side.dH, mu_side.dH, samples.gamma)
     G, P, Ginv = fields.G, fields.P, samples.Ginv
     grad_lam = np.einsum("mij,mj->mi", Ginv, dlam)
     grad_mu = np.einsum("mij,mj->mi", Ginv, dmu)

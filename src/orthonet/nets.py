@@ -39,14 +39,14 @@ Errors and warnings are those of checking one sample at a time in plan
 order: the first sample that fails raises, with the first check that fails
 there (metric evaluation, positive definiteness, frame evaluation, frame
 degeneracy, block orthogonality, field evaluation), and every sample up to
-it that passes the positivity check warns if it is ill-conditioned. The
-pointwise definition builds H, the defects, the brackets and nabla H as
-symbolic trees (_SpanFields, on the symbolic Christoffel entries, which are
-the pointwise reference only); they are built and swept only at samples
-whose jets or derived values are not finite, so a field evaluation error
-names the sub-expression that definition fails on first, and a clean rerun
-gives the values. A residual that is not finite raises InconsistencyError
-instead of passing.
+it that passes the positivity check warns if it is ill-conditioned. Where
+the metric and frame entries evaluate but their jets are not finite, the
+diff trees of those entries give the jets or, where they fail, the field
+evaluation error (Sweep.repair). Where the jets are finite but a derived
+value is not (Gamma, or H, its partials, nabla H, a defect or a bracket of
+a span), the field stage raises InconsistencyError naming the quantity, the
+span and the sample. A residual that is not finite raises
+InconsistencyError instead of passing.
 """
 
 from __future__ import annotations
@@ -68,10 +68,6 @@ from .chart_calculus import (
     _metric_checks,
     _symmetric,
     _warn_conditions,
-    cov_deriv_exprs,
-    inner_exprs,
-    inverse_exprs,
-    lie_bracket_exprs,
 )
 from .errors import (
     ConstraintError,
@@ -81,18 +77,7 @@ from .errors import (
     NotSPDError,
 )
 from .sampling import SamplePlan, sample_points
-from .scalar_fields import (
-    Chart,
-    Const,
-    ONE,
-    ZERO,
-    add,
-    compile_tape,
-    const,
-    div,
-    mul,
-    sub,
-)
+from .scalar_fields import Chart, Const, ONE, ZERO, compile_tape
 
 __all__ = [
     "OrthogonalNet",
@@ -163,82 +148,6 @@ class OrthogonalNet:
         )
 
 
-# --- the symbolic reference -----------------------------------------------------
-
-
-class _SpanFields:
-    """Symbolic second-fundamental data of the span of a frame subset, as
-    the pointwise definition builds it. _Samples sweeps these trees only at
-    samples whose jets are not finite."""
-
-    def __init__(self, g: MetricField, net: OrthogonalNet, indices):
-        n, r = g.dim, len(indices)
-        self.rank = r
-        self.fields = fields = [net.frame[a] for a in indices]
-        self.H = tuple([ZERO] * n)
-        self.umb_defects = self.bracket_perp = ()
-        if r == 0:
-            return
-
-        gram = [[inner_exprs(g, fields[a], fields[b]) for b in range(r)] for a in range(r)]
-        gram_inv = inverse_exprs(gram)
-
-        def total(terms):
-            return functools.reduce(add, terms, ZERO)
-
-        def perp(v):
-            # minus the g-orthogonal projection onto the span
-            ips = [inner_exprs(g, v, f) for f in fields]
-            comps = [total(mul(gram_inv[a][b], ips[b]) for b in range(r)) for a in range(r)]
-            return tuple(
-                sub(v[k], total(mul(comps[a], fields[a][k]) for a in range(r))) for k in range(n)
-            )
-
-        sperp = {
-            (a, b): perp(cov_deriv_exprs(g, fields[a], fields[b])) for a in range(r) for b in range(r)
-        }
-        H = [total(mul(gram_inv[a][b], sperp[(a, b)][k]) for a in range(r) for b in range(r))
-             for k in range(n)]
-        self.H = tuple(div(h, const(float(r))) for h in H)
-        # umbilicity defects over a <= b, bracket projections over a < b
-        self.umb_defects = tuple(
-            tuple(sub(sperp[(a, b)][k], mul(gram[a][b], self.H[k])) for k in range(n))
-            for a in range(r) for b in range(a, r)
-        )
-        self.bracket_perp = tuple(
-            perp(lie_bracket_exprs(fields[a], fields[b], n)) for a in range(r) for b in range(a + 1, r)
-        )
-
-
-def _layout(g: MetricField, sfs):
-    """The symbolic roots of the spans, in the order the pointwise definition
-    reads them: per span its H, its umbilicity defects when the rank exceeds
-    one, nabla_{X_a} H over its fields, and its bracket projections.
-
-    Returns the roots and per span the slices of those four, or None for a
-    span of rank 0."""
-    roots: list = []
-
-    def take(vectors) -> slice:
-        start = len(roots)
-        for v in vectors:
-            roots.extend(v)
-        return slice(start, len(roots))
-
-    parts = [
-        (
-            take([sf.H]),
-            take(sf.umb_defects if sf.rank > 1 else []),
-            take([cov_deriv_exprs(g, f, sf.H) for f in sf.fields]),
-            take(sf.bracket_perp),
-        )
-        if sf.rank
-        else None
-        for sf in sfs
-    ]
-    return roots, parts
-
-
 # --- geometry from jets -----------------------------------------------------------
 
 # checks at one sample, in the order a failure there is reported
@@ -248,6 +157,10 @@ _CLEAN = 6
 
 # DistributionGeometry name -> _Side field of each residual of a span
 _RESIDUALS = {"umbilicity": "umb", "sphericity": "sph", "geodesy": "geo", "integrability": "integ"}
+# the derived values of a span by name -> _Side field, in the order the first
+# that is not finite at a sample is named
+_DERIVED = {"H": "H", "dH": "dH", "nabla H": "covH", "umbilicity defect": "defects",
+            "bracket": "brackets"}
 
 
 @functools.cache
@@ -385,6 +298,8 @@ class _Side:
     H: np.ndarray  # (m, n) mean curvature normal
     dH: np.ndarray  # (m, n, n) d_i H^k at [k, i]
     covH: np.ndarray  # (m, rank, n) nabla_{X_a} H over the span's fields
+    defects: np.ndarray  # (m, pairs, n) umbilicity defects, a <= b
+    brackets: np.ndarray  # (m, pairs, n) [X_a, X_b]^perp, a < b
     umb: np.ndarray  # (m,) each
     sph: np.ndarray
     geo: np.ndarray
@@ -395,27 +310,20 @@ class _Samples:
     """A net's metric, frame and span residuals over a batch of sample points.
 
     One tape holds the metric and frame entries; one jet sweep gives their
-    values and first and second partials over all samples, and _geometry
-    computes from them, per requested block, the geometry of its span and of
-    its complement, and the residuals. The checks run later, when the caller
-    calls check: per stage over all samples, the first sample that fails any
-    of them raises, with the stage that fails first there, and condition
-    warnings are issued for every sample up to that one.
-
-    The pointwise definition differentiates symbolic trees of H (see
-    _SpanFields, built on first use by reference), so it may fail where the
-    jets do not, and the reverse. A sample whose metric and frame evaluate
-    but whose jets (a first or second partial) or derived values are not
-    finite is swept again on those trees: the error is the one that sweep
-    raises first, and where it is clean its values replace the derived
-    ones."""
+    values and first and second partials over all samples, mended from the
+    entries' diff trees where they are not finite (Sweep.repair), and
+    _geometry computes from them, per requested block, the geometry of its
+    span and of its complement, and the residuals. The checks run later,
+    when the caller calls check: per stage over all samples, the first
+    sample that fails any of them raises, with the stage that fails first
+    there, and condition warnings are issued for every sample up to that
+    one."""
 
     def __init__(self, g: MetricField, net: OrthogonalNet, blocks, pts, labels):
         n = g.dim
-        self.g, self.net, self.labels = g, net, labels
+        self.net, self.labels = net, labels
         self.spans = {i: (net.blocks[i], net.complement(i)) for i in blocks}
         unique = list(dict.fromkeys(s for pair in self.spans.values() for s in pair))
-        self._reference: dict = {}
 
         nt = n * (n + 1) // 2
         constant = all(isinstance(e, Const) for f in net.frame for e in f)
@@ -423,51 +331,47 @@ class _Samples:
         tape = compile_tape([g.entries[i][j] for i, j in zip(*_pairs(n, 0))]
                             + [e for f in net.frame for e in f])
         self.sweep = sweep = tape.jet_sweep(pts)
+        # by sample, the error of the entries' diff trees where they fail
+        self.input_errors = sweep.repair()
         self._metric_end = tape.bounds[nt]
-        m = len(sweep.values)
         with np.errstate(all="ignore"):
             self.G, self.Ginv, self.gamma, self.F, geometry = _geometry(sweep.jets, n, unique, frame)
-
-        derived = [a.reshape(m, -1) for parts in filter(None, geometry.values()) for a in parts]
-        derived.append(sweep.jets.reshape(m, -1))
-        with np.errstate(all="ignore"):
-            suspect = ~np.isfinite(np.concatenate(derived, axis=1).sum(axis=1))
-        js = np.flatnonzero(suspect & (sweep.first_bad == tape.size))
-        self._field_errors = {}
-        if js.size:
-            exact_roots, exact_parts = _layout(g, [self.reference(s) for s in unique])
-            exact = compile_tape(exact_roots).sweep(sweep.points[js])
-            for r, j in enumerate(js):
-                if exact.first_bad[r] < exact.tape.size:
-                    self._field_errors[int(j)] = (exact, r)
-                    continue
-                for s, sls in zip(unique, exact_parts):
-                    # the trees give all parts but dH, which keeps its jet values
-                    for a, sl in zip(geometry[s] or (), sls or ()):
-                        a[j] = exact.values[r, sl].reshape(a.shape[1:])
-
-        with np.errstate(all="ignore"):
             # the Gram matrix of the frame, and the g-norms of its fields
             self.M = self.F @ self.G @ self.F.transpose(0, 2, 1)
             self.norms = np.sqrt(np.maximum(np.einsum("maa->ma", self.M), 0.0))
             self.sides = {s: self._side(s, geometry[s]) for s in unique}
+            # per sample, whether Gamma and every derived value of every span
+            # are finite there
+            self.derived_ok = _finite([self.gamma] + [
+                getattr(side, f) for side in self.sides.values() for f in _DERIVED.values()])
 
-    def reference(self, span) -> _SpanFields:
-        """The symbolic trees of a span, built on first use."""
-        if span not in self._reference:
-            self._reference[span] = _SpanFields(self.g, self.net, span)
-        return self._reference[span]
+    def field_error(self, j: int):
+        """The error of the field stage at sample j: that of the entries'
+        diff trees there, or else InconsistencyError naming the first
+        derived value that is not finite, Gamma and then per span those of
+        _DERIVED."""
+        if j in self.input_errors:
+            return self.input_errors[j]
+        named = [("Gamma", self.gamma)] + [
+            (f"{name} of span {s}", getattr(side, f))
+            for s, side in self.sides.items() for name, f in _DERIVED.items()]
+        for name, a in named:
+            bad = a[j][~np.isfinite(a[j])]
+            if bad.size:
+                return InconsistencyError(
+                    f"{name} is {bad[0]} at {self.labels[j]}; derived values must be finite")
 
     def check(self, metric: bool = True) -> "_Samples":
         """Raise what the pointwise definition raises first, and warn on the
         way; values at a sample past its first failure are never read.
         metric=False skips the metric's checks and warnings, for a caller
         that has run them on the same samples. Returns self."""
-        G, labels, field_errors = self.G, self.labels, self._field_errors
+        G, labels = self.G, self.labels
         m, n = G.shape[:2]
         fb = self.sweep.first_bad
         stage = np.full(m, _CLEAN)
-        stage[np.array(sorted(field_errors), dtype=np.intp)] = _FIELD_DOMAIN
+        stage[~self.derived_ok] = _FIELD_DOMAIN
+        stage[list(self.input_errors)] = _FIELD_DOMAIN
 
         metric_ok = fb >= self._metric_end
         size = self.sweep.tape.size
@@ -500,8 +404,7 @@ class _Samples:
         if stage[j] in (_METRIC_DOMAIN, _FRAME_DOMAIN):
             raise self.sweep.error(j)
         if stage[j] == _FIELD_DOMAIN:
-            exact, r = field_errors[j]
-            raise exact.error(r)
+            raise self.field_error(j)
         if stage[j] == _NOT_SPD:
             raise NotSPDError(
                 f"metric not positive definite at {labels[j]}: "
@@ -523,7 +426,8 @@ class _Samples:
         m, n = G.shape[:2]
         zero = np.zeros(m)
         if geometry is None:
-            return _Side(np.zeros((m, n)), np.zeros((m, n, n)), np.zeros((m, 0, n)),
+            none = np.zeros((m, 0, n))
+            return _Side(np.zeros((m, n)), np.zeros((m, n, n)), none, none, none,
                          zero, zero, zero, zero)
         H, defects, covH, brackets, dH = geometry
         r = len(span)
@@ -544,7 +448,7 @@ class _Samples:
             sph = (ip / scale).max(axis=(1, 2))
         geo = umb + _gnorm(H, G)
         integ = pair_max(brackets, *_pairs(r, 1))
-        return _Side(H, dH, covH, umb, sph, geo, integ)
+        return _Side(H, dH, covH, defects, brackets, umb, sph, geo, integ)
 
     def block(self, i: int) -> tuple[_Side, _Side]:
         b, c = self.spans[i]
@@ -581,6 +485,18 @@ class _Samples:
         d1 = _ginner(c.covH[:, None, :], G, F[:, blk, None]) / scale
         d2 = _ginner(b.covH[:, :, None], G, F[:, None, comp]) / scale
         return (np.abs(d1 - d2) / (1.0 + np.abs(d1) + np.abs(d2))).max(axis=(1, 2))
+
+
+def _finite(arrays) -> np.ndarray:
+    """Per sample, whether every array, each (m, ...), is finite there.
+    Callers ignore floating-point errors (np.errstate)."""
+    m = len(arrays[0])
+    ok = np.ones(m, dtype=bool)
+    for a in arrays:
+        # a finite array whose sum overflows only takes the exact check
+        if not np.isfinite(a.sum()):
+            ok &= np.isfinite(a.reshape(m, -1)).all(axis=1)
+    return ok
 
 
 def project(g: MetricField, net: OrthogonalNet, block, v, p) -> np.ndarray:

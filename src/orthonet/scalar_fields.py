@@ -14,11 +14,11 @@ a failing point comes from the interpreter, run on the failing node
 every tree reads chart coordinates only. A caller that needs first and
 second partials takes them from `Tape.jet_sweep`, which propagates value,
 gradient and Hessian through the tape of its (small) input trees in one
-pass (Griewank and Walther, Evaluating Derivatives, 2008, ch. 13); `diff`
-trees name the error where those jets are not finite. One table of unary
-rules serves both. Tree walks that may meet deep trees (differentiation,
-substitution, printing, tape compilation) keep their own stack instead of
-recursing.
+pass (Griewank and Walther, Evaluating Derivatives, 2008, ch. 13); where
+those jets are not finite, the `diff` trees of the inputs give them or name
+the error (`Sweep.repair`). One table of unary rules serves both. Tree
+walks that may meet deep trees (differentiation, substitution, printing,
+tape compilation) keep their own stack instead of recursing.
 """
 
 from __future__ import annotations
@@ -522,8 +522,8 @@ class Tape:
         n(n+1)/2, roots), per point the values, the first partials d_p and
         the second partials d_p d_q over p <= q in np.triu_indices order,
         where n = dim. first_bad and error read the value rows only, so a
-        value error is named as sweep names it; a partial that is not finite
-        is left for the caller to check. Chunks count the jet rows."""
+        value error is named as sweep names it; Sweep.repair mends a partial
+        that is not finite. Chunks count the jet rows."""
         return self._sweep(points, jets=True)
 
     def _sweep(self, points, jets: bool) -> "Sweep":
@@ -612,6 +612,39 @@ class Sweep:
             _raise_domain("non-finite value", node)
         except EvalDomainError as e:
             return e
+
+    def repair(self, roots: int | None = None) -> dict:
+        """Mend the jets of a jet sweep from the diff trees of its roots.
+
+        At a point whose values are clean but where the jets of some of the
+        first `roots` roots (all by default) are not finite, those roots'
+        diff trees are compiled, in the order of the jet rows (the roots,
+        then d_p over p, then d_p d_q over p <= q, each over the roots), and
+        swept there. Where they evaluate, their values replace those roots'
+        jets; where they fail, the jets stay as they were. Returns, by point,
+        the error their sweep raises first at each point where they fail."""
+        J, n = self.jets, self.points.shape[1]
+        with np.errstate(all="ignore"):
+            if np.isfinite(J[:, :, :roots].sum()):  # a sum that overflows takes the full check
+                return {}
+            bad = ~np.isfinite(J[:, :, :roots]).all(axis=1)
+        bad &= (self.first_bad == self.tape.size)[:, None]
+        groups: dict = {}
+        for j in np.flatnonzero(bad.any(axis=1)):
+            groups.setdefault(tuple(np.flatnonzero(bad[j])), []).append(int(j))
+        errors = {}
+        for cols, js in groups.items():
+            es = [self.tape.nodes[self.tape.root_slots[c]] for c in cols]
+            firsts = [[diff(e, p) for e in es] for p in range(n)]
+            seconds = [diff(d, q) for p, q in zip(*np.triu_indices(n)) for d in firsts[p]]
+            tape = compile_tape([*es, *(d for row in firsts for d in row), *seconds])
+            exact = tape.sweep(self.points[js])
+            for r, j in enumerate(js):
+                if exact.first_bad[r] < tape.size:
+                    errors[j] = exact.error(r)
+                else:
+                    J[j][:, list(cols)] = exact.values[r].reshape(-1, len(cols))
+        return errors
 
 
 def compile_tape(roots) -> Tape:
@@ -1122,20 +1155,18 @@ def eval_jet2(e: Expr, p) -> Jet2:
     the Hessian is exact: entry (i, j) with i <= j is mirrored.
 
     Raises the error of evaluating e there; where its value is clean but a
-    partial is not finite, the error of the symbolic derivative trees (diff)
-    there, in the order gradient, then Hessian row by row, which give the
-    jet instead where they evaluate."""
+    partial is not finite, the jet comes from the diff trees of e
+    (Sweep.repair), which raise their error instead where they fail."""
     pts = np.array([p], dtype=float)
     n = pts.shape[1]
-    iu, ju = np.triu_indices(n)
     sweep = compile_tape([e]).jet_sweep(pts)
     if sweep.first_bad[0] < sweep.tape.size:
         raise sweep.error(0)
+    errors = sweep.repair()
+    if errors:
+        raise errors[0]
     jet = sweep.jets[0, :, 0]
-    if not np.isfinite(jet).all():
-        firsts = [diff(e, i) for i in range(n)]
-        seconds = [diff(firsts[i], j) for i, j in zip(iu, ju)]
-        jet = compile_tape([e, *firsts, *seconds]).run(pts)[0]
+    iu, ju = np.triu_indices(n)
     hess = np.empty((n, n))
     hess[iu, ju] = hess[ju, iu] = jet[1 + n :]
     return Jet2(float(jet[0]), jet[1 : 1 + n].copy(), hess)

@@ -22,7 +22,6 @@ from orthonet.chart_calculus import (
     grad_field,
     hessian_lc,
     inner,
-    inner_exprs,
     lc_axiom_residuals,
     lie_bracket,
     lie_bracket_exprs,
@@ -223,11 +222,6 @@ def _dense_sum(terms):
     return acc
 
 
-def _dense_inner(g, X, Y):
-    n = g.dim
-    return _dense_sum(mul(g.entries[i][j], mul(X[i], Y[j])) for i in range(n) for j in range(n))
-
-
 def _dense_cov(g, X, Y):
     n = g.dim
     gamma = g.christoffel_entries()
@@ -274,7 +268,6 @@ def test_builders_match_dense_sums(case):
     for X in fields:
         for Y in fields:
             pairs = [
-                ([inner_exprs(g, X, Y)], [_dense_inner(g, X, Y)]),
                 (cov_deriv_exprs(g, X, Y), _dense_cov(g, X, Y)),
                 (lie_bracket_exprs(X, Y, n), _dense_bracket(X, Y, n)),
             ]

@@ -28,6 +28,7 @@ from orthonet.errors import (
     ConditionNumberWarning,
     ConstraintError,
     EvalDomainError,
+    InconsistencyError,
     NotCodazziError,
     NotSPDError,
 )
@@ -39,7 +40,7 @@ from orthonet.fixtures import (
 )
 from orthonet.nets import OrthogonalNet, distribution_geometry
 from orthonet.product_metrics import FactorSpec, conformal_scale
-from orthonet.sampling import SamplePlan
+from orthonet.sampling import SamplePlan, sample_points
 from orthonet.scalar_fields import (
     Chart,
     Tape,
@@ -613,34 +614,25 @@ def _numbers(tree, path=""):
     return {path: tree}
 
 
-def test_non_finite_jets_fall_back_to_the_symbolic_normals(monkeypatch):
-    # where the eigen-net's jets of eta, zeta, their partials or Gamma are not
-    # finite, the symbolic trees of the pointwise definition give them
+def test_non_finite_eigen_net_jets_raise_at_the_field_stage(monkeypatch):
+    # where eta, zeta, their partials or Gamma are not finite although the
+    # jets of the eigen-net's entries are, the first such sample raises,
+    # naming the span, the quantity and the sample
     g, phi = torus()
-    want = _numbers(classify_codazzi(g, phi, h=const(1.0), plan=PLAN).to_dict())
-    built = []
-    init, reference = nets._Samples.__init__, nets._Samples.reference
+    geometry = nets._geometry
 
-    def poisoned(self, *args):
-        init(self, *args)
-        self.sides[self.net.blocks[0]].dH[2] = np.nan  # d eta at sample 2
-        self.sides[self.net.blocks[1]].H[4] = np.inf  # zeta at sample 4
-        self.gamma[5] = np.nan
+    def poisoned(*args):
+        G, Ginv, gamma, F, spans = geometry(*args)
+        spans[(0,)][4][2] = np.nan  # d eta at sample 2
+        spans[(1,)][0][4] = np.inf  # zeta at sample 4
+        gamma[5] = np.nan
+        return G, Ginv, gamma, F, spans
 
-    def counting(self, span):
-        built.append(span)
-        return reference(self, span)
-
-    monkeypatch.setattr(nets._Samples, "__init__", poisoned)
-    monkeypatch.setattr(nets._Samples, "reference", counting)
-    got = _numbers(classify_codazzi(g, phi, h=const(1.0), plan=PLAN).to_dict())
-    assert built == [(0,), (1,)]
-    assert got.keys() == want.keys()
-    for key, value in want.items():
-        if isinstance(value, float):
-            assert math.isclose(got[key], value, rel_tol=1e-9, abs_tol=1e-12), key
-        else:
-            assert got[key] == value, key
+    monkeypatch.setattr(nets, "_geometry", poisoned)
+    label = tuple(float(x) for x in sample_points(g.chart, PLAN)[2])
+    _raises(g, phi, InconsistencyError,
+            f"dH of span (0,) is nan at {label}; derived values must be finite",
+            plan=PLAN, h=const(1.0))
 
 
 def test_non_finite_eigenvalue_jets_fall_back_to_diff_trees(monkeypatch):

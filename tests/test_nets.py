@@ -351,9 +351,8 @@ def test_ill_conditioned_geodesy_keeps_rounding_at_the_scale_of_k():
 
 # --- samples whose jets are not finite ---------------------------------------------
 
-# both cases need the symbolic rerun: (a) must raise the error of the pointwise
-# definition on d_1 H, and (b) must pass, although the jets there hold a second
-# partial that is not finite and that the definition never reads
+# where an entry evaluates but its jet is not finite, the diff trees of the
+# entries give the jet or raise their error at the field stage
 
 
 @pytest.mark.parametrize("blocks", [((0,), (1,), (2,)), ((0,), (1, 2))])
@@ -369,17 +368,30 @@ def test_singular_partial_of_h_raises_the_pointwise_error(blocks):
     assert raised.value.subexpr == "(x1 - 0.5)^-0.5"
 
 
-def test_unread_singular_partial_of_h_is_never_evaluated():
-    # d_0 H of block 1 is singular at x0 = 1, but block 1 is spanned by d/dx1
+def test_metric_that_is_not_twice_differentiable_raises_the_diff_tree_error():
+    # d_0 d_0 g_11 reads (x0 - 1)^-0.5, which fails at x0 = 1 (sample 0): the
+    # metric is not C^2 there, although block 1, spanned by d/dx1, reads no
+    # d_0 H
     g = _diag2("1", "1 + (x0 - 1)^1.5")
     outcome, texts = _classify_recording(g)
-    assert isinstance(outcome, NetReport)
+    assert isinstance(outcome, EvalDomainError)
+    assert str(outcome) == "zero raised to a negative power: (x0 - 1)^-0.5"
     assert texts == []
-    assert {k: (f.status, f.residual) for k, f in outcome.flags.items()} == {
-        k: ("pass", 0.0) for k in ("TP", "WP", "QW", "CQW", "CQW0", "CWP", "CP")
-    }
-    assert outcome.h0_sum_residual == 0.0
-    assert outcome.cp_hs0_residual == 0.0
+
+
+def test_jet_of_a_folded_zero_is_repaired_from_the_diff_trees():
+    # the jet of sqrt(x1 - x1) is inf * 0 at every sample, but its diff trees
+    # fold to zero, so the report is that of the metric without the term
+    ch = fixtures.warped_three().chart
+    reports = [
+        classify_net(
+            MetricField.diagonal(ch, [parse_expr(t, ch) for t in ("1", g11, "exp(4*x0)")]),
+            OrthogonalNet.coordinate(ch, ((0,), (1,), (2,))),
+            PLAN,
+        ).to_dict()
+        for g11 in ("exp(2*x0) + sqrt(x1 - x1)", "exp(2*x0)")
+    ]
+    assert reports[0] == reports[1]
 
 
 def test_non_finite_residual_raises(monkeypatch):
@@ -400,18 +412,32 @@ def test_non_finite_residual_raises(monkeypatch):
     assert str(label) in str(raised.value)
 
 
+def test_non_finite_derived_value_raises_at_the_field_stage(monkeypatch):
+    # the entries' jets are finite, but nabla H of span (1,) is not at sample
+    # 3 and H of span (2,) at sample 1: the first such sample raises, naming
+    # the quantity, the span and the sample
+    geometry = nets._geometry
+
+    def poisoned(*args):
+        G, Ginv, gamma, F, spans = geometry(*args)
+        spans[(1,)][2][3] = np.nan
+        spans[(2,)][0][1, 0] = -np.inf
+        return G, Ginv, gamma, F, spans
+
+    monkeypatch.setattr(nets, "_geometry", poisoned)
+    g = fixtures.cqw_three()
+    with pytest.raises(InconsistencyError) as raised:
+        classify_net(g, _coordinate(g), PLAN)
+    label = tuple(sample_points(g.chart, PLAN)[1].tolist())
+    assert str(raised.value) == f"H of span (2,) is -inf at {label}; derived values must be finite"
+
+
 def test_classify_tape_stays_small(monkeypatch):
-    # a clean run builds no symbolic span trees, and tapes only the metric
-    # and frame entries, whose jet sweep gives their partials; the tape of
-    # H, the defects, the brackets and the Christoffel symbols took 203
-    # slots, and the entries with their diff trees 65
-    built = []
-    init = nets._SpanFields.__init__
-
-    def counting(self, *args):
-        built.append(args[-1])
-        init(self, *args)
-
+    # a clean run tapes only the metric and frame entries, whose jet sweep
+    # gives their partials; the tape of H, the defects, the brackets and the
+    # Christoffel symbols took 203 slots, and the entries with their diff
+    # trees 65
+    assert not hasattr(nets, "_SpanFields")
     sizes = []
     compile_tape = nets.compile_tape
 
@@ -420,11 +446,9 @@ def test_classify_tape_stays_small(monkeypatch):
         sizes.append(tape.size)
         return tape
 
-    monkeypatch.setattr(nets._SpanFields, "__init__", counting)
     monkeypatch.setattr(nets, "compile_tape", spy)
     g = fixtures.cqw_three()
     classify_net(g, _coordinate(g), PLAN)
-    assert built == []
     assert len(sizes) == 1
     assert sizes[0] <= 13
 
@@ -441,21 +465,17 @@ def _conformal_pair():
 )
 def test_codazzi_reads_the_eigen_net_jets_once(monkeypatch, make, h, bound, jet_bound):
     # a clean classify_codazzi sweeps the eigen-net's jets once, for both the
-    # identities and the net classification, and builds no symbolic span
-    # trees; the criteria tape took 205 (torus) and 424 (pair) slots when it
-    # held eta, zeta, their partials and the Christoffel symbols, 101 and
-    # 120 when it held the partials of alpha and beta, and 88 and 93 when it
-    # held the diff trees of lambda and mu; it now holds lambda, mu and h.
+    # identities and the net classification; the criteria tape took 205
+    # (torus) and 424 (pair) slots when it held eta, zeta, their partials and
+    # the Christoffel symbols, 101 and 120 when it held the partials of alpha
+    # and beta, and 88 and 93 when it held the diff trees of lambda and mu;
+    # it now holds lambda, mu and h.
     # The eigen-net tape took 139 and 213 slots with the diff trees of the
     # metric and the frame
-    built, jets, criteria, public = [], [], [], []
-    init = nets._SpanFields.__init__
+    assert not hasattr(nets, "_SpanFields")
+    jets, criteria, public = [], [], []
     net_compile, codazzi_compile = nets.compile_tape, codazzi.compile_tape
     scores = codazzi._criteria
-
-    def counting(self, *args):
-        built.append(args[-1])
-        init(self, *args)
 
     def jet_compile(roots):
         tape = net_compile(roots)
@@ -472,7 +492,6 @@ def test_codazzi_reads_the_eigen_net_jets_once(monkeypatch, make, h, bound, jet_
             inner.setattr(codazzi, "compile_tape", criteria_compile)
             return scores(*args, **kwargs)
 
-    monkeypatch.setattr(nets._SpanFields, "__init__", counting)
     monkeypatch.setattr(nets, "compile_tape", jet_compile)
     for module in (nets, codazzi):
         monkeypatch.setattr(module, "classify_net", lambda *args: public.append(args), raising=False)
@@ -480,86 +499,93 @@ def test_codazzi_reads_the_eigen_net_jets_once(monkeypatch, make, h, bound, jet_
     g, phi = make()
     rep = codazzi.classify_codazzi(g, phi, h=h, plan=SamplePlan(grid=6, seed=1))
     assert rep.flags["spherical_eigenbundles"].status == "pass"
-    assert built == [] and public == []
+    assert public == []
     assert len(jets) == 1 and jets[0] <= jet_bound
     assert criteria[0] <= bound
 
 
-# --- jets against the symbolic reference on moving frames -------------------------
+# --- jets against the sympy oracle on moving frames ------------------------------
+
+# each case names the FORMS entry of tests/test_sympy_oracle.py with its
+# metric and points; its maker gives the frame in sympy, as rows in those
+# coordinates, and the net's samples at the points
 
 
-def _rotated_polar():
+def _rotated_polar(sp, xs, pts):
     # an orthonormal frame of the polar metric turned by the angle t*theta
     g = fixtures.polar()
     c, s, ct, st = (
         parse_expr(t, g.chart)
         for t in ("cos(t*theta)", "sin(t*theta)", "cos(t*theta)/t", "sin(t*theta)/t")
     )
-    frame = [(c, st), (mul(const(-1.0), s), ct)]
-    return g, OrthogonalNet(g.chart, frame, ((0,), (1,)))
+    net = OrthogonalNet(g.chart, [(c, st), (mul(const(-1.0), s), ct)], ((0,), (1,)))
+    t, th = xs
+    frame = [[sp.cos(t * th), sp.sin(t * th) / t], [-sp.sin(t * th), sp.cos(t * th) / t]]
+    return frame, nets._Samples(g, net, range(2), pts, [tuple(p) for p in pts.tolist()])
 
 
-def _skew_warped_three():
+def _skew_warped_three(sp, xs, pts):
     # block (1, 2) is spanned by d/dx1 and x1 d/dx0 + d/dx2, whose bracket
     # d/dx0 leaves it: a moving frame of a distribution that is not integrable
     g = fixtures.warped_three()
     ch = g.chart
-    frame = [
+    net = OrthogonalNet(ch, [
         (parse_expr("exp(4*x0)", ch), ZERO, parse_expr("-x1", ch)),
         (ZERO, ONE, ZERO),
         (parse_expr("x1", ch), ZERO, ONE),
-    ]
-    return g, OrthogonalNet(ch, frame, ((0,), (1, 2)))
+    ], ((0,), (1, 2)))
+    x0, x1, _ = xs
+    frame = [[sp.exp(4 * x0), 0, -x1], [0, 1, 0], [x1, 0, 1]]
+    return frame, nets._Samples(g, net, range(2), pts, [tuple(p) for p in pts.tolist()])
 
 
 def _eigen_net(make):
-    def build():
+    # both pairs are diagonal with lambda on the first axis, and the eigen-net
+    # frame, read off the spectral projectors, is the coordinate frame
+    def build(sp, xs, pts):
         made = make()
         g, phi = (made.metric, made.tensor) if hasattr(made, "metric") else made
-        pts = sample_points(g.chart, PLAN)
         labels = [tuple(p) for p in pts.tolist()]
-        return g, codazzi._eigen_model(g, phi, pts, labels, codazzi.GAP_MIN, 1e-8)[2].net
+        samples = codazzi._eigen_model(g, phi, pts, labels, codazzi.GAP_MIN, 1e-8)[3]
+        return sp.eye(len(xs)).tolist(), samples
 
     return build
 
 
 @pytest.mark.parametrize(
-    "make",
+    "form, make",
     [
-        _eigen_net(fixtures.torus),
-        _eigen_net(fixtures.conformal_product_pair),
-        _rotated_polar,
-        _skew_warped_three,
+        ("torus", _eigen_net(fixtures.torus)),
+        ("conformal_product_pair", _eigen_net(fixtures.conformal_product_pair)),
+        ("polar", _rotated_polar),
+        ("warped_three", _skew_warped_three),
     ],
     ids=["torus_eigen", "conformal_pair_eigen", "rotated_polar", "skew_warped_three"],
 )
-def test_jet_geometry_matches_symbolic_trees_on_moving_frames(make):
-    g, net = make()
-    assert not net.is_coordinate
-    pts = sample_points(g.chart, PLAN)
-    blocks = range(len(net.blocks))
-    samples = nets._Samples(g, net, blocks, pts, [tuple(p) for p in pts.tolist()])
-    spans = list(samples.sides)
-    sfs = [nets._SpanFields(g, net, s) for s in spans]
-    roots, parts = nets._layout(g, sfs)
-    vals = nets.compile_tape(roots).run(pts)
-    m, n = len(pts), g.dim
+def test_jet_geometry_matches_symbolic_trees_on_moving_frames(form, make):
+    sp = pytest.importorskip("sympy")
+    from test_sympy_oracle import FORMS, _close, _exact, _gamma, _residuals, _span, _span_at
 
-    def close(got, want):
-        scale = np.maximum(1.0, np.abs(want).max(axis=tuple(range(1, want.ndim)), keepdims=True))
-        assert np.all(np.abs(got - want) <= 1e-12 * scale), np.abs(got - want).max()
-
-    for span, part in zip(spans, parts):
-        side = samples.sides[span]
-        if part is None:
-            continue
-        exact = tuple(vals[:, sl].reshape(m, -1, n) for sl in part)
-        want = samples._side(span, (exact[0][:, 0], *exact[1:], side.dH))
-        close(side.H, want.H)
-        close(side.covH, want.covH)
-        close(side.umb, want.umb)
-        close(side.integ, want.integ)
-    if net.blocks[1] == (1, 2):
+    _, xs, gm, points = FORMS[form]
+    n = len(xs)
+    frame, samples = make(sp, xs, np.array(points, dtype=float))
+    assert not samples.net.is_coordinate
+    gamma = _gamma(gm, xs)
+    metric, frame_at = _exact(xs, list(gm)), _exact(xs, [c for row in frame for c in row])
+    spans = {s: _span_at(xs, _span(gm, xs, gamma, [frame[a] for a in s]))
+             for s in samples.sides if s}
+    for j, p in enumerate(points):
+        G, F = metric(p).reshape(n, n), frame_at(p).reshape(n, n)
+        _close(samples.F[j], F)
+        for s, values in spans.items():
+            side = samples.sides[s]
+            H, covH, defects, brackets = values(p)
+            other = [k for k in range(n) if k not in s]
+            umb, _, _, integ = _residuals(G, F, s, other, H, covH, defects, brackets)
+            _close(side.H[j], H)
+            _close(side.covH[j], covH)
+            _close([side.umb[j], side.integ[j]], [umb, integ])
+    if samples.net.blocks[1] == (1, 2):
         assert samples.sides[(1, 2)].integ.min() > 1e-3
         assert samples.sides[(1, 2)].umb.max() > 1e-3
 

@@ -1,10 +1,11 @@
 """Exact oracle: sympy computes the Christoffel symbols, each span's mean
 curvature normal H, nabla_X H over the span's fields, and the umbilicity,
-sphericity and geodesy residuals of the fixtures from their closed-form
-metrics, and the mean curvature normals eta and zeta of the eigen-nets of
-two Codazzi pairs with <nabla_X eta, Y> and <nabla_Y zeta, X>, at dyadic
-rational points (so the float sample is the rational point itself). The
-numeric paths must agree to 1e-12 relative."""
+sphericity, geodesy and integrability residuals of the fixtures from their
+closed-form metrics and frames, and the mean curvature normals eta and zeta
+of the eigen-nets of two Codazzi pairs with <nabla_X eta, Y> and
+<nabla_Y zeta, X>, at dyadic rational points (so the float sample is the
+rational point itself). The numeric paths must agree to 1e-12 relative.
+tests/test_nets.py checks moving frames against the same oracle."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from orthonet.codazzi import codazzi_residual, criteria_residuals
 from orthonet.nets import OrthogonalNet, _Samples, distribution_geometry
 
 sp = pytest.importorskip("sympy")
+mpmath = pytest.importorskip("mpmath")
 
 RTOL = 1e-12
 R = sp.Rational
@@ -57,50 +59,89 @@ def _gamma(gm, xs):
               for j in range(n)] for i in range(n)] for k in range(n)]
 
 
-def _span(gm, xs, gamma, idx):
-    """H and nabla_{d_a} H, a in idx, of the span of the coordinate fields
-    idx, and its umbilicity defects (a, b, vector) for a <= b in idx."""
-    n, r = len(xs), len(idx)
-    gram_inv = gm.extract(idx, idx).inv()
+def _coordinate_fields(n, idx):
+    """The coordinate fields d/dx_a, a in idx, as component lists."""
+    return [[int(k == a) for k in range(n)] for a in idx]
+
+
+def _span(gm, xs, gamma, fields):
+    """H and nabla_{X_a} H over the fields X_a, each a list of components,
+    of their span, its umbilicity defects (a, b, vector) for a <= b and its
+    bracket projections [X_a, X_b]^perp (a, b, vector) for a < b, with a
+    and b positions in fields."""
+    n, r = len(xs), len(fields)
+    X = [sp.Matrix(f) for f in fields]
+    gram = sp.Matrix(r, r, lambda a, b: (X[a].T * gm * X[b])[0])
+    gram_inv = gram.inv()
 
     def perp(w):
-        ips = [sum(gm[k, b] * w[k] for k in range(n)) for b in idx]
-        coeff = [sum(gram_inv[a, b] * ips[b] for b in range(r)) for a in range(r)]
-        return [w[k] - sum(coeff[a] for a in range(r) if idx[a] == k) for k in range(n)]
+        ips = sp.Matrix([(X[b].T * gm * sp.Matrix(w))[0] for b in range(r)])
+        coeff = gram_inv * ips
+        return [w[k] - sum(coeff[a] * X[a][k] for a in range(r)) for k in range(n)]
 
-    sperp = {(a, b): perp([gamma[k][a][b] for k in range(n)]) for a in idx for b in idx}
-    H = [sum(gram_inv[p, q] * sperp[(idx[p], idx[q])][k] for p in range(r) for q in range(r)) / r
+    def nabla(V, W):
+        return [sum(V[i] * sp.diff(W[k], xs[i]) for i in range(n))
+                + sum(gamma[k][i][j] * V[i] * W[j] for i in range(n) for j in range(n))
+                for k in range(n)]
+
+    def bracket(V, W):
+        return [sum(V[i] * sp.diff(W[k], xs[i]) - W[i] * sp.diff(V[k], xs[i]) for i in range(n))
+                for k in range(n)]
+
+    sperp = {(a, b): perp(nabla(X[a], X[b])) for a in range(r) for b in range(r)}
+    H = [sum(gram_inv[a, b] * sperp[(a, b)][k] for a in range(r) for b in range(r)) / r
          for k in range(n)]
-    covH = [[sp.diff(H[k], xs[a]) + sum(gamma[k][a][j] * H[j] for j in range(n))
-             for k in range(n)] for a in idx]
-    defects = [(a, b, [sperp[(a, b)][k] - gm[a, b] * H[k] for k in range(n)])
-               for i, a in enumerate(idx) for b in idx[i:]]
-    return H, covH, defects
+    covH = [nabla(X[a], H) for a in range(r)]
+    defects = [(a, b, [sperp[(a, b)][k] - gram[a, b] * H[k] for k in range(n)])
+               for a in range(r) for b in range(a, r)]
+    brackets = [(a, b, perp(bracket(X[a], X[b]))) for a in range(r) for b in range(a + 1, r)]
+    return H, covH, defects, brackets
 
 
-class _At:
-    """Exact expressions evaluated at one rational point, as floats."""
+def _exact(xs, exprs):
+    """The function of a rational point that evaluates exprs there to 30
+    digits, as floats."""
+    f = sp.lambdify(xs, list(exprs), "mpmath", cse=True)
 
-    def __init__(self, xs, point):
-        self.subs = dict(zip(xs, point))
+    def at(point) -> np.ndarray:
+        with mpmath.workdps(30):
+            return np.array([float(v) for v in f(*(mpmath.mpf(c.p) / c.q for c in point))])
 
-    def __call__(self, exprs) -> np.ndarray:
-        return np.array([float(sp.N(sp.sympify(x).xreplace(self.subs), 30)) for x in exprs])
+    return at
 
 
-def _residuals(G, idx, other, H, covH, defects):
-    """umbilicity, sphericity and geodesy of a span from its exact values."""
-    norm = np.sqrt(np.diag(G))
+def _span_at(xs, span):
+    """The function of a rational point that evaluates a _span there: H,
+    nabla H (rank, n), and the defects and brackets (a, b, vector)."""
+    H, covH, defects, brackets = span
+    n, r = len(xs), len(covH)
+    pairs = [(a, b) for a, b, _ in defects + brackets]
+    at = _exact(xs, [*H, *(c for row in covH for c in row),
+                     *(c for _, _, v in defects + brackets for c in v)])
+
+    def values(point):
+        v = at(point).reshape(-1, n)
+        vectors = [(a, b, w) for (a, b), w in zip(pairs, v[1 + r :])]
+        return v[0], v[1 : 1 + r], vectors[: len(defects)], vectors[len(defects) :]
+
+    return values
+
+
+def _residuals(G, F, idx, other, H, covH, defects, brackets):
+    """umbilicity, sphericity, geodesy and integrability of the span of the
+    frame fields idx (rows of F) from its exact values."""
+    norm = np.sqrt(np.diag(F @ G @ F.T))
 
     def gnorm(w):
         return float(np.sqrt(w @ G @ w))
 
-    umb = 0.0
-    if len(idx) > 1:
-        umb = max(gnorm(d) / (norm[a] * norm[b]) for a, b, d in defects)
-    sph = max((abs(covH[p] @ G[:, c]) / (norm[a] * norm[c])
+    def pair_max(vectors):
+        return max((gnorm(v) / (norm[idx[a]] * norm[idx[b]]) for a, b, v in vectors), default=0.0)
+
+    umb = pair_max(defects) if len(idx) > 1 else 0.0
+    sph = max((abs(covH[p] @ G @ F[c]) / (norm[a] * norm[c])
                for p, a in enumerate(idx) for c in other), default=0.0)
-    return umb, sph, umb + gnorm(H)
+    return umb, sph, umb + gnorm(H), pair_max(brackets)
 
 
 def _close(got, want):
@@ -124,14 +165,14 @@ def test_numeric_geometry_matches_exact(name):
     g = make()
     n = len(xs)
     gamma = _gamma(gm, xs)
+    metric = _exact(xs, list(gm))
+    christoffel_at = _exact(xs, [gamma[k][i][j] for k in range(n) for i in range(n) for j in range(n)])
     spans = {}
     for p in points:
-        at = _At(xs, p)
         pf = tuple(float(c) for c in p)
-        G = at([gm[i, j] for i in range(n) for j in range(n)]).reshape(n, n)
+        G = metric(p).reshape(n, n)
         _close(metric_at(g, pf)[0], G)
-        exact_gamma = at([gamma[k][i][j] for k in range(n) for i in range(n) for j in range(n)])
-        _close(christoffel(g, pf), exact_gamma.reshape(n, n, n))
+        _close(christoffel(g, pf), christoffel_at(p).reshape(n, n, n))
 
         for blocks in _nets(n):
             net = OrthogonalNet.coordinate(g.chart, blocks)
@@ -141,13 +182,11 @@ def test_numeric_geometry_matches_exact(name):
                 exact = []
                 for idx, other in ((blk, comp), (comp, blk)):
                     if idx not in spans:
-                        spans[idx] = _span(gm, xs, gamma, list(idx))
-                    H, covH, defects = spans[idx]
-                    H = at(H)
-                    covH = np.stack([at(row) for row in covH])
-                    defects = [(a, b, at(d)) for a, b, d in defects]
-                    exact.append((H, covH, _residuals(G, idx, other, H, covH, defects)))
-                (H, covH, (umb, sph, geo)), (eta, cov_eta, (umb_p, sph_p, geo_p)) = exact
+                        spans[idx] = _span_at(xs, _span(gm, xs, gamma, _coordinate_fields(n, idx)))
+                    H, covH, defects, brackets = spans[idx](p)
+                    res = _residuals(G, np.eye(n), idx, other, H, covH, defects, brackets)
+                    exact.append((H, covH, res))
+                (H, covH, (umb, sph, geo, _)), (eta, cov_eta, (umb_p, sph_p, geo_p, _)) = exact
 
                 geom = distribution_geometry(g, net, i, pf)
                 _close(geom.H, H)
@@ -211,9 +250,10 @@ def test_eigen_net_normals_match_exact(name, make, monkeypatch):
     # and mu eigenbundles are spanned by d/dx0 and d/dx1
     _, xs, gm, points = FORMS[name]
     gamma = _gamma(gm, xs)
-    eta = _span(gm, xs, gamma, [0])[0]
-    zeta = _span(gm, xs, gamma, [1])[0]
-    nabla_eta, nabla_zeta = _nabla(eta, xs, gamma), _nabla(zeta, xs, gamma)
+    eta, zeta = (_span(gm, xs, gamma, _coordinate_fields(len(xs), [a]))[0] for a in (0, 1))
+    n = len(xs)
+    metric, eta_at, zeta_at = (_exact(xs, e) for e in (list(gm), eta, zeta))
+    nabla_at = _exact(xs, [c for V in (eta, zeta) for row in _nabla(V, xs, gamma) for c in row])
     calls = []
     cov = codazzi._cov
 
@@ -230,13 +270,10 @@ def test_eigen_net_normals_match_exact(name, make, monkeypatch):
         # _criteria takes nabla_X eta over the lambda eigenvectors X, then
         # nabla_Y zeta over the mu eigenvectors Y
         (eta_v, X, cov_eta), (zeta_v, Y, cov_zeta) = calls
-        at = _At(xs, p)
-        n = len(xs)
-        G = at([gm[i, j] for i in range(n) for j in range(n)]).reshape(n, n)
-        _close(eta_v, at(eta))
-        _close(zeta_v, at(zeta))
-        exact_eta = np.stack([at(row) for row in nabla_eta])
-        exact_zeta = np.stack([at(row) for row in nabla_zeta])
+        G = metric(p).reshape(n, n)
+        _close(eta_v, eta_at(p))
+        _close(zeta_v, zeta_at(p))
+        exact_eta, exact_zeta = nabla_at(p).reshape(2, n, n)
         _close(cov_eta, X @ exact_eta)
         _close(cov_zeta, Y @ exact_zeta)
         # <nabla_X eta, Y> and <nabla_Y zeta, X>, which vanish on both pairs

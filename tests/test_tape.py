@@ -253,6 +253,24 @@ def test_eval_jet2_names_the_error_of_the_derivative_tree():
     assert (jet.value, list(jet.grad), jet.hess.tolist()) == (0.0625, [0.0, 0.5], [[0.0, 0.0], [0.0, 2.0]])
 
 
+def test_repair_mends_only_the_roots_whose_jets_are_not_finite():
+    # sample 0 fails in value, so repair leaves it to the value error; at
+    # sample 1 the jets of roots 1 and 2 are not finite and the tree
+    # (x0 - 1)^-0.5 of root 2 fails; at sample 2 only root 1's jet is inf*0,
+    # and its trees fold to zero
+    ch = Chart.box([(0.0, 2.0)] * 2)
+    roots = [parse_expr(t, ch) for t in ("x0^2", "x0 + sqrt(x1 - x1)", "(x0 - 1)^1.5", "sqrt(x1)")]
+    sweep = compile_tape(roots).jet_sweep([(0.5, 0.25), (1.0, 0.25), (1.5, 0.25)])
+    before = sweep.jets.copy()
+    errors = sweep.repair(3)
+    assert list(errors) == [1]
+    assert str(errors[1]) == "zero raised to a negative power: (x0 - 1)^-0.5"
+    assert np.array_equal(sweep.jets[:2], before[:2], equal_nan=True)
+    assert sweep.jets[2, :, 1].tolist() == [1.5, 1.0, 0.0, 0.0, 0.0, 0.0]
+    # roots past the first three keep their jets
+    assert np.array_equal(np.delete(sweep.jets[2], 1, axis=1), np.delete(before[2], 1, axis=1))
+
+
 # --- deep expressions ----------------------------------------------------------
 
 
