@@ -44,6 +44,7 @@ from .scalar_fields import (
     ZERO,
     ONE,
     _is_zero,
+    _pairs,
     add,
     compile_tape,
     const,
@@ -343,7 +344,7 @@ def _metric_jets(g: MetricField) -> list:
     """The first partials d_p g_ab of the metric, over p and then a <= b in
     np.triu_indices order: the one layout of every first-order metric tape,
     which _symmetric unpacks."""
-    upper = list(zip(*np.triu_indices(g.dim)))
+    upper = list(zip(*_pairs(g.dim, 0)))
     return [diff(g.entries[a][b], p) for p in range(g.dim) for a, b in upper]
 
 
@@ -351,7 +352,7 @@ def _symmetric(cols: np.ndarray, n: int) -> np.ndarray:
     """The symmetric (..., n, n) matrices whose upper triangles, in
     np.triu_indices order, fill the last axis of cols: the (m, p, a, b)
     array d_p g_ab from the (m, p, n(n+1)/2) columns of _metric_jets."""
-    iu, ju = np.triu_indices(n)
+    iu, ju = _pairs(n, 0)
     out = np.empty(cols.shape[:-1] + (n, n))
     out[..., iu, ju] = out[..., ju, iu] = cols
     return out
@@ -511,7 +512,7 @@ def _lc_axioms(g: MetricField, pts, labels=None):
     G, vals = _stacked(g, _metric_jets(g) + [r for V in fields for r in _jet_roots(V)], pts, labels)
     dk, *jets = _split(vals, (n, n * (n + 1) // 2), *[(n,), (n, n)] * len(fields))
     gam = _levi_civita(G, _symmetric(dk, n))[1]
-    iu, ju = np.triu_indices(n)
+    iu, ju = _pairs(n, 0)
 
     # d_k g_ij against Gamma^l_ki g_lj + Gamma^l_kj g_il, i <= j
     T = np.einsum("mlki,mlj->mkij", gam, G)

@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import fixtures
@@ -92,10 +91,182 @@ class Manifest:
     tolerance: float
 
 
+# --- manifest schema ------------------------------------------------------------
+#
+# manifest.schema.json is checked by the draft-7 keywords it uses and no
+# others: a keyword missing from _KEYWORDS raises at its first use. A "type"
+# is one name from _TYPES, with draft-7 meaning: a bool is neither an
+# integer nor a number, and 1.0 is an integer. Messages are jsonschema's,
+# and of all violations the one reported is the one jsonschema's best_match
+# picks (see _relevance).
+
+
 @functools.cache
-def _validator() -> jsonschema.Draft7Validator:
-    schema = resources.files("orthonet").joinpath("manifest.schema.json").read_text()
-    return jsonschema.Draft7Validator(json.loads(schema))
+def _schema() -> dict:
+    text = resources.files("orthonet").joinpath("manifest.schema.json").read_text()
+    return json.loads(text)
+
+
+@dataclass(frozen=True)
+class _Violation:
+    path: tuple  # keys and indices from the manifest root
+    keyword: str
+    message: str
+    schema: dict  # the schema node that holds the keyword
+    instance: object
+    context: tuple = ()  # for oneOf: the violations under its branches
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool))
+    or (isinstance(x, float) and x.is_integer()),
+}
+
+
+def _check(node: dict, x, path: tuple, out: list) -> None:
+    """Append to out the violations of the value x at path against a schema
+    node, in the order jsonschema's iter_errors yields them. Each keyword's
+    check appends what it finds below the node and returns the message of
+    its own violation at the node, if any; required and oneOf append theirs."""
+    if "$ref" in node:  # draft 7: a $ref hides its siblings
+        ref = node["$ref"]
+        if not ref.startswith("#/definitions/"):
+            raise NotImplementedError(f"manifest schema $ref {ref!r} is not supported")
+        _check(_schema()["definitions"][ref[len("#/definitions/"):]], x, path, out)
+        return
+    for key, value in node.items():
+        check = _KEYWORDS.get(key)
+        if check is None:
+            if key in _ANNOTATIONS:
+                continue
+            raise NotImplementedError(f"manifest schema keyword {key!r} is not supported")
+        message = check(value, node, x, path, out)
+        if message is not None:
+            out.append(_Violation(path, key, message, node, x))
+
+
+def _properties(props, node, x, path, out):
+    if isinstance(x, dict):
+        for key, sub in props.items():
+            if key in x:
+                _check(sub, x[key], path + (key,), out)
+
+
+def _required(keys, node, x, path, out):
+    if isinstance(x, dict):
+        for key in keys:
+            if key not in x:
+                out.append(_Violation(path, "required", f"{key!r} is a required property", node, x))
+
+
+def _no_additional(allowed, node, x, path, out):
+    if allowed is not False:
+        raise NotImplementedError("only additionalProperties: false is supported")
+    if isinstance(x, dict):
+        extras = sorted({k for k in x if k not in node.get("properties", {})}, key=str)
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            names = ", ".join(map(repr, extras))
+            return f"Additional properties are not allowed ({names} {verb} unexpected)"
+
+
+def _items(sub, node, x, path, out):
+    if not isinstance(sub, dict):
+        raise NotImplementedError("only a single items schema is supported")
+    if isinstance(x, list):
+        for i, item in enumerate(x):
+            _check(sub, item, path + (i,), out)
+
+
+def _one_of(branches, node, x, path, out):
+    context, valid = [], []
+    for sub in branches:
+        errs: list = []
+        _check(sub, x, path, errs)
+        if errs and not valid:
+            context += errs
+        elif not errs:
+            valid.append(sub)
+    if not valid:
+        out.append(_Violation(path, "oneOf", f"{x!r} is not valid under any of the given "
+                              "schemas", node, x, tuple(context)))
+    elif len(valid) > 1:
+        return f"{x!r} is valid under each of {', '.join(map(repr, valid[1:] + valid[:1]))}"
+
+
+def _enum(values, node, x, path, out):
+    # a string equals only itself, as in JSON; other values would need
+    # JSON equality (True is not 1, 1.0 is 1)
+    if not all(isinstance(v, str) for v in values):
+        raise NotImplementedError("only an enum of strings is supported")
+    if x not in values:
+        return f"{x!r} is not one of {values!r}"
+
+
+def _bound(fails, words):
+    def check(limit, node, x, path, out):
+        if _TYPES["number"](x) and fails(x, limit):
+            return f"{x!r} is {words} {limit!r}"
+
+    return check
+
+
+_KEYWORDS = {
+    "type": lambda t, node, x, path, out: None if _TYPES[t](x) else f"{x!r} is not of type {t!r}",
+    "properties": _properties,
+    "required": _required,
+    "additionalProperties": _no_additional,
+    "items": _items,
+    "minItems": lambda n, node, x, path, out: (
+        f"{x!r} {'should be non-empty' if n == 1 else 'is too short'}"
+        if isinstance(x, list) and len(x) < n else None
+    ),
+    "maxItems": lambda n, node, x, path, out: (
+        f"{x!r} {'is expected to be empty' if n == 0 else 'is too long'}"
+        if isinstance(x, list) and len(x) > n else None
+    ),
+    "minimum": _bound(lambda x, m: x < m, "less than the minimum of"),
+    "maximum": _bound(lambda x, m: x > m, "greater than the maximum of"),
+    "exclusiveMinimum": _bound(lambda x, m: x <= m, "less than or equal to the minimum of"),
+    "enum": _enum,
+    "oneOf": _one_of,
+}
+
+# keywords that constrain nothing ($ref is handled before the others)
+_ANNOTATIONS = frozenset({"$schema", "title", "description", "definitions"})
+
+
+def _relevance(v: _Violation, base: int):
+    """jsonschema's by_relevance key, for paths taken below the first base
+    entries: the larger key is the better match. Shallower beats deeper, then
+    the path whose keys or indices sort last wins, oneOf is weak, and a value
+    that fails its node's own "type" beats one that passes it."""
+    rel = v.path[base:]
+    t = v.schema.get("type")
+    return -len(rel), rel, v.keyword != "oneOf", t is None or not _TYPES[t](v.instance)
+
+
+def _schema_violation(data) -> tuple | None:
+    """(message, JSON pointer) of the violation of the manifest schema that
+    jsonschema's best_match would report, or None when data is valid."""
+    found: list = []
+    _check(_schema(), data, (), found)
+    if not found:
+        return None
+    best = max(found, key=lambda v: _relevance(v, 0))
+    # from a oneOf that fails, best_match goes on to the least relevant (the
+    # deepest) violation under its branches, unless two of them tie
+    while best.context:
+        key = functools.partial(_relevance, base=len(best.path))
+        first, *second = sorted(best.context, key=key)[:2]
+        if second and key(first) == key(second[0]):
+            break
+        best = first
+    return best.message, "/" + "/".join(map(str, best.path))
 
 
 def _parse(text: str, chart: Chart, pointer: str) -> Expr:
@@ -203,10 +374,9 @@ def load_manifest(path) -> Manifest:
             f"invalid JSON: {e.msg} (line {e.lineno} column {e.colno})", ""
         ) from e
 
-    best = jsonschema.exceptions.best_match(_validator().iter_errors(data))
-    if best is not None:
-        ptr = "/" + "/".join(str(x) for x in best.absolute_path)
-        raise ManifestError(best.message, ptr)
+    violation = _schema_violation(data)
+    if violation is not None:
+        raise ManifestError(*violation)
 
     if "product" in data:
         spec = _build_product(data["product"])
@@ -567,26 +737,59 @@ def run(command: str, manifest: Manifest | None, tolerance=None, plan=None):
     return report, _exit_code(verdicts)
 
 
-def _canonical(obj):
-    """Round floats to 12 significant digits and force plain containers, so
-    json.dumps output is reproducible bit for bit."""
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
-        return obj
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write_json(obj, out: list, pad: str) -> None:
+    """Append the canonical JSON text of obj to out, one pass, in the layout
+    of json.dumps(sort_keys=True, indent=2); pad is the newline and indent of
+    obj's line. numpy scalars are read by .item(), floats are rounded to 12
+    significant digits (one that is not finite is written as the string of
+    its repr), keys are str(key), arrays and tuples are lists, and any other
+    object is the string str(obj)."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+        return
+    if isinstance(obj, bool):
+        out.append("true" if obj else "false")
+        return
+    if obj is None:
+        out.append("null")
+        return
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return repr(obj)
-        return float(f"{obj:.12e}")
+        out.append(repr(float(f"{obj:.12e}")) if math.isfinite(obj) else _quote(repr(obj)))
+        return
     if isinstance(obj, int):
-        return obj
+        out.append(int.__repr__(obj))
+        return
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
+        if not obj:
+            out.append("{}")
+            return
+        sep = "{"
+        for k, v in sorted({str(k): v for k, v in obj.items()}.items()):
+            out += (sep, inner, _quote(k), ": ")
+            _write_json(v, out, inner)
+            sep = ","
+        out += (pad, "}")
+        return
     if isinstance(obj, np.ndarray):
-        return [_canonical(x) for x in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(x) for x in obj]
-    return str(obj)
+        obj = list(obj.tolist())
+    elif not isinstance(obj, (list, tuple)):
+        out.append(_quote(str(obj)))
+        return
+    if not obj:
+        out.append("[]")
+        return
+    sep = "["
+    for v in obj:
+        out += (sep, inner)
+        _write_json(v, out, inner)
+        sep = ","
+    out += (pad, "]")
 
 
 _TAGS = {
@@ -600,7 +803,10 @@ _TAGS = {
 def emit(report: dict, fmt: str = "text", elapsed=None) -> str:
     """Render a report. JSON is canonical and timing-free; text is for eyes."""
     if fmt == "json":
-        return json.dumps(_canonical(report), sort_keys=True, indent=2) + "\n"
+        out: list = []
+        _write_json(report, out, "\n")
+        out.append("\n")
+        return "".join(out)
     s = report["sampling"]
     lines = [
         f"command: {report['command']}",
@@ -724,6 +930,7 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    stage = "load"
     try:
         if args.command == "selftest":
             manifest = None
@@ -743,14 +950,19 @@ def main(argv=None) -> int:
                 plan = dataclasses.replace(plan, grid=args.samples)
             if args.seed is not None:
                 plan = dataclasses.replace(plan, seed=args.seed)
+        stage = "run"
         report, code = run(
             args.command, manifest, tolerance=args.tolerance, plan=plan
         )
+        stage = "emit"
+        elapsed = time.perf_counter() - t0
+        out = emit(report, args.fmt, elapsed=elapsed if args.fmt == "text" else None)
     except (OrthonetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    elapsed = time.perf_counter() - t0
-    out = emit(report, args.fmt, elapsed=elapsed if args.fmt == "text" else None)
+    except Exception as e:  # noqa: BLE001 - no input may end in a traceback
+        print(f"error: internal error in {stage}: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
     sys.stdout.write(out)
     return code
 

@@ -91,6 +91,7 @@ from .scalar_fields import (
     Expr,
     ONE,
     ZERO,
+    _pairs,
     add,
     compile_tape,
     const,
@@ -237,7 +238,7 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
         # (nabla_a Phi)^k_b at [:, a, b, k]
         N = dP + np.einsum("mkal,mlb->mabk", gam, P) - np.einsum("mkl,mlab->mabk", P, gam)
         norms = np.sqrt(np.maximum(np.einsum("mii->mi", G), 0.0))
-        ia, ib = np.triu_indices(n, 1)
+        ia, ib = _pairs(n, 1)
         scale = np.maximum(norms[:, ia] * norms[:, ib], 1e-300)
         codazzi_res = (_gnorm(N[:, ia, ib] - N[:, ib, ia], G) / scale).max(axis=1)
     return _Fields(G, P, defect(G, vals), codazzi_res)

@@ -52,7 +52,6 @@ InconsistencyError instead of passing.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -77,7 +76,7 @@ from .errors import (
     NotSPDError,
 )
 from .sampling import SamplePlan, sample_points
-from .scalar_fields import Chart, Const, ONE, ZERO, compile_tape
+from .scalar_fields import Chart, Const, ONE, ZERO, _pairs, compile_tape
 
 __all__ = [
     "OrthogonalNet",
@@ -161,15 +160,6 @@ _RESIDUALS = {"umbilicity": "umb", "sphericity": "sph", "geodesy": "geo", "integ
 # that is not finite at a sample is named
 _DERIVED = {"H": "H", "dH": "dH", "nabla H": "covH", "umbilicity defect": "defects",
             "bracket": "brackets"}
-
-
-@functools.cache
-def _pairs(r: int, k: int) -> tuple:
-    """The index pairs (a, b) with a + k <= b < r, row by row, as two
-    read-only arrays (every caller shares them)."""
-    ia, ib = np.triu_indices(r, k)
-    ia.flags.writeable = ib.flags.writeable = False
-    return ia, ib
 
 
 def _mul(T: np.ndarray, B: np.ndarray) -> np.ndarray:

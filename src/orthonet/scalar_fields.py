@@ -23,6 +23,7 @@ tape compilation) keep their own stack instead of recursing.
 
 from __future__ import annotations
 
+import functools
 import math
 import types
 from dataclasses import dataclass
@@ -429,6 +430,15 @@ _CHUNK = 1 << 20
 _BLOCK = 1 << 12
 
 
+@functools.cache
+def _pairs(r: int, k: int) -> tuple:
+    """The index pairs (a, b) with a + k <= b < r, row by row, as in
+    np.triu_indices, as two read-only arrays (every caller shares them)."""
+    ia, ib = np.triu_indices(r, k)
+    ia.flags.writeable = ib.flags.writeable = False
+    return ia, ib
+
+
 class Tape:
     """Compiled roots, evaluated together over an (m, dim) array of points."""
 
@@ -475,7 +485,7 @@ class Tape:
         rows are those of _slot_values; failures leave non-finite values.
         Callers ignore floating-point errors (np.errstate)."""
         m, n = points.shape
-        iu, ju = np.triu_indices(n)
+        iu, ju = _pairs(n, 0)
         J = np.zeros((self.size, 1 + n + len(iu), m))
         J[self._const_slots, 0] = self._const_values[:, None]
         J[self._var_slots, 0] = points.T[self._var_index]
@@ -636,7 +646,7 @@ class Sweep:
         for cols, js in groups.items():
             es = [self.tape.nodes[self.tape.root_slots[c]] for c in cols]
             firsts = [[diff(e, p) for e in es] for p in range(n)]
-            seconds = [diff(d, q) for p, q in zip(*np.triu_indices(n)) for d in firsts[p]]
+            seconds = [diff(d, q) for p, q in zip(*_pairs(n, 0)) for d in firsts[p]]
             tape = compile_tape([*es, *(d for row in firsts for d in row), *seconds])
             exact = tape.sweep(self.points[js])
             for r, j in enumerate(js):
@@ -1166,7 +1176,7 @@ def eval_jet2(e: Expr, p) -> Jet2:
     if errors:
         raise errors[0]
     jet = sweep.jets[0, :, 0]
-    iu, ju = np.triu_indices(n)
+    iu, ju = _pairs(n, 0)
     hess = np.empty((n, n))
     hess[iu, ju] = hess[ju, iu] = jet[1 + n :]
     return Jet2(float(jet[0]), jet[1 : 1 + n].copy(), hess)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import random_expr, random_point, random_twisted_spec
 from orthonet import chart_calculus, codazzi, fixtures, product_metrics
 from orthonet.chart_calculus import (
+    CONDITION_WARN,
     MetricField,
     _lc_axioms,
     _levi_civita,
@@ -84,6 +85,22 @@ def test_condition_number_warning():
     g = MetricField.diagonal(ch, [ONE, const(1e9)])
     with pytest.warns(ConditionNumberWarning):
         metric_at(g, (0.5, 0.5))
+
+
+def test_condition_warning_bound_warns_once_per_sample_above_it():
+    # the bound is exclusive: a condition number a relative 1e-6 above it
+    # warns at every sample, one as far below it warns nowhere
+    ch = Chart.box([(0.0, 1.0)] * 2)
+    pts = sample_points(ch, SamplePlan(grid=3, margin=0.0, random=2))
+    labels = [tuple(p) for p in pts.tolist()]
+    for scale, warned in ((1 + 1e-6, labels), (1 - 1e-6, [])):
+        cond = CONDITION_WARN * scale
+        g = MetricField.diagonal(ch, [ONE, const(cond)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _stacked(g, [], pts)
+        texts = [str(w.message) for w in caught if w.category is ConditionNumberWarning]
+        assert texts == [f"metric condition number {cond:.3e} at {p}" for p in warned]
 
 
 def test_polar_christoffel_closed_form():

@@ -1,8 +1,10 @@
 """Manifest loading, command plumbing, exit codes, and output formats."""
 
 import ast
+import copy
 import importlib
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -11,13 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orthonet
 from orthonet import cli
 from orthonet.cli import (
     COMMANDS,
     DEFAULT_TOLERANCE,
-    _canonical,
     build_parser,
     emit,
     load_manifest,
@@ -95,6 +98,183 @@ def test_manifest_schema_violations(tmp_path):
     data = flat_manifest(sampling={"margin": 0.9})
     with pytest.raises(ManifestError, match="/sampling/margin"):
         load_manifest(write_manifest(tmp_path, data))
+
+
+# --- the schema validator against jsonschema ---------------------------------------
+
+SHIPPED = [json.loads(p.read_text(encoding="utf-8")) for p in sorted(MANIFESTS.glob("*.json"))]
+# no shipped manifest sets a sampling plan, so each is also taken with one
+SEEDS = SHIPPED + [{**m, "sampling": {"grid": 5, "margin": 0.1, "random": 4, "seed": 0}}
+                   for m in SHIPPED]
+
+# values that break, or sit on, a bound or a type of the schema
+ODD_VALUES = [True, False, None, -1, 0, 1, 2, 1.0, 2.0, 2.5, -1e-9, 0.45, 0.45 + 1e-9,
+              1e300, math.inf, math.nan, "", "x", [], [1.0], [0.0, 1.0, 2.0], [[0.0, 1.0]],
+              [["1"]], {}, {"domain": [[0.0, 1.0]]}]
+EXTRA_KEYS = ["chart", "metric", "product", "dim", "names", "domain", "blocks", "kind",
+              "grid", "extra"]
+
+
+def jsonschema_verdict(data, schema=None):
+    """(message, pointer) of jsonschema's best_match under draft 7, or None;
+    the schema defaults to the manifest schema."""
+    jsonschema = pytest.importorskip("jsonschema")
+    if schema is None:
+        schema = json.loads((SRC / "orthonet" / "manifest.schema.json").read_text(encoding="utf-8"))
+    best = jsonschema.exceptions.best_match(jsonschema.Draft7Validator(schema).iter_errors(data))
+    if best is None:
+        return None
+    return best.message, "/" + "/".join(str(x) for x in best.absolute_path)
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def places(node, path=()):
+    """The path of every value in a JSON document, the root first."""
+    yield path
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from places(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from places(v, path + (i,))
+
+
+def is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# the values an edit of each kind may touch
+EDIT_TARGETS = {
+    "drop": lambda path, v: bool(path),
+    "replace": lambda path, v: bool(path),
+    "bound": lambda path, v: is_number(v),
+    "float": lambda path, v: type(v) is int,
+    "add": lambda path, v: isinstance(v, dict),
+    "append": lambda path, v: isinstance(v, list),
+}
+BOUND_VALUES = [-1, -1e-9, 0, 1, 2, 0.45, 0.45 + 1e-9]
+
+
+@st.composite
+def mutated_manifests(draw):
+    """A shipped manifest, with or without a sampling plan, after one to
+    three edits: a key or item dropped, a value replaced by one of
+    ODD_VALUES (bools for integers, wrong types), a number set on or past a
+    bound of the schema, an integer written as a float, a key added (an
+    extra one, or the other branch of the top-level oneOf), or an item
+    appended."""
+    doc = copy.deepcopy(draw(st.sampled_from(SEEDS)))
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(sorted(EDIT_TARGETS)))
+        paths = [p for p in places(doc) if EDIT_TARGETS[edit](p, value_at(doc, p))]
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        value = value_at(doc, path)
+        parent = value_at(doc, path[:-1]) if path else None
+        if edit == "drop":
+            del parent[path[-1]]
+        elif edit == "replace":
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        elif edit == "bound":
+            parent[path[-1]] = draw(st.sampled_from(BOUND_VALUES))
+        elif edit == "float":
+            parent[path[-1]] = float(value)
+        elif edit == "add":
+            other = draw(st.sampled_from(SHIPPED))
+            key = draw(st.sampled_from(EXTRA_KEYS))
+            value[key] = copy.deepcopy(other.get(key, draw(st.sampled_from(ODD_VALUES))))
+        else:
+            value.append(copy.deepcopy(value[-1] if value else draw(st.sampled_from(ODD_VALUES))))
+    return doc
+
+
+@settings(max_examples=400)
+@given(mutated_manifests())
+def test_schema_validator_agrees_with_jsonschema(data):
+    assert cli._schema_violation(data) == jsonschema_verdict(data)
+
+
+@pytest.mark.parametrize("data, want", [
+    # draft-7 types: a bool is no integer, 1.0 is one, nan is a number but no integer
+    (flat_manifest(sampling={"grid": True}), ("True is not of type 'integer'", "/sampling/grid")),
+    (flat_manifest(sampling={"grid": 3.0}), None),
+    (flat_manifest(tolerance=math.nan), None),
+    (flat_manifest(sampling={"seed": math.nan}), ("nan is not of type 'integer'", "/sampling/seed")),
+    (flat_manifest(tolerance=0), ("0 is less than or equal to the minimum of 0", "/tolerance")),
+    # of sibling violations, the one whose key sorts last wins
+    (flat_manifest(sampling={"margin": 0.46, "grid": 1}),
+     ("0.46 is greater than the maximum of 0.45", "/sampling/margin")),
+    # the shallowest violation wins over a deeper one
+    (flat_manifest(extra=1, sampling={"grid": 0}),
+     ("Additional properties are not allowed ('extra' was unexpected)", "/")),
+    (flat_manifest(zeta=1, alpha=2),
+     ("Additional properties are not allowed ('alpha', 'zeta' were unexpected)", "/")),
+])
+def test_schema_validator_fixed_cases(data, want):
+    assert cli._schema_violation(data) == want
+    assert jsonschema_verdict(data) == want
+
+
+@pytest.mark.parametrize("data, ending", [
+    (flat_manifest(product=SHIPPED[-1]["product"]),
+     " is valid under each of {'required': ['product']}, {'required': ['chart', 'metric']}"),
+    ({"chart": {"domain": [[0.0, 1.0]]}}, " is not valid under any of the given schemas"),
+])
+def test_schema_validator_names_both_or_neither_branch_at_the_root(data, ending):
+    message, pointer = cli._schema_violation(data)
+    assert (message, pointer) == jsonschema_verdict(data)
+    assert message == repr(data) + ending
+    assert pointer == "/"
+
+
+# oneOfs whose branches fail at different depths, or at one depth by a value
+# that does or does not match the branch's type, where best_match goes on
+# into the branches; the manifest schema's branches always tie
+BRANCHING = {"oneOf": [{"type": "array", "items": {"type": "integer"}},
+                       {"type": "string"},
+                       {"type": "object", "properties": {"a": {"oneOf": [{"type": "integer"},
+                                                                         {"type": "array"}]}}}]}
+TYPED = {"oneOf": [{"type": "object", "required": ["b"]}, {"type": "string"}]}
+
+
+@pytest.mark.parametrize("schema, data", [
+    *[(BRANCHING, d) for d in ([1, "x"], [1, 2.5, 3], 5, True, {"a": "x"}, {"a": []}, "s")],
+    *[(TYPED, d) for d in ({}, {"c": 1}, 5)],
+])
+def test_schema_validator_descends_a_failing_oneof_as_best_match_does(schema, data, monkeypatch):
+    monkeypatch.setattr(cli, "_schema", lambda: schema)
+    assert cli._schema_violation(data) == jsonschema_verdict(data, schema)
+
+
+def schema_nodes(node):
+    yield node
+    for key in ("definitions", "properties"):
+        for sub in node.get(key, {}).values():
+            yield from schema_nodes(sub)
+    if "items" in node:
+        yield from schema_nodes(node["items"])
+    for sub in node.get("oneOf", ()):
+        yield from schema_nodes(sub)
+
+
+def test_schema_validator_implements_exactly_the_keywords_the_schema_uses():
+    nodes = list(schema_nodes(cli._schema()))
+    used = set().union(*nodes) - cli._ANNOTATIONS
+    assert used == set(cli._KEYWORDS) | {"$ref"}
+    assert {node["type"] for node in nodes if "type" in node} <= set(cli._TYPES)
+    # an unknown keyword raises where it is met; it never passes silently
+    with pytest.raises(NotImplementedError, match="'pattern'"):
+        cli._check({"pattern": "^x"}, "y", (), [])
+    with pytest.raises(NotImplementedError, match="additionalProperties: false"):
+        cli._check({"additionalProperties": {"type": "string"}}, {"a": "b"}, (), [])
+    with pytest.raises(NotImplementedError, match="enum of strings"):
+        cli._check({"enum": ["a", 1]}, "a", (), [])
 
 
 def test_manifest_bad_expression_pointer(tmp_path):
@@ -214,14 +394,69 @@ def test_selftest_passes_and_is_deterministic():
     assert emit(report1, "json") == emit(report2, "json")
 
 
+def emitted(obj):
+    """obj as it reads back from the canonical JSON of a report holding it."""
+    return json.loads(emit({"v": obj}, "json"))["v"]
+
+
 def test_canonical_rounding():
-    assert _canonical(0.1 + 0.2) == 0.3
-    assert _canonical(np.float64(2.5)) == 2.5
-    assert _canonical(np.int64(7)) == 7
-    assert _canonical(float("inf")) == "inf"
-    assert _canonical((1.0, {"a": np.arange(2.0)})) == [1.0, {"a": [0.0, 1.0]}]
+    assert emitted(0.1 + 0.2) == 0.3
+    assert emitted(np.float64(2.5)) == 2.5
+    assert emitted(np.int64(7)) == 7
+    assert emitted(float("inf")) == "inf"
+    assert emitted((1.0, {"a": np.arange(2.0)})) == [1.0, {"a": [0.0, 1.0]}]
     # 12 significant digits, so deep float noise is squashed
-    assert _canonical(1.0000000000000002) == 1.0
+    assert emitted(1.0000000000000002) == 1.0
+
+
+def canonical_ref(obj):
+    """The canonical form that emit's JSON dumps, as a separate walk: the
+    oracle for the one-pass writer."""
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            return repr(obj)
+        return float(f"{obj:.12e}")
+    if isinstance(obj, int):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): canonical_ref(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return [canonical_ref(x) for x in obj.tolist()]
+    if isinstance(obj, (list, tuple)):
+        return [canonical_ref(x) for x in obj]
+    return str(obj)
+
+
+REPORT_LEAVES = st.one_of(
+    st.floats(),  # nan, +-inf and -0.0 included
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-2**70, 2**70),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.text(),  # non-ASCII included
+    st.complex_numbers(max_magnitude=10),
+    st.lists(st.floats(), max_size=4).map(np.array),
+    st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=3).map(np.array),
+)
+REPORTS = st.recursive(REPORT_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(st.text(max_size=3), st.integers(-3, 3)), inner, max_size=4),
+), max_leaves=30)
+
+
+@settings(max_examples=200)
+@given(REPORTS)
+def test_emit_json_matches_the_two_pass_reference(report):
+    want = json.dumps(canonical_ref(report), sort_keys=True, indent=2) + "\n"
+    assert emit(report, "json") == want
 
 
 def test_emit_text_format():
@@ -272,6 +507,28 @@ def test_cli_import_loads_no_scipy():
                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert fresh.returncode == 0, fresh.stderr
     assert fresh.stdout == b"[]\n"
+
+
+def test_cli_import_loads_no_jsonschema():
+    fresh = fresh_python("import sys, orthonet.cli; "
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))")
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout == b"[]\n"
+
+
+@pytest.mark.parametrize("stage, target", [
+    ("load", "load_manifest"), ("run", "_cmd_classify"), ("emit", "_write_json"),
+])
+def test_unexpected_exception_exits_1_naming_its_stage(stage, target, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("broken on purpose")
+
+    monkeypatch.setattr(cli, target, broken)
+    argv = ["--command", "classify", "--manifest", str(MANIFESTS / "polar.json"), "--format", "json"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: internal error in {stage}: ValueError: broken on purpose\n"
+    assert captured.out == ""
 
 
 def test_main_error_paths(tmp_path, capsys):
