@@ -1,21 +1,23 @@
 """Metric fields and Levi-Civita calculus on a single chart.
 
 Numbers come from one path: the fields a check reads are compiled with the
-metric entries into one tape (`scalar_fields.compile_tape`) and swept over
-all its sample points at once. `_stacked` does that with the checks of the
-metric (positive definiteness, conditioning) and raises at the first sample
-that fails, as checking one sample at a time would. The Christoffel symbols
+upper triangle of the metric into one tape (`scalar_fields.compile_tape`)
+and swept over all its sample points at once. `_checked` does that with the
+checks of the metric (positive definiteness, conditioning) and raises at the
+first sample that fails, as checking one sample at a time would. A caller
+that reads partials takes them from one jet sweep of that tape (`_jets`):
+the first and second partials of the metric and of every root, by forward
+propagation, with `Sweep.repair` as the one rule for a jet that is not
+finite. No derivative tree is built on a clean run. The Christoffel symbols
 come from one numpy kernel over the metric's jets (`_levi_civita`), and
 contractions such as `_cov` are numpy over the sample axis too. The
 single-point functions (`metric_at`, `christoffel`, `cov_deriv`, ...,
 `lc_axiom_residuals`) are that sweep at one point.
 
-The `*_exprs` builders and the cached inverse and Christoffel entries of a
-MetricField are the pointwise reference only. Every first-order metric tape
-takes all partials d_p g_ab in one layout, over p and then a <= b
-(`_metric_jets`, unpacked by `_symmetric`), as one block at a documented
-place among its roots, so the first failure at a sample is that of the
-first failing root in that order.
+The symbolic determinant, inverse and Christoffel entries (`det_expr`,
+`inverse_exprs` and the cached entries of a MetricField) are the pointwise
+reference only; `product_metrics.factorize_cwp` reads `det_expr` for the
+integrands of its quadrature.
 
 Conventions: vectors are component tuples against the coordinate frame,
 Gamma[k][i][j] multiplies X^i Y^j, and
@@ -23,7 +25,7 @@ Gamma[k][i][j] multiplies X^i Y^j, and
     (nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j
     Gamma^k_ij    = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij)
     (grad f)^k    = g^kl d_l f
-    Hess f(X, Y)  = X(Y f) - (nabla_X Y) f
+    Hess f(X, Y)  = X(Y f) - (nabla_X Y) f = X^i Y^j (d_i d_j f - Gamma^k_ij d_k f)
     [X, Y]^k      = X^i d_i Y^k - Y^i d_i X^k
 """
 
@@ -191,57 +193,6 @@ class MetricField:
         return self._gamma
 
 
-# --- symbolic covariant operations -------------------------------------------
-
-
-# The builders below skip every term with a folded-zero factor: mul would
-# fold it to ZERO and add would drop it, so they build the trees of the
-# dense sums without differentiating what a zero multiplies.
-
-
-def cov_deriv_exprs(g: MetricField, X, Y) -> tuple[Expr, ...]:
-    """(nabla_X Y) as component expressions."""
-    n = g.dim
-    X = tuple(X)
-    Y = tuple(Y)
-    gamma = g.christoffel_entries()
-    xs = [i for i in range(n) if not _is_zero(X[i])]
-    ys = [j for j in range(n) if not _is_zero(Y[j])]
-    out = []
-    for k in range(n):
-        acc = ZERO
-        for i in xs:
-            acc = add(acc, mul(X[i], diff(Y[k], i)))
-            for j in ys:
-                if not _is_zero(gamma[k][i][j]):
-                    acc = add(acc, mul(gamma[k][i][j], mul(X[i], Y[j])))
-        out.append(acc)
-    return tuple(out)
-
-
-def lie_bracket_exprs(X, Y, dim: int) -> tuple[Expr, ...]:
-    X = tuple(X)
-    Y = tuple(Y)
-    out = []
-    for k in range(dim):
-        acc = ZERO
-        for i in range(dim):
-            if _is_zero(X[i]) and _is_zero(Y[i]):
-                continue
-            xy = ZERO if _is_zero(X[i]) else mul(X[i], diff(Y[k], i))
-            yx = ZERO if _is_zero(Y[i]) else mul(Y[i], diff(X[k], i))
-            acc = add(acc, sub(xy, yx))
-        out.append(acc)
-    return tuple(out)
-
-
-def _sum_exprs(terms) -> Expr:
-    acc = ZERO
-    for t in terms:
-        acc = add(acc, t)
-    return acc
-
-
 # --- stacked evaluation -------------------------------------------------------
 
 
@@ -340,37 +291,13 @@ def _levi_civita(G, dG, d2G=None):
     return Ginv, gamma.reshape(m, n, n, n), dgamma.reshape(m, n, n, n, n)
 
 
-def _metric_jets(g: MetricField) -> list:
-    """The first partials d_p g_ab of the metric, over p and then a <= b in
-    np.triu_indices order: the one layout of every first-order metric tape,
-    which _symmetric unpacks."""
-    upper = list(zip(*_pairs(g.dim, 0)))
-    return [diff(g.entries[a][b], p) for p in range(g.dim) for a, b in upper]
-
-
 def _symmetric(cols: np.ndarray, n: int) -> np.ndarray:
     """The symmetric (..., n, n) matrices whose upper triangles, in
-    np.triu_indices order, fill the last axis of cols: the (m, p, a, b)
-    array d_p g_ab from the (m, p, n(n+1)/2) columns of _metric_jets."""
+    np.triu_indices order, fill the last axis of cols: G from the values of
+    the metric's upper triangle, or d_p G from its first partials."""
     iu, ju = _pairs(n, 0)
     out = np.empty(cols.shape[:-1] + (n, n))
     out[..., iu, ju] = out[..., ju, iu] = cols
-    return out
-
-
-def _jet_roots(V) -> list:
-    """The components V^k of a field, then its first partials d_i V^k, k-major."""
-    n = len(V)
-    return list(V) + [diff(V[k], i) for k in range(n) for i in range(n)]
-
-
-def _split(vals: np.ndarray, *shapes) -> list:
-    """Consecutive columns of stacked root values, as (m, *shape) arrays."""
-    out, at = [], 0
-    for shape in shapes:
-        size = int(np.prod(shape, dtype=int))
-        out.append(vals[:, at : at + size].reshape((len(vals), *shape)))
-        at += size
     return out
 
 
@@ -388,43 +315,54 @@ def _first_fault(sweep, bad: np.ndarray):
     return j, int(q[j]), bool(fails[j] == q[j])
 
 
-def _stacked(g: MetricField, roots, pts, labels=None, checks=()):
-    """Evaluate the metric of g and the roots over an (m, dim) array of
-    points on one tape; return G, (m, n, n), and the root values.
+def _checked(g: MetricField, roots, pts, labels, checks, jets: bool):
+    """One tape of the upper triangle of the metric of g and the roots,
+    swept, or with jets jet-swept, over an (m, dim) array of points; returns
+    G, (m, n, n), and the sweep.
 
-    Raises at the first sample that fails, with its first failure in the
-    order metric evaluation, positive definiteness, root evaluation, and
-    warns as metric_at does at every ill-conditioned sample up to it.
-    checks lists (r, failing, error), run in that order once root r has
-    evaluated: failing(G, vals) masks the samples that fail, reading roots
-    up to r only, and error(G[j], vals[j], labels[j]) is the exception at
-    such a sample j. labels default to the points as tuples."""
+    Raises at the first sample that fails. Its values are checked first, in
+    the order metric evaluation, positive definiteness, then each root's
+    evaluation and the checks on it; with jets, where they pass but the jets
+    of a root are not finite, Sweep.repair mends those jets from the roots'
+    diff trees, and where the trees fail their error is the sample's. Warns
+    as metric_at does at every ill-conditioned sample up to that one. checks
+    lists (r, failing, error), run in that order once root r has evaluated:
+    failing(G, vals) masks the samples that fail, reading roots up to r only,
+    and error(G[j], vals[j], labels[j]) is the exception at such a sample j.
+    labels default to the points as tuples."""
     n = g.dim
-    nn = n * n
+    nt = n * (n + 1) // 2
     pts = np.array(pts, dtype=float, ndmin=2)
     m = len(pts)
     if labels is None:
         labels = [tuple(p) for p in pts.tolist()]
-    tape = compile_tape([e for row in g.entries for e in row] + list(roots))
-    sweep = tape.sweep(pts)
+    tape = compile_tape([g.entries[a][b] for a, b in zip(*_pairs(n, 0))] + list(roots))
+    sweep = tape.jet_sweep(pts) if jets else tape.sweep(pts)
     G, ev, cond, not_spd, ill = _metric_checks(
-        sweep.values[:, :nn].reshape(m, n, n), sweep.first_bad >= tape.bounds[nn]
+        _symmetric(sweep.values[:, :nt], n), sweep.first_bad >= tape.bounds[nt]
     )
-    vals = sweep.values[:, nn:]
+    vals = sweep.values[:, nt:]
     bad = np.zeros(sweep.values.shape, dtype=bool)
-    bad[:, nn - 1] = not_spd  # after the entries, before the roots
+    bad[:, nt - 1] = not_spd  # after the entries, before the roots
     with np.errstate(all="ignore"):
         masks = [failing(G, vals) for _, failing, _ in checks]
     for (r, _, _), mask in zip(checks, masks):
-        bad[:, nn + r] |= mask
+        bad[:, nt + r] |= mask
     hit = _first_fault(sweep, bad)
-    _warn_conditions(cond, ill, labels, hit[0] if hit else m, hit is not None and hit[1] >= nn)
+    # by sample, the error of the roots' diff trees where they fail
+    errors = sweep.repair() if jets else {}
+    j = hit[0] if hit else m
+    mended = min(errors, default=m)
+    if mended < j:
+        _warn_conditions(cond, ill, labels, mended, True)
+        raise errors[mended]
+    _warn_conditions(cond, ill, labels, j, hit is not None and hit[1] >= nt)
     if hit is None:
-        return G, vals
+        return G, sweep
     j, q, domain = hit
     if domain:
         raise sweep.error(j)
-    if q < nn:
+    if q < nt:
         raise NotSPDError(
             f"metric not positive definite at {labels[j]}: "
             f"smallest eigenvalue {ev[j, 0]:.3e}"
@@ -432,14 +370,42 @@ def _stacked(g: MetricField, roots, pts, labels=None, checks=()):
     raise next(
         error(G[j], vals[j], labels[j])
         for (r, _, error), mask in zip(checks, masks)
-        if nn + r == q and mask[j]
+        if nt + r == q and mask[j]
     )
+
+
+def _stacked(g: MetricField, roots, pts, labels=None, checks=()):
+    """The values of the metric of g, G (m, n, n), and of the roots, (m,
+    roots), over an (m, dim) array of points on one tape (_checked)."""
+    G, sweep = _checked(g, roots, pts, labels, checks, jets=False)
+    return G, sweep.values[:, g.dim * (g.dim + 1) // 2 :]
+
+
+def _jets(g: MetricField, roots, pts, labels=None, checks=()):
+    """_stacked on one jet sweep (_checked): G, its first partials dG (m, p,
+    a, b) = d_p g_ab, and the jets of the roots, (m, 1 + n + n(n+1)/2,
+    roots), rows as Tape.jet_sweep gives them: values, d_p over p, then
+    d_p d_q over p <= q."""
+    n = g.dim
+    nt = n * (n + 1) // 2
+    G, sweep = _checked(g, roots, pts, labels, checks, jets=True)
+    J = sweep.jets
+    return G, _symmetric(J[:, 1 : n + 1, :nt], n), J[:, :, nt:]
 
 
 def _at(g: MetricField, roots, p):
     """_stacked at the single point p: (G, root values)."""
     G, vals = _stacked(g, roots, [p], [tuple(p)])
     return G[0], vals[0]
+
+
+def _hess(d2f, gamma, df, X, Y) -> np.ndarray:
+    """Covariant Hessian Hess f(X_a, Y_b) = X_a^T (d2f - Gamma^k d_k f) Y_b.
+
+    d2f[m, i, l] = d_i d_l f, gamma[m, k, i, j] = Gamma^k_ij, df[m, k] = d_k f;
+    X is (m, a, n) and Y is (m, b, n). Returns (m, a, b)."""
+    A = d2f - np.einsum("mkij,mk->mij", gamma, df)
+    return np.einsum("mai,mij,mbj->mab", X, A, Y)
 
 
 # --- single-point operations ------------------------------------------------------
@@ -453,41 +419,42 @@ def metric_at(g: MetricField, p):
 
 def christoffel(g: MetricField, p) -> np.ndarray:
     """Gamma[k, i, j] at p."""
-    n = g.dim
-    G, vals = _stacked(g, _metric_jets(g), [p], [tuple(p)])
-    return _levi_civita(G, _symmetric(vals.reshape(1, n, -1), n))[1][0]
+    G, dG, _ = _jets(g, (), [p], [tuple(p)])
+    return _levi_civita(G, dG)[1][0]
 
 
 def cov_deriv(g: MetricField, X, Y, p) -> np.ndarray:
-    """(nabla_X Y)(p). X and Y are component expression sequences; the tape
-    holds X, then Y and its partials d_i Y^k (k-major), then the metric jets
-    (_metric_jets), and a failure is named in that order."""
+    """(nabla_X Y)(p). X and Y are component expression sequences; the
+    partials of Y come from the same jet sweep as the metric's."""
     n = g.dim
-    G, vals = _stacked(g, [*X, *_jet_roots(Y), *_metric_jets(g)], [p], [tuple(p)])
-    Xv, Yv, dY, dG = _split(vals, (n,), (n,), (n, n), (n, n * (n + 1) // 2))
-    return _cov(dY, _levi_civita(G, _symmetric(dG, n))[1], Yv, Xv[:, None])[0, 0]
+    G, dG, J = _jets(g, [*X, *Y], [p], [tuple(p)])
+    dY = J[:, 1 : n + 1, n:].swapaxes(1, 2)  # d_i Y^k at [k, i]
+    return _cov(dY, _levi_civita(G, dG)[1], J[:, 0, n:], J[:, None, 0, :n])[0, 0]
 
 
 def grad_field(g: MetricField, f: Expr, p) -> np.ndarray:
-    """(grad f)(p) = g^-1 df; the tape holds the partials d_l f in order l,
-    and no metric partial."""
-    G, df = _stacked(g, [diff(f, l) for l in range(g.dim)], [p], [tuple(p)])
-    return _inv(G)[0] @ df[0]
+    """(grad f)(p) = g^-1 df."""
+    G, _, J = _jets(g, [f], [p], [tuple(p)])
+    return _inv(G)[0] @ J[0, 1 : g.dim + 1, 0]
 
 
 def hessian_lc(g: MetricField, f: Expr, X, Y, p) -> float:
-    """Covariant Hessian Hess f(X, Y) = X(Y f) - (nabla_X Y) f at p."""
+    """Covariant Hessian Hess f(X, Y) = X(Y f) - (nabla_X Y) f at p; in
+    coordinates the partials of Y cancel, leaving
+    X^i Y^j (d_i d_j f - Gamma^k_ij d_k f), read off the jets of f."""
     n = g.dim
-    df = [diff(f, l) for l in range(n)]
-    yf = _sum_exprs([mul(Y[l], df[l]) for l in range(n)])
-    xyf = _sum_exprs([mul(X[i], diff(yf, i)) for i in range(n)])
-    nxy = cov_deriv_exprs(g, X, Y)
-    hess = sub(xyf, _sum_exprs([mul(nxy[k], df[k]) for k in range(n)]))
-    return float(_at(g, [hess], p)[1][0])
+    G, dG, J = _jets(g, [f, *X, *Y], [p], [tuple(p)])
+    df, d2f = J[:, 1 : n + 1, 0], _symmetric(J[:, n + 1 :, 0], n)
+    X, Y = J[:, None, 0, 1 : n + 1], J[:, None, 0, n + 1 :]
+    return float(_hess(d2f, _levi_civita(G, dG)[1], df, X, Y)[0, 0, 0])
 
 
 def lie_bracket(X, Y, p) -> np.ndarray:
-    return compile_tape(lie_bracket_exprs(X, Y, len(X))).run(np.array([p], dtype=float))[0]
+    """[X, Y](p) from the jets of X and Y."""
+    n = len(X)
+    J = compile_tape([*X, *Y]).run_jets(np.array([p], dtype=float))[0]
+    D = J[1 : n + 1]  # d_i of each root at [i, root]
+    return J[0, :n] @ D[:, n:] - J[0, n:] @ D[:, :n]
 
 
 def inner(g: MetricField, v, w, p) -> float:
@@ -509,20 +476,25 @@ def _lc_axioms(g: MetricField, pts, labels=None):
     basis = [tuple(ONE if a == i else ZERO for a in range(n)) for i in range(n)]
     linear = [tuple(var((a + s) % n) for a in range(n)) for s in (1, 2)]
     fields = basis + linear
-    G, vals = _stacked(g, _metric_jets(g) + [r for V in fields for r in _jet_roots(V)], pts, labels)
-    dk, *jets = _split(vals, (n, n * (n + 1) // 2), *[(n,), (n, n)] * len(fields))
-    gam = _levi_civita(G, _symmetric(dk, n))[1]
+    G, dG, J = _jets(g, [c for V in fields for c in V], pts, labels)
+    m = len(G)
+    gam = _levi_civita(G, dG)[1]
     iu, ju = _pairs(n, 0)
+    # per field its values V^k and its partials d_i V^k at [k, i]
+    values = J[:, 0].reshape(m, len(fields), n)
+    partials = J[:, 1 : n + 1].reshape(m, n, len(fields), n).transpose(0, 2, 3, 1)
 
     # d_k g_ij against Gamma^l_ki g_lj + Gamma^l_kj g_il, i <= j
+    dk = dG[:, :, iu, ju]
     T = np.einsum("mlki,mlj->mkij", gam, G)
     t1, t2 = T[:, :, iu, ju], T[:, :, ju, iu]
     big = np.maximum.reduce([np.abs(dk), np.abs(t1), np.abs(t2)])
     compat = (np.abs(dk - t1 - t2) / (1.0 + big)).max(axis=(1, 2))
 
     # nabla_X Y - nabla_Y X - [X, Y] over pairs of fields
-    torsion = np.zeros(len(G))
-    for (X, dX), (Y, dY) in itertools.combinations(zip(jets[::2], jets[1::2]), 2):
+    torsion = np.zeros(m)
+    for a, b in itertools.combinations(range(len(fields)), 2):
+        X, dX, Y, dY = values[:, a], partials[:, a], values[:, b], partials[:, b]
         bracket = np.einsum("mki,mi->mk", dY, X) - np.einsum("mki,mi->mk", dX, Y)
         r = _cov(dY, gam, Y, X[:, None])[:, 0] - _cov(dX, gam, X, Y[:, None])[:, 0] - bracket
         torsion = np.maximum(torsion, _gnorm(r, G) / (1.0 + _gnorm(X, G) * _gnorm(Y, G)))

@@ -63,6 +63,7 @@ from .scalar_fields import (
     const,
     eval_jet2,
     fd_oracle,
+    format_expr,
     parse_expr,
 )
 
@@ -97,8 +98,9 @@ class Manifest:
 # others: a keyword missing from _KEYWORDS raises at its first use. A "type"
 # is one name from _TYPES, with draft-7 meaning: a bool is neither an
 # integer nor a number, and 1.0 is an integer. Messages are jsonschema's,
-# and of all violations the one reported is the one jsonschema's best_match
-# picks (see _relevance).
+# except that a oneOf over key sets names the keys present (_one_of), and of
+# all violations the one reported is the one jsonschema's best_match picks
+# (see _relevance).
 
 
 @functools.cache
@@ -191,11 +193,20 @@ def _one_of(branches, node, x, path, out):
             context += errs
         elif not errs:
             valid.append(sub)
-    if not valid:
-        out.append(_Violation(path, "oneOf", f"{x!r} is not valid under any of the given "
-                              "schemas", node, x, tuple(context)))
-    elif len(valid) > 1:
-        return f"{x!r} is valid under each of {', '.join(map(repr, valid[1:] + valid[:1]))}"
+    if len(valid) == 1:
+        return None
+    if isinstance(x, dict) and all(set(sub) == {"required"} for sub in branches):
+        # a choice of key sets, such as the manifest's two top-level branches:
+        # name the keys the object has rather than repeat the object
+        sets = ", or ".join(" and ".join(sub["required"]) for sub in branches)
+        message = f"set either {sets}, not both (found: {', '.join(sorted(map(str, x)))})"
+    elif valid:
+        message = f"{x!r} is valid under each of {', '.join(map(repr, valid[1:] + valid[:1]))}"
+    else:
+        message = f"{x!r} is not valid under any of the given schemas"
+    if valid:
+        return message
+    out.append(_Violation(path, "oneOf", message, node, x, tuple(context)))
 
 
 def _enum(values, node, x, path, out):
@@ -276,14 +287,28 @@ def _parse(text: str, chart: Chart, pointer: str) -> Expr:
         raise ManifestError(f"bad expression {text!r}: {e}", pointer) from e
 
 
-def _parse_matrix(rows, chart: Chart, pointer: str):
+def _parse_matrix(rows, chart: Chart, pointer: str, symmetric: bool = False):
+    """The expressions of a dim x dim matrix of strings. A symmetric matrix,
+    as a metric's must be, is refused at its first lower entry that does not
+    read as the upper one: only the upper triangle of a metric is kept."""
     n = chart.dim
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ManifestError(f"components must form a {n} by {n} matrix", pointer)
-    return tuple(
+    m = tuple(
         tuple(_parse(rows[a][b], chart, f"{pointer}/{a}/{b}") for b in range(n))
         for a in range(n)
     )
+    if symmetric:
+        for a in range(n):
+            for b in range(a):
+                if rows[a][b] == rows[b][a]:
+                    continue
+                lower, upper = (format_expr(e, chart.names) for e in (m[a][b], m[b][a]))
+                if lower != upper:
+                    raise ManifestError(
+                        f"metric components must be symmetric: {lower!r} differs from "
+                        f"{upper!r} at {pointer}/{b}/{a}", f"{pointer}/{a}/{b}")
+    return m
 
 
 def _build_chart(cdata: dict, pointer: str) -> Chart:
@@ -334,7 +359,7 @@ def _build_product(pdata: dict) -> ProductSpec:
                 tuple(ONE if a == b else ZERO for b in range(d)) for a in range(d)
             )
         else:
-            metric = _parse_matrix(comps, fchart, f"{ptr}/components")
+            metric = _parse_matrix(comps, fchart, f"{ptr}/components", symmetric=True)
         factors.append(FactorSpec(fchart, metric))
         all_domain.extend(domain)
         all_names.extend(names)
@@ -377,6 +402,9 @@ def load_manifest(path) -> Manifest:
     violation = _schema_violation(data)
     if violation is not None:
         raise ManifestError(*violation)
+    tolerance = float(data.get("tolerance", DEFAULT_TOLERANCE))
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ManifestError(f"tolerance must be finite and > 0, got {tolerance}", "/tolerance")
 
     if "product" in data:
         spec = _build_product(data["product"])
@@ -399,7 +427,7 @@ def load_manifest(path) -> Manifest:
         spec = None
         chart = _build_chart(data["chart"], "/chart")
         entries = _parse_matrix(
-            data["metric"]["components"], chart, "/metric/components"
+            data["metric"]["components"], chart, "/metric/components", symmetric=True
         )
         try:
             metric = MetricField(chart, entries)
@@ -459,7 +487,7 @@ def load_manifest(path) -> Manifest:
         tensors=tuple(tensors),
         functions=functions,
         plan=plan,
-        tolerance=float(data.get("tolerance", DEFAULT_TOLERANCE)),
+        tolerance=tolerance,
     )
 
 

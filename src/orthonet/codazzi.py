@@ -57,12 +57,11 @@ from .chart_calculus import (
     _cov,
     _ginner,
     _gnorm,
+    _hess,
+    _jets,
     _levi_civita,
-    _metric_jets,
-    _split,
     _stacked,
     _symmetric,
-    det_expr,
 )
 from .errors import (
     CoalescenceError,
@@ -95,7 +94,6 @@ from .scalar_fields import (
     add,
     compile_tape,
     const,
-    diff,
     div,
     free_vars,
     mul,
@@ -189,32 +187,26 @@ class _Fields:
 def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
                    codazzi: bool = False) -> _Fields:
     """Evaluate the metric and the tensor over the samples with one tape
-    run, and with codazzi the Codazzi residual: the tape then also holds,
-    after the tensor, its partials d_a Phi^k_b for a != b (the only ones the
-    pairs read) over a, b and then k, then the metric jets (_metric_jets),
-    and numpy forms Gamma (_levi_civita) and (nabla_i Phi)e_j -
-    (nabla_j Phi)e_i, i < j, with
+    run, and with codazzi the Codazzi residual: the run is then a jet sweep,
+    whose partials of the metric and of the tensor give Gamma (_levi_civita)
+    and (nabla_i Phi)e_j - (nabla_j Phi)e_i, i < j, with
 
         (nabla_i Phi)^k_j = d_i Phi^k_j + Gamma^k_il Phi^l_j - Phi^k_l Gamma^l_ij.
 
-    Raises what checking one sample at a time in that order raises first:
-    metric evaluation, positive definiteness, tensor evaluation,
-    self-adjointness beyond tol, evaluation of a partial of the tensor,
-    evaluation of a metric partial. Every sample up to that one that passes
-    the positivity check warns if it is ill-conditioned."""
+    Raises what chart_calculus._checked raises first: metric evaluation,
+    positive definiteness, tensor evaluation, self-adjointness beyond tol,
+    then, with codazzi, the error of the diff trees of the metric and tensor
+    entries where their jets are not finite. Every sample up to that one
+    that passes the positivity check warns if it is ill-conditioned."""
     n = g.dim
     nn = n * n
-    comp = phi.components
-    roots = [e for row in comp for e in row]
-    oa, ob = np.nonzero(~np.eye(n, dtype=bool))  # the a != b of d_a Phi^k_b
+    roots = [e for row in phi.components for e in row]
     codazzi = codazzi and n > 1
-    if codazzi:
-        roots += [diff(comp[k][b], a) for a, b in zip(oa, ob) for k in range(n)] + _metric_jets(g)
 
     def defect(G, vals):
-        """Relative asymmetry of G P, P the tensor among the root values, for
+        """Relative asymmetry of G P, P the tensor given by the root values, for
         stacked samples or one."""
-        S = G @ vals[..., :nn].reshape(G.shape)
+        S = G @ vals.reshape(G.shape)
         return np.linalg.norm(S - np.swapaxes(S, -1, -2), axis=(-2, -1)) / (
             1.0 + np.linalg.norm(S, axis=(-2, -1))
         )
@@ -226,15 +218,17 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
             f"tensor is not self-adjoint at {label}: defect {defect(G, v):.3e}"
         ),
     )
-    G, vals = _stacked(g, roots, pts, labels, [adjoint])
+    if codazzi:
+        G, dG, J = _jets(g, roots, pts, labels, [adjoint])
+        vals = J[:, 0]
+    else:
+        G, vals = _stacked(g, roots, pts, labels, [adjoint])
     m = len(G)
-    P = vals[:, :nn].reshape(m, n, n)
+    P = vals.reshape(m, n, n)
     codazzi_res = np.zeros(m)
     if codazzi:
-        dPo, dG = _split(vals[:, nn:], (len(oa), n), (n, n * (n + 1) // 2))
-        dP = np.zeros((m, n, n, n))
-        dP[:, oa, ob] = dPo
-        gam = _levi_civita(G, _symmetric(dG, n))[1]
+        dP = J[:, 1 : n + 1].reshape(m, n, n, n).swapaxes(2, 3)  # d_a Phi^k_b at [:, a, b, k]
+        gam = _levi_civita(G, dG)[1]
         # (nabla_a Phi)^k_b at [:, a, b, k]
         N = dP + np.einsum("mkal,mlb->mabk", gam, P) - np.einsum("mkl,mlab->mabk", P, gam)
         norms = np.sqrt(np.maximum(np.einsum("mii->mi", G), 0.0))
@@ -288,7 +282,7 @@ class _Eigen:
 
     S v = w G v, S = G Phi symmetrized, is reduced at all samples at once
     as LAPACK sygvd reduces one sample: with G = L L^T (G is SPD, or
-    _stacked raised), the eigenvectors U of L^-1 S L^-T give V = L^-T U and
+    _metric_tensor raised), the eigenvectors U of L^-1 S L^-T give V = L^-T U and
     V^T G V = I. lam_low[j] says whether lam is the lower cluster at j."""
 
     def __init__(self, G: np.ndarray, P: np.ndarray, gap_min: float):
@@ -494,15 +488,6 @@ class CriteriaRecord:
 # checks at one sample, in the order a failure there is reported
 _COALESCED, _LAM_DOMAIN, _RANK_CHANGE, _FIELD_DOMAIN = range(4)
 _OK = 4
-
-
-def _hess(d2f, gamma, df, X, Y) -> np.ndarray:
-    """Covariant Hessian Hess f(X_a, Y_b) = X_a^T (d2f - Gamma^k d_k f) Y_b.
-
-    d2f[m, i, l] = d_i d_l f, gamma[m, k, i, j] = Gamma^k_ij, df[m, k] = d_k f;
-    X is (m, a, n) and Y is (m, b, n). Returns (m, a, b)."""
-    A = d2f - np.einsum("mkij,mk->mij", gamma, df)
-    return np.einsum("mai,mij,mbj->mab", X, A, Y)
 
 
 def _rel(*terms) -> np.ndarray:
@@ -931,16 +916,18 @@ def _warping_profile(g: MetricField, model: _EigenModel, axis: int,
     )
     if (off > _AXIS_TOL).any():
         return None, None
-    sub_det = det_expr([[g.entries[i][j] for j in others] for i in others])
+    r = len(others)
+    entries = [g.entries[others[a]][others[b]] for a, b in zip(*_pairs(r, 0))]
     base = tuple(g.chart.center())
     ts = grid_axes(g.chart, plan.grid, plan.margin)[axis]
     line = np.array([[t if i == axis else base[i] for i in range(n)] for t in ts])
-    # the determinant at the base point first, then per t the determinant and mu
-    base_det = float(compile_tape([sub_det]).run(np.array([base]))[0, 0])
-    vals = compile_tape([sub_det, model.mu_expr]).run(line)
+    # the block at the base point first, then per t the block and mu
+    at_base = compile_tape(entries).run(np.array([base]))
+    vals = compile_tape([*entries, model.mu_expr]).run(line)
+    base_det, *dets = np.linalg.det(_symmetric(np.concatenate([at_base, vals[:, :-1]]), r)).tolist()
     power = 1.0 / (2.0 * model.rank_mu)
-    out = [{"t": float(t), "mu_tilde": float(mu),
-            "sigma_ratio": float((float(d) / base_det) ** power)} for t, (d, mu) in zip(ts, vals)]
+    out = [{"t": float(t), "mu_tilde": float(mu), "sigma_ratio": float((d / base_det) ** power)}
+           for t, d, mu in zip(ts, dets, vals[:, -1])]
     return out, base
 
 
@@ -1022,11 +1009,9 @@ def build_codazzi_candidate(kind: str, **params) -> CodazziCandidate:
                 raise ConstraintError(f"{label} must depend only on the base coordinate")
         h_mu = _h_of_mu(h, mu)
         # differentiated warping relation on a base grid, rejected when violated
-        dmu = diff(mu, 0)
-        dsig = diff(sigma, 0)
         ts = grid_axes(base, 9)[0][:, None]
-        tape = compile_tape([dmu, h_mu, mu, dsig, sigma])
-        lhs, h_val, mu_val, dsig_val, sig_val = tape.run(ts).T
+        J = compile_tape([h_mu, mu, sigma]).run_jets(ts)
+        (h_val, mu_val, sig_val), (_, lhs, dsig_val) = J[:, 0].T, J[:, 1].T
         with np.errstate(all="ignore"):
             worst = float(np.abs(lhs - (h_val - mu_val) * (dsig_val / sig_val)).max())
         if not worst <= 1e-8:

@@ -42,10 +42,8 @@ from .chart_calculus import (
     _first_fault,
     _ginner,
     _gnorm,
+    _jets,
     _levi_civita,
-    _metric_jets,
-    _split,
-    _stacked,
     _symmetric,
     det_expr,
 )
@@ -55,12 +53,13 @@ from .errors import (
     NotApplicableError,
 )
 from .nets import OrthogonalNet, classify_net
-from .sampling import SamplePlan, grid_axes
+from .sampling import SamplePlan, _mesh, grid_axes
 from .scalar_fields import (
     Chart,
     Expr,
     ONE,
     ZERO,
+    _pairs,
     compile_tape,
     const,
     diff,
@@ -251,20 +250,20 @@ def _connection_residuals(spec: ProductSpec, pts, X, Y) -> np.ndarray:
     constant fields, and the result has their shape without the last axis,
     so that several pairs at one sample share its sweep.
 
-    One tape holds, in this order, the fields when they are expressions,
-    the metric jets of g (_metric_jets), the entries and metric jets of the
-    product metric, and per twist its value and the partials of its log;
-    the Christoffel symbols of both metrics come from _levi_civita. The
-    identity is tensorial, so the fields are taped without their partials.
-    Errors are those of _stacked in tape order; a twist that is not
-    positive fails right after its value."""
+    One jet sweep (chart_calculus._jets) of the metric of the spec, the
+    fields when they are expressions, the upper triangle of the product
+    metric and the twists gives the Christoffel symbols of both metrics
+    (_levi_civita) and the partials of the twists' logs, d rho / rho. The
+    identity is tensorial, so the partials of the fields are never read.
+    Errors are those of _jets in root order; a twist that is not positive
+    fails right after its value."""
     if spec.conformal_factor is not None:
         raise ConstraintError("connection identity applies to unscaled twisted specs")
     g, product = build_metric(spec), spec._product_metric
     n = g.dim
     nt = n * (n + 1) // 2
     fields = [] if isinstance(X, np.ndarray) else [*X, *Y]
-    roots = fields + _metric_jets(g) + [e for row in product.entries for e in row] + _metric_jets(product)
+    roots = fields + [product.entries[a][b] for a, b in zip(*_pairs(n, 0))]
     twisted = [i for i, rho in enumerate(spec.twists) if not is_const_one(rho)]
     checks = []
     for i in twisted:
@@ -274,22 +273,22 @@ def _connection_residuals(spec: ProductSpec, pts, X, Y) -> np.ndarray:
             lambda G, vals, r=r: vals[:, r] <= 0.0,
             lambda G, v, label, r=r, i=i: ConstraintError(f"twist {i} is {v[r]:.6g} <= 0 at {label}"),
         ))
-        roots += [spec.twists[i]] + [diff(log(spec.twists[i]), l) for l in range(n)]
-    G, vals = _stacked(g, roots, pts, checks=checks)
+        roots.append(spec.twists[i])
+    G, dG, J = _jets(g, roots, pts, checks=checks)
     if fields:
-        X, Y = _split(vals, (n,), (n,))
-    dG, G_product, dG_product, *parts = _split(
-        vals[:, len(fields) :], (n, nt), (n, n), (n, nt), *[(1,), (n,)] * len(twisted)
-    )
-    Ginv, gam, _ = _levi_civita(G, _symmetric(dG, n))
-    gam_product = _levi_civita(G_product, _symmetric(dG_product, n))[1]
+        X, Y = J[:, 0, :n], J[:, 0, n : 2 * n]
+    P = J[:, : n + 1, len(fields) : len(fields) + nt]  # the product metric's values and d_p
+    rho = J[:, : n + 1, len(fields) + nt :]
+    Ginv, gam, _ = _levi_civita(G, dG)
+    gam_product = _levi_civita(_symmetric(P[:, 0], n), _symmetric(P[:, 1:], n))[1]
     # nabla_X Y = X(Y) + Gamma(X, Y) under either connection; X(Y) cancels
     # in lhs - rhs, so only the Gamma terms are kept
     lhs = np.einsum("mkij,m...i,m...j->m...k", gam, X, Y)
     rhs = np.einsum("mkij,m...i,m...j->m...k", gam_product, X, Y)
     unorm_sum = 0.0
     pairs = (slice(None),) + (None,) * (X.ndim - 2)
-    for i, dlog in zip(twisted, parts[1::2]):
+    for t, i in enumerate(twisted):
+        dlog = rho[:, 1:, t] / rho[:, :1, t]
         U = -np.einsum("mkl,ml->mk", Ginv, dlog)[pairs]
         block = np.isin(np.arange(n), spec.blocks[i])
         Xi, Yi = np.where(block, X, 0.0), np.where(block, Y, 0.0)
@@ -318,11 +317,12 @@ def verify_connection_identity(spec: ProductSpec, X, Y, p) -> float:
 
 
 def separability_residual(rho: Expr, block_a, block_b, p) -> float:
-    """max |d^2 log rho / dx_a dx_b| over a in block_a, b in block_b at p."""
-    lr = log(rho)
-    roots = [diff(diff(lr, a), b) for a in block_a for b in block_b]
-    vals = compile_tape(roots).run(np.array([p], dtype=float))[0]
-    return float(np.abs(vals).max(initial=0.0))
+    """max |d^2 log rho / dx_a dx_b| over a in block_a, b in block_b at p,
+    from the jets of log rho."""
+    n = len(p)
+    J = compile_tape([log(rho)]).run_jets(np.array([p], dtype=float))
+    hess = _symmetric(J[0, n + 1 :, 0], n)
+    return float(np.abs(hess[np.ix_(list(block_a), list(block_b))]).max(initial=0.0))
 
 
 # --- batched evaluation -------------------------------------------------------
@@ -334,13 +334,6 @@ def separability_residual(rho: Expr, block_a, block_b, p) -> float:
 
 # points per tape run of the quadrature
 _QUAD_POINTS = 1 << 14
-
-
-def _mesh(axes) -> np.ndarray:
-    """(m, len(axes)) points of the tensor grid, in itertools.product order."""
-    if not axes:
-        return np.zeros((1, 0))
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def _integrate(segments: list):
@@ -812,12 +805,13 @@ def _spherical_residuals(spec: ProductSpec, phi: Expr, i: int, pts) -> np.ndarra
     """spherical_factor_check at every sample of an (m, dim) array of points:
     (m, 3) residuals ii, iii and v.
 
-    One tape holds the first partials of log phi, its second partials
-    d_a d_l log phi (a-major), the metric jets of the scaled metric
-    (_metric_jets), the first and mixed second partials of phi and the
-    residual_v terms, and errors are those of _stacked in that order.
-    W = -grad log phi, its partials and the Christoffel symbols are numpy:
-    d_i W = -g^-1 ((d_i g) W + d_i d log phi)."""
+    One jet sweep (chart_calculus._jets) of the scaled metric, log phi, phi,
+    1/phi and the twist rho of block i gives every partial, and errors are
+    those of _jets in that order. W = -grad log phi, its partials and the
+    Christoffel symbols are numpy: d_i W = -g^-1 ((d_i g) W + d_i d log phi),
+    and the residual_v terms are, for a in the block and b outside it,
+
+        d_b (d_a (1/phi) / rho) = (d_a d_b (1/phi) - d_a (1/phi) d_b rho / rho) / rho."""
     if spec.kind not in ("product", "warped"):
         raise ConstraintError("spherical factor check expects a product or warped spec")
     if spec.conformal_factor is not None:
@@ -829,19 +823,12 @@ def _spherical_residuals(spec: ProductSpec, phi: Expr, i: int, pts) -> np.ndarra
     blk = list(spec.blocks[i])
     other = [a for a in range(n) if a not in blk]
 
-    dlog = [diff(log(phi), l) for l in range(n)]
-    d2log = [diff(dlog[l], a) for a in range(n) for l in range(n)]
-    dphi = [diff(phi, l) for l in range(n)]
-    mixed = [diff(dphi[c], a) for c in other for a in blk]
-    inv_phi = powc(phi, -1.0)
-    rho = spec.twists[i]
-    sep = [diff(div(diff(inv_phi, a), rho), b) for a in blk for b in other]
-    G, vals = _stacked(g, dlog + d2log + _metric_jets(g) + dphi + mixed + sep, pts)
+    G, dG, J = _jets(g, [log(phi), phi, powc(phi, -1.0), spec.twists[i]], pts)
     m = len(G)
-    dl, d2l, dG, df, d2f, r5 = _split(
-        vals, (n,), (n, n), (n, n * (n + 1) // 2), (n,), (len(other), len(blk)), (len(sep),)
-    )
-    dG = _symmetric(dG, n)
+    dl, df, dinv, drho = np.moveaxis(J[:, 1 : n + 1], 2, 0)
+    d2l, d2f, d2inv, _ = np.moveaxis(_symmetric(J[:, n + 1 :].swapaxes(1, 2), n), 1, 0)
+    rho = J[:, 0, 3, None, None]
+    r5 = (d2inv[:, blk][:, :, other] - dinv[:, blk, None] * drho[:, None, other] / rho) / rho
     Ginv, gam, _ = _levi_civita(G, dG)
     Wv = -np.einsum("mkl,ml->mk", Ginv, dl)
     dW = -np.einsum("mka,mia->mki", Ginv, np.einsum("miab,mb->mia", dG, Wv) + d2l)
@@ -857,8 +844,8 @@ def _spherical_residuals(spec: ProductSpec, phi: Expr, i: int, pts) -> np.ndarra
     r2 = np.abs(lhs - rhs).max(axis=(1, 2), initial=0.0)
     # Hess phi(d_a, d_c) = d_a d_c phi - Gamma^k_ac d_k phi
     T = np.einsum("mkij,mk->mji", gam, df)[:, other][:, :, blk]
-    r3 = (np.abs(d2f - T) / scale).max(axis=(1, 2), initial=0.0)
-    return np.stack([r2, r3, np.abs(r5).max(axis=1, initial=0.0)], axis=1)
+    r3 = (np.abs(d2f[:, other][:, :, blk] - T) / scale).max(axis=(1, 2), initial=0.0)
+    return np.stack([r2, r3, np.abs(r5).max(axis=(1, 2), initial=0.0)], axis=1)
 
 
 def spherical_factor_check(spec: ProductSpec, phi: Expr, i: int, p) -> SphericalCheck:
@@ -867,8 +854,8 @@ def spherical_factor_check(spec: ProductSpec, phi: Expr, i: int, p) -> Spherical
     residual_ii checks <nabla_Z W, X> = <Z, W><X, W> for W = -grad log phi;
     residual_iii checks the covariant Hessian of phi across the block split;
     residual_v checks that (1/rho_i) * d(1/phi)/dx_a is independent of the
-    non-block coordinates. All derivatives use the scaled metric except the
-    purely symbolic residual_v.
+    non-block coordinates. All derivatives use the scaled metric except
+    residual_v, which reads no metric.
     """
     r2, r3, r5 = _spherical_residuals(spec, phi, i, [p])[0].tolist()
     return SphericalCheck(residual_ii=r2, residual_iii=r3, residual_v=r5)

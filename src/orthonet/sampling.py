@@ -9,7 +9,6 @@ grid points in lexicographic axis order, then the random points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -57,13 +56,22 @@ def sample_points(chart: Chart, plan: SamplePlan | None = None) -> np.ndarray:
             f"random points exceeds {MAX_POINTS} points"
         )
     lows, highs = _margin_box(chart, plan.margin)
-    axes = [np.linspace(lows[i], highs[i], plan.grid) for i in range(chart.dim)]
-    pts = [np.array(c) for c in product(*axes)]
+    pts = _mesh([np.linspace(lows[i], highs[i], plan.grid) for i in range(chart.dim)])
     if plan.random:
         rng = np.random.default_rng(plan.seed)
         u = rng.uniform(size=(plan.random, chart.dim))
-        pts.extend(lows + u * (highs - lows))
-    return np.array(pts)
+        pts = np.concatenate([pts, lows + u * (highs - lows)])
+    return pts
+
+
+def _mesh(axes) -> np.ndarray:
+    """(m, len(axes)) points of the tensor grid, in itertools.product order."""
+    if not axes:
+        return np.zeros((1, 0))
+    out = np.empty([len(a) for a in axes] + [len(axes)])
+    for i, column in enumerate(np.ix_(*axes)):
+        out[..., i] = column
+    return out.reshape(-1, len(axes))
 
 
 def grid_axes(chart: Chart, grid: int, margin: float = 0.0):

@@ -572,6 +572,18 @@ class Tape:
             raise sw.error(int(failed[0]))
         return sw.values
 
+    def run_jets(self, points) -> np.ndarray:
+        """The jets of jet_sweep, (m, 1 + n + n(n+1)/2, roots), mended by
+        Sweep.repair. Raises at the first sample that fails: the error run
+        raises there when a value fails, else that of the roots' diff trees."""
+        sw = self.jet_sweep(points)
+        errors = sw.repair()
+        failed = np.flatnonzero(sw.first_bad < self.size)
+        j = min([*map(int, failed[:1]), *errors], default=None)
+        if j is not None:
+            raise errors[j] if j in errors else sw.error(j)
+        return sw.jets
+
 
 def _first_nonfinite(V: np.ndarray) -> np.ndarray:
     """Per column of V, the first row holding a non-finite value, or len(V).
@@ -1169,13 +1181,7 @@ def eval_jet2(e: Expr, p) -> Jet2:
     (Sweep.repair), which raise their error instead where they fail."""
     pts = np.array([p], dtype=float)
     n = pts.shape[1]
-    sweep = compile_tape([e]).jet_sweep(pts)
-    if sweep.first_bad[0] < sweep.tape.size:
-        raise sweep.error(0)
-    errors = sweep.repair()
-    if errors:
-        raise errors[0]
-    jet = sweep.jets[0, :, 0]
+    jet = compile_tape([e]).run_jets(pts)[0, :, 0]
     iu, ju = _pairs(n, 0)
     hess = np.empty((n, n))
     hess[iu, ju] = hess[ju, iu] = jet[1 + n :]

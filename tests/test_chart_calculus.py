@@ -19,13 +19,11 @@ from orthonet.chart_calculus import (
     _stacked,
     christoffel,
     cov_deriv,
-    cov_deriv_exprs,
     grad_field,
     hessian_lc,
     inner,
     lc_axiom_residuals,
     lie_bracket,
-    lie_bracket_exprs,
     metric_at,
     norm,
 )
@@ -44,9 +42,11 @@ from orthonet.scalar_fields import (
     div,
     evaluate,
     is_const_one,
+    log,
     mul,
     neg,
     parse_expr,
+    powc,
     sub,
     var,
 )
@@ -229,7 +229,7 @@ def test_cov_deriv_metric_compatibility_seeded():
         assert math.isclose(lhs, rhs, rel_tol=1e-6, abs_tol=1e-6)
 
 
-# --- the symbolic builders against their dense sums ----------------------------
+# --- the symbolic reference entries against their dense sums ---------------------
 
 
 def _dense_sum(terms):
@@ -239,57 +239,11 @@ def _dense_sum(terms):
     return acc
 
 
-def _dense_cov(g, X, Y):
-    n = g.dim
-    gamma = g.christoffel_entries()
-    out = []
-    for k in range(n):
-        terms = []
-        for i in range(n):
-            terms.append(mul(X[i], diff(Y[k], i)))
-            terms.extend(mul(gamma[k][i][j], mul(X[i], Y[j])) for j in range(n))
-        out.append(_dense_sum(terms))
-    return out
-
-
-def _dense_bracket(X, Y, n):
-    return [
-        _dense_sum(sub(mul(X[i], diff(Y[k], i)), mul(Y[i], diff(X[k], i))) for i in range(n))
-        for k in range(n)
-    ]
-
-
-def _builder_cases():
+def _metric_cases():
     ch = Chart.box([(0.5, 1.5)] * 3, blocks=((0,), (1, 2)))
-    skew = [
-        (ONE, ZERO, ZERO),
-        (ZERO, parse_expr("1 + x0*x1", ch), ONE),
-        (ZERO, const(-0.5), parse_expr("cos(x2)", ch)),
-        (parse_expr("x1", ch), ZERO, parse_expr("x0 - x2", ch)),
-    ]
-    cases = [(MetricField.diagonal(ch, [ONE, parse_expr("exp(2*x0)", ch), ONE]), skew)]
+    cases = [MetricField.diagonal(ch, [ONE, parse_expr("exp(2*x0)", ch), ONE])]
     fixture_metrics = (fixtures.polar, fixtures.warped_three, fixtures.cqw_three, fixtures.twisted_flat)
-    for g in (f() for f in fixture_metrics):
-        n = g.dim
-        basis = [tuple(ONE if a == i else ZERO for a in range(n)) for i in range(n)]
-        linear = [tuple(var((a + s) % n) for a in range(n)) for s in (1, 2)]
-        cases.append((g, basis + linear))
-    return cases
-
-
-@pytest.mark.parametrize("case", range(5))
-def test_builders_match_dense_sums(case):
-    # skipping terms with a folded-zero factor leaves the trees as they were
-    g, fields = _builder_cases()[case]
-    n = g.dim
-    for X in fields:
-        for Y in fields:
-            pairs = [
-                (cov_deriv_exprs(g, X, Y), _dense_cov(g, X, Y)),
-                (lie_bracket_exprs(X, Y, n), _dense_bracket(X, Y, n)),
-            ]
-            for got, want in pairs:
-                assert compile_tape(list(got)).instrs == compile_tape(list(want)).instrs
+    return cases + [f() for f in fixture_metrics]
 
 
 def _dense_det(m):
@@ -334,7 +288,7 @@ def _dense_gamma(g, ginv):
 
 
 def _inverse_cases():
-    metrics = [g for g, _ in _builder_cases()]
+    metrics = _metric_cases()
     ch = Chart.box([(0.5, 1.5)] * 4)
     dense = [["2 + x0^2", "0.1*x1", "0.2"], ["0.1*x1", "3", "x2/9"], ["0.2", "x2/9", "2 + x0*x1"]]
     sparse = [["2", "0", "0.1*x3", "0"], ["0", "1 + x0^2", "0", "0.1"],
@@ -504,28 +458,12 @@ def test_levi_civita_kernel_matches_christoffel_trees(n, seed):
     assert np.all(np.abs(got - want) <= np.maximum(1e-12, 1e-9 * np.abs(want)))
 
 
-# --- the metric-jet layout ----------------------------------------------------------
+# --- one jet sweep per consumer -------------------------------------------------
 
 
-def _layout(g):
-    """d_p g_ab over p and then a <= b, in np.triu_indices order."""
-    iu, ju = np.triu_indices(g.dim)
-    return [diff(g.entries[a][b], p) for p in range(g.dim) for a, b in zip(iu, ju)]
-
-
-def _tapes(monkeypatch, module, call):
-    """(metric, roots) of every tape that call hands to module._stacked."""
-    seen = []
-    stacked = module._stacked
-
-    def spy(g, roots, *args, **kwargs):
-        seen.append((g, list(roots)))
-        return stacked(g, roots, *args, **kwargs)
-
-    monkeypatch.setattr(module, "_stacked", spy)
-    call()
-    monkeypatch.undo()
-    return seen
+def _upper(g):
+    """The upper triangle of the metric, in np.triu_indices order."""
+    return [g.entries[a][b] for a, b in zip(*np.triu_indices(g.dim))]
 
 
 def _curved(n):
@@ -536,75 +474,75 @@ def _curved(n):
     return MetricField(chart, rows)
 
 
-# in the roots a test expects, the _layout block of the metric handed to
-# _stacked (the spherical check scales its metric inside)
-_JETS = "jets"
-
-
 def _layout_cases():
-    """name -> (module, call, the documented roots of its one tape; None
-    stands for a root the check skips, _JETS or a metric for a _layout
-    block)."""
+    """name -> (call, the metric it reads, the roots of its one tape after
+    the metric's upper triangle)."""
     g = _curved(3)
     n, p = g.dim, g.chart.center()
     X = tuple(parse_expr(t, g.chart) for t in ("x1", "1 + x0*x2", "0"))
     Y = tuple(parse_expr(t, g.chart) for t in ("x2^2", "0", "x0*x1"))
-    dY = [diff(Y[k], i) for k in range(n) for i in range(n)]
     f = parse_expr("x0*x1*x2", g.chart)
     comp = [[parse_expr(f"1 + x{max(a, b)}*x{min(a, b)}", g.chart) for b in range(n)] for a in range(n)]
     phi = SymTensorField(g.chart, comp)
-    dphi = [diff(comp[k][b], a) for a in range(n) for b in range(n) if a != b for k in range(n)]
+    basis = [tuple(ONE if a == i else ZERO for a in range(n)) for i in range(n)]
+    linear = [tuple(var((a + s) % n) for a in range(n)) for s in (1, 2)]
 
     spec, sphi, _ = fixtures.sum_reciprocal()
+    scaled = product_metrics.conformal_scale(product_metrics.build_metric(spec), sphi)
     twisted = random_twisted_spec(np.random.default_rng(3))
     tn = twisted.chart.dim
-    product = twisted._product_metric
     E = twisted.chart.center()
     TX = tuple(var(a) for a in range(tn))
     TY = tuple(ONE for _ in range(tn))
-    rest = [None] * sum(1 + tn for rho in twisted.twists if not is_const_one(rho))
+    rhos = [rho for rho in twisted.twists if not is_const_one(rho)]
     return {
-        "christoffel": (chart_calculus, lambda: christoffel(g, p), [_JETS]),
-        "cov_deriv": (chart_calculus, lambda: cov_deriv(g, X, Y, p), [*X, *Y, *dY, _JETS]),
-        "grad_field": (chart_calculus, lambda: grad_field(g, f, p), [diff(f, l) for l in range(n)]),
-        "lc_axioms": (chart_calculus, lambda: lc_axiom_residuals(g, p), [_JETS] + [None] * (n + 2) * (n + n * n)),
+        "christoffel": (lambda: christoffel(g, p), g, []),
+        "cov_deriv": (lambda: cov_deriv(g, X, Y, p), g, [*X, *Y]),
+        "grad_field": (lambda: grad_field(g, f, p), g, [f]),
+        "lc_axioms": (lambda: lc_axiom_residuals(g, p), g, [c for V in basis + linear for c in V]),
         "connection": (
-            product_metrics,
             lambda: verify_connection_identity(twisted, TX, TY, E),
-            [*TX, *TY, _JETS, *[e for row in product.entries for e in row], product, *rest],
+            product_metrics.build_metric(twisted),
+            [*TX, *TY, *_upper(twisted._product_metric), *rhos],
         ),
         "spherical": (
-            product_metrics,
             lambda: spherical_factor_check(spec, sphi, 1, (0.5, 0.5)),
-            [None] * 6 + [_JETS] + [None] * 4,
+            scaled,
+            [log(sphi), sphi, powc(sphi, -1.0), spec.twists[1]],
         ),
         "codazzi": (
-            codazzi,
             lambda: codazzi.codazzi_residual(g, phi, p, np.inf),
-            [e for row in comp for e in row] + dphi + [_JETS],
+            g,
+            [e for row in comp for e in row],
         ),
     }
 
 
 @pytest.mark.parametrize("name", list(_layout_cases()))
 def test_consumers_tape_metric_jets_as_one_block(name, monkeypatch):
-    # every first-order metric tape holds the partials d_p g_ab of each
-    # metric it reads as one contiguous block in the layout of _layout, at
-    # the place its docstring gives, and grad_field holds none
-    module, call, want = _layout_cases()[name]
-    ((g, roots),) = _tapes(monkeypatch, module, call)
-    expected = []
-    for r in want:
-        if r is _JETS or isinstance(r, MetricField):
-            expected += _layout(g if r is _JETS else r)
-        else:
-            expected.append(r)
-    assert len(roots) == len(expected)
-    assert all(e is None or r is e for r, e in zip(roots, expected))
+    # every consumer reads its partials off one jet sweep of one tape: the
+    # upper triangle of the metric as one block, first, then its inputs,
+    # with no derivative tree among them
+    call, g, want = _layout_cases()[name]
+    tapes = []
+    compile_ = chart_calculus.compile_tape
+
+    def spy(roots):
+        tapes.append(list(roots))
+        return compile_(roots)
+
+    monkeypatch.setattr(chart_calculus, "compile_tape", spy)
+    call()
+    monkeypatch.undo()
+    (roots,) = tapes
+    assert compile_tape(roots).instrs == compile_tape(_upper(g) + want).instrs
 
 
-# At (0.5, 0.5) the metric partials d_0 g_11 and d_1 g_00 both fail; a
-# failure is named by the first failing root in the documented tape order
+# At (0.5, 0.5) the metric partials d_0 g_11 and d_1 g_00 both fail, and so
+# do the partials of the consumers' other inputs. Values are checked first;
+# where they are clean, the diff trees of the inputs whose jets are not
+# finite name the error, the metric's entries first, so d_0 g_11 precedes
+# d_1 g_00 and every partial of another input
 _SINGULAR = ("2 + ((x1 - 0.5)^2)^0.75", "2 + ((x0 - 0.5)^2)^0.75")
 _D0G11 = "zero raised to a negative power: ((x0 - 0.5)^2)^-0.25"
 _ROOT = "zero raised to a negative power: ((x1 - 0.5)^2)^-0.375"
@@ -625,18 +563,17 @@ def _order_cases():
     twisted = ProductSpec("twisted", _singular_factors(), (ONE, parse_expr("1 + 0.25*x0", chart)))
     product = ProductSpec("product", _singular_factors(), (ONE, ONE))
     return {
-        # d_0 g_11 precedes d_1 g_00: the block runs over p, then a <= b
         "christoffel": (lambda: christoffel(g, p), _D0G11),
         "lc_axioms": (lambda: lc_axiom_residuals(g, p), _D0G11),
-        # the partials of Y precede the metric jets
-        "cov_deriv": (lambda: cov_deriv(g, (ONE, ONE), (singular, ZERO), p), _ROOT),
-        # d_1 Phi^0_0 (a != b) precedes the metric jets
-        "codazzi": (lambda: codazzi.codazzi_residual(g, phi, p, np.inf), _ROOT),
-        # the fields precede the metric jets
+        # the partials of Y fail too, after the metric's
+        "cov_deriv": (lambda: cov_deriv(g, (ONE, ONE), (singular, ZERO), p), _D0G11),
+        # the partials of Phi^0_0 fail too, after the metric's
+        "codazzi": (lambda: codazzi.codazzi_residual(g, phi, p, np.inf), _D0G11),
+        # the value of a field fails, before any jet is read
         "connection": (
             lambda: verify_connection_identity(twisted, (diff(singular, 1), ONE), (ONE, ONE), p), _ROOT),
-        # the partials of log phi precede the metric jets
-        "spherical": (lambda: spherical_factor_check(product, add(ONE, singular), 1, p), _ROOT),
+        # phi^2 scales the metric, whose entries come first
+        "spherical": (lambda: spherical_factor_check(product, add(ONE, singular), 1, p), _D0G11),
     }
 
 
@@ -646,4 +583,3 @@ def test_metric_partial_and_other_root_fail_in_documented_order(name):
     with pytest.raises(EvalDomainError) as info:
         call()
     assert str(info.value) == message
-

@@ -3,6 +3,7 @@
 import ast
 import copy
 import importlib
+import itertools
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from orthonet.cli import (
 from orthonet import sampling
 from orthonet.errors import ConstraintError, ManifestError, OrthonetError
 from orthonet.sampling import SamplePlan, sample_points
-from orthonet.scalar_fields import Tape
+from orthonet.scalar_fields import Chart, Tape
 
 MANIFESTS = Path(__file__).resolve().parents[1] / "manifests"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -194,10 +195,20 @@ def mutated_manifests(draw):
     return doc
 
 
+# jsonschema's messages for the top-level oneOf, which repeat the manifest;
+# the validator names the keys present there instead
+ROOT_ONEOF = (" is valid under each of ", " is not valid under any of the given schemas")
+
+
 @settings(max_examples=400)
 @given(mutated_manifests())
 def test_schema_validator_agrees_with_jsonschema(data):
-    assert cli._schema_violation(data) == jsonschema_verdict(data)
+    got, want = cli._schema_violation(data), jsonschema_verdict(data)
+    if want is not None and want[1] == "/" and any(t in want[0] for t in ROOT_ONEOF):
+        assert got == ("set either chart and metric, or product, not both "
+                       f"(found: {', '.join(sorted(data))})", "/")
+    else:
+        assert got == want
 
 
 @pytest.mark.parametrize("data, want", [
@@ -227,10 +238,12 @@ def test_schema_validator_fixed_cases(data, want):
     ({"chart": {"domain": [[0.0, 1.0]]}}, " is not valid under any of the given schemas"),
 ])
 def test_schema_validator_names_both_or_neither_branch_at_the_root(data, ending):
-    message, pointer = cli._schema_violation(data)
-    assert (message, pointer) == jsonschema_verdict(data)
-    assert message == repr(data) + ending
-    assert pointer == "/"
+    # jsonschema repeats the whole manifest at the root; the validator names
+    # the keys present instead, at the same pointer
+    assert jsonschema_verdict(data) == (repr(data) + ending, "/")
+    found = "chart, metric, product" if "product" in data else "chart"
+    assert cli._schema_violation(data) == (
+        f"set either chart and metric, or product, not both (found: {found})", "/")
 
 
 # oneOfs whose branches fail at different depths, or at one depth by a value
@@ -286,6 +299,37 @@ def test_manifest_bad_expression_pointer(tmp_path):
     data["metric"]["components"][0][0] = "1 + zz"
     with pytest.raises(ManifestError, match="/metric/components"):
         load_manifest(write_manifest(tmp_path, data))
+
+
+def test_manifest_metric_must_be_symmetric(tmp_path):
+    # only the upper triangle of a metric is read, so a lower one that
+    # differs is refused at the lower entry, in either form of manifest
+    data = json.loads((MANIFESTS / "polar.json").read_text())
+    data["metric"]["components"] = [["1", "0"], ["5", "t^2"]]
+    with pytest.raises(ManifestError, match="'5' differs from '0'.*at /metric/components/1/0"):
+        load_manifest(write_manifest(tmp_path, data))
+    factors = [{"names": ["a", "b"], "domain": [[0.0, 1.0]] * 2,
+                "components": [["2", "0.5"], ["0.25", "2"]]},
+               {"names": ["c"], "domain": [[0.0, 1.0]]}]
+    data = {"product": {"kind": "product", "factors": factors}}
+    with pytest.raises(ManifestError, match="at /product/factors/0/components/1/0"):
+        load_manifest(write_manifest(tmp_path, data))
+    # a (1,1)-tensor need not be symmetric; an equal entry written another
+    # way is the same expression
+    data = json.loads((MANIFESTS / "polar.json").read_text())
+    data["metric"]["components"] = [["1", "0*t"], ["0", "t*t"]]
+    assert load_manifest(write_manifest(tmp_path, data)).metric.dim == 2
+
+
+@pytest.mark.parametrize("text", ["1e400", "NaN"])
+def test_manifest_tolerance_must_be_finite(tmp_path, capsys, text):
+    # as for --tolerance: finite and > 0; inf would pass every flag
+    raw = (MANIFESTS / "twisted_control.json").read_text()
+    path = tmp_path / "m.json"
+    path.write_text(raw.replace('"tolerance": 1e-8', f'"tolerance": {text}'), encoding="utf-8")
+    assert main(["--command", "classify", "--manifest", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "tolerance must be finite and > 0" in err and "(at /tolerance)" in err
 
 
 def test_manifest_chart_product_mismatch(tmp_path):
@@ -620,13 +664,13 @@ def test_verify_product_sweeps_each_point_once(monkeypatch):
     # the four pairs of a point are contracted against one swept row
     man = load_manifest(MANIFESTS / "twisted_control.json")
     seen = []
-    sweep = Tape.sweep
+    jet_sweep = Tape.jet_sweep
 
     def spy(self, points):
         seen.append(len(points))
-        return sweep(self, points)
+        return jet_sweep(self, points)
 
-    monkeypatch.setattr(Tape, "sweep", spy)
+    monkeypatch.setattr(Tape, "jet_sweep", spy)
     report, _ = run("verify-product", man)
     assert seen == [len(sample_points(man.chart, man.plan))]
     assert report["results"]["pairs_per_point"] == 4
@@ -770,3 +814,19 @@ def test_sample_plan_size_is_bounded(tmp_path, capsys, monkeypatch):
     for argv in (["--manifest", path], ["--manifest", str(MANIFESTS / "polar.json"), "--samples", "400"]):
         assert main(["--command", "classify", *argv]) == 1
         assert "exceeds 100000 points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", range(1, 5))
+def test_tensor_grid_is_the_per_point_loop(dim):
+    # one grid builder for sample plans and factorize: bit for bit the points
+    # of a loop over itertools.product, in its order, then the random points
+    chart = Chart.box([(0.5, 2.5)] * dim)
+    for grid in range(1, 8):
+        plan = SamplePlan(grid=grid, margin=0.1, random=3, seed=grid)
+        lows, highs = sampling._margin_box(chart, plan.margin)
+        axes = [np.linspace(lows[i], highs[i], grid) for i in range(dim)]
+        loop = [np.array(c) for c in itertools.product(*axes)]
+        assert np.array_equal(sampling._mesh(axes), np.array(loop))
+        u = np.random.default_rng(plan.seed).uniform(size=(plan.random, dim))
+        loop.extend(lows + u * (highs - lows))
+        assert np.array_equal(sample_points(chart, plan), np.array(loop))

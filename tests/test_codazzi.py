@@ -514,9 +514,21 @@ def test_field_domain_error_precedes_later_coalescence():
 
 
 def test_coalescence_precedes_later_field_domain_error():
-    # coalescence at (0.1, 0.9), sample 3; the field error from sample 4 on
+    # coalescence at (0.1, 0.9), sample 3; h(mu) fails at the random samples
+    # 18 and 19 only, where mu lies in (1.75, 1.9)
+    g, phi = _flat_diagonal(["2 + (x0 - 0.1)", "2 - (x1 - 0.9)^2"])
+    h = parse_expr("sqrt((mu - 1.75)*(mu - 1.9))", Chart.box([(-1e9, 1e9)], names=("mu",)))
+    plan = SamplePlan(grid=4, margin=0.1, random=4, seed=1)
+    _raises(g, phi, CoalescenceError, "eigenvalues coalesce at (0.1, 0.9): spread 0.000e+00",
+            plan=plan, h=h)
+    # without the coalescence, h(mu) fails
+    g, phi = _flat_diagonal(["3 + (x0 - 0.1)", "2 - (x1 - 0.9)^2"])
+    with pytest.raises(EvalDomainError, match="sqrt of a negative value"):
+        classify_codazzi(g, phi, h=h, plan=plan)
+    # a tensor whose partials fail from sample 4 on fails the Codazzi pass,
+    # which reads the jets of the tensor before any eigenvalue is formed
     g, phi = _flat_diagonal([f"2 + (x0 - 0.1)*(1 + ((x0 - {C})^2)^0.75)", "2 - (x1 - 0.9)^2"])
-    _raises(g, phi, CoalescenceError, "eigenvalues coalesce at (0.1, 0.9): spread 0.000e+00")
+    _raises(g, phi, EvalDomainError, f"zero raised to a negative power: ((x0 - {C})^2)^-0.25")
 
 
 def test_eigenvalue_rank_change():

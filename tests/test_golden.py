@@ -14,15 +14,20 @@ Regenerate the files after a deliberate change of the reports with
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import json
+import pkgutil
 import sys
 from pathlib import Path
 
 import pytest
 
+import orthonet
+from orthonet import scalar_fields
 from orthonet.chart_calculus import MetricField
 from orthonet.cli import main
+from orthonet.product_metrics import factorize_cwp
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -134,6 +139,42 @@ def test_runs_build_no_symbolic_christoffel_symbols(name, monkeypatch):
     got = _invoke(want["argv"])
     assert got["exit_code"] == want["exit_code"]
     _compare({k: v for k, v in want.items() if k != "argv"}, got)
+
+
+def _golden_exit(name) -> int:
+    return json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))["exit_code"]
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n in _runs() if not n.endswith(".factorize") and _golden_exit(n) != 1))
+def test_runs_build_diff_trees_only_to_mend_jets(name, monkeypatch):
+    # every partial a run reads comes off a jet sweep: diff is called only by
+    # Sweep.repair, which mends jets that are not finite. factorize is left
+    # out, and factorize_cwp allowed inside selftest: its block determinants
+    # and the integrands of its line integrals stay trees, because their
+    # values drive the adaptive quadrature
+    allowed = {scalar_fields.Sweep.repair.__code__, factorize_cwp.__code__}
+    diff = scalar_fields.diff
+    outside = []
+
+    def guarded(e, i):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in allowed:
+            frame = frame.f_back
+        if frame is None:
+            outside.append(sys._getframe(1).f_code.co_name)
+        return diff(e, i)
+
+    modules = [orthonet] + [importlib.import_module(f"orthonet.{m.name}")
+                            for m in pkgutil.iter_modules(orthonet.__path__)]
+    wrapped = [m for m in modules if getattr(m, "diff", None) is diff]
+    for module in wrapped:
+        monkeypatch.setattr(module, "diff", guarded)
+    assert _invoke(_runs()[name])["exit_code"] == _golden_exit(name)
+    assert outside == []
+    # the wrapper is live: a call from here is seen
+    wrapped[-1].diff(scalar_fields.var(0), 0)
+    assert len(outside) == 1
 
 
 def _write():

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_positive_scale
 from orthonet import fixtures
@@ -167,6 +169,68 @@ def test_flags_invariant_under_constant_scaling():
     a = _statuses(classify_net(g, _coordinate(g), PLAN))
     b = _statuses(classify_net(scaled, _coordinate(scaled), PLAN))
     assert a == b
+
+
+# The 2+1+1 conformally twisted construction and the 3-dim conformally
+# quasi-warped one of the benchmark's classify ops, with constants drawn
+# from the same ranges
+
+
+def _twisted4(a0, b0, p2, p3, c, q2, q3, e0, e1, e2, perm=(0, 1, 2, 3), scale=1.0):
+    """The metric with its coordinates relabelled by perm (names, entries and
+    blocks together) and multiplied by scale, and its coordinate net."""
+    phi2 = f"exp({e0}*x0 - {e1}*x2 + {e2}*x3)^2"
+    off = f"{phi2} * {c}*x0*x1"
+    rows = [
+        [f"{phi2} * ({a0} + x1^2)", off, "0", "0"],
+        [off, f"{phi2} * ({b0} + x0^2)", "0", "0"],
+        ["0", "0", f"{phi2} * ({p2} + x0^2*x2 + {q2}*x3)^2", "0"],
+        ["0", "0", "0", f"{phi2} * ({p3} + x1*x3^2 + {q3}*x2)^2"],
+    ]
+    return _relabelled(("x0", "x1", "x2", "x3"), [(0.2, 1.2)] * 4, ((0, 1), (2,), (3,)), rows,
+                       perm, scale)
+
+
+def _cqw3(a, c0, c1, c2, scale=1.0):
+    phi2 = f"exp({c0}*x0 + {c1}*x1 + {c2}*x2)^2"
+    rows = [[phi2, "0", "0"], ["0", f"{phi2} * exp({a}*x0*x1)^2", "0"], ["0", "0", phi2]]
+    return _relabelled(("x0", "x1", "x2"), [(0.0, 1.0)] * 3, ((0,), (1,), (2,)), rows,
+                       (0, 1, 2), scale)
+
+
+def _relabelled(names, domain, blocks, rows, perm, scale):
+    n = len(rows)
+    where = [perm.index(i) for i in range(n)]  # coordinate i moves to where[i]
+    chart = Chart.box(domain, names=tuple(names[perm[i]] for i in range(n)))
+    g = MetricField(chart, [[mul(const(scale), parse_expr(rows[perm[a]][perm[b]], chart))
+                             for b in range(n)] for a in range(n)])
+    return g, OrthogonalNet.coordinate(chart, tuple(tuple(where[i] for i in b) for b in blocks))
+
+
+_WIDE, _NARROW, _SMALL = st.floats(1.3, 1.7), st.floats(1.2, 1.8), st.floats(0.2, 0.5)
+_O5_PLAN = SamplePlan(grid=2, margin=0.1, random=4, seed=5)
+
+
+@settings(max_examples=20)
+@given(st.tuples(*[_WIDE] * 4, *[_SMALL] * 6))
+def test_flags_invariant_under_swapping_coordinates_within_a_block(constants):
+    # x0 and x1 swap inside the dense 2-dim block of the twisted construction
+    g, net = _twisted4(*constants)
+    h, swapped = _twisted4(*constants, perm=(1, 0, 2, 3))
+    assert h.chart.names == ("x1", "x0", "x2", "x3") and swapped.blocks[0] == (1, 0)
+    assert _statuses(classify_net(h, swapped, _O5_PLAN)) == _statuses(classify_net(g, net, _O5_PLAN))
+
+
+@settings(max_examples=20)
+@given(st.one_of(st.tuples(st.just(_twisted4), st.tuples(*[_WIDE] * 4, *[_SMALL] * 6)),
+                 st.tuples(st.just(_cqw3), st.tuples(_NARROW, *[st.floats(0.3, 0.7)] * 3))),
+       st.floats(0.25, 4.0))
+def test_flags_invariant_under_constant_rescaling(case, c):
+    # g -> c^2 g changes no flag
+    make, constants = case
+    g, net = make(*constants)
+    h, same = make(*constants, scale=c * c)
+    assert _statuses(classify_net(h, same, _O5_PLAN)) == _statuses(classify_net(g, net, _O5_PLAN))
 
 
 def test_cwp_cp_statuses_conformally_invariant_seeded():

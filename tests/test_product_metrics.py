@@ -166,29 +166,28 @@ def test_stacked_connection_identity_rows_match_single_point():
 
 
 def test_connection_identity_tapes_fields_without_partials(monkeypatch):
-    # the identity is tensorial: X(Y) cancels in lhs - rhs, so the tape holds
-    # the 2n components of X and Y and no partial of Y
+    # the identity is tensorial: X(Y) cancels in lhs - rhs, so the jet sweep
+    # takes the 2n components of X and Y and no partial of them is read
     taped = []
-    stacked = product_metrics._stacked
+    jets = product_metrics._jets
 
     def spy(g, roots, *args, **kwargs):
         taped.append(list(roots))
-        return stacked(g, roots, *args, **kwargs)
+        return jets(g, roots, *args, **kwargs)
 
-    monkeypatch.setattr(product_metrics, "_stacked", spy)
+    monkeypatch.setattr(product_metrics, "_jets", spy)
     rng = np.random.default_rng(11)
     spec = random_twisted_spec(rng)
     n = spec.chart.dim
     X = tuple(random_expr(rng, n, depth=1) for _ in range(n))
     Y = tuple(random_expr(rng, n, depth=1) for _ in range(n))
     assert verify_connection_identity(spec, X, Y, spec.chart.center()) <= 1e-9
-    twisted = sum(1 for rho in spec.twists if not is_const_one(rho))
+    twisted = [rho for rho in spec.twists if not is_const_one(rho)]
     (roots,) = taped
-    # then the n(n+1)/2 first partials of the metric along each coordinate,
-    # the n^2 entries of the product metric and its first partials, and per
-    # twist its value and the partials of its log
-    assert len(roots) - n**2 * (n + 1) - n**2 - twisted * (1 + n) == 2 * n
-    assert roots[: 2 * n] == [*X, *Y]
+    # then the upper triangle of the product metric and the twists other than 1
+    product = spec._product_metric
+    upper = [product.entries[a][b] for a, b in zip(*np.triu_indices(n))]
+    assert roots == [*X, *Y, *upper, *twisted]
 
 
 def test_stacked_spherical_check_rows_match_single_point():
