@@ -16,8 +16,7 @@ single-point functions (`metric_at`, `christoffel`, `cov_deriv`, ...,
 
 The symbolic determinant, inverse and Christoffel entries (`det_expr`,
 `inverse_exprs` and the cached entries of a MetricField) are the pointwise
-reference only; `product_metrics.factorize_cwp` reads `det_expr` for the
-integrands of its quadrature.
+reference only: no command builds them.
 
 Conventions: vectors are component tuples against the coordinate frame,
 Gamma[k][i][j] multiplies X^i Y^j, and

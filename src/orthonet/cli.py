@@ -353,6 +353,12 @@ def _build_product(pdata: dict) -> ProductSpec:
             fchart = Chart.box(domain, names=tuple(names))
         except (OrthonetError, ValueError) as e:
             raise ManifestError(str(e), ptr) from e
+        repeated = next((nm for nm in names if nm in all_names), None)
+        if repeated is not None:
+            raise ManifestError(
+                f"coordinate name {repeated!r} repeats a name of an earlier factor",
+                f"{ptr}/names" if "names" in fdata else ptr,
+            )
         comps = fdata.get("components")
         if comps is None:
             metric = tuple(

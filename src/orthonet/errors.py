@@ -50,8 +50,10 @@ class InconsistencyError(OrthonetError):
 
 
 class PathInconsistencyError(InconsistencyError):
-    """Axis-parallel line integrals depend on the path order beyond tolerance,
-    so the integrand is not (numerically) a gradient."""
+    """The line integrals of d log(rho_i / rho_0) along the axis-parallel
+    paths to a box corner (differences of log(rho_i / rho_0) at the paths'
+    vertices) depend on the order of the axes beyond tolerance, so the twist
+    logs are not (numerically) gradient-consistent."""
 
 
 class NotCodazziError(ConstraintError):

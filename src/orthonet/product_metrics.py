@@ -20,10 +20,13 @@ spherical-factor equivalence check.
 
 Factorization gauge: per block, rho_i(x) = (det G_i(x) / det G_i(base))
 ^(1/(2 d_i)) is the unique twist normalized to 1 at the base point whose
-quotient G_i / rho_i^2 is block-local. phi = rho_0, warpings come from line
-integrals of d log(rho_i/rho_0) along axis-parallel paths from the base, and
-path-order independence of those integrals is the numerical surrogate for
-the gradient condition that the analysis guarantees.
+quotient G_i / rho_i^2 is block-local. phi = rho_0 and the warpings are
+psi_i = rho_i / rho_0, read off the block determinants of the metric's
+values. The line integral of d log(rho_i / rho_0) along an axis-parallel
+path from the base is exactly the difference of log(rho_i / rho_0) at its
+ends, so the path-order test sums those differences leg by leg; its
+independence of the order of the axes is the numerical surrogate for the
+gradient condition that the analysis guarantees.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .chart_calculus import (
     _jets,
     _levi_civita,
     _symmetric,
-    det_expr,
 )
 from .errors import (
     ConstraintError,
@@ -62,14 +64,12 @@ from .scalar_fields import (
     _pairs,
     compile_tape,
     const,
-    diff,
     div,
     free_vars,
     is_const_one,
     log,
     mul,
     powc,
-    sub,
     substitute,
     var,
 )
@@ -92,7 +92,6 @@ __all__ = [
 KINDS = ("product", "warped", "quasi_warped", "twisted")
 
 PATH_ORDER_TOL = 1e-7
-QUAD_TOL = 1e-10
 _POSITIVITY_GRID = 5
 
 
@@ -325,88 +324,6 @@ def separability_residual(rho: Expr, block_a, block_b, p) -> float:
     return float(np.abs(hess[np.ix_(list(block_a), list(block_b))]).max(initial=0.0))
 
 
-# --- batched evaluation -------------------------------------------------------
-#
-# Every grid and every quadrature level is one tape run over a stacked array of
-# points. Failures are found afterwards and raised in the order the pointwise
-# definition meets them: points in itertools.product order, and at each point
-# the roots in the order they are listed.
-
-# points per tape run of the quadrature
-_QUAD_POINTS = 1 << 14
-
-
-def _integrate(segments: list):
-    """Line integrals of one-root tapes along axis-parallel segments.
-
-    A segment (tape, ax, start, t1) integrates the tape along axis ax from
-    the point start to start[ax] = t1 with the composite trapezoid rule on 8
-    intervals, halved up to 16 times with Richardson extrapolation until two
-    successive estimates differ by less than QUAD_TOL. Each level of all
-    unfinished segments on one tape is evaluated in one run. Returns the
-    integrals and, per segment, the EvalDomainError of its first failing node
-    in the order the rule visits them, or None.
-
-    Segments come in the order the caller reads them, and it stops at the
-    first failing one, so segments past it are left unrefined."""
-    count = len(segments)
-    start = np.array([s for _, _, s, _ in segments], dtype=float, ndmin=2)
-    axis = np.array([ax for _, ax, _, _ in segments], dtype=np.intp)
-    t0 = start[np.arange(count), axis]
-    h = (np.array([t1 for *_, t1 in segments], dtype=float) - t0) / 8
-    faults: list = [None] * count
-
-    def integrand(rows: np.ndarray, offsets: np.ndarray, reduce) -> np.ndarray:
-        """reduce(values at t0 + offsets * h) on the segments `rows`, one
-        number per segment; runs hold at most _QUAD_POINTS points."""
-        out = np.empty(len(rows))
-        tapes = [segments[s][0] for s in rows]
-        per = max(1, _QUAD_POINTS // len(offsets))
-        for tape in dict.fromkeys(tapes):
-            mine = np.array([r for r, t in enumerate(tapes) if t is tape], dtype=np.intp)
-            for lo in range(0, len(mine), per):
-                part = mine[lo : lo + per]
-                seg = rows[part]
-                pts = np.repeat(start[seg], len(offsets), axis=0)
-                pts[np.arange(len(pts)), np.repeat(axis[seg], len(offsets))] = (
-                    t0[seg, None] + offsets * h[seg, None]
-                ).ravel()
-                sweep = tape.sweep(pts)
-                out[part] = reduce(sweep.values[:, 0].reshape(len(part), len(offsets)))
-                bad = (sweep.first_bad < tape.size).reshape(len(part), len(offsets))
-                for r in np.flatnonzero(bad.any(axis=1)):
-                    faults[seg[r]] = sweep.error(r * len(offsets) + int(bad[r].argmax()))
-        return out
-
-    def clean(rows: np.ndarray) -> np.ndarray:
-        first = next((s for s, exc in enumerate(faults) if exc is not None), count)
-        return rows[rows < first]
-
-    def seqsum(v: np.ndarray) -> np.ndarray:
-        # left to right along each row, the order of the builtin sum
-        return np.cumsum(v, axis=1)[:, -1]
-
-    rows = np.arange(count)
-    trap = h * integrand(
-        rows, np.arange(9.0), lambda v: 0.5 * v[:, 0] + seqsum(v[:, 1:-1]) + 0.5 * v[:, -1]
-    )
-    rich = np.full(count, np.inf)
-    rows = clean(rows)
-    n = 8
-    for _ in range(16):
-        if not rows.size:
-            break
-        trap2 = 0.5 * trap[rows] + 0.5 * h[rows] * integrand(rows, np.arange(n) + 0.5, seqsum)
-        new = (4.0 * trap2 - trap[rows]) / 3.0
-        converged = np.abs(new - rich[rows]) < QUAD_TOL
-        rich[rows] = new
-        trap[rows] = trap2
-        h[rows] *= 0.5
-        rows = clean(rows[~converged])
-        n *= 2
-    return rich, faults
-
-
 # --- factorization --------------------------------------------------------------
 
 
@@ -495,11 +412,35 @@ def factorize_cwp(
     defining line integrals. Adds a conformal-to-product section when CP
     passes and a separable-sum section for 1/phi when sphericity holds.
 
-    Each grid is evaluated with one tape run. The line integrals of all paths
-    (warpings, fiber factors, both axis orders to every box corner) are
-    integrated together, one tape run per integrand and refinement level.
-    Failures are raised as the pointwise definition meets them: sections in
-    the order above, points in itertools.product order.
+    One tape of the metric's upper triangle is swept once per point set, and
+    the block determinants det G_b are numpy (np.linalg.det); with them
+    rho_b = (det G_b / det G_b(base))^(1/(2 d_b)). On the block-0 subgrid
+    (the grid over block 0, the other axes at base) the base factor is
+    G_0 / rho_0^2 and the warping psi_i = rho_i / rho_0; on the block-i
+    subgrid, where psi_i is 1, fiber factor i is G_i / rho_0^2; phi = rho_0
+    on the full grid. The path-order residual takes log(rho_i / rho_0) at the
+    n + 1 vertices of the paths from base to every box corner, the base and
+    the center that fix the axes in forward and in reverse order. Per path,
+    alpha and beta sum its leg differences over the axes of block 0 and of
+    block i, and gamma their absolute values over the other axes; the
+    residual is the largest |alpha_f - alpha_r|, |beta_f - beta_r|, gamma_f
+    or gamma_r over every i and target.
+
+    The metric at the base point is evaluated first, then failures are
+    raised in this order:
+
+    1. base factor (block-0 subgrid);
+    2. warpings (block-0 subgrid);
+    3. fiber factors (block-i subgrids, i = 1, 2, ...);
+    4. full grid;
+    5. path vertices;
+    6. the CP, spherical and closed-form sections.
+
+    Within each point set, an entry's domain error at the first point that
+    fails comes before a nonpositive block determinant; determinants are
+    checked block by block, the set's own block first (block 0 on the
+    block-0 subgrid, so the base factor precedes the warpings), each at its
+    first nonpositive point. Points go in itertools.product order.
     """
     chart = g.chart
     n = chart.dim
@@ -542,47 +483,36 @@ def factorize_cwp(
             raise ConstraintError(f"metric has off-block entry ({a},{b}) at {at}")
 
     axes = grid_axes(chart, grid)
-    dets = [det_expr([[g.entries[a][b] for b in blk] for a in blk]) if blk else None
-            for blk in blocks]
-    at_base = iter(compile_tape([d for d in dets if d is not None]).run(np.array([base]))[0])
-    det_base = [1.0 if d is None else float(next(at_base)) for d in dets]
     dims = [len(blk) for blk in blocks]
+    upper = compile_tape([g.entries[a][b] for a, b in zip(*_pairs(n, 0))])
 
-    def rho_bar(i: int, pts, pairs=(), before=()):
-        """rho_i normalized at base, (m,), and the metric entries `pairs`,
-        (m, len(pairs)), at pts. Raises what the pointwise loop meets first:
-        at each point in turn before[j], then a failing or nonpositive block
-        determinant, then a failing entry."""
-        roots = [g.entries[a][b] for a, b in pairs]
-        if dets[i] is not None:
-            roots.insert(0, dets[i])
-        sweep = compile_tape(roots).sweep(pts)
-        vals = sweep.values
-        bad = np.zeros(vals.shape, dtype=bool)
-        if dets[i] is not None:
-            bad[:, 0] = vals[:, 0] <= 0.0
-        hit = _first_fault(sweep, bad)
-        for exc in before[: hit[0] + 1 if hit else len(pts)]:
-            if exc is not None:
-                raise exc
-        if hit and hit[2]:
-            raise sweep.error(hit[0])
-        if hit:
-            j = hit[0]
-            raise ConstraintError(
-                f"block {i} determinant {vals[j, 0]:.6g} <= 0 at {tuple(pts[j].tolist())}"
-            )
-        if dets[i] is None:
-            return np.ones(len(pts)), vals
-        return (vals[:, 0] / det_base[i]) ** (1.0 / (2.0 * dims[i])), vals[:, 1:]
+    def block(G, blk) -> np.ndarray:
+        sel = np.array(blk, dtype=np.intp)
+        return G[:, sel[:, None], sel]
 
-    # d log(rho_i / rho_0) per axis, symbolic
-    dL = {}
-    for i in range(1, k + 1):
-        L = mul(const(1.0 / (2.0 * dims[i])), log(dets[i]))
-        if dets[0] is not None:
-            L = sub(L, mul(const(1.0 / (2.0 * dims[0])), log(dets[0])))
-        dL[i] = [diff(L, ax) for ax in range(n)]
+    def block_dets(pts, own: int = 0):
+        """G, (m, n, n), and per block det G_b, (m,), at pts. Raises the entry
+        error of the first point that fails, then, block by block with own
+        first, the first nonpositive determinant."""
+        G = _symmetric(upper.run(pts), n)
+        dets = [np.linalg.det(block(G, blk)) for blk in blocks]
+        for b in [own, *(b for b in range(k + 1) if b != own)]:
+            bad = np.flatnonzero(dets[b] <= 0.0)
+            if bad.size:
+                j = int(bad[0])
+                raise ConstraintError(
+                    f"block {b} determinant {dets[b][j]:.6g} <= 0 at {tuple(pts[j].tolist())}"
+                )
+        return G, dets
+
+    _, det_base = block_dets(np.array([base]))
+
+    def rho_bars(pts, own: int = 0):
+        """G and rho_b = (det G_b / det G_b(base))^(1/(2 d_b)), (k + 1, m), at
+        pts; an empty block has det 1, so its rho is 1."""
+        G, dets = block_dets(pts, own)
+        rho = [(d / d0) ** (0.5 / max(dim, 1)) for d, d0, dim in zip(dets, det_base, dims)]
+        return G, np.array(rho)
 
     def slice_points(blk) -> np.ndarray:
         """The grid over the coordinates in blk, the others held at base."""
@@ -594,64 +524,27 @@ def factorize_cwp(
     shape0 = (grid,) * len(b0)
     subs = [slice_points(blk) for blk in blocks]
 
-    # every axis-parallel leg of every path, integrated in one batch
-    tapes = {i: [compile_tape([d]) for d in dL[i]] for i in dL}
-    legs: dict = {}
-
-    def path(i: int, target, order) -> list:
-        """(axis, leg number, or -1 where the leg has no length) along the
-        path from base to target that fixes the axes in the given order."""
-        cur = list(base)
-        out = []
-        for ax in order:
-            t1 = float(target[ax])
-            s = -1
-            if cur[ax] != t1:
-                s = legs.setdefault((tapes[i][ax], ax, tuple(cur), t1), len(legs))
-                cur[ax] = t1
-            out.append((ax, s))
-        return out
-
-    targets = list(itertools.product(*chart.domain)) + [base, chart.center()]
-    order = list(range(n))
-    warp_paths = {i: [path(i, pt, b0) for pt in subs[0]] for i in dL}
-    fiber_paths = {i: [path(i, pt, blocks[i]) for pt in subs[i]] for i in dL}
-    order_paths = {i: [(path(i, t, order), path(i, t, order[::-1])) for t in targets] for i in dL}
-    integral, faults = _integrate(list(legs))
-
-    def fault(p):
-        return next((faults[s] for _, s in p if s >= 0 and faults[s] is not None), None)
-
-    def segments(p) -> list:
-        """(axis, line integral) per leg of a path; raises its first failure."""
-        exc = fault(p)
-        if exc is not None:
-            raise exc
-        return [(ax, 0.0 if s < 0 else float(integral[s])) for ax, s in p]
-
-    def beta(p) -> float:
-        return sum(v for _, v in segments(p))
-
-    # warpings psi_i and the base factor on the block-0 subgrid
-    warpings = {i: np.exp([beta(p) for p in warp_paths[i]]).reshape(shape0) for i in dL}
+    # base factor G_0 / rho_0^2 and warpings psi_i = rho_i / rho_0 on the
+    # block-0 subgrid
+    G, rho = rho_bars(subs[0])
+    phi_sub = {0: rho[0]}
     base_factor = None
     if b0:
-        d0 = dims[0]
-        r, E = rho_bar(0, subs[0], [(a, b) for a in b0 for b in b0])
-        base_factor = (E / (r**2)[:, None]).reshape(shape0 + (d0, d0))
+        base_factor = (block(G, b0) / (rho[0] ** 2)[:, None, None]).reshape(shape0 + (dims[0],) * 2)
+    warpings = {i: (rho[i] / rho[0]).reshape(shape0) for i in range(1, k + 1)}
 
-    # fiber factors on block-i subgrids
+    # fiber factors G_i / rho_0^2 on block-i subgrids, where psi_i is 1
     fiber_factors = {}
-    for i in dL:
-        blk, paths = blocks[i], fiber_paths[i]
-        r, E = rho_bar(i, subs[i], [(a, b) for a in blk for b in blk], [fault(p) for p in paths])
-        scale = np.exp(2.0 * np.array([beta(p) for p in paths])) / r**2
-        fiber_factors[i] = (scale[:, None] * E).reshape((grid,) * dims[i] + (dims[i], dims[i]))
+    for i in warpings:
+        G, rho = rho_bars(subs[i], own=i)
+        phi_sub[i] = rho[0]
+        fiber = block(G, blocks[i]) / (rho[0] ** 2)[:, None, None]
+        fiber_factors[i] = fiber.reshape((grid,) * dims[i] + (dims[i], dims[i]))
 
     # phi on the full grid + reconstruction residual
     full = _mesh(axes)
-    upper = [(a, b) for a in range(n) for b in range(a, n)]
-    r0, E = rho_bar(0, full, upper)
+    G, rho = rho_bars(full)
+    r0 = rho[0]
     phi_grid = r0.reshape((grid,) * n)
     index = np.unravel_index(np.arange(len(full)), phi_grid.shape)
 
@@ -666,9 +559,6 @@ def factorize_cwp(
     def norm(X) -> np.ndarray:
         return np.sqrt(np.einsum("mab,mab->m", X, X))
 
-    ia, ib = np.array(upper).T
-    G = np.zeros((len(full), n, n))
-    G[:, ia, ib] = G[:, ib, ia] = E
     R = np.zeros_like(G)
     r2 = r0 * r0
     for i, blk in enumerate(blocks):
@@ -681,19 +571,29 @@ def factorize_cwp(
             R[:, sel[:, None], sel] = (r2 * psi * psi)[:, None, None] * fiber
     worst = np.max(norm(R - G) / np.maximum(norm(G), 1e-300))
 
-    # path-order residual over box corners + center (full paths, both orders)
+    # path-order residual over box corners + center: at the n + 1 vertices of
+    # the paths from base that fix the axes in forward and in reverse order,
+    # log(rho_i / rho_0) changes along leg j by the difference of its ends
+    targets = np.array(list(itertools.product(*chart.domain)) + [base, chart.center()])
+    orders = np.array([range(n), range(n - 1, -1, -1)])
+    V = np.tile(np.array(base), (len(targets), 2, n + 1, 1))
+    for o, order in enumerate(orders):
+        for j, ax in enumerate(order):
+            V[:, o, j + 1 :, ax] = targets[:, ax, None]
+    _, rho = rho_bars(V.reshape(-1, n))
     path_worst = 0.0
-    for i in dL:
-
-        def class_sums(segs):
-            alpha = sum(v for ax, v in segs if ax in b0)
-            beta = sum(v for ax, v in segs if ax in blocks[i])
-            gamma = sum(abs(v) for ax, v in segs if ax not in b0 and ax not in blocks[i])
-            return alpha, beta, gamma
-
-        for pf, pr in order_paths[i]:
-            (af, bf, gf), (ar, br, gr) = class_sums(segments(pf)), class_sums(segments(pr))
-            path_worst = max(path_worst, abs(af - ar), abs(bf - br), gf, gr)
+    for i in warpings:
+        legs = np.diff(np.log(rho[i] / rho[0]).reshape(len(targets), 2, n + 1), axis=2)
+        # per path, the legs' sums over block 0 and block i, and |legs| over the rest
+        alpha = np.where(np.isin(orders, b0), legs, 0.0).sum(axis=2)
+        beta = np.where(np.isin(orders, blocks[i]), legs, 0.0).sum(axis=2)
+        gamma = np.where(np.isin(orders, b0 + blocks[i]), 0.0, np.abs(legs)).sum(axis=2)
+        path_worst = max(
+            path_worst,
+            float(np.abs(alpha[:, 0] - alpha[:, 1]).max()),
+            float(np.abs(beta[:, 0] - beta[:, 1]).max()),
+            float(gamma.max()),
+        )
     if path_worst > PATH_ORDER_TOL:
         raise PathInconsistencyError(
             f"axis-order dependence {path_worst:.3e} exceeds {PATH_ORDER_TOL:.1e}; "
@@ -736,14 +636,11 @@ def factorize_cwp(
         if cp is not None and (res["sphericity_perp"][0] <= tol).all():
             kind = "product"
         Kb = 1.0
-        phi0 = (1.0 / rho_bar(0, subs[0])[0]).reshape(shape0)
-        phis = {
-            i: (1.0 / rho_bar(0, subs[i])[0] - Kb).reshape((grid,) * dims[i])
-            for i in dL
-        }
+        phi0 = (1.0 / phi_sub[0]).reshape(shape0)
+        phis = {i: (1.0 / phi_sub[i] - Kb).reshape((grid,) * dims[i]) for i in warpings}
         Kv = 1.0 / r0
         rebuilt = spread(phi0, b0)
-        for i in dL:
+        for i in warpings:
             rebuilt = rebuilt + spread(warpings[i], b0) * spread(phis[i], blocks[i])
         sph_worst = float(np.max(np.abs(Kv - rebuilt) / (1.0 + np.abs(Kv))))
         spherical = SphericalSection(kind=kind, phi0=phi0, phis=phis, residual=sph_worst)

@@ -1,8 +1,10 @@
 """Manifest loading, command plumbing, exit codes, and output formats."""
 
 import ast
+import contextlib
 import copy
 import importlib
+import io
 import itertools
 import json
 import math
@@ -352,6 +354,113 @@ def test_manifest_bad_net_blocks(tmp_path):
     data = flat_manifest(nets=[{"blocks": [[0], [0, 1]]}])
     with pytest.raises(ManifestError, match="/nets/0/blocks"):
         load_manifest(write_manifest(tmp_path, data))
+
+
+@pytest.mark.parametrize("names, pointer", [
+    ((["u"], ["u"]), "/product/factors/1/names"),
+    # the second factor's defaulted name is x1
+    ((["x1"], None), "/product/factors/1"),
+])
+def test_manifest_factor_names_must_not_collide(tmp_path, capsys, names, pointer):
+    data = json.loads((MANIFESTS / "twisted_control.json").read_text(encoding="utf-8"))
+    for factor, given_names in zip(data["product"]["factors"], names):
+        factor.pop("names")
+        if given_names is not None:
+            factor["names"] = given_names
+    data["product"]["twists"] = ["1", "1"]
+    name = names[0][0]
+    want = f"coordinate name {name!r} repeats a name of an earlier factor (at {pointer})"
+    with pytest.raises(ManifestError) as err:
+        load_manifest(write_manifest(tmp_path, data))
+    assert str(err.value) == want
+    assert main(["--command", "classify", "--manifest", str(write_manifest(tmp_path, data))]) == 1
+    assert capsys.readouterr().err == f"error: {want}\n"
+
+
+# --- the loader and the commands on malformed manifests (ROADMAP O5) ----------------
+
+# expressions that do not parse, or parse to a field that fails somewhere
+BAD_EXPRESSIONS = ["", "x0 +", "((t)", "foo(t)", "x9", "1/0", "log(0)", "sqrt(-1)", "0", "-1",
+                   "t^1e300", "1e400", "exp(1000)", "1/(t - t)", "log(x0 - 0.5)"]
+
+
+def expression_places(doc):
+    """The paths of the expression strings of a manifest."""
+    return [p for p in places(doc) if isinstance(value_at(doc, p), str)
+            and any(k in p for k in ("components", "twists", "conformal", "body"))]
+
+
+def collide_names(doc):
+    """Give two coordinates one name: the last factor of a product takes the
+    first factor's first name (x0 where it has no names), or else a chart's
+    second name becomes its first."""
+    product, chart = doc.get("product"), doc.get("chart")
+    factors = product.get("factors") if isinstance(product, dict) else None
+    if isinstance(factors, list) and len(factors) > 1 and all(isinstance(f, dict) for f in factors):
+        names, domain = factors[0].get("names"), factors[-1].get("domain")
+        if isinstance(domain, list):
+            name = names[0] if isinstance(names, list) and names else "x0"
+            factors[-1]["names"] = [name] + [f"y{a}" for a in range(1, len(domain))]
+    elif isinstance(chart, dict) and isinstance(chart.get("names"), list) and len(chart["names"]) > 1:
+        chart["names"][1] = chart["names"][0]
+
+
+@st.composite
+def fuzzed_manifests(draw):
+    """A shipped manifest after one to three edits: a key or a list item
+    dropped, a list item duplicated, a value of the wrong type, a number on
+    or past a schema bound, an expression from BAD_EXPRESSIONS, or factor
+    names made to collide."""
+    doc = copy.deepcopy(draw(st.sampled_from(SHIPPED)))
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["drop", "duplicate", "type", "bound", "expression",
+                                     "collide"]))
+        if edit == "collide":
+            collide_names(doc)
+            continue
+        targets = {
+            "drop": lambda p, v: bool(p),
+            "duplicate": lambda p, v: isinstance(v, list) and bool(v),
+            "type": lambda p, v: bool(p),
+            "bound": lambda p, v: is_number(v),
+        }
+        if edit == "expression":
+            paths = expression_places(doc)
+        else:
+            paths = [p for p in places(doc) if targets[edit](p, value_at(doc, p))]
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        value = value_at(doc, path)
+        parent = value_at(doc, path[:-1]) if path else None
+        if edit == "drop":
+            del parent[path[-1]]
+        elif edit == "duplicate":
+            i = draw(st.integers(0, len(value) - 1))
+            value.insert(i, copy.deepcopy(value[i]))
+        elif edit == "type":
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        elif edit == "bound":
+            parent[path[-1]] = draw(st.sampled_from(BOUND_VALUES))
+        else:
+            parent[path[-1]] = draw(st.sampled_from(BAD_EXPRESSIONS))
+    return doc
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(fuzzed_manifests())
+def test_fuzzed_manifests_never_end_in_an_internal_error(tmp_path_factory, data):
+    path = str(tmp_path_factory.getbasetemp() / "fuzzed.json")
+    Path(path).write_text(json.dumps(data), encoding="utf-8")
+    for command in ("classify", "verify-product", "factorize", "codazzi"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--command", command, "--manifest", path, "--samples", "3",
+                         "--format", "json"])
+        assert code in (0, 1, 2, 3)
+        assert "internal error" not in err.getvalue(), err.getvalue()
+        if code != 1:
+            json.loads(out.getvalue())
 
 
 def test_classify_exit_codes():

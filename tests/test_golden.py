@@ -27,7 +27,6 @@ import orthonet
 from orthonet import scalar_fields
 from orthonet.chart_calculus import MetricField
 from orthonet.cli import main
-from orthonet.product_metrics import factorize_cwp
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -145,15 +144,11 @@ def _golden_exit(name) -> int:
     return json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))["exit_code"]
 
 
-@pytest.mark.parametrize("name", sorted(
-    n for n in _runs() if not n.endswith(".factorize") and _golden_exit(n) != 1))
+@pytest.mark.parametrize("name", sorted(n for n in _runs() if _golden_exit(n) != 1))
 def test_runs_build_diff_trees_only_to_mend_jets(name, monkeypatch):
     # every partial a run reads comes off a jet sweep: diff is called only by
-    # Sweep.repair, which mends jets that are not finite. factorize is left
-    # out, and factorize_cwp allowed inside selftest: its block determinants
-    # and the integrands of its line integrals stay trees, because their
-    # values drive the adaptive quadrature
-    allowed = {scalar_fields.Sweep.repair.__code__, factorize_cwp.__code__}
+    # Sweep.repair, which mends jets that are not finite
+    allowed = {scalar_fields.Sweep.repair.__code__}
     diff = scalar_fields.diff
     outside = []
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import random_expr, random_twisted_spec
 from orthonet import fixtures, product_metrics
 from orthonet.chart_calculus import MetricField, metric_at
-from orthonet.errors import ConstraintError, EvalDomainError
+from orthonet.errors import ConstraintError, EvalDomainError, PathInconsistencyError
+from orthonet.nets import OrthogonalNet, classify_net
 from orthonet.product_metrics import (
     FactorSpec,
     ProductSpec,
@@ -331,32 +332,56 @@ def _count_swept_points(monkeypatch) -> list:
     return counts
 
 
-def test_factorize_quadrature_failure_in_visiting_order(monkeypatch):
-    # the path to x0 = 0 is integrated first and first fails at a level-1
-    # node (x0 = 1/64); later paths on the grid of 17 fail at level 0 on the
-    # second singular point
+def test_factorize_warping_determinant_fails_on_the_base_subgrid():
+    # the block 1 determinant x0 - 0.05 is 0.45 on the fiber subgrid x0 = 0.5
+    # and negative on the block-0 subgrid, where the warpings read it right
+    # after the base factor's block 0
+    ch = _unit_chart(2)
+    g = MetricField.diagonal(ch, [ONE, parse_expr("x0 - 0.05", ch)])
+    with pytest.raises(ConstraintError) as err:
+        factorize_cwp(g)
+    assert str(err.value) == "block 1 determinant -0.05 <= 0 at (0.0, 0.5)"
+
+
+def test_factorize_entry_failing_at_a_box_corner_raises_at_the_full_grid(monkeypatch):
+    # 1 at every sample but not evaluable at the corner (1, 1): no subgrid
+    # reaches it, and the full grid of 9^2 points precedes the path vertices
+    ch = _unit_chart(2)
+    g00 = parse_expr("1 + 1e-30/((x0 - 1)^2 + (x1 - 1)^2)", ch)
+    counts = _count_swept_points(monkeypatch)
+    with pytest.raises(EvalDomainError) as err:
+        factorize_cwp(MetricField.diagonal(ch, [g00, ONE]))
+    assert str(err.value).startswith("division by zero")
+    assert counts[-1] == 9**2
+
+
+def test_factorize_isolated_degeneracy_off_every_vertex():
+    # |x0 - 1/64|^0.2 |x0 - 63/128|^0.2 vanishes between nodes of the grid of
+    # 17 and off every path vertex, so no point set reads it there
     ch = _unit_chart(2)
     w = "exp(0.1*log((x0 - 0.015625)^2) + 0.1*log((x0 - 0.4921875)^2))"
-    g = MetricField.diagonal(ch, [ONE, parse_expr(w, ch)])
-    counts = _count_swept_points(monkeypatch)
-    with pytest.raises(EvalDomainError) as err:
-        factorize_cwp(g, grid=17)
-    assert str(err.value) == "log of a nonpositive value: log((x0 - 0.015625)^2)"
-    # no leg past the failing one is refined to its last level
-    assert sum(counts) < 10_000
+    fac = factorize_cwp(MetricField.diagonal(ch, [ONE, parse_expr(w, ch)]), grid=17)
+    x, b = fac.axes[0], fac.base[0]
+    want = (np.abs(x - 1 / 64) * np.abs(x - 63 / 128)) ** 0.1
+    want /= (abs(b - 1 / 64) * abs(b - 63 / 128)) ** 0.1
+    assert np.allclose(fac.warpings[1], want, rtol=1e-13, atol=0.0)
+    assert fac.path_order_residual <= 1e-15
 
 
-def test_factorize_fiber_path_failure_precedes_later_determinant(monkeypatch):
-    # the fiber path to x1 = 0 fails at x1 = 1/64 before the block 1
-    # determinant, negative at x1 = 1, is reached
+def test_factorize_refuses_an_axis_order_dependent_twist():
+    # a bump of 1e-3 at the corner (0, 0), where no sample reaches: CWP passes
+    # on the sample plan, but log(rho_1 / rho_0) is not additively separable
+    # across the corner's two paths
     ch = _unit_chart(2)
-    w = "exp(0.1*log((x1 - 0.015625)^2))*(0.95 - x1)"
-    g = MetricField.diagonal(ch, [ONE, parse_expr(w, ch)])
-    counts = _count_swept_points(monkeypatch)
-    with pytest.raises(EvalDomainError) as err:
+    g11 = parse_expr("(1 + 1e-3*exp(-10000*(x0^2 + x1^2)))^2", ch)
+    g = MetricField.diagonal(ch, [ONE, g11])
+    assert classify_net(g, OrthogonalNet.coordinate(ch), SamplePlan()).flags["CWP"].status == "pass"
+    with pytest.raises(PathInconsistencyError) as err:
         factorize_cwp(g)
-    assert str(err.value) == "log of a nonpositive value: log((x1 - 0.015625)^2)"
-    assert sum(counts) < 10_000
+    assert str(err.value) == (
+        "axis-order dependence 9.995e-04 exceeds 1.0e-07; "
+        "the twist logs are not numerically gradient-consistent"
+    )
 
 
 @pytest.mark.parametrize("twist, message", [
@@ -383,5 +408,5 @@ def test_factorize_recovers_warpings_in_closed_form(a, c):
     x, b = fac.axes[0], fac.base[0]
     want = {1: np.exp(a * x) / math.exp(a * b), 2: (c + x**2) / (c + b**2)}
     for i, rho in want.items():
-        assert np.allclose(fac.warpings[i], rho, rtol=1e-9, atol=0.0)
-    assert fac.reconstruction_residual <= 1e-9
+        assert np.allclose(fac.warpings[i], rho, rtol=1e-13, atol=0.0)
+    assert fac.reconstruction_residual <= 1e-13
