@@ -991,7 +991,7 @@ def build_codazzi_candidate(kind: str, **params) -> CodazziCandidate:
             )
         phi1_joint = substitute(phi1, {j: var(d0 + j) for j in free_vars(phi1)})
         recip = add(phi0, phi1_joint)
-        _check_positive(recip, chart, "reciprocal conformal factor")
+        _check_positive([(recip, "reciprocal conformal factor")], chart)
         g = conformal_scale(build_metric(spec), div(ONE, recip))
         diag = [phi1_joint] * d0 + [mul(const(-1.0), phi0)] * factors[1].chart.dim
         tensor = SymTensorField.diagonal(chart, diag, metric=g)

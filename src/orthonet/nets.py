@@ -2,15 +2,15 @@
 
 A net splits a frame of vector fields into mutually orthogonal blocks; each
 block spans a distribution E_i with complement E_i^perp spanned by the other
-blocks. The module compiles the metric and frame entries into one evaluation
-tape and runs its jet sweep once over every sample point, which carries
-their first and second partials through the tape by forward propagation
-(Tape.jet_sweep; a clean run builds no derivative tree). From these
-second-order jets, the Christoffel kernel every consumer shares
-(chart_calculus._levi_civita) gives the Christoffel symbols and their
-partials, and stacked numpy gives per block and complement the projector
-onto the span, nabla_{X_a} X_b, the mean curvature normal H and its
-partials by the product rule, so
+blocks. The module compiles the metric entries, and the frame entries unless
+the frame is constant, into one evaluation tape and runs its jet sweep once
+over every sample point, which carries their first and second partials
+through the tape by forward propagation (Tape.jet_sweep; a clean run builds
+no derivative tree). From these second-order jets, the Christoffel kernel
+every consumer shares (chart_calculus._levi_civita) gives the Christoffel
+symbols and their partials, and stacked numpy gives per block and
+complement the projector onto the span, nabla_{X_a} X_b, the mean
+curvature normal H and its partials by the product rule, so
 nabla_X H = (dH) X + Gamma(X, H) needs no derivative tree of H (O'Neill,
 Semi-Riemannian Geometry, 1983, ch. 4 and 7). numpy then reduces the
 stacked values to residuals:
@@ -171,12 +171,14 @@ def _mul(T: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _geometry(jets: np.ndarray, n: int, spans, frame) -> tuple:
     """The geometry of each of the spans, tuples of frame indices, from the
-    jets of the upper triangle of the metric and of the frame entries,
-    (m, 1 + n + n(n+1)/2, roots) as Tape.jet_sweep gives them.
+    jets of the upper triangle of the metric and, for a frame that is not
+    constant, of the frame entries, (m, 1 + n + n(n+1)/2, roots) as
+    Tape.jet_sweep gives them.
 
     frame is the frame as an (n, n) array when all its entries are
-    constants, and the terms with a frame partial are then skipped; it is
-    None otherwise. Per span of rank r > 0 the result holds
+    constants: the jets then hold the metric's roots only, F is the frame
+    broadcast over the samples, and the terms with a frame partial are
+    skipped. It is None otherwise. Per span of rank r > 0 the result holds
 
         H          (m, n)         (I - R g) K / r
         defects    (m, pairs, n)  C_ab^perp - M_ab H, a <= b, when r > 1
@@ -204,7 +206,10 @@ def _geometry(jets: np.ndarray, n: int, spans, frame) -> tuple:
     seconds = np.empty((m, n, n, jets.shape[2]))
     seconds[:, iu, ju] = seconds[:, ju, iu] = jets[:, n + 1 :]
     G, dG, d2G = (_symmetric(a[..., :nt], n) for a in (values, firsts, seconds))
-    F = values[:, nt:].reshape(m, n, n)
+    if frame is None:
+        F = values[:, nt:].reshape(m, n, n)
+    else:
+        F = np.broadcast_to(frame, (m, n, n))
 
     # Gamma over rows k, columns ij, and d Gamma over rows (p, k), columns ij
     Ginv, gamma, dgamma = _levi_civita(G, dG, d2G)
@@ -299,11 +304,14 @@ class _Side:
 class _Samples:
     """A net's metric, frame and span residuals over a batch of sample points.
 
-    One tape holds the metric and frame entries; one jet sweep gives their
-    values and first and second partials over all samples, mended from the
-    entries' diff trees where they are not finite (Sweep.repair), and
-    _geometry computes from them, per requested block, the geometry of its
-    span and of its complement, and the residuals. The checks run later,
+    One tape holds the metric's upper triangle and, when the frame is not
+    constant, the frame entries; a constant frame, as every coordinate net
+    has, stays off the tape and F is that frame broadcast over the samples.
+    One jet sweep gives the values and first and second partials of the
+    roots over all samples, mended from their diff trees where they are not
+    finite (Sweep.repair), and _geometry computes from them, per requested
+    block, the geometry of its span and of its complement, and the
+    residuals. The checks run later,
     when the caller calls check: per stage over all samples, the first
     sample that fails any of them raises, with the stage that fails first
     there, and condition warnings are issued for every sample up to that
@@ -319,7 +327,7 @@ class _Samples:
         constant = all(isinstance(e, Const) for f in net.frame for e in f)
         frame = np.array([[e.value for e in f] for f in net.frame]) if constant else None
         tape = compile_tape([g.entries[i][j] for i, j in zip(*_pairs(n, 0))]
-                            + [e for f in net.frame for e in f])
+                            + ([] if constant else [e for f in net.frame for e in f]))
         self.sweep = sweep = tape.jet_sweep(pts)
         # by sample, the error of the entries' diff trees where they fail
         self.input_errors = sweep.repair()

@@ -35,6 +35,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +52,12 @@ from .chart_calculus import (
 )
 from .errors import (
     ConstraintError,
-    PathInconsistencyError,
     NotApplicableError,
+    OrthonetError,
+    PathInconsistencyError,
 )
 from .nets import OrthogonalNet, classify_net
-from .sampling import SamplePlan, _mesh, grid_axes
+from .sampling import MAX_POINTS, SamplePlan, _mesh, grid_axes
 from .scalar_fields import (
     Chart,
     Expr,
@@ -179,12 +181,14 @@ class ProductSpec:
         """The block-diagonal metric of build_metric, built once per spec."""
         chart = self.chart
         n = chart.dim
+        gates = [(rho, f"twist {i}") for i, rho in enumerate(self.twists) if not is_const_one(rho)]
+        if self.conformal_factor is not None:
+            gates.append((self.conformal_factor, "conformal factor"))
+        if gates:
+            _check_positive(gates, chart)
         entries = [[ZERO] * n for _ in range(n)]
         off = 0
-        for i, f in enumerate(self.factors):
-            rho = self.twists[i]
-            if not is_const_one(rho):
-                _check_positive(rho, chart, f"twist {i}")
+        for f, rho in zip(self.factors, self.twists):
             remap = {j: var(off + j) for j in range(f.chart.dim)}
             rho2 = mul(rho, rho)
             for a in range(f.chart.dim):
@@ -194,7 +198,6 @@ class ProductSpec:
             off += f.chart.dim
         if self.conformal_factor is not None:
             phi = self.conformal_factor
-            _check_positive(phi, chart, "conformal factor")
             phi2 = mul(phi, phi)
             entries = [
                 [mul(phi2, e) if e is not ZERO else ZERO for e in row] for row in entries
@@ -210,17 +213,32 @@ class ProductSpec:
         return dataclasses.replace(self, kind="product", twists=(ONE,) * len(self.twists))._metric
 
 
-def _check_positive(e: Expr, chart: Chart, label: str):
+def _check_positive(gates, chart: Chart):
+    """Check that each expression of gates, (expression, label) pairs, is
+    evaluable and positive on the positivity grid; raise ConstraintError
+    naming the label and the first grid point where the first gate in order
+    fails.
+
+    The gates go on one tape, swept once over the grid, and are checked root
+    by root. The roots before root r have passed at every point, so every
+    slot before bounds[r] is clean, and root r fails to evaluate at point j
+    when first_bad[j] < bounds[r + 1]; elsewhere its value is read. Within a
+    gate, the first point that fails either way wins, an evaluation error
+    before the value at one point; a gate equal to an earlier one has no
+    slots of its own and raises nothing new."""
     pts = _mesh(grid_axes(chart, _POSITIVITY_GRID))
-    sweep = compile_tape([e]).sweep(pts)
-    hit = _first_fault(sweep, sweep.values <= 0.0)
-    if hit:
-        j = hit[0]
-        at = tuple(pts[j].tolist())
-        if hit[2]:
-            exc = sweep.error(j)
-            raise ConstraintError(f"{label} not evaluable at {at}: {exc}") from exc
-        raise ConstraintError(f"{label} is {sweep.values[j, 0]:.6g} <= 0 at {at}")
+    tape = compile_tape([e for e, _ in gates])
+    sweep = tape.sweep(pts)
+    for r, (_, label) in enumerate(gates):
+        broken = sweep.first_bad < tape.bounds[r + 1]
+        hit = np.flatnonzero(broken | (sweep.values[:, r] <= 0.0))
+        if hit.size:
+            j = int(hit[0])
+            at = tuple(pts[j].tolist())
+            if broken[j]:
+                exc = sweep.error(j)
+                raise ConstraintError(f"{label} not evaluable at {at}: {exc}") from exc
+            raise ConstraintError(f"{label} is {sweep.values[j, r]:.6g} <= 0 at {at}")
 
 
 def build_metric(spec: ProductSpec) -> MetricField:
@@ -230,7 +248,7 @@ def build_metric(spec: ProductSpec) -> MetricField:
 
 def conformal_scale(g: MetricField, phi: Expr) -> MetricField:
     """phi^2 * g with a sampled positivity gate on phi."""
-    _check_positive(phi, g.chart, "conformal factor")
+    _check_positive([(phi, "conformal factor")], g.chart)
     phi2 = mul(phi, phi)
     n = g.dim
     entries = [[mul(phi2, g.entries[a][b]) for b in range(n)] for a in range(n)]
@@ -411,23 +429,28 @@ def factorize_cwp(
     residual over a `grid`-per-axis box, and the path-order residual of the
     defining line integrals. Adds a conformal-to-product section when CP
     passes and a separable-sum section for 1/phi when sphericity holds.
+    `grid` is an integer >= 1, and the point sets below hold at most
+    sampling.MAX_POINTS points together.
 
-    One tape of the metric's upper triangle is swept once per point set, and
-    the block determinants det G_b are numpy (np.linalg.det); with them
-    rho_b = (det G_b / det G_b(base))^(1/(2 d_b)). On the block-0 subgrid
-    (the grid over block 0, the other axes at base) the base factor is
-    G_0 / rho_0^2 and the warping psi_i = rho_i / rho_0; on the block-i
-    subgrid, where psi_i is 1, fiber factor i is G_i / rho_0^2; phi = rho_0
-    on the full grid. The path-order residual takes log(rho_i / rho_0) at the
-    n + 1 vertices of the paths from base to every box corner, the base and
-    the center that fix the axes in forward and in reverse order. Per path,
-    alpha and beta sum its leg differences over the axes of block 0 and of
-    block i, and gamma their absolute values over the other axes; the
-    residual is the largest |alpha_f - alpha_r|, |beta_f - beta_r|, gamma_f
-    or gamma_r over every i and target.
+    Every point set goes into one (m, n) array, in this order: the base
+    point, the block-0 subgrid (the grid over block 0, the other axes at
+    base), each block-i subgrid, the full grid, and the n + 1 vertices of the
+    paths from base to every box corner, the base and the center that fix
+    the axes in forward and in reverse order. One tape of the metric's upper
+    triangle is swept over it once, and the block determinants det G_b are
+    one np.linalg.det per block over all points; with them
+    rho_b = (det G_b / det G_b(base))^(1/(2 d_b)). On the block-0 subgrid the
+    base factor is G_0 / rho_0^2 and the warping psi_i = rho_i / rho_0; on the
+    block-i subgrid, where psi_i is 1, fiber factor i is G_i / rho_0^2;
+    phi = rho_0 on the full grid. The path-order residual takes
+    log(rho_i / rho_0) at the path vertices. Per path, alpha and beta sum its
+    leg differences over the axes of block 0 and of block i, and gamma their
+    absolute values over the other axes; the residual is the largest
+    |alpha_f - alpha_r|, |beta_f - beta_r|, gamma_f or gamma_r over every i
+    and target.
 
-    The metric at the base point is evaluated first, then failures are
-    raised in this order:
+    The point sets are checked in their order, so the base point comes
+    first, then failures are raised in this order:
 
     1. base factor (block-0 subgrid);
     2. warpings (block-0 subgrid);
@@ -442,6 +465,9 @@ def factorize_cwp(
     block-0 subgrid, so the base factor precedes the warpings), each at its
     first nonpositive point. Points go in itertools.product order.
     """
+    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 1:
+        raise ValueError("grid must have at least one point per axis")
+    grid = int(grid)
     chart = g.chart
     n = chart.dim
     if net is None:
@@ -450,6 +476,16 @@ def factorize_cwp(
         raise NotApplicableError("factorization supports coordinate-block nets only")
     blocks = net.blocks
     k = len(blocks) - 1
+    dims = [len(blk) for blk in blocks]
+    # the point sets in the order they are checked: the base point, the block
+    # subgrids, the full grid, then two paths of n + 1 vertices to each of the
+    # 2^n box corners, the base and the center
+    sizes = [1, *(grid**d for d in dims), grid**n, (2**n + 2) * 2 * (n + 1)]
+    if sum(sizes) > MAX_POINTS:
+        raise OrthonetError(
+            f"factorization of grid {grid} over {n} axes needs {sum(sizes)} points, "
+            f"more than {MAX_POINTS}"
+        )
 
     report = classify_net(g, net, plan or SamplePlan(), tol)
     if report.flags["CWP"].status != "pass":
@@ -483,77 +519,82 @@ def factorize_cwp(
             raise ConstraintError(f"metric has off-block entry ({a},{b}) at {at}")
 
     axes = grid_axes(chart, grid)
-    dims = [len(blk) for blk in blocks]
-    upper = compile_tape([g.entries[a][b] for a, b in zip(*_pairs(n, 0))])
+    ends = np.cumsum(sizes)
+    sets = [slice(int(lo), int(hi)) for lo, hi in zip([0, *ends[:-1]], ends)]
+    subs, full, path = sets[1:-2], sets[-2], sets[-1]
+    pts = np.empty((int(ends[-1]), n))
+    pts[:] = base
+    for blk, s in zip(blocks, subs):
+        pts[s, list(blk)] = _mesh([axes[a] for a in blk])
+    pts[full] = _mesh(axes)
+    targets = np.array(list(itertools.product(*chart.domain)) + [base, chart.center()])
+    orders = np.array([range(n), range(n - 1, -1, -1)])
+    V = pts[path].reshape(len(targets), 2, n + 1, n)
+    for o, order in enumerate(orders):
+        for j, ax in enumerate(order):
+            V[:, o, j + 1 :, ax] = targets[:, ax, None]
 
     def block(G, blk) -> np.ndarray:
         sel = np.array(blk, dtype=np.intp)
         return G[:, sel[:, None], sel]
 
-    def block_dets(pts, own: int = 0):
-        """G, (m, n, n), and per block det G_b, (m,), at pts. Raises the entry
-        error of the first point that fails, then, block by block with own
-        first, the first nonpositive determinant."""
-        G = _symmetric(upper.run(pts), n)
-        dets = [np.linalg.det(block(G, blk)) for blk in blocks]
-        for b in [own, *(b for b in range(k + 1) if b != own)]:
-            bad = np.flatnonzero(dets[b] <= 0.0)
-            if bad.size:
-                j = int(bad[0])
-                raise ConstraintError(
-                    f"block {b} determinant {dets[b][j]:.6g} <= 0 at {tuple(pts[j].tolist())}"
-                )
-        return G, dets
+    upper = compile_tape([g.entries[a][b] for a, b in zip(*_pairs(n, 0))])
 
-    _, det_base = block_dets(np.array([base]))
+    def checked_sweep():
+        """G, (m, n, n), and rho_b = (det G_b / det G_b(base))^(1/(2 d_b)),
+        (k + 1, m), over every point set, from one sweep; an empty block has
+        det 1, so its rho is 1. Walks the sets in order and raises the entry
+        error of a set's first point that fails, then, block by block with
+        the set's own first, its first nonpositive determinant."""
+        sweep = upper.sweep(pts)
+        G = _symmetric(sweep.values, n)
+        with np.errstate(all="ignore"):  # read only at points whose entries evaluate
+            dets = [np.linalg.det(block(G, blk)) for blk in blocks]
+        for s, own in zip(sets, [0, *range(k + 1), 0, 0]):
+            failed = np.flatnonzero(sweep.first_bad[s] < upper.size)
+            if failed.size:
+                raise sweep.error(s.start + int(failed[0]))
+            for b in [own, *(b for b in range(k + 1) if b != own)]:
+                bad = np.flatnonzero(dets[b][s] <= 0.0)
+                if bad.size:
+                    j = s.start + int(bad[0])
+                    raise ConstraintError(
+                        f"block {b} determinant {dets[b][j]:.6g} <= 0 at {tuple(pts[j].tolist())}"
+                    )
+        return G, np.array([(d / d[0]) ** (0.5 / max(dim, 1)) for d, dim in zip(dets, dims)])
 
-    def rho_bars(pts, own: int = 0):
-        """G and rho_b = (det G_b / det G_b(base))^(1/(2 d_b)), (k + 1, m), at
-        pts; an empty block has det 1, so its rho is 1."""
-        G, dets = block_dets(pts, own)
-        rho = [(d / d0) ** (0.5 / max(dim, 1)) for d, d0, dim in zip(dets, det_base, dims)]
-        return G, np.array(rho)
-
-    def slice_points(blk) -> np.ndarray:
-        """The grid over the coordinates in blk, the others held at base."""
-        pts = np.tile(np.array(base), (grid ** len(blk), 1))
-        pts[:, list(blk)] = _mesh([axes[a] for a in blk])
-        return pts
+    G, rho = checked_sweep()
 
     b0 = blocks[0]
     shape0 = (grid,) * len(b0)
-    subs = [slice_points(blk) for blk in blocks]
 
     # base factor G_0 / rho_0^2 and warpings psi_i = rho_i / rho_0 on the
     # block-0 subgrid
-    G, rho = rho_bars(subs[0])
-    phi_sub = {0: rho[0]}
+    r = rho[:, subs[0]]
+    phi_sub = {0: r[0]}
     base_factor = None
     if b0:
-        base_factor = (block(G, b0) / (rho[0] ** 2)[:, None, None]).reshape(shape0 + (dims[0],) * 2)
-    warpings = {i: (rho[i] / rho[0]).reshape(shape0) for i in range(1, k + 1)}
+        base_factor = (block(G[subs[0]], b0) / (r[0] ** 2)[:, None, None]).reshape(shape0 + (dims[0],) * 2)
+    warpings = {i: (r[i] / r[0]).reshape(shape0) for i in range(1, k + 1)}
 
     # fiber factors G_i / rho_0^2 on block-i subgrids, where psi_i is 1
     fiber_factors = {}
     for i in warpings:
-        G, rho = rho_bars(subs[i], own=i)
-        phi_sub[i] = rho[0]
-        fiber = block(G, blocks[i]) / (rho[0] ** 2)[:, None, None]
+        phi_sub[i] = rho[0, subs[i]]
+        fiber = block(G[subs[i]], blocks[i]) / (phi_sub[i] ** 2)[:, None, None]
         fiber_factors[i] = fiber.reshape((grid,) * dims[i] + (dims[i], dims[i]))
 
     # phi on the full grid + reconstruction residual
-    full = _mesh(axes)
-    G, rho = rho_bars(full)
-    r0 = rho[0]
+    G, r0 = G[full], rho[0, full]
     phi_grid = r0.reshape((grid,) * n)
-    index = np.unravel_index(np.arange(len(full)), phi_grid.shape)
+    index = np.unravel_index(np.arange(len(G)), phi_grid.shape)
 
     def spread(vals, blk) -> np.ndarray:
         """At each point of the full grid, vals at its projection onto the
         subgrid of blk."""
         flat = vals.reshape((grid ** len(blk),) + vals.shape[len(blk):])
         if not blk:
-            return flat[np.zeros(len(full), dtype=np.intp)]
+            return flat[np.zeros(len(G), dtype=np.intp)]
         return flat[np.ravel_multi_index([index[a] for a in blk], (grid,) * len(blk))]
 
     def norm(X) -> np.ndarray:
@@ -571,19 +612,12 @@ def factorize_cwp(
             R[:, sel[:, None], sel] = (r2 * psi * psi)[:, None, None] * fiber
     worst = np.max(norm(R - G) / np.maximum(norm(G), 1e-300))
 
-    # path-order residual over box corners + center: at the n + 1 vertices of
-    # the paths from base that fix the axes in forward and in reverse order,
-    # log(rho_i / rho_0) changes along leg j by the difference of its ends
-    targets = np.array(list(itertools.product(*chart.domain)) + [base, chart.center()])
-    orders = np.array([range(n), range(n - 1, -1, -1)])
-    V = np.tile(np.array(base), (len(targets), 2, n + 1, 1))
-    for o, order in enumerate(orders):
-        for j, ax in enumerate(order):
-            V[:, o, j + 1 :, ax] = targets[:, ax, None]
-    _, rho = rho_bars(V.reshape(-1, n))
+    # path-order residual over box corners + center: along leg j of a path,
+    # log(rho_i / rho_0) changes by the difference at its ends
+    r = rho[:, path]
     path_worst = 0.0
     for i in warpings:
-        legs = np.diff(np.log(rho[i] / rho[0]).reshape(len(targets), 2, n + 1), axis=2)
+        legs = np.diff(np.log(r[i] / r[0]).reshape(len(targets), 2, n + 1), axis=2)
         # per path, the legs' sums over block 0 and block i, and |legs| over the rest
         alpha = np.where(np.isin(orders, b0), legs, 0.0).sum(axis=2)
         beta = np.where(np.isin(orders, blocks[i]), legs, 0.0).sum(axis=2)
@@ -655,7 +689,7 @@ def factorize_cwp(
             cand = ONE
         if cand is not None:
             cand = div(cand, const(float(compile_tape([cand]).run(np.array([base]))[0, 0])))
-            sweep = compile_tape([cand]).sweep(full)
+            sweep = compile_tape([cand]).sweep(pts[full])
             mismatch = np.abs(sweep.values[:, 0] - r0) > 1e-8 * (1.0 + np.abs(r0))
             hit = _first_fault(sweep, mismatch[:, None])
             if hit is None:

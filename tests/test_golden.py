@@ -8,7 +8,11 @@ by rounding but never a verdict.
 
 Regenerate the files after a deliberate change of the reports with
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write [NAME...]
+
+where each NAME is a run, the file name without .json (polar.factorize,
+selftest): only those files are rewritten, so the others keep their bytes.
+A bare --write rewrites every file.
 """
 
 from __future__ import annotations
@@ -172,15 +176,17 @@ def test_runs_build_diff_trees_only_to_mend_jets(name, monkeypatch):
     assert len(outside) == 1
 
 
-def _write():
+def _write(names):
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in _runs().items():
-        doc = {"argv": argv, **_invoke(argv)}
+    runs = _runs()
+    for name in names:
+        doc = {"argv": runs[name], **_invoke(runs[name])}
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    _write()
+    names = sys.argv[2:] or list(_runs())
+    if sys.argv[1:2] != ["--write"] or not set(names) <= set(_runs()):
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --write [NAME...]")
+    _write(names)

@@ -458,6 +458,17 @@ def test_jet_of_a_folded_zero_is_repaired_from_the_diff_trees():
     assert reports[0] == reports[1]
 
 
+def test_constant_frame_stays_off_the_jet_tape():
+    # the tape of a coordinate net holds the metric's upper triangle only, and
+    # F is the frame broadcast over the samples
+    g = fixtures.warped_three()
+    pts = sample_points(g.chart, PLAN)
+    samples = nets._Samples(g, _coordinate(g), range(3), pts, [tuple(p) for p in pts.tolist()])
+    assert len(samples.sweep.tape.root_slots) == 6
+    assert samples.F.shape == (len(pts), 3, 3)
+    assert (samples.F == np.eye(3)).all()
+
+
 def test_non_finite_residual_raises(monkeypatch):
     side = nets._Samples._side
 

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from conftest import random_expr, random_twisted_spec
 from orthonet import fixtures, product_metrics
 from orthonet.chart_calculus import MetricField, metric_at
-from orthonet.errors import ConstraintError, EvalDomainError, PathInconsistencyError
+from orthonet.codazzi import build_codazzi_candidate
+from orthonet.errors import (
+    ConstraintError,
+    EvalDomainError,
+    OrthonetError,
+    PathInconsistencyError,
+)
 from orthonet.nets import OrthogonalNet, classify_net
 from orthonet.product_metrics import (
     FactorSpec,
@@ -319,19 +325,6 @@ def test_factorize_block_determinant_off_the_sample_plan(coord, block, point):
     assert str(err.value) == f"block {block} determinant -0.05 <= 0 at {point}"
 
 
-def _count_swept_points(monkeypatch) -> list:
-    """Patch Tape.sweep to record how many points each call receives."""
-    counts = []
-    sweep = Tape.sweep
-
-    def counted(self, points, *args, **kwargs):
-        counts.append(len(points))
-        return sweep(self, points, *args, **kwargs)
-
-    monkeypatch.setattr(Tape, "sweep", counted)
-    return counts
-
-
 def test_factorize_warping_determinant_fails_on_the_base_subgrid():
     # the block 1 determinant x0 - 0.05 is 0.45 on the fiber subgrid x0 = 0.5
     # and negative on the block-0 subgrid, where the warpings read it right
@@ -343,16 +336,86 @@ def test_factorize_warping_determinant_fails_on_the_base_subgrid():
     assert str(err.value) == "block 1 determinant -0.05 <= 0 at (0.0, 0.5)"
 
 
-def test_factorize_entry_failing_at_a_box_corner_raises_at_the_full_grid(monkeypatch):
-    # 1 at every sample but not evaluable at the corner (1, 1): no subgrid
-    # reaches it, and the full grid of 9^2 points precedes the path vertices
-    ch = _unit_chart(2)
-    g00 = parse_expr("1 + 1e-30/((x0 - 1)^2 + (x1 - 1)^2)", ch)
-    counts = _count_swept_points(monkeypatch)
+def test_factorize_entry_failing_at_a_box_corner_raises_at_the_full_grid():
+    # 1 at every sample; the first term fails only at the corner (1, 1, 1),
+    # on the full grid, and the second only at (1, 1, 0.3), a vertex of the
+    # path from the base (0.3, 0.3, 0.3) to the corner (1, 1, 0) that no grid
+    # reaches: the full grid raises before the path vertices
+    ch = _unit_chart(3)
+    g00 = parse_expr("1 + 1e-30/((x0 - 1)^2 + (x1 - 1)^2 + (x2 - 1)^2)"
+                     " + 1e-30/((x0 - 1)^2 + (x1 - 1)^2 + (x2 - 0.3)^2)", ch)
+    g = MetricField.diagonal(ch, [g00, ONE, ONE])
     with pytest.raises(EvalDomainError) as err:
-        factorize_cwp(MetricField.diagonal(ch, [g00, ONE]))
-    assert str(err.value).startswith("division by zero")
-    assert counts[-1] == 9**2
+        factorize_cwp(g, base=(0.3, 0.3, 0.3))
+    assert err.value.subexpr == "1e-30/((x0 - 1)^2 + (x1 - 1)^2 + (x2 - 1)^2)"
+
+
+def _sweeps_of(monkeypatch, module, pick) -> list:
+    """Patch compile_tape in module and Tape.sweep: the returned list gets the
+    number of points of every sweep of a tape compiled there from roots that
+    pick accepts."""
+    compile_ = module.compile_tape
+    picked, counts = set(), []
+
+    def compiled(roots):
+        roots = list(roots)
+        tape = compile_(roots)
+        if pick(roots):
+            picked.add(id(tape))
+        return tape
+
+    sweep = Tape.sweep
+
+    def counted(self, points):
+        if id(self) in picked:
+            counts.append(len(points))
+        return sweep(self, points)
+
+    monkeypatch.setattr(module, "compile_tape", compiled)
+    monkeypatch.setattr(Tape, "sweep", counted)
+    return counts
+
+
+def test_factorize_sweeps_the_metric_tape_once(monkeypatch):
+    g = fixtures.warped_three()
+    upper = [g.entries[a][b] for a in range(3) for b in range(a, 3)]
+    counts = _sweeps_of(monkeypatch, product_metrics,
+                        lambda roots: [id(e) for e in roots] == [id(e) for e in upper])
+    fac = factorize_cwp(g)
+    # base, three subgrids of 9, the full grid of 9^3, 2 paths of 4 vertices to 10 targets
+    assert counts == [1 + 3 * 9 + 9**3 + 10 * 2 * 4]
+    assert fac.phi.shape == (9, 9, 9)
+
+
+def test_build_metric_runs_one_positivity_sweep(monkeypatch):
+    ch = _unit_chart(2)
+    spec = ProductSpec("twisted", (_line(0.0, 1.0, "x0"), _line(0.0, 1.0, "x1")),
+                       twists=(parse_expr("2 + x1", ch), parse_expr("1 + x0", ch)),
+                       conformal_factor=parse_expr("exp(x0 - x1)", ch))
+    counts = _sweeps_of(monkeypatch, product_metrics, lambda roots: True)
+    build_metric(spec)
+    assert counts == [25]
+
+
+@pytest.mark.parametrize("grid", [0, -3, 2.5, "9", True])
+def test_factorize_refuses_a_grid_that_is_not_a_positive_integer(grid):
+    with pytest.raises(ValueError) as err:
+        factorize_cwp(fixtures.polar(), grid=grid)
+    assert str(err.value) == "grid must have at least one point per axis"
+
+
+def test_factorize_refuses_point_sets_beyond_max_points(monkeypatch):
+    # 316^2 full-grid points fit, but with the base, the two subgrids of 316
+    # and the 36 path vertices the sets hold 100525; refused before classifying
+    def refuse(*args):
+        raise AssertionError("classified")
+
+    monkeypatch.setattr(product_metrics, "classify_net", refuse)
+    with pytest.raises(OrthonetError) as err:
+        factorize_cwp(fixtures.polar(), grid=316)
+    assert str(err.value) == (
+        "factorization of grid 316 over 2 axes needs 100525 points, more than 100000"
+    )
 
 
 def test_factorize_isolated_degeneracy_off_every_vertex():
@@ -396,6 +459,68 @@ def test_positivity_gate_names_first_grid_point(twist, message):
     with pytest.raises(ConstraintError) as err:
         build_metric(spec)
     assert str(err.value) == message
+
+
+def _twisted_square(twist, phi):
+    ch = _unit_chart(2)
+    return ProductSpec("twisted", (_line(0.0, 1.0, "x0"), _line(0.0, 1.0, "x1")),
+                       twists=(ONE, parse_expr(twist, ch)), conformal_factor=parse_expr(phi, ch))
+
+
+def test_positivity_gate_twist_fails_before_the_conformal_factor():
+    # the conformal factor fails at the first grid point, the twist only at
+    # the 21st; the twist is checked first
+    with pytest.raises(ConstraintError) as err:
+        build_metric(_twisted_square("0.9 - x0", "x0 + x1"))
+    assert str(err.value) == "twist 1 is -0.1 <= 0 at (1.0, 0.0)"
+
+
+@pytest.mark.parametrize("twist, message", [
+    ("(x0 - 0.8)/(x0 - 0.25)", "twist 1 not evaluable at (0.25, 0.0): "
+                               "division by zero: (x0 - 0.8)/(x0 - 0.25)"),
+    ("(x0 - 0.3)/(x0 - 0.75)", "twist 1 is -0.8 <= 0 at (0.5, 0.0)"),
+])
+def test_positivity_gate_first_point_wins_within_a_gate(twist, message):
+    # a domain error and a nonpositive value in one gate: the earlier point wins
+    with pytest.raises(ConstraintError) as err:
+        build_metric(_twisted_square(twist, "1 + x0"))
+    assert str(err.value) == message
+
+
+def test_positivity_gate_equal_to_an_earlier_gate_raises_nothing_new():
+    ch = _unit_chart(3)
+    factors = tuple(_line(0.0, 1.0, f"x{a}") for a in range(3))
+    rho = "1 + x0*x1"
+    spec = ProductSpec("twisted", factors, twists=(ONE, parse_expr(rho, ch), parse_expr(rho, ch)),
+                       conformal_factor=parse_expr(rho, ch))
+    assert build_metric(spec).dim == 3
+    bad = "x0 - 0.5"
+    spec = ProductSpec("twisted", factors, twists=(ONE, parse_expr(bad, ch), parse_expr(bad, ch)),
+                       conformal_factor=parse_expr(bad, ch))
+    with pytest.raises(ConstraintError) as err:
+        build_metric(spec)
+    assert str(err.value) == "twist 1 is -0.5 <= 0 at (0.0, 0.0, 0.0)"
+
+
+@pytest.mark.parametrize("phi, message", [
+    ("t - 1.5", "conformal factor is -1 <= 0 at (0.5, 0.0)"),
+    ("log(t - 1)", "conformal factor not evaluable at (0.5, 0.0): "
+                   "log of a nonpositive value: log(x0 - 1)"),
+])
+def test_conformal_scale_gate_messages(phi, message):
+    g = fixtures.polar()
+    with pytest.raises(ConstraintError) as err:
+        conformal_scale(g, parse_expr(phi, g.chart))
+    assert str(err.value) == message
+
+
+def test_codazzi_reciprocal_gate_message():
+    factors = (_line(0.0, 1.0, "x0"), _line(0.0, 1.0, "x1"))
+    with pytest.raises(ConstraintError) as err:
+        build_codazzi_candidate("conformal_product", factors=factors,
+                                phi0=parse_expr("x0 - 0.75", factors[0].chart),
+                                phi1=parse_expr("x1", factors[1].chart))
+    assert str(err.value) == "reciprocal conformal factor is -0.75 <= 0 at (0.0, 0.0)"
 
 
 @settings(max_examples=20)
