@@ -290,6 +290,17 @@ def _levi_civita(G, dG, d2G=None):
     return Ginv, gamma.reshape(m, n, n, n), dgamma.reshape(m, n, n, n, n)
 
 
+def _metric_jets(J: np.ndarray, n: int) -> tuple:
+    """G, dG, G^-1, Gamma and d Gamma (_levi_civita) over the samples from
+    the jets J (m, 1 + n + n(n+1)/2, n(n+1)/2) of the metric's upper
+    triangle, rows as Tape.jet_sweep gives them."""
+    iu, ju = _pairs(n, 0)
+    seconds = np.empty((len(J), n, n, J.shape[2]))
+    seconds[:, iu, ju] = seconds[:, ju, iu] = J[:, n + 1 :]
+    G, dG, d2G = (_symmetric(a, n) for a in (J[:, 0], J[:, 1 : n + 1], seconds))
+    return (G, dG, *_levi_civita(G, dG, d2G))
+
+
 def _symmetric(cols: np.ndarray, n: int) -> np.ndarray:
     """The symmetric (..., n, n) matrices whose upper triangles, in
     np.triu_indices order, fill the last axis of cols: G from the values of

@@ -11,10 +11,13 @@ the identities, classifies the pair (metric, tensor), and builds the two
 canonical model pairs that realize the classification.
 
 Every field is compiled into an evaluation tape and run once over all sample
-points; residuals are stacked numpy over the sample axis. The eigen-net's
-mean curvature normals, their partials and the Christoffel symbols come from
-the batch of second-order jets that also classifies the net (nets._Samples),
-and covariant Hessians and derivatives are contracted numerically. Errors and
+points; residuals are stacked numpy over the sample axis. The analysis
+jet-sweeps the samples twice: pass 1 the metric and the tensor, whose
+partials give the Codazzi residual and the Christoffel symbols and their
+partials; pass 2 the eigenvalue fields and the eigen-net's frame, whose
+jets give, with the metric's, the eigen-net's mean curvature normals and
+their partials in the batch that also classifies the net (nets._Samples).
+Covariant Hessians and derivatives are contracted numerically. Errors and
 warnings are those of checking one sample at a time in plan order.
 
 Residual vocabulary (all residuals are normalized to be scale-free):
@@ -54,12 +57,12 @@ import numpy as np
 
 from .chart_calculus import (
     MetricField,
+    _checked,
     _cov,
     _ginner,
     _gnorm,
     _hess,
-    _jets,
-    _levi_civita,
+    _metric_jets,
     _stacked,
     _symmetric,
 )
@@ -74,6 +77,7 @@ from .nets import (
     NetReport,
     OrthogonalNet,
     _classify,
+    _frame_roots,
     _Samples,
     _status,
 )
@@ -176,20 +180,25 @@ class SymTensorField:
 @dataclass
 class _Fields:
     """Metric, tensor, self-adjointness defect and Codazzi residual over the
-    samples; the residual is zero where no pair vectors were evaluated."""
+    samples; the residual is zero where no pair vectors were evaluated.
+    metric holds, after a jet sweep, the metric's jets as _metric_jets gives
+    them, (G, dG, G^-1, Gamma, d Gamma), and is None otherwise."""
 
+    points: np.ndarray  # (m, n)
     G: np.ndarray  # (m, n, n)
     P: np.ndarray  # (m, n, n)
     defect: np.ndarray  # (m,)
     codazzi: np.ndarray  # (m,)
+    metric: tuple | None = None
 
 
 def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
                    codazzi: bool = False) -> _Fields:
     """Evaluate the metric and the tensor over the samples with one tape
-    run, and with codazzi the Codazzi residual: the run is then a jet sweep,
-    whose partials of the metric and of the tensor give Gamma (_levi_civita)
-    and (nabla_i Phi)e_j - (nabla_j Phi)e_i, i < j, with
+    run, and with codazzi (and dim > 1) the Codazzi residual: the run is
+    then a jet sweep, whose partials of the metric give Gamma, d Gamma and
+    G^-1 (_metric_jets, kept in the result for the eigen-net), and with
+    those of the tensor (nabla_i Phi)e_j - (nabla_j Phi)e_i, i < j, with
 
         (nabla_i Phi)^k_j = d_i Phi^k_j + Gamma^k_il Phi^l_j - Phi^k_l Gamma^l_ij.
 
@@ -199,7 +208,7 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
     entries where their jets are not finite. Every sample up to that one
     that passes the positivity check warns if it is ill-conditioned."""
     n = g.dim
-    nn = n * n
+    nn, nt = n * n, n * (n + 1) // 2
     roots = [e for row in phi.components for e in row]
     codazzi = codazzi and n > 1
 
@@ -218,8 +227,11 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
             f"tensor is not self-adjoint at {label}: defect {defect(G, v):.3e}"
         ),
     )
+    metric = None
     if codazzi:
-        G, dG, J = _jets(g, roots, pts, labels, [adjoint])
+        G, sweep = _checked(g, roots, pts, labels, [adjoint], jets=True)
+        pts, J = sweep.points, sweep.jets[:, :, nt:]
+        metric = _metric_jets(sweep.jets[:, :, :nt], n)
         vals = J[:, 0]
     else:
         G, vals = _stacked(g, roots, pts, labels, [adjoint])
@@ -228,14 +240,14 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
     codazzi_res = np.zeros(m)
     if codazzi:
         dP = J[:, 1 : n + 1].reshape(m, n, n, n).swapaxes(2, 3)  # d_a Phi^k_b at [:, a, b, k]
-        gam = _levi_civita(G, dG)[1]
+        gam = metric[3]
         # (nabla_a Phi)^k_b at [:, a, b, k]
         N = dP + np.einsum("mkal,mlb->mabk", gam, P) - np.einsum("mkl,mlab->mabk", P, gam)
         norms = np.sqrt(np.maximum(np.einsum("mii->mi", G), 0.0))
         ia, ib = _pairs(n, 1)
         scale = np.maximum(norms[:, ia] * norms[:, ib], 1e-300)
         codazzi_res = (_gnorm(N[:, ia, ib] - N[:, ib, ia], G) / scale).max(axis=1)
-    return _Fields(G, P, defect(G, vals), codazzi_res)
+    return _Fields(pts, G, P, defect(G, vals), codazzi_res, metric)
 
 
 def self_adjoint_defect(g: MetricField, phi: SymTensorField, p) -> float:
@@ -404,16 +416,23 @@ def _pivots(a: np.ndarray, rank: int) -> list[int]:
 
 class _EigenModel:
     """Eigenvalue fields, derivative fields and the eigen-net of (g, Phi),
-    anchored at one sample point where the pointwise decomposition is pair.
+    anchored at one sample point where the pointwise decomposition is pair
+    and the tensor's components are P0.
 
     With two eigenvalues of constant ranks p and q the trace invariants
     t1 = tr Phi and t2 = tr Phi^2 determine both eigenvalue fields in closed
-    form up to a global sign, which the anchor point fixes. The eigen-net
-    frame is read off the spectral projector (Phi - mu I)/(lambda - mu),
-    taking the columns that _pivots selects at the anchor.
+    form up to a global sign, which the anchor point fixes: one tape holds
+    both sign candidates and runs at the anchor. The eigen-net frame is
+    read off the spectral projectors (Phi - mu I)/(lambda - mu) and
+    (Phi - lambda I)/(mu - lambda), taking the columns that _pivots selects
+    from their values at the anchor, which numpy forms from P0 and the
+    chosen candidates; only those columns are built as expressions. Where a
+    projector value is not finite, the projector entries are run at the
+    anchor as expressions instead, which raises what evaluating them raises.
     """
 
-    def __init__(self, g: MetricField, phi: SymTensorField, p0, pair: EigenPair):
+    def __init__(self, g: MetricField, phi: SymTensorField, p0, pair: EigenPair,
+                 P0: np.ndarray):
         self.g = g
         anchor = tuple(float(x) for x in p0)
         at_anchor = np.array([anchor])
@@ -443,22 +462,25 @@ class _EigenModel:
                 f"decomposition at {anchor}: error {errs[best]:.3e}"
             )
         self.lam_expr, self.mu_expr = signs[best]
+        lam0, mu0 = vals[2 * best], vals[2 * best + 1]
 
         gap_e = sub(self.lam_expr, self.mu_expr)
 
-        def projector(shift: Expr):
-            return [
-                [div(sub(comp[i][j], shift) if i == j else comp[i][j], gap_e) for j in range(n)]
-                for i in range(n)
-            ]
+        def entry(shift: Expr, i: int, j: int) -> Expr:
+            return div(sub(comp[i][j], shift) if i == j else comp[i][j], gap_e)
 
         # the mu projector is (Phi - lam I)/(mu - lam); reuse gap_e with a sign
-        mats = (projector(self.mu_expr), projector(self.lam_expr))
-        vals = compile_tape([e for mat in mats for row in mat for e in row]).run(at_anchor)
+        shifts = (self.mu_expr, self.lam_expr)
+        with np.errstate(all="ignore"):
+            gap = lam0 - mu0
+            mats = np.stack([(P0 - s * np.eye(n)) / gap for s in (mu0, lam0)])
+        if not (np.isfinite(gap) and np.isfinite(mats).all()):
+            mats = compile_tape([entry(s, i, j) for s in shifts for i in range(n)
+                                 for j in range(n)]).run(at_anchor).reshape(2, n, n)
         frame = []
-        for mat, v, rank, sign in zip(mats, vals.reshape(2, n, n), (pr, qr), (ONE, const(-1.0))):
+        for shift, v, rank, sign in zip(shifts, mats, (pr, qr), (ONE, const(-1.0))):
             for c in sorted(_pivots(v, rank)):
-                frame.append(tuple(mul(sign, mat[i][c]) for i in range(n)))
+                frame.append(tuple(mul(sign, entry(shift, i, c)) for i in range(n)))
         blocks = (tuple(range(pr)), tuple(range(pr, n)))
         self.net = OrthogonalNet(g.chart, frame, blocks)
 
@@ -534,33 +556,39 @@ class _Scores:
         )
 
 
-def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Samples,
-              gap_min: float, h_expr: Expr | None = None) -> _Scores:
-    """Score every identity at every sample.
+def _criteria(fields: _Fields, eig: _Eigen, model: _EigenModel, labels, gap_min: float,
+              h_expr: Expr | None = None) -> tuple[_Scores, _Samples]:
+    """Score every identity at every sample. Returns the scores and the
+    eigen-net's samples, whose checks have not run.
 
-    The mean curvature normals eta and zeta, their partials, the Christoffel
-    symbols and the inverse metric come from the eigen-net's jets in
-    samples; one tape holds lambda, mu and h(mu), and its jet sweep gives
-    the first and second partials of lambda and mu. The partials of
+    This is the second jet sweep of the samples; the first (_metric_tensor)
+    gave the metric's jets, G^-1, Gamma and d Gamma. One tape holds lambda,
+    mu and h(mu), then the eigen-net's frame entries (_frame_roots), and its
+    jet sweep gives the first and second partials of lambda and mu and,
+    with the metric's, the eigen-net's samples (_Samples): the mean
+    curvature normals eta and zeta and their partials. The partials of
     alpha = (lambda + mu)/2 and beta = (mu - lambda)/(mu + lambda) follow
     from these where lambda + mu is bounded away from zero, the only samples
     that read them.
     Failures are raised in the order of checking one sample at a time: the
     two clusters, the evaluation of lambda, a change of rank, then the
-    fields. Where the jets of lambda or mu are not finite but the values
-    are clean, their diff trees give the jets or the error (Sweep.repair;
-    h is read by value only). The fields fail in this order: the values of
-    mu and h, the diff trees of lambda and mu, then the field stage of the
-    eigen-net (_Samples.field_error)."""
+    fields. Where the jets of lambda or mu are not finite but the values of
+    lambda and mu are clean, their diff trees give the jets or the error
+    (Sweep.repair; h is read by value only, and _Samples mends the frame's
+    jets). The fields fail in this order: the values of mu and h, the diff
+    trees of lambda and mu, then the field stage of the eigen-net
+    (_Samples.field_error); a frame entry that fails to evaluate is left to
+    that stage and to the eigen-net's checks."""
     n = model.g.dim
-    labels = samples.labels
     m = len(labels)
     pr = model.rank_lambda
 
     hs = [h_expr] if h_expr is not None else []
-    tape = compile_tape([model.lam_expr, model.mu_expr, *hs])
-    sweep = tape.jet_sweep(samples.sweep.points)
+    k = 2 + len(hs)  # the roots before the frame's
+    tape = compile_tape([model.lam_expr, model.mu_expr, *hs, *_frame_roots(model.net)])
+    sweep = tape.jet_sweep(fields.points)
     errors = sweep.repair(2)
+    samples = _Samples(model.g, model.net, range(2), sweep.points, labels, fields.metric, sweep)
     fb = sweep.first_bad
     # d_i lambda, d_i mu, d_i d_l lambda and d_i d_l mu from the jets
     dlam, dmu = sweep.jets[:, 1 : n + 1, 0], sweep.jets[:, 1 : n + 1, 1]
@@ -571,7 +599,7 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Sample
     lam_ok = fb >= tape.bounds[1]
     eig.align(np.where(lam_ok, sweep.values[:, 0], 0.0))
     stage = np.full(m, _OK)
-    stage[(fb < tape.size) | ~samples.derived_ok] = _FIELD_DOMAIN
+    stage[(fb < tape.bounds[k]) | ~samples.derived_ok] = _FIELD_DOMAIN
     stage[[*errors, *samples.input_errors]] = _FIELD_DOMAIN
     stage[eig.rank_lambda() != pr] = _RANK_CHANGE
     stage[~lam_ok] = _LAM_DOMAIN
@@ -587,14 +615,14 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Sample
                 f"eigenvalue ranks change at {labels[j]}: "
                 f"{eig.rank_lambda()[j]} vs {pr} at the anchor"
             )
-        if fb[j] < tape.size:  # lambda, or at the field stage mu or h
+        if fb[j] < tape.bounds[k]:  # lambda, or at the field stage mu or h
             raise sweep.error(j)
         raise errors[j] if j in errors else samples.field_error(j)
 
     lam, mu = eig.lam, eig.mu
     cp_ok = np.abs(lam + mu) > gap_min * (1.0 + np.abs(lam) + np.abs(mu))
     X, Y = eig.bases(pr)
-    lam_c, mu_c, *h_vals = sweep.values.T
+    lam_c, mu_c, *h_vals = sweep.values[:, :k].T
     # eta, zeta, d_i eta^k, d_i zeta^k and Gamma^k_ij from the eigen-net's jets
     lam_side, mu_side = (samples.sides[s] for s in model.net.blocks)
     eta_v, zeta_v, deta_v, dzeta_v, gam = (
@@ -679,16 +707,18 @@ def _criteria(model: _EigenModel, fields: _Fields, eig: _Eigen, samples: _Sample
         X=X,
         relation=relation,
         ode=ode,
-    )
+    ), samples
 
 
 def _eigen_model(g: MetricField, phi: SymTensorField, pts, labels, gap_min: float,
                  tol: float, codazzi: bool = False):
-    """Fields and eigenstructure over the samples, the eigen model anchored
-    at the first sample, and the unchecked samples of its net. Raises
+    """Fields and eigenstructure over the samples and the eigen model
+    anchored at the first sample: the first of the two jet sweeps of the
+    samples (_metric_tensor), whose metric jets _criteria reads. Raises
     NotCodazziError at the worst sample when codazzi is set and the residual
-    exceeds tol."""
-    fields = _metric_tensor(g, phi, pts, labels, tol, codazzi)
+    exceeds tol. The Codazzi residual is formed either way, on the jet sweep
+    that pass 2 needs."""
+    fields = _metric_tensor(g, phi, pts, labels, tol, codazzi=True)
     if codazzi:
         j = int(np.argmax(fields.codazzi))
         worst = float(fields.codazzi[j])
@@ -701,8 +731,8 @@ def _eigen_model(g: MetricField, phi: SymTensorField, pts, labels, gap_min: floa
     eig = _Eigen(fields.G, fields.P, gap_min)
     if eig.failed()[0]:
         raise eig.error(0, labels[0])
-    model = _EigenModel(g, phi, labels[0], eig.pair(0, fields.G[0], fields.P[0]))
-    return fields, eig, model, _Samples(g, model.net, range(2), pts, labels)
+    model = _EigenModel(g, phi, labels[0], eig.pair(0, fields.G[0], fields.P[0]), fields.P[0])
+    return fields, eig, model
 
 
 def criteria_residuals(g: MetricField, phi: SymTensorField, p,
@@ -710,8 +740,8 @@ def criteria_residuals(g: MetricField, phi: SymTensorField, p,
     """Evaluate all eigenvalue identities at one point, anchoring the
     closed-form fields at that same point."""
     p = tuple(float(x) for x in p)
-    fields, eig, model, samples = _eigen_model(g, phi, [p], [p], gap_min, tol)
-    return _criteria(model, fields, eig, samples, gap_min).record(0)
+    fields, eig, model = _eigen_model(g, phi, [p], [p], gap_min, tol)
+    return _criteria(fields, eig, model, [p], gap_min)[0].record(0)
 
 
 # --- classification -------------------------------------------------------------
@@ -801,11 +831,11 @@ def classify_codazzi(
     """
     plan = plan or SamplePlan()
     pts = sample_points(g.chart, plan)
-    labels = [tuple(float(x) for x in p) for p in pts]
-    fields, eig, model, samples = _eigen_model(g, phi, pts, labels, gap_min, tol, codazzi=True)
+    labels = [tuple(p) for p in pts.tolist()]
+    fields, eig, model = _eigen_model(g, phi, pts, labels, gap_min, tol, codazzi=True)
     worst = float(fields.codazzi.max())
     h_expr = _h_of_mu(h, model.mu_expr) if h is not None else None
-    sc = _criteria(model, fields, eig, samples, gap_min, h_expr)
+    sc, samples = _criteria(fields, eig, model, labels, gap_min, h_expr)
 
     eigen_samples = [
         {"point": list(p), "lam": float(lv), "mu": float(mv)}
@@ -907,6 +937,9 @@ def _warping_profile(g: MetricField, model: _EigenModel, axis: int,
     samples, must be block diagonal between the axis and the remaining
     coordinates. The warping is recovered from determinant ratios of the
     complementary block, so it is normalized to 1 at the chart center.
+    One tape of the block's entries and mu is swept over the chart center
+    and the axis line; the center raises where the block fails there (mu is
+    not read there), then the first point of the line that fails.
     """
     n = g.dim
     others = [i for i in range(n) if i != axis]
@@ -922,12 +955,16 @@ def _warping_profile(g: MetricField, model: _EigenModel, axis: int,
     ts = grid_axes(g.chart, plan.grid, plan.margin)[axis]
     line = np.array([[t if i == axis else base[i] for i in range(n)] for t in ts])
     # the block at the base point first, then per t the block and mu
-    at_base = compile_tape(entries).run(np.array([base]))
-    vals = compile_tape([*entries, model.mu_expr]).run(line)
-    base_det, *dets = np.linalg.det(_symmetric(np.concatenate([at_base, vals[:, :-1]]), r)).tolist()
+    sweep = compile_tape([*entries, model.mu_expr]).sweep(np.vstack([base, line]))
+    ends = np.full(len(line) + 1, sweep.tape.size)
+    ends[0] = sweep.tape.bounds[-2]  # mu is not read at the base point
+    failed = np.flatnonzero(sweep.first_bad < ends)
+    if failed.size:
+        raise sweep.error(int(failed[0]))
+    base_det, *dets = np.linalg.det(_symmetric(sweep.values[:, :-1], r)).tolist()
     power = 1.0 / (2.0 * model.rank_mu)
     out = [{"t": float(t), "mu_tilde": float(mu), "sigma_ratio": float((d / base_det) ** power)}
-           for t, d, mu in zip(ts, dets, vals[:, -1])]
+           for t, d, mu in zip(ts, dets, sweep.values[1:, -1])]
     return out, base
 
 
@@ -948,7 +985,7 @@ _COARSE_PLAN = SamplePlan(grid=3, margin=0.1, random=4, seed=7)
 
 def _coarse_codazzi(g: MetricField, phi: SymTensorField) -> float:
     pts = sample_points(g.chart, _COARSE_PLAN)
-    labels = [tuple(float(x) for x in p) for p in pts]
+    labels = [tuple(p) for p in pts.tolist()]
     fields = _metric_tensor(g, phi, pts, labels, 1e-8, codazzi=True)
     return float(fields.codazzi.max())
 

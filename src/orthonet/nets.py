@@ -6,10 +6,12 @@ blocks. The module compiles the metric entries, and the frame entries unless
 the frame is constant, into one evaluation tape and runs its jet sweep once
 over every sample point, which carries their first and second partials
 through the tape by forward propagation (Tape.jet_sweep; a clean run builds
-no derivative tree). From these second-order jets, the Christoffel kernel
-every consumer shares (chart_calculus._levi_civita) gives the Christoffel
-symbols and their partials, and stacked numpy gives per block and
-complement the projector onto the span, nabla_{X_a} X_b, the mean
+no derivative tree); a caller that has the metric's jets from a sweep of its
+own passes them with a sweep of the frame entries. From these second-order
+jets, the Christoffel kernel every consumer shares
+(chart_calculus._levi_civita) gives the Christoffel symbols and their
+partials, and stacked numpy gives per block and complement the projector
+onto the span, nabla_{X_a} X_b, the mean
 curvature normal H and its partials by the product rule, so
 nabla_X H = (dH) X + Gamma(X, H) needs no derivative tree of H (O'Neill,
 Semi-Riemannian Geometry, 1983, ch. 4 and 7). numpy then reduces the
@@ -63,9 +65,8 @@ from .chart_calculus import (
     _ginner,
     _gnorm,
     _inv,
-    _levi_civita,
     _metric_checks,
-    _symmetric,
+    _metric_jets,
     _warn_conditions,
 )
 from .errors import (
@@ -169,16 +170,23 @@ def _mul(T: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (rows @ B).reshape(T.shape[:-1] + B.shape[-1:])
 
 
-def _geometry(jets: np.ndarray, n: int, spans, frame) -> tuple:
+def _frame_roots(net: OrthogonalNet) -> list:
+    """The frame entries, row by row, that a jet tape holds: none when
+    every entry is a constant."""
+    entries = [e for f in net.frame for e in f]
+    return [] if all(isinstance(e, Const) for e in entries) else entries
+
+
+def _geometry(metric: tuple, frame_jets, spans, frame) -> tuple:
     """The geometry of each of the spans, tuples of frame indices, from the
-    jets of the upper triangle of the metric and, for a frame that is not
-    constant, of the frame entries, (m, 1 + n + n(n+1)/2, roots) as
-    Tape.jet_sweep gives them.
+    metric's jets as _metric_jets gives them, (G, dG, G^-1, Gamma,
+    d Gamma), and, for a frame that is not constant, the jets of the frame
+    entries, (m, 1 + n + n(n+1)/2, n^2) as Tape.jet_sweep gives them.
 
     frame is the frame as an (n, n) array when all its entries are
-    constants: the jets then hold the metric's roots only, F is the frame
-    broadcast over the samples, and the terms with a frame partial are
-    skipped. It is None otherwise. Per span of rank r > 0 the result holds
+    constants: frame_jets is then None, F is the frame broadcast over the
+    samples, and the terms with a frame partial are skipped. It is None
+    otherwise. Per span of rank r > 0 the result holds
 
         H          (m, n)         (I - R g) K / r
         defects    (m, pairs, n)  C_ab^perp - M_ab H, a <= b, when r > 1
@@ -198,30 +206,25 @@ def _geometry(jets: np.ndarray, n: int, spans, frame) -> tuple:
     Spans of rank 0 map to None. All spans go through each step together.
     Returns the metric G (m, n, n), its inverse, the Christoffel symbols
     Gamma^k_ij (m, k, i, j), the frame F (m, n, n) and that map."""
-    m = len(jets)
-    nt = n * (n + 1) // 2
-    iu, ju = _pairs(n, 0)
-
-    values, firsts = jets[:, 0], jets[:, 1 : n + 1]
-    seconds = np.empty((m, n, n, jets.shape[2]))
-    seconds[:, iu, ju] = seconds[:, ju, iu] = jets[:, n + 1 :]
-    G, dG, d2G = (_symmetric(a[..., :nt], n) for a in (values, firsts, seconds))
+    G, dG, Ginv, gamma, dgamma = metric
+    m, n = G.shape[:2]
     if frame is None:
-        F = values[:, nt:].reshape(m, n, n)
+        iu, ju = _pairs(n, 0)
+        F = frame_jets[:, 0].reshape(m, n, n)
+        dF = frame_jets[:, 1 : n + 1].reshape(m, n, n, n)  # d_p X_a^k
+        d2F = np.empty((m, n, n, n * n))
+        d2F[:, iu, ju] = d2F[:, ju, iu] = frame_jets[:, n + 1 :]
+        d2F = d2F.reshape(m, n, n, n, n)  # d_p d_q X_a^k
     else:
         F = np.broadcast_to(frame, (m, n, n))
 
     # Gamma over rows k, columns ij, and d Gamma over rows (p, k), columns ij
-    Ginv, gamma, dgamma = _levi_civita(G, dG, d2G)
     gamma, dgamma = gamma.reshape(m, n, n * n), dgamma.reshape(m, n * n, n * n)
     gammaT = np.ascontiguousarray(gamma.swapaxes(1, 2))  # rows ij, columns k
 
     live = [s for s in spans if s]
     S = len(live)
     rank = np.array([len(s) for s in live], dtype=float)[:, None, None]
-    if frame is None:
-        dF = firsts[..., nt:].reshape(m, n, n, n)  # d_p X_a^k
-        d2F = seconds[..., nt:].reshape(m, n, n, n, n)  # d_p d_q X_a^k
     X = [F[:, list(s)] if frame is None else frame[list(s)] for s in live]
     Xt = [x.swapaxes(-1, -2) for x in X]
     M = [_mul(_mul(G, xt).swapaxes(1, 2), xt) for xt in Xt]
@@ -304,36 +307,47 @@ class _Side:
 class _Samples:
     """A net's metric, frame and span residuals over a batch of sample points.
 
-    One tape holds the metric's upper triangle and, when the frame is not
-    constant, the frame entries; a constant frame, as every coordinate net
-    has, stays off the tape and F is that frame broadcast over the samples.
-    One jet sweep gives the values and first and second partials of the
-    roots over all samples, mended from their diff trees where they are not
-    finite (Sweep.repair), and _geometry computes from them, per requested
-    block, the geometry of its span and of its complement, and the
-    residuals. The checks run later,
-    when the caller calls check: per stage over all samples, the first
-    sample that fails any of them raises, with the stage that fails first
-    there, and condition warnings are issued for every sample up to that
-    one."""
+    By default one tape holds the metric's upper triangle and, when the
+    frame is not constant, the frame entries (_frame_roots); a constant
+    frame, as every coordinate net has, stays off the tape and F is that
+    frame broadcast over the samples. One jet sweep gives the values and
+    first and second partials of the roots over all samples, mended from
+    their diff trees where they are not finite (Sweep.repair).
+    A caller that has swept the metric passes its jets as metric, as
+    _metric_jets gives them, and a jet sweep whose last roots are the
+    frame's entries (_frame_roots); only those are mended here, and the
+    values of the roots before them take the place of the metric's in
+    check.
+    _geometry computes, per requested block, the geometry of its span and
+    of its complement, and the residuals. The checks run later, when the
+    caller calls check: per stage over all samples, the first sample that
+    fails any of them raises, with the stage that fails first there, and
+    condition warnings are issued for every sample up to that one."""
 
-    def __init__(self, g: MetricField, net: OrthogonalNet, blocks, pts, labels):
+    def __init__(self, g: MetricField, net: OrthogonalNet, blocks, pts, labels,
+                 metric: tuple | None = None, sweep=None):
         n = g.dim
         self.net, self.labels = net, labels
         self.spans = {i: (net.blocks[i], net.complement(i)) for i in blocks}
         unique = list(dict.fromkeys(s for pair in self.spans.values() for s in pair))
 
-        nt = n * (n + 1) // 2
-        constant = all(isinstance(e, Const) for f in net.frame for e in f)
-        frame = np.array([[e.value for e in f] for f in net.frame]) if constant else None
-        tape = compile_tape([g.entries[i][j] for i, j in zip(*_pairs(n, 0))]
-                            + ([] if constant else [e for f in net.frame for e in f]))
-        self.sweep = sweep = tape.jet_sweep(pts)
-        # by sample, the error of the entries' diff trees where they fail
-        self.input_errors = sweep.repair()
-        self._metric_end = tape.bounds[nt]
+        roots = _frame_roots(net)
+        frame = None if roots else np.array([[e.value for e in f] for f in net.frame])
+        if sweep is None:
+            start = n * (n + 1) // 2
+            sweep = compile_tape([g.entries[i][j] for i, j in zip(*_pairs(n, 0))] + roots).jet_sweep(pts)
+        else:
+            start = len(sweep.tape.root_slots) - len(roots)
+        self.sweep = sweep
+        # by sample, the error of the diff trees of the entries swept for the
+        # net where they fail
+        self.input_errors = sweep.repair(start=0 if metric is None else start)
+        self._frame_start = sweep.tape.bounds[start]
         with np.errstate(all="ignore"):
-            self.G, self.Ginv, self.gamma, self.F, geometry = _geometry(sweep.jets, n, unique, frame)
+            if metric is None:
+                metric = _metric_jets(sweep.jets[:, :, :start], n)
+            self.G, self.Ginv, self.gamma, self.F, geometry = _geometry(
+                metric, sweep.jets[:, :, start:] if roots else None, unique, frame)
             # the Gram matrix of the frame, and the g-norms of its fields
             self.M = self.F @ self.G @ self.F.transpose(0, 2, 1)
             self.norms = np.sqrt(np.maximum(np.einsum("maa->ma", self.M), 0.0))
@@ -371,7 +385,7 @@ class _Samples:
         stage[~self.derived_ok] = _FIELD_DOMAIN
         stage[list(self.input_errors)] = _FIELD_DOMAIN
 
-        metric_ok = fb >= self._metric_end
+        metric_ok = fb >= self._frame_start
         size = self.sweep.tape.size
         not_spd = np.zeros(m, dtype=bool)
         if metric:

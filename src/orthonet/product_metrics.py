@@ -679,8 +679,12 @@ def factorize_cwp(
         sph_worst = float(np.max(np.abs(Kv - rebuilt) / (1.0 + np.abs(Kv))))
         spherical = SphericalSection(kind=kind, phi0=phi0, phis=phis, residual=sph_worst)
 
-    # closed-form conformal factor when provenance provides one that matches;
-    # the check stops at the first mismatch, as the pointwise one did
+    # closed-form conformal factor when provenance provides one that matches:
+    # the candidate divided by its value at base, checked on the full grid,
+    # where the check stops at the first mismatch, as the pointwise one did.
+    # One sweep of the candidate over base and the full grid gives both, and
+    # numpy divides; where a quotient fails, the quotient's tape names the
+    # failing sub-expression
     phi_expr = None
     prov = getattr(g, "provenance", None)
     if isinstance(prov, ProductSpec):
@@ -688,14 +692,20 @@ def factorize_cwp(
         if cand is None and prov.kind in ("product", "warped"):
             cand = ONE
         if cand is not None:
-            cand = div(cand, const(float(compile_tape([cand]).run(np.array([base]))[0, 0])))
-            sweep = compile_tape([cand]).sweep(pts[full])
-            mismatch = np.abs(sweep.values[:, 0] - r0) > 1e-8 * (1.0 + np.abs(r0))
-            hit = _first_fault(sweep, mismatch[:, None])
-            if hit is None:
+            sweep = compile_tape([cand]).sweep(np.vstack([pts[:1], pts[full]]))
+            if sweep.first_bad[0] < sweep.tape.size:
+                raise sweep.error(0)
+            c = float(sweep.values[0, 0])
+            cand = div(cand, const(c))
+            with np.errstate(all="ignore"):
+                vals = sweep.values[1:, 0] / c
+            failed = (sweep.first_bad[1:] < sweep.tape.size) | ~np.isfinite(vals)
+            mismatch = np.abs(vals - r0) > 1e-8 * (1.0 + np.abs(r0))
+            hit = np.flatnonzero(failed | mismatch)
+            if not hit.size:
                 phi_expr = cand
-            elif hit[2]:
-                raise sweep.error(hit[0])
+            elif failed[hit[0]]:
+                raise compile_tape([cand]).sweep(pts[full][hit[:1]]).error(0)
 
     return Factorization(
         base=base,

@@ -635,25 +635,27 @@ class Sweep:
         except EvalDomainError as e:
             return e
 
-    def repair(self, roots: int | None = None) -> dict:
+    def repair(self, roots: int | None = None, start: int = 0) -> dict:
         """Mend the jets of a jet sweep from the diff trees of its roots.
 
-        At a point whose values are clean but where the jets of some of the
-        first `roots` roots (all by default) are not finite, those roots'
-        diff trees are compiled, in the order of the jet rows (the roots,
-        then d_p over p, then d_p d_q over p <= q, each over the roots), and
-        swept there. Where they evaluate, their values replace those roots'
-        jets; where they fail, the jets stay as they were. Returns, by point,
-        the error their sweep raises first at each point where they fail."""
+        At a point where the values of the first `roots` roots (all by
+        default) are clean but the jets of some of those from root `start`
+        on are not finite, those roots' diff trees are compiled, in the
+        order of the jet rows (the roots, then d_p over p, then d_p d_q over
+        p <= q, each over the roots), and swept there. Where they evaluate,
+        their values replace those roots' jets; where they fail, the jets
+        stay as they were. Returns, by point, the error their sweep raises
+        first at each point where they fail."""
         J, n = self.jets, self.points.shape[1]
+        stop = len(self.tape.root_slots) if roots is None else roots
         with np.errstate(all="ignore"):
-            if np.isfinite(J[:, :, :roots].sum()):  # a sum that overflows takes the full check
+            if np.isfinite(J[:, :, start:stop].sum()):  # a sum that overflows takes the full check
                 return {}
-            bad = ~np.isfinite(J[:, :, :roots]).all(axis=1)
-        bad &= (self.first_bad == self.tape.size)[:, None]
+            bad = ~np.isfinite(J[:, :, start:stop]).all(axis=1)
+        bad &= (self.first_bad >= self.tape.bounds[stop])[:, None]
         groups: dict = {}
         for j in np.flatnonzero(bad.any(axis=1)):
-            groups.setdefault(tuple(np.flatnonzero(bad[j])), []).append(int(j))
+            groups.setdefault(tuple((start + np.flatnonzero(bad[j])).tolist()), []).append(int(j))
         errors = {}
         for cols, js in groups.items():
             es = [self.tape.nodes[self.tape.root_slots[c]] for c in cols]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_expr, random_point
-from orthonet import codazzi, fixtures, nets
+from orthonet import chart_calculus, codazzi, fixtures, nets, scalar_fields
 from orthonet.chart_calculus import MetricField, hessian_lc, metric_at
 from orthonet.codazzi import (
     CodazziCandidate,
@@ -51,6 +51,7 @@ from orthonet.scalar_fields import (
     const,
     diff,
     evaluate,
+    format_expr,
     parse_expr,
     sub,
     var,
@@ -275,21 +276,26 @@ def test_trace_free_pair_skips_conformal_product_criterion(monkeypatch):
     # lam + mu = 0 everywhere, so the alpha-beta identity has no meaning
     g = euclidean(2)
     phi = SymTensorField.diagonal(g.chart, [ONE, const(-1.0)], metric=g)
-    scores, tapes = codazzi._criteria, []
+    scores, tapes, trees = codazzi._criteria, [], []
 
-    def counting(roots):
-        tapes.append(roots)
-        return compile_tape(roots)
+    def counting(found):
+        def compiled(roots):
+            found.append(roots)
+            return compile_tape(roots)
+
+        return compiled
 
     def criteria_spy(*args, **kwargs):
         with pytest.MonkeyPatch.context() as inner:
-            inner.setattr(codazzi, "compile_tape", counting)
+            inner.setattr(codazzi, "compile_tape", counting(tapes))
+            inner.setattr(scalar_fields, "compile_tape", counting(trees))
             return scores(*args, **kwargs)
 
     monkeypatch.setattr(codazzi, "_criteria", criteria_spy)
     rep = classify_codazzi(g, phi, plan=PLAN)
-    # no sample fails the criteria sweep, so none is swept again
-    assert len(tapes) == 1
+    # the criteria compile the one pass-2 tape, and no jet of it fails, so no
+    # diff tree is swept
+    assert len(tapes) == 1 and trees == []
     assert rep.flags["conformal_product"].status == "not_applicable"
     assert rep.residuals["conformal_product"] is None
     assert rep.relation_case is None
@@ -489,9 +495,9 @@ def _flat_diagonal(diag):
     return g, SymTensorField.diagonal(chart, [parse_expr(t, chart) for t in diag], metric=g)
 
 
-def _raises(g, phi, exc, message, plan=GRID4, h=None):
+def _raises(g, phi, exc, message, plan=GRID4, h=None, gap_min=codazzi.GAP_MIN):
     with pytest.raises(exc) as info:
-        classify_codazzi(g, phi, h=h, plan=plan)
+        classify_codazzi(g, phi, h=h, plan=plan, gap_min=gap_min)
     assert str(info.value) == message
 
 
@@ -529,6 +535,88 @@ def test_coalescence_precedes_later_field_domain_error():
     # which reads the jets of the tensor before any eigenvalue is formed
     g, phi = _flat_diagonal([f"2 + (x0 - 0.1)*(1 + ((x0 - {C})^2)^0.75)", "2 - (x1 - 0.9)^2"])
     _raises(g, phi, EvalDomainError, f"zero raised to a negative power: ((x0 - {C})^2)^-0.25")
+
+
+_MU = Chart.box([(-1e9, 1e9)], names=("mu",))
+
+
+def _model(g, phi, plan):
+    """The eigen model that classify_codazzi anchors on the plan's samples,
+    and the samples."""
+    pts = sample_points(g.chart, plan)
+    labels = [tuple(p) for p in pts.tolist()]
+    return codazzi._eigen_model(g, phi, pts, labels, codazzi.GAP_MIN, 1e-8)[2], pts
+
+
+def test_h_failing_where_lambda_and_mu_evaluate_names_h():
+    # lambda = 3 + (x0 - 0.1) and mu = 2 - (x1 - 0.9)^2 evaluate everywhere;
+    # h(mu) = sqrt(1.99 - mu) fails where x1 > 0.8, first at (0.1, 0.9),
+    # sample 3, and the error names the node of h(mu)
+    g, phi = _flat_diagonal(["3 + (x0 - 0.1)", "2 - (x1 - 0.9)^2"])
+    h = parse_expr("sqrt(1.99 - mu)", _MU)
+    model, pts = _model(g, phi, GRID4)
+    h_mu = codazzi._h_of_mu(h, model.mu_expr)
+    sweep = compile_tape([h_mu]).sweep(pts)
+    assert np.flatnonzero(sweep.first_bad < sweep.tape.size)[0] == 3
+    with pytest.raises(EvalDomainError) as info:
+        classify_codazzi(g, phi, h=h, plan=GRID4)
+    assert str(info.value) == f"sqrt of a negative value: {format_expr(h_mu)}"
+
+
+def test_h_with_non_finite_jets_is_read_by_value(monkeypatch):
+    # h(mu) = 1 + sqrt(mu - mu) is 1 at every sample, but its jets are inf * 0
+    # there; h is read by value only, so the torus reads as with h = 1 and
+    # no diff tree is swept
+    g, phi = torus()
+    h = parse_expr("1 + sqrt(mu - mu)", _MU)
+    want = classify_codazzi(g, phi, h=const(1.0), plan=PLAN).to_dict()
+    model, pts = _model(g, phi, PLAN)
+    sweep = compile_tape([codazzi._h_of_mu(h, model.mu_expr)]).jet_sweep(pts)
+    assert (sweep.first_bad == sweep.tape.size).all()
+    assert (sweep.values == 1.0).all() and not np.isfinite(sweep.jets[:, 1:]).any()
+    trees, compile_ = [], scalar_fields.compile_tape
+
+    def counting(roots):
+        trees.append(roots)
+        return compile_(roots)
+
+    monkeypatch.setattr(scalar_fields, "compile_tape", counting)
+    assert classify_codazzi(g, phi, h=h, plan=PLAN).to_dict() == want
+    assert trees == []
+
+
+def test_coalescence_precedes_a_later_lambda_domain_error():
+    # the eigenvalues 1 + x0 and 1.1 + (x1 - C) + exp(1400 (x1 - 0.62))
+    # coalesce at (0.1, C), sample 1, where the exponential is below the
+    # rounding of 1.1; on the x1 = 0.9 column, from sample 3 on, tr Phi^2
+    # overflows, so the closed-form eigenvalue fields fail there though Phi
+    # evaluates
+    b = f"1.1 + (x1 - {C}) + exp(1400*(x1 - 0.62))"
+    g, phi = _flat_diagonal(["1 + x0", b])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # |Phi|^2 overflows in numpy too
+        model, pts = _model(g, phi, GRID4)
+        lam = compile_tape([model.lam_expr]).sweep(pts)
+        assert np.flatnonzero(lam.first_bad < lam.tape.size)[0] == 3
+        _raises(g, phi, CoalescenceError, f"eigenvalues coalesce at (0.1, {C}): spread 0.000e+00")
+        # without the coalescence, lambda fails at sample 3
+        g, phi = _flat_diagonal(["1.2 + x0", b])
+        model, pts = _model(g, phi, GRID4)
+        want = str(compile_tape([model.lam_expr]).sweep(pts).error(3))
+        _raises(g, phi, EvalDomainError, want)
+    assert want.startswith("non-finite value: ")
+
+
+def test_closed_form_gap_of_zero_at_the_anchor_raises_the_projector_error():
+    # the eigenvalues 1 and 1 + 1e-9 split by more than gap_min = 1e-12, but
+    # tr Phi^2 rounds so that the closed-form lambda and mu agree at the
+    # anchor: the spectral projector divides by zero there
+    g, phi = _flat_diagonal(["1", "1 + 1e-9"])
+    want = "division by zero: (-5.000000413701855e-10)/0"
+    _raises(g, phi, EvalDomainError, want, plan=SamplePlan(grid=3, random=0), gap_min=1e-12)
+    with pytest.raises(EvalDomainError) as info:
+        criteria_residuals(g, phi, (0.5, 0.5), gap_min=1e-12)
+    assert str(info.value) == want
 
 
 def test_eigenvalue_rank_change():
@@ -652,18 +740,31 @@ def test_non_finite_eigenvalue_jets_fall_back_to_diff_trees(monkeypatch):
     # trees of the pointwise definition give the partials
     g, phi = _conformal_pair()
     want = _numbers(classify_codazzi(g, phi, plan=PLAN).to_dict())
-    jet_sweep = Tape.jet_sweep
+    jet_sweep, compile_ = Tape.jet_sweep, codazzi.compile_tape
+    tapes, landed = set(), []
+
+    def compiled(roots):
+        tape = compile_(roots)
+        tapes.add(id(tape))
+        return tape
 
     def poisoned(self, points):
         sweep = jet_sweep(self, points)
-        if len(self.root_slots) == 2:  # lambda and mu of the criteria
+        # pass 2 is the one codazzi tape with a jet sweep: lambda, mu, the frame
+        if id(self) in tapes:
             n = points.shape[1]
             sweep.jets[1, 1 + n, 0] = np.nan  # d_0 d_0 lambda at sample 1
             sweep.jets[3, 1, 1] = np.inf  # d_0 mu at sample 3
+            landed.append(sweep)
         return sweep
 
+    monkeypatch.setattr(codazzi, "compile_tape", compiled)
     monkeypatch.setattr(Tape, "jet_sweep", poisoned)
     got = _numbers(classify_codazzi(g, phi, plan=PLAN).to_dict())
+    # the poison landed on the one pass-2 sweep, and the diff trees mended it
+    assert len(landed) == 1
+    n = g.dim
+    assert np.isfinite([landed[0].jets[1, 1 + n, 0], landed[0].jets[3, 1, 1]]).all()
     assert got.keys() == want.keys()
     for key, value in want.items():
         if isinstance(value, float):
@@ -691,6 +792,56 @@ def test_classify_codazzi_builds_no_symbolic_christoffel_symbols(monkeypatch, ma
     monkeypatch.setattr(MetricField, "inverse_entries", refuse)
     g, phi = make()
     assert classify_codazzi(g, phi, h=h, plan=PLAN).to_dict() == want
+
+
+@pytest.mark.parametrize("make, h", [(torus, const(1.0)), (_conformal_pair, None)],
+                         ids=["torus", "conformal_pair"])
+def test_classify_codazzi_sweeps_its_samples_twice(monkeypatch, make, h):
+    # pass 1 jet-sweeps the metric and Phi, pass 2 lambda, mu, h(mu) and the
+    # eigen-net's frame entries; the eigen-net reads the metric's jets from
+    # pass 1, so the metric entries are compiled once, and the anchor model
+    # and the warping profile compile one tape each
+    g, phi = make()
+    m = len(sample_points(g.chart, PLAN))
+    upper = {id(g.entries[a][b]) for a in range(g.dim) for b in range(a, g.dim)}
+    sweeps, metric_tapes, within, compiles = [], [], [], {}
+    jet_sweep = Tape.jet_sweep
+
+    def counted(self, points):
+        sweeps.append(len(points))
+        return jet_sweep(self, points)
+
+    def spy(compile_):
+        def compiled(roots):
+            roots = list(roots)
+            if upper <= {id(e) for e in roots}:
+                metric_tapes.append(roots)
+            if within:
+                compiles[within[-1]] = compiles.get(within[-1], 0) + 1
+            return compile_(roots)
+
+        return compiled
+
+    def scoped(name, f):
+        def run(*args, **kwargs):
+            within.append(name)
+            try:
+                return f(*args, **kwargs)
+            finally:
+                within.pop()
+
+        return run
+
+    monkeypatch.setattr(Tape, "jet_sweep", counted)
+    for module in (chart_calculus, nets, codazzi, scalar_fields):
+        monkeypatch.setattr(module, "compile_tape", spy(module.compile_tape))
+    monkeypatch.setattr(codazzi._EigenModel, "__init__", scoped("anchor", codazzi._EigenModel.__init__))
+    monkeypatch.setattr(codazzi, "_warping_profile", scoped("warping", codazzi._warping_profile))
+    rep = classify_codazzi(g, phi, h=h, plan=PLAN)
+    assert sweeps == [m, m]
+    assert len(metric_tapes) == 1
+    assert compiles == ({"anchor": 1, "warping": 1} if h is not None else {"anchor": 1})
+    assert (rep.warping_samples is not None) == (h is not None)
 
 
 # --- independent oracles ----------------------------------------------------------

@@ -534,19 +534,21 @@ def _conformal_pair():
 
 
 @pytest.mark.parametrize(
-    "make, h, bound, jet_bound",
-    [(fixtures.torus, const(1.0), 17, 26), (_conformal_pair, None, 17, 28)],
+    "make, h, bound",
+    [(fixtures.torus, const(1.0), 25), (_conformal_pair, None, 24)],
     ids=["torus", "conformal_pair"],
 )
-def test_codazzi_reads_the_eigen_net_jets_once(monkeypatch, make, h, bound, jet_bound):
+def test_codazzi_reads_the_eigen_net_jets_once(monkeypatch, make, h, bound):
     # a clean classify_codazzi sweeps the eigen-net's jets once, for both the
-    # identities and the net classification; the criteria tape took 205
-    # (torus) and 424 (pair) slots when it held eta, zeta, their partials and
-    # the Christoffel symbols, 101 and 120 when it held the partials of alpha
-    # and beta, and 88 and 93 when it held the diff trees of lambda and mu;
-    # it now holds lambda, mu and h.
-    # The eigen-net tape took 139 and 213 slots with the diff trees of the
-    # metric and the frame
+    # identities and the net classification, on the criteria's one tape of
+    # lambda, mu, h and the frame entries; the eigen-net takes the metric's
+    # jets from the first sweep, so nets compiles no tape. The criteria tape
+    # took 205 (torus) and 424 (pair) slots when it held eta, zeta, their
+    # partials and the Christoffel symbols, 101 and 120 when it held the
+    # partials of alpha and beta, 88 and 93 when it held the diff trees of
+    # lambda and mu, and 17 when it held lambda, mu and h alone; the
+    # eigen-net's own tape of the metric and the frame then took 26 and 28,
+    # and 139 and 213 with their diff trees
     assert not hasattr(nets, "_SpanFields")
     jets, criteria, public = [], [], []
     net_compile, codazzi_compile = nets.compile_tape, codazzi.compile_tape
@@ -575,8 +577,8 @@ def test_codazzi_reads_the_eigen_net_jets_once(monkeypatch, make, h, bound, jet_
     rep = codazzi.classify_codazzi(g, phi, h=h, plan=SamplePlan(grid=6, seed=1))
     assert rep.flags["spherical_eigenbundles"].status == "pass"
     assert public == []
-    assert len(jets) == 1 and jets[0] <= jet_bound
-    assert criteria[0] <= bound
+    assert jets == []
+    assert len(criteria) == 1 and criteria[0] <= bound
 
 
 # --- jets against the sympy oracle on moving frames ------------------------------
@@ -621,7 +623,8 @@ def _eigen_net(make):
         made = make()
         g, phi = (made.metric, made.tensor) if hasattr(made, "metric") else made
         labels = [tuple(p) for p in pts.tolist()]
-        samples = codazzi._eigen_model(g, phi, pts, labels, codazzi.GAP_MIN, 1e-8)[3]
+        fields, eig, model = codazzi._eigen_model(g, phi, pts, labels, codazzi.GAP_MIN, 1e-8)
+        samples = codazzi._criteria(fields, eig, model, labels, codazzi.GAP_MIN)[1]
         return sp.eye(len(xs)).tolist(), samples
 
     return build

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_expr, random_twisted_spec
-from orthonet import fixtures, product_metrics
+from orthonet import chart_calculus, fixtures, nets, product_metrics, scalar_fields
 from orthonet.chart_calculus import MetricField, metric_at
 from orthonet.codazzi import build_codazzi_candidate
 from orthonet.errors import (
@@ -37,6 +37,7 @@ from orthonet.scalar_fields import (
     Tape,
     const,
     evaluate,
+    format_expr,
     is_const_one,
     mul,
     parse_expr,
@@ -395,6 +396,26 @@ def test_build_metric_runs_one_positivity_sweep(monkeypatch):
     counts = _sweeps_of(monkeypatch, product_metrics, lambda roots: True)
     build_metric(spec)
     assert counts == [25]
+
+
+def test_scaled_polar_factorization_compiles_five_tapes(monkeypatch):
+    # the positivity gates, the classification, the block-diagonality probe,
+    # the metric's upper triangle and the closed-form candidate, which one
+    # sweep over the base point and the full grid checks
+    ch = Chart.box([(0.5, 2.5), (0.0, 2.0)], names=("t", "theta"))
+    spec = ProductSpec("warped", (_line(0.5, 2.5, "t"), _line(0.0, 2.0, "theta")),
+                       twists=(ONE, parse_expr("t", ch)),
+                       conformal_factor=parse_expr("exp(0.5*t + 0.4*theta)", ch))
+    tapes = []
+    for module in (product_metrics, nets, chart_calculus, scalar_fields):
+        def compiled(roots, compile_=module.compile_tape):
+            tapes.append(roots)
+            return compile_(roots)
+
+        monkeypatch.setattr(module, "compile_tape", compiled)
+    fac = factorize_cwp(build_metric(spec), grid=17)
+    assert len(tapes) == 5
+    assert format_expr(fac.phi_expr, ch.names).startswith("exp(0.5*t + 0.4*theta)/")
 
 
 @pytest.mark.parametrize("grid", [0, -3, 2.5, "9", True])

@@ -271,6 +271,30 @@ def test_repair_mends_only_the_roots_whose_jets_are_not_finite():
     assert np.array_equal(np.delete(sweep.jets[2], 1, axis=1), np.delete(before[2], 1, axis=1))
 
 
+def test_repair_reads_the_values_of_its_roots_only():
+    # at (0.5, 0.25) root 2 fails in value, and the jets of roots 0 and 1 are
+    # inf * 0 at both points; repair(2) reads the values of roots 0 and 1
+    # only, so it mends both roots at both points, while a repair of every
+    # root leaves (0.5, 0.25) to the value error, and repair(start=1) mends
+    # root 1 alone, at (1.5, 0.25)
+    ch = Chart.box([(0.0, 2.0)] * 2)
+    roots = [parse_expr(t, ch) for t in ("x0 + sqrt(x1 - x1)", "x1 + sqrt(x0 - x0)", "log(x0 - 1)")]
+    pts = [(0.5, 0.25), (1.5, 0.25)]
+    x0 = [[0.5, 1.0, 0.0, 0.0, 0.0, 0.0], [1.5, 1.0, 0.0, 0.0, 0.0, 0.0]]
+    x1 = [0.25, 0.0, 1.0, 0.0, 0.0, 0.0]
+    first = compile_tape(roots).jet_sweep(pts)
+    assert first.repair(2) == {}
+    assert first.jets[:, :, 0].tolist() == x0 and first.jets[:, :, 1].tolist() == [x1, x1]
+    every = compile_tape(roots).jet_sweep(pts)
+    assert every.repair() == {}
+    assert not np.isfinite(every.jets[0, :, :2]).all()
+    assert every.jets[1, :, 0].tolist() == x0[1] and every.jets[1, :, 1].tolist() == x1
+    later = compile_tape(roots).jet_sweep(pts)
+    assert later.repair(start=1) == {}
+    assert (~np.isfinite(later.jets[:, :, 0])).any(axis=1).all()
+    assert not np.isfinite(later.jets[0, :, 1]).all() and later.jets[1, :, 1].tolist() == x1
+
+
 # --- deep expressions ----------------------------------------------------------
 
 
