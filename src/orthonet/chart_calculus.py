@@ -8,11 +8,12 @@ first sample that fails, as checking one sample at a time would. A caller
 that reads partials takes them from one jet sweep of that tape (`_jets`):
 the first and second partials of the metric and of every root, by forward
 propagation, with `Sweep.repair` as the one rule for a jet that is not
-finite. No derivative tree is built on a clean run. The Christoffel symbols
-come from one numpy kernel over the metric's jets (`_levi_civita`), and
-contractions such as `_cov` are numpy over the sample axis too. The
-single-point functions (`metric_at`, `christoffel`, `cov_deriv`, ...,
-`lc_axiom_residuals`) are that sweep at one point.
+finite. No derivative tree is built on a clean run. `_jets` also hands back
+G^-1, the Christoffel symbols and their partials, from one numpy kernel over
+the metric's jets (`_metric_jets`, `_levi_civita`), so every consumer reads
+them from there; contractions such as `_cov` are numpy over the sample axis
+too. The single-point functions (`metric_at`, `christoffel`, `cov_deriv`,
+..., `lc_axiom_residuals`) are that sweep at one point.
 
 The symbolic determinant, inverse and Christoffel entries (`det_expr`,
 `inverse_exprs` and the cached entries of a MetricField) are the pointwise
@@ -314,6 +315,8 @@ def _symmetric(cols: np.ndarray, n: int) -> np.ndarray:
 def _first_fault(sweep, bad: np.ndarray):
     """(j, q, domain) for the first point j, and there the first root q, whose
     evaluation fails (domain) or where bad[j, q] holds; None if there is none."""
+    if (sweep.first_bad == sweep.tape.size).all() and not bad.any():
+        return None
     # the first failing slot at a point belongs to the first root that reaches it
     fails = np.searchsorted(np.asarray(sweep.tape.bounds[1:]), sweep.first_bad, side="right")
     r = bad.shape[1]
@@ -392,15 +395,15 @@ def _stacked(g: MetricField, roots, pts, labels=None, checks=()):
 
 
 def _jets(g: MetricField, roots, pts, labels=None, checks=()):
-    """_stacked on one jet sweep (_checked): G, its first partials dG (m, p,
-    a, b) = d_p g_ab, and the jets of the roots, (m, 1 + n + n(n+1)/2,
-    roots), rows as Tape.jet_sweep gives them: values, d_p over p, then
-    d_p d_q over p <= q."""
-    n = g.dim
-    nt = n * (n + 1) // 2
-    G, sweep = _checked(g, roots, pts, labels, checks, jets=True)
-    J = sweep.jets
-    return G, _symmetric(J[:, 1 : n + 1, :nt], n), J[:, :, nt:]
+    """_stacked on one jet sweep (_checked): the metric's jets as
+    _metric_jets forms them, (G, dG, G^-1, Gamma, d Gamma), the jets of the
+    roots, (m, 1 + n + n(n+1)/2, roots), rows as Tape.jet_sweep gives them:
+    values, d_p over p, then d_p d_q over p <= q, and the sweep."""
+    nt = g.dim * (g.dim + 1) // 2
+    _, sweep = _checked(g, roots, pts, labels, checks, jets=True)
+    with np.errstate(all="ignore"):  # values that are not finite are left to the consumer
+        metric = _metric_jets(sweep.jets[:, :, :nt], g.dim)
+    return metric, sweep.jets[:, :, nt:], sweep
 
 
 def _at(g: MetricField, roots, p):
@@ -429,23 +432,22 @@ def metric_at(g: MetricField, p):
 
 def christoffel(g: MetricField, p) -> np.ndarray:
     """Gamma[k, i, j] at p."""
-    G, dG, _ = _jets(g, (), [p], [tuple(p)])
-    return _levi_civita(G, dG)[1][0]
+    return _jets(g, (), [p], [tuple(p)])[0][3][0]
 
 
 def cov_deriv(g: MetricField, X, Y, p) -> np.ndarray:
     """(nabla_X Y)(p). X and Y are component expression sequences; the
     partials of Y come from the same jet sweep as the metric's."""
     n = g.dim
-    G, dG, J = _jets(g, [*X, *Y], [p], [tuple(p)])
+    metric, J, _ = _jets(g, [*X, *Y], [p], [tuple(p)])
     dY = J[:, 1 : n + 1, n:].swapaxes(1, 2)  # d_i Y^k at [k, i]
-    return _cov(dY, _levi_civita(G, dG)[1], J[:, 0, n:], J[:, None, 0, :n])[0, 0]
+    return _cov(dY, metric[3], J[:, 0, n:], J[:, None, 0, :n])[0, 0]
 
 
 def grad_field(g: MetricField, f: Expr, p) -> np.ndarray:
     """(grad f)(p) = g^-1 df."""
-    G, _, J = _jets(g, [f], [p], [tuple(p)])
-    return _inv(G)[0] @ J[0, 1 : g.dim + 1, 0]
+    metric, J, _ = _jets(g, [f], [p], [tuple(p)])
+    return metric[2][0] @ J[0, 1 : g.dim + 1, 0]
 
 
 def hessian_lc(g: MetricField, f: Expr, X, Y, p) -> float:
@@ -453,10 +455,10 @@ def hessian_lc(g: MetricField, f: Expr, X, Y, p) -> float:
     coordinates the partials of Y cancel, leaving
     X^i Y^j (d_i d_j f - Gamma^k_ij d_k f), read off the jets of f."""
     n = g.dim
-    G, dG, J = _jets(g, [f, *X, *Y], [p], [tuple(p)])
+    metric, J, _ = _jets(g, [f, *X, *Y], [p], [tuple(p)])
     df, d2f = J[:, 1 : n + 1, 0], _symmetric(J[:, n + 1 :, 0], n)
     X, Y = J[:, None, 0, 1 : n + 1], J[:, None, 0, n + 1 :]
-    return float(_hess(d2f, _levi_civita(G, dG)[1], df, X, Y)[0, 0, 0])
+    return float(_hess(d2f, metric[3], df, X, Y)[0, 0, 0])
 
 
 def lie_bracket(X, Y, p) -> np.ndarray:
@@ -486,9 +488,8 @@ def _lc_axioms(g: MetricField, pts, labels=None):
     basis = [tuple(ONE if a == i else ZERO for a in range(n)) for i in range(n)]
     linear = [tuple(var((a + s) % n) for a in range(n)) for s in (1, 2)]
     fields = basis + linear
-    G, dG, J = _jets(g, [c for V in fields for c in V], pts, labels)
+    (G, dG, _, gam, _), J, _ = _jets(g, [c for V in fields for c in V], pts, labels)
     m = len(G)
-    gam = _levi_civita(G, dG)[1]
     iu, ju = _pairs(n, 0)
     # per field its values V^k and its partials d_i V^k at [k, i]
     values = J[:, 0].reshape(m, len(fields), n)

@@ -57,12 +57,11 @@ import numpy as np
 
 from .chart_calculus import (
     MetricField,
-    _checked,
     _cov,
     _ginner,
     _gnorm,
     _hess,
-    _metric_jets,
+    _jets,
     _stacked,
     _symmetric,
 )
@@ -155,7 +154,7 @@ class SymTensorField:
             if metric.dim != n:
                 raise ConstraintError("metric and tensor dimensions differ")
             defect = self_adjoint_defect(metric, self, chart.center())
-            if defect > 1e-8:
+            if not defect <= 1e-8:
                 raise ConstraintError(
                     f"tensor is not self-adjoint at the chart center: defect {defect:.3e}"
                 )
@@ -196,9 +195,9 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
                    codazzi: bool = False) -> _Fields:
     """Evaluate the metric and the tensor over the samples with one tape
     run, and with codazzi (and dim > 1) the Codazzi residual: the run is
-    then a jet sweep, whose partials of the metric give Gamma, d Gamma and
-    G^-1 (_metric_jets, kept in the result for the eigen-net), and with
-    those of the tensor (nabla_i Phi)e_j - (nabla_j Phi)e_i, i < j, with
+    then a jet sweep (chart_calculus._jets), whose partials of the metric
+    give Gamma, d Gamma and G^-1 (kept in the result for the eigen-net), and
+    with those of the tensor (nabla_i Phi)e_j - (nabla_j Phi)e_i, i < j, with
 
         (nabla_i Phi)^k_j = d_i Phi^k_j + Gamma^k_il Phi^l_j - Phi^k_l Gamma^l_ij.
 
@@ -208,7 +207,7 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
     entries where their jets are not finite. Every sample up to that one
     that passes the positivity check warns if it is ill-conditioned."""
     n = g.dim
-    nn, nt = n * n, n * (n + 1) // 2
+    nn = n * n
     roots = [e for row in phi.components for e in row]
     codazzi = codazzi and n > 1
 
@@ -222,17 +221,15 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
 
     adjoint = (
         nn - 1,
-        lambda G, vals: defect(G, vals) > tol,
+        lambda G, vals: ~(defect(G, vals) <= tol),
         lambda G, v, label: ConstraintError(
             f"tensor is not self-adjoint at {label}: defect {defect(G, v):.3e}"
         ),
     )
     metric = None
     if codazzi:
-        G, sweep = _checked(g, roots, pts, labels, [adjoint], jets=True)
-        pts, J = sweep.points, sweep.jets[:, :, nt:]
-        metric = _metric_jets(sweep.jets[:, :, :nt], n)
-        vals = J[:, 0]
+        metric, J, sweep = _jets(g, roots, pts, labels, [adjoint])
+        G, pts, vals = metric[0], sweep.points, J[:, 0]
     else:
         G, vals = _stacked(g, roots, pts, labels, [adjoint])
     m = len(G)
@@ -251,7 +248,8 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
 
 
 def self_adjoint_defect(g: MetricField, phi: SymTensorField, p) -> float:
-    """Relative asymmetry of g Phi at p; zero iff Phi is g-self-adjoint there."""
+    """Relative asymmetry of g Phi at p; zero iff Phi is g-self-adjoint there.
+    A defect that is not finite raises ConstraintError."""
     return float(_metric_tensor(g, phi, [p], [tuple(p)], np.inf).defect[0])
 
 
@@ -588,7 +586,7 @@ def _criteria(fields: _Fields, eig: _Eigen, model: _EigenModel, labels, gap_min:
     tape = compile_tape([model.lam_expr, model.mu_expr, *hs, *_frame_roots(model.net)])
     sweep = tape.jet_sweep(fields.points)
     errors = sweep.repair(2)
-    samples = _Samples(model.g, model.net, range(2), sweep.points, labels, fields.metric, sweep)
+    samples = _Samples(model.net, range(2), labels, fields.metric, sweep)
     fb = sweep.first_bad
     # d_i lambda, d_i mu, d_i d_l lambda and d_i d_l mu from the jets
     dlam, dmu = sweep.jets[:, 1 : n + 1, 0], sweep.jets[:, 1 : n + 1, 1]
@@ -722,7 +720,7 @@ def _eigen_model(g: MetricField, phi: SymTensorField, pts, labels, gap_min: floa
     if codazzi:
         j = int(np.argmax(fields.codazzi))
         worst = float(fields.codazzi[j])
-        if worst > tol:
+        if not worst <= tol:
             err = NotCodazziError(
                 f"Codazzi residual {worst:.3e} exceeds tol {tol:.1e} at {labels[j]}"
             )
@@ -857,7 +855,7 @@ def classify_codazzi(
 
     for name, rank, along in (("lambda", model.rank_lambda, lam_along_max),
                               ("mu", model.rank_mu, mu_along_max)):
-        if rank >= 2 and along > tol:
+        if rank >= 2 and not along <= tol:
             raise InconsistencyError(
                 "a rank >= 2 eigenvalue must be constant along its eigenbundle, "
                 f"but the {name} field varies by {along:.3e}"
@@ -872,7 +870,7 @@ def classify_codazzi(
     }
 
     # the metric checks and their warnings ran in the first pass
-    net_report = _classify(samples.check(metric=False), tol)
+    net_report = _classify(samples.check(), tol)
 
     relation_case = constants = ode_out = axis_out = warping_samples = base_point = None
     if h is not None:
@@ -889,7 +887,7 @@ def classify_codazzi(
             relation_case = "constant_product"
             constants = (float(np.mean(sc.lam)), float(np.mean(sc.mu)))
             geod = float(net_report.residuals["geodesy"].max())
-            if geod > tol:
+            if not geod <= tol:
                 raise InconsistencyError(
                     "constant eigenvalues force a metric product, but a block "
                     f"has geodesy residual {geod:.3e}"

@@ -2,16 +2,16 @@
 
 A net splits a frame of vector fields into mutually orthogonal blocks; each
 block spans a distribution E_i with complement E_i^perp spanned by the other
-blocks. The module compiles the metric entries, and the frame entries unless
-the frame is constant, into one evaluation tape and runs its jet sweep once
-over every sample point, which carries their first and second partials
-through the tape by forward propagation (Tape.jet_sweep; a clean run builds
-no derivative tree); a caller that has the metric's jets from a sweep of its
-own passes them with a sweep of the frame entries. From these second-order
-jets, the Christoffel kernel every consumer shares
-(chart_calculus._levi_civita) gives the Christoffel symbols and their
-partials, and stacked numpy gives per block and complement the projector
-onto the span, nabla_{X_a} X_b, the mean
+blocks. The module reads the metric through the checked jet sweep every
+consumer uses (chart_calculus._jets): one tape of the metric entries, and
+of the frame entries unless the frame is constant, swept once over every
+sample point, which carries their first and second partials through the
+tape by forward propagation (Tape.jet_sweep; a clean run builds no
+derivative tree), and hands back the metric's jets with G^-1, the
+Christoffel symbols and their partials. codazzi._criteria passes the
+metric's jets of its own first pass with a sweep of the frame entries
+instead. From these second-order jets, stacked numpy gives per block and
+complement the projector onto the span, nabla_{X_a} X_b, the mean
 curvature normal H and its partials by the product rule, so
 nabla_X H = (dH) X + Gamma(X, H) needs no derivative tree of H (O'Neill,
 Semi-Riemannian Geometry, 1983, ch. 4 and 7). numpy then reduces the
@@ -37,18 +37,20 @@ The exchange identity (cwp_residual) compares <nabla_Z eta_i, X> with
 eta_i are the mean curvature normals of E_i and E_i^perp. It is evaluated
 only where both umbilicity preconditions hold.
 
-Errors and warnings are those of checking one sample at a time in plan
-order: the first sample that fails raises, with the first check that fails
-there (metric evaluation, positive definiteness, frame evaluation, frame
-degeneracy, block orthogonality, field evaluation), and every sample up to
-it that passes the positivity check warns if it is ill-conditioned. Where
-the metric and frame entries evaluate but their jets are not finite, the
-diff trees of those entries give the jets or, where they fail, the field
-evaluation error (Sweep.repair). Where the jets are finite but a derived
-value is not (Gamma, or H, its partials, nabla H, a defect or a bracket of
-a span), the field stage raises InconsistencyError naming the quantity, the
-span and the sample. A residual that is not finite raises
-InconsistencyError instead of passing.
+Errors and warnings come in two phases. The checked sweep runs first, over
+all samples: the first sample that fails raises, with the first check that
+fails there (metric evaluation, positive definiteness, frame evaluation),
+and every sample up to it that passes the positivity check warns if it is
+ill-conditioned; where the metric and frame entries evaluate but their jets
+are not finite, the diff trees of those entries give the jets or, where
+they fail, the error (Sweep.repair). The net's own checks follow, over all
+samples (_Samples.check): the first sample that fails raises, with the
+first check that fails there (frame degeneracy, block orthogonality, field
+evaluation). Where the jets are finite but a derived value is not (Gamma,
+or H, its partials, nabla H, a defect or a bracket of a span), the field
+stage raises InconsistencyError naming the quantity, the span and the
+sample. A residual that is not finite raises InconsistencyError instead of
+passing.
 """
 
 from __future__ import annotations
@@ -59,25 +61,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart_calculus import (
-    MetricField,
-    _at,
-    _ginner,
-    _gnorm,
-    _inv,
-    _metric_checks,
-    _metric_jets,
-    _warn_conditions,
-)
+from .chart_calculus import MetricField, _at, _ginner, _gnorm, _inv, _jets
 from .errors import (
     ConstraintError,
     DegenerateFrameError,
     InconsistencyError,
     NotApplicableError,
-    NotSPDError,
 )
 from .sampling import SamplePlan, sample_points
-from .scalar_fields import Chart, Const, ONE, ZERO, _pairs, compile_tape
+from .scalar_fields import Chart, Const, ONE, ZERO, _pairs
 
 __all__ = [
     "OrthogonalNet",
@@ -150,9 +142,8 @@ class OrthogonalNet:
 
 # --- geometry from jets -----------------------------------------------------------
 
-# checks at one sample, in the order a failure there is reported
-_METRIC_DOMAIN, _NOT_SPD, _FRAME_DOMAIN, _DEGENERATE, _NOT_ORTHOGONAL, _FIELD_DOMAIN = range(6)
-_CLEAN = 6
+# the net's checks at one sample, in the order a failure there is reported
+_FRAME_DOMAIN, _DEGENERATE, _NOT_ORTHOGONAL, _FIELD_DOMAIN, _CLEAN = range(5)
 
 
 # DistributionGeometry name -> _Side field of each residual of a span
@@ -307,45 +298,28 @@ class _Side:
 class _Samples:
     """A net's metric, frame and span residuals over a batch of sample points.
 
-    By default one tape holds the metric's upper triangle and, when the
-    frame is not constant, the frame entries (_frame_roots); a constant
-    frame, as every coordinate net has, stays off the tape and F is that
-    frame broadcast over the samples. One jet sweep gives the values and
-    first and second partials of the roots over all samples, mended from
-    their diff trees where they are not finite (Sweep.repair).
-    A caller that has swept the metric passes its jets as metric, as
-    _metric_jets gives them, and a jet sweep whose last roots are the
-    frame's entries (_frame_roots); only those are mended here, and the
-    values of the roots before them take the place of the metric's in
-    check.
+    metric holds the metric's jets as _metric_jets forms them, and sweep is
+    a jet sweep whose last roots are the frame's entries (_frame_roots):
+    that of _net_samples, which also holds the metric's upper triangle and
+    has run its checks, or the pass-2 sweep of codazzi._criteria. Only the
+    frame's jets are mended here (Sweep.repair). A constant frame, as every
+    coordinate net has, stays off the tape and F is that frame broadcast
+    over the samples.
     _geometry computes, per requested block, the geometry of its span and
-    of its complement, and the residuals. The checks run later, when the
-    caller calls check: per stage over all samples, the first sample that
-    fails any of them raises, with the stage that fails first there, and
-    condition warnings are issued for every sample up to that one."""
+    of its complement, and the residuals. The net's checks run later, when
+    the caller calls check."""
 
-    def __init__(self, g: MetricField, net: OrthogonalNet, blocks, pts, labels,
-                 metric: tuple | None = None, sweep=None):
-        n = g.dim
-        self.net, self.labels = net, labels
+    def __init__(self, net: OrthogonalNet, blocks, labels, metric: tuple, sweep):
+        self.net, self.labels, self.sweep = net, labels, sweep
         self.spans = {i: (net.blocks[i], net.complement(i)) for i in blocks}
         unique = list(dict.fromkeys(s for pair in self.spans.values() for s in pair))
 
         roots = _frame_roots(net)
         frame = None if roots else np.array([[e.value for e in f] for f in net.frame])
-        if sweep is None:
-            start = n * (n + 1) // 2
-            sweep = compile_tape([g.entries[i][j] for i, j in zip(*_pairs(n, 0))] + roots).jet_sweep(pts)
-        else:
-            start = len(sweep.tape.root_slots) - len(roots)
-        self.sweep = sweep
-        # by sample, the error of the diff trees of the entries swept for the
-        # net where they fail
-        self.input_errors = sweep.repair(start=0 if metric is None else start)
-        self._frame_start = sweep.tape.bounds[start]
+        start = len(sweep.tape.root_slots) - len(roots)
+        # by sample, the error of the frame entries' diff trees where they fail
+        self.input_errors = sweep.repair(start=start)
         with np.errstate(all="ignore"):
-            if metric is None:
-                metric = _metric_jets(sweep.jets[:, :, :start], n)
             self.G, self.Ginv, self.gamma, self.F, geometry = _geometry(
                 metric, sweep.jets[:, :, start:] if roots else None, unique, frame)
             # the Gram matrix of the frame, and the g-norms of its fields
@@ -373,25 +347,21 @@ class _Samples:
                 return InconsistencyError(
                     f"{name} is {bad[0]} at {self.labels[j]}; derived values must be finite")
 
-    def check(self, metric: bool = True) -> "_Samples":
-        """Raise what the pointwise definition raises first, and warn on the
-        way; values at a sample past its first failure are never read.
-        metric=False skips the metric's checks and warnings, for a caller
-        that has run them on the same samples. Returns self."""
-        G, labels = self.G, self.labels
-        m, n = G.shape[:2]
+    def check(self) -> "_Samples":
+        """Run the net's checks, whose caller has run the metric's on the
+        same samples: the first sample that fails one raises, with the first
+        that fails there (frame evaluation, frame degeneracy, block
+        orthogonality, field evaluation); values at a sample past its first
+        failure are never read. Returns self."""
+        labels = self.labels
+        m, n = self.M.shape[:2]
         fb = self.sweep.first_bad
         stage = np.full(m, _CLEAN)
         stage[~self.derived_ok] = _FIELD_DOMAIN
         stage[list(self.input_errors)] = _FIELD_DOMAIN
 
-        metric_ok = fb >= self._frame_start
-        size = self.sweep.tape.size
-        not_spd = np.zeros(m, dtype=bool)
-        if metric:
-            _, ev, cond, not_spd, ill = _metric_checks(G, metric_ok)
-
-        frame_ok = metric_ok & ~not_spd & (fb == size)
+        # the roots before the frame's have evaluated at every sample
+        frame_ok = fb == self.sweep.tape.size
         evm = np.linalg.eigvalsh(np.where(frame_ok[:, None, None], self.M, np.eye(n)))
         degenerate = frame_ok & (evm[:, 0] <= _GRAM_COND_FLOOR * np.maximum(evm[:, -1], 1e-300))
 
@@ -403,25 +373,16 @@ class _Samples:
 
         stage[frame_ok & ~degenerate & skew.any(axis=1)] = _NOT_ORTHOGONAL
         stage[degenerate] = _DEGENERATE
-        stage[metric_ok & ~not_spd & (fb < size)] = _FRAME_DOMAIN
-        stage[not_spd] = _NOT_SPD
-        stage[~metric_ok] = _METRIC_DOMAIN
+        stage[~frame_ok] = _FRAME_DOMAIN
 
         failed = np.flatnonzero(stage != _CLEAN)
-        j = int(failed[0]) if failed.size else m
-        if metric:
-            _warn_conditions(cond, ill, labels, j, j < m and stage[j] > _NOT_SPD)
-        if j == m:
+        if not failed.size:
             return self
-        if stage[j] in (_METRIC_DOMAIN, _FRAME_DOMAIN):
+        j = int(failed[0])
+        if stage[j] == _FRAME_DOMAIN:
             raise self.sweep.error(j)
         if stage[j] == _FIELD_DOMAIN:
             raise self.field_error(j)
-        if stage[j] == _NOT_SPD:
-            raise NotSPDError(
-                f"metric not positive definite at {labels[j]}: "
-                f"smallest eigenvalue {ev[j, 0]:.3e}"
-            )
         if stage[j] == _DEGENERATE:
             raise DegenerateFrameError(
                 f"frame degenerate at {labels[j]}: Gram eigenvalue ratio "
@@ -499,6 +460,15 @@ class _Samples:
         return (np.abs(d1 - d2) / (1.0 + np.abs(d1) + np.abs(d2))).max(axis=(1, 2))
 
 
+def _net_samples(g: MetricField, net: OrthogonalNet, blocks, pts, labels) -> _Samples:
+    """The net's samples of the blocks over an (m, dim) array of points,
+    checked in two phases: one jet sweep of the metric and the frame
+    entries (chart_calculus._jets) runs the metric's checks and the frame's
+    evaluation over all samples, then _Samples.check the net's own."""
+    metric, _, sweep = _jets(g, _frame_roots(net), pts, labels)
+    return _Samples(net, blocks, labels, metric, sweep).check()
+
+
 def _finite(arrays) -> np.ndarray:
     """Per sample, whether every array, each (m, ...), is finite there.
     Callers ignore floating-point errors (np.errstate)."""
@@ -553,14 +523,14 @@ def distribution_geometry(g: MetricField, net: OrthogonalNet, i: int, p) -> Dist
     """Second-fundamental residuals of block i and its complement at p."""
     if not 0 <= i < len(net.blocks):
         raise ConstraintError(f"no block {i} in a {len(net.blocks)}-block net")
-    return _Samples(g, net, (i,), [p], [tuple(p)]).check().geometry(i)
+    return _net_samples(g, net, (i,), [p], [tuple(p)]).geometry(i)
 
 
 def cwp_residual(g: MetricField, net: OrthogonalNet, i: int, p, tol: float = 1e-8) -> float:
     """Mean-curvature exchange residual for block i at p. Raises
     NotApplicableError when the umbilicity preconditions fail at p, so the
     caller never mistakes an unevaluable identity for a zero residual."""
-    samples = _Samples(g, net, (i,), [p], [tuple(p)]).check()
+    samples = _net_samples(g, net, (i,), [p], [tuple(p)])
     geom = samples.geometry(i)
     if geom.umbilicity > tol or geom.umbilicity_perp > tol:
         raise NotApplicableError(
@@ -637,8 +607,8 @@ def classify_net(
     """
     plan = plan or SamplePlan()
     pts = sample_points(g.chart, plan)
-    samples = _Samples(g, net, range(len(net.blocks)), pts, [tuple(p) for p in pts.tolist()])
-    return _classify(samples.check(), tol)
+    samples = _net_samples(g, net, range(len(net.blocks)), pts, [tuple(p) for p in pts.tolist()])
+    return _classify(samples, tol)
 
 
 def _classify(samples: _Samples, tol: float) -> NetReport:

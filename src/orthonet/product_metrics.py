@@ -269,11 +269,11 @@ def _connection_residuals(spec: ProductSpec, pts, X, Y) -> np.ndarray:
 
     One jet sweep (chart_calculus._jets) of the metric of the spec, the
     fields when they are expressions, the upper triangle of the product
-    metric and the twists gives the Christoffel symbols of both metrics
-    (_levi_civita) and the partials of the twists' logs, d rho / rho. The
-    identity is tensorial, so the partials of the fields are never read.
-    Errors are those of _jets in root order; a twist that is not positive
-    fails right after its value."""
+    metric and the twists gives the Christoffel symbols of the metric, those
+    of the product metric (_levi_civita) and the partials of the twists'
+    logs, d rho / rho. The identity is tensorial, so the partials of the
+    fields are never read. Errors are those of _jets in root order; a twist
+    that is not positive fails right after its value."""
     if spec.conformal_factor is not None:
         raise ConstraintError("connection identity applies to unscaled twisted specs")
     g, product = build_metric(spec), spec._product_metric
@@ -291,12 +291,11 @@ def _connection_residuals(spec: ProductSpec, pts, X, Y) -> np.ndarray:
             lambda G, v, label, r=r, i=i: ConstraintError(f"twist {i} is {v[r]:.6g} <= 0 at {label}"),
         ))
         roots.append(spec.twists[i])
-    G, dG, J = _jets(g, roots, pts, checks=checks)
+    (G, _, Ginv, gam, _), J, _ = _jets(g, roots, pts, checks=checks)
     if fields:
         X, Y = J[:, 0, :n], J[:, 0, n : 2 * n]
     P = J[:, : n + 1, len(fields) : len(fields) + nt]  # the product metric's values and d_p
     rho = J[:, : n + 1, len(fields) + nt :]
-    Ginv, gam, _ = _levi_civita(G, dG)
     gam_product = _levi_civita(_symmetric(P[:, 0], n), _symmetric(P[:, 1:], n))[1]
     # nabla_X Y = X(Y) + Gamma(X, Y) under either connection; X(Y) cancels
     # in lhs - rhs, so only the Gamma terms are kept
@@ -764,13 +763,12 @@ def _spherical_residuals(spec: ProductSpec, phi: Expr, i: int, pts) -> np.ndarra
     blk = list(spec.blocks[i])
     other = [a for a in range(n) if a not in blk]
 
-    G, dG, J = _jets(g, [log(phi), phi, powc(phi, -1.0), spec.twists[i]], pts)
+    (G, dG, Ginv, gam, _), J, _ = _jets(g, [log(phi), phi, powc(phi, -1.0), spec.twists[i]], pts)
     m = len(G)
     dl, df, dinv, drho = np.moveaxis(J[:, 1 : n + 1], 2, 0)
     d2l, d2f, d2inv, _ = np.moveaxis(_symmetric(J[:, n + 1 :].swapaxes(1, 2), n), 1, 0)
     rho = J[:, 0, 3, None, None]
     r5 = (d2inv[:, blk][:, :, other] - dinv[:, blk, None] * drho[:, None, other] / rho) / rho
-    Ginv, gam, _ = _levi_civita(G, dG)
     Wv = -np.einsum("mkl,ml->mk", Ginv, dl)
     dW = -np.einsum("mka,mia->mki", Ginv, np.einsum("miab,mb->mia", dG, Wv) + d2l)
 

@@ -113,12 +113,6 @@ class Chart:
     def center(self) -> tuple[float, ...]:
         return tuple(0.5 * (lo + hi) for lo, hi in self.domain)
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(name) from None
-
 
 # --- expression nodes -------------------------------------------------------
 

@@ -874,6 +874,30 @@ def test_no_module_imports_a_name_it_never_uses():
         assert sorted(imported - used) == [], path.name
 
 
+def test_the_metric_jets_and_christoffel_symbols_are_formed_in_one_place():
+    # nets compiles no tape, so it reads its metric through chart_calculus's
+    # checked sweep; _metric_jets is called there only, and _levi_civita only
+    # by _metric_jets and for the product metric of _connection_residuals
+    calls = set()
+    for path in sorted((SRC / "orthonet").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem == "nets":
+            assert "compile_tape" not in {
+                a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                calls |= {
+                    (node.func.id, path.stem, fn.name) for node in ast.walk(fn)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("_metric_jets", "_levi_civita")}
+    assert calls == {
+        ("_metric_jets", "chart_calculus", "_jets"),
+        ("_levi_civita", "chart_calculus", "_metric_jets"),
+        ("_levi_civita", "product_metrics", "_connection_residuals"),
+    }
+
+
 def test_non_finite_constant_manifest_exits_1(tmp_path, capsys):
     # 1e400 is refused where it is parsed, with the entry's pointer
     data = json.loads((MANIFESTS / "polar.json").read_text(encoding="utf-8"))

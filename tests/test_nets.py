@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_positive_scale
 from orthonet import fixtures
 from orthonet.chart_calculus import MetricField, christoffel, lc_axiom_residuals, metric_at
-from orthonet import codazzi, nets
+from orthonet import chart_calculus, codazzi, nets
 from orthonet.errors import (
     ConditionNumberWarning,
     ConstraintError,
@@ -356,6 +356,27 @@ def test_domain_error_precedes_a_later_non_spd_sample():
     assert "at (1.0, 0.0)" in str(outcome)
 
 
+def test_metric_checks_run_over_all_samples_before_the_net_checks():
+    # the blocks are not orthogonal at sample 0, (1.0, 0.0), and the metric is
+    # not positive definite from sample 6, (2.0, 0.0): the metric's checks
+    # run over every sample first, so the later sample decides
+    ch = Chart.box([(1.0, 2.0), (0.0, 1.0)], blocks=((0,), (1,)))
+    g = MetricField(ch, [[parse_expr("1.75 - x0", ch), const(0.1)], [const(0.1), ONE]])
+    outcome, texts = _classify_recording(g)
+    assert isinstance(outcome, NotSPDError)
+    assert str(outcome) == "metric not positive definite at (2.0, 0.0): smallest eigenvalue -2.579e-01"
+    assert texts == []
+
+    # where the metric passes everywhere, every ill-conditioned sample warns
+    # before the net's check raises at sample 0
+    g = MetricField(ch, [[ONE, parse_expr("1e-6*(1.5 - x0)", ch)], [ZERO, parse_expr("1e-9*x0", ch)]])
+    outcome, texts = _classify_recording(g)
+    assert isinstance(outcome, ConstraintError)
+    assert str(outcome).startswith("blocks not orthogonal at (1.0, 0.0): ")
+    assert len(texts) == 9
+    assert texts == _pointwise_warnings(g, sample_points(ch, ORDER_PLAN))
+
+
 def test_condition_warnings_once_each_in_plan_order():
     g = _diag2("1", "1e-9*(1 + x0*x1)")
     outcome, texts = _classify_recording(g)
@@ -463,7 +484,7 @@ def test_constant_frame_stays_off_the_jet_tape():
     # F is the frame broadcast over the samples
     g = fixtures.warped_three()
     pts = sample_points(g.chart, PLAN)
-    samples = nets._Samples(g, _coordinate(g), range(3), pts, [tuple(p) for p in pts.tolist()])
+    samples = nets._net_samples(g, _coordinate(g), range(3), pts, [tuple(p) for p in pts.tolist()])
     assert len(samples.sweep.tape.root_slots) == 6
     assert samples.F.shape == (len(pts), 3, 3)
     assert (samples.F == np.eye(3)).all()
@@ -511,17 +532,17 @@ def test_classify_tape_stays_small(monkeypatch):
     # a clean run tapes only the metric and frame entries, whose jet sweep
     # gives their partials; the tape of H, the defects, the brackets and the
     # Christoffel symbols took 203 slots, and the entries with their diff
-    # trees 65
+    # trees 65; the one tape is that of the checked sweep (chart_calculus._jets)
     assert not hasattr(nets, "_SpanFields")
     sizes = []
-    compile_tape = nets.compile_tape
+    compile_tape = chart_calculus.compile_tape
 
     def spy(roots):
         tape = compile_tape(roots)
         sizes.append(tape.size)
         return tape
 
-    monkeypatch.setattr(nets, "compile_tape", spy)
+    monkeypatch.setattr(chart_calculus, "compile_tape", spy)
     g = fixtures.cqw_three()
     classify_net(g, _coordinate(g), PLAN)
     assert len(sizes) == 1
@@ -542,20 +563,21 @@ def test_codazzi_reads_the_eigen_net_jets_once(monkeypatch, make, h, bound):
     # a clean classify_codazzi sweeps the eigen-net's jets once, for both the
     # identities and the net classification, on the criteria's one tape of
     # lambda, mu, h and the frame entries; the eigen-net takes the metric's
-    # jets from the first sweep, so nets compiles no tape. The criteria tape
-    # took 205 (torus) and 424 (pair) slots when it held eta, zeta, their
+    # jets from the first sweep, so no metric tape is compiled for it (nets
+    # compiles none, and chart_calculus none within the criteria). The criteria
+    # tape took 205 (torus) and 424 (pair) slots when it held eta, zeta, their
     # partials and the Christoffel symbols, 101 and 120 when it held the
     # partials of alpha and beta, 88 and 93 when it held the diff trees of
     # lambda and mu, and 17 when it held lambda, mu and h alone; the
-    # eigen-net's own tape of the metric and the frame then took 26 and 28,
-    # and 139 and 213 with their diff trees
+    # eigen-net's own tape of the metric and the frame then took 26 and 28, and
+    # 139 and 213 with their diff trees
     assert not hasattr(nets, "_SpanFields")
     jets, criteria, public = [], [], []
-    net_compile, codazzi_compile = nets.compile_tape, codazzi.compile_tape
+    checked_compile, codazzi_compile = chart_calculus.compile_tape, codazzi.compile_tape
     scores = codazzi._criteria
 
     def jet_compile(roots):
-        tape = net_compile(roots)
+        tape = checked_compile(roots)
         jets.append(tape.size)
         return tape
 
@@ -567,9 +589,9 @@ def test_codazzi_reads_the_eigen_net_jets_once(monkeypatch, make, h, bound):
     def criteria_spy(*args, **kwargs):
         with pytest.MonkeyPatch.context() as inner:
             inner.setattr(codazzi, "compile_tape", criteria_compile)
+            inner.setattr(chart_calculus, "compile_tape", jet_compile)
             return scores(*args, **kwargs)
 
-    monkeypatch.setattr(nets, "compile_tape", jet_compile)
     for module in (nets, codazzi):
         monkeypatch.setattr(module, "classify_net", lambda *args: public.append(args), raising=False)
     monkeypatch.setattr(codazzi, "_criteria", criteria_spy)
@@ -577,7 +599,7 @@ def test_codazzi_reads_the_eigen_net_jets_once(monkeypatch, make, h, bound):
     rep = codazzi.classify_codazzi(g, phi, h=h, plan=SamplePlan(grid=6, seed=1))
     assert rep.flags["spherical_eigenbundles"].status == "pass"
     assert public == []
-    assert jets == []
+    assert not hasattr(nets, "compile_tape") and jets == []
     assert len(criteria) == 1 and criteria[0] <= bound
 
 
@@ -598,7 +620,7 @@ def _rotated_polar(sp, xs, pts):
     net = OrthogonalNet(g.chart, [(c, st), (mul(const(-1.0), s), ct)], ((0,), (1,)))
     t, th = xs
     frame = [[sp.cos(t * th), sp.sin(t * th) / t], [-sp.sin(t * th), sp.cos(t * th) / t]]
-    return frame, nets._Samples(g, net, range(2), pts, [tuple(p) for p in pts.tolist()])
+    return frame, nets._net_samples(g, net, range(2), pts, [tuple(p) for p in pts.tolist()])
 
 
 def _skew_warped_three(sp, xs, pts):
@@ -613,7 +635,7 @@ def _skew_warped_three(sp, xs, pts):
     ], ((0,), (1, 2)))
     x0, x1, _ = xs
     frame = [[sp.exp(4 * x0), 0, -x1], [0, 1, 0], [x1, 0, 1]]
-    return frame, nets._Samples(g, net, range(2), pts, [tuple(p) for p in pts.tolist()])
+    return frame, nets._net_samples(g, net, range(2), pts, [tuple(p) for p in pts.tolist()])
 
 
 def _eigen_net(make):

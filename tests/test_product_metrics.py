@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_expr, random_twisted_spec
-from orthonet import chart_calculus, fixtures, nets, product_metrics, scalar_fields
+from orthonet import chart_calculus, fixtures, product_metrics, scalar_fields
 from orthonet.chart_calculus import MetricField, metric_at
 from orthonet.codazzi import build_codazzi_candidate
 from orthonet.errors import (
@@ -407,7 +407,7 @@ def test_scaled_polar_factorization_compiles_five_tapes(monkeypatch):
                        twists=(ONE, parse_expr("t", ch)),
                        conformal_factor=parse_expr("exp(0.5*t + 0.4*theta)", ch))
     tapes = []
-    for module in (product_metrics, nets, chart_calculus, scalar_fields):
+    for module in (product_metrics, chart_calculus, scalar_fields):
         def compiled(roots, compile_=module.compile_tape):
             tapes.append(roots)
             return compile_(roots)

@@ -36,11 +36,8 @@ def test_chart_box_basics():
     assert ch.dim == 2
     assert ch.names == ("a", "b")
     assert ch.center() == (0.5, 1.0)
-    assert ch.index_of("b") == 1
     assert ch.contains((0.2, 0.0))
     assert not ch.contains((1.2, 0.0))
-    with pytest.raises(KeyError):
-        ch.index_of("c")
 
 
 def test_chart_validation():

@@ -13,7 +13,7 @@ import pytest
 from orthonet import codazzi, fixtures
 from orthonet.chart_calculus import christoffel, metric_at
 from orthonet.codazzi import codazzi_residual, criteria_residuals
-from orthonet.nets import OrthogonalNet, _Samples, distribution_geometry
+from orthonet.nets import OrthogonalNet, _net_samples, distribution_geometry
 
 sp = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")
@@ -176,7 +176,7 @@ def test_numeric_geometry_matches_exact(name):
 
         for blocks in _nets(n):
             net = OrthogonalNet.coordinate(g.chart, blocks)
-            samples = _Samples(g, net, range(len(blocks)), [pf], [pf])
+            samples = _net_samples(g, net, range(len(blocks)), [pf], [pf])
             for i, blk in enumerate(blocks):
                 comp = net.complement(i)
                 exact = []
