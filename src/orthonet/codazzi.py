@@ -622,10 +622,11 @@ def _criteria(fields: _Fields, eig: _Eigen, model: _EigenModel, labels, gap_min:
     X, Y = eig.bases(pr)
     lam_c, mu_c, *h_vals = sweep.values[:, :k].T
     # eta, zeta, d_i eta^k, d_i zeta^k and Gamma^k_ij from the eigen-net's jets
-    lam_side, mu_side = (samples.sides[s] for s in model.net.blocks)
+    geo = samples.geo
+    tl, tm = samples.sides[0]  # the lambda and mu blocks
     eta_v, zeta_v, deta_v, dzeta_v, gam = (
-        lam_side.H, mu_side.H, lam_side.dH, mu_side.dH, samples.gamma)
-    G, P, Ginv = fields.G, fields.P, samples.Ginv
+        geo.H[:, tl], geo.H[:, tm], geo.dH[:, tl], geo.dH[:, tm], geo.gamma)
+    G, P, Ginv = fields.G, fields.P, fields.metric[2]
     grad_lam = np.einsum("mij,mj->mi", Ginv, dlam)
     grad_mu = np.einsum("mij,mj->mi", Ginv, dmu)
 

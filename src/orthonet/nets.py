@@ -10,12 +10,15 @@ tape by forward propagation (Tape.jet_sweep; a clean run builds no
 derivative tree), and hands back the metric's jets with G^-1, the
 Christoffel symbols and their partials. codazzi._criteria passes the
 metric's jets of its own first pass with a sweep of the frame entries
-instead. From these second-order jets, stacked numpy gives per block and
-complement the projector onto the span, nabla_{X_a} X_b, the mean
-curvature normal H and its partials by the product rule, so
-nabla_X H = (dH) X + Gamma(X, H) needs no derivative tree of H (O'Neill,
-Semi-Riemannian Geometry, 1983, ch. 4 and 7). numpy then reduces the
-stacked values to residuals:
+instead. From these second-order jets, one stacked numpy pass (_geometry)
+gives for every block and complement at once the projector onto the span,
+nabla_{X_a} X_b, the mean curvature normal H and its partials by the
+product rule, so nabla_X H = (dH) X + Gamma(X, H) needs no derivative tree
+of H (O'Neill, Semi-Riemannian Geometry, 1983, ch. 4 and 7). Its cost does
+not grow with a loop over the spans: the frame's terms are formed once per
+net, the inverse Gram matrices and projectors once per span rank, and the
+rest once over all spans stacked. numpy then reduces the stacked values to
+residuals, each the largest over the pairs of frame fields of a span:
 
     umbilicity     ||(nabla_X Y)^perp - <X, Y> H||      over block pairs
     sphericity     |<nabla_X H, Z>|                     block X, complement Z
@@ -49,19 +52,22 @@ first check that fails there (frame degeneracy, block orthogonality, field
 evaluation). Where the jets are finite but a derived value is not (Gamma,
 or H, its partials, nabla H, a defect or a bracket of a span), the field
 stage raises InconsistencyError naming the quantity, the span and the
-sample. A residual that is not finite raises InconsistencyError instead of
-passing.
+sample; only the entries that belong to a span are checked, and the one
+that is named is found in the layout of that span alone. A residual that
+is not finite raises InconsistencyError instead of passing, and a
+precondition that is not finite fails (cwp_residual).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chart_calculus import MetricField, _at, _ginner, _gnorm, _inv, _jets
+from .chart_calculus import MetricField, _at, _gnorm, _inv, _jets
 from .errors import (
     ConstraintError,
     DegenerateFrameError,
@@ -146,12 +152,11 @@ class OrthogonalNet:
 _FRAME_DOMAIN, _DEGENERATE, _NOT_ORTHOGONAL, _FIELD_DOMAIN, _CLEAN = range(5)
 
 
-# DistributionGeometry name -> _Side field of each residual of a span
-_RESIDUALS = {"umbilicity": "umb", "sphericity": "sph", "geodesy": "geo", "integrability": "integ"}
-# the derived values of a span by name -> _Side field, in the order the first
-# that is not finite at a sample is named
-_DERIVED = {"H": "H", "dH": "dH", "nabla H": "covH", "umbilicity defect": "defects",
-            "bracket": "brackets"}
+# the residuals of DistributionGeometry by name, in the order of _Geometry.res
+_RESIDUALS = ("umbilicity", "sphericity", "geodesy", "integrability")
+# the derived values of a span, in the order the first that is not finite at
+# a sample is named (_Geometry.span_values)
+_DERIVED = ("H", "dH", "nabla H", "umbilicity defect", "bracket")
 
 
 def _mul(T: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -161,6 +166,24 @@ def _mul(T: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (rows @ B).reshape(T.shape[:-1] + B.shape[-1:])
 
 
+def _colnorm(v: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The g-norms of the columns of v, (m, n, ...), per sample: _gnorm with
+    the vectors along axis 1."""
+    cols = v.reshape(len(v), v.shape[1], -1)
+    q = ((G @ cols) * cols).sum(axis=1)
+    return np.sqrt(np.maximum(q, 0.0)).reshape(v.shape[:1] + v.shape[2:])
+
+
+def _masked_max(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The largest of the values, (s, ..., m) and at least 0, over the
+    entries where the mask, (s, ...), holds, per s and sample: 0 where it
+    holds nowhere. A value that is not finite propagates."""
+    S, m = len(values), values.shape[-1]
+    values = np.ascontiguousarray(values).reshape(S, -1, m)
+    kept = np.where(mask.reshape(S, -1, 1), values, 0.0)
+    return kept.max(axis=1, initial=0.0)
+
+
 def _frame_roots(net: OrthogonalNet) -> list:
     """The frame entries, row by row, that a jet tape holds: none when
     every entry is a constant."""
@@ -168,22 +191,115 @@ def _frame_roots(net: OrthogonalNet) -> list:
     return [] if all(isinstance(e, Const) for e in entries) else entries
 
 
-def _geometry(metric: tuple, frame_jets, spans, frame) -> tuple:
-    """The geometry of each of the spans, tuples of frame indices, from the
-    metric's jets as _metric_jets gives them, (G, dG, G^-1, Gamma,
-    d Gamma), and, for a frame that is not constant, the jets of the frame
-    entries, (m, 1 + n + n(n+1)/2, n^2) as Tape.jet_sweep gives them.
+@dataclass(frozen=True)
+class _SpanIndex:
+    """Index tables of a stack of spans, tuples of frame indices, over n
+    frame fields (_span_index); every array is read-only."""
+
+    rank: np.ndarray  # (s,) the ranks
+    member: np.ndarray  # (s, n) whether X_a is in span s
+    # per rank r > 0: the spans of that rank (spans,) and their fields in
+    # span order (spans, r)
+    groups: tuple
+    pairs: np.ndarray  # (p,) the frame pairs (a, b) whose defect some span reads, as a n + b
+    defect: np.ndarray  # (s, p) whether the pair's defect counts in span s
+    bracket: np.ndarray  # (s, p) whether its bracket does
+
+
+@functools.lru_cache(maxsize=256)
+def _span_index(spans: tuple, n: int) -> _SpanIndex:
+    """The index tables of the spans. A pair (a, b) of a span's fields
+    counts for its umbilicity defect when X_a comes no later than X_b in the
+    span and its rank is at least 2, and for its bracket when X_a comes
+    first. Built once per distinct stack of spans."""
+    rank = np.array([len(s) for s in spans], dtype=np.intp)
+    pos = np.full((len(spans), n), -1, dtype=np.intp)  # position of X_a in span s
+    pos[[t for t, s in enumerate(spans) for _ in s], [a for s in spans for a in s]] = [
+        q for s in spans for q in range(len(s))]
+    order = np.argsort(np.where(pos >= 0, pos, n), axis=1, kind="stable")
+    groups = tuple((np.flatnonzero(rank == r), order[rank == r, :r])
+                   for r in sorted(set(rank.tolist()) - {0}))
+    pa, pb = pos[:, :, None], pos[:, None, :]
+    both = (pa >= 0) & (pb >= 0)
+    defect = (both & (pa <= pb) & (rank > 1)[:, None, None]).reshape(-1, n * n)
+    pairs = np.flatnonzero(defect.any(axis=0))
+    index = _SpanIndex(rank, pos >= 0, groups, pairs, defect[:, pairs],
+                       (both & (pa < pb)).reshape(-1, n * n)[:, pairs])
+    for a in (rank, index.member, pairs, index.defect, index.bracket,
+              *(a for g in groups for a in g)):
+        a.flags.writeable = False
+    return index
+
+
+@dataclass
+class _Geometry:
+    """The geometry of a stack of spans over the samples (_geometry): the
+    frame's terms, then per span, along axis s, its mean curvature normal
+    with its partials and covariant derivatives, its umbilicity defects and
+    brackets, and its residuals. Vectors are columns along axis 1 (k), and
+    the pair axis p runs over index.pairs. The arrays whose entries are
+    reduced to residuals, cross and res, hold the samples last, so each
+    maximum is taken over whole rows of samples."""
+
+    G: np.ndarray  # (m, n, n) the metric
+    gamma: np.ndarray  # (m, k, i, j) Gamma^k_ij
+    F: np.ndarray  # (m, n, n) the frame, X_a as row a
+    M: np.ndarray  # (m, n, n) <X_a, X_b>, the frame's Gram matrix
+    norms: np.ndarray  # (m, n) the g-norms of the frame's fields
+    spans: tuple  # the spans, tuples of frame indices, along axis s
+    index: _SpanIndex
+    H: np.ndarray  # (m, s, n) mean curvature normal
+    dH: np.ndarray  # (m, s, n, n) d_i H^k at [k, i]
+    covH: np.ndarray  # (m, k, s, n) nabla_{X_a} H^k at [k, s, a], every frame field
+    cross: np.ndarray  # (s, n, n, m) <nabla_{X_a} H, X_c> / (|X_a| |X_c|) at [s, c, a]
+    defects: np.ndarray  # (m, k, s, p) (nabla_{X_a} X_b)^perp - <X_a, X_b> H
+    brackets: np.ndarray | None  # (m, k, s, p) [X_a, X_b]^perp; None for a constant frame
+    res: np.ndarray  # (4, s, m) the residuals of _RESIDUALS
+
+    def derived(self) -> list:
+        """Gamma and the derived values of the spans, each with the mask of
+        its entries that belong to a span, which broadcasts against its
+        values at one sample (None: every entry)."""
+        index = self.index
+        values = [(self.gamma, None), (self.H, None), (self.dH, None),
+                  (self.covH, index.member), (self.defects, index.defect)]
+        if self.brackets is not None:
+            values.append((self.brackets, index.bracket))
+        return values
+
+    def span_values(self, t: int) -> list:
+        """The derived values of span t in the order of _DERIVED, in the
+        layout of the span alone: H (m, n), dH (m, n, n), nabla H (m, r, n),
+        and the defects and brackets (m, pairs, n) over the pairs a <= b and
+        a < b of the span's fields, in its order."""
+        s = np.array(self.spans[t], dtype=np.intp)
+        m, n = self.H.shape[0], self.H.shape[-1]
+        le, lt = (np.searchsorted(self.index.pairs, s[a] * n + s[b])
+                  for a, b in (_pairs(len(s), 0), _pairs(len(s), 1)))
+        if len(s) < 2:
+            le = lt  # a single field has no defect
+        brackets = (np.zeros((m, len(lt), n)) if self.brackets is None
+                    else self.brackets[:, :, t, lt].swapaxes(1, 2))
+        return [self.H[:, t], self.dH[:, t], self.covH[:, :, t, s].swapaxes(1, 2),
+                self.defects[:, :, t, le].swapaxes(1, 2), brackets]
+
+
+def _geometry(metric: tuple, frame_jets, spans, frame) -> _Geometry:
+    """The geometry of the spans, tuples of frame indices, from the metric's
+    jets as _metric_jets gives them, (G, dG, G^-1, Gamma, d Gamma), and, for
+    a frame that is not constant, the jets of the frame entries,
+    (m, 1 + n + n(n+1)/2, n^2) as Tape.jet_sweep gives them.
 
     frame is the frame as an (n, n) array when all its entries are
     constants: frame_jets is then None, F is the frame broadcast over the
     samples, and the terms with a frame partial are skipped. It is None
-    otherwise. Per span of rank r > 0 the result holds
+    otherwise. Per span of rank r > 0
 
-        H          (m, n)         (I - R g) K / r
-        defects    (m, pairs, n)  C_ab^perp - M_ab H, a <= b, when r > 1
-        nabla H    (m, r, n)      (dH) X_a + Gamma(X_a, H)
-        brackets   (m, pairs, n)  [X_a, X_b]^perp, a < b
-        dH         (m, n, n)      d_i H^k at [k, i]
+        H          (I - R g) K / r
+        defects    C_ab^perp - M_ab H, a <= b, when r > 1
+        nabla H    (dH) X_a + Gamma(X_a, H)
+        brackets   [X_a, X_b]^perp, a < b
+        dH         d_i H^k at [k, i]
 
     where X holds the span's fields as rows, M = X g X^T is their Gram
     matrix, R = X^T M^-1 X (so R g projects onto the span and I - R g onto
@@ -194,11 +310,32 @@ def _geometry(metric: tuple, frame_jets, spans, frame) -> tuple:
         d_p R = -R (d_p g) R + N_p + N_p^T,   N_p = (I - R g)(d_p X)^T M^-1 X
         d_p H = ((I - R g) d_p K - (d_p R) g K - R (d_p g) K) / r
 
-    Spans of rank 0 map to None. All spans go through each step together.
-    Returns the metric G (m, n, n), its inverse, the Christoffel symbols
-    Gamma^k_ij (m, k, i, j), the frame F (m, n, n) and that map."""
-    G, dG, Ginv, gamma, dgamma = metric
+    A span of rank 0 has H = 0 and residuals 0.
+
+    No step loops over the spans; the work falls in three groups. Once per
+    net: the frame's Gram matrix and norms, C_ab = Gamma(X_a, X_b) + X_a(X_b)
+    over the frame pairs that some span reads (index.pairs), its second
+    term for a moving frame only. Once per span rank, over the spans of
+    that rank together: M, M^-1 (_inv), M^-1 X and R, and for a moving
+    frame the terms with a frame partial of K, d R and d(M^-1 X). Once over
+    all spans stacked: K, d K, d R, I - R g, H, dH and nabla H. The
+    defects, the brackets and <nabla_{X_a} H, X_c> are each one product
+    over all spans and pairs, folded as (m, n s, n) @ (m, n, p), and a
+    residual is the largest value over the pairs of each span (index
+    masks)."""
+    G, dG, _, gamma, dgamma = metric
     m, n = G.shape[:2]
+    index = _span_index(tuple(spans), n)
+    rank, pairs = index.rank, index.pairs
+    S, P = len(rank), len(pairs)
+    pa, pb = np.divmod(pairs, n)
+
+    # Gamma over rows k, columns ij, and d Gamma over rows (p, k), columns ij
+    gamma, dgamma = gamma.reshape(m, n, n * n), dgamma.reshape(m, n * n, n * n)
+    gammaT = np.ascontiguousarray(gamma.swapaxes(1, 2))  # rows ij, columns k
+
+    # the frame's terms: X^T, its Gram matrix and norms, and C_ab over rows
+    # k, columns (a, b) in index.pairs, from X_a^i X_b^j over rows ij
     if frame is None:
         iu, ju = _pairs(n, 0)
         F = frame_jets[:, 0].reshape(m, n, n)
@@ -206,23 +343,28 @@ def _geometry(metric: tuple, frame_jets, spans, frame) -> tuple:
         d2F = np.empty((m, n, n, n * n))
         d2F[:, iu, ju] = d2F[:, ju, iu] = frame_jets[:, n + 1 :]
         d2F = d2F.reshape(m, n, n, n, n)  # d_p d_q X_a^k
+        Ft = F.swapaxes(1, 2)
+        A = (F @ dF.reshape(m, n, n * n)).reshape(m, n, n, n)  # X_a(X_b)^k at [a, b, k]
+        C = gamma @ (Ft[:, :, None, pa] * Ft[:, None, :, pb]).reshape(m, n * n, P)
+        C += A[:, pa, pb].swapaxes(1, 2)
     else:
         F = np.broadcast_to(frame, (m, n, n))
+        Ft = frame.T
+        C = _mul(gamma, (Ft[:, None, pa] * Ft[None, :, pb]).reshape(n * n, P))
+    Gt = _mul(G, Ft)  # g X_c over rows i, columns c
+    M = _mul(Gt.swapaxes(1, 2), Ft)
+    norms = np.sqrt(np.maximum(M.reshape(m, n * n)[:, :: n + 1], 0.0))
+    scale = np.maximum(norms[:, :, None] * norms[:, None, :], 1e-300)
 
-    # Gamma over rows k, columns ij, and d Gamma over rows (p, k), columns ij
-    gamma, dgamma = gamma.reshape(m, n, n * n), dgamma.reshape(m, n * n, n * n)
-    gammaT = np.ascontiguousarray(gamma.swapaxes(1, 2))  # rows ij, columns k
-
-    live = [s for s in spans if s]
-    S = len(live)
-    rank = np.array([len(s) for s in live], dtype=float)[:, None, None]
-    X = [F[:, list(s)] if frame is None else frame[list(s)] for s in live]
-    Xt = [x.swapaxes(-1, -2) for x in X]
-    M = [_mul(_mul(G, xt).swapaxes(1, 2), xt) for xt in Xt]
-    Y = [_mul(_inv(a), x) for a, x in zip(M, X)]  # M^-1 X
-    R = np.empty((m, S, n, n))
-    for t, (y, x) in enumerate(zip(Y, X)):
-        R[:, t] = _mul(y.swapaxes(1, 2), x)
+    # per rank, over its spans: M^-1 X and R
+    R = np.zeros((m, S, n, n))
+    terms = []
+    for ts, idx in index.groups:
+        X = F[:, idx] if frame is None else frame[idx]  # (m, spans, r, n) or (spans, r, n)
+        Minv = _inv(M[:, idx[:, :, None], idx[:, None, :]])
+        Y = Minv @ X
+        R[:, ts] = Y.swapaxes(-1, -2) @ X
+        terms.append((ts, idx, X, Minv, Y))
     Rcols = R.reshape(m, S, n * n).swapaxes(1, 2)
 
     # K = Gamma : R and d_p K = (d_p Gamma) : R + Gamma : d_p R, with
@@ -230,69 +372,65 @@ def _geometry(metric: tuple, frame_jets, spans, frame) -> tuple:
     K = (gamma @ Rcols).swapaxes(1, 2)  # (m, S, k)
     dK = (dgamma @ Rcols).reshape(m, n, n, S).transpose(0, 3, 1, 2)  # (m, S, p, k)
     RdG = R.reshape(m, S * n, n) @ dG.swapaxes(1, 2).reshape(m, n, n * n)
-    dR = -(RdG.reshape(m, S, n * n, n) @ R).reshape(m, S, n, n, n).swapaxes(2, 3).copy()
+    dR = RdG.reshape(m, S, n * n, n) @ R
+    del RdG  # each (m, s, n, n, n) array is freed once read
+    dR = np.negative(dR.reshape(m, S, n, n, n).swapaxes(2, 3), order="C")
     Pis = np.eye(n) - (R.reshape(m, S * n, n) @ G).reshape(m, S, n, n)
     if frame is None:
-        for t, s in enumerate(live):
+        for ts, idx, X, Minv, Y in terms:
             # the terms with a frame partial: d_i X_b over rows (b, i)
-            r, y, Pi = len(s), Y[t], Pis[:, t]
-            D = dF[:, :, list(s)]
-            Db = D.swapaxes(1, 2).reshape(m, r * n, n)
-            K[:, t] += (y.reshape(m, 1, r * n) @ Db)[:, 0]
-            Z = (D.swapaxes(2, 3).reshape(m, n * n, r) @ y).reshape(m, n, n, n)
-            N = (Pi @ Z.swapaxes(1, 2).reshape(m, n, n * n)).reshape(m, n, n, n).swapaxes(1, 2)
-            dR[:, t] += N + N.swapaxes(2, 3)
+            Sr, r = idx.shape
+            Pi = Pis[:, ts]
+            D = dF[:, :, idx]  # (m, p, spans, b, k)
+            Db = D.transpose(0, 2, 3, 1, 4).reshape(m, Sr, r * n, n)
+            y = Y.reshape(m, Sr, 1, r * n)
+            K[:, ts] += (y @ Db)[:, :, 0]
+            Z = (D.transpose(0, 2, 1, 4, 3).reshape(m, Sr, n * n, r) @ Y).reshape(m, Sr, n, n, n)
+            N = (Pi @ Z.swapaxes(2, 3).reshape(m, Sr, n, n * n)).reshape(m, Sr, n, n, n).swapaxes(2, 3)
+            dR[:, ts] += N + N.swapaxes(3, 4)
             # d_p (M^-1 X) = M^-1 ((d_p X)(I - R g)^T - X ((d_p g) R + g Z_p))
-            V = (D.reshape(m, n * r, n) @ Pi.swapaxes(1, 2)).reshape(m, n, r, n).swapaxes(1, 2)
-            gRZ = (dG.reshape(m, n * n, n) @ R[:, t]).reshape(m, n, n, n).swapaxes(1, 2)
-            gRZ = gRZ.reshape(m, n, n * n) + G @ Z.swapaxes(1, 2).reshape(m, n, n * n)
-            V = V - (X[t] @ gRZ).reshape(m, r, n, n)
-            dY = (_inv(M[t]) @ V.reshape(m, r, n * n)).reshape(m, r, n, n).swapaxes(1, 2)
-            dD = d2F[:, :, :, list(s)].transpose(0, 3, 2, 1, 4).reshape(m, r * n, n * n)
-            dK[:, t] += dY.reshape(m, n, r * n) @ Db + (y.reshape(m, 1, r * n) @ dD).reshape(m, n, n)
+            V = D.transpose(0, 2, 1, 3, 4).reshape(m, Sr, n * r, n) @ Pi.swapaxes(2, 3)
+            V = V.reshape(m, Sr, n, r, n).swapaxes(2, 3)
+            gRZ = (dG.reshape(m, 1, n * n, n) @ R[:, ts]).reshape(m, Sr, n, n, n).swapaxes(2, 3)
+            gRZ = gRZ.reshape(m, Sr, n, n * n) + G[:, None] @ Z.swapaxes(2, 3).reshape(m, Sr, n, n * n)
+            V = V - (X @ gRZ).reshape(m, Sr, r, n, n)
+            dY = (Minv @ V.reshape(m, Sr, r, n * n)).reshape(m, Sr, r, n, n).swapaxes(2, 3)
+            dD = d2F[:, :, :, idx].transpose(0, 3, 4, 2, 1, 5).reshape(m, Sr, r * n, n * n)
+            dK[:, ts] += dY.reshape(m, Sr, n, r * n) @ Db + (y @ dD).reshape(m, Sr, n, n)
     dK += (dR.reshape(m, S * n, n * n) @ gammaT).reshape(m, S, n, n)
 
+    div = np.maximum(rank, 1)[:, None]
     GK = K @ G
-    H = (K - (GK[:, :, None] @ R)[:, :, 0]) / rank[..., 0]
+    H = (K - (GK[:, :, None] @ R)[:, :, 0]) / div
     dGK = (dG.reshape(m, n * n, n) @ K.swapaxes(1, 2)).reshape(m, n, n, S).transpose(0, 3, 1, 2)
     dH = dK - (_mul(dK, G) + dGK) @ R - (dR.reshape(m, S, n * n, n) @ GK[..., None]).reshape(m, S, n, n)
-    dH /= rank
+    del dR
+    dH = (dH / div[..., None]).swapaxes(2, 3)
+    H[:, rank == 0] = dH[:, rank == 0] = 0.0
+
+    # nabla_{X_a} H = (dH + Gamma(e_i, H)) X_a over rows (k, s), columns a,
+    # and its inner products with the frame
     gamH = (gamma.reshape(m, n * n, n) @ H.swapaxes(1, 2)).reshape(m, n, n, S)  # Gamma(e_i, H)^k
+    covH = _mul(dH.transpose(0, 2, 1, 3) + gamH.swapaxes(2, 3), Ft)
+    cross = (Gt.swapaxes(1, 2) @ covH.reshape(m, n, S * n)).reshape(m, n, S, n)
+    cross = (cross / scale[:, :, None]).transpose(2, 1, 3, 0).copy()
 
-    out = dict.fromkeys(spans)
-    for t, s in enumerate(live):
-        r = len(s)
-        covH = _mul(dH[:, t].swapaxes(1, 2) + gamH[..., t], Xt[t]).swapaxes(1, 2)
-        defects, brackets = np.zeros((m, 0, n)), np.zeros((m, r * (r - 1) // 2, n))
-        if r > 1:
-            # C^perp_ab over rows k, columns ab; the Gamma term is symmetric
-            Pi = Pis[:, t]
-            C = _mul(_mul(gamma.reshape(m, n * n, n), Xt[t]).reshape(m, n, n, r).swapaxes(2, 3), Xt[t])
-            if frame is None:
-                A = (X[t] @ dF[:, :, list(s)].reshape(m, n, r * n)).reshape(m, r, r, n)  # X_a(X_b)
-                C = C + A.transpose(0, 3, 1, 2)
-                ia, ib = _pairs(r, 1)
-                brackets = (A[:, ia, ib] - A[:, ib, ia]) @ Pi.swapaxes(1, 2)
-            ia, ib = _pairs(r, 0)
-            Sp = Pi @ C.reshape(m, n, r * r)
-            defects = (Sp[:, :, ia * r + ib] - H[:, t, :, None] * M[t][:, ia, ib][:, None]).swapaxes(1, 2)
-        out[s] = (H[:, t], defects, covH, brackets, dH[:, t].swapaxes(1, 2))
-    return G, Ginv, gamma.reshape(m, n, n, n), F, out
-
-
-@dataclass
-class _Side:
-    """Residuals of one span (a block or a complement) over the samples."""
-
-    H: np.ndarray  # (m, n) mean curvature normal
-    dH: np.ndarray  # (m, n, n) d_i H^k at [k, i]
-    covH: np.ndarray  # (m, rank, n) nabla_{X_a} H over the span's fields
-    defects: np.ndarray  # (m, pairs, n) umbilicity defects, a <= b
-    brackets: np.ndarray  # (m, pairs, n) [X_a, X_b]^perp, a < b
-    umb: np.ndarray  # (m,) each
-    sph: np.ndarray
-    geo: np.ndarray
-    integ: np.ndarray
+    # C_ab^perp - M_ab H and [X_a, X_b]^perp over rows (k, s), columns ab
+    Pk = Pis.transpose(0, 2, 1, 3).reshape(m, n * S, n)
+    defects = (Pk @ C).reshape(m, n, S, P)
+    defects -= H.swapaxes(1, 2)[..., None] * M[:, None, None, pa, pb]
+    pair_scale = scale[:, None, pa, pb]
+    res = np.zeros((4, S, m))  # umbilicity, sphericity, geodesy, integrability
+    res[0] = _masked_max((_colnorm(defects, G) / pair_scale).transpose(1, 2, 0), index.defect)
+    member = index.member
+    res[1] = _masked_max(np.abs(cross), member[:, None, :] & ~member[:, :, None])
+    res[2] = res[0] + _colnorm(H.swapaxes(1, 2), G).T
+    brackets = None
+    if frame is None:
+        brackets = (Pk @ (A[:, pa, pb] - A[:, pb, pa]).swapaxes(1, 2)).reshape(m, n, S, P)
+        res[3] = _masked_max((_colnorm(brackets, G) / pair_scale).transpose(1, 2, 0), index.bracket)
+    return _Geometry(G, gamma.reshape(m, n, n, n), F, M, norms, tuple(spans), index,
+                     H, dH, covH, cross, defects, brackets, res)
 
 
 class _Samples:
@@ -305,14 +443,18 @@ class _Samples:
     frame's jets are mended here (Sweep.repair). A constant frame, as every
     coordinate net has, stays off the tape and F is that frame broadcast
     over the samples.
-    _geometry computes, per requested block, the geometry of its span and
-    of its complement, and the residuals. The net's checks run later, when
-    the caller calls check."""
+    One stacked pass (_geometry) computes the geometry and the residuals of
+    every distinct span of the requested blocks and their complements
+    together; sides[i] holds the positions of block i's span and of its
+    complement's on the stack's span axis. Per sample, derived_ok holds whether Gamma and every
+    derived value of every span are finite. The net's checks run later,
+    when the caller calls check."""
 
     def __init__(self, net: OrthogonalNet, blocks, labels, metric: tuple, sweep):
         self.net, self.labels, self.sweep = net, labels, sweep
-        self.spans = {i: (net.blocks[i], net.complement(i)) for i in blocks}
-        unique = list(dict.fromkeys(s for pair in self.spans.values() for s in pair))
+        spans_of = {i: (net.blocks[i], net.complement(i)) for i in blocks}
+        spans = list(dict.fromkeys(s for pair in spans_of.values() for s in pair))
+        self.sides = {i: (spans.index(b), spans.index(c)) for i, (b, c) in spans_of.items()}
 
         roots = _frame_roots(net)
         frame = None if roots else np.array([[e.value for e in f] for f in net.frame])
@@ -320,27 +462,20 @@ class _Samples:
         # by sample, the error of the frame entries' diff trees where they fail
         self.input_errors = sweep.repair(start=start)
         with np.errstate(all="ignore"):
-            self.G, self.Ginv, self.gamma, self.F, geometry = _geometry(
-                metric, sweep.jets[:, :, start:] if roots else None, unique, frame)
-            # the Gram matrix of the frame, and the g-norms of its fields
-            self.M = self.F @ self.G @ self.F.transpose(0, 2, 1)
-            self.norms = np.sqrt(np.maximum(np.einsum("maa->ma", self.M), 0.0))
-            self.sides = {s: self._side(s, geometry[s]) for s in unique}
-            # per sample, whether Gamma and every derived value of every span
-            # are finite there
-            self.derived_ok = _finite([self.gamma] + [
-                getattr(side, f) for side in self.sides.values() for f in _DERIVED.values()])
+            self.geo = _geometry(metric, sweep.jets[:, :, start:] if roots else None, spans, frame)
+            self.derived_ok = _finite(self.geo.derived())
 
     def field_error(self, j: int):
         """The error of the field stage at sample j: that of the entries'
         diff trees there, or else InconsistencyError naming the first
         derived value that is not finite, Gamma and then per span those of
-        _DERIVED."""
+        _DERIVED, each read in the layout of the span alone."""
         if j in self.input_errors:
             return self.input_errors[j]
-        named = [("Gamma", self.gamma)] + [
-            (f"{name} of span {s}", getattr(side, f))
-            for s, side in self.sides.items() for name, f in _DERIVED.items()]
+        geo = self.geo
+        named = [("Gamma", geo.gamma)] + [
+            (f"{name} of span {s}", a)
+            for t, s in enumerate(geo.spans) for name, a in zip(_DERIVED, geo.span_values(t))]
         for name, a in named:
             bad = a[j][~np.isfinite(a[j])]
             if bad.size:
@@ -354,7 +489,8 @@ class _Samples:
         orthogonality, field evaluation); values at a sample past its first
         failure are never read. Returns self."""
         labels = self.labels
-        m, n = self.M.shape[:2]
+        M, norms = self.geo.M, self.geo.norms
+        m, n = M.shape[:2]
         fb = self.sweep.first_bad
         stage = np.full(m, _CLEAN)
         stage[~self.derived_ok] = _FIELD_DOMAIN
@@ -362,14 +498,14 @@ class _Samples:
 
         # the roots before the frame's have evaluated at every sample
         frame_ok = fb == self.sweep.tape.size
-        evm = np.linalg.eigvalsh(np.where(frame_ok[:, None, None], self.M, np.eye(n)))
+        evm = np.linalg.eigvalsh(np.where(frame_ok[:, None, None], M, np.eye(n)))
         degenerate = frame_ok & (evm[:, 0] <= _GRAM_COND_FLOOR * np.maximum(evm[:, -1], 1e-300))
 
         pairs = [(a, c) for b, d in itertools.combinations(self.net.blocks, 2) for a in b for c in d]
         pa, pc = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        ip = np.abs(self.M[:, pa, pc])
+        ip = np.abs(M[:, pa, pc])
         with np.errstate(all="ignore"):  # read only where frame_ok
-            skew = ip / np.maximum(self.norms[:, pa] * self.norms[:, pc], 1e-300) > _ORTHO_TOL
+            skew = ip / np.maximum(norms[:, pa] * norms[:, pc], 1e-300) > _ORTHO_TOL
 
         stage[frame_ok & ~degenerate & skew.any(axis=1)] = _NOT_ORTHOGONAL
         stage[degenerate] = _DEGENERATE
@@ -394,70 +530,37 @@ class _Samples:
             f"|<X_{pairs[q][0]}, X_{pairs[q][1]}>| = {ip[j, q]:.3e}"
         )
 
-    def _side(self, span, geometry) -> _Side:
-        G, F, norms = self.G, self.F, self.norms
-        m, n = G.shape[:2]
-        zero = np.zeros(m)
-        if geometry is None:
-            none = np.zeros((m, 0, n))
-            return _Side(np.zeros((m, n)), np.zeros((m, n, n)), none, none, none,
-                         zero, zero, zero, zero)
-        H, defects, covH, brackets, dH = geometry
-        r = len(span)
-        idx = np.array(span, dtype=np.intp)
-        other = np.array([k for k in range(n) if k not in span], dtype=np.intp)
-
-        def pair_max(vectors, a, b) -> np.ndarray:
-            if not len(a):
-                return zero
-            scale = np.maximum(norms[:, idx[a]] * norms[:, idx[b]], 1e-300)
-            return (_gnorm(vectors, G) / scale).max(axis=1)
-
-        umb = pair_max(defects, *_pairs(r, 0)) if r > 1 else zero
-        sph = zero
-        if other.size:
-            ip = np.abs(_ginner(covH[:, :, None], G, F[:, None, other]))
-            scale = np.maximum(norms[:, idx, None] * norms[:, None, other], 1e-300)
-            sph = (ip / scale).max(axis=(1, 2))
-        geo = umb + _gnorm(H, G)
-        integ = pair_max(brackets, *_pairs(r, 1))
-        return _Side(H, dH, covH, defects, brackets, umb, sph, geo, integ)
-
-    def block(self, i: int) -> tuple[_Side, _Side]:
-        b, c = self.spans[i]
-        return self.sides[b], self.sides[c]
+    def _sides(self, blocks) -> tuple:
+        """The span axis positions of the blocks and of their complements."""
+        return np.array([self.sides[i] for i in blocks], dtype=np.intp).reshape(-1, 2).T
 
     def residuals(self, blocks) -> dict:
         """The residuals of DistributionGeometry by name, each (blocks, m)."""
-        sides = [self.block(i) for i in blocks]
+        sides = [self.geo.res[:, t] for t in self._sides(blocks)]
         return {
-            name + perp: np.stack([getattr(pair[k], attr) for pair in sides])
-            for name, attr in _RESIDUALS.items()
-            for k, perp in enumerate(("", "_perp"))
+            name + perp: side[q]
+            for q, name in enumerate(_RESIDUALS)
+            for side, perp in zip(sides, ("", "_perp"))
         }
 
     def geometry(self, i: int) -> DistributionGeometry:
         """The DistributionGeometry of block i at the first sample."""
-        b, c = self.block(i)
+        b, c = self.sides[i]
         res = self.residuals((i,))
         return DistributionGeometry(
-            i, b.H[0], c.H[0], **{k: float(v[0, 0]) for k, v in res.items()}
+            i, self.geo.H[0, b], self.geo.H[0, c], **{k: float(v[0, 0]) for k, v in res.items()}
         )
 
-    def exchange(self, i: int) -> np.ndarray:
+    def exchange(self, blocks) -> np.ndarray:
         """|<nabla_Z eta_i, X> - <nabla_X H_i, Z>| over normalized pairs of a
-        block field X and a complement field Z, per sample."""
-        bf, cf = self.spans[i]
-        b, c = self.block(i)
-        G, F, norms = self.G, self.F, self.norms
-        if not (bf and cf):
-            return np.zeros(G.shape[0])
-        blk = np.array(bf, dtype=np.intp)
-        comp = np.array(cf, dtype=np.intp)
-        scale = np.maximum(norms[:, blk, None] * norms[:, None, comp], 1e-300)
-        d1 = _ginner(c.covH[:, None, :], G, F[:, blk, None]) / scale
-        d2 = _ginner(b.covH[:, :, None], G, F[:, None, comp]) / scale
-        return (np.abs(d1 - d2) / (1.0 + np.abs(d1) + np.abs(d2))).max(axis=(1, 2))
+        field X of block i and a field Z of its complement, (blocks, m)."""
+        tb, tc = self._sides(blocks)
+        member = self.geo.index.member
+        # over blocks, rows Z, columns X
+        d1 = self.geo.cross[tc].swapaxes(1, 2)
+        d2 = self.geo.cross[tb]
+        ratio = np.abs(d1 - d2) / (1.0 + np.abs(d1) + np.abs(d2))
+        return _masked_max(ratio, member[tc][:, :, None] & member[tb][:, None, :])
 
 
 def _net_samples(g: MetricField, net: OrthogonalNet, blocks, pts, labels) -> _Samples:
@@ -470,14 +573,17 @@ def _net_samples(g: MetricField, net: OrthogonalNet, blocks, pts, labels) -> _Sa
 
 
 def _finite(arrays) -> np.ndarray:
-    """Per sample, whether every array, each (m, ...), is finite there.
-    Callers ignore floating-point errors (np.errstate)."""
-    m = len(arrays[0])
+    """Per sample, whether every array, each (m, ...) with a mask that
+    broadcasts against its values at one sample or None, is finite there
+    wherever its mask holds. Callers ignore floating-point errors
+    (np.errstate)."""
+    m = len(arrays[0][0])
     ok = np.ones(m, dtype=bool)
-    for a in arrays:
+    for a, mask in arrays:
         # a finite array whose sum overflows only takes the exact check
         if not np.isfinite(a.sum()):
-            ok &= np.isfinite(a.reshape(m, -1)).all(axis=1)
+            fin = np.isfinite(a) if mask is None else np.isfinite(a) | ~mask
+            ok &= fin.reshape(m, -1).all(axis=1)
     return ok
 
 
@@ -532,12 +638,12 @@ def cwp_residual(g: MetricField, net: OrthogonalNet, i: int, p, tol: float = 1e-
     caller never mistakes an unevaluable identity for a zero residual."""
     samples = _net_samples(g, net, (i,), [p], [tuple(p)])
     geom = samples.geometry(i)
-    if geom.umbilicity > tol or geom.umbilicity_perp > tol:
+    if not (geom.umbilicity <= tol and geom.umbilicity_perp <= tol):
         raise NotApplicableError(
             f"umbilicity preconditions fail at {tuple(p)}: "
             f"block {geom.umbilicity:.3e}, complement {geom.umbilicity_perp:.3e}"
         )
-    return float(samples.exchange(i)[0])
+    return float(samples.exchange((i,))[0, 0])
 
 
 # --- classification -------------------------------------------------------------
@@ -613,10 +719,9 @@ def classify_net(
 
 def _classify(samples: _Samples, tol: float) -> NetReport:
     """classify_net on samples of every block whose checks have passed."""
-    nblocks = len(samples.net.blocks)
+    blocks = range(len(samples.net.blocks))
     labels = samples.labels
-    sides = [samples.block(i) for i in range(nblocks)]
-    res = samples.residuals(range(nblocks))
+    res = samples.residuals(blocks)
     umb, sph = res["umbilicity"], res["sphericity"]
     umb_p, geo_p, integ_p = (
         res[k] for k in ("umbilicity_perp", "geodesy_perp", "integrability_perp")
@@ -627,32 +732,32 @@ def _classify(samples: _Samples, tol: float) -> NetReport:
     cqw = np.maximum(umb[1:], umb_p[1:]).max(axis=0)
     cqw0 = np.maximum(cqw, umb_p[0])
 
+    # the exchange identity, per block where both umbilicity preconditions hold
+    admitted = (umb <= tol) & (umb_p <= tol)
+    exchange = samples.exchange(blocks) if admitted.any() else None
     cwp = cqw
-    eq_evaluated = False
-    for i in range(1, nblocks):
-        admitted = (umb[i] <= tol) & (umb_p[i] <= tol)
-        if admitted.any():
-            cwp = np.where(admitted, np.maximum(cwp, samples.exchange(i)), cwp)
-            eq_evaluated = True
+    eq_evaluated = bool(admitted[1:].any())
+    if eq_evaluated:
+        cwp = np.maximum(cwp, np.where(admitted[1:], exchange[1:], 0.0).max(axis=0))
     cp = np.maximum(cwp, umb_p[0])
     maxes = {
         name: _worst(name, val, labels)
         for name, val in zip(FLAG_NAMES, (tp, wp, qw, cqw, cqw0, cwp, cp))
     }
 
-    G = samples.G
-    H0 = sides[0][0].H
-    etas = [c.H for _, c in sides[1:]]
-    hsum = H0 - sum(etas)
-    hscale = 1.0 + _gnorm(H0, G) + sum(_gnorm(e, G) for e in etas)
+    # H_0 against the sum of the complements' normals eta_i, i >= 1
+    G = samples.geo.G
+    tb, tc = samples._sides(blocks)
+    H = samples.geo.H[:, np.concatenate([tb[:1], tc[1:]])]
+    norms = _gnorm(H, G)
+    hsum = H[:, 0] - H[:, 1:].sum(axis=1)
+    hscale = 1.0 + norms[:, 0] + norms[:, 1:].sum(axis=1)
     h0_max = _worst("h0_sum_residual", _gnorm(hsum, G) / hscale, labels)
 
     cp_hs0_max = 0.0
-    admitted = (umb[0] <= tol) & (umb_p[0] <= tol)
-    eq0_evaluated = bool(samples.net.blocks[0]) and bool(admitted.any())
+    eq0_evaluated = bool(samples.net.blocks[0]) and bool(admitted[0].any())
     if eq0_evaluated:
-        exchange = np.where(admitted, samples.exchange(0), 0.0)
-        cp_hs0_max = _worst("cp_hs0_residual", exchange, labels)
+        cp_hs0_max = _worst("cp_hs0_residual", np.where(admitted[0], exchange[0], 0.0), labels)
     flags = {name: Flag(_status(maxes[name], tol), maxes[name]) for name in FLAG_NAMES}
     if not eq_evaluated and flags["CWP"].status == "inconclusive":
         flags["CWP"] = Flag("not_applicable", maxes["CWP"])

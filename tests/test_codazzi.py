@@ -734,11 +734,11 @@ def test_non_finite_eigen_net_jets_raise_at_the_field_stage(monkeypatch):
     geometry = nets._geometry
 
     def poisoned(*args):
-        G, Ginv, gamma, F, spans = geometry(*args)
-        spans[(0,)][4][2] = np.nan  # d eta at sample 2
-        spans[(1,)][0][4] = np.inf  # zeta at sample 4
-        gamma[5] = np.nan
-        return G, Ginv, gamma, F, spans
+        geo = geometry(*args)
+        geo.dH[2, geo.spans.index((0,))] = np.nan  # d eta at sample 2
+        geo.H[4, geo.spans.index((1,))] = np.inf  # zeta at sample 4
+        geo.gamma[5] = np.nan
+        return geo
 
     monkeypatch.setattr(nets, "_geometry", poisoned)
     label = tuple(float(x) for x in sample_points(g.chart, PLAN)[2])

@@ -486,21 +486,20 @@ def test_constant_frame_stays_off_the_jet_tape():
     pts = sample_points(g.chart, PLAN)
     samples = nets._net_samples(g, _coordinate(g), range(3), pts, [tuple(p) for p in pts.tolist()])
     assert len(samples.sweep.tape.root_slots) == 6
-    assert samples.F.shape == (len(pts), 3, 3)
-    assert (samples.F == np.eye(3)).all()
+    assert samples.geo.F.shape == (len(pts), 3, 3)
+    assert (samples.geo.F == np.eye(3)).all()
 
 
 def test_non_finite_residual_raises(monkeypatch):
-    side = nets._Samples._side
+    # the sphericity of span (1,) is not finite at sample 2
+    geometry = nets._geometry
 
-    def poisoned(self, span, geometry):
-        out = side(self, span, geometry)
-        if span == (1,):
-            out.sph = out.sph.copy()
-            out.sph[2] = np.nan
-        return out
+    def poisoned(*args):
+        geo = geometry(*args)
+        geo.res[nets._RESIDUALS.index("sphericity"), geo.spans.index((1,)), 2] = np.nan
+        return geo
 
-    monkeypatch.setattr(nets._Samples, "_side", poisoned)
+    monkeypatch.setattr(nets, "_geometry", poisoned)
     g = fixtures.polar()
     with pytest.raises(InconsistencyError, match=r"^WP residual is nan at \(") as raised:
         classify_net(g, _coordinate(g), PLAN)
@@ -515,10 +514,10 @@ def test_non_finite_derived_value_raises_at_the_field_stage(monkeypatch):
     geometry = nets._geometry
 
     def poisoned(*args):
-        G, Ginv, gamma, F, spans = geometry(*args)
-        spans[(1,)][2][3] = np.nan
-        spans[(2,)][0][1, 0] = -np.inf
-        return G, Ginv, gamma, F, spans
+        geo = geometry(*args)
+        geo.covH[3, geo.spans.index((1,))] = np.nan
+        geo.H[1, geo.spans.index((2,)), 0] = -np.inf
+        return geo
 
     monkeypatch.setattr(nets, "_geometry", poisoned)
     g = fixtures.cqw_three()
@@ -526,6 +525,123 @@ def test_non_finite_derived_value_raises_at_the_field_stage(monkeypatch):
         classify_net(g, _coordinate(g), PLAN)
     label = tuple(sample_points(g.chart, PLAN)[1].tolist())
     assert str(raised.value) == f"H of span (2,) is -inf at {label}; derived values must be finite"
+
+
+def test_cwp_residual_refuses_an_umbilicity_that_is_not_finite(monkeypatch):
+    # a nan umbilicity fails the precondition instead of admitting the
+    # exchange identity
+    geometry = nets._geometry
+
+    def poisoned(*args):
+        geo = geometry(*args)
+        geo.res[nets._RESIDUALS.index("umbilicity"), geo.spans.index((1,))] = np.nan
+        return geo
+
+    monkeypatch.setattr(nets, "_geometry", poisoned)
+    g = fixtures.warped_three()
+    with pytest.raises(NotApplicableError, match=r"^umbilicity preconditions fail .*: block nan,"):
+        cwp_residual(g, _coordinate(g), 1, (0.5, 0.5, 0.5))
+
+
+def _twisted_four():
+    # a conformally scaled 2+1+1 twisted product: a dense 2 x 2 block in
+    # (x0, x1) and two lines whose twists depend on the other blocks
+    ch = Chart.box([(0.2, 1.2)] * 4, names=("x0", "x1", "x2", "x3"), blocks=((0, 1), (2,), (3,)))
+    phi2 = "exp(0.3*x0 - 0.4*x2 + 0.2*x3)^2"
+    off = f"{phi2} * 0.3*x0*x1"
+    rows = [
+        [f"{phi2} * (1.5 + x1^2)", off, "0", "0"],
+        [off, f"{phi2} * (1.4 + x0^2)", "0", "0"],
+        ["0", "0", f"{phi2} * (1.6 + x0^2*x2 + 0.3*x3)^2", "0"],
+        ["0", "0", "0", f"{phi2} * (1.3 + x1*x3^2 + 0.4*x2)^2"],
+    ]
+    return MetricField(ch, [[parse_expr(t, ch) for t in row] for row in rows])
+
+
+def _stacked_and_alone(g, net):
+    """The geometry of every span of the net's blocks and complements in
+    one stacked pass, and that of each span alone, from the same jets."""
+    pts = sample_points(g.chart, PLAN)
+    roots = nets._frame_roots(net)
+    metric, _, sweep = chart_calculus._jets(g, roots, pts, [tuple(p) for p in pts.tolist()])
+    jets = sweep.jets[:, :, len(sweep.tape.root_slots) - len(roots):] if roots else None
+    frame = None if roots else np.array([[e.value for e in f] for f in net.frame])
+    spans = list(dict.fromkeys(
+        s for i in range(len(net.blocks)) for s in (net.blocks[i], net.complement(i))))
+    with np.errstate(all="ignore"):
+        return (nets._geometry(metric, jets, spans, frame),
+                [nets._geometry(metric, jets, [s], frame) for s in spans])
+
+
+@pytest.mark.parametrize(
+    "make, ranks",
+    [
+        (lambda: (fixtures.cqw_three(), _coordinate(fixtures.cqw_three())), {1, 2}),
+        (lambda: (_twisted_four(), _coordinate(_twisted_four())), {1, 2, 3}),
+        (lambda: _skew_net(), {1, 2}),
+    ],
+    ids=["cqw_three", "twisted_four", "skew_warped_three"],
+)
+def test_stacked_pass_matches_each_span_alone(make, ranks):
+    # H, dH, nabla H, the defects and brackets and the four residuals of
+    # each span are the same whether the span is stacked with the others or
+    # computed alone; the moving frame exercises the brackets and the terms
+    # with a frame partial
+    def same(a, b):
+        # within 1e-15 of the quantity's largest magnitude, or of 1 where
+        # that is smaller: the two passes take their sums over products of
+        # different shapes, so an entry formed by cancellation, or one that
+        # is rounding noise about 0, may differ in its last bits
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-15 * max(1.0, np.abs(b).max(initial=0.0)))
+
+    g, net = make()
+    stacked, alone = _stacked_and_alone(g, net)
+    assert set(stacked.index.rank.tolist()) == ranks
+    assert (stacked.brackets is None) == net.is_coordinate
+    for t, single in enumerate(alone):
+        assert single.spans == (stacked.spans[t],)
+        for a, b in zip(stacked.span_values(t), single.span_values(0)):
+            same(a, b)
+        for a, b in zip(stacked.res[:, t], single.res[:, 0]):
+            same(a, b)
+    if not net.is_coordinate:
+        t = stacked.spans.index((1, 2))
+        assert np.abs(stacked.span_values(t)[4]).max() > 1e-3  # a bracket leaves the block
+
+
+def test_one_inverse_per_span_rank(monkeypatch):
+    # the Gram matrices of all spans of one rank are inverted together
+    shapes = []
+    inv = nets._inv
+
+    def spy(A):
+        shapes.append(A.shape[1:])
+        return inv(A)
+
+    monkeypatch.setattr(nets, "_inv", spy)
+    g = fixtures.cqw_three()
+    classify_net(g, _coordinate(g), PLAN)
+    assert shapes == [(3, 1, 1), (3, 2, 2)]  # blocks (0,), (1,), (2,) and their complements
+    shapes.clear()
+    g = _twisted_four()
+    classify_net(g, _coordinate(g), PLAN)
+    assert shapes == [(2, 1, 1), (2, 2, 2), (2, 3, 3)]
+
+
+def test_values_outside_a_span_are_not_checked(monkeypatch):
+    # nabla_{X_a} H is formed for every frame field, but only the fields of
+    # the span are checked for being finite
+    geometry = nets._geometry
+
+    def poisoned(*args):
+        geo = geometry(*args)
+        geo.covH[:, :, geo.spans.index((1,)), 0] = np.nan
+        return geo
+
+    g = fixtures.cqw_three()
+    want = classify_net(g, _coordinate(g), PLAN).to_dict()
+    monkeypatch.setattr(nets, "_geometry", poisoned)
+    assert classify_net(g, _coordinate(g), PLAN).to_dict() == want
 
 
 def test_classify_tape_stays_small(monkeypatch):
@@ -623,7 +739,7 @@ def _rotated_polar(sp, xs, pts):
     return frame, nets._net_samples(g, net, range(2), pts, [tuple(p) for p in pts.tolist()])
 
 
-def _skew_warped_three(sp, xs, pts):
+def _skew_net():
     # block (1, 2) is spanned by d/dx1 and x1 d/dx0 + d/dx2, whose bracket
     # d/dx0 leaves it: a moving frame of a distribution that is not integrable
     g = fixtures.warped_three()
@@ -633,6 +749,11 @@ def _skew_warped_three(sp, xs, pts):
         (ZERO, ONE, ZERO),
         (parse_expr("x1", ch), ZERO, ONE),
     ], ((0,), (1, 2)))
+    return g, net
+
+
+def _skew_warped_three(sp, xs, pts):
+    g, net = _skew_net()
     x0, x1, _ = xs
     frame = [[sp.exp(4 * x0), 0, -x1], [0, 1, 0], [x1, 0, 1]]
     return frame, nets._net_samples(g, net, range(2), pts, [tuple(p) for p in pts.tolist()])
@@ -672,22 +793,26 @@ def test_jet_geometry_matches_symbolic_trees_on_moving_frames(form, make):
     assert not samples.net.is_coordinate
     gamma = _gamma(gm, xs)
     metric, frame_at = _exact(xs, list(gm)), _exact(xs, [c for row in frame for c in row])
+    geo = samples.geo
+    umbilicity, integrability = (geo.res[nets._RESIDUALS.index(k)]
+                                 for k in ("umbilicity", "integrability"))
     spans = {s: _span_at(xs, _span(gm, xs, gamma, [frame[a] for a in s]))
-             for s in samples.sides if s}
+             for s in geo.spans if s}
     for j, p in enumerate(points):
         G, F = metric(p).reshape(n, n), frame_at(p).reshape(n, n)
-        _close(samples.F[j], F)
+        _close(geo.F[j], F)
         for s, values in spans.items():
-            side = samples.sides[s]
+            t = geo.spans.index(s)
             H, covH, defects, brackets = values(p)
             other = [k for k in range(n) if k not in s]
             umb, _, _, integ = _residuals(G, F, s, other, H, covH, defects, brackets)
-            _close(side.H[j], H)
-            _close(side.covH[j], covH)
-            _close([side.umb[j], side.integ[j]], [umb, integ])
+            _close(geo.H[j, t], H)
+            _close(geo.span_values(t)[2][j], covH)
+            _close([umbilicity[t, j], integrability[t, j]], [umb, integ])
     if samples.net.blocks[1] == (1, 2):
-        assert samples.sides[(1, 2)].integ.min() > 1e-3
-        assert samples.sides[(1, 2)].umb.max() > 1e-3
+        t = geo.spans.index((1, 2))
+        assert integrability[t].min() > 1e-3
+        assert umbilicity[t].max() > 1e-3
 
 
 def test_status_boundaries():

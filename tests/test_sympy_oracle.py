@@ -197,11 +197,11 @@ def test_numeric_geometry_matches_exact(name):
                 # coordinate fields commute
                 assert geom.integrability == geom.integrability_perp == 0.0
 
-                side, side_perp = samples.block(i)
-                _close(side.H[0], H)
-                _close(side.covH[0], covH)
-                _close(side_perp.H[0], eta)
-                _close(side_perp.covH[0], cov_eta)
+                side, side_perp = (samples.geo.span_values(t) for t in samples.sides[i])
+                _close(side[0][0], H)
+                _close(side[2][0], covH)
+                _close(side_perp[0][0], eta)
+                _close(side_perp[2][0], cov_eta)
 
 
 def _codazzi_defects(gm, xs, phi):
