@@ -4,16 +4,19 @@ Numbers come from one path: the fields a check reads are compiled with the
 upper triangle of the metric into one tape (`scalar_fields.compile_tape`)
 and swept over all its sample points at once. `_checked` does that with the
 checks of the metric (positive definiteness, conditioning) and raises at the
-first sample that fails, as checking one sample at a time would. A caller
-that reads partials takes them from one jet sweep of that tape (`_jets`):
-the first and second partials of the metric and of every root, by forward
+first sample that fails, as checking one sample at a time would: the checks
+are masks over the samples, in the order they run at one sample, and
+`scalar_fields._first` picks the sample and the check. A caller that reads
+partials takes them from one jet sweep of that tape (`_jets`): the first
+and second partials of the metric and of every root, by forward
 propagation, with `Sweep.repair` as the one rule for a jet that is not
 finite. No derivative tree is built on a clean run. `_jets` also hands back
-G^-1, the Christoffel symbols and their partials, from one numpy kernel over
-the metric's jets (`_metric_jets`, `_levi_civita`), so every consumer reads
-them from there; contractions such as `_cov` are numpy over the sample axis
-too. The single-point functions (`metric_at`, `christoffel`, `cov_deriv`,
-..., `lc_axiom_residuals`) are that sweep at one point.
+G^-1 and the Christoffel symbols from one numpy kernel over the metric's
+jets (`_metric_jets`, `_levi_civita`), so every consumer reads them from
+there, and the metric's second partials (`nets._dgamma` forms d Gamma);
+contractions such as `_cov` are numpy over the sample axis too. The
+single-point functions (`metric_at`, `christoffel`, `cov_deriv`, ...,
+`lc_axiom_residuals`) are that sweep at one point.
 
 The symbolic determinant, inverse and Christoffel entries (`det_expr`,
 `inverse_exprs` and the cached entries of a MetricField) are the pointwise
@@ -45,7 +48,9 @@ from .scalar_fields import (
     Expr,
     ZERO,
     ONE,
+    _first,
     _is_zero,
+    _keys,
     _pairs,
     add,
     compile_tape,
@@ -216,21 +221,18 @@ def _metric_checks(G: np.ndarray, ok: np.ndarray):
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
-def _warn_conditions(cond, ill, labels, j: int, at_j: bool) -> None:
-    """Warn as metric_at does at every ill-conditioned sample before the
-    first failing sample j, and at j itself when at_j (its failure comes
-    after the positivity check). Each warning names the first caller
-    outside the package."""
+def _warn_conditions(cond, ill, labels, stop: int) -> None:
+    """Warn as metric_at does at every ill-conditioned sample before stop.
+    Each warning names the first caller outside the package."""
     level, frame = 1, sys._getframe()
     while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
         level, frame = level + 1, frame.f_back
-    for k in np.flatnonzero(ill[: j + 1]):
-        if k < j or at_j:
-            warnings.warn(
-                f"metric condition number {cond[k]:.3e} at {labels[k]}",
-                ConditionNumberWarning,
-                stacklevel=level,
-            )
+    for k in np.flatnonzero(ill[:stop]):
+        warnings.warn(
+            f"metric condition number {cond[k]:.3e} at {labels[k]}",
+            ConditionNumberWarning,
+            stacklevel=level,
+        )
 
 
 def _cov(dV, gamma, V, X) -> np.ndarray:
@@ -270,36 +272,28 @@ def _inv(A: np.ndarray) -> np.ndarray:
         return out
 
 
-def _levi_civita(G, dG, d2G=None):
-    """G^-1, Gamma (m, k, i, j) and, given d2G, d Gamma (m, p, k, i, j) from
-    stacked metric jets: G (m, n, n), dG[:, p] = d_p G, d2G[:, p, q] = d_p d_q G
-    (O'Neill, Semi-Riemannian Geometry, 1983, ch. 3):
+def _levi_civita(G, dG):
+    """G^-1 and Gamma (m, k, i, j) from stacked metric jets: G (m, n, n) and
+    dG[:, p] = d_p G (O'Neill, Semi-Riemannian Geometry, 1983, ch. 3):
 
         Gamma^k_ij = g^kl B_lij / 2,  B_lij = d_i g_jl + d_j g_il - d_l g_ij
-        d_p Gamma  = g^-1 (d_p B / 2 - (d_p g) Gamma)
     """
     m, n = G.shape[:2]
     Ginv = _inv(G)
     B = dG.transpose(0, 3, 1, 2) + dG.transpose(0, 3, 2, 1) - dG
     gamma = 0.5 * (Ginv @ B.reshape(m, n, n * n))  # rows k, columns ij
-    if d2G is None:
-        return Ginv, gamma.reshape(m, n, n, n), None
-    dB = d2G.transpose(0, 1, 4, 2, 3) + d2G.transpose(0, 1, 4, 3, 2) - d2G
-    T = 0.5 * dB.reshape(m, n * n, n * n) - dG.reshape(m, n * n, n) @ gamma
-    T = T.reshape(m, n, n, n * n).swapaxes(1, 2).reshape(m, n, n**3)
-    dgamma = (Ginv @ T).reshape(m, n, n, n * n).swapaxes(1, 2)
-    return Ginv, gamma.reshape(m, n, n, n), dgamma.reshape(m, n, n, n, n)
+    return Ginv, gamma.reshape(m, n, n, n)
 
 
 def _metric_jets(J: np.ndarray, n: int) -> tuple:
-    """G, dG, G^-1, Gamma and d Gamma (_levi_civita) over the samples from
-    the jets J (m, 1 + n + n(n+1)/2, n(n+1)/2) of the metric's upper
-    triangle, rows as Tape.jet_sweep gives them."""
+    """G, dG, G^-1, Gamma (_levi_civita) and d2G[:, p, q] = d_p d_q G over
+    the samples from the jets J (m, 1 + n + n(n+1)/2, n(n+1)/2) of the
+    metric's upper triangle, rows as Tape.jet_sweep gives them."""
     iu, ju = _pairs(n, 0)
     seconds = np.empty((len(J), n, n, J.shape[2]))
     seconds[:, iu, ju] = seconds[:, ju, iu] = J[:, n + 1 :]
     G, dG, d2G = (_symmetric(a, n) for a in (J[:, 0], J[:, 1 : n + 1], seconds))
-    return (G, dG, *_levi_civita(G, dG, d2G))
+    return (G, dG, *_levi_civita(G, dG), d2G)
 
 
 def _symmetric(cols: np.ndarray, n: int) -> np.ndarray:
@@ -312,20 +306,17 @@ def _symmetric(cols: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _first_fault(sweep, bad: np.ndarray):
+def _first_fault(sweep, bad: np.ndarray, errors=None):
     """(j, q, domain) for the first point j, and there the first root q, whose
-    evaluation fails (domain) or where bad[j, q] holds; None if there is none."""
-    if (sweep.first_bad == sweep.tape.size).all() and not bad.any():
+    evaluation fails (domain) or where bad[j, q] holds (_first), then, as q =
+    roots, the points that key errors; None if there is none."""
+    if (sweep.first_bad == sweep.tape.size).all() and not bad.any() and not errors:
         return None
     # the first failing slot at a point belongs to the first root that reaches it
     fails = np.searchsorted(np.asarray(sweep.tape.bounds[1:]), sweep.first_bad, side="right")
     r = bad.shape[1]
-    q = np.minimum(fails, np.where(bad.any(axis=1), bad.argmax(axis=1), r))
-    hit = np.flatnonzero(q < r)
-    if not hit.size:
-        return None
-    j = int(hit[0])
-    return j, int(q[j]), bool(fails[j] == q[j])
+    j, q = _first(*((fails == c) | bad[:, c] for c in range(r)), _keys(errors or {}, len(bad)))
+    return j, q, q < r and bool(fails[j] == q)
 
 
 def _checked(g: MetricField, roots, pts, labels, checks, jets: bool):
@@ -346,7 +337,6 @@ def _checked(g: MetricField, roots, pts, labels, checks, jets: bool):
     n = g.dim
     nt = n * (n + 1) // 2
     pts = np.array(pts, dtype=float, ndmin=2)
-    m = len(pts)
     if labels is None:
         labels = [tuple(p) for p in pts.tolist()]
     tape = compile_tape([g.entries[a][b] for a, b in zip(*_pairs(n, 0))] + list(roots))
@@ -361,18 +351,17 @@ def _checked(g: MetricField, roots, pts, labels, checks, jets: bool):
         masks = [failing(G, vals) for _, failing, _ in checks]
     for (r, _, _), mask in zip(checks, masks):
         bad[:, nt + r] |= mask
-    hit = _first_fault(sweep, bad)
     # by sample, the error of the roots' diff trees where they fail
     errors = sweep.repair() if jets else {}
-    j = hit[0] if hit else m
-    mended = min(errors, default=m)
-    if mended < j:
-        _warn_conditions(cond, ill, labels, mended, True)
-        raise errors[mended]
-    _warn_conditions(cond, ill, labels, j, hit is not None and hit[1] >= nt)
+    hit = _first_fault(sweep, bad, errors)
+    # the samples before the first that fails warn, and that one too where
+    # it fails after the positivity check
+    _warn_conditions(cond, ill, labels, hit[0] + (hit[1] >= nt) if hit else len(pts))
     if hit is None:
         return G, sweep
     j, q, domain = hit
+    if q == bad.shape[1]:
+        raise errors[j]
     if domain:
         raise sweep.error(j)
     if q < nt:
@@ -396,7 +385,7 @@ def _stacked(g: MetricField, roots, pts, labels=None, checks=()):
 
 def _jets(g: MetricField, roots, pts, labels=None, checks=()):
     """_stacked on one jet sweep (_checked): the metric's jets as
-    _metric_jets forms them, (G, dG, G^-1, Gamma, d Gamma), the jets of the
+    _metric_jets forms them, (G, dG, G^-1, Gamma, d2G), the jets of the
     roots, (m, 1 + n + n(n+1)/2, roots), rows as Tape.jet_sweep gives them:
     values, d_p over p, then d_p d_q over p <= q, and the sweep."""
     nt = g.dim * (g.dim + 1) // 2

@@ -43,7 +43,7 @@ from .errors import (
     OrthonetError,
     ParseError,
 )
-from .nets import OrthogonalNet, _status, classify_net
+from .nets import OrthogonalNet, _status, _worst, classify_net
 from .product_metrics import (
     PATH_ORDER_TOL,
     FactorSpec,
@@ -531,9 +531,9 @@ def _cmd_verify_product(man: Manifest, tol: float, plan: SamplePlan):
     pts = sample_points(man.chart, plan)
     X, Y = _draw_pairs(plan.seed, len(pts) * pairs, man.chart.dim)
     shape = (len(pts), pairs, man.chart.dim)
-    per_point = _connection_residuals(man.spec, pts, X.reshape(shape), Y.reshape(shape)).tolist()
-    rows = [{"point": p, "residual": max(0.0, *r)} for p, r in zip(pts.tolist(), per_point)]
-    worst = max(0.0, *(row["residual"] for row in rows))
+    per_point = _connection_residuals(man.spec, pts, X.reshape(shape), Y.reshape(shape)).max(axis=1)
+    worst = _worst("connection_identity", per_point, pts)
+    rows = [{"point": p, "residual": r} for p, r in zip(pts.tolist(), per_point.tolist())]
     results = {
         "kind": man.spec.kind,
         "max_residual": worst,
@@ -614,9 +614,8 @@ def _cmd_selftest(tol: float, plan: SamplePlan):
     p = (0.3, 0.7)
     jet = eval_jet2(e, p)
     gfd, hfd = fd_oracle(e, p, 1e-4)
-    worst = max(
-        float(np.max(np.abs(jet.grad - gfd))), float(np.max(np.abs(jet.hess - hfd)))
-    )
+    errors = np.concatenate([np.abs(jet.grad - gfd).ravel(), np.abs(jet.hess - hfd).ravel()])
+    worst = _worst("derivative_fd", errors.max(keepdims=True), [p])
     put("derivative_fd", worst, worst <= 1e-5)
 
     worst = 0.0
@@ -626,8 +625,8 @@ def _cmd_selftest(tol: float, plan: SamplePlan):
         fixtures.torus()[0],
         fixtures.exp_sum_conformal(),
     ):
-        compat, torsion = _lc_axioms(g, sample_points(g.chart, plan))
-        worst = max(worst, *compat.tolist(), *torsion.tolist())
+        pts = sample_points(g.chart, plan)
+        worst = max(worst, _worst("levi_civita", np.maximum(*_lc_axioms(g, pts)), pts))
     put("levi_civita", worst, worst <= 1e-10)
 
     g = fixtures.polar()
@@ -670,7 +669,8 @@ def _cmd_selftest(tol: float, plan: SamplePlan):
     spec = fixtures.twisted_flat_spec()
     pts = np.array([(0.4, 0.5), (0.8, 0.3), (1.0, 1.0)])
     X, Y = _draw_pairs(plan.seed, 4 * len(pts), 2)
-    worst = max(0.0, *_connection_residuals(spec, pts, X.reshape(3, 4, 2), Y.reshape(3, 4, 2)).flat)
+    worst = _worst("connection_identity",
+                   _connection_residuals(spec, pts, X.reshape(3, 4, 2), Y.reshape(3, 4, 2)).max(axis=1), pts)
     put("connection_identity", worst, worst <= 1e-9)
 
     g = fixtures.polar()
@@ -684,8 +684,9 @@ def _cmd_selftest(tol: float, plan: SamplePlan):
 
     spec, phi_sum, phi_ctl = fixtures.sum_reciprocal()
     pts = ((0.3, 0.4), (0.5, 0.9), (0.85, 0.2))
-    w_sum = max(0.0, *_spherical_residuals(spec, phi_sum, 1, pts).ravel().tolist())
-    w_ctl = min(1.0, *_spherical_residuals(spec, phi_ctl, 1, pts).max(axis=1).tolist())
+    w_sum = _worst("spherical_factor_split", _spherical_residuals(spec, phi_sum, 1, pts).max(axis=1), pts)
+    # the control must fail at every point; a nan there propagates and fails
+    w_ctl = _spherical_residuals(spec, phi_ctl, 1, pts).max(axis=1).min()
     put("spherical_factor_split", w_sum, w_sum <= 1e-9 and w_ctl > 1e-3)
 
     g, phi = fixtures.torus()

@@ -13,12 +13,14 @@ canonical model pairs that realize the classification.
 Every field is compiled into an evaluation tape and run once over all sample
 points; residuals are stacked numpy over the sample axis. The analysis
 jet-sweeps the samples twice: pass 1 the metric and the tensor, whose
-partials give the Codazzi residual and the Christoffel symbols and their
-partials; pass 2 the eigenvalue fields and the eigen-net's frame, whose
-jets give, with the metric's, the eigen-net's mean curvature normals and
-their partials in the batch that also classifies the net (nets._Samples).
-Covariant Hessians and derivatives are contracted numerically. Errors and
-warnings are those of checking one sample at a time in plan order.
+partials give the Codazzi residual and the Christoffel symbols; pass 2 the
+eigenvalue fields and the eigen-net's frame, whose jets give, with the
+metric's, the eigen-net's mean curvature normals and their partials in the
+batch that also classifies the net (nets._Samples). Covariant Hessians and
+derivatives are contracted numerically. Errors and warnings are those of
+checking one sample at a time in plan order (scalar_fields._first), and
+every maximum reported or compared with a tolerance is nets._worst's, so
+one that is not finite raises InconsistencyError instead of passing.
 
 Residual vocabulary (all residuals are normalized to be scale-free):
 
@@ -79,6 +81,7 @@ from .nets import (
     _frame_roots,
     _Samples,
     _status,
+    _worst,
 )
 from .product_metrics import (
     FactorSpec,
@@ -93,6 +96,8 @@ from .scalar_fields import (
     Expr,
     ONE,
     ZERO,
+    _first,
+    _keys,
     _pairs,
     add,
     compile_tape,
@@ -181,7 +186,7 @@ class _Fields:
     """Metric, tensor, self-adjointness defect and Codazzi residual over the
     samples; the residual is zero where no pair vectors were evaluated.
     metric holds, after a jet sweep, the metric's jets as _metric_jets gives
-    them, (G, dG, G^-1, Gamma, d Gamma), and is None otherwise."""
+    them, (G, dG, G^-1, Gamma, d2G), and is None otherwise."""
 
     points: np.ndarray  # (m, n)
     G: np.ndarray  # (m, n, n)
@@ -196,7 +201,7 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
     """Evaluate the metric and the tensor over the samples with one tape
     run, and with codazzi (and dim > 1) the Codazzi residual: the run is
     then a jet sweep (chart_calculus._jets), whose partials of the metric
-    give Gamma, d Gamma and G^-1 (kept in the result for the eigen-net), and
+    give Gamma and G^-1 (kept, with d2G, in the result for the eigen-net), and
     with those of the tensor (nabla_i Phi)e_j - (nabla_j Phi)e_i, i < j, with
 
         (nabla_i Phi)^k_j = d_i Phi^k_j + Gamma^k_il Phi^l_j - Phi^k_l Gamma^l_ij.
@@ -505,10 +510,6 @@ class CriteriaRecord:
 
 # --- identity residuals over the samples ------------------------------------------
 
-# checks at one sample, in the order a failure there is reported
-_COALESCED, _LAM_DOMAIN, _RANK_CHANGE, _FIELD_DOMAIN = range(4)
-_OK = 4
-
 
 def _rel(*terms) -> np.ndarray:
     """|sum of terms| / (1 + sum of |terms|), summed left to right."""
@@ -560,7 +561,7 @@ def _criteria(fields: _Fields, eig: _Eigen, model: _EigenModel, labels, gap_min:
     eigen-net's samples, whose checks have not run.
 
     This is the second jet sweep of the samples; the first (_metric_tensor)
-    gave the metric's jets, G^-1, Gamma and d Gamma. One tape holds lambda,
+    gave the metric's jets, G^-1 and Gamma. One tape holds lambda,
     mu and h(mu), then the eigen-net's frame entries (_frame_roots), and its
     jet sweep gives the first and second partials of lambda and mu and,
     with the metric's, the eigen-net's samples (_Samples): the mean
@@ -592,30 +593,23 @@ def _criteria(fields: _Fields, eig: _Eigen, model: _EigenModel, labels, gap_min:
     dlam, dmu = sweep.jets[:, 1 : n + 1, 0], sweep.jets[:, 1 : n + 1, 1]
     d2lam_v, d2mu_v = (_symmetric(sweep.jets[:, n + 1 :, k], n) for k in range(2))
 
-    # stages per sample: lambda is evaluated before the rank check, the other
-    # fields after it
+    # per sample: the two clusters, lambda, a change of rank, then the fields
     lam_ok = fb >= tape.bounds[1]
     eig.align(np.where(lam_ok, sweep.values[:, 0], 0.0))
-    stage = np.full(m, _OK)
-    stage[(fb < tape.bounds[k]) | ~samples.derived_ok] = _FIELD_DOMAIN
-    stage[[*errors, *samples.input_errors]] = _FIELD_DOMAIN
-    stage[eig.rank_lambda() != pr] = _RANK_CHANGE
-    stage[~lam_ok] = _LAM_DOMAIN
-    stage[eig.failed()] = _COALESCED
-
-    failed = np.flatnonzero(stage != _OK)
-    if failed.size:
-        j = int(failed[0])
-        if stage[j] == _COALESCED:
+    hit = _first(eig.failed(), ~lam_ok, eig.rank_lambda() != pr, fb < tape.bounds[k],
+                 _keys(errors, m), ~samples.derived_ok | _keys(samples.input_errors, m))
+    if hit:
+        j, q = hit
+        if q == 0:
             raise eig.error(j, labels[j])
-        if stage[j] == _RANK_CHANGE:
+        if q == 2:
             raise CoalescenceError(
                 f"eigenvalue ranks change at {labels[j]}: "
                 f"{eig.rank_lambda()[j]} vs {pr} at the anchor"
             )
-        if fb[j] < tape.bounds[k]:  # lambda, or at the field stage mu or h
+        if q < 4:  # lambda, or at the field stage mu or h
             raise sweep.error(j)
-        raise errors[j] if j in errors else samples.field_error(j)
+        raise errors[j] if q == 4 else samples.field_error(j)
 
     lam, mu = eig.lam, eig.mu
     cp_ok = np.abs(lam + mu) > gap_min * (1.0 + np.abs(lam) + np.abs(mu))
@@ -719,11 +713,11 @@ def _eigen_model(g: MetricField, phi: SymTensorField, pts, labels, gap_min: floa
     that pass 2 needs."""
     fields = _metric_tensor(g, phi, pts, labels, tol, codazzi=True)
     if codazzi:
-        j = int(np.argmax(fields.codazzi))
-        worst = float(fields.codazzi[j])
+        worst = _worst("codazzi", fields.codazzi, labels)
         if not worst <= tol:
             err = NotCodazziError(
-                f"Codazzi residual {worst:.3e} exceeds tol {tol:.1e} at {labels[j]}"
+                f"Codazzi residual {worst:.3e} exceeds tol {tol:.1e} at "
+                f"{labels[_first(fields.codazzi == worst)[0]]}"
             )
             err.residual = worst
             raise err
@@ -832,7 +826,7 @@ def classify_codazzi(
     pts = sample_points(g.chart, plan)
     labels = [tuple(p) for p in pts.tolist()]
     fields, eig, model = _eigen_model(g, phi, pts, labels, gap_min, tol, codazzi=True)
-    worst = float(fields.codazzi.max())
+    worst = _worst("codazzi", fields.codazzi, labels)
     h_expr = _h_of_mu(h, model.mu_expr) if h is not None else None
     sc, samples = _criteria(fields, eig, model, labels, gap_min, h_expr)
 
@@ -843,20 +837,19 @@ def classify_codazzi(
     per_sample = {
         "mean_curvature": sc.mean_curvature,
         # the conformal-product identity only counts where lambda + mu is not small
-        "conformal_product": sc.conformal_product[sc.cp_ok],
+        "conformal_product": np.where(sc.cp_ok, sc.conformal_product, 0.0),
         "mu_spherical": sc.mu_spherical,
         "lambda_spherical": sc.lambda_spherical,
         "eta_two_path": sc.eta_two_path,
         "zeta_two_path": sc.zeta_two_path,
     }
-    maxes = {key: float(v.max(initial=0.0)) for key, v in per_sample.items()}
+    maxes = {key: _worst(key, v, labels) for key, v in per_sample.items()}
     cp_evaluated = bool(sc.cp_ok.any())
-    lam_along_max = float(sc.lam_along.max(initial=0.0))
-    mu_along_max = float(sc.mu_along.max(initial=0.0))
 
-    for name, rank, along in (("lambda", model.rank_lambda, lam_along_max),
-                              ("mu", model.rank_mu, mu_along_max)):
-        if rank >= 2 and not along <= tol:
+    for name, rank, along in (("lambda", model.rank_lambda, sc.lam_along),
+                              ("mu", model.rank_mu, sc.mu_along)):
+        along = _worst(f"{name}_along", along, labels) if rank >= 2 else 0.0
+        if not along <= tol:
             raise InconsistencyError(
                 "a rank >= 2 eigenvalue must be constant along its eigenbundle, "
                 f"but the {name} field varies by {along:.3e}"
@@ -876,9 +869,10 @@ def classify_codazzi(
     relation_case = constants = ode_out = axis_out = warping_samples = base_point = None
     if h is not None:
         lam0, mu0 = float(sc.lam[0]), float(sc.mu[0])
-        lam_spread = float(np.abs(sc.lam - lam0).max())
-        mu_spread = float(np.abs(sc.mu - mu0).max())
-        hyp_ok = float(sc.relation.max(initial=0.0)) <= tol and mu_along_max <= tol
+        lam_spread = _worst("lambda_spread", np.abs(sc.lam - lam0), labels)
+        mu_spread = _worst("mu_spread", np.abs(sc.mu - mu0), labels)
+        hyp_ok = (_worst("relation", sc.relation, labels) <= tol
+                  and _worst("mu_along", sc.mu_along, labels) <= tol)
         if not hyp_ok:
             relation_case = "outside_hypotheses"
         elif (
@@ -887,7 +881,7 @@ def classify_codazzi(
         ):
             relation_case = "constant_product"
             constants = (float(np.mean(sc.lam)), float(np.mean(sc.mu)))
-            geod = float(net_report.residuals["geodesy"].max())
+            geod = _worst("geodesy", net_report.residuals["geodesy"].max(axis=0), labels)
             if not geod <= tol:
                 raise InconsistencyError(
                     "constant eigenvalues force a metric product, but a block "
@@ -901,7 +895,7 @@ def classify_codazzi(
                     "net, but the WP flag fails with residual "
                     f"{net_report.flags['WP'].residual:.3e}"
                 )
-            ode_out = float(sc.ode.max(initial=0.0))
+            ode_out = _worst("warping_ode", sc.ode, labels)
             axis_out = _axis(sc.X)
             if axis_out is not None:
                 warping_samples, base_point = _warping_profile(
@@ -935,35 +929,39 @@ def _warping_profile(g: MetricField, model: _EigenModel, axis: int,
     Only meaningful when the chart is adapted: the metric, G over the
     samples, must be block diagonal between the axis and the remaining
     coordinates. The warping is recovered from determinant ratios of the
-    complementary block, so it is normalized to 1 at the chart center.
-    One tape of the block's entries and mu is swept over the chart center
-    and the axis line; the center raises where the block fails there (mu is
-    not read there), then the first point of the line that fails.
+    complementary block, taken as differences of log-determinants, which do
+    not overflow, so it is normalized to 1 at the chart center. One tape
+    of the block's entries and mu is swept over the chart center and the
+    axis line; the first of these points that fails raises: the entries (mu
+    is not read at the center), then a determinant that is not positive.
     """
     n = g.dim
     others = [i for i in range(n) if i != axis]
-    diag = np.einsum("mii->mi", G)
-    off = np.abs(G[:, axis, others]) / np.maximum(
-        np.sqrt(np.maximum(diag[:, axis, None] * diag[:, others], 0.0)), 1e-300
-    )
+    root = np.sqrt(np.maximum(np.einsum("mii->mi", G), 0.0))  # not squared, so no product overflows
+    off = np.abs(G[:, axis, others]) / np.maximum(root[:, axis, None] * root[:, others], 1e-300)
     if (off > _AXIS_TOL).any():
         return None, None
     r = len(others)
     entries = [g.entries[others[a]][others[b]] for a, b in zip(*_pairs(r, 0))]
     base = tuple(g.chart.center())
     ts = grid_axes(g.chart, plan.grid, plan.margin)[axis]
-    line = np.array([[t if i == axis else base[i] for i in range(n)] for t in ts])
+    line = np.vstack([base, [[t if i == axis else base[i] for i in range(n)] for t in ts]])
     # the block at the base point first, then per t the block and mu
-    sweep = compile_tape([*entries, model.mu_expr]).sweep(np.vstack([base, line]))
-    ends = np.full(len(line) + 1, sweep.tape.size)
+    sweep = compile_tape([*entries, model.mu_expr]).sweep(line)
+    ends = np.full(len(line), sweep.tape.size)
     ends[0] = sweep.tape.bounds[-2]  # mu is not read at the base point
-    failed = np.flatnonzero(sweep.first_bad < ends)
-    if failed.size:
-        raise sweep.error(int(failed[0]))
-    base_det, *dets = np.linalg.det(_symmetric(sweep.values[:, :-1], r)).tolist()
-    power = 1.0 / (2.0 * model.rank_mu)
-    out = [{"t": float(t), "mu_tilde": float(mu), "sigma_ratio": float((d / base_det) ** power)}
-           for t, d, mu in zip(ts, dets, sweep.values[1:, -1])]
+    blocks = _symmetric(sweep.values[:, :-1], r)
+    with np.errstate(all="ignore"):  # read only where the entries evaluate
+        sign, logdet = np.linalg.slogdet(blocks)
+    hit = _first(sweep.first_bad < ends, ~(sign > 0.0))
+    if hit and hit[1] == 0:
+        raise sweep.error(hit[0])
+    if hit:
+        raise ConstraintError(f"warping block determinant {np.linalg.det(blocks[hit[0]]):.6g} "
+                              f"<= 0 at {tuple(line[hit[0]].tolist())}")
+    sigma = np.exp((logdet[1:] - logdet[0]) / (2.0 * model.rank_mu))
+    out = [{"t": float(t), "mu_tilde": float(mu), "sigma_ratio": float(sr)}
+           for t, mu, sr in zip(ts, sweep.values[1:, -1], sigma)]
     return out, base
 
 
@@ -986,7 +984,7 @@ def _coarse_codazzi(g: MetricField, phi: SymTensorField) -> float:
     pts = sample_points(g.chart, _COARSE_PLAN)
     labels = [tuple(p) for p in pts.tolist()]
     fields = _metric_tensor(g, phi, pts, labels, 1e-8, codazzi=True)
-    return float(fields.codazzi.max())
+    return _worst("codazzi", fields.codazzi, labels)
 
 
 def build_codazzi_candidate(kind: str, **params) -> CodazziCandidate:
@@ -1049,7 +1047,7 @@ def build_codazzi_candidate(kind: str, **params) -> CodazziCandidate:
         J = compile_tape([h_mu, mu, sigma]).run_jets(ts)
         (h_val, mu_val, sig_val), (_, lhs, dsig_val) = J[:, 0].T, J[:, 1].T
         with np.errstate(all="ignore"):
-            worst = float(np.abs(lhs - (h_val - mu_val) * (dsig_val / sig_val)).max())
+            worst = _worst("warping_relation", np.abs(lhs - (h_val - mu_val) * (dsig_val / sig_val)), ts)
         if not worst <= 1e-8:
             raise ConstraintError(
                 f"(h, sigma, mu) violate the warping relation: residual {worst:.3e}"

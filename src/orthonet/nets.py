@@ -7,12 +7,13 @@ consumer uses (chart_calculus._jets): one tape of the metric entries, and
 of the frame entries unless the frame is constant, swept once over every
 sample point, which carries their first and second partials through the
 tape by forward propagation (Tape.jet_sweep; a clean run builds no
-derivative tree), and hands back the metric's jets with G^-1, the
-Christoffel symbols and their partials. codazzi._criteria passes the
-metric's jets of its own first pass with a sweep of the frame entries
-instead. From these second-order jets, one stacked numpy pass (_geometry)
-gives for every block and complement at once the projector onto the span,
-nabla_{X_a} X_b, the mean curvature normal H and its partials by the
+derivative tree), and hands back the metric's jets with G^-1 and the
+Christoffel symbols, whose partials are formed here (_dgamma), where they
+are read. codazzi._criteria passes the metric's jets of its own first pass
+with a sweep of the frame entries instead. From these second-order jets,
+one stacked numpy pass (_geometry) gives for every block and complement at
+once the projector onto the span, nabla_{X_a} X_b, the mean curvature
+normal H and its partials by the
 product rule, so nabla_X H = (dH) X + Gamma(X, H) needs no derivative tree
 of H (O'Neill, Semi-Riemannian Geometry, 1983, ch. 4 and 7). Its cost does
 not grow with a loop over the spans: the frame's terms are formed once per
@@ -48,13 +49,15 @@ ill-conditioned; where the metric and frame entries evaluate but their jets
 are not finite, the diff trees of those entries give the jets or, where
 they fail, the error (Sweep.repair). The net's own checks follow, over all
 samples (_Samples.check): the first sample that fails raises, with the
-first check that fails there (frame degeneracy, block orthogonality, field
-evaluation). Where the jets are finite but a derived value is not (Gamma,
-or H, its partials, nabla H, a defect or a bracket of a span), the field
+first check that fails there (frame degeneracy, block orthogonality pair
+by pair, field evaluation): both phases pick it with scalar_fields._first.
+Where the jets are finite but a derived value is not (Gamma, or H, its
+partials, nabla H, a defect or a bracket of a span), the field
 stage raises InconsistencyError naming the quantity, the span and the
 sample; only the entries that belong to a span are checked, and the one
 that is named is found in the layout of that span alone. A residual that
-is not finite raises InconsistencyError instead of passing, and a
+is not finite raises InconsistencyError instead of passing: _worst takes
+every maximum a command reports or compares with a tolerance. A
 precondition that is not finite fails (cwp_residual).
 """
 
@@ -75,7 +78,7 @@ from .errors import (
     NotApplicableError,
 )
 from .sampling import SamplePlan, sample_points
-from .scalar_fields import Chart, Const, ONE, ZERO, _pairs
+from .scalar_fields import Chart, Const, ONE, ZERO, _first, _keys, _pairs
 
 __all__ = [
     "OrthogonalNet",
@@ -147,10 +150,6 @@ class OrthogonalNet:
 
 
 # --- geometry from jets -----------------------------------------------------------
-
-# the net's checks at one sample, in the order a failure there is reported
-_FRAME_DOMAIN, _DEGENERATE, _NOT_ORTHOGONAL, _FIELD_DOMAIN, _CLEAN = range(5)
-
 
 # the residuals of DistributionGeometry by name, in the order of _Geometry.res
 _RESIDUALS = ("umbilicity", "sphericity", "geodesy", "integrability")
@@ -284,9 +283,19 @@ class _Geometry:
                 self.defects[:, :, t, le].swapaxes(1, 2), brackets]
 
 
+def _dgamma(Ginv, gamma, dG, d2G) -> np.ndarray:
+    """d_p Gamma = g^-1 (d_p B / 2 - (d_p g) Gamma), (m, p, k, ij), with B
+    as in chart_calculus._levi_civita and Gamma over rows k, columns ij."""
+    m, n = dG.shape[:2]
+    dB = d2G.transpose(0, 1, 4, 2, 3) + d2G.transpose(0, 1, 4, 3, 2) - d2G
+    T = 0.5 * dB.reshape(m, n * n, n * n) - dG.reshape(m, n * n, n) @ gamma
+    T = T.reshape(m, n, n, n * n).swapaxes(1, 2).reshape(m, n, n**3)
+    return (Ginv @ T).reshape(m, n, n, n * n).swapaxes(1, 2)
+
+
 def _geometry(metric: tuple, frame_jets, spans, frame) -> _Geometry:
     """The geometry of the spans, tuples of frame indices, from the metric's
-    jets as _metric_jets gives them, (G, dG, G^-1, Gamma, d Gamma), and, for
+    jets as _metric_jets gives them, (G, dG, G^-1, Gamma, d2G), and, for
     a frame that is not constant, the jets of the frame entries,
     (m, 1 + n + n(n+1)/2, n^2) as Tape.jet_sweep gives them.
 
@@ -323,7 +332,7 @@ def _geometry(metric: tuple, frame_jets, spans, frame) -> _Geometry:
     over all spans and pairs, folded as (m, n s, n) @ (m, n, p), and a
     residual is the largest value over the pairs of each span (index
     masks)."""
-    G, dG, _, gamma, dgamma = metric
+    G, dG, Ginv, gamma, d2G = metric
     m, n = G.shape[:2]
     index = _span_index(tuple(spans), n)
     rank, pairs = index.rank, index.pairs
@@ -331,7 +340,8 @@ def _geometry(metric: tuple, frame_jets, spans, frame) -> _Geometry:
     pa, pb = np.divmod(pairs, n)
 
     # Gamma over rows k, columns ij, and d Gamma over rows (p, k), columns ij
-    gamma, dgamma = gamma.reshape(m, n, n * n), dgamma.reshape(m, n * n, n * n)
+    gamma = gamma.reshape(m, n, n * n)
+    dgamma = _dgamma(Ginv, gamma, dG, d2G).reshape(m, n * n, n * n)
     gammaT = np.ascontiguousarray(gamma.swapaxes(1, 2))  # rows ij, columns k
 
     # the frame's terms: X^T, its Gram matrix and norms, and C_ab over rows
@@ -491,13 +501,8 @@ class _Samples:
         labels = self.labels
         M, norms = self.geo.M, self.geo.norms
         m, n = M.shape[:2]
-        fb = self.sweep.first_bad
-        stage = np.full(m, _CLEAN)
-        stage[~self.derived_ok] = _FIELD_DOMAIN
-        stage[list(self.input_errors)] = _FIELD_DOMAIN
-
         # the roots before the frame's have evaluated at every sample
-        frame_ok = fb == self.sweep.tape.size
+        frame_ok = self.sweep.first_bad == self.sweep.tape.size
         evm = np.linalg.eigvalsh(np.where(frame_ok[:, None, None], M, np.eye(n)))
         degenerate = frame_ok & (evm[:, 0] <= _GRAM_COND_FLOOR * np.maximum(evm[:, -1], 1e-300))
 
@@ -507,27 +512,23 @@ class _Samples:
         with np.errstate(all="ignore"):  # read only where frame_ok
             skew = ip / np.maximum(norms[:, pa] * norms[:, pc], 1e-300) > _ORTHO_TOL
 
-        stage[frame_ok & ~degenerate & skew.any(axis=1)] = _NOT_ORTHOGONAL
-        stage[degenerate] = _DEGENERATE
-        stage[~frame_ok] = _FRAME_DOMAIN
-
-        failed = np.flatnonzero(stage != _CLEAN)
-        if not failed.size:
+        # per sample: frame evaluation, degeneracy, each pair's orthogonality, the fields
+        hit = _first(~frame_ok, degenerate, *skew.T, ~self.derived_ok | _keys(self.input_errors, m))
+        if hit is None:
             return self
-        j = int(failed[0])
-        if stage[j] == _FRAME_DOMAIN:
+        j, q = hit
+        if q == 0:
             raise self.sweep.error(j)
-        if stage[j] == _FIELD_DOMAIN:
-            raise self.field_error(j)
-        if stage[j] == _DEGENERATE:
+        if q == 1:
             raise DegenerateFrameError(
                 f"frame degenerate at {labels[j]}: Gram eigenvalue ratio "
                 f"{evm[j, 0]:.3e}/{evm[j, -1]:.3e}"
             )
-        q = int(np.argmax(skew[j]))
+        if q == 2 + len(pairs):
+            raise self.field_error(j)
         raise ConstraintError(
             f"blocks not orthogonal at {labels[j]}: "
-            f"|<X_{pairs[q][0]}, X_{pairs[q][1]}>| = {ip[j, q]:.3e}"
+            f"|<X_{pairs[q - 2][0]}, X_{pairs[q - 2][1]}>| = {ip[j, q - 2]:.3e}"
         )
 
     def _sides(self, blocks) -> tuple:
@@ -685,15 +686,17 @@ def _status(max_resid: float, tol: float) -> str:
 
 
 def _worst(name: str, resid: np.ndarray, labels) -> float:
-    """The largest residual over the samples, at least 0. A maximum that is
-    not finite raises, naming the flag and the first sample that is not:
+    """The largest of the residuals, (m,) over the samples, at least 0: the
+    one way a residual array becomes a number that is reported or compared
+    with a tolerance. labels name the samples, as tuples or as the rows of
+    an (m, dim) array of points. A maximum that is not finite raises,
+    naming the quantity and the first sample that is not (_first):
     max(0.0, nan) is 0.0, which would read as a pass."""
     worst = float(resid.max())
     if not np.isfinite(worst):
-        j = int(np.flatnonzero(~np.isfinite(resid))[0])
-        raise InconsistencyError(
-            f"{name} residual is {resid[j]} at {labels[j]}; residuals must be finite"
-        )
+        j = _first(~np.isfinite(resid))[0]
+        raise InconsistencyError(f"{name} residual is {resid[j]} at "
+                                 f"{tuple(np.asarray(labels[j]).tolist())}; residuals must be finite")
     return max(0.0, worst)
 
 

@@ -56,13 +56,14 @@ from .errors import (
     OrthonetError,
     PathInconsistencyError,
 )
-from .nets import OrthogonalNet, classify_net
-from .sampling import MAX_POINTS, SamplePlan, _mesh, grid_axes
+from .nets import OrthogonalNet, _worst, classify_net
+from .sampling import MAX_POINTS, SamplePlan, _mesh, grid_axes, sample_points
 from .scalar_fields import (
     Chart,
     Expr,
     ONE,
     ZERO,
+    _first,
     _pairs,
     compile_tape,
     const,
@@ -224,18 +225,17 @@ def _check_positive(gates, chart: Chart):
     slot before bounds[r] is clean, and root r fails to evaluate at point j
     when first_bad[j] < bounds[r + 1]; elsewhere its value is read. Within a
     gate, the first point that fails either way wins, an evaluation error
-    before the value at one point; a gate equal to an earlier one has no
-    slots of its own and raises nothing new."""
+    before the value at one point (_first); a gate equal to an earlier one
+    has no slots of its own and raises nothing new."""
     pts = _mesh(grid_axes(chart, _POSITIVITY_GRID))
     tape = compile_tape([e for e, _ in gates])
     sweep = tape.sweep(pts)
     for r, (_, label) in enumerate(gates):
-        broken = sweep.first_bad < tape.bounds[r + 1]
-        hit = np.flatnonzero(broken | (sweep.values[:, r] <= 0.0))
-        if hit.size:
-            j = int(hit[0])
+        hit = _first(sweep.first_bad < tape.bounds[r + 1], sweep.values[:, r] <= 0.0)
+        if hit:
+            j, q = hit
             at = tuple(pts[j].tolist())
-            if broken[j]:
+            if q == 0:
                 exc = sweep.error(j)
                 raise ConstraintError(f"{label} not evaluable at {at}: {exc}") from exc
             raise ConstraintError(f"{label} is {sweep.values[j, r]:.6g} <= 0 at {at}")
@@ -436,8 +436,8 @@ def factorize_cwp(
     base), each block-i subgrid, the full grid, and the n + 1 vertices of the
     paths from base to every box corner, the base and the center that fix
     the axes in forward and in reverse order. One tape of the metric's upper
-    triangle is swept over it once, and the block determinants det G_b are
-    one np.linalg.det per block over all points; with them
+    triangle is swept over it once, and the block log-determinants are one
+    np.linalg.slogdet per block over all points; with them
     rho_b = (det G_b / det G_b(base))^(1/(2 d_b)). On the block-0 subgrid the
     base factor is G_0 / rho_0^2 and the warping psi_i = rho_i / rho_0; on the
     block-i subgrid, where psi_i is 1, fiber factor i is G_i / rho_0^2;
@@ -540,27 +540,27 @@ def factorize_cwp(
     upper = compile_tape([g.entries[a][b] for a, b in zip(*_pairs(n, 0))])
 
     def checked_sweep():
-        """G, (m, n, n), and rho_b = (det G_b / det G_b(base))^(1/(2 d_b)),
-        (k + 1, m), over every point set, from one sweep; an empty block has
-        det 1, so its rho is 1. Walks the sets in order and raises the entry
-        error of a set's first point that fails, then, block by block with
-        the set's own first, its first nonpositive determinant."""
+        """G, (m, n, n), and rho_b = exp((log det G_b - log det G_b(base)) /
+        (2 d_b)), (k + 1, m), over every point set, from one sweep; log det
+        does not overflow where det would, and an empty block has det 1, so
+        its rho is 1. Walks the sets in order and raises the entry error of a
+        set's first point that fails, then, block by block with the set's own
+        first, its first nonpositive determinant."""
         sweep = upper.sweep(pts)
         G = _symmetric(sweep.values, n)
         with np.errstate(all="ignore"):  # read only at points whose entries evaluate
-            dets = [np.linalg.det(block(G, blk)) for blk in blocks]
+            signs, logdets = zip(*(np.linalg.slogdet(block(G, blk)) for blk in blocks))
         for s, own in zip(sets, [0, *range(k + 1), 0, 0]):
-            failed = np.flatnonzero(sweep.first_bad[s] < upper.size)
-            if failed.size:
-                raise sweep.error(s.start + int(failed[0]))
+            hit = _first(sweep.first_bad[s] < upper.size)
+            if hit:
+                raise sweep.error(s.start + hit[0])
             for b in [own, *(b for b in range(k + 1) if b != own)]:
-                bad = np.flatnonzero(dets[b][s] <= 0.0)
-                if bad.size:
-                    j = s.start + int(bad[0])
-                    raise ConstraintError(
-                        f"block {b} determinant {dets[b][j]:.6g} <= 0 at {tuple(pts[j].tolist())}"
-                    )
-        return G, np.array([(d / d[0]) ** (0.5 / max(dim, 1)) for d, dim in zip(dets, dims)])
+                hit = _first(signs[b][s] <= 0.0)
+                if hit:
+                    j = s.start + hit[0]
+                    det = np.linalg.det(block(G[j : j + 1], blocks[b]))[0]
+                    raise ConstraintError(f"block {b} determinant {det:.6g} <= 0 at {tuple(pts[j].tolist())}")
+        return G, np.exp([(d - d[0]) / (2.0 * max(dim, 1)) for d, dim in zip(logdets, dims)])
 
     G, rho = checked_sweep()
 
@@ -599,6 +599,7 @@ def factorize_cwp(
     def norm(X) -> np.ndarray:
         return np.sqrt(np.einsum("mab,mab->m", X, X))
 
+    points = pts[full]
     R = np.zeros_like(G)
     r2 = r0 * r0
     for i, blk in enumerate(blocks):
@@ -609,24 +610,24 @@ def factorize_cwp(
             psi = spread(warpings[i], b0)
             fiber = spread(fiber_factors[i], blk)
             R[:, sel[:, None], sel] = (r2 * psi * psi)[:, None, None] * fiber
-    worst = np.max(norm(R - G) / np.maximum(norm(G), 1e-300))
+    # both norms scaled by the largest |G| at each point, so that no square
+    # overflows (Blue, 1978)
+    scale = np.abs(G).max(axis=(1, 2))[:, None, None]
+    worst = _worst("reconstruction", norm((R - G) / scale) / norm(G / scale), points)
 
     # path-order residual over box corners + center: along leg j of a path,
     # log(rho_i / rho_0) changes by the difference at its ends
     r = rho[:, path]
-    path_worst = 0.0
+    dependence = np.zeros(len(targets))  # per target, over every i
     for i in warpings:
         legs = np.diff(np.log(r[i] / r[0]).reshape(len(targets), 2, n + 1), axis=2)
         # per path, the legs' sums over block 0 and block i, and |legs| over the rest
         alpha = np.where(np.isin(orders, b0), legs, 0.0).sum(axis=2)
         beta = np.where(np.isin(orders, blocks[i]), legs, 0.0).sum(axis=2)
         gamma = np.where(np.isin(orders, b0 + blocks[i]), 0.0, np.abs(legs)).sum(axis=2)
-        path_worst = max(
-            path_worst,
-            float(np.abs(alpha[:, 0] - alpha[:, 1]).max()),
-            float(np.abs(beta[:, 0] - beta[:, 1]).max()),
-            float(gamma.max()),
-        )
+        dependence = np.maximum(dependence, np.max(
+            [np.abs(alpha[:, 0] - alpha[:, 1]), np.abs(beta[:, 0] - beta[:, 1]), *gamma.T], axis=0))
+    path_worst = _worst("path_order", dependence, targets)
     if path_worst > PATH_ORDER_TOL:
         raise PathInconsistencyError(
             f"axis-order dependence {path_worst:.3e} exceeds {PATH_ORDER_TOL:.1e}; "
@@ -636,14 +637,15 @@ def factorize_cwp(
     # conformal-to-product section
     cp = None
     if report.flags["CP"].status == "pass" and k >= 1:
-        logpsi = {i: np.log(warpings[i]) for i in warpings}
+        logpsi = {i: np.log(warpings[i]).ravel() for i in warpings}
         constants = {1: 1.0}
-        fit = 0.0
+        fit = np.zeros(grid ** len(b0))  # per point of the block-0 subgrid
         for i in range(2, k + 1):
             d = logpsi[i] - logpsi[1]
             la = float(np.mean(d))
             constants[i] = math.exp(la)
-            fit = max(fit, float(np.max(np.abs(d - la))) if d.size else 0.0)
+            fit = np.maximum(fit, np.abs(d - la))
+        fit = _worst("cp_fit", fit, pts[subs[0]])
         cp_base = None
         if base_factor is not None:
             cp_base = base_factor / (warpings[1] ** 2)[..., None, None]
@@ -660,13 +662,11 @@ def factorize_cwp(
 
     # separable-sum section for 1/phi under sphericity
     spherical = None
-    res = report.residuals
-    sph_ok = bool(
-        (np.maximum(res["sphericity"][1:], res["sphericity_perp"][1:]) <= tol).all()
-    )
-    if sph_ok and k >= 1:
+    res, labels = report.residuals, sample_points(chart, plan or SamplePlan())
+    sph = np.maximum(res["sphericity"][1:], res["sphericity_perp"][1:]).max(axis=0)
+    if _worst("sphericity", sph, labels) <= tol and k >= 1:
         kind = "warped"
-        if cp is not None and (res["sphericity_perp"][0] <= tol).all():
+        if cp is not None and _worst("sphericity_perp", res["sphericity_perp"][0], labels) <= tol:
             kind = "product"
         Kb = 1.0
         phi0 = (1.0 / phi_sub[0]).reshape(shape0)
@@ -675,7 +675,7 @@ def factorize_cwp(
         rebuilt = spread(phi0, b0)
         for i in warpings:
             rebuilt = rebuilt + spread(warpings[i], b0) * spread(phis[i], blocks[i])
-        sph_worst = float(np.max(np.abs(Kv - rebuilt) / (1.0 + np.abs(Kv))))
+        sph_worst = _worst("spherical", np.abs(Kv - rebuilt) / (1.0 + np.abs(Kv)), points)
         spherical = SphericalSection(kind=kind, phi0=phi0, phis=phis, residual=sph_worst)
 
     # closed-form conformal factor when provenance provides one that matches:
@@ -691,7 +691,7 @@ def factorize_cwp(
         if cand is None and prov.kind in ("product", "warped"):
             cand = ONE
         if cand is not None:
-            sweep = compile_tape([cand]).sweep(np.vstack([pts[:1], pts[full]]))
+            sweep = compile_tape([cand]).sweep(np.vstack([pts[:1], points]))
             if sweep.first_bad[0] < sweep.tape.size:
                 raise sweep.error(0)
             c = float(sweep.values[0, 0])
@@ -699,12 +699,11 @@ def factorize_cwp(
             with np.errstate(all="ignore"):
                 vals = sweep.values[1:, 0] / c
             failed = (sweep.first_bad[1:] < sweep.tape.size) | ~np.isfinite(vals)
-            mismatch = np.abs(vals - r0) > 1e-8 * (1.0 + np.abs(r0))
-            hit = np.flatnonzero(failed | mismatch)
-            if not hit.size:
+            hit = _first(failed, np.abs(vals - r0) > 1e-8 * (1.0 + np.abs(r0)))
+            if hit is None:
                 phi_expr = cand
-            elif failed[hit[0]]:
-                raise compile_tape([cand]).sweep(pts[full][hit[:1]]).error(0)
+            elif hit[1] == 0:
+                raise compile_tape([cand]).sweep(points[hit[0] : hit[0] + 1]).error(0)
 
     return Factorization(
         base=base,

@@ -561,9 +561,9 @@ class Tape:
         """(m, roots) values. Raises the EvalDomainError of the first sample
         that fails, naming the sub-expression the interpreter would name."""
         sw = self.sweep(points)
-        failed = np.flatnonzero(sw.first_bad < self.size)
-        if failed.size:
-            raise sw.error(int(failed[0]))
+        hit = _first(sw.first_bad < self.size)
+        if hit:
+            raise sw.error(hit[0])
         return sw.values
 
     def run_jets(self, points) -> np.ndarray:
@@ -572,11 +572,29 @@ class Tape:
         raises there when a value fails, else that of the roots' diff trees."""
         sw = self.jet_sweep(points)
         errors = sw.repair()
-        failed = np.flatnonzero(sw.first_bad < self.size)
-        j = min([*map(int, failed[:1]), *errors], default=None)
-        if j is not None:
-            raise errors[j] if j in errors else sw.error(j)
+        hit = _first(sw.first_bad < self.size, _keys(errors, len(sw.points)))
+        if hit:
+            raise errors[hit[0]] if hit[1] else sw.error(hit[0])
         return sw.jets
+
+
+def _first(*masks) -> tuple | None:
+    """(j, q): the first point j where any of the masks, each (m,), holds,
+    and the first mask q that holds there; None where none holds. This is
+    the one rule by which a batch picks the failure it reports: list the
+    checks of a point in the order they run there."""
+    hit = functools.reduce(np.logical_or, masks)
+    if not hit.any():
+        return None
+    j = int(hit.argmax())
+    return j, next(q for q, mask in enumerate(masks) if mask[j])
+
+
+def _keys(errors: dict, m: int) -> np.ndarray:
+    """The (m,) mask of the points that key errors, as Sweep.repair gives them."""
+    mask = np.zeros(m, dtype=bool)
+    mask[list(errors)] = True
+    return mask
 
 
 def _first_nonfinite(V: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_expr, random_point, random_twisted_spec
-from orthonet import chart_calculus, codazzi, fixtures, product_metrics
+from orthonet import chart_calculus, codazzi, fixtures, nets, product_metrics
 from orthonet.chart_calculus import (
     CONDITION_WARN,
     MetricField,
@@ -428,8 +428,9 @@ def _spd_metric(rng, n, depth):
 @settings(max_examples=20)
 @given(n=st.integers(2, 4), seed=st.integers(0, 2**16))
 def test_levi_civita_kernel_matches_christoffel_trees(n, seed):
-    # Gamma and d Gamma from swept metric jets against the swept symbolic
-    # Christoffel trees and diff of them
+    # Gamma (chart_calculus._levi_civita) and d Gamma (nets._dgamma, where
+    # the geometry reads it) from swept metric jets against the swept
+    # symbolic Christoffel trees and diff of them
     rng = np.random.default_rng(seed)
     g = _spd_metric(rng, n, 2 if n < 4 else 1)
     pts = np.array([random_point(rng, g.chart) for _ in range(3)])
@@ -449,7 +450,8 @@ def test_levi_civita_kernel_matches_christoffel_trees(n, seed):
     G = sym(vals[:, :t])
     dG = sym(vals[:, t : t * (n + 1)].reshape(m, n, t))
     d2G = sym(vals[:, t * (n + 1) :].reshape(m, n, n, t))
-    _, gamma, dgamma = _levi_civita(G, dG, d2G)
+    Ginv, gamma = _levi_civita(G, dG)
+    dgamma = nets._dgamma(Ginv, gamma.reshape(m, n, n * n), dG, d2G)
 
     trees = g.christoffel_entries()
     ref = [trees[k][i][j] for k, i, j in itertools.product(range(n), repeat=3)]

@@ -12,6 +12,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -877,8 +878,10 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_the_metric_jets_and_christoffel_symbols_are_formed_in_one_place():
     # nets compiles no tape, so it reads its metric through chart_calculus's
     # checked sweep; _metric_jets is called there only, and _levi_civita only
-    # by _metric_jets and for the product metric of _connection_residuals
-    calls = set()
+    # by _metric_jets and for the product metric of _connection_residuals.
+    # d Gamma is formed where it is read: _levi_civita takes no second
+    # partials, and _dgamma is called by nets._geometry only
+    calls, params = set(), {}
     for path in sorted((SRC / "orthonet").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if path.stem == "nets":
@@ -887,15 +890,18 @@ def test_the_metric_jets_and_christoffel_symbols_are_formed_in_one_place():
                 if isinstance(node, ast.ImportFrom) for a in node.names}
         for fn in ast.walk(tree):
             if isinstance(fn, ast.FunctionDef):
+                params[path.stem, fn.name] = [a.arg for a in fn.args.args]
                 calls |= {
                     (node.func.id, path.stem, fn.name) for node in ast.walk(fn)
                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id in ("_metric_jets", "_levi_civita")}
+                    and node.func.id in ("_metric_jets", "_levi_civita", "_dgamma")}
     assert calls == {
         ("_metric_jets", "chart_calculus", "_jets"),
         ("_levi_civita", "chart_calculus", "_metric_jets"),
         ("_levi_civita", "product_metrics", "_connection_residuals"),
+        ("_dgamma", "nets", "_geometry"),
     }
+    assert params["chart_calculus", "_levi_civita"] == ["G", "dG"]
 
 
 def test_non_finite_constant_manifest_exits_1(tmp_path, capsys):
@@ -963,3 +969,69 @@ def test_tensor_grid_is_the_per_point_loop(dim):
         u = np.random.default_rng(plan.seed).uniform(size=(plan.random, dim))
         loop.extend(lows + u * (highs - lows))
         assert np.array_equal(sample_points(chart, plan), np.array(loop))
+
+
+def test_no_maximum_drops_a_nan_and_no_module_keeps_stage_constants():
+    # max(0.0, *r) and min(1.0, *r) skip a nan that is not first, so no
+    # builtin max or min takes a starred argument: a maximum over samples
+    # goes through nets._worst. The first failure is picked by
+    # scalar_fields._first from masks in check order, so nets and codazzi
+    # define no stage constants (names unpacked from a range)
+    for path in sorted((SRC / "orthonet").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        starred = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("max", "min") and any(isinstance(a, ast.Starred) for a in node.args)]
+        assert starred == [], path.name
+        if path.stem in ("nets", "codazzi"):
+            stages = [
+                ast.unparse(node) for node in tree.body
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) == "range"
+                or isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) in ("_CLEAN", "_OK") for t in node.targets)]
+            assert stages == [], path.name
+
+
+def test_verify_product_refuses_a_pair_residual_that_is_not_finite(monkeypatch, capsys):
+    # a nan residual of one pair at one sample was dropped by max(0.0, *r),
+    # leaving exit 0 and "pass"; it now raises, naming the sample
+    residuals = cli._connection_residuals
+
+    def poisoned(*args):
+        out = residuals(*args)
+        out[2, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(cli, "_connection_residuals", poisoned)
+    man = load_manifest(MANIFESTS / "twisted_control.json")
+    label = tuple(sample_points(man.chart, man.plan)[2].tolist())
+    assert main(["--command", "verify-product", "--manifest", str(MANIFESTS / "twisted_control.json")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: connection_identity residual is nan at {label}; residuals must be finite\n")
+
+
+def test_factorize_of_a_finite_metric_with_large_entries(tmp_path, capsys):
+    # diag(c, c exp(t)^2, c exp(t)^2) with c = 1e200: the block determinants
+    # overflow, but their logs do not, and the reconstruction norms are
+    # scaled, so the warpings equal those of c = 1 and no warning escapes
+    reports = {}
+    for c in ("1e200", "1"):
+        e = f"{c}*exp(t)^2"
+        data = {
+            "chart": {"dim": 3, "names": ["t", "x", "y"], "blocks": [[0], [1, 2]],
+                      "domain": [[0.5, 1.0], [0.0, 1.0], [0.0, 1.0]]},
+            "metric": {"components": [[c, "0", "0"], ["0", e, "0"], ["0", "0", e]]},
+            "sampling": {"grid": 3, "random": 2},
+        }
+        path = str(write_manifest(tmp_path, data, f"c{c}.json"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--command", "factorize", "--manifest", path, "--format", "json"]) == 0
+        assert [str(w.message) for w in caught] == []
+        reports[c] = json.loads(capsys.readouterr().out)
+    big, unit = (reports[c]["results"] for c in ("1e200", "1"))
+    assert np.allclose(big["warpings"]["1"], unit["warpings"]["1"], rtol=1e-12, atol=0.0)
+    assert big["reconstruction_residual"] <= 1e-15
+    assert reports["1e200"]["verdicts"]["path_order"] == {"residual": 0.0, "status": "pass"}

@@ -911,3 +911,41 @@ def test_torus_eigen_samples_match_closed_form(R):
         assert abs(s["lam"] - 1.0) <= 1e-12
     assert rep.residuals["eta_two_path"] <= 1e-10
     assert rep.residuals["zeta_two_path"] <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["lambda_spherical", "relation"])
+def test_non_finite_score_raises_naming_it_and_the_sample(name, monkeypatch):
+    # a nan score at one torus sample raises instead of passing: max(a, nan)
+    # dropped a nan lambda_spherical, and nan <= tol read a nan relation as
+    # outside the hypotheses
+    g, phi = torus()
+    labels = [tuple(p) for p in sample_points(g.chart, PLAN).tolist()]
+    criteria = codazzi._criteria
+
+    def poisoned(*args, **kwargs):
+        scores, samples = criteria(*args, **kwargs)
+        getattr(scores, name)[5] = np.nan
+        return scores, samples
+
+    monkeypatch.setattr(codazzi, "_criteria", poisoned)
+    with pytest.raises(InconsistencyError) as info:
+        classify_codazzi(g, phi, h=const(1.0), plan=PLAN)
+    assert str(info.value) == f"{name} residual is nan at {labels[5]}; residuals must be finite"
+
+
+def test_warping_profile_reads_log_determinants():
+    # the torus warping sigma from a metric scaled by 1e200, whose block
+    # determinants overflow, equals that of the unscaled metric
+    g, phi = torus()
+    model = codazzi._eigen_model(g, phi, [(0.3, 0.5)], [(0.3, 0.5)], codazzi.GAP_MIN, 1e-8)[2]
+    big = MetricField(g.chart, [[scalar_fields.mul(const(1e200), e) for e in row] for row in g.entries])
+    plan = SamplePlan(grid=5, margin=0.1)
+    pts = sample_points(g.chart, plan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want, base = codazzi._warping_profile(g, model, 0, plan, chart_calculus._stacked(g, (), pts)[0])
+        got, _ = codazzi._warping_profile(big, model, 0, plan, chart_calculus._stacked(big, (), pts)[0])
+    assert [s["t"] for s in got] == [s["t"] for s in want]
+    for s, w in zip(got, want):
+        assert s["sigma_ratio"] == pytest.approx(w["sigma_ratio"], rel=1e-12)
+    assert base == g.chart.center()

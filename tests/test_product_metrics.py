@@ -14,6 +14,7 @@ from orthonet.codazzi import build_codazzi_candidate
 from orthonet.errors import (
     ConstraintError,
     EvalDomainError,
+    InconsistencyError,
     OrthonetError,
     PathInconsistencyError,
 )
@@ -556,3 +557,23 @@ def test_factorize_recovers_warpings_in_closed_form(a, c):
     for i, rho in want.items():
         assert np.allclose(fac.warpings[i], rho, rtol=1e-13, atol=0.0)
     assert fac.reconstruction_residual <= 1e-13
+
+
+@pytest.mark.parametrize("point, name", [(1 + 9 + 9, "reconstruction"), (1 + 9 + 9 + 81, "path_order")])
+def test_factorize_refuses_a_residual_that_is_not_finite(point, name, monkeypatch):
+    # polar at grid 9 sweeps the base, two subgrids of 9, the full grid of 81,
+    # then the paths: a nan metric entry at the first full grid point, or at
+    # the first path vertex, whose target is the corner (0.5, 0.0), raises,
+    # naming the residual and that point; a nan path-order entry was dropped
+    # by max(0.0, nan), and a nan reconstruction read as inconclusive
+    symmetric = product_metrics._symmetric
+
+    def poisoned(cols, n):
+        G = symmetric(cols, n)
+        G[point, 1, 1] = np.nan
+        return G
+
+    monkeypatch.setattr(product_metrics, "_symmetric", poisoned)
+    with pytest.raises(InconsistencyError) as info:
+        factorize_cwp(fixtures.polar())
+    assert str(info.value) == f"{name} residual is nan at (0.5, 0.0); residuals must be finite"

@@ -326,3 +326,13 @@ def test_format_and_substitute_of_a_long_sum():
         compile_tape([e]).run(p[:, ::-1])[0, 0],
         rel_tol=1e-12,
     )
+
+
+@settings(max_examples=50)
+@given(st.lists(st.lists(st.booleans(), min_size=6, max_size=6), min_size=1, max_size=4))
+def test_first_is_the_first_point_then_the_first_mask_there(rows):
+    # the one rule for the failure a batch reports, against a loop over
+    # points that checks the masks of each point in order
+    masks = [np.array(r) for r in rows]
+    want = next(((j, q) for j in range(6) for q, r in enumerate(rows) if r[j]), None)
+    assert scalar_fields._first(*masks) == want
