@@ -272,6 +272,17 @@ def _inv(A: np.ndarray) -> np.ndarray:
         return out
 
 
+def _slogdet(A: np.ndarray) -> tuple:
+    """Signs and logs of |det| of a stack of square matrices, as
+    np.linalg.slogdet gives them for finite ones; a 1 x 1 block is its own
+    determinant, which spares LAPACK one call per matrix. Callers ignore
+    floating-point errors (np.errstate)."""
+    if A.shape[-1] == 1:
+        x = A[..., 0, 0]
+        return np.sign(x), np.log(np.abs(x))
+    return np.linalg.slogdet(A)
+
+
 def _levi_civita(G, dG):
     """G^-1 and Gamma (m, k, i, j) from stacked metric jets: G (m, n, n) and
     dG[:, p] = d_p G (O'Neill, Semi-Riemannian Geometry, 1983, ch. 3):

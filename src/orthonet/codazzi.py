@@ -64,6 +64,7 @@ from .chart_calculus import (
     _gnorm,
     _hess,
     _jets,
+    _slogdet,
     _stacked,
     _symmetric,
 )
@@ -217,11 +218,15 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
     codazzi = codazzi and n > 1
 
     def defect(G, vals):
-        """Relative asymmetry of G P, P the tensor given by the root values, for
-        stacked samples or one."""
+        """Relative asymmetry |S - S^T| / (1 + |S|) of S = G P, P the tensor
+        given by the root values, for stacked samples or one. S is divided
+        first by the power of two s at or below its largest entry (np.frexp),
+        which is exact, so no square overflows: |A/s| / (1/s + |S/s|)."""
         S = G @ vals.reshape(G.shape)
+        s = np.ldexp(1.0, np.frexp(np.abs(S).max(axis=(-2, -1)))[1] - 1)
+        S = S / s[..., None, None]
         return np.linalg.norm(S - np.swapaxes(S, -1, -2), axis=(-2, -1)) / (
-            1.0 + np.linalg.norm(S, axis=(-2, -1))
+            1.0 / s + np.linalg.norm(S, axis=(-2, -1))
         )
 
     adjoint = (
@@ -952,7 +957,7 @@ def _warping_profile(g: MetricField, model: _EigenModel, axis: int,
     ends[0] = sweep.tape.bounds[-2]  # mu is not read at the base point
     blocks = _symmetric(sweep.values[:, :-1], r)
     with np.errstate(all="ignore"):  # read only where the entries evaluate
-        sign, logdet = np.linalg.slogdet(blocks)
+        sign, logdet = _slogdet(blocks)
     hit = _first(sweep.first_bad < ends, ~(sign > 0.0))
     if hit and hit[1] == 0:
         raise sweep.error(hit[0])

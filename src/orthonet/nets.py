@@ -667,6 +667,9 @@ class NetReport:
     n_samples: int
     # the residuals of DistributionGeometry by name, each (blocks, samples)
     residuals: dict
+    # the samples, (n_samples, dim), in the order of the residuals' sample
+    # axis; factorize_cwp names its sphericity samples by them (not in to_dict)
+    points: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -778,4 +781,5 @@ def _classify(samples: _Samples, tol: float) -> NetReport:
         cp_hs0_residual=cp_hs0_max if eq0_evaluated else None,
         n_samples=len(labels),
         residuals=res,
+        points=samples.sweep.points,
     )

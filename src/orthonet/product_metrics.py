@@ -48,6 +48,7 @@ from .chart_calculus import (
     _gnorm,
     _jets,
     _levi_civita,
+    _slogdet,
     _symmetric,
 )
 from .errors import (
@@ -57,13 +58,14 @@ from .errors import (
     PathInconsistencyError,
 )
 from .nets import OrthogonalNet, _worst, classify_net
-from .sampling import MAX_POINTS, SamplePlan, _mesh, grid_axes, sample_points
+from .sampling import MAX_POINTS, SamplePlan, _mesh, grid_axes
 from .scalar_fields import (
     Chart,
     Expr,
     ONE,
     ZERO,
     _first,
+    _is_zero,
     _pairs,
     compile_tape,
     const,
@@ -437,7 +439,8 @@ def factorize_cwp(
     paths from base to every box corner, the base and the center that fix
     the axes in forward and in reverse order. One tape of the metric's upper
     triangle is swept over it once, and the block log-determinants are one
-    np.linalg.slogdet per block over all points; with them
+    chart_calculus._slogdet per block over all points (a 1 x 1 block in
+    closed form, a larger one by np.linalg.slogdet); with them
     rho_b = (det G_b / det G_b(base))^(1/(2 d_b)). On the block-0 subgrid the
     base factor is G_0 / rho_0^2 and the warping psi_i = rho_i / rho_0; on the
     block-i subgrid, where psi_i is 1, fiber factor i is G_i / rho_0^2;
@@ -446,7 +449,9 @@ def factorize_cwp(
     leg differences over the axes of block 0 and of block i, and gamma their
     absolute values over the other axes; the residual is the largest
     |alpha_f - alpha_r|, |beta_f - beta_r|, gamma_f or gamma_r over every i
-    and target.
+    and target. The block-diagonality probe, a 3-per-axis grid, sweeps the
+    off-block entries that are not the constant 0, if any, and the
+    sphericity section reads the classification's samples (NetReport.points).
 
     The point sets are checked in their order, so the base point comes
     first, then failures are raised in this order:
@@ -499,12 +504,14 @@ def factorize_cwp(
     if not chart.contains(base):
         raise ConstraintError(f"base point {base} outside the chart domain")
 
-    # block-diagonality gate
+    # block-diagonality gate over the off-block entries; a constant 0, as a
+    # ProductSpec metric has, can neither fail nor differ from 0
     off = [
         (a, b)
         for bi, bj in itertools.combinations(range(k + 1), 2)
         for a in blocks[bi]
         for b in blocks[bj]
+        if not _is_zero(g.entries[a][b])
     ]
     if off:
         probe = _mesh(grid_axes(chart, 3))
@@ -549,7 +556,7 @@ def factorize_cwp(
         sweep = upper.sweep(pts)
         G = _symmetric(sweep.values, n)
         with np.errstate(all="ignore"):  # read only at points whose entries evaluate
-            signs, logdets = zip(*(np.linalg.slogdet(block(G, blk)) for blk in blocks))
+            signs, logdets = zip(*(_slogdet(block(G, blk)) for blk in blocks))
         for s, own in zip(sets, [0, *range(k + 1), 0, 0]):
             hit = _first(sweep.first_bad[s] < upper.size)
             if hit:
@@ -611,20 +618,22 @@ def factorize_cwp(
             fiber = spread(fiber_factors[i], blk)
             R[:, sel[:, None], sel] = (r2 * psi * psi)[:, None, None] * fiber
     # both norms scaled by the largest |G| at each point, so that no square
-    # overflows (Blue, 1978)
-    scale = np.abs(G).max(axis=(1, 2))[:, None, None]
+    # overflows (Blue, 1978); G is symmetric, so its upper triangle holds it
+    scale = functools.reduce(np.maximum, (np.abs(G[:, a, b]) for a, b in zip(*_pairs(n, 0))))[:, None, None]
     worst = _worst("reconstruction", norm((R - G) / scale) / norm(G / scale), points)
 
     # path-order residual over box corners + center: along leg j of a path,
     # log(rho_i / rho_0) changes by the difference at its ends
     r = rho[:, path]
     dependence = np.zeros(len(targets))  # per target, over every i
+    in_b0 = np.array([[ax in b0 for ax in order] for order in orders])
     for i in warpings:
         legs = np.diff(np.log(r[i] / r[0]).reshape(len(targets), 2, n + 1), axis=2)
         # per path, the legs' sums over block 0 and block i, and |legs| over the rest
-        alpha = np.where(np.isin(orders, b0), legs, 0.0).sum(axis=2)
-        beta = np.where(np.isin(orders, blocks[i]), legs, 0.0).sum(axis=2)
-        gamma = np.where(np.isin(orders, b0 + blocks[i]), 0.0, np.abs(legs)).sum(axis=2)
+        in_bi = np.array([[ax in blocks[i] for ax in order] for order in orders])
+        alpha = np.where(in_b0, legs, 0.0).sum(axis=2)
+        beta = np.where(in_bi, legs, 0.0).sum(axis=2)
+        gamma = np.where(in_b0 | in_bi, 0.0, np.abs(legs)).sum(axis=2)
         dependence = np.maximum(dependence, np.max(
             [np.abs(alpha[:, 0] - alpha[:, 1]), np.abs(beta[:, 0] - beta[:, 1]), *gamma.T], axis=0))
     path_worst = _worst("path_order", dependence, targets)
@@ -662,7 +671,7 @@ def factorize_cwp(
 
     # separable-sum section for 1/phi under sphericity
     spherical = None
-    res, labels = report.residuals, sample_points(chart, plan or SamplePlan())
+    res, labels = report.residuals, report.points
     sph = np.maximum(res["sphericity"][1:], res["sphericity_perp"][1:]).max(axis=0)
     if _worst("sphericity", sph, labels) <= tol and k >= 1:
         kind = "warped"

@@ -585,3 +585,22 @@ def test_metric_partial_and_other_root_fail_in_documented_order(name):
     with pytest.raises(EvalDomainError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_log_determinant_of_one_by_one_blocks_matches_slogdet():
+    # a 1 x 1 block is its own determinant: the sign is slogdet's exactly and
+    # the log within 1 ulp, at zeros, negatives, subnormals and near 1e+-300
+    x = np.array([0.0, -0.0, -3.0, 2.5, 5e-324, -5e-324, 2.2e-310, 1e-300, -1e-300,
+                  1e300, -1e300, 1.7e308])
+    with np.errstate(all="ignore"):
+        sign, logdet = chart_calculus._slogdet(x[:, None, None])
+        want_sign, want_log = np.linalg.slogdet(x[:, None, None])
+    assert np.array_equal(sign, want_sign)
+    assert np.array_equal(np.signbit(sign), np.signbit(want_sign))
+    finite = np.isfinite(want_log)
+    assert np.array_equal(logdet[~finite], want_log[~finite])
+    assert (np.abs(logdet[finite] - want_log[finite]) <= np.spacing(np.abs(want_log[finite]))).all()
+    # larger blocks are LAPACK's
+    A = np.random.default_rng(3).standard_normal((5, 2, 2))
+    for got, want in zip(chart_calculus._slogdet(A), np.linalg.slogdet(A)):
+        assert np.array_equal(got, want)

@@ -1035,3 +1035,31 @@ def test_factorize_of_a_finite_metric_with_large_entries(tmp_path, capsys):
     assert np.allclose(big["warpings"]["1"], unit["warpings"]["1"], rtol=1e-12, atol=0.0)
     assert big["reconstruction_residual"] <= 1e-15
     assert reports["1e200"]["verdicts"]["path_order"] == {"residual": 0.0, "status": "pass"}
+
+
+def test_superscript_digit_in_a_manifest_names_the_entry(tmp_path, capsys):
+    # '²' passed str.isdigit, so float raised a ValueError that the CLI
+    # reported as an internal error in load, with no pointer
+    data = json.loads((MANIFESTS / "polar.json").read_text(encoding="utf-8"))
+    data["metric"]["components"][1][1] = "t*²"
+    path = str(write_manifest(tmp_path, data))
+    assert main(["--command", "classify", "--manifest", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad expression 't*²': unexpected character '²' (at position 2) "
+        "(at /metric/components/1/1)\n"
+    )
+
+
+def test_log_determinants_are_taken_in_one_place():
+    # np.linalg.slogdet, which runs LAPACK once per matrix, is called only by
+    # chart_calculus._slogdet, which takes a 1 x 1 block in closed form
+    where = []
+    for path in sorted((SRC / "orthonet").glob("*.py")):
+        def visit(node, fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "slogdet":
+                where.append((path.stem, fn))
+            for child in ast.iter_child_nodes(node):
+                visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    assert where == [("chart_calculus", "_slogdet")]

@@ -501,16 +501,16 @@ def _raises(g, phi, exc, message, plan=GRID4, h=None, gap_min=codazzi.GAP_MIN):
     assert str(info.value) == message
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # |G Phi| overflows in numpy
 def test_self_adjointness_defect_that_is_not_finite_fails():
-    # the norms of G Phi overflow, so the defect is nan, which must not pass
+    # the squares of G Phi overflow; scaled by a power of two first, the
+    # defect is |A| / |S| = 1 and fails, with no RuntimeWarning
     g = euclidean(2)
     rows = [[const(1e200), const(1e200)], [ZERO, ONE]]
-    with pytest.raises(ConstraintError, match=r"^tensor is not self-adjoint at .*: defect nan$"):
+    with pytest.raises(ConstraintError, match=r"^tensor is not self-adjoint at .*: defect 1\.000e\+00$"):
         SymTensorField(g.chart, rows, metric=g)
     label = tuple(sample_points(g.chart, GRID4)[0].tolist())
     _raises(g, SymTensorField(g.chart, rows), ConstraintError,
-            f"tensor is not self-adjoint at {label}: defect nan")
+            f"tensor is not self-adjoint at {label}: defect 1.000e+00")
 
 
 def test_self_adjoint_at_center_fails_at_a_later_sample():
@@ -949,3 +949,16 @@ def test_warping_profile_reads_log_determinants():
     for s, w in zip(got, want):
         assert s["sigma_ratio"] == pytest.approx(w["sigma_ratio"], rel=1e-12)
     assert base == g.chart.center()
+
+
+def test_self_adjointness_defect_of_a_scaled_metric_emits_no_warning():
+    # |G Phi| of the torus metric times 1e200 overflowed in numpy's norm at
+    # the chart center, and the RuntimeWarning escaped; divided by a power of
+    # two first, the check and classify_codazzi stay silent
+    g0, phi0 = torus()
+    big = MetricField(g0.chart, [[scalar_fields.mul(const(1e200), e) for e in row] for row in g0.entries])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = SymTensorField(g0.chart, phi0.components, metric=big)
+        report = classify_codazzi(big, phi)
+    assert report.flags["spherical_eigenbundles"].status == "pass"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_expr, random_twisted_spec
-from orthonet import chart_calculus, fixtures, product_metrics, scalar_fields
+from orthonet import chart_calculus, fixtures, nets, product_metrics, sampling, scalar_fields
 from orthonet.chart_calculus import MetricField, metric_at
 from orthonet.codazzi import build_codazzi_candidate
 from orthonet.errors import (
@@ -399,10 +399,11 @@ def test_build_metric_runs_one_positivity_sweep(monkeypatch):
     assert counts == [25]
 
 
-def test_scaled_polar_factorization_compiles_five_tapes(monkeypatch):
-    # the positivity gates, the classification, the block-diagonality probe,
-    # the metric's upper triangle and the closed-form candidate, which one
-    # sweep over the base point and the full grid checks
+def test_scaled_polar_factorization_compiles_four_tapes(monkeypatch):
+    # the positivity gates, the classification, the metric's upper triangle
+    # and the closed-form candidate, which one sweep over the base point and
+    # the full grid checks; the off-block entries are the constant 0, so no
+    # block-diagonality probe is compiled
     ch = Chart.box([(0.5, 2.5), (0.0, 2.0)], names=("t", "theta"))
     spec = ProductSpec("warped", (_line(0.5, 2.5, "t"), _line(0.0, 2.0, "theta")),
                        twists=(ONE, parse_expr("t", ch)),
@@ -415,7 +416,7 @@ def test_scaled_polar_factorization_compiles_five_tapes(monkeypatch):
 
         monkeypatch.setattr(module, "compile_tape", compiled)
     fac = factorize_cwp(build_metric(spec), grid=17)
-    assert len(tapes) == 5
+    assert len(tapes) == 4
     assert format_expr(fac.phi_expr, ch.names).startswith("exp(0.5*t + 0.4*theta)/")
 
 
@@ -577,3 +578,20 @@ def test_factorize_refuses_a_residual_that_is_not_finite(point, name, monkeypatc
     with pytest.raises(InconsistencyError) as info:
         factorize_cwp(fixtures.polar())
     assert str(info.value) == f"{name} residual is nan at (0.5, 0.0); residuals must be finite"
+
+
+def test_factorize_draws_the_sample_plan_once(monkeypatch):
+    # the sphericity section reads classify_net's samples (NetReport.points)
+    # instead of drawing the plan a second time
+    drawn = []
+    draw = sampling.sample_points
+
+    def counted(*args):
+        drawn.append(args)
+        return draw(*args)
+
+    for module in (sampling, nets, product_metrics):
+        monkeypatch.setattr(module, "sample_points", counted, raising=False)
+    fac = factorize_cwp(fixtures.polar())
+    assert len(drawn) == 1
+    assert np.array_equal(fac.report.points, draw(fixtures.polar().chart, SamplePlan()))

@@ -239,3 +239,25 @@ def test_fd_oracle_domain_guard():
         fd_oracle(e, (0.0005,), 1e-3, chart=ch)
     with pytest.raises(ValueError):
         fd_oracle(e, (0.5,), -1.0)
+
+
+def test_a_superscript_digit_is_an_unexpected_character():
+    # str.isdigit holds for '²', which float refuses with a ValueError;
+    # numbers start at what str.isdecimal accepts, as float does
+    ch = Chart.box([(0.0, 1.0)] * 2, names=("t", "x0"))
+    with pytest.raises(ParseError) as err:
+        parse_expr("t*²", ch)
+    assert str(err.value) == "unexpected character '²' (at position 2)"
+    assert err.value.position == 2
+
+
+def test_a_superscript_digit_stays_part_of_an_identifier():
+    ch = Chart.box([(0.0, 1.0)] * 2, names=("t", "x0"))
+    with pytest.raises(ParseError) as err:
+        parse_expr("x0²", ch)
+    assert str(err.value) == "unknown identifier 'x0²' (at position 0)"
+
+
+def test_a_decimal_digit_of_another_script_is_a_number():
+    ch = Chart.box([(0.0, 1.0)] * 2, names=("t", "x0"))
+    assert format_expr(parse_expr("٣*x0", ch), ch.names) == format_expr(parse_expr("3*x0", ch), ch.names) == "3*x0"
