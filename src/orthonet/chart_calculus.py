@@ -5,8 +5,10 @@ upper triangle of the metric into one tape (`scalar_fields.compile_tape`)
 and swept over all its sample points at once. `_checked` does that with the
 checks of the metric (positive definiteness, conditioning) and raises at the
 first sample that fails, as checking one sample at a time would: the checks
-are masks over the samples, in the order they run at one sample, and
-`scalar_fields._first` picks the sample and the check. A caller that reads
+are (mask, error) pairs over the samples, in the order they run at one
+sample (`_root_checks` puts each root's evaluation among them),
+`scalar_fields._first` picks the sample and the check, and
+`scalar_fields._point` names the sample. A caller that reads
 partials takes them from one jet sweep of that tape (`_jets`): the first
 and second partials of the metric and of every root, by forward
 propagation, with `Sweep.repair` as the one rule for a jet that is not
@@ -52,6 +54,7 @@ from .scalar_fields import (
     _is_zero,
     _keys,
     _pairs,
+    _point,
     add,
     compile_tape,
     const,
@@ -221,15 +224,15 @@ def _metric_checks(G: np.ndarray, ok: np.ndarray):
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
-def _warn_conditions(cond, ill, labels, stop: int) -> None:
-    """Warn as metric_at does at every ill-conditioned sample before stop.
-    Each warning names the first caller outside the package."""
+def _warn_conditions(cond, ill, pts, stop: int) -> None:
+    """Warn as metric_at does at every ill-conditioned sample of pts before
+    stop. Each warning names the first caller outside the package."""
     level, frame = 1, sys._getframe()
     while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
         level, frame = level + 1, frame.f_back
     for k in np.flatnonzero(ill[:stop]):
         warnings.warn(
-            f"metric condition number {cond[k]:.3e} at {labels[k]}",
+            f"metric condition number {cond[k]:.3e} at {_point(pts, k)}",
             ConditionNumberWarning,
             stacklevel=level,
         )
@@ -317,20 +320,25 @@ def _symmetric(cols: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _first_fault(sweep, bad: np.ndarray, errors=None):
-    """(j, q, domain) for the first point j, and there the first root q, whose
-    evaluation fails (domain) or where bad[j, q] holds (_first), then, as q =
-    roots, the points that key errors; None if there is none."""
-    if (sweep.first_bad == sweep.tape.size).all() and not bad.any() and not errors:
-        return None
-    # the first failing slot at a point belongs to the first root that reaches it
-    fails = np.searchsorted(np.asarray(sweep.tape.bounds[1:]), sweep.first_bad, side="right")
-    r = bad.shape[1]
-    j, q = _first(*((fails == c) | bad[:, c] for c in range(r)), _keys(errors or {}, len(bad)))
-    return j, q, q < r and bool(fails[j] == q)
+def _root_checks(sweep, after: dict) -> list:
+    """The (mask, error) pairs of a sweep's roots in the order they run at a
+    point: per root r, the points whose first failing slot is its own
+    (sweep.error; the first failing slot at a point belongs to the first
+    root that reaches it), then after.get(r, ()), the pairs that run once
+    root r has evaluated. On a clean sweep no evaluation pair is listed."""
+    tape = sweep.tape
+    fails = None
+    if not (sweep.first_bad == tape.size).all():
+        fails = np.searchsorted(np.asarray(tape.bounds[1:]), sweep.first_bad, side="right")
+    pairs = []
+    for r in range(len(tape.root_slots)):
+        if fails is not None:
+            pairs.append((fails == r, sweep.error))
+        pairs.extend(after.get(r, ()))
+    return pairs
 
 
-def _checked(g: MetricField, roots, pts, labels, checks, jets: bool):
+def _checked(g: MetricField, roots, pts, checks, jets: bool):
     """One tape of the upper triangle of the metric of g and the roots,
     swept, or with jets jet-swept, over an (m, dim) array of points; returns
     G, (m, n, n), and the sweep.
@@ -343,64 +351,49 @@ def _checked(g: MetricField, roots, pts, labels, checks, jets: bool):
     as metric_at does at every ill-conditioned sample up to that one. checks
     lists (r, failing, error), run in that order once root r has evaluated:
     failing(G, vals) masks the samples that fail, reading roots up to r only,
-    and error(G[j], vals[j], labels[j]) is the exception at such a sample j.
-    labels default to the points as tuples."""
+    and error(G[j], vals[j], _point(pts, j)) is the exception at such a
+    sample j."""
     n = g.dim
     nt = n * (n + 1) // 2
     pts = np.array(pts, dtype=float, ndmin=2)
-    if labels is None:
-        labels = [tuple(p) for p in pts.tolist()]
     tape = compile_tape([g.entries[a][b] for a, b in zip(*_pairs(n, 0))] + list(roots))
     sweep = tape.jet_sweep(pts) if jets else tape.sweep(pts)
     G, ev, cond, not_spd, ill = _metric_checks(
         _symmetric(sweep.values[:, :nt], n), sweep.first_bad >= tape.bounds[nt]
     )
     vals = sweep.values[:, nt:]
-    bad = np.zeros(sweep.values.shape, dtype=bool)
-    bad[:, nt - 1] = not_spd  # after the entries, before the roots
+    after = {nt - 1: [(not_spd, lambda j: NotSPDError(
+        f"metric not positive definite at {_point(pts, j)}: smallest eigenvalue {ev[j, 0]:.3e}"))]}
     with np.errstate(all="ignore"):
-        masks = [failing(G, vals) for _, failing, _ in checks]
-    for (r, _, _), mask in zip(checks, masks):
-        bad[:, nt + r] |= mask
+        for r, failing, error in checks:
+            after.setdefault(nt + r, []).append(
+                (failing(G, vals), lambda j, error=error: error(G[j], vals[j], _point(pts, j))))
     # by sample, the error of the roots' diff trees where they fail
     errors = sweep.repair() if jets else {}
-    hit = _first_fault(sweep, bad, errors)
-    # the samples before the first that fails warn, and that one too where
-    # it fails after the positivity check
-    _warn_conditions(cond, ill, labels, hit[0] + (hit[1] >= nt) if hit else len(pts))
-    if hit is None:
-        return G, sweep
-    j, q, domain = hit
-    if q == bad.shape[1]:
-        raise errors[j]
-    if domain:
-        raise sweep.error(j)
-    if q < nt:
-        raise NotSPDError(
-            f"metric not positive definite at {labels[j]}: "
-            f"smallest eigenvalue {ev[j, 0]:.3e}"
-        )
-    raise next(
-        error(G[j], vals[j], labels[j])
-        for (r, _, error), mask in zip(checks, masks)
-        if nt + r == q and mask[j]
-    )
+    pairs = [*_root_checks(sweep, after), (_keys(errors, len(pts)), errors.get)]
+    hit = _first(*(mask for mask, _ in pairs))
+    # the samples up to the first that fails warn; that one is ill-conditioned
+    # only where it has passed the positivity check
+    _warn_conditions(cond, ill, pts, hit[0] + 1 if hit else len(pts))
+    if hit:
+        raise pairs[hit[1]][1](hit[0])
+    return G, sweep
 
 
-def _stacked(g: MetricField, roots, pts, labels=None, checks=()):
+def _stacked(g: MetricField, roots, pts, checks=()):
     """The values of the metric of g, G (m, n, n), and of the roots, (m,
     roots), over an (m, dim) array of points on one tape (_checked)."""
-    G, sweep = _checked(g, roots, pts, labels, checks, jets=False)
+    G, sweep = _checked(g, roots, pts, checks, jets=False)
     return G, sweep.values[:, g.dim * (g.dim + 1) // 2 :]
 
 
-def _jets(g: MetricField, roots, pts, labels=None, checks=()):
+def _jets(g: MetricField, roots, pts, checks=()):
     """_stacked on one jet sweep (_checked): the metric's jets as
     _metric_jets forms them, (G, dG, G^-1, Gamma, d2G), the jets of the
     roots, (m, 1 + n + n(n+1)/2, roots), rows as Tape.jet_sweep gives them:
     values, d_p over p, then d_p d_q over p <= q, and the sweep."""
     nt = g.dim * (g.dim + 1) // 2
-    _, sweep = _checked(g, roots, pts, labels, checks, jets=True)
+    _, sweep = _checked(g, roots, pts, checks, jets=True)
     with np.errstate(all="ignore"):  # values that are not finite are left to the consumer
         metric = _metric_jets(sweep.jets[:, :, :nt], g.dim)
     return metric, sweep.jets[:, :, nt:], sweep
@@ -408,7 +401,7 @@ def _jets(g: MetricField, roots, pts, labels=None, checks=()):
 
 def _at(g: MetricField, roots, p):
     """_stacked at the single point p: (G, root values)."""
-    G, vals = _stacked(g, roots, [p], [tuple(p)])
+    G, vals = _stacked(g, roots, [p])
     return G[0], vals[0]
 
 
@@ -432,21 +425,21 @@ def metric_at(g: MetricField, p):
 
 def christoffel(g: MetricField, p) -> np.ndarray:
     """Gamma[k, i, j] at p."""
-    return _jets(g, (), [p], [tuple(p)])[0][3][0]
+    return _jets(g, (), [p])[0][3][0]
 
 
 def cov_deriv(g: MetricField, X, Y, p) -> np.ndarray:
     """(nabla_X Y)(p). X and Y are component expression sequences; the
     partials of Y come from the same jet sweep as the metric's."""
     n = g.dim
-    metric, J, _ = _jets(g, [*X, *Y], [p], [tuple(p)])
+    metric, J, _ = _jets(g, [*X, *Y], [p])
     dY = J[:, 1 : n + 1, n:].swapaxes(1, 2)  # d_i Y^k at [k, i]
     return _cov(dY, metric[3], J[:, 0, n:], J[:, None, 0, :n])[0, 0]
 
 
 def grad_field(g: MetricField, f: Expr, p) -> np.ndarray:
     """(grad f)(p) = g^-1 df."""
-    metric, J, _ = _jets(g, [f], [p], [tuple(p)])
+    metric, J, _ = _jets(g, [f], [p])
     return metric[2][0] @ J[0, 1 : g.dim + 1, 0]
 
 
@@ -455,7 +448,7 @@ def hessian_lc(g: MetricField, f: Expr, X, Y, p) -> float:
     coordinates the partials of Y cancel, leaving
     X^i Y^j (d_i d_j f - Gamma^k_ij d_k f), read off the jets of f."""
     n = g.dim
-    metric, J, _ = _jets(g, [f, *X, *Y], [p], [tuple(p)])
+    metric, J, _ = _jets(g, [f, *X, *Y], [p])
     df, d2f = J[:, 1 : n + 1, 0], _symmetric(J[:, n + 1 :, 0], n)
     X, Y = J[:, None, 0, 1 : n + 1], J[:, None, 0, n + 1 :]
     return float(_hess(d2f, metric[3], df, X, Y)[0, 0, 0])
@@ -481,14 +474,14 @@ def norm(g: MetricField, v, p) -> float:
 # --- Levi-Civita axioms ---------------------------------------------------------
 
 
-def _lc_axioms(g: MetricField, pts, labels=None):
+def _lc_axioms(g: MetricField, pts):
     """(compatibility, torsion) residuals of lc_axiom_residuals over an
     (m, dim) array of points, each (m,)."""
     n = g.dim
     basis = [tuple(ONE if a == i else ZERO for a in range(n)) for i in range(n)]
     linear = [tuple(var((a + s) % n) for a in range(n)) for s in (1, 2)]
     fields = basis + linear
-    (G, dG, _, gam, _), J, _ = _jets(g, [c for V in fields for c in V], pts, labels)
+    (G, dG, _, gam, _), J, _ = _jets(g, [c for V in fields for c in V], pts)
     m = len(G)
     iu, ju = _pairs(n, 0)
     # per field its values V^k and its partials d_i V^k at [k, i]
@@ -522,5 +515,5 @@ def lc_axiom_residuals(g: MetricField, p):
     nonconstant components. Both residuals are relative to the magnitude of
     the terms involved.
     """
-    compat, torsion = _lc_axioms(g, [p], [tuple(p)])
+    compat, torsion = _lc_axioms(g, [p])
     return float(compat[0]), float(torsion[0])

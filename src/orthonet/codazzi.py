@@ -18,9 +18,10 @@ eigenvalue fields and the eigen-net's frame, whose jets give, with the
 metric's, the eigen-net's mean curvature normals and their partials in the
 batch that also classifies the net (nets._Samples). Covariant Hessians and
 derivatives are contracted numerically. Errors and warnings are those of
-checking one sample at a time in plan order (scalar_fields._first), and
-every maximum reported or compared with a tolerance is nets._worst's, so
-one that is not finite raises InconsistencyError instead of passing.
+checking one sample at a time in plan order (scalar_fields._raise_first),
+each naming its sample with scalar_fields._point, and every maximum
+reported or compared with a tolerance is nets._worst's, so one that is not
+finite raises InconsistencyError instead of passing.
 
 Residual vocabulary (all residuals are normalized to be scale-free):
 
@@ -100,6 +101,8 @@ from .scalar_fields import (
     _first,
     _keys,
     _pairs,
+    _point,
+    _raise_first,
     add,
     compile_tape,
     const,
@@ -197,7 +200,7 @@ class _Fields:
     metric: tuple | None = None
 
 
-def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
+def _metric_tensor(g: MetricField, phi: SymTensorField, pts, tol: float,
                    codazzi: bool = False) -> _Fields:
     """Evaluate the metric and the tensor over the samples with one tape
     run, and with codazzi (and dim > 1) the Codazzi residual: the run is
@@ -232,16 +235,15 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
     adjoint = (
         nn - 1,
         lambda G, vals: ~(defect(G, vals) <= tol),
-        lambda G, v, label: ConstraintError(
-            f"tensor is not self-adjoint at {label}: defect {defect(G, v):.3e}"
-        ),
+        lambda G, v, at: ConstraintError(
+            f"tensor is not self-adjoint at {at}: defect {defect(G, v):.3e}"),
     )
     metric = None
     if codazzi:
-        metric, J, sweep = _jets(g, roots, pts, labels, [adjoint])
+        metric, J, sweep = _jets(g, roots, pts, [adjoint])
         G, pts, vals = metric[0], sweep.points, J[:, 0]
     else:
-        G, vals = _stacked(g, roots, pts, labels, [adjoint])
+        G, vals = _stacked(g, roots, pts, [adjoint])
     m = len(G)
     P = vals.reshape(m, n, n)
     codazzi_res = np.zeros(m)
@@ -260,13 +262,13 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, labels, tol: float,
 def self_adjoint_defect(g: MetricField, phi: SymTensorField, p) -> float:
     """Relative asymmetry of g Phi at p; zero iff Phi is g-self-adjoint there.
     A defect that is not finite raises ConstraintError."""
-    return float(_metric_tensor(g, phi, [p], [tuple(p)], np.inf).defect[0])
+    return float(_metric_tensor(g, phi, [p], np.inf).defect[0])
 
 
 def codazzi_residual(g: MetricField, phi: SymTensorField, p, tol: float = 1e-8) -> float:
     """Max over coordinate pairs of the antisymmetry defect of nabla Phi at p,
     measured in the metric norm and normalized by the coordinate norms."""
-    return float(_metric_tensor(g, phi, [p], [tuple(p)], tol, codazzi=True).codazzi[0])
+    return float(_metric_tensor(g, phi, [p], tol, codazzi=True).codazzi[0])
 
 
 # --- eigenstructure over the samples ---------------------------------------------
@@ -337,14 +339,15 @@ class _Eigen:
     def failed(self) -> np.ndarray:
         return self.coalesced | self.split
 
-    def error(self, j: int, label) -> CoalescenceError:
+    def error(self, j: int, pts) -> CoalescenceError:
+        """The error at sample j of the samples pts."""
         if self.coalesced[j]:
             return CoalescenceError(
-                f"eigenvalues coalesce at {label}: spread {self.spread[j]:.3e}"
+                f"eigenvalues coalesce at {_point(pts, j)}: spread {self.spread[j]:.3e}"
             )
         lo, hi = self.spreads
         return CoalescenceError(
-            f"eigenvalues do not form two clusters at {label}: "
+            f"eigenvalues do not form two clusters at {_point(pts, j)}: "
             f"gap {self.gap[j]:.3e}, cluster spreads {lo[j]:.3e}/{hi[j]:.3e}"
         )
 
@@ -393,10 +396,10 @@ def eigen_two(g: MetricField, phi: SymTensorField, p, gap_min: float = GAP_MIN,
               tol: float = 1e-8) -> EigenPair:
     """Eigenvalues of Phi at p, required to split into exactly two clusters
     separated by at least gap_min."""
-    fields = _metric_tensor(g, phi, [p], [tuple(p)], tol)
+    fields = _metric_tensor(g, phi, [p], tol)
     eig = _Eigen(fields.G, fields.P, gap_min)
     if eig.failed()[0]:
-        raise eig.error(0, tuple(p))
+        raise eig.error(0, fields.points)
     return eig.pair(0, fields.G[0], fields.P[0])
 
 
@@ -424,8 +427,8 @@ def _pivots(a: np.ndarray, rank: int) -> list[int]:
 
 class _EigenModel:
     """Eigenvalue fields, derivative fields and the eigen-net of (g, Phi),
-    anchored at one sample point where the pointwise decomposition is pair
-    and the tensor's components are P0.
+    anchored at the sample point anchor, a tuple of floats, where the
+    pointwise decomposition is pair and the tensor's components are P0.
 
     With two eigenvalues of constant ranks p and q the trace invariants
     t1 = tr Phi and t2 = tr Phi^2 determine both eigenvalue fields in closed
@@ -439,10 +442,9 @@ class _EigenModel:
     anchor as expressions instead, which raises what evaluating them raises.
     """
 
-    def __init__(self, g: MetricField, phi: SymTensorField, p0, pair: EigenPair,
+    def __init__(self, g: MetricField, phi: SymTensorField, anchor: tuple, pair: EigenPair,
                  P0: np.ndarray):
         self.g = g
-        anchor = tuple(float(x) for x in p0)
         at_anchor = np.array([anchor])
         n = g.dim
         pr, qr = pair.rank_lambda, pair.rank_mu
@@ -560,7 +562,7 @@ class _Scores:
         )
 
 
-def _criteria(fields: _Fields, eig: _Eigen, model: _EigenModel, labels, gap_min: float,
+def _criteria(fields: _Fields, eig: _Eigen, model: _EigenModel, gap_min: float,
               h_expr: Expr | None = None) -> tuple[_Scores, _Samples]:
     """Score every identity at every sample. Returns the scores and the
     eigen-net's samples, whose checks have not run.
@@ -584,37 +586,34 @@ def _criteria(fields: _Fields, eig: _Eigen, model: _EigenModel, labels, gap_min:
     (_Samples.field_error); a frame entry that fails to evaluate is left to
     that stage and to the eigen-net's checks."""
     n = model.g.dim
-    m = len(labels)
+    pts = fields.points
+    m = len(pts)
     pr = model.rank_lambda
 
     hs = [h_expr] if h_expr is not None else []
     k = 2 + len(hs)  # the roots before the frame's
     tape = compile_tape([model.lam_expr, model.mu_expr, *hs, *_frame_roots(model.net)])
-    sweep = tape.jet_sweep(fields.points)
+    sweep = tape.jet_sweep(pts)
     errors = sweep.repair(2)
-    samples = _Samples(model.net, range(2), labels, fields.metric, sweep)
+    samples = _Samples(model.net, range(2), fields.metric, sweep)
     fb = sweep.first_bad
     # d_i lambda, d_i mu, d_i d_l lambda and d_i d_l mu from the jets
     dlam, dmu = sweep.jets[:, 1 : n + 1, 0], sweep.jets[:, 1 : n + 1, 1]
     d2lam_v, d2mu_v = (_symmetric(sweep.jets[:, n + 1 :, k], n) for k in range(2))
 
-    # per sample: the two clusters, lambda, a change of rank, then the fields
     lam_ok = fb >= tape.bounds[1]
     eig.align(np.where(lam_ok, sweep.values[:, 0], 0.0))
-    hit = _first(eig.failed(), ~lam_ok, eig.rank_lambda() != pr, fb < tape.bounds[k],
-                 _keys(errors, m), ~samples.derived_ok | _keys(samples.input_errors, m))
-    if hit:
-        j, q = hit
-        if q == 0:
-            raise eig.error(j, labels[j])
-        if q == 2:
-            raise CoalescenceError(
-                f"eigenvalue ranks change at {labels[j]}: "
-                f"{eig.rank_lambda()[j]} vs {pr} at the anchor"
-            )
-        if q < 4:  # lambda, or at the field stage mu or h
-            raise sweep.error(j)
-        raise errors[j] if q == 4 else samples.field_error(j)
+    # per sample: the two clusters, lambda, a change of rank, then the fields
+    _raise_first(
+        (eig.failed(), lambda j: eig.error(j, pts)),
+        (~lam_ok, sweep.error),
+        (eig.rank_lambda() != pr, lambda j: CoalescenceError(
+            f"eigenvalue ranks change at {_point(pts, j)}: "
+            f"{eig.rank_lambda()[j]} vs {pr} at the anchor")),
+        (fb < tape.bounds[k], sweep.error),
+        (_keys(errors, m), errors.get),
+        (~samples.derived_ok | _keys(samples.input_errors, m), samples.field_error),
+    )
 
     lam, mu = eig.lam, eig.mu
     cp_ok = np.abs(lam + mu) > gap_min * (1.0 + np.abs(lam) + np.abs(mu))
@@ -708,38 +707,25 @@ def _criteria(fields: _Fields, eig: _Eigen, model: _EigenModel, labels, gap_min:
     ), samples
 
 
-def _eigen_model(g: MetricField, phi: SymTensorField, pts, labels, gap_min: float,
-                 tol: float, codazzi: bool = False):
-    """Fields and eigenstructure over the samples and the eigen model
-    anchored at the first sample: the first of the two jet sweeps of the
-    samples (_metric_tensor), whose metric jets _criteria reads. Raises
-    NotCodazziError at the worst sample when codazzi is set and the residual
-    exceeds tol. The Codazzi residual is formed either way, on the jet sweep
-    that pass 2 needs."""
-    fields = _metric_tensor(g, phi, pts, labels, tol, codazzi=True)
-    if codazzi:
-        worst = _worst("codazzi", fields.codazzi, labels)
-        if not worst <= tol:
-            err = NotCodazziError(
-                f"Codazzi residual {worst:.3e} exceeds tol {tol:.1e} at "
-                f"{labels[_first(fields.codazzi == worst)[0]]}"
-            )
-            err.residual = worst
-            raise err
+def _eigen_model(g: MetricField, phi: SymTensorField, fields: _Fields, gap_min: float):
+    """The eigenstructure over the samples of fields, the first of the two
+    jet sweeps of the samples (_metric_tensor with codazzi), and the eigen
+    model anchored at the first sample. Raises the coalescence error of that
+    sample before the model is built."""
     eig = _Eigen(fields.G, fields.P, gap_min)
     if eig.failed()[0]:
-        raise eig.error(0, labels[0])
-    model = _EigenModel(g, phi, labels[0], eig.pair(0, fields.G[0], fields.P[0]), fields.P[0])
-    return fields, eig, model
+        raise eig.error(0, fields.points)
+    anchor = _point(fields.points, 0)
+    return eig, _EigenModel(g, phi, anchor, eig.pair(0, fields.G[0], fields.P[0]), fields.P[0])
 
 
 def criteria_residuals(g: MetricField, phi: SymTensorField, p,
                        gap_min: float = GAP_MIN, tol: float = 1e-8) -> CriteriaRecord:
     """Evaluate all eigenvalue identities at one point, anchoring the
     closed-form fields at that same point."""
-    p = tuple(float(x) for x in p)
-    fields, eig, model = _eigen_model(g, phi, [p], [p], gap_min, tol)
-    return _criteria(fields, eig, model, [p], gap_min)[0].record(0)
+    fields = _metric_tensor(g, phi, [p], tol, codazzi=True)
+    eig, model = _eigen_model(g, phi, fields, gap_min)
+    return _criteria(fields, eig, model, gap_min)[0].record(0)
 
 
 # --- classification -------------------------------------------------------------
@@ -828,16 +814,21 @@ def classify_codazzi(
     case whose net flags do not match).
     """
     plan = plan or SamplePlan()
-    pts = sample_points(g.chart, plan)
-    labels = [tuple(p) for p in pts.tolist()]
-    fields, eig, model = _eigen_model(g, phi, pts, labels, gap_min, tol, codazzi=True)
-    worst = _worst("codazzi", fields.codazzi, labels)
+    fields = _metric_tensor(g, phi, sample_points(g.chart, plan), tol, codazzi=True)
+    pts = fields.points
+    worst = _worst("codazzi", fields.codazzi, pts)
+    if not worst <= tol:
+        err = NotCodazziError(f"Codazzi residual {worst:.3e} exceeds tol {tol:.1e} at "
+                              f"{_point(pts, _first(fields.codazzi == worst)[0])}")
+        err.residual = worst
+        raise err
+    eig, model = _eigen_model(g, phi, fields, gap_min)
     h_expr = _h_of_mu(h, model.mu_expr) if h is not None else None
-    sc, samples = _criteria(fields, eig, model, labels, gap_min, h_expr)
+    sc, samples = _criteria(fields, eig, model, gap_min, h_expr)
 
     eigen_samples = [
         {"point": list(p), "lam": float(lv), "mu": float(mv)}
-        for p, lv, mv in zip(labels, sc.lam, sc.mu)
+        for p, lv, mv in zip(pts.tolist(), sc.lam, sc.mu)
     ]
     per_sample = {
         "mean_curvature": sc.mean_curvature,
@@ -848,12 +839,12 @@ def classify_codazzi(
         "eta_two_path": sc.eta_two_path,
         "zeta_two_path": sc.zeta_two_path,
     }
-    maxes = {key: _worst(key, v, labels) for key, v in per_sample.items()}
+    maxes = {key: _worst(key, v, pts) for key, v in per_sample.items()}
     cp_evaluated = bool(sc.cp_ok.any())
 
     for name, rank, along in (("lambda", model.rank_lambda, sc.lam_along),
                               ("mu", model.rank_mu, sc.mu_along)):
-        along = _worst(f"{name}_along", along, labels) if rank >= 2 else 0.0
+        along = _worst(f"{name}_along", along, pts) if rank >= 2 else 0.0
         if not along <= tol:
             raise InconsistencyError(
                 "a rank >= 2 eigenvalue must be constant along its eigenbundle, "
@@ -874,10 +865,10 @@ def classify_codazzi(
     relation_case = constants = ode_out = axis_out = warping_samples = base_point = None
     if h is not None:
         lam0, mu0 = float(sc.lam[0]), float(sc.mu[0])
-        lam_spread = _worst("lambda_spread", np.abs(sc.lam - lam0), labels)
-        mu_spread = _worst("mu_spread", np.abs(sc.mu - mu0), labels)
-        hyp_ok = (_worst("relation", sc.relation, labels) <= tol
-                  and _worst("mu_along", sc.mu_along, labels) <= tol)
+        lam_spread = _worst("lambda_spread", np.abs(sc.lam - lam0), pts)
+        mu_spread = _worst("mu_spread", np.abs(sc.mu - mu0), pts)
+        hyp_ok = (_worst("relation", sc.relation, pts) <= tol
+                  and _worst("mu_along", sc.mu_along, pts) <= tol)
         if not hyp_ok:
             relation_case = "outside_hypotheses"
         elif (
@@ -886,7 +877,7 @@ def classify_codazzi(
         ):
             relation_case = "constant_product"
             constants = (float(np.mean(sc.lam)), float(np.mean(sc.mu)))
-            geod = _worst("geodesy", net_report.residuals["geodesy"].max(axis=0), labels)
+            geod = _worst("geodesy", net_report.residuals["geodesy"].max(axis=0), pts)
             if not geod <= tol:
                 raise InconsistencyError(
                     "constant eigenvalues force a metric product, but a block "
@@ -900,7 +891,7 @@ def classify_codazzi(
                     "net, but the WP flag fails with residual "
                     f"{net_report.flags['WP'].residual:.3e}"
                 )
-            ode_out = _worst("warping_ode", sc.ode, labels)
+            ode_out = _worst("warping_ode", sc.ode, pts)
             axis_out = _axis(sc.X)
             if axis_out is not None:
                 warping_samples, base_point = _warping_profile(
@@ -958,12 +949,11 @@ def _warping_profile(g: MetricField, model: _EigenModel, axis: int,
     blocks = _symmetric(sweep.values[:, :-1], r)
     with np.errstate(all="ignore"):  # read only where the entries evaluate
         sign, logdet = _slogdet(blocks)
-    hit = _first(sweep.first_bad < ends, ~(sign > 0.0))
-    if hit and hit[1] == 0:
-        raise sweep.error(hit[0])
-    if hit:
-        raise ConstraintError(f"warping block determinant {np.linalg.det(blocks[hit[0]]):.6g} "
-                              f"<= 0 at {tuple(line[hit[0]].tolist())}")
+    _raise_first(
+        (sweep.first_bad < ends, sweep.error),
+        (~(sign > 0.0), lambda j: ConstraintError(
+            f"warping block determinant {np.linalg.det(blocks[j]):.6g} <= 0 at {_point(line, j)}")),
+    )
     sigma = np.exp((logdet[1:] - logdet[0]) / (2.0 * model.rank_mu))
     out = [{"t": float(t), "mu_tilde": float(mu), "sigma_ratio": float(sr)}
            for t, mu, sr in zip(ts, sweep.values[1:, -1], sigma)]
@@ -986,10 +976,8 @@ _COARSE_PLAN = SamplePlan(grid=3, margin=0.1, random=4, seed=7)
 
 
 def _coarse_codazzi(g: MetricField, phi: SymTensorField) -> float:
-    pts = sample_points(g.chart, _COARSE_PLAN)
-    labels = [tuple(p) for p in pts.tolist()]
-    fields = _metric_tensor(g, phi, pts, labels, 1e-8, codazzi=True)
-    return _worst("codazzi", fields.codazzi, labels)
+    fields = _metric_tensor(g, phi, sample_points(g.chart, _COARSE_PLAN), 1e-8, codazzi=True)
+    return _worst("codazzi", fields.codazzi, fields.points)
 
 
 def build_codazzi_candidate(kind: str, **params) -> CodazziCandidate:

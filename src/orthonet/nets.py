@@ -50,7 +50,9 @@ are not finite, the diff trees of those entries give the jets or, where
 they fail, the error (Sweep.repair). The net's own checks follow, over all
 samples (_Samples.check): the first sample that fails raises, with the
 first check that fails there (frame degeneracy, block orthogonality pair
-by pair, field evaluation): both phases pick it with scalar_fields._first.
+by pair, field evaluation), listed as (mask, error) pairs for
+scalar_fields._raise_first. Both phases pick the sample with
+scalar_fields._first and name it with scalar_fields._point.
 Where the jets are finite but a derived value is not (Gamma, or H, its
 partials, nabla H, a defect or a bracket of a span), the field
 stage raises InconsistencyError naming the quantity, the span and the
@@ -78,7 +80,7 @@ from .errors import (
     NotApplicableError,
 )
 from .sampling import SamplePlan, sample_points
-from .scalar_fields import Chart, Const, ONE, ZERO, _first, _keys, _pairs
+from .scalar_fields import Chart, Const, ONE, ZERO, _first, _keys, _pairs, _point, _raise_first
 
 __all__ = [
     "OrthogonalNet",
@@ -460,8 +462,8 @@ class _Samples:
     derived value of every span are finite. The net's checks run later,
     when the caller calls check."""
 
-    def __init__(self, net: OrthogonalNet, blocks, labels, metric: tuple, sweep):
-        self.net, self.labels, self.sweep = net, labels, sweep
+    def __init__(self, net: OrthogonalNet, blocks, metric: tuple, sweep):
+        self.net, self.sweep = net, sweep
         spans_of = {i: (net.blocks[i], net.complement(i)) for i in blocks}
         spans = list(dict.fromkeys(s for pair in spans_of.values() for s in pair))
         self.sides = {i: (spans.index(b), spans.index(c)) for i, (b, c) in spans_of.items()}
@@ -490,7 +492,8 @@ class _Samples:
             bad = a[j][~np.isfinite(a[j])]
             if bad.size:
                 return InconsistencyError(
-                    f"{name} is {bad[0]} at {self.labels[j]}; derived values must be finite")
+                    f"{name} is {bad[0]} at {_point(self.sweep.points, j)}; "
+                    "derived values must be finite")
 
     def check(self) -> "_Samples":
         """Run the net's checks, whose caller has run the metric's on the
@@ -498,7 +501,7 @@ class _Samples:
         that fails there (frame evaluation, frame degeneracy, block
         orthogonality, field evaluation); values at a sample past its first
         failure are never read. Returns self."""
-        labels = self.labels
+        pts = self.sweep.points
         M, norms = self.geo.M, self.geo.norms
         m, n = M.shape[:2]
         # the roots before the frame's have evaluated at every sample
@@ -513,23 +516,18 @@ class _Samples:
             skew = ip / np.maximum(norms[:, pa] * norms[:, pc], 1e-300) > _ORTHO_TOL
 
         # per sample: frame evaluation, degeneracy, each pair's orthogonality, the fields
-        hit = _first(~frame_ok, degenerate, *skew.T, ~self.derived_ok | _keys(self.input_errors, m))
-        if hit is None:
-            return self
-        j, q = hit
-        if q == 0:
-            raise self.sweep.error(j)
-        if q == 1:
-            raise DegenerateFrameError(
-                f"frame degenerate at {labels[j]}: Gram eigenvalue ratio "
-                f"{evm[j, 0]:.3e}/{evm[j, -1]:.3e}"
-            )
-        if q == 2 + len(pairs):
-            raise self.field_error(j)
-        raise ConstraintError(
-            f"blocks not orthogonal at {labels[j]}: "
-            f"|<X_{pairs[q - 2][0]}, X_{pairs[q - 2][1]}>| = {ip[j, q - 2]:.3e}"
+        _raise_first(
+            (~frame_ok, self.sweep.error),
+            (degenerate, lambda j: DegenerateFrameError(
+                f"frame degenerate at {_point(pts, j)}: Gram eigenvalue ratio "
+                f"{evm[j, 0]:.3e}/{evm[j, -1]:.3e}")),
+            *((skew[:, t], lambda j, t=t: ConstraintError(
+                f"blocks not orthogonal at {_point(pts, j)}: "
+                f"|<X_{pairs[t][0]}, X_{pairs[t][1]}>| = {ip[j, t]:.3e}"))
+              for t in range(len(pairs))),
+            (~self.derived_ok | _keys(self.input_errors, m), self.field_error),
         )
+        return self
 
     def _sides(self, blocks) -> tuple:
         """The span axis positions of the blocks and of their complements."""
@@ -564,13 +562,13 @@ class _Samples:
         return _masked_max(ratio, member[tc][:, :, None] & member[tb][:, None, :])
 
 
-def _net_samples(g: MetricField, net: OrthogonalNet, blocks, pts, labels) -> _Samples:
+def _net_samples(g: MetricField, net: OrthogonalNet, blocks, pts) -> _Samples:
     """The net's samples of the blocks over an (m, dim) array of points,
     checked in two phases: one jet sweep of the metric and the frame
     entries (chart_calculus._jets) runs the metric's checks and the frame's
     evaluation over all samples, then _Samples.check the net's own."""
-    metric, _, sweep = _jets(g, _frame_roots(net), pts, labels)
-    return _Samples(net, blocks, labels, metric, sweep).check()
+    metric, _, sweep = _jets(g, _frame_roots(net), pts)
+    return _Samples(net, blocks, metric, sweep).check()
 
 
 def _finite(arrays) -> np.ndarray:
@@ -600,7 +598,7 @@ def project(g: MetricField, net: OrthogonalNet, block, v, p) -> np.ndarray:
     M = F @ G @ F.T
     ev = np.linalg.eigvalsh(M)
     if ev[0] <= _GRAM_COND_FLOOR * max(ev[-1], 1e-300):
-        raise DegenerateFrameError(f"frame block degenerate at {tuple(p)}")
+        raise DegenerateFrameError(f"frame block degenerate at {_point([p], 0)}")
     v = np.asarray(v, dtype=float)
     coeff = np.linalg.solve(M, F @ G @ v)
     return coeff @ F
@@ -630,18 +628,18 @@ def distribution_geometry(g: MetricField, net: OrthogonalNet, i: int, p) -> Dist
     """Second-fundamental residuals of block i and its complement at p."""
     if not 0 <= i < len(net.blocks):
         raise ConstraintError(f"no block {i} in a {len(net.blocks)}-block net")
-    return _net_samples(g, net, (i,), [p], [tuple(p)]).geometry(i)
+    return _net_samples(g, net, (i,), [p]).geometry(i)
 
 
 def cwp_residual(g: MetricField, net: OrthogonalNet, i: int, p, tol: float = 1e-8) -> float:
     """Mean-curvature exchange residual for block i at p. Raises
     NotApplicableError when the umbilicity preconditions fail at p, so the
     caller never mistakes an unevaluable identity for a zero residual."""
-    samples = _net_samples(g, net, (i,), [p], [tuple(p)])
+    samples = _net_samples(g, net, (i,), [p])
     geom = samples.geometry(i)
     if not (geom.umbilicity <= tol and geom.umbilicity_perp <= tol):
         raise NotApplicableError(
-            f"umbilicity preconditions fail at {tuple(p)}: "
+            f"umbilicity preconditions fail at {_point(samples.sweep.points, 0)}: "
             f"block {geom.umbilicity:.3e}, complement {geom.umbilicity_perp:.3e}"
         )
     return float(samples.exchange((i,))[0, 0])
@@ -688,18 +686,17 @@ def _status(max_resid: float, tol: float) -> str:
     return "inconclusive"
 
 
-def _worst(name: str, resid: np.ndarray, labels) -> float:
-    """The largest of the residuals, (m,) over the samples, at least 0: the
-    one way a residual array becomes a number that is reported or compared
-    with a tolerance. labels name the samples, as tuples or as the rows of
-    an (m, dim) array of points. A maximum that is not finite raises,
-    naming the quantity and the first sample that is not (_first):
+def _worst(name: str, resid: np.ndarray, pts) -> float:
+    """The largest of the residuals, (m,) over the samples pts, at least 0:
+    the one way a residual array becomes a number that is reported or
+    compared with a tolerance. A maximum that is not finite raises, naming
+    the quantity and the first sample that is not (_first, _point):
     max(0.0, nan) is 0.0, which would read as a pass."""
     worst = float(resid.max())
     if not np.isfinite(worst):
         j = _first(~np.isfinite(resid))[0]
-        raise InconsistencyError(f"{name} residual is {resid[j]} at "
-                                 f"{tuple(np.asarray(labels[j]).tolist())}; residuals must be finite")
+        raise InconsistencyError(f"{name} residual is {resid[j]} at {_point(pts, j)}; "
+                                 "residuals must be finite")
     return max(0.0, worst)
 
 
@@ -719,14 +716,14 @@ def classify_net(
     """
     plan = plan or SamplePlan()
     pts = sample_points(g.chart, plan)
-    samples = _net_samples(g, net, range(len(net.blocks)), pts, [tuple(p) for p in pts.tolist()])
+    samples = _net_samples(g, net, range(len(net.blocks)), pts)
     return _classify(samples, tol)
 
 
 def _classify(samples: _Samples, tol: float) -> NetReport:
     """classify_net on samples of every block whose checks have passed."""
     blocks = range(len(samples.net.blocks))
-    labels = samples.labels
+    pts = samples.sweep.points
     res = samples.residuals(blocks)
     umb, sph = res["umbilicity"], res["sphericity"]
     umb_p, geo_p, integ_p = (
@@ -747,7 +744,7 @@ def _classify(samples: _Samples, tol: float) -> NetReport:
         cwp = np.maximum(cwp, np.where(admitted[1:], exchange[1:], 0.0).max(axis=0))
     cp = np.maximum(cwp, umb_p[0])
     maxes = {
-        name: _worst(name, val, labels)
+        name: _worst(name, val, pts)
         for name, val in zip(FLAG_NAMES, (tp, wp, qw, cqw, cqw0, cwp, cp))
     }
 
@@ -758,12 +755,12 @@ def _classify(samples: _Samples, tol: float) -> NetReport:
     norms = _gnorm(H, G)
     hsum = H[:, 0] - H[:, 1:].sum(axis=1)
     hscale = 1.0 + norms[:, 0] + norms[:, 1:].sum(axis=1)
-    h0_max = _worst("h0_sum_residual", _gnorm(hsum, G) / hscale, labels)
+    h0_max = _worst("h0_sum_residual", _gnorm(hsum, G) / hscale, pts)
 
     cp_hs0_max = 0.0
     eq0_evaluated = bool(samples.net.blocks[0]) and bool(admitted[0].any())
     if eq0_evaluated:
-        cp_hs0_max = _worst("cp_hs0_residual", np.where(admitted[0], exchange[0], 0.0), labels)
+        cp_hs0_max = _worst("cp_hs0_residual", np.where(admitted[0], exchange[0], 0.0), pts)
     flags = {name: Flag(_status(maxes[name], tol), maxes[name]) for name in FLAG_NAMES}
     if not eq_evaluated and flags["CWP"].status == "inconclusive":
         flags["CWP"] = Flag("not_applicable", maxes["CWP"])
@@ -779,7 +776,7 @@ def _classify(samples: _Samples, tol: float) -> NetReport:
         flags=flags,
         h0_sum_residual=h0_max,
         cp_hs0_residual=cp_hs0_max if eq0_evaluated else None,
-        n_samples=len(labels),
+        n_samples=len(pts),
         residuals=res,
-        points=samples.sweep.points,
+        points=pts,
     )

@@ -43,11 +43,11 @@ import numpy as np
 from .chart_calculus import (
     MetricField,
     _cov,
-    _first_fault,
     _ginner,
     _gnorm,
     _jets,
     _levi_civita,
+    _root_checks,
     _slogdet,
     _symmetric,
 )
@@ -67,6 +67,8 @@ from .scalar_fields import (
     _first,
     _is_zero,
     _pairs,
+    _point,
+    _raise_first,
     compile_tape,
     const,
     div,
@@ -236,7 +238,7 @@ def _check_positive(gates, chart: Chart):
         hit = _first(sweep.first_bad < tape.bounds[r + 1], sweep.values[:, r] <= 0.0)
         if hit:
             j, q = hit
-            at = tuple(pts[j].tolist())
+            at = _point(pts, j)
             if q == 0:
                 exc = sweep.error(j)
                 raise ConstraintError(f"{label} not evaluable at {at}: {exc}") from exc
@@ -290,7 +292,7 @@ def _connection_residuals(spec: ProductSpec, pts, X, Y) -> np.ndarray:
         checks.append((
             r,
             lambda G, vals, r=r: vals[:, r] <= 0.0,
-            lambda G, v, label, r=r, i=i: ConstraintError(f"twist {i} is {v[r]:.6g} <= 0 at {label}"),
+            lambda G, v, at, r=r, i=i: ConstraintError(f"twist {i} is {v[r]:.6g} <= 0 at {at}"),
         ))
         roots.append(spec.twists[i])
     (G, _, Ginv, gam, _), J, _ = _jets(g, roots, pts, checks=checks)
@@ -516,13 +518,12 @@ def factorize_cwp(
     if off:
         probe = _mesh(grid_axes(chart, 3))
         sweep = compile_tape([g.entries[a][b] for a, b in off]).sweep(probe)
-        hit = _first_fault(sweep, np.abs(sweep.values) > 1e-12)
-        if hit and hit[2]:
-            raise sweep.error(hit[0])
-        if hit:
-            a, b = off[hit[1]]
-            at = tuple(probe[hit[0]].tolist())
-            raise ConstraintError(f"metric has off-block entry ({a},{b}) at {at}")
+        nonzero = np.abs(sweep.values) > 1e-12
+        _raise_first(*_root_checks(sweep, {
+            c: [(nonzero[:, c], lambda j, a=a, b=b: ConstraintError(
+                f"metric has off-block entry ({a},{b}) at {_point(probe, j)}"))]
+            for c, (a, b) in enumerate(off)
+        }))
 
     axes = grid_axes(chart, grid)
     ends = np.cumsum(sizes)
@@ -566,7 +567,7 @@ def factorize_cwp(
                 if hit:
                     j = s.start + hit[0]
                     det = np.linalg.det(block(G[j : j + 1], blocks[b]))[0]
-                    raise ConstraintError(f"block {b} determinant {det:.6g} <= 0 at {tuple(pts[j].tolist())}")
+                    raise ConstraintError(f"block {b} determinant {det:.6g} <= 0 at {_point(pts, j)}")
         return G, np.exp([(d - d[0]) / (2.0 * max(dim, 1)) for d, dim in zip(logdets, dims)])
 
     G, rho = checked_sweep()
@@ -671,11 +672,11 @@ def factorize_cwp(
 
     # separable-sum section for 1/phi under sphericity
     spherical = None
-    res, labels = report.residuals, report.points
+    res, samples = report.residuals, report.points
     sph = np.maximum(res["sphericity"][1:], res["sphericity_perp"][1:]).max(axis=0)
-    if _worst("sphericity", sph, labels) <= tol and k >= 1:
+    if _worst("sphericity", sph, samples) <= tol and k >= 1:
         kind = "warped"
-        if cp is not None and _worst("sphericity_perp", res["sphericity_perp"][0], labels) <= tol:
+        if cp is not None and _worst("sphericity_perp", res["sphericity_perp"][0], samples) <= tol:
             kind = "product"
         Kb = 1.0
         phi0 = (1.0 / phi_sub[0]).reshape(shape0)

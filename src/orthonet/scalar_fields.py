@@ -561,9 +561,7 @@ class Tape:
         """(m, roots) values. Raises the EvalDomainError of the first sample
         that fails, naming the sub-expression the interpreter would name."""
         sw = self.sweep(points)
-        hit = _first(sw.first_bad < self.size)
-        if hit:
-            raise sw.error(hit[0])
+        _raise_first((sw.first_bad < self.size, sw.error))
         return sw.values
 
     def run_jets(self, points) -> np.ndarray:
@@ -572,9 +570,8 @@ class Tape:
         raises there when a value fails, else that of the roots' diff trees."""
         sw = self.jet_sweep(points)
         errors = sw.repair()
-        hit = _first(sw.first_bad < self.size, _keys(errors, len(sw.points)))
-        if hit:
-            raise errors[hit[0]] if hit[1] else sw.error(hit[0])
+        _raise_first((sw.first_bad < self.size, sw.error),
+                     (_keys(errors, len(sw.points)), errors.get))
         return sw.jets
 
 
@@ -588,6 +585,21 @@ def _first(*masks) -> tuple | None:
         return None
     j = int(hit.argmax())
     return j, next(q for q, mask in enumerate(masks) if mask[j])
+
+
+def _raise_first(*checks) -> None:
+    """Raise at the first point where a check fails (_first): checks are
+    (mask, error) pairs in the order they run at a point, and error(j)
+    builds the exception of the first check that fails at point j."""
+    hit = _first(*(mask for mask, _ in checks))
+    if hit:
+        raise checks[hit[1]][1](hit[0])
+
+
+def _point(pts, j: int) -> tuple:
+    """Sample j of pts as a tuple of floats: the one way a message or a
+    warning names a sample."""
+    return tuple(np.asarray(pts[j], dtype=float).tolist())
 
 
 def _keys(errors: dict, m: int) -> np.ndarray:

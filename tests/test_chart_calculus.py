@@ -103,6 +103,24 @@ def test_condition_warning_bound_warns_once_per_sample_above_it():
         assert texts == [f"metric condition number {cond:.3e} at {p}" for p in warned]
 
 
+def test_a_sample_is_named_by_its_float_coordinates():
+    # a point given as a numpy array, or with integer coordinates, is named
+    # as a tuple of floats in errors and warnings alike
+    ch = Chart.box([(-1.0, 1.0)] * 2)
+    g = MetricField.diagonal(ch, [ONE, parse_expr("x0", ch)])
+    for op in (metric_at, christoffel):
+        with pytest.raises(NotSPDError) as info:
+            op(g, np.array([-0.5, 0.5]))
+        assert str(info.value) == "metric not positive definite at (-0.5, 0.5): smallest eigenvalue -5.000e-01"
+    with pytest.raises(NotSPDError) as info:
+        metric_at(g, (-1, 0))
+    assert str(info.value) == "metric not positive definite at (-1.0, 0.0): smallest eigenvalue -1.000e+00"
+    g = MetricField.diagonal(ch, [ONE, const(1e9)])
+    with pytest.warns(ConditionNumberWarning) as caught:
+        metric_at(g, np.array([-0.5, 0.5]))
+    assert [str(w.message) for w in caught] == ["metric condition number 1.000e+09 at (-0.5, 0.5)"]
+
+
 def test_polar_christoffel_closed_form():
     # nonzero symbols: Gamma^t_theta,theta = -t and Gamma^theta_t,theta = 1/t
     g = _polar()

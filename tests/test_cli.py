@@ -875,6 +875,25 @@ def test_no_module_imports_a_name_it_never_uses():
         assert sorted(imported - used) == [], path.name
 
 
+def test_every_sample_is_named_through_one_helper():
+    # a message names a sample through scalar_fields._point, from the points
+    # themselves: no f-string formats a tuple(...) call, no function takes a
+    # list of labels beside its points, and no _first_fault decides a
+    # sweep's first failure apart from _raise_first
+    for path in sorted((SRC / "orthonet").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FormattedValue):
+                v = node.value
+                assert not (isinstance(v, ast.Call) and getattr(v.func, "id", None) == "tuple"), (
+                    path.name, node.lineno)
+            elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                assert "labels" not in [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)], (
+                    path.name, node.lineno)
+                assert getattr(node, "name", None) != "_first_fault", path.name
+
+
 def test_the_metric_jets_and_christoffel_symbols_are_formed_in_one_place():
     # nets compiles no tape, so it reads its metric through chart_calculus's
     # checked sweep; _metric_jets is called there only, and _levi_civita only

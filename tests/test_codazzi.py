@@ -127,6 +127,14 @@ def test_eigen_two_coalescence():
         eigen_two(gt, pht, P_TORUS, gap_min=1.0)
 
 
+def test_eigen_two_names_a_numpy_point_by_its_floats():
+    g = euclidean(2)
+    ident = SymTensorField.diagonal(g.chart, [ONE, ONE], metric=g)
+    with pytest.raises(CoalescenceError) as info:
+        eigen_two(g, ident, np.array([-0.5, 0.5]))
+    assert str(info.value) == "eigenvalues coalesce at (-0.5, 0.5): spread 0.000e+00"
+
+
 def test_eigen_two_splits_just_above_gap_min():
     g = euclidean(2)
     for factor in (1.001, 0.999):
@@ -555,9 +563,8 @@ _MU = Chart.box([(-1e9, 1e9)], names=("mu",))
 def _model(g, phi, plan):
     """The eigen model that classify_codazzi anchors on the plan's samples,
     and the samples."""
-    pts = sample_points(g.chart, plan)
-    labels = [tuple(p) for p in pts.tolist()]
-    return codazzi._eigen_model(g, phi, pts, labels, codazzi.GAP_MIN, 1e-8)[2], pts
+    fields = codazzi._metric_tensor(g, phi, sample_points(g.chart, plan), 1e-8, codazzi=True)
+    return codazzi._eigen_model(g, phi, fields, codazzi.GAP_MIN)[1], fields.points
 
 
 def test_h_failing_where_lambda_and_mu_evaluate_names_h():
@@ -606,7 +613,7 @@ def test_coalescence_precedes_a_later_lambda_domain_error():
     b = f"1.1 + (x1 - {C}) + exp(1400*(x1 - 0.62))"
     g, phi = _flat_diagonal(["1 + x0", b])
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # |Phi|^2 overflows in numpy too
+        warnings.simplefilter("error")
         model, pts = _model(g, phi, GRID4)
         lam = compile_tape([model.lam_expr]).sweep(pts)
         assert np.flatnonzero(lam.first_bad < lam.tape.size)[0] == 3
@@ -937,7 +944,8 @@ def test_warping_profile_reads_log_determinants():
     # the torus warping sigma from a metric scaled by 1e200, whose block
     # determinants overflow, equals that of the unscaled metric
     g, phi = torus()
-    model = codazzi._eigen_model(g, phi, [(0.3, 0.5)], [(0.3, 0.5)], codazzi.GAP_MIN, 1e-8)[2]
+    fields = codazzi._metric_tensor(g, phi, [(0.3, 0.5)], 1e-8, codazzi=True)
+    model = codazzi._eigen_model(g, phi, fields, codazzi.GAP_MIN)[1]
     big = MetricField(g.chart, [[scalar_fields.mul(const(1e200), e) for e in row] for row in g.entries])
     plan = SamplePlan(grid=5, margin=0.1)
     pts = sample_points(g.chart, plan)

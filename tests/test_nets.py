@@ -273,6 +273,15 @@ def test_cwp_residual_requires_umbilicity():
     assert r <= 1e-9
 
 
+def test_cwp_residual_names_a_numpy_point_by_its_floats():
+    g = fixtures.warped_three()
+    net = OrthogonalNet.coordinate(g.chart, ((1, 2), (0,)))
+    with pytest.raises(NotApplicableError) as info:
+        cwp_residual(g, net, 0, np.array([0.5, 0.5, 0.5]))
+    assert str(info.value) == (
+        "umbilicity preconditions fail at (0.5, 0.5, 0.5): block 5.000e-01, complement 0.000e+00")
+
+
 def test_distribution_geometry_polar_closed_form():
     g = fixtures.polar()
     net = _coordinate(g)
@@ -484,7 +493,7 @@ def test_constant_frame_stays_off_the_jet_tape():
     # F is the frame broadcast over the samples
     g = fixtures.warped_three()
     pts = sample_points(g.chart, PLAN)
-    samples = nets._net_samples(g, _coordinate(g), range(3), pts, [tuple(p) for p in pts.tolist()])
+    samples = nets._net_samples(g, _coordinate(g), range(3), pts)
     assert len(samples.sweep.tape.root_slots) == 6
     assert samples.geo.F.shape == (len(pts), 3, 3)
     assert (samples.geo.F == np.eye(3)).all()
@@ -563,7 +572,7 @@ def _stacked_and_alone(g, net):
     one stacked pass, and that of each span alone, from the same jets."""
     pts = sample_points(g.chart, PLAN)
     roots = nets._frame_roots(net)
-    metric, _, sweep = chart_calculus._jets(g, roots, pts, [tuple(p) for p in pts.tolist()])
+    metric, _, sweep = chart_calculus._jets(g, roots, pts)
     jets = sweep.jets[:, :, len(sweep.tape.root_slots) - len(roots):] if roots else None
     frame = None if roots else np.array([[e.value for e in f] for f in net.frame])
     spans = list(dict.fromkeys(
@@ -736,7 +745,7 @@ def _rotated_polar(sp, xs, pts):
     net = OrthogonalNet(g.chart, [(c, st), (mul(const(-1.0), s), ct)], ((0,), (1,)))
     t, th = xs
     frame = [[sp.cos(t * th), sp.sin(t * th) / t], [-sp.sin(t * th), sp.cos(t * th) / t]]
-    return frame, nets._net_samples(g, net, range(2), pts, [tuple(p) for p in pts.tolist()])
+    return frame, nets._net_samples(g, net, range(2), pts)
 
 
 def _skew_net():
@@ -756,7 +765,7 @@ def _skew_warped_three(sp, xs, pts):
     g, net = _skew_net()
     x0, x1, _ = xs
     frame = [[sp.exp(4 * x0), 0, -x1], [0, 1, 0], [x1, 0, 1]]
-    return frame, nets._net_samples(g, net, range(2), pts, [tuple(p) for p in pts.tolist()])
+    return frame, nets._net_samples(g, net, range(2), pts)
 
 
 def _eigen_net(make):
@@ -765,9 +774,9 @@ def _eigen_net(make):
     def build(sp, xs, pts):
         made = make()
         g, phi = (made.metric, made.tensor) if hasattr(made, "metric") else made
-        labels = [tuple(p) for p in pts.tolist()]
-        fields, eig, model = codazzi._eigen_model(g, phi, pts, labels, codazzi.GAP_MIN, 1e-8)
-        samples = codazzi._criteria(fields, eig, model, labels, codazzi.GAP_MIN)[1]
+        fields = codazzi._metric_tensor(g, phi, pts, 1e-8, codazzi=True)
+        eig, model = codazzi._eigen_model(g, phi, fields, codazzi.GAP_MIN)
+        samples = codazzi._criteria(fields, eig, model, codazzi.GAP_MIN)[1]
         return sp.eye(len(xs)).tolist(), samples
 
     return build

@@ -176,7 +176,7 @@ def test_numeric_geometry_matches_exact(name):
 
         for blocks in _nets(n):
             net = OrthogonalNet.coordinate(g.chart, blocks)
-            samples = _net_samples(g, net, range(len(blocks)), [pf], [pf])
+            samples = _net_samples(g, net, range(len(blocks)), [pf])
             for i, blk in enumerate(blocks):
                 comp = net.complement(i)
                 exact = []
