@@ -187,15 +187,14 @@ class SymTensorField:
 
 @dataclass
 class _Fields:
-    """Metric, tensor, self-adjointness defect and Codazzi residual over the
-    samples; the residual is zero where no pair vectors were evaluated.
-    metric holds, after a jet sweep, the metric's jets as _metric_jets gives
-    them, (G, dG, G^-1, Gamma, d2G), and is None otherwise."""
+    """Metric, tensor and Codazzi residual over the samples; the residual is
+    zero where no pair vectors were evaluated. metric holds, after a jet
+    sweep, the metric's jets as _metric_jets gives them, (G, dG, G^-1,
+    Gamma, d2G), and is None otherwise."""
 
     points: np.ndarray  # (m, n)
     G: np.ndarray  # (m, n, n)
     P: np.ndarray  # (m, n, n)
-    defect: np.ndarray  # (m,)
     codazzi: np.ndarray  # (m,)
     metric: tuple | None = None
 
@@ -219,24 +218,11 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, tol: float,
     nn = n * n
     roots = [e for row in phi.components for e in row]
     codazzi = codazzi and n > 1
-
-    def defect(G, vals):
-        """Relative asymmetry |S - S^T| / (1 + |S|) of S = G P, P the tensor
-        given by the root values, for stacked samples or one. S is divided
-        first by the power of two s at or below its largest entry (np.frexp),
-        which is exact, so no square overflows: |A/s| / (1/s + |S/s|)."""
-        S = G @ vals.reshape(G.shape)
-        s = np.ldexp(1.0, np.frexp(np.abs(S).max(axis=(-2, -1)))[1] - 1)
-        S = S / s[..., None, None]
-        return np.linalg.norm(S - np.swapaxes(S, -1, -2), axis=(-2, -1)) / (
-            1.0 / s + np.linalg.norm(S, axis=(-2, -1))
-        )
-
     adjoint = (
         nn - 1,
-        lambda G, vals: ~(defect(G, vals) <= tol),
+        lambda G, vals: ~(_defect(G, vals) <= tol),
         lambda G, v, at: ConstraintError(
-            f"tensor is not self-adjoint at {at}: defect {defect(G, v):.3e}"),
+            f"tensor is not self-adjoint at {at}: defect {_defect(G, v):.3e}"),
     )
     metric = None
     if codazzi:
@@ -256,13 +242,27 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, tol: float,
         ia, ib = _pairs(n, 1)
         scale = np.maximum(norms[:, ia] * norms[:, ib], 1e-300)
         codazzi_res = (_gnorm(N[:, ia, ib] - N[:, ib, ia], G) / scale).max(axis=1)
-    return _Fields(pts, G, P, defect(G, vals), codazzi_res, metric)
+    return _Fields(pts, G, P, codazzi_res, metric)
+
+
+def _defect(G, vals):
+    """Relative asymmetry |S - S^T| / (1 + |S|) of S = G P, P the tensor
+    given by the root values, for stacked samples or one. S is divided
+    first by the power of two s at or below its largest entry (np.frexp),
+    which is exact, so no square overflows: |A/s| / (1/s + |S/s|)."""
+    S = G @ vals.reshape(G.shape)
+    s = np.ldexp(1.0, np.frexp(np.abs(S).max(axis=(-2, -1)))[1] - 1)
+    S = S / s[..., None, None]
+    return np.linalg.norm(S - np.swapaxes(S, -1, -2), axis=(-2, -1)) / (
+        1.0 / s + np.linalg.norm(S, axis=(-2, -1))
+    )
 
 
 def self_adjoint_defect(g: MetricField, phi: SymTensorField, p) -> float:
     """Relative asymmetry of g Phi at p; zero iff Phi is g-self-adjoint there.
     A defect that is not finite raises ConstraintError."""
-    return float(_metric_tensor(g, phi, [p], np.inf).defect[0])
+    fields = _metric_tensor(g, phi, [p], np.inf)
+    return float(_defect(fields.G, fields.P)[0])
 
 
 def codazzi_residual(g: MetricField, phi: SymTensorField, p, tol: float = 1e-8) -> float:

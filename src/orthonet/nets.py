@@ -4,7 +4,7 @@ A net splits a frame of vector fields into mutually orthogonal blocks; each
 block spans a distribution E_i with complement E_i^perp spanned by the other
 blocks. The module reads the metric through the checked jet sweep every
 consumer uses (chart_calculus._jets): one tape of the metric entries, and
-of the frame entries unless the frame is constant, swept once over every
+of the frame entries unless it is the coordinate frame, swept once over every
 sample point, which carries their first and second partials through the
 tape by forward propagation (Tape.jet_sweep; a clean run builds no
 derivative tree), and hands back the metric's jets with G^-1 and the
@@ -161,10 +161,8 @@ _DERIVED = ("H", "dH", "nabla H", "umbilicity defect", "bracket")
 
 
 def _mul(T: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """T @ B per sample: T is (m, ..., i) and B is (m, i, j), or (i, j) for
-    every sample, which takes one product over all rows of T."""
-    rows = T.reshape(-1, T.shape[-1]) if B.ndim == 2 else T.reshape(len(T), -1, T.shape[-1])
-    return (rows @ B).reshape(T.shape[:-1] + B.shape[-1:])
+    """T @ B per sample: T is (m, ..., i) and B is (m, i, j)."""
+    return (T.reshape(len(T), -1, T.shape[-1]) @ B).reshape(T.shape[:-1] + B.shape[-1:])
 
 
 def _colnorm(v: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -186,10 +184,10 @@ def _masked_max(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _frame_roots(net: OrthogonalNet) -> list:
-    """The frame entries, row by row, that a jet tape holds: none when
-    every entry is a constant."""
-    entries = [e for f in net.frame for e in f]
-    return [] if all(isinstance(e, Const) for e in entries) else entries
+    """The frame entries, row by row, that a jet tape holds: none for the
+    coordinate frame, whose geometry _geometry forms without them; every
+    entry of any other frame, constant or not."""
+    return [] if net.is_coordinate else [e for f in net.frame for e in f]
 
 
 @dataclass(frozen=True)
@@ -254,7 +252,7 @@ class _Geometry:
     covH: np.ndarray  # (m, k, s, n) nabla_{X_a} H^k at [k, s, a], every frame field
     cross: np.ndarray  # (s, n, n, m) <nabla_{X_a} H, X_c> / (|X_a| |X_c|) at [s, c, a]
     defects: np.ndarray  # (m, k, s, p) (nabla_{X_a} X_b)^perp - <X_a, X_b> H
-    brackets: np.ndarray | None  # (m, k, s, p) [X_a, X_b]^perp; None for a constant frame
+    brackets: np.ndarray | None  # (m, k, s, p) [X_a, X_b]^perp; None for the coordinate frame
     res: np.ndarray  # (4, s, m) the residuals of _RESIDUALS
 
     def derived(self) -> list:
@@ -295,16 +293,11 @@ def _dgamma(Ginv, gamma, dG, d2G) -> np.ndarray:
     return (Ginv @ T).reshape(m, n, n, n * n).swapaxes(1, 2)
 
 
-def _geometry(metric: tuple, frame_jets, spans, frame) -> _Geometry:
+def _geometry(metric: tuple, frame_jets, spans) -> _Geometry:
     """The geometry of the spans, tuples of frame indices, from the metric's
-    jets as _metric_jets gives them, (G, dG, G^-1, Gamma, d2G), and, for
-    a frame that is not constant, the jets of the frame entries,
-    (m, 1 + n + n(n+1)/2, n^2) as Tape.jet_sweep gives them.
-
-    frame is the frame as an (n, n) array when all its entries are
-    constants: frame_jets is then None, F is the frame broadcast over the
-    samples, and the terms with a frame partial are skipped. It is None
-    otherwise. Per span of rank r > 0
+    jets as _metric_jets gives them, (G, dG, G^-1, Gamma, d2G), and the
+    jets of the frame entries, (m, 1 + n + n(n+1)/2, n^2) as Tape.jet_sweep
+    gives them, or None for the coordinate frame. Per span of rank r > 0
 
         H          (I - R g) K / r
         defects    C_ab^perp - M_ab H, a <= b, when r > 1
@@ -323,16 +316,21 @@ def _geometry(metric: tuple, frame_jets, spans, frame) -> _Geometry:
 
     A span of rank 0 has H = 0 and residuals 0.
 
+    The coordinate frame takes none of the frame algebra: C_ab is Gamma at
+    (a, b), M = g, R is the inverse of each span's block of g scattered into
+    place, nabla_{X_a} H is column a of (dH) + Gamma(., H), every term with
+    a frame partial vanishes, and so do the brackets (None). Any other frame
+    is read off its jets.
+
     No step loops over the spans; the work falls in three groups. Once per
     net: the frame's Gram matrix and norms, C_ab = Gamma(X_a, X_b) + X_a(X_b)
-    over the frame pairs that some span reads (index.pairs), its second
-    term for a moving frame only. Once per span rank, over the spans of
-    that rank together: M, M^-1 (_inv), M^-1 X and R, and for a moving
-    frame the terms with a frame partial of K, d R and d(M^-1 X). Once over
-    all spans stacked: K, d K, d R, I - R g, H, dH and nabla H. The
-    defects, the brackets and <nabla_{X_a} H, X_c> are each one product
-    over all spans and pairs, folded as (m, n s, n) @ (m, n, p), and a
-    residual is the largest value over the pairs of each span (index
+    over the frame pairs that some span reads (index.pairs). Once per span
+    rank, over the spans of that rank together: M^-1 (_inv) and R, and for
+    a frame on the tape M^-1 X and the terms with a frame partial of K, d R
+    and d(M^-1 X). Once over all spans stacked: K, d K, d R, I - R g, H, dH
+    and nabla H. The defects, the brackets and <nabla_{X_a} H, X_c> are each
+    one product over all spans and pairs, folded as (m, n s, n) @ (m, n, p),
+    and a residual is the largest value over the pairs of each span (index
     masks)."""
     G, dG, Ginv, gamma, d2G = metric
     m, n = G.shape[:2]
@@ -340,6 +338,7 @@ def _geometry(metric: tuple, frame_jets, spans, frame) -> _Geometry:
     rank, pairs = index.rank, index.pairs
     S, P = len(rank), len(pairs)
     pa, pb = np.divmod(pairs, n)
+    coordinate = frame_jets is None
 
     # Gamma over rows k, columns ij, and d Gamma over rows (p, k), columns ij
     gamma = gamma.reshape(m, n, n * n)
@@ -348,7 +347,11 @@ def _geometry(metric: tuple, frame_jets, spans, frame) -> _Geometry:
 
     # the frame's terms: X^T, its Gram matrix and norms, and C_ab over rows
     # k, columns (a, b) in index.pairs, from X_a^i X_b^j over rows ij
-    if frame is None:
+    if coordinate:
+        F = np.broadcast_to(np.eye(n), (m, n, n))
+        C = gamma[:, :, pairs]
+        Gt = M = G
+    else:
         iu, ju = _pairs(n, 0)
         F = frame_jets[:, 0].reshape(m, n, n)
         dF = frame_jets[:, 1 : n + 1].reshape(m, n, n, n)  # d_p X_a^k
@@ -359,24 +362,23 @@ def _geometry(metric: tuple, frame_jets, spans, frame) -> _Geometry:
         A = (F @ dF.reshape(m, n, n * n)).reshape(m, n, n, n)  # X_a(X_b)^k at [a, b, k]
         C = gamma @ (Ft[:, :, None, pa] * Ft[:, None, :, pb]).reshape(m, n * n, P)
         C += A[:, pa, pb].swapaxes(1, 2)
-    else:
-        F = np.broadcast_to(frame, (m, n, n))
-        Ft = frame.T
-        C = _mul(gamma, (Ft[:, None, pa] * Ft[None, :, pb]).reshape(n * n, P))
-    Gt = _mul(G, Ft)  # g X_c over rows i, columns c
-    M = _mul(Gt.swapaxes(1, 2), Ft)
+        Gt = G @ Ft  # g X_c over rows i, columns c
+        M = Gt.swapaxes(1, 2) @ Ft
     norms = np.sqrt(np.maximum(M.reshape(m, n * n)[:, :: n + 1], 0.0))
     scale = np.maximum(norms[:, :, None] * norms[:, None, :], 1e-300)
 
-    # per rank, over its spans: M^-1 X and R
+    # per rank, over its spans: M^-1, and R, with M^-1 X for a frame on the tape
     R = np.zeros((m, S, n, n))
     terms = []
     for ts, idx in index.groups:
-        X = F[:, idx] if frame is None else frame[idx]  # (m, spans, r, n) or (spans, r, n)
         Minv = _inv(M[:, idx[:, :, None], idx[:, None, :]])
-        Y = Minv @ X
-        R[:, ts] = Y.swapaxes(-1, -2) @ X
-        terms.append((ts, idx, X, Minv, Y))
+        if coordinate:
+            R[:, ts[:, None, None], idx[:, :, None], idx[:, None, :]] = Minv
+        else:
+            X = F[:, idx]  # (m, spans, r, n)
+            Y = Minv @ X
+            R[:, ts] = Y.swapaxes(-1, -2) @ X
+            terms.append((ts, idx, X, Minv, Y))
     Rcols = R.reshape(m, S, n * n).swapaxes(1, 2)
 
     # K = Gamma : R and d_p K = (d_p Gamma) : R + Gamma : d_p R, with
@@ -388,27 +390,26 @@ def _geometry(metric: tuple, frame_jets, spans, frame) -> _Geometry:
     del RdG  # each (m, s, n, n, n) array is freed once read
     dR = np.negative(dR.reshape(m, S, n, n, n).swapaxes(2, 3), order="C")
     Pis = np.eye(n) - (R.reshape(m, S * n, n) @ G).reshape(m, S, n, n)
-    if frame is None:
-        for ts, idx, X, Minv, Y in terms:
-            # the terms with a frame partial: d_i X_b over rows (b, i)
-            Sr, r = idx.shape
-            Pi = Pis[:, ts]
-            D = dF[:, :, idx]  # (m, p, spans, b, k)
-            Db = D.transpose(0, 2, 3, 1, 4).reshape(m, Sr, r * n, n)
-            y = Y.reshape(m, Sr, 1, r * n)
-            K[:, ts] += (y @ Db)[:, :, 0]
-            Z = (D.transpose(0, 2, 1, 4, 3).reshape(m, Sr, n * n, r) @ Y).reshape(m, Sr, n, n, n)
-            N = (Pi @ Z.swapaxes(2, 3).reshape(m, Sr, n, n * n)).reshape(m, Sr, n, n, n).swapaxes(2, 3)
-            dR[:, ts] += N + N.swapaxes(3, 4)
-            # d_p (M^-1 X) = M^-1 ((d_p X)(I - R g)^T - X ((d_p g) R + g Z_p))
-            V = D.transpose(0, 2, 1, 3, 4).reshape(m, Sr, n * r, n) @ Pi.swapaxes(2, 3)
-            V = V.reshape(m, Sr, n, r, n).swapaxes(2, 3)
-            gRZ = (dG.reshape(m, 1, n * n, n) @ R[:, ts]).reshape(m, Sr, n, n, n).swapaxes(2, 3)
-            gRZ = gRZ.reshape(m, Sr, n, n * n) + G[:, None] @ Z.swapaxes(2, 3).reshape(m, Sr, n, n * n)
-            V = V - (X @ gRZ).reshape(m, Sr, r, n, n)
-            dY = (Minv @ V.reshape(m, Sr, r, n * n)).reshape(m, Sr, r, n, n).swapaxes(2, 3)
-            dD = d2F[:, :, :, idx].transpose(0, 3, 4, 2, 1, 5).reshape(m, Sr, r * n, n * n)
-            dK[:, ts] += dY.reshape(m, Sr, n, r * n) @ Db + (y @ dD).reshape(m, Sr, n, n)
+    for ts, idx, X, Minv, Y in terms:
+        # the terms with a frame partial: d_i X_b over rows (b, i)
+        Sr, r = idx.shape
+        Pi = Pis[:, ts]
+        D = dF[:, :, idx]  # (m, p, spans, b, k)
+        Db = D.transpose(0, 2, 3, 1, 4).reshape(m, Sr, r * n, n)
+        y = Y.reshape(m, Sr, 1, r * n)
+        K[:, ts] += (y @ Db)[:, :, 0]
+        Z = (D.transpose(0, 2, 1, 4, 3).reshape(m, Sr, n * n, r) @ Y).reshape(m, Sr, n, n, n)
+        N = (Pi @ Z.swapaxes(2, 3).reshape(m, Sr, n, n * n)).reshape(m, Sr, n, n, n).swapaxes(2, 3)
+        dR[:, ts] += N + N.swapaxes(3, 4)
+        # d_p (M^-1 X) = M^-1 ((d_p X)(I - R g)^T - X ((d_p g) R + g Z_p))
+        V = D.transpose(0, 2, 1, 3, 4).reshape(m, Sr, n * r, n) @ Pi.swapaxes(2, 3)
+        V = V.reshape(m, Sr, n, r, n).swapaxes(2, 3)
+        gRZ = (dG.reshape(m, 1, n * n, n) @ R[:, ts]).reshape(m, Sr, n, n, n).swapaxes(2, 3)
+        gRZ = gRZ.reshape(m, Sr, n, n * n) + G[:, None] @ Z.swapaxes(2, 3).reshape(m, Sr, n, n * n)
+        V = V - (X @ gRZ).reshape(m, Sr, r, n, n)
+        dY = (Minv @ V.reshape(m, Sr, r, n * n)).reshape(m, Sr, r, n, n).swapaxes(2, 3)
+        dD = d2F[:, :, :, idx].transpose(0, 3, 4, 2, 1, 5).reshape(m, Sr, r * n, n * n)
+        dK[:, ts] += dY.reshape(m, Sr, n, r * n) @ Db + (y @ dD).reshape(m, Sr, n, n)
     dK += (dR.reshape(m, S * n, n * n) @ gammaT).reshape(m, S, n, n)
 
     div = np.maximum(rank, 1)[:, None]
@@ -423,7 +424,9 @@ def _geometry(metric: tuple, frame_jets, spans, frame) -> _Geometry:
     # nabla_{X_a} H = (dH + Gamma(e_i, H)) X_a over rows (k, s), columns a,
     # and its inner products with the frame
     gamH = (gamma.reshape(m, n * n, n) @ H.swapaxes(1, 2)).reshape(m, n, n, S)  # Gamma(e_i, H)^k
-    covH = _mul(dH.transpose(0, 2, 1, 3) + gamH.swapaxes(2, 3), Ft)
+    covH = dH.transpose(0, 2, 1, 3) + gamH.swapaxes(2, 3)
+    if not coordinate:
+        covH = _mul(covH, Ft)
     cross = (Gt.swapaxes(1, 2) @ covH.reshape(m, n, S * n)).reshape(m, n, S, n)
     cross = (cross / scale[:, :, None]).transpose(2, 1, 3, 0).copy()
 
@@ -438,7 +441,7 @@ def _geometry(metric: tuple, frame_jets, spans, frame) -> _Geometry:
     res[1] = _masked_max(np.abs(cross), member[:, None, :] & ~member[:, :, None])
     res[2] = res[0] + _colnorm(H.swapaxes(1, 2), G).T
     brackets = None
-    if frame is None:
+    if not coordinate:
         brackets = (Pk @ (A[:, pa, pb] - A[:, pb, pa]).swapaxes(1, 2)).reshape(m, n, S, P)
         res[3] = _masked_max((_colnorm(brackets, G) / pair_scale).transpose(1, 2, 0), index.bracket)
     return _Geometry(G, gamma.reshape(m, n, n, n), F, M, norms, tuple(spans), index,
@@ -452,9 +455,9 @@ class _Samples:
     a jet sweep whose last roots are the frame's entries (_frame_roots):
     that of _net_samples, which also holds the metric's upper triangle and
     has run its checks, or the pass-2 sweep of codazzi._criteria. Only the
-    frame's jets are mended here (Sweep.repair). A constant frame, as every
-    coordinate net has, stays off the tape and F is that frame broadcast
-    over the samples.
+    frame's jets are mended here (Sweep.repair). The coordinate frame stays
+    off the tape: F is the identity broadcast over the samples and its Gram
+    matrix is G.
     One stacked pass (_geometry) computes the geometry and the residuals of
     every distinct span of the requested blocks and their complements
     together; sides[i] holds the positions of block i's span and of its
@@ -469,12 +472,11 @@ class _Samples:
         self.sides = {i: (spans.index(b), spans.index(c)) for i, (b, c) in spans_of.items()}
 
         roots = _frame_roots(net)
-        frame = None if roots else np.array([[e.value for e in f] for f in net.frame])
         start = len(sweep.tape.root_slots) - len(roots)
         # by sample, the error of the frame entries' diff trees where they fail
         self.input_errors = sweep.repair(start=start)
         with np.errstate(all="ignore"):
-            self.geo = _geometry(metric, sweep.jets[:, :, start:] if roots else None, spans, frame)
+            self.geo = _geometry(metric, sweep.jets[:, :, start:] if roots else None, spans)
             self.derived_ok = _finite(self.geo.derived())
 
     def field_error(self, j: int):

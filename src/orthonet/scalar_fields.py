@@ -118,13 +118,18 @@ class Chart:
 
 
 class Expr:
-    """Immutable expression node. Identity-hashed; derivative results are
-    memoized per (node, coordinate index)."""
+    """Expression node, immutable by convention: each subclass constructor
+    calls Expr.__init__ and assigns its slots directly, and after it only
+    diff rebinds one, giving _dcache a dict of its own at the first cached
+    partial. Identity-hashed; derivative results are memoized per (node,
+    coordinate index) in _dcache, which starts as the shared _NO_PARTIALS.
+    Every node passes through Expr.__init__, which bench/layertrace.py
+    wraps to count the nodes built."""
 
     __slots__ = ("_dcache",)
 
     def __init__(self):
-        object.__setattr__(self, "_dcache", _NO_PARTIALS)
+        self._dcache = _NO_PARTIALS
 
     def __repr__(self):
         return f"<Expr {format_expr(self)}>"
@@ -141,7 +146,7 @@ class Const(Expr):
 
     def __init__(self, value: float):
         super().__init__()
-        object.__setattr__(self, "value", float(value))
+        self.value = float(value)
 
 
 class Var(Expr):
@@ -149,7 +154,7 @@ class Var(Expr):
 
     def __init__(self, index: int):
         super().__init__()
-        object.__setattr__(self, "index", int(index))
+        self.index = int(index)
 
 
 class Unary(Expr):
@@ -157,8 +162,8 @@ class Unary(Expr):
 
     def __init__(self, op: str, arg: Expr):
         super().__init__()
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "arg", arg)
+        self.op = op
+        self.arg = arg
 
 
 class Binary(Expr):
@@ -166,9 +171,9 @@ class Binary(Expr):
 
     def __init__(self, op: str, a: Expr, b: Expr):
         super().__init__()
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self.op = op
+        self.a = a
+        self.b = b
 
 
 class Power(Expr):
@@ -178,8 +183,8 @@ class Power(Expr):
 
     def __init__(self, base: Expr, exponent: float):
         super().__init__()
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", float(exponent))
+        self.base = base
+        self.exponent = float(exponent)
 
 
 ZERO = Const(0.0)
@@ -477,7 +482,10 @@ class Tape:
         its value, its gradient, and its Hessian upper triangle in
         np.triu_indices order, by second-order forward propagation. Value
         rows are those of _slot_values; failures leave non-finite values.
-        Callers ignore floating-point errors (np.errstate)."""
+        A product with a constant slot, or a quotient by one, scales the
+        whole jet by that constant in one ufunc call: where the jets are
+        finite this is the product or quotient rule with the constant's
+        partials zero. Callers ignore floating-point errors (np.errstate)."""
         m, n = points.shape
         iu, ju = _pairs(n, 0)
         J = np.zeros((self.size, 1 + n + len(iu), m))
@@ -485,10 +493,15 @@ class Tape:
         J[self._var_slots, 0] = points.T[self._var_index]
         J[self._var_slots, 1 + self._var_index] = 1.0
         d1, d2 = slice(1, n + 1), slice(n + 1, None)
+        instrs = self.instrs
         for k, ins in self._ops:
             op, a, out = ins[0], J[ins[1]], J[k]
             if op == "+" or op == "-":
                 _UFUNC[op](a, J[ins[2]], out=out)
+            elif (op == "*" or op == "/") and instrs[ins[2]][0] == "const":
+                _UFUNC[op](a, instrs[ins[2]][1], out=out)
+            elif op == "*" and instrs[ins[1]][0] == "const":
+                np.multiply(instrs[ins[1]][1], J[ins[2]], out=out)
             elif op == "*" or op == "/":
                 b = J[ins[2]]
                 ga, gb = a[d1], b[d1]
@@ -792,7 +805,7 @@ def diff(e: Expr, i: int) -> Expr:
                 continue
         stack.pop()
         if node._dcache is _NO_PARTIALS:
-            object.__setattr__(node, "_dcache", {})
+            node._dcache = {}
         node._dcache[k] = _diff(node, k)
     return e._dcache[i]
 

@@ -959,6 +959,30 @@ def test_warping_profile_reads_log_determinants():
     assert base == g.chart.center()
 
 
+@pytest.mark.parametrize("jets", [True, False], ids=["codazzi", "values"])
+def test_self_adjointness_defect_is_taken_once(monkeypatch, jets):
+    # the fields over the samples keep no defect: the self-adjointness check
+    # takes it once over every sample, and self_adjoint_defect takes it at
+    # its point, with the value of the relative asymmetry
+    calls = []
+    defect = codazzi._defect
+
+    def spy(G, vals):
+        calls.append(len(G))
+        return defect(G, vals)
+
+    g, phi = torus()
+    pts = sample_points(g.chart, PLAN)
+    monkeypatch.setattr(codazzi, "_defect", spy)
+    codazzi._metric_tensor(g, phi, pts, 1e-8, codazzi=jets)
+    assert calls == [len(pts)]
+    p = g.chart.center()
+    G, _ = metric_at(g, p)
+    S = G @ np.array([[evaluate(e, p) for e in row] for row in phi.components])
+    want = np.linalg.norm(S - S.T) / (1.0 + np.linalg.norm(S))
+    assert codazzi.self_adjoint_defect(g, phi, p) == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+
 def test_self_adjointness_defect_of_a_scaled_metric_emits_no_warning():
     # |G Phi| of the torus metric times 1e200 overflowed in numpy's norm at
     # the chart center, and the RuntimeWarning escaped; divided by a power of

@@ -574,12 +574,11 @@ def _stacked_and_alone(g, net):
     roots = nets._frame_roots(net)
     metric, _, sweep = chart_calculus._jets(g, roots, pts)
     jets = sweep.jets[:, :, len(sweep.tape.root_slots) - len(roots):] if roots else None
-    frame = None if roots else np.array([[e.value for e in f] for f in net.frame])
     spans = list(dict.fromkeys(
         s for i in range(len(net.blocks)) for s in (net.blocks[i], net.complement(i))))
     with np.errstate(all="ignore"):
-        return (nets._geometry(metric, jets, spans, frame),
-                [nets._geometry(metric, jets, [s], frame) for s in spans])
+        return (nets._geometry(metric, jets, spans),
+                [nets._geometry(metric, jets, [s]) for s in spans])
 
 
 @pytest.mark.parametrize(
@@ -616,6 +615,74 @@ def test_stacked_pass_matches_each_span_alone(make, ranks):
     if not net.is_coordinate:
         t = stacked.spans.index((1, 2))
         assert np.abs(stacked.span_values(t)[4]).max() > 1e-3  # a bracket leaves the block
+
+
+@pytest.mark.parametrize(
+    "make", [fixtures.cqw_three, lambda: _twisted_four(), fixtures.warped_three],
+    ids=["cqw_three", "twisted_four", "warped_three"],
+)
+def test_coordinate_frame_matches_the_taped_identity_frame(make):
+    # the coordinate branch of _geometry forms the geometry without frame
+    # algebra; the taped branch, fed the jets of the identity frame's
+    # entries, must give the same H, partials, nabla H, defects and
+    # residuals, and brackets that vanish
+    g = make()
+    net = _coordinate(g)
+    entries = [e for f in net.frame for e in f]
+    metric, jets, _ = chart_calculus._jets(g, entries, sample_points(g.chart, PLAN))
+    spans = list(dict.fromkeys(
+        s for i in range(len(net.blocks)) for s in (net.blocks[i], net.complement(i))))
+    with np.errstate(all="ignore"):
+        coordinate = nets._geometry(metric, None, spans)
+        taped = nets._geometry(metric, jets, spans)
+    for name in ("H", "dH", "covH", "defects", "res"):
+        a, b = getattr(coordinate, name), getattr(taped, name)
+        assert a.shape == b.shape
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-15 * np.abs(b).max(initial=0.0), err_msg=name)
+    assert coordinate.brackets is None and not taped.brackets.any()
+    assert (coordinate.M == metric[0]).all()
+
+
+def test_a_field_outside_the_span_does_not_spoil_its_nabla_h():
+    # Gamma^0_{0j} = 1e308 overflows Gamma(e_0, H) of span (1,), whose H has
+    # H^0 = -10, so nabla_{X_0} H is not finite; X_0 lies outside the span,
+    # and in the coordinate frame nothing carries it into the span's own
+    # values: they and the residuals stay as they were. A product with the
+    # identity frame (the taped branch) spreads it over every field.
+    ch = Chart.box([(0.0, 1.0)] * 2, blocks=((0,), (1,)))
+    g = MetricField.diagonal(ch, [ONE, parse_expr("exp(20*x0)", ch)])
+    net = _coordinate(g)
+    metric, jets, _ = chart_calculus._jets(
+        g, [e for f in net.frame for e in f], sample_points(ch, PLAN))
+    poisoned = list(metric)
+    poisoned[3] = metric[3].copy()
+    poisoned[3][:, 0, 0, :] = 1e308
+    with np.errstate(all="ignore"):
+        clean = nets._geometry(metric, None, [(1,)])
+        geo = nets._geometry(tuple(poisoned), None, [(1,)])
+        taped = nets._geometry(tuple(poisoned), jets, [(1,)])
+        assert np.isneginf(geo.covH[:, 0, 0, 0]).all()
+        assert all(np.isfinite(a).all() for a in geo.span_values(0))
+        assert nets._finite(geo.derived()).all()
+        assert (geo.res == clean.res).all()
+        assert not nets._finite(taped.derived()).any()
+
+
+def test_a_constant_frame_other_than_the_coordinate_one_is_taped():
+    # the skew constant frame of
+    # test_flags_invariant_under_frame_change_within_blocks goes on the jet
+    # tape with the metric: 6 entries of its upper triangle and 9 of the
+    # frame; its verdicts stay those of the coordinate net
+    ch = Chart.box([(0.0, 1.0)] * 3, blocks=((0,), (1, 2)))
+    rho2 = parse_expr("exp(2*x0)", ch)
+    g = MetricField.diagonal(ch, [ONE, rho2, rho2])
+    skew = OrthogonalNet(ch, [(ONE, ZERO, ZERO), (ZERO, ONE, ONE), (ZERO, const(-0.5), ONE)],
+                         ((0,), (1, 2)))
+    assert len(nets._frame_roots(skew)) == 9 and nets._frame_roots(OrthogonalNet.coordinate(ch)) == []
+    samples = nets._net_samples(g, skew, range(2), sample_points(ch, PLAN))
+    assert len(samples.sweep.tape.root_slots) == 6 + 9
+    assert samples.geo.brackets is not None
+    assert _statuses(classify_net(g, skew, PLAN)) == dict.fromkeys(nets.FLAG_NAMES, "pass")
 
 
 def test_one_inverse_per_span_rank(monkeypatch):

@@ -261,3 +261,25 @@ def test_a_superscript_digit_stays_part_of_an_identifier():
 def test_a_decimal_digit_of_another_script_is_a_number():
     ch = Chart.box([(0.0, 1.0)] * 2, names=("t", "x0"))
     assert format_expr(parse_expr("٣*x0", ch), ch.names) == format_expr(parse_expr("3*x0", ch), ch.names) == "3*x0"
+
+
+def test_every_node_is_built_through_expr_init(monkeypatch):
+    # a wrapper of Expr.__init__ sees every node built, as the benchmark's
+    # count of nodes built reads it, and each starts with no cached partials
+    from orthonet import scalar_fields as sf
+
+    built = []
+    init = sf.Expr.__init__
+
+    def counted(node, *args, **kwargs):
+        built.append(type(node).__name__)
+        init(node, *args, **kwargs)
+
+    monkeypatch.setattr(sf.Expr, "__init__", counted)
+    x = sf.Var(0)
+    nodes = [sf.Const(2.0), x, sf.Unary("sin", x), sf.Binary("*", x, x), sf.Power(x, 3.0)]
+    assert built == ["Var", "Const", "Unary", "Binary", "Power"]
+    assert all(e._dcache is sf._NO_PARTIALS for e in nodes)
+    built.clear()
+    diff(parse_expr("sin(x0) * exp(x1) + x0^2", Chart.box([(0.0, 1.0)] * 2)), 0)
+    assert built

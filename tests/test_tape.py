@@ -295,6 +295,81 @@ def test_repair_reads_the_values_of_its_roots_only():
     assert not np.isfinite(later.jets[0, :, 1]).all() and later.jets[1, :, 1].tolist() == x1
 
 
+class _GeneralRules(scalar_fields.Tape):
+    """A tape whose jets take the general product and quotient rules at every
+    slot, a constant operand included: the reference of the rule that scales
+    a whole jet by a constant factor or divisor."""
+
+    def _slot_jets(self, points):
+        m, n = points.shape
+        iu, ju = np.triu_indices(n)
+        J = np.zeros((self.size, 1 + n + len(iu), m))
+        J[self._const_slots, 0] = self._const_values[:, None]
+        J[self._var_slots, 0] = points.T[self._var_index]
+        J[self._var_slots, 1 + self._var_index] = 1.0
+        d1, d2 = slice(1, n + 1), slice(n + 1, None)
+        for k, ins in self._ops:
+            op, a, out = ins[0], J[ins[1]], J[k]
+            if op in ("+", "-"):
+                scalar_fields._UFUNC[op](a, J[ins[2]], out=out)
+            elif op == "*":
+                b = J[ins[2]]
+                ga, gb = a[d1], b[d1]
+                out[0] = a[0] * b[0]
+                out[d1] = ga * b[0] + a[0] * gb
+                out[d2] = a[d2] * b[0] + a[0] * b[d2] + ga[iu] * gb[ju] + ga[ju] * gb[iu]
+            elif op == "/":
+                # the quotient q = a/b through a = q b
+                b = J[ins[2]]
+                ga, gb = a[d1], b[d1]
+                q = out[0] = a[0] / b[0]
+                gq = out[d1] = (ga - q * gb) / b[0]
+                out[d2] = (a[d2] - q * b[d2] - gq[iu] * gb[ju] - gq[ju] * gb[iu]) / b[0]
+            else:
+                if op == "^":
+                    c = ins[2]
+                    out[0] = np.power(a[0], c)
+                    f1 = c * np.power(a[0], c - 1.0)
+                    f2 = c * (c - 1.0) * np.power(a[0], c - 2.0)
+                else:
+                    out[0] = scalar_fields._UFUNC[op](a[0])
+                    f1, f2 = scalar_fields._unary_jets(op, a[0])
+                out[d1] = f1 * a[d1]
+                out[d2] = f1 * a[d2] + f2 * (a[d1][iu] * a[d1][ju])
+        return J
+
+
+@pytest.mark.parametrize("c", [-2.5, 1e-300, 1e300])
+def test_constant_factor_jets_match_the_product_and_quotient_rules(c):
+    # c*f, f*c and f/c scale the whole jet of f in one call; wherever the
+    # general rules give finite jets these are the same, and where f
+    # overflows or fails (exp(800), division by zero at x1 = 0.5, the
+    # infinite partial of sqrt(x1) at x1 = 0, whose diff tree fails), the
+    # failing slots and the errors of Sweep.repair are too
+    ch = Chart.box([(-1.0, 1.0)] * DIM)
+    fs = [parse_expr(t, ch) for t in (
+        "exp(x0) / (x1 - 0.5)", "(x0^2 + 1)^-1.5 * exp(x1)", "sqrt(x1) * exp(x0)^2 / (x0 + 2)")]
+    roots = [r for f in fs for r in (Binary("*", Const(c), f), Binary("*", f, Const(c)),
+                                     Binary("/", f, Const(c)))]
+    pts = [(0.3, 0.2), (-1.2, 2.0), (800.0, 0.1), (0.4, 0.5), (0.7, 0.0), (200.0, 0.3),
+           (-3.0, 1.5), (1e-3, 1e-160)]
+    tape = compile_tape(roots)
+    reference = _GeneralRules(tape.nodes, tape.instrs, tape.root_slots, tape.bounds)
+    got, want = tape.jet_sweep(pts), reference.jet_sweep(pts)
+    assert np.array_equal(got.first_bad, want.first_bad)
+    assert (got.first_bad < tape.size).sum() >= 2
+    for before in (True, False):
+        finite = np.isfinite(want.jets)
+        assert finite.any()
+        assert np.array_equal(got.jets[finite], want.jets[finite])
+        # a root's jet at a point is finite under one rule where it is under the other
+        assert np.array_equal(np.isfinite(got.jets).all(axis=1), finite.all(axis=1))
+        if before:
+            errors = {j: str(e) for j, e in got.repair().items()}
+            assert errors == {j: str(e) for j, e in want.repair().items()}
+            assert errors  # the diff tree of sqrt(x1) fails at x1 = 0
+
+
 # --- deep expressions ----------------------------------------------------------
 
 
