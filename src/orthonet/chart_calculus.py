@@ -256,6 +256,15 @@ def _gnorm(v, G) -> np.ndarray:
     return np.sqrt(np.maximum(_ginner(v, G, v), 0.0))
 
 
+def _pair_scale(G) -> np.ndarray:
+    """max(|e_i| |e_j|, 1e-300), (m, n, n), over the pairs of n fields with
+    Gram matrices G, (m, n, n), where |e_i| = sqrt(G_ii): the one place a
+    residual is divided by the norms of the pair of fields it reads. The
+    norms are multiplied, not their squares, so no product overflows."""
+    norms = np.sqrt(np.maximum(np.einsum("mii->mi", G), 0.0))
+    return np.maximum(norms[:, :, None] * norms[:, None, :], 1e-300)
+
+
 def _inv(A: np.ndarray) -> np.ndarray:
     """Inverses of a stack of square matrices, non-finite where one is
     singular; 1 x 1 and 2 x 2 blocks in closed form."""

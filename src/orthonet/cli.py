@@ -43,7 +43,7 @@ from .errors import (
     OrthonetError,
     ParseError,
 )
-from .nets import OrthogonalNet, _status, _worst, classify_net
+from .nets import Flag, OrthogonalNet, _status, _worst, classify_net
 from .product_metrics import (
     PATH_ORDER_TOL,
     FactorSpec,
@@ -541,26 +541,18 @@ def _cmd_verify_product(man: Manifest, tol: float, plan: SamplePlan):
         "n_samples": len(rows),
         "table": rows,
     }
-    verdicts = {
-        "connection_identity": {"status": _status(worst, tol), "residual": worst}
-    }
-    return results, verdicts
+    return results, {"connection_identity": Flag(_status(worst, tol), worst).to_dict()}
 
 
 def _cmd_factorize(man: Manifest, tol: float, plan: SamplePlan):
     fac = factorize_cwp(man.metric, tol=tol, plan=plan)
     results = fac.to_dict()
-    verdicts = {
-        "reconstruction": {
-            "status": _status(fac.reconstruction_residual, tol),
-            "residual": fac.reconstruction_residual,
-        },
-        "path_order": {
-            "status": _status(fac.path_order_residual, PATH_ORDER_TOL),
-            "residual": fac.path_order_residual,
-        },
+    rec, order = fac.reconstruction_residual, fac.path_order_residual
+    flags = {
+        "reconstruction": Flag(_status(rec, tol), rec),
+        "path_order": Flag(_status(order, PATH_ORDER_TOL), order),
     }
-    return results, verdicts
+    return results, {k: f.to_dict() for k, f in flags.items()}
 
 
 def _cmd_codazzi(man: Manifest, tol: float, plan: SamplePlan):
@@ -574,17 +566,12 @@ def _cmd_codazzi(man: Manifest, tol: float, plan: SamplePlan):
             rep = classify_codazzi(man.metric, phi, h=h, plan=plan, tol=tol)
         except NotCodazziError as e:
             results[name] = {"error": str(e)}
-            verdicts[f"{name}.codazzi"] = {
-                "status": "fail",
-                "residual": float(getattr(e, "residual", math.inf)),
-            }
-            continue
-        results[name] = rep.to_dict()
-        verdicts[f"{name}.codazzi"] = {
-            "status": _status(rep.codazzi_residual, tol),
-            "residual": rep.codazzi_residual,
-        }
-        for k, f in rep.flags.items():
+            flags = {"codazzi": Flag("fail", float(getattr(e, "residual", math.inf)))}
+        else:
+            results[name] = rep.to_dict()
+            worst = rep.codazzi_residual
+            flags = {"codazzi": Flag(_status(worst, tol), worst), **rep.flags}
+        for k, f in flags.items():
             verdicts[f"{name}.{k}"] = f.to_dict()
     return results, verdicts
 
@@ -604,10 +591,7 @@ def _cmd_selftest(tol: float, plan: SamplePlan):
     checks: dict = {}
 
     def put(name, residual, ok):
-        checks[name] = {
-            "residual": float(residual),
-            "status": "pass" if ok else "fail",
-        }
+        checks[name] = Flag("pass" if ok else "fail", float(residual)).to_dict()
 
     chart = Chart.box([(0.0, 1.0), (0.0, 1.0)], names=("x0", "x1"))
     e = parse_expr("exp(x0*x1) + sin(x0)^2", chart)

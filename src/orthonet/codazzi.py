@@ -23,7 +23,20 @@ each naming its sample with scalar_fields._point, and every maximum
 reported or compared with a tolerance is nets._worst's, so one that is not
 finite raises InconsistencyError instead of passing.
 
-Residual vocabulary (all residuals are normalized to be scale-free):
+Units. Only the relation residual |lambda - h(mu)| / (1 + |lambda|) is a
+ratio of unitless quantities. Under a homothety g -> c g, which keeps every
+verdict of the theory, the Codazzi and warping ODE residuals scale as
+c^-1/2 (units of 1/length), as the umbilicity, geodesy and integrability
+residuals of nets do; sphericity there scales as c^-1. The identity
+residuals below, the along-bundle variations and the self-adjointness
+defect divide a magnitude by 1 plus the magnitudes it is formed from: they
+read as ratios where those are large against 1, and where they are small
+each scales like its terms (1/length for mean_curvature and the variations,
+1/length^2 for the other identities, length^2 for G Phi in the defect).
+Residuals that pair two fields are divided by the fields' norms in one
+place, chart_calculus._pair_scale, which is where they are normalized.
+
+Residual vocabulary:
 
 * codazzi: antisymmetry defect of nabla Phi over coordinate pairs.
 * mean_curvature: the eigenbundle of lambda is umbilical with mean curvature
@@ -65,6 +78,7 @@ from .chart_calculus import (
     _gnorm,
     _hess,
     _jets,
+    _pair_scale,
     _slogdet,
     _stacked,
     _symmetric,
@@ -238,9 +252,8 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, tol: float,
         gam = metric[3]
         # (nabla_a Phi)^k_b at [:, a, b, k]
         N = dP + np.einsum("mkal,mlb->mabk", gam, P) - np.einsum("mkl,mlab->mabk", P, gam)
-        norms = np.sqrt(np.maximum(np.einsum("mii->mi", G), 0.0))
         ia, ib = _pairs(n, 1)
-        scale = np.maximum(norms[:, ia] * norms[:, ib], 1e-300)
+        scale = _pair_scale(G)[:, ia, ib]
         codazzi_res = (_gnorm(N[:, ia, ib] - N[:, ib, ia], G) / scale).max(axis=1)
     return _Fields(pts, G, P, codazzi_res, metric)
 
@@ -267,7 +280,8 @@ def self_adjoint_defect(g: MetricField, phi: SymTensorField, p) -> float:
 
 def codazzi_residual(g: MetricField, phi: SymTensorField, p, tol: float = 1e-8) -> float:
     """Max over coordinate pairs of the antisymmetry defect of nabla Phi at p,
-    measured in the metric norm and normalized by the coordinate norms."""
+    measured in the metric norm and divided by the coordinate norms
+    (chart_calculus._pair_scale)."""
     return float(_metric_tensor(g, phi, [p], tol, codazzi=True).codazzi[0])
 
 
@@ -527,22 +541,24 @@ def _rel(*terms) -> np.ndarray:
     return np.abs(total) / scale
 
 
+# the identities _criteria scores at every sample, in the order they are
+# reported and reduced to maxima
+_IDENTITIES = ("mean_curvature", "conformal_product", "mu_spherical",
+               "lambda_spherical", "eta_two_path", "zeta_two_path")
+
+
 @dataclass
 class _Scores:
-    """Per-sample eigenvalues and identity residuals, each of shape (m,).
+    """Per-sample eigenvalues and residuals, each of shape (m,).
 
-    conformal_product is read only where cp_ok holds; relation and ode are
-    None without a relation h, and ode is None unless lambda has rank one."""
+    identities maps each name of _IDENTITIES to its residuals, with
+    conformal_product 0 where cp_ok fails; relation and ode are None
+    without a relation h, and ode is None unless lambda has rank one."""
 
     lam: np.ndarray
     mu: np.ndarray
-    mean_curvature: np.ndarray
+    identities: dict
     cp_ok: np.ndarray
-    conformal_product: np.ndarray
-    mu_spherical: np.ndarray
-    lambda_spherical: np.ndarray
-    eta_two_path: np.ndarray
-    zeta_two_path: np.ndarray
     lam_along: np.ndarray
     mu_along: np.ndarray
     X: np.ndarray  # (m, rank_lambda, n) lambda eigenvectors
@@ -550,16 +566,10 @@ class _Scores:
     ode: np.ndarray | None
 
     def record(self, j: int) -> CriteriaRecord:
-        return CriteriaRecord(
-            lam=float(self.lam[j]),
-            mu=float(self.mu[j]),
-            mean_curvature=float(self.mean_curvature[j]),
-            conformal_product=float(self.conformal_product[j]) if self.cp_ok[j] else None,
-            mu_spherical=float(self.mu_spherical[j]),
-            lambda_spherical=float(self.lambda_spherical[j]),
-            eta_two_path=float(self.eta_two_path[j]),
-            zeta_two_path=float(self.zeta_two_path[j]),
-        )
+        values = {k: float(v[j]) for k, v in self.identities.items()}
+        if not self.cp_ok[j]:
+            values["conformal_product"] = None
+        return CriteriaRecord(lam=float(self.lam[j]), mu=float(self.mu[j]), **values)
 
 
 def _criteria(fields: _Fields, eig: _Eigen, model: _EigenModel, gap_min: float,
@@ -689,16 +699,20 @@ def _criteria(fields: _Fields, eig: _Eigen, model: _EigenModel, gap_min: float,
             logsig_prime = -_ginner(zeta_v, G, xhat)
             ode = np.abs(np.einsum("mi,mi->m", xhat, dmu) - (hval - mu) * logsig_prime)
 
+    identities = dict(zip(_IDENTITIES, (  # in the order of _IDENTITIES
+        mcn,
+        # the conformal-product identity only counts where lambda + mu is not small
+        np.where(cp_ok, cp, 0.0),
+        pair_max(_rel(u1, u2, u3)),
+        pair_max(_rel(v1, v2, v3)),
+        pair_max(_rel(d1, -f1)),
+        pair_max(_rel(d2, -f2)),
+    )))
     return _Scores(
         lam=lam,
         mu=mu,
-        mean_curvature=mcn,
+        identities=identities,
         cp_ok=cp_ok,
-        conformal_product=cp,
-        mu_spherical=pair_max(_rel(u1, u2, u3)),
-        lambda_spherical=pair_max(_rel(v1, v2, v3)),
-        eta_two_path=pair_max(_rel(d1, -f1)),
-        zeta_two_path=pair_max(_rel(d2, -f2)),
         lam_along=_gnorm(along(grad_lam, X), G) / (1.0 + _gnorm(grad_lam, G)),
         mu_along=_gnorm(along(grad_mu, Y), G) / (1.0 + _gnorm(grad_mu, G)),
         X=X,
@@ -830,16 +844,7 @@ def classify_codazzi(
         {"point": list(p), "lam": float(lv), "mu": float(mv)}
         for p, lv, mv in zip(pts.tolist(), sc.lam, sc.mu)
     ]
-    per_sample = {
-        "mean_curvature": sc.mean_curvature,
-        # the conformal-product identity only counts where lambda + mu is not small
-        "conformal_product": np.where(sc.cp_ok, sc.conformal_product, 0.0),
-        "mu_spherical": sc.mu_spherical,
-        "lambda_spherical": sc.lambda_spherical,
-        "eta_two_path": sc.eta_two_path,
-        "zeta_two_path": sc.zeta_two_path,
-    }
-    maxes = {key: _worst(key, v, pts) for key, v in per_sample.items()}
+    maxes = {key: _worst(key, v, pts) for key, v in sc.identities.items()}
     cp_evaluated = bool(sc.cp_ok.any())
 
     for name, rank, along in (("lambda", model.rank_lambda, sc.lam_along),
@@ -933,8 +938,7 @@ def _warping_profile(g: MetricField, model: _EigenModel, axis: int,
     """
     n = g.dim
     others = [i for i in range(n) if i != axis]
-    root = np.sqrt(np.maximum(np.einsum("mii->mi", G), 0.0))  # not squared, so no product overflows
-    off = np.abs(G[:, axis, others]) / np.maximum(root[:, axis, None] * root[:, others], 1e-300)
+    off = np.abs(G[:, axis, others]) / _pair_scale(G)[:, axis, others]
     if (off > _AXIS_TOL).any():
         return None, None
     r = len(others)

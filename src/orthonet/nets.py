@@ -65,14 +65,13 @@ precondition that is not finite fails (cwp_residual).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chart_calculus import MetricField, _at, _gnorm, _inv, _jets
+from .chart_calculus import MetricField, _at, _gnorm, _inv, _jets, _pair_scale
 from .errors import (
     ConstraintError,
     DegenerateFrameError,
@@ -244,7 +243,7 @@ class _Geometry:
     gamma: np.ndarray  # (m, k, i, j) Gamma^k_ij
     F: np.ndarray  # (m, n, n) the frame, X_a as row a
     M: np.ndarray  # (m, n, n) <X_a, X_b>, the frame's Gram matrix
-    norms: np.ndarray  # (m, n) the g-norms of the frame's fields
+    scale: np.ndarray  # (m, n, n) |X_a| |X_b|, the frame's _pair_scale
     spans: tuple  # the spans, tuples of frame indices, along axis s
     index: _SpanIndex
     H: np.ndarray  # (m, s, n) mean curvature normal
@@ -323,15 +322,15 @@ def _geometry(metric: tuple, frame_jets, spans) -> _Geometry:
     is read off its jets.
 
     No step loops over the spans; the work falls in three groups. Once per
-    net: the frame's Gram matrix and norms, C_ab = Gamma(X_a, X_b) + X_a(X_b)
-    over the frame pairs that some span reads (index.pairs). Once per span
-    rank, over the spans of that rank together: M^-1 (_inv) and R, and for
-    a frame on the tape M^-1 X and the terms with a frame partial of K, d R
-    and d(M^-1 X). Once over all spans stacked: K, d K, d R, I - R g, H, dH
-    and nabla H. The defects, the brackets and <nabla_{X_a} H, X_c> are each
-    one product over all spans and pairs, folded as (m, n s, n) @ (m, n, p),
-    and a residual is the largest value over the pairs of each span (index
-    masks)."""
+    net: the frame's Gram matrix and pair scale (_pair_scale), C_ab =
+    Gamma(X_a, X_b) + X_a(X_b) over the frame pairs that some span reads
+    (index.pairs). Once per span rank, over the spans of that rank
+    together: M^-1 (_inv) and R, and for a frame on the tape M^-1 X and the
+    terms with a frame partial of K, d R and d(M^-1 X). Once over all spans
+    stacked: K, d K, d R, I - R g, H, dH and nabla H. The defects, the
+    brackets and <nabla_{X_a} H, X_c> are each one product over all spans
+    and pairs, folded as (m, n s, n) @ (m, n, p), and a residual is the
+    largest value over the pairs of each span (index masks)."""
     G, dG, Ginv, gamma, d2G = metric
     m, n = G.shape[:2]
     index = _span_index(tuple(spans), n)
@@ -345,7 +344,7 @@ def _geometry(metric: tuple, frame_jets, spans) -> _Geometry:
     dgamma = _dgamma(Ginv, gamma, dG, d2G).reshape(m, n * n, n * n)
     gammaT = np.ascontiguousarray(gamma.swapaxes(1, 2))  # rows ij, columns k
 
-    # the frame's terms: X^T, its Gram matrix and norms, and C_ab over rows
+    # the frame's terms: X^T, its Gram matrix and pair scale, and C_ab over rows
     # k, columns (a, b) in index.pairs, from X_a^i X_b^j over rows ij
     if coordinate:
         F = np.broadcast_to(np.eye(n), (m, n, n))
@@ -364,8 +363,7 @@ def _geometry(metric: tuple, frame_jets, spans) -> _Geometry:
         C += A[:, pa, pb].swapaxes(1, 2)
         Gt = G @ Ft  # g X_c over rows i, columns c
         M = Gt.swapaxes(1, 2) @ Ft
-    norms = np.sqrt(np.maximum(M.reshape(m, n * n)[:, :: n + 1], 0.0))
-    scale = np.maximum(norms[:, :, None] * norms[:, None, :], 1e-300)
+    scale = _pair_scale(M)
 
     # per rank, over its spans: M^-1, and R, with M^-1 X for a frame on the tape
     R = np.zeros((m, S, n, n))
@@ -444,7 +442,7 @@ def _geometry(metric: tuple, frame_jets, spans) -> _Geometry:
     if not coordinate:
         brackets = (Pk @ (A[:, pa, pb] - A[:, pb, pa]).swapaxes(1, 2)).reshape(m, n, S, P)
         res[3] = _masked_max((_colnorm(brackets, G) / pair_scale).transpose(1, 2, 0), index.bracket)
-    return _Geometry(G, gamma.reshape(m, n, n, n), F, M, norms, tuple(spans), index,
+    return _Geometry(G, gamma.reshape(m, n, n, n), F, M, scale, tuple(spans), index,
                      H, dH, covH, cross, defects, brackets, res)
 
 
@@ -504,7 +502,7 @@ class _Samples:
         orthogonality, field evaluation); values at a sample past its first
         failure are never read. Returns self."""
         pts = self.sweep.points
-        M, norms = self.geo.M, self.geo.norms
+        M = self.geo.M
         m, n = M.shape[:2]
         # the roots before the frame's have evaluated at every sample
         frame_ok = self.sweep.first_bad == self.sweep.tape.size
@@ -515,7 +513,7 @@ class _Samples:
         pa, pc = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
         ip = np.abs(M[:, pa, pc])
         with np.errstate(all="ignore"):  # read only where frame_ok
-            skew = ip / np.maximum(norms[:, pa] * norms[:, pc], 1e-300) > _ORTHO_TOL
+            skew = ip / self.geo.scale[:, pa, pc] > _ORTHO_TOL
 
         # per sample: frame evaluation, degeneracy, each pair's orthogonality, the fields
         _raise_first(
@@ -652,11 +650,14 @@ def cwp_residual(g: MetricField, net: OrthogonalNet, i: int, p, tol: float = 1e-
 
 @dataclass
 class Flag:
+    """A verdict: a status and the residual it was decided on."""
+
     status: str
     residual: float
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The one verdict dict of every report."""
+        return {"status": self.status, "residual": self.residual}
 
 
 @dataclass

@@ -47,6 +47,7 @@ from .chart_calculus import (
     _gnorm,
     _jets,
     _levi_civita,
+    _pair_scale,
     _root_checks,
     _slogdet,
     _symmetric,
@@ -781,8 +782,7 @@ def _spherical_residuals(spec: ProductSpec, phi: Expr, i: int, pts) -> np.ndarra
     Wv = -np.einsum("mkl,ml->mk", Ginv, dl)
     dW = -np.einsum("mka,mia->mki", Ginv, np.einsum("miab,mb->mia", dG, Wv) + d2l)
 
-    norms = np.sqrt(np.einsum("maa->ma", G))
-    scale = np.maximum(norms[:, other, None] * norms[:, None, blk], 1e-300)  # (m, c, a)
+    scale = _pair_scale(G)[:, other][:, :, blk]  # (m, c, a)
     # <nabla_Z W, X> = <Z, W><X, W> for Z = d_c, X = d_a
     E = np.broadcast_to(np.eye(n)[other], (m, len(other), n))
     GdW = np.einsum("mij,mcj->mci", G, _cov(dW, gam, Wv, E))

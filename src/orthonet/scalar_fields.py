@@ -16,15 +16,17 @@ second partials takes them from `Tape.jet_sweep`, which propagates value,
 gradient and Hessian through the tape of its (small) input trees in one
 pass (Griewank and Walther, Evaluating Derivatives, 2008, ch. 13); where
 those jets are not finite, the `diff` trees of the inputs give them or name
-the error (`Sweep.repair`). One table of unary rules serves both. Tree
-walks that may meet deep trees (differentiation, substitution, printing,
-tape compilation) keep their own stack instead of recursing.
+the error (`Sweep.repair`). One table, _UNARY, gives each unary operation
+its float rule, its ufunc and its derivative rule. Tree walks that may meet
+deep trees (evaluation, differentiation, substitution, printing, tape
+compilation) keep their own stack instead of recursing.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import types
 from dataclasses import dataclass
 
@@ -280,7 +282,7 @@ def powc(base: Expr, exponent: float) -> Expr:
 
 
 def apply_unary(op: str, arg: Expr) -> Expr:
-    if op not in _UNARY_EVAL:
+    if op not in _UNARY:
         raise ValueError(f"unknown unary operation {op!r}")
     ca = _cval(arg)
     if ca is not None:
@@ -303,34 +305,16 @@ def _raise_domain(message: str, e: Expr):
 
 
 def _unary_value(op: str, v: float, e: Expr | None) -> float:
+    if op not in _UNARY:
+        raise ValueError(f"unknown unary operation {op!r}")
+    if op == "log" and v <= 0.0:
+        _raise_domain("log of a nonpositive value", e if e else ZERO)
+    if op == "sqrt" and v < 0.0:
+        _raise_domain("sqrt of a negative value", e if e else ZERO)
     try:
-        if op == "neg":
-            return -v
-        if op == "exp":
-            return math.exp(v)
-        if op == "log":
-            if v <= 0.0:
-                _raise_domain("log of a nonpositive value", e if e else ZERO)
-            return math.log(v)
-        if op == "sin":
-            return math.sin(v)
-        if op == "cos":
-            return math.cos(v)
-        if op == "tan":
-            return math.tan(v)
-        if op == "sinh":
-            return math.sinh(v)
-        if op == "cosh":
-            return math.cosh(v)
-        if op == "sqrt":
-            if v < 0.0:
-                _raise_domain("sqrt of a negative value", e if e else ZERO)
-            return math.sqrt(v)
-        if op == "abs":
-            return abs(v)
+        return _UNARY[op][0](v)
     except OverflowError:
         _raise_domain("overflow", e if e else ZERO)
-    raise ValueError(f"unknown unary operation {op!r}")
 
 
 def _pow_value(b: float, c: float, e: Expr | None) -> float:
@@ -345,9 +329,24 @@ def _pow_value(b: float, c: float, e: Expr | None) -> float:
     return out
 
 
-_UNARY_EVAL = frozenset(
-    ["neg", "exp", "log", "sin", "cos", "tan", "sinh", "cosh", "sqrt", "abs"]
-)
+# the one table of unary operations: per op, its float rule (_unary_value
+# checks the domains of log and sqrt first, and reads an OverflowError of
+# math as an overflow), its numpy ufunc, and its derivative rule,
+# d f(a) of a node e = f(a) from a, e and da. _diff applies the rule to
+# trees, and the jet sweep reads f' and f'' off it (_UNARY_JETS). The parser
+# reads every op but neg as a function name.
+_UNARY = {
+    "neg": (operator.neg, np.negative, lambda a, e, da: neg(da)),
+    "exp": (math.exp, np.exp, lambda a, e, da: mul(e, da)),
+    "log": (math.log, np.log, lambda a, e, da: div(da, a)),
+    "sin": (math.sin, np.sin, lambda a, e, da: mul(apply_unary("cos", a), da)),
+    "cos": (math.cos, np.cos, lambda a, e, da: neg(mul(apply_unary("sin", a), da))),
+    "tan": (math.tan, np.tan, lambda a, e, da: div(da, powc(apply_unary("cos", a), 2.0))),
+    "sinh": (math.sinh, np.sinh, lambda a, e, da: mul(apply_unary("cosh", a), da)),
+    "cosh": (math.cosh, np.cosh, lambda a, e, da: mul(apply_unary("sinh", a), da)),
+    "sqrt": (math.sqrt, np.sqrt, lambda a, e, da: div(da, mul(const(2.0), e))),
+    "abs": (abs, np.absolute, lambda a, e, da: mul(div(e, a), da)),
+}
 
 
 def evaluate(e: Expr, point, cache: dict | None = None) -> float:
@@ -360,38 +359,49 @@ def evaluate(e: Expr, point, cache: dict | None = None) -> float:
 
 
 def _eval(e: Expr, point, cache: dict) -> float:
-    # keyed by the node itself: the cache must pin nodes alive, or a recycled
-    # address could hand a temporary expression another node's value
-    hit = cache.get(e)
-    if hit is not None:
-        return hit
-    if isinstance(e, Const):
-        out = e.value
-    elif isinstance(e, Var):
-        out = float(point[e.index])
-    elif isinstance(e, Unary):
-        out = _unary_value(e.op, _eval(e.arg, point, cache), e)
-    elif isinstance(e, Binary):
-        va = _eval(e.a, point, cache)
-        vb = _eval(e.b, point, cache)
-        if e.op == "+":
-            out = va + vb
-        elif e.op == "-":
-            out = va - vb
-        elif e.op == "*":
-            out = va * vb
+    """The value of e from an explicit stack: each node after its operands,
+    left to right, in the post-order of a recursive walk, so the first node
+    that fails is the one such a walk would fail on, and the depth of the
+    tree is not bounded by the interpreter's recursion limit. The cache is
+    keyed by the node itself: it must pin nodes alive, or a recycled
+    address could hand a temporary expression another node's value."""
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if node in cache:
+            stack.pop()
+            continue
+        pending = [c for c in _children(node) if c not in cache]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        if isinstance(node, Const):
+            out = node.value
+        elif isinstance(node, Var):
+            out = float(point[node.index])
+        elif isinstance(node, Unary):
+            out = _unary_value(node.op, cache[node.arg], node)
+        elif isinstance(node, Binary):
+            va, vb = cache[node.a], cache[node.b]
+            if node.op == "+":
+                out = va + vb
+            elif node.op == "-":
+                out = va - vb
+            elif node.op == "*":
+                out = va * vb
+            else:
+                if vb == 0.0:
+                    _raise_domain("division by zero", node)
+                out = va / vb
+        elif isinstance(node, Power):
+            out = _pow_value(cache[node.base], node.exponent, node)
         else:
-            if vb == 0.0:
-                _raise_domain("division by zero", e)
-            out = va / vb
-    elif isinstance(e, Power):
-        out = _pow_value(_eval(e.base, point, cache), e.exponent, e)
-    else:
-        raise TypeError(f"unknown expression node {type(e).__name__}")
-    if not math.isfinite(out):
-        _raise_domain("non-finite value", e)
-    cache[e] = out
-    return out
+            raise TypeError(f"unknown expression node {type(node).__name__}")
+        if not math.isfinite(out):
+            _raise_domain("non-finite value", node)
+        cache[node] = out
+    return cache[e]
 
 
 # --- evaluation tapes ---------------------------------------------------------
@@ -403,20 +413,8 @@ def _eval(e: Expr, point, cache: dict) -> float:
 # a point is the node the interpreter would have failed on, and its error
 # names the same sub-expression.
 
-_UNARY_UFUNC = {
-    "neg": np.negative,
-    "exp": np.exp,
-    "log": np.log,
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "sqrt": np.sqrt,
-    "abs": np.absolute,
-}
 _UFUNC = {
-    **_UNARY_UFUNC,
+    **{op: ufunc for op, (_, ufunc, _) in _UNARY.items()},
     "+": np.add,
     "-": np.subtract,
     "*": np.multiply,
@@ -746,7 +744,7 @@ def compile_tape(roots) -> Tape:
                     continue
                 if t is Power:
                     key = ("^", a, node.exponent)
-                elif node.op in _UNARY_UFUNC:
+                elif node.op in _UNARY:
                     key = (node.op, a)
                 else:
                     raise ValueError(f"unknown unary operation {node.op!r}")
@@ -810,23 +808,6 @@ def diff(e: Expr, i: int) -> Expr:
     return e._dcache[i]
 
 
-# d f(a) of a unary node e = f(a), from a, e and da: the one table of unary
-# derivative rules. _diff applies it to trees, and the jet sweep reads f' and
-# f'' off it (_UNARY_JETS).
-_UNARY_RULES = {
-    "neg": lambda a, e, da: neg(da),
-    "exp": lambda a, e, da: mul(e, da),
-    "log": lambda a, e, da: div(da, a),
-    "sin": lambda a, e, da: mul(apply_unary("cos", a), da),
-    "cos": lambda a, e, da: neg(mul(apply_unary("sin", a), da)),
-    "tan": lambda a, e, da: div(da, powc(apply_unary("cos", a), 2.0)),
-    "sinh": lambda a, e, da: mul(apply_unary("cosh", a), da),
-    "cosh": lambda a, e, da: mul(apply_unary("sinh", a), da),
-    "sqrt": lambda a, e, da: div(da, mul(const(2.0), e)),
-    "abs": lambda a, e, da: mul(div(e, a), da),
-}
-
-
 def _diff(e: Expr, i: int) -> Expr:
     """Derivative of one node from the cached derivatives of its children."""
     if isinstance(e, Const):
@@ -834,10 +815,9 @@ def _diff(e: Expr, i: int) -> Expr:
     if isinstance(e, Var):
         return ONE if e.index == i else ZERO
     if isinstance(e, Unary):
-        rule = _UNARY_RULES.get(e.op)
-        if rule is None:
+        if e.op not in _UNARY:
             raise ValueError(f"unknown unary operation {e.op!r}")
-        return rule(e.arg, e, e.arg._dcache[i])
+        return _UNARY[e.op][2](e.arg, e, e.arg._dcache[i])
     if isinstance(e, Binary):
         da, db = e.a._dcache[i], e.b._dcache[i]
         if e.op == "+":
@@ -858,7 +838,7 @@ def _unary_templates() -> dict:
     applied to f(x0), and to that."""
     x = Var(0)
     out = {}
-    for op in _UNARY_RULES:
+    for op in _UNARY:
         d1 = diff(Unary(op, x), 0)
         out[op] = compile_tape([d1, diff(d1, 0)])
     return out
@@ -1011,11 +991,6 @@ def format_expr(e: Expr, names=None) -> str:
 
 
 # --- parser -----------------------------------------------------------------
-
-_BUILTINS = frozenset(
-    ["exp", "log", "sin", "cos", "tan", "sinh", "cosh", "sqrt", "abs"]
-)
-
 
 class _Tokens:
     def __init__(self, text: str):
@@ -1177,7 +1152,7 @@ def parse_expr(text: str, chart: Chart, functions: dict[str, Expr] | None = None
                     )
                 if kind2 != ")":
                     raise ParseError("expected ')'", pos2)
-                if text_ in _BUILTINS:
+                if text_ in _UNARY and text_ != "neg":
                     return finite(apply_unary(text_, arg), pos)
                 if text_ in functions:
                     body = substitute(functions[text_], {0: arg})

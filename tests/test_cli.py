@@ -31,10 +31,10 @@ from orthonet.cli import (
     main,
     run,
 )
-from orthonet import sampling
-from orthonet.errors import ConstraintError, ManifestError, OrthonetError
+from orthonet import codazzi, sampling, scalar_fields
+from orthonet.errors import ConstraintError, ManifestError, OrthonetError, ParseError
 from orthonet.sampling import SamplePlan, sample_points
-from orthonet.scalar_fields import Chart, Tape
+from orthonet.scalar_fields import Chart, Tape, parse_expr
 
 MANIFESTS = Path(__file__).resolve().parents[1] / "manifests"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -1082,3 +1082,78 @@ def test_log_determinants_are_taken_in_one_place():
 
         visit(ast.parse(path.read_text(encoding="utf-8")), None)
     assert where == [("chart_calculus", "_slogdet")]
+
+
+def _where(match) -> list:
+    """(module, qualified name of the innermost enclosing def or class) of
+    every node of src/orthonet that match holds for, in file and tree order."""
+    where = []
+    for path in sorted((SRC / "orthonet").glob("*.py")):
+        def visit(node, scope):
+            if match(node):
+                where.append((path.stem, scope))
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = f"{scope}.{child.name}" if scope else child.name
+                visit(child, inner)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return where
+
+
+def test_every_verdict_dict_is_built_by_flag():
+    # a report's {"status", "residual"} verdicts all come from nets.Flag.to_dict
+    def status_dict(node):
+        return isinstance(node, ast.Dict) and any(
+            isinstance(k, ast.Constant) and k.value == "status" for k in node.keys)
+
+    assert _where(status_dict) == [("nets", "Flag.to_dict")]
+
+
+def test_fields_are_paired_by_their_norms_in_one_place():
+    # the field norms are read off a diagonal (an einsum of one operand with
+    # a repeated index, such as "mii->mi") and their products floored at
+    # 1e-300 in chart_calculus._pair_scale only
+    def diagonal(node):
+        return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum"
+                and isinstance(node.args[0], ast.Constant)
+                and "," not in (lhs := node.args[0].value.split("->")[0])
+                and len(set(lhs)) < len(lhs))
+
+    def pair_floor(node):
+        return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "maximum"
+                and len(node.args) == 2 and isinstance(node.args[0], ast.BinOp)
+                and isinstance(node.args[0].op, ast.Mult)
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value == 1e-300)
+
+    assert _where(diagonal) == [("chart_calculus", "_pair_scale")]
+    assert _where(pair_floor) == [("chart_calculus", "_pair_scale")]
+
+
+def test_unary_operations_live_in_one_table():
+    # scalar_fields._UNARY is the only table of unary operations, and the
+    # parser takes its ops but neg as function names, and no other name
+    for gone in ("_UNARY_EVAL", "_UNARY_UFUNC", "_UNARY_RULES", "_BUILTINS"):
+        assert not hasattr(scalar_fields, gone), gone
+    chart = Chart.box([(1.0, 2.0)], names=("x",))
+    accepted = set()
+    for name in sorted({*scalar_fields._UNARY, "x", "sec", "log10", "pow"}):
+        try:
+            parse_expr(f"{name}(x)", chart)
+        except ParseError as e:
+            assert str(e) == f"unknown function {name!r} (at position 0)"
+        else:
+            accepted.add(name)
+    assert accepted == set(scalar_fields._UNARY) - {"neg"}
+
+
+def test_the_codazzi_identities_are_listed_once():
+    # no display in src/orthonet names more than one of the six identities
+    # but codazzi._IDENTITIES, which every per-sample score is keyed by
+    def listing(node):
+        elts = node.keys if isinstance(node, ast.Dict) else getattr(node, "elts", [])
+        names = {e.value for e in elts if isinstance(e, ast.Constant)}
+        return len(names & set(codazzi._IDENTITIES)) > 1
+
+    assert _where(listing) == [("codazzi", None)]

@@ -26,6 +26,7 @@ from orthonet.scalar_fields import (
     mul,
     parse_expr,
     powc,
+    sub,
     substitute,
     var,
 )
@@ -230,6 +231,24 @@ def test_shared_cache_survives_node_turnover():
         e = add(var(0), const(float(k)))
         assert evaluate(e, p, cache) == 0.5 + k
         del e
+
+
+def test_evaluate_walks_a_tree_deeper_than_the_recursion_limit():
+    # left-deep sums of 20,000 terms: the interpreter keeps its own stack,
+    # takes the nodes in the tape's post-order, and so fails first where the
+    # tape does, on the deepest node of the left operand, not on the right one
+    x, pts = var(0), np.array([[0.5]])
+    e, bad = x, log(sub(x, ONE))
+    for k in range(1, 20001):
+        e = add(e, mul(const(float(k)), x))
+        bad = add(bad, mul(const(float(k)), x))
+    bad = add(bad, div(ONE, sub(x, const(0.5))))
+    assert evaluate(e, (0.5,)) == compile_tape([e]).run(pts)[0, 0] == 0.5 + 0.5 * 200010000
+    with pytest.raises(EvalDomainError) as raised:
+        evaluate(bad, (0.5,))
+    with pytest.raises(EvalDomainError) as taped:
+        compile_tape([bad]).run(pts)
+    assert str(raised.value) == str(taped.value) == "log of a nonpositive value: log(x0 - 1)"
 
 
 def test_fd_oracle_domain_guard():
