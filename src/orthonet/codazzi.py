@@ -14,7 +14,8 @@ Every field is compiled into an evaluation tape and run once over all sample
 points; residuals are stacked numpy over the sample axis. The analysis
 jet-sweeps the samples twice: pass 1 the metric and the tensor, whose
 partials give the Codazzi residual and the Christoffel symbols; pass 2 the
-eigenvalue fields and the eigen-net's frame, whose jets give, with the
+eigenvalue fields and the eigen-net's frame (none for a diagonal Phi,
+whose eigen-net is a coordinate net), whose jets give, with the
 metric's, the eigen-net's mean curvature normals and their partials in the
 batch that also classifies the net (nets._Samples). Covariant Hessians and
 derivatives are contracted numerically. Errors and warnings are those of
@@ -113,6 +114,7 @@ from .scalar_fields import (
     ONE,
     ZERO,
     _first,
+    _is_zero,
     _keys,
     _pairs,
     _point,
@@ -389,8 +391,9 @@ class _Eigen:
 
     def pair(self, j: int, G: np.ndarray, P: np.ndarray) -> EigenPair:
         """The EigenPair of sample j; G and P are that sample's matrices."""
-        rank = int(self.rank_lambda()[j])
-        X, Y = (B[j] for B in self.bases(rank))
+        k = int(self.k[j])
+        low, high = self.V[j, :, :k].T, self.V[j, :, k:].T
+        X, Y = (low, high) if self.lam_low[j] else (high, low)
         lam, mu = float(self.lam[j]), float(self.mu[j])
         # rows P v - value v over both bases
         B = np.concatenate([X, Y])
@@ -444,16 +447,24 @@ class _EigenModel:
     anchored at the sample point anchor, a tuple of floats, where the
     pointwise decomposition is pair and the tensor's components are P0.
 
-    With two eigenvalues of constant ranks p and q the trace invariants
-    t1 = tr Phi and t2 = tr Phi^2 determine both eigenvalue fields in closed
-    form up to a global sign, which the anchor point fixes: one tape holds
-    both sign candidates and runs at the anchor. The eigen-net frame is
-    read off the spectral projectors (Phi - mu I)/(lambda - mu) and
-    (Phi - lambda I)/(mu - lambda), taking the columns that _pivots selects
-    from their values at the anchor, which numpy forms from P0 and the
-    chosen candidates; only those columns are built as expressions. Where a
-    projector value is not finite, the projector entries are run at the
-    anchor as expressions instead, which raises what evaluating them raises.
+    A Phi whose off-diagonal components are all the folded zero is read off
+    its diagonal: the lambda block is the rank_lambda coordinates whose
+    entries at the anchor lie nearest pair.lam, the mu block the rest, each
+    eigenvalue field is the mean of its block's entries (the entry itself
+    on a rank-one block), and the eigen-net is the coordinate net of the two
+    blocks, so no frame entry is swept. Its anchor values come from P0.
+
+    Any other Phi takes the closed form: with two eigenvalues of constant
+    ranks p and q the trace invariants t1 = tr Phi and t2 = tr Phi^2
+    determine both eigenvalue fields up to a global sign, which the anchor
+    point fixes: one tape holds both sign candidates and runs at the
+    anchor. The eigen-net frame is then read off the spectral projectors
+    (Phi - mu I)/(lambda - mu) and (Phi - lambda I)/(mu - lambda), taking
+    the columns that _pivots selects from their values at the anchor, which
+    numpy forms from P0 and the chosen candidates; only those columns are
+    built as expressions. Where a projector value is not finite, the
+    projector entries are run at the anchor as expressions instead, which
+    raises what evaluating them raises.
     """
 
     def __init__(self, g: MetricField, phi: SymTensorField, anchor: tuple, pair: EigenPair,
@@ -465,27 +476,42 @@ class _EigenModel:
         self.rank_lambda, self.rank_mu = pr, qr
 
         comp = phi.components
-        t1 = functools.reduce(add, (comp[i][i] for i in range(n)), ZERO)
-        t2 = functools.reduce(add, (mul(comp[i][j], comp[j][i])
-                                    for i in range(n) for j in range(n)), ZERO)
-        disc = mul(const(float(pr * qr)), sub(mul(const(float(n)), t2), mul(t1, t1)))
-        root = powc(disc, 0.5)
-        signs = []
-        for s in (1.0, -1.0):
-            lam_e = div(add(mul(const(float(pr)), t1), mul(const(s), root)),
-                        const(float(pr * n)))
-            mu_e = div(sub(mul(const(float(qr)), t1), mul(const(s), root)),
-                       const(float(qr * n)))
-            signs.append((lam_e, mu_e))
-        vals = compile_tape([e for pair_e in signs for e in pair_e]).run(at_anchor)[0]
-        errs = [abs(vals[2 * a] - pair.lam) + abs(vals[2 * a + 1] - pair.mu) for a in range(2)]
-        best = min(range(2), key=errs.__getitem__)
+        diagonal = all(_is_zero(comp[i][j]) for i in range(n) for j in range(n) if i != j)
+        if diagonal:
+            d = np.diag(P0)
+            # ties keep the coordinate order
+            order = sorted(range(n), key=lambda i: abs(d[i] - pair.lam))
+            blocks = (tuple(sorted(order[:pr])), tuple(sorted(order[pr:])))
+            candidates = [tuple(
+                div(functools.reduce(add, (comp[i][i] for i in b)), const(float(len(b))))
+                for b in blocks)]
+            vals = [float(np.mean(d[list(b)])) for b in blocks]
+        else:
+            t1 = functools.reduce(add, (comp[i][i] for i in range(n)), ZERO)
+            t2 = functools.reduce(add, (mul(comp[i][j], comp[j][i])
+                                        for i in range(n) for j in range(n)), ZERO)
+            disc = mul(const(float(pr * qr)), sub(mul(const(float(n)), t2), mul(t1, t1)))
+            root = powc(disc, 0.5)
+            candidates = []
+            for s in (1.0, -1.0):
+                lam_e = div(add(mul(const(float(pr)), t1), mul(const(s), root)),
+                            const(float(pr * n)))
+                mu_e = div(sub(mul(const(float(qr)), t1), mul(const(s), root)),
+                           const(float(qr * n)))
+                candidates.append((lam_e, mu_e))
+            vals = compile_tape([e for pair_e in candidates for e in pair_e]).run(at_anchor)[0]
+        errs = [abs(vals[2 * a] - pair.lam) + abs(vals[2 * a + 1] - pair.mu)
+                for a in range(len(candidates))]
+        best = min(range(len(candidates)), key=errs.__getitem__)
         if errs[best] > 1e-6 * (1.0 + abs(pair.lam) + abs(pair.mu)):
             raise InconsistencyError(
                 "closed-form eigenvalue fields disagree with the pointwise "
                 f"decomposition at {anchor}: error {errs[best]:.3e}"
             )
-        self.lam_expr, self.mu_expr = signs[best]
+        self.lam_expr, self.mu_expr = candidates[best]
+        if diagonal:
+            self.net = OrthogonalNet.coordinate(g.chart, blocks)
+            return
         lam0, mu0 = vals[2 * best], vals[2 * best + 1]
 
         gap_e = sub(self.lam_expr, self.mu_expr)
@@ -572,6 +598,7 @@ class _Scores:
         return CriteriaRecord(lam=float(self.lam[j]), mu=float(self.mu[j]), **values)
 
 
+@np.errstate(all="ignore")
 def _criteria(fields: _Fields, eig: _Eigen, model: _EigenModel, gap_min: float,
               h_expr: Expr | None = None) -> tuple[_Scores, _Samples]:
     """Score every identity at every sample. Returns the scores and the
@@ -579,7 +606,8 @@ def _criteria(fields: _Fields, eig: _Eigen, model: _EigenModel, gap_min: float,
 
     This is the second jet sweep of the samples; the first (_metric_tensor)
     gave the metric's jets, G^-1 and Gamma. One tape holds lambda,
-    mu and h(mu), then the eigen-net's frame entries (_frame_roots), and its
+    mu and h(mu), then the eigen-net's frame entries (_frame_roots; none
+    for the coordinate eigen-net of a diagonal Phi), and its
     jet sweep gives the first and second partials of lambda and mu and,
     with the metric's, the eigen-net's samples (_Samples): the mean
     curvature normals eta and zeta and their partials. The partials of
@@ -594,7 +622,11 @@ def _criteria(fields: _Fields, eig: _Eigen, model: _EigenModel, gap_min: float,
     jets). The fields fail in this order: the values of mu and h, the diff
     trees of lambda and mu, then the field stage of the eigen-net
     (_Samples.field_error); a frame entry that fails to evaluate is left to
-    that stage and to the eigen-net's checks."""
+    that stage and to the eigen-net's checks.
+    numpy's floating-point errors are ignored here, not warned of: a score
+    that overflows is inf or nan (1/(lambda - mu)^2 falls to 0 where the
+    gap's square overflows), and _worst raises on every score that is not
+    finite where it is reported or compared."""
     n = model.g.dim
     pts = fields.points
     m = len(pts)
@@ -676,10 +708,9 @@ def _criteria(fields: _Fields, eig: _Eigen, model: _EigenModel, gap_min: float,
         dalpha, d2alpha = 0.5 * (dlam + dmu), 0.5 * (d2lam_v + d2mu_v)
         # the quotient rule for beta, on the closed-form lambda and mu
         plus, minus = (mu_c + lam_c)[:, None], (mu_c - lam_c)[:, None]
-        with np.errstate(all="ignore"):
-            beta = np.where(cp_ok, (mu - lam) / (mu + lam), 0.0)[:, None, None]
-            dbeta = np.where(cp_ok[:, None],
-                             ((dmu - dlam) * plus - minus * (dmu + dlam)) / plus**2, 0.0)
+        beta = np.where(cp_ok, (mu - lam) / (mu + lam), 0.0)[:, None, None]
+        dbeta = np.where(cp_ok[:, None],
+                         ((dmu - dlam) * plus - minus * (dmu + dlam)) / plus**2, 0.0)
         Xa, Ya, Xb, Yb = on(dalpha, X), on(dalpha, Y), on(dbeta, X), on(dbeta, Y)
         cp = pair_max(_rel(
             2.0 * beta * Xa[col] * Ya[row],

@@ -10,7 +10,8 @@ tape by forward propagation (Tape.jet_sweep; a clean run builds no
 derivative tree), and hands back the metric's jets with G^-1 and the
 Christoffel symbols, whose partials are formed here (_dgamma), where they
 are read. codazzi._criteria passes the metric's jets of its own first pass
-with a sweep of the frame entries instead. From these second-order jets,
+with a sweep of the frame entries instead (of none, for the coordinate
+eigen-net of a diagonal tensor). From these second-order jets,
 one stacked numpy pass (_geometry) gives for every block and complement at
 once the projector onto the span, nabla_{X_a} X_b, the mean curvature
 normal H and its partials by the

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import settings
 
+from orthonet.codazzi import SymTensorField
 from orthonet.product_metrics import FactorSpec, ProductSpec
 from orthonet.scalar_fields import (
     Chart,
@@ -112,3 +113,14 @@ def random_positive_scale(rng: np.random.Generator, chart: Chart):
     b = round(float(rng.uniform(-0.4, 0.4)), 3)
     body = add(mul(const(a), var(i)), mul(const(b), mul(var(i), var(j))))
     return apply_unary("exp", body)
+
+
+def off_diagonal(phi: SymTensorField, entry=None) -> SymTensorField:
+    """phi with entry, by default x0 - x0, in every off-diagonal slot. x0 - x0
+    evaluates to 0 but is not the folded zero, so codazzi reads the
+    eigenstructure of the result by its closed form and the projector
+    frame, not off its diagonal."""
+    entry = sub(var(0), var(0)) if entry is None else entry
+    rows = [[e if i == j else entry for j, e in enumerate(row)]
+            for i, row in enumerate(phi.components)]
+    return SymTensorField(phi.chart, rows, phi.metric)

@@ -3,15 +3,18 @@ residuals, grid classification, and the canonical constructions."""
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_expr, random_point
+from conftest import off_diagonal, random_expr, random_point
+from test_golden import _compare
 from orthonet import chart_calculus, codazzi, fixtures, nets, scalar_fields
 from orthonet.chart_calculus import MetricField, hessian_lc, metric_at
+from orthonet.cli import load_manifest
 from orthonet.codazzi import (
     CodazziCandidate,
     SymTensorField,
@@ -560,11 +563,11 @@ def test_coalescence_precedes_later_field_domain_error():
 _MU = Chart.box([(-1e9, 1e9)], names=("mu",))
 
 
-def _model(g, phi, plan):
+def _model(g, phi, plan, gap_min=codazzi.GAP_MIN):
     """The eigen model that classify_codazzi anchors on the plan's samples,
     and the samples."""
     fields = codazzi._metric_tensor(g, phi, sample_points(g.chart, plan), 1e-8, codazzi=True)
-    return codazzi._eigen_model(g, phi, fields, codazzi.GAP_MIN)[1], fields.points
+    return codazzi._eigen_model(g, phi, fields, gap_min)[1], fields.points
 
 
 def test_h_failing_where_lambda_and_mu_evaluate_names_h():
@@ -604,14 +607,17 @@ def test_h_with_non_finite_jets_is_read_by_value(monkeypatch):
     assert trees == []
 
 
+_STEEP = f"1.1 + (x1 - {C}) + exp(1400*(x1 - 0.62))"
+
+
 def test_coalescence_precedes_a_later_lambda_domain_error():
     # the eigenvalues 1 + x0 and 1.1 + (x1 - C) + exp(1400 (x1 - 0.62))
     # coalesce at (0.1, C), sample 1, where the exponential is below the
     # rounding of 1.1; on the x1 = 0.9 column, from sample 3 on, tr Phi^2
     # overflows, so the closed-form eigenvalue fields fail there though Phi
-    # evaluates
-    b = f"1.1 + (x1 - {C}) + exp(1400*(x1 - 0.62))"
-    g, phi = _flat_diagonal(["1 + x0", b])
+    # evaluates (x0 - x0 off the diagonal keeps Phi on the closed form)
+    g, phi = _flat_diagonal(["1 + x0", _STEEP])
+    phi = off_diagonal(phi)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model, pts = _model(g, phi, GRID4)
@@ -619,7 +625,8 @@ def test_coalescence_precedes_a_later_lambda_domain_error():
         assert np.flatnonzero(lam.first_bad < lam.tape.size)[0] == 3
         _raises(g, phi, CoalescenceError, f"eigenvalues coalesce at (0.1, {C}): spread 0.000e+00")
         # without the coalescence, lambda fails at sample 3
-        g, phi = _flat_diagonal(["1.2 + x0", b])
+        g, phi = _flat_diagonal(["1.2 + x0", _STEEP])
+        phi = off_diagonal(phi)
         model, pts = _model(g, phi, GRID4)
         want = str(compile_tape([model.lam_expr]).sweep(pts).error(3))
         _raises(g, phi, EvalDomainError, want)
@@ -629,13 +636,44 @@ def test_coalescence_precedes_a_later_lambda_domain_error():
 def test_closed_form_gap_of_zero_at_the_anchor_raises_the_projector_error():
     # the eigenvalues 1 and 1 + 1e-9 split by more than gap_min = 1e-12, but
     # tr Phi^2 rounds so that the closed-form lambda and mu agree at the
-    # anchor: the spectral projector divides by zero there
+    # anchor: the spectral projector divides by zero there. 1e-300 off the
+    # diagonal keeps Phi on the closed form, and its square underflows, so
+    # tr Phi^2 still folds to a constant
     g, phi = _flat_diagonal(["1", "1 + 1e-9"])
+    phi = off_diagonal(phi, const(1e-300))
     want = "division by zero: (-5.000000413701855e-10)/0"
     _raises(g, phi, EvalDomainError, want, plan=SamplePlan(grid=3, random=0), gap_min=1e-12)
     with pytest.raises(EvalDomainError) as info:
         criteria_residuals(g, phi, (0.5, 0.5), gap_min=1e-12)
     assert str(info.value) == want
+
+
+def test_diagonal_tensor_is_read_off_its_diagonal(monkeypatch):
+    # the two tensors above as they are, diagonal: the anchor compiles no
+    # tape and the eigen-net is the coordinate net, and no RuntimeWarning
+    # escapes. The coalescence still comes first. Without it the scores are
+    # reached: on the x1 = 0.9 column mu is near 1e170, so the
+    # conformal-product terms alpha Y(alpha) X(beta) overflow, and that
+    # residual, not finite, raises. 1 and 1 + 1e-9 pass at gap_min = 1e-12
+    def refuse(roots):
+        raise AssertionError("a tape compiled at the anchor")
+
+    steep, close = _flat_diagonal(["1.2 + x0", _STEEP]), _flat_diagonal(["1", "1 + 1e-9"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with monkeypatch.context() as m:
+            m.setattr(codazzi, "compile_tape", refuse)
+            assert _model(*steep, GRID4)[0].net.is_coordinate
+            assert _model(*close, GRID4, gap_min=1e-12)[0].net.is_coordinate
+        _raises(*_flat_diagonal(["1 + x0", _STEEP]), CoalescenceError,
+                f"eigenvalues coalesce at (0.1, {C}): spread 0.000e+00")
+        _raises(*steep, InconsistencyError,
+                "conformal_product residual is nan at (0.1, 0.9); residuals must be finite")
+        rep = classify_codazzi(*close, plan=SamplePlan(grid=3, random=0), gap_min=1e-12)
+        record = criteria_residuals(*close, (0.5, 0.5), gap_min=1e-12)
+    assert all(f.status == "pass" for f in [*rep.flags.values(), *rep.net_report.flags.values()])
+    assert max(rep.residuals.values()) == 0.0
+    assert (record.lam, record.mu) == (1.0, 1.000000001)
 
 
 def test_eigenvalue_rank_change():
@@ -813,14 +851,22 @@ def test_classify_codazzi_builds_no_symbolic_christoffel_symbols(monkeypatch, ma
     assert classify_codazzi(g, phi, h=h, plan=PLAN).to_dict() == want
 
 
-@pytest.mark.parametrize("make, h", [(torus, const(1.0)), (_conformal_pair, None)],
-                         ids=["torus", "conformal_pair"])
-def test_classify_codazzi_sweeps_its_samples_twice(monkeypatch, make, h):
+@pytest.mark.parametrize(
+    "make, h, diagonal",
+    [(torus, const(1.0), False), (_conformal_pair, None, False),
+     (torus, const(1.0), True), (_conformal_pair, None, True)],
+    ids=["torus", "conformal_pair", "torus_diagonal", "conformal_pair_diagonal"],
+)
+def test_classify_codazzi_sweeps_its_samples_twice(monkeypatch, make, h, diagonal):
     # pass 1 jet-sweeps the metric and Phi, pass 2 lambda, mu, h(mu) and the
     # eigen-net's frame entries; the eigen-net reads the metric's jets from
     # pass 1, so the metric entries are compiled once, and the anchor model
-    # and the warping profile compile one tape each
+    # and the warping profile compile one tape each. With x0 - x0 off the
+    # diagonal the anchor model is the closed form; read off the diagonal
+    # it compiles none, and the eigen-net is the coordinate net
     g, phi = make()
+    if not diagonal:
+        phi = off_diagonal(phi)
     m = len(sample_points(g.chart, PLAN))
     upper = {id(g.entries[a][b]) for a in range(g.dim) for b in range(a, g.dim)}
     sweeps, metric_tapes, within, compiles = [], [], [], {}
@@ -859,8 +905,10 @@ def test_classify_codazzi_sweeps_its_samples_twice(monkeypatch, make, h):
     rep = classify_codazzi(g, phi, h=h, plan=PLAN)
     assert sweeps == [m, m]
     assert len(metric_tapes) == 1
-    assert compiles == ({"anchor": 1, "warping": 1} if h is not None else {"anchor": 1})
+    want = {} if diagonal else {"anchor": 1}
+    assert compiles == ({**want, "warping": 1} if h is not None else want)
     assert (rep.warping_samples is not None) == (h is not None)
+    assert _model(g, phi, PLAN)[0].net.is_coordinate == diagonal
 
 
 # --- independent oracles ----------------------------------------------------------
@@ -901,6 +949,37 @@ def test_numeric_hessian_matches_hessian_lc(name, seed, data):
     terms = np.abs(d2f[0]) + np.abs(np.einsum("kij,k->ij", gam[0], df[0]))
     scale = np.abs(X) @ terms @ np.abs(Y)
     assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-10 * scale)
+
+
+def _cone():
+    """The cone dt^2 + (1.4 t)^2 dtheta^2 with diag(0, 0.6/t), h = 0."""
+    chart = Chart.box([(0.5, 2.5), (0.0, 2.0)], names=("t", "theta"), blocks=((0,), (1,)))
+    g = MetricField.diagonal(chart, [ONE, parse_expr("(1.4*t)^2", chart)])
+    return g, SymTensorField.diagonal(chart, [ZERO, parse_expr("0.6/t", chart)], metric=g)
+
+
+def _conformal_pair3():
+    man = load_manifest(Path(__file__).resolve().parents[1] / "manifests" / "conformal_pair3.json")
+    return man.metric, man.tensors[0][1]
+
+
+@pytest.mark.parametrize(
+    "make, h",
+    [(torus, const(1.0)), (_cone, ZERO), (_conformal_pair, None), (_conformal_pair3, None)],
+    ids=["torus", "cone", "conformal_pair", "conformal_pair3"],
+)
+def test_diagonal_and_closed_form_reports_agree(make, h):
+    # a diagonal Phi, read off its diagonal, and the same Phi with x0 - x0
+    # off the diagonal, read by the closed form and the projector frame,
+    # give the same report to the golden slack; conformal_pair3 has a
+    # rank-two mu block
+    g, phi = make()
+    diagonal = classify_codazzi(g, phi, h=h, plan=PLAN).to_dict()
+    closed = classify_codazzi(g, off_diagonal(phi), h=h, plan=PLAN).to_dict()
+    _compare(closed, diagonal)
+    assert diagonal["rank_mu"] == (2 if make is _conformal_pair3 else 1)
+    assert diagonal["relation_case"] == (None if h is None else "warped_rank_one")
+    assert diagonal["warping_axis"] == (None if h is None else 0)
 
 
 @settings(max_examples=15)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_positive_scale
+from conftest import off_diagonal, random_positive_scale
 from orthonet import fixtures
 from orthonet.chart_calculus import MetricField, christoffel, lc_axiom_residuals, metric_at
 from orthonet import chart_calculus, codazzi, nets
@@ -835,12 +835,16 @@ def _skew_warped_three(sp, xs, pts):
     return frame, nets._net_samples(g, net, range(2), pts)
 
 
-def _eigen_net(make):
-    # both pairs are diagonal with lambda on the first axis, and the eigen-net
-    # frame, read off the spectral projectors, is the coordinate frame
+def _eigen_net(make, diagonal=False):
+    # both pairs are diagonal with lambda on the first axis. With x0 - x0
+    # off the diagonal the eigen-net frame, read off the spectral
+    # projectors, is the coordinate frame; read off the diagonal, the
+    # eigen-net is the coordinate net
     def build(sp, xs, pts):
         made = make()
         g, phi = (made.metric, made.tensor) if hasattr(made, "metric") else made
+        if not diagonal:
+            phi = off_diagonal(phi)
         fields = codazzi._metric_tensor(g, phi, pts, 1e-8, codazzi=True)
         eig, model = codazzi._eigen_model(g, phi, fields, codazzi.GAP_MIN)
         samples = codazzi._criteria(fields, eig, model, codazzi.GAP_MIN)[1]
@@ -850,23 +854,26 @@ def _eigen_net(make):
 
 
 @pytest.mark.parametrize(
-    "form, make",
+    "form, make, coordinate",
     [
-        ("torus", _eigen_net(fixtures.torus)),
-        ("conformal_product_pair", _eigen_net(fixtures.conformal_product_pair)),
-        ("polar", _rotated_polar),
-        ("warped_three", _skew_warped_three),
+        ("torus", _eigen_net(fixtures.torus), False),
+        ("conformal_product_pair", _eigen_net(fixtures.conformal_product_pair), False),
+        ("polar", _rotated_polar, False),
+        ("warped_three", _skew_warped_three, False),
+        ("torus", _eigen_net(fixtures.torus, diagonal=True), True),
+        ("conformal_product_pair", _eigen_net(fixtures.conformal_product_pair, diagonal=True), True),
     ],
-    ids=["torus_eigen", "conformal_pair_eigen", "rotated_polar", "skew_warped_three"],
+    ids=["torus_eigen", "conformal_pair_eigen", "rotated_polar", "skew_warped_three",
+         "torus_eigen_diagonal", "conformal_pair_eigen_diagonal"],
 )
-def test_jet_geometry_matches_symbolic_trees_on_moving_frames(form, make):
+def test_jet_geometry_matches_symbolic_trees_on_moving_frames(form, make, coordinate):
     sp = pytest.importorskip("sympy")
     from test_sympy_oracle import FORMS, _close, _exact, _gamma, _residuals, _span, _span_at
 
     _, xs, gm, points = FORMS[form]
     n = len(xs)
     frame, samples = make(sp, xs, np.array(points, dtype=float))
-    assert not samples.net.is_coordinate
+    assert samples.net.is_coordinate == coordinate
     gamma = _gamma(gm, xs)
     metric, frame_at = _exact(xs, list(gm)), _exact(xs, [c for row in frame for c in row])
     geo = samples.geo
