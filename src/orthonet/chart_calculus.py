@@ -15,8 +15,10 @@ propagation, with `Sweep.repair` as the one rule for a jet that is not
 finite. No derivative tree is built on a clean run. `_jets` also hands back
 G^-1 and the Christoffel symbols from one numpy kernel over the metric's
 jets (`_metric_jets`, `_levi_civita`), so every consumer reads them from
-there, and the metric's second partials (`nets._dgamma` forms d Gamma);
-contractions such as `_cov` are numpy over the sample axis too. The
+there, and the metric's second partials (`nets._dgamma` forms d Gamma
+where a net's frame is on the tape), and the eigenvalues of G that the
+positivity check took (`nets._Samples.check` reads them where the frame is
+G's coordinate frame); contractions such as `_cov` are numpy over the sample axis too. The
 single-point functions (`metric_at`, `christoffel`, `cov_deriv`, ...,
 `lc_axiom_residuals`) are that sweep at one point.
 
@@ -349,8 +351,7 @@ def _root_checks(sweep, after: dict) -> list:
 
 def _checked(g: MetricField, roots, pts, checks, jets: bool):
     """One tape of the upper triangle of the metric of g and the roots,
-    swept, or with jets jet-swept, over an (m, dim) array of points; returns
-    G, (m, n, n), and the sweep.
+    swept, or with jets jet-swept, over an (m, dim) array of points.
 
     Raises at the first sample that fails. Its values are checked first, in
     the order metric evaluation, positive definiteness, then each root's
@@ -361,7 +362,8 @@ def _checked(g: MetricField, roots, pts, checks, jets: bool):
     lists (r, failing, error), run in that order once root r has evaluated:
     failing(G, vals) masks the samples that fail, reading roots up to r only,
     and error(G[j], vals[j], _point(pts, j)) is the exception at such a
-    sample j."""
+    sample j. Returns G, (m, n, n), its eigenvalues, (m, n) in ascending
+    order, and the sweep."""
     n = g.dim
     nt = n * (n + 1) // 2
     pts = np.array(pts, dtype=float, ndmin=2)
@@ -386,13 +388,13 @@ def _checked(g: MetricField, roots, pts, checks, jets: bool):
     _warn_conditions(cond, ill, pts, hit[0] + 1 if hit else len(pts))
     if hit:
         raise pairs[hit[1]][1](hit[0])
-    return G, sweep
+    return G, ev, sweep
 
 
 def _stacked(g: MetricField, roots, pts, checks=()):
     """The values of the metric of g, G (m, n, n), and of the roots, (m,
     roots), over an (m, dim) array of points on one tape (_checked)."""
-    G, sweep = _checked(g, roots, pts, checks, jets=False)
+    G, _, sweep = _checked(g, roots, pts, checks, jets=False)
     return G, sweep.values[:, g.dim * (g.dim + 1) // 2 :]
 
 
@@ -400,12 +402,13 @@ def _jets(g: MetricField, roots, pts, checks=()):
     """_stacked on one jet sweep (_checked): the metric's jets as
     _metric_jets forms them, (G, dG, G^-1, Gamma, d2G), the jets of the
     roots, (m, 1 + n + n(n+1)/2, roots), rows as Tape.jet_sweep gives them:
-    values, d_p over p, then d_p d_q over p <= q, and the sweep."""
+    values, d_p over p, then d_p d_q over p <= q, the sweep, and the
+    eigenvalues of G, (m, n), that the positivity check took."""
     nt = g.dim * (g.dim + 1) // 2
-    _, sweep = _checked(g, roots, pts, checks, jets=True)
+    _, ev, sweep = _checked(g, roots, pts, checks, jets=True)
     with np.errstate(all="ignore"):  # values that are not finite are left to the consumer
         metric = _metric_jets(sweep.jets[:, :, :nt], g.dim)
-    return metric, sweep.jets[:, :, nt:], sweep
+    return metric, sweep.jets[:, :, nt:], sweep, ev
 
 
 def _at(g: MetricField, roots, p):
@@ -441,14 +444,14 @@ def cov_deriv(g: MetricField, X, Y, p) -> np.ndarray:
     """(nabla_X Y)(p). X and Y are component expression sequences; the
     partials of Y come from the same jet sweep as the metric's."""
     n = g.dim
-    metric, J, _ = _jets(g, [*X, *Y], [p])
+    metric, J, _, _ = _jets(g, [*X, *Y], [p])
     dY = J[:, 1 : n + 1, n:].swapaxes(1, 2)  # d_i Y^k at [k, i]
     return _cov(dY, metric[3], J[:, 0, n:], J[:, None, 0, :n])[0, 0]
 
 
 def grad_field(g: MetricField, f: Expr, p) -> np.ndarray:
     """(grad f)(p) = g^-1 df."""
-    metric, J, _ = _jets(g, [f], [p])
+    metric, J, _, _ = _jets(g, [f], [p])
     return metric[2][0] @ J[0, 1 : g.dim + 1, 0]
 
 
@@ -457,7 +460,7 @@ def hessian_lc(g: MetricField, f: Expr, X, Y, p) -> float:
     coordinates the partials of Y cancel, leaving
     X^i Y^j (d_i d_j f - Gamma^k_ij d_k f), read off the jets of f."""
     n = g.dim
-    metric, J, _ = _jets(g, [f, *X, *Y], [p])
+    metric, J, _, _ = _jets(g, [f, *X, *Y], [p])
     df, d2f = J[:, 1 : n + 1, 0], _symmetric(J[:, n + 1 :, 0], n)
     X, Y = J[:, None, 0, 1 : n + 1], J[:, None, 0, n + 1 :]
     return float(_hess(d2f, metric[3], df, X, Y)[0, 0, 0])
@@ -490,7 +493,7 @@ def _lc_axioms(g: MetricField, pts):
     basis = [tuple(ONE if a == i else ZERO for a in range(n)) for i in range(n)]
     linear = [tuple(var((a + s) % n) for a in range(n)) for s in (1, 2)]
     fields = basis + linear
-    (G, dG, _, gam, _), J, _ = _jets(g, [c for V in fields for c in V], pts)
+    (G, dG, _, gam, _), J, _, _ = _jets(g, [c for V in fields for c in V], pts)
     m = len(G)
     iu, ju = _pairs(n, 0)
     # per field its values V^k and its partials d_i V^k at [k, i]

@@ -15,7 +15,8 @@ points; residuals are stacked numpy over the sample axis. The analysis
 jet-sweeps the samples twice: pass 1 the metric and the tensor, whose
 partials give the Codazzi residual and the Christoffel symbols; pass 2 the
 eigenvalue fields and the eigen-net's frame (none for a diagonal Phi,
-whose eigen-net is a coordinate net), whose jets give, with the
+whose eigen-net is a coordinate net, on a metric that is block diagonal
+over its two blocks), whose jets give, with the
 metric's, the eigen-net's mean curvature normals and their partials in the
 batch that also classifies the net (nets._Samples). Covariant Hessians and
 derivatives are contracted numerically. Errors and warnings are those of
@@ -206,13 +207,15 @@ class _Fields:
     """Metric, tensor and Codazzi residual over the samples; the residual is
     zero where no pair vectors were evaluated. metric holds, after a jet
     sweep, the metric's jets as _metric_jets gives them, (G, dG, G^-1,
-    Gamma, d2G), and is None otherwise."""
+    Gamma, d2G), and ev the eigenvalues of G its positivity check took;
+    both are None otherwise."""
 
     points: np.ndarray  # (m, n)
     G: np.ndarray  # (m, n, n)
     P: np.ndarray  # (m, n, n)
     codazzi: np.ndarray  # (m,)
     metric: tuple | None = None
+    ev: np.ndarray | None = None  # (m, n)
 
 
 def _metric_tensor(g: MetricField, phi: SymTensorField, pts, tol: float,
@@ -240,9 +243,9 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, tol: float,
         lambda G, v, at: ConstraintError(
             f"tensor is not self-adjoint at {at}: defect {_defect(G, v):.3e}"),
     )
-    metric = None
+    metric = ev = None
     if codazzi:
-        metric, J, sweep = _jets(g, roots, pts, [adjoint])
+        metric, J, sweep, ev = _jets(g, roots, pts, [adjoint])
         G, pts, vals = metric[0], sweep.points, J[:, 0]
     else:
         G, vals = _stacked(g, roots, pts, [adjoint])
@@ -257,7 +260,7 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, tol: float,
         ia, ib = _pairs(n, 1)
         scale = _pair_scale(G)[:, ia, ib]
         codazzi_res = (_gnorm(N[:, ia, ib] - N[:, ib, ia], G) / scale).max(axis=1)
-    return _Fields(pts, G, P, codazzi_res, metric)
+    return _Fields(pts, G, P, codazzi_res, metric, ev)
 
 
 def _defect(G, vals):
@@ -452,7 +455,8 @@ class _EigenModel:
     entries at the anchor lie nearest pair.lam, the mu block the rest, each
     eigenvalue field is the mean of its block's entries (the entry itself
     on a rank-one block), and the eigen-net is the coordinate net of the two
-    blocks, so no frame entry is swept. Its anchor values come from P0.
+    blocks, so no frame entry is swept where the metric is block diagonal
+    over them (nets._frame_roots). Its anchor values come from P0.
 
     Any other Phi takes the closed form: with two eigenvalues of constant
     ranks p and q the trace invariants t1 = tr Phi and t2 = tr Phi^2
@@ -605,9 +609,10 @@ def _criteria(fields: _Fields, eig: _Eigen, model: _EigenModel, gap_min: float,
     eigen-net's samples, whose checks have not run.
 
     This is the second jet sweep of the samples; the first (_metric_tensor)
-    gave the metric's jets, G^-1 and Gamma. One tape holds lambda,
-    mu and h(mu), then the eigen-net's frame entries (_frame_roots; none
-    for the coordinate eigen-net of a diagonal Phi), and its
+    gave the metric's jets, G^-1, Gamma and the eigenvalues of G. One tape
+    holds lambda, mu and h(mu), then the eigen-net's frame entries
+    (_frame_roots; none for the coordinate eigen-net of a diagonal Phi on a
+    metric that is block diagonal over its two blocks), and its
     jet sweep gives the first and second partials of lambda and mu and,
     with the metric's, the eigen-net's samples (_Samples): the mean
     curvature normals eta and zeta and their partials. The partials of
@@ -634,10 +639,11 @@ def _criteria(fields: _Fields, eig: _Eigen, model: _EigenModel, gap_min: float,
 
     hs = [h_expr] if h_expr is not None else []
     k = 2 + len(hs)  # the roots before the frame's
-    tape = compile_tape([model.lam_expr, model.mu_expr, *hs, *_frame_roots(model.net)])
+    roots = _frame_roots(model.g, model.net)
+    tape = compile_tape([model.lam_expr, model.mu_expr, *hs, *roots])
     sweep = tape.jet_sweep(pts)
     errors = sweep.repair(2)
-    samples = _Samples(model.net, range(2), fields.metric, sweep)
+    samples = _Samples(model.net, range(2), fields.metric, fields.ev, sweep, bool(roots))
     fb = sweep.first_bad
     # d_i lambda, d_i mu, d_i d_l lambda and d_i d_l mu from the jets
     dlam, dmu = sweep.jets[:, 1 : n + 1, 0], sweep.jets[:, 1 : n + 1, 1]

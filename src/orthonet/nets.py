@@ -4,23 +4,30 @@ A net splits a frame of vector fields into mutually orthogonal blocks; each
 block spans a distribution E_i with complement E_i^perp spanned by the other
 blocks. The module reads the metric through the checked jet sweep every
 consumer uses (chart_calculus._jets): one tape of the metric entries, and
-of the frame entries unless it is the coordinate frame, swept once over every
-sample point, which carries their first and second partials through the
-tape by forward propagation (Tape.jet_sweep; a clean run builds no
-derivative tree), and hands back the metric's jets with G^-1 and the
-Christoffel symbols, whose partials are formed here (_dgamma), where they
-are read. codazzi._criteria passes the metric's jets of its own first pass
-with a sweep of the frame entries instead (of none, for the coordinate
-eigen-net of a diagonal tensor). From these second-order jets,
-one stacked numpy pass (_geometry) gives for every block and complement at
-once the projector onto the span, nabla_{X_a} X_b, the mean curvature
-normal H and its partials by the
-product rule, so nabla_X H = (dH) X + Gamma(X, H) needs no derivative tree
-of H (O'Neill, Semi-Riemannian Geometry, 1983, ch. 4 and 7). Its cost does
-not grow with a loop over the spans: the frame's terms are formed once per
-net, the inverse Gram matrices and projectors once per span rank, and the
-rest once over all spans stacked. numpy then reduces the stacked values to
-residuals, each the largest over the pairs of frame fields of a span:
+of the frame entries unless the net is a coordinate net whose metric has
+the folded zero in every entry between two of its blocks (_frame_roots),
+swept once over every sample point, which carries their first and second
+partials through the tape by forward propagation (Tape.jet_sweep; a clean
+run builds no derivative tree), and hands back the metric's jets with G^-1,
+the Christoffel symbols and the eigenvalues of G. codazzi._criteria passes
+the metric's jets of its own first pass with a sweep of the frame entries
+instead (of none, for the coordinate eigen-net of a diagonal tensor on such
+a metric). From these second-order jets, one stacked numpy pass
+(_geometry) gives for every block and complement at once nabla_{X_a} X_b,
+the mean curvature normal H and its partials, so nabla_X H = (dH) X +
+Gamma(X, H) needs no derivative tree of H (O'Neill, Semi-Riemannian
+Geometry, 1983, ch. 4 and 7). A coordinate net on a block-diagonal metric
+takes them in closed form, H = -grad^perp log det G_ss / (2 r) over a span
+s of rank r and its partials from those of log det G_ss (_block_diagonal;
+Ponge and Reckziegel, 1993, where H = -grad^perp log rho), with no
+projector and no partial of Gamma. Any other frame takes the frame
+algebra (_frame_algebra): the projector onto each span, H by the product
+rule and the partials of Gamma (_dgamma), formed here, where they are read.
+Neither cost grows with a loop over the spans: the frame's terms are formed
+once per net, the inverse Gram matrices and projectors once per span rank,
+and the rest once over all spans stacked. numpy then reduces the stacked
+values to residuals, each the largest over the pairs of frame fields of a
+span:
 
     umbilicity     ||(nabla_X Y)^perp - <X, Y> H||      over block pairs
     sphericity     |<nabla_X H, Z>|                     block X, complement Z
@@ -80,7 +87,9 @@ from .errors import (
     NotApplicableError,
 )
 from .sampling import SamplePlan, sample_points
-from .scalar_fields import Chart, Const, ONE, ZERO, _first, _keys, _pairs, _point, _raise_first
+from .scalar_fields import (
+    Chart, Const, ONE, ZERO, _first, _is_zero, _keys, _pairs, _point, _raise_first,
+)
 
 __all__ = [
     "OrthogonalNet",
@@ -183,11 +192,17 @@ def _masked_max(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return kept.max(axis=1, initial=0.0)
 
 
-def _frame_roots(net: OrthogonalNet) -> list:
-    """The frame entries, row by row, that a jet tape holds: none for the
-    coordinate frame, whose geometry _geometry forms without them; every
-    entry of any other frame, constant or not."""
-    return [] if net.is_coordinate else [e for f in net.frame for e in f]
+def _frame_roots(g: MetricField, net: OrthogonalNet) -> list:
+    """The frame entries, row by row, that a jet tape holds: none for a
+    coordinate net on a metric whose entries between any two of its blocks
+    are all the folded zero (scalar_fields._is_zero), whose geometry
+    _geometry forms in closed form; every entry of any other frame, constant
+    or not, and of the coordinate frame on any other metric."""
+    if net.is_coordinate and all(
+            _is_zero(g.entries[a][c])
+            for b, d in itertools.combinations(net.blocks, 2) for a in b for c in d):
+        return []
+    return [e for f in net.frame for e in f]
 
 
 @dataclass(frozen=True)
@@ -200,6 +215,8 @@ class _SpanIndex:
     # per rank r > 0: the spans of that rank (spans,) and their fields in
     # span order (spans, r)
     groups: tuple
+    sigma: np.ndarray  # (n n, s) 1.0 at [j n + i, s] where X_i is in span s, else 0.0
+    kappa: np.ndarray  # (n, s) 1.0 where X_k is outside span s, else 0.0
     pairs: np.ndarray  # (p,) the frame pairs (a, b) whose defect some span reads, as a n + b
     defect: np.ndarray  # (s, p) whether the pair's defect counts in span s
     bracket: np.ndarray  # (s, p) whether its bracket does
@@ -222,9 +239,11 @@ def _span_index(spans: tuple, n: int) -> _SpanIndex:
     both = (pa >= 0) & (pb >= 0)
     defect = (both & (pa <= pb) & (rank > 1)[:, None, None]).reshape(-1, n * n)
     pairs = np.flatnonzero(defect.any(axis=0))
-    index = _SpanIndex(rank, pos >= 0, groups, pairs, defect[:, pairs],
-                       (both & (pa < pb)).reshape(-1, n * n)[:, pairs])
-    for a in (rank, index.member, pairs, index.defect, index.bracket,
+    member = pos >= 0
+    kappa = (~member.T).astype(float)
+    index = _SpanIndex(rank, member, groups, np.tile(member.T, (n, 1)).astype(float), kappa,
+                       pairs, defect[:, pairs], (both & (pa < pb)).reshape(-1, n * n)[:, pairs])
+    for a in (rank, member, index.sigma, kappa, pairs, index.defect, index.bracket,
               *(a for g in groups for a in g)):
         a.flags.writeable = False
     return index
@@ -297,87 +316,168 @@ def _geometry(metric: tuple, frame_jets, spans) -> _Geometry:
     """The geometry of the spans, tuples of frame indices, from the metric's
     jets as _metric_jets gives them, (G, dG, G^-1, Gamma, d2G), and the
     jets of the frame entries, (m, 1 + n + n(n+1)/2, n^2) as Tape.jet_sweep
-    gives them, or None for the coordinate frame. Per span of rank r > 0
+    gives them, or None for the coordinate frame of a metric that is block
+    diagonal over the net's blocks (_frame_roots). Per span of rank r > 0
 
-        H          (I - R g) K / r
-        defects    C_ab^perp - M_ab H, a <= b, when r > 1
+        H          the mean curvature normal
+        dH         d_i H^k at [k, i]
+        defects    (nabla_{X_a} X_b)^perp - <X_a, X_b> H, a <= b, when r > 1
         nabla H    (dH) X_a + Gamma(X_a, H)
         brackets   [X_a, X_b]^perp, a < b
-        dH         d_i H^k at [k, i]
+
+    H, dH and the normal parts of nabla_{X_a} X_b come in closed form for
+    the block-diagonal coordinate net (_block_diagonal), which has no
+    brackets (None), and from the frame algebra for a frame on the tape
+    (_frame_algebra). A span of rank 0 has H = 0 and residuals 0.
+
+    No step loops over the spans. The frame's Gram matrix and pair scale
+    (_pair_scale) are formed once per net; nabla H, the defects, the
+    brackets and <nabla_{X_a} H, X_c> are each one product over all spans
+    and pairs, and a residual is the largest value over the pairs of each
+    span (index masks)."""
+    G = metric[0]
+    m, n = G.shape[:2]
+    index = _span_index(tuple(spans), n)
+    rank, S = index.rank, len(index.rank)
+    pa, pb = np.divmod(index.pairs, n)
+    gamma = metric[3].reshape(m, n, n * n)  # Gamma over rows k, columns ij
+    # H, dH, and the normal parts of nabla_{X_a} X_b (and the brackets) over
+    # rows k, spans and columns (a, b) in index.pairs
+    taped = frame_jets is not None
+    if taped:
+        F, Gt, M, H, dH, normal, brackets = _frame_algebra(metric, frame_jets, index)
+    else:
+        F = np.broadcast_to(np.eye(n), (m, n, n))
+        Gt = M = G
+        H, dH, normal = _block_diagonal(metric, index)
+        brackets = None
+    scale = _pair_scale(M)
+    H[:, rank == 0] = dH[:, rank == 0] = 0.0
+
+    # nabla_{X_a} H = (dH + Gamma(e_i, H)) X_a over rows (k, s), columns a,
+    # and its inner products with the frame
+    gamH = (gamma.reshape(m, n * n, n) @ H.swapaxes(1, 2)).reshape(m, n, n, S)  # Gamma(e_i, H)^k
+    covH = dH.transpose(0, 2, 1, 3) + gamH.swapaxes(2, 3)
+    if taped:
+        covH = _mul(covH, F.swapaxes(1, 2))
+    cross = (Gt.swapaxes(1, 2) @ covH.reshape(m, n, S * n)).reshape(m, n, S, n)
+    cross = (cross / scale[:, :, None]).transpose(2, 1, 3, 0).copy()
+
+    defects = normal - H.swapaxes(1, 2)[..., None] * M[:, None, None, pa, pb]
+    pair_scale = scale[:, None, pa, pb]
+    res = np.zeros((4, S, m))  # umbilicity, sphericity, geodesy, integrability
+    res[0] = _masked_max((_colnorm(defects, G) / pair_scale).transpose(1, 2, 0), index.defect)
+    member = index.member
+    res[1] = _masked_max(np.abs(cross), member[:, None, :] & ~member[:, :, None])
+    res[2] = res[0] + _colnorm(H.swapaxes(1, 2), G).T
+    if taped:
+        res[3] = _masked_max((_colnorm(brackets, G) / pair_scale).transpose(1, 2, 0), index.bracket)
+    return _Geometry(G, gamma.reshape(m, n, n, n), F, M, scale, tuple(spans), index,
+                     H, dH, covH, cross, defects, brackets, res)
+
+
+def _block_diagonal(metric: tuple, index: _SpanIndex) -> tuple:
+    """H, (m, s, n), dH, (m, s, n, n), and the normal parts of nabla_{e_a}
+    e_b over rows k, spans and columns (a, b) in index.pairs, (m, n, s, p),
+    for the coordinate frame of a metric that is block diagonal over the
+    net's blocks, so over each span and its complement. The normal space of
+    a span s is then spanned by the coordinates outside it, G^-1 is block
+    diagonal too, and Gamma^k_ab = -g^kl d_l g_ab / 2 for a, b in s and k
+    outside it, so that H = -grad^perp log det G_ss / (2 r) (O'Neill,
+    Semi-Riemannian Geometry, 1983, ch. 7; Ponge and Reckziegel, Geom.
+    Dedicata 48, 1993, where H = -grad^perp log rho). With sigma and kappa
+    the coordinate masks of the span and of its complement and A_p = G^-1
+    d_p G:
+
+        d_l log det G_ss       = sum_{i in s} (A_l)_ii
+        H                      = -kappa G^-1 grad log det G_ss / (2 r)
+        d_p d_l log det G_ss   = sum_{i in s} ((G^-1 d_p d_l G)_ii - (A_p A_l)_ii)
+        d_p H                  = kappa G^-1 (-d_p grad log det G_ss / (2 r) - (d_p G) H)
+        (nabla_{e_a} e_b)^perp = kappa Gamma(e_a, e_b)
+
+    Each sum over i in s is one product over all spans with index.sigma, and
+    no projector, inverse of a block, d R or d Gamma is formed. Where the
+    jets are finite, every value outside kappa is exactly 0."""
+    G, dG, Ginv, gamma, d2G = metric
+    m, n = G.shape[:2]
+    nn, S = n * n, len(index.rank)
+    # X_ji (G^-1)_ij over columns (j, i), times index.sigma, is sum_{i in s} (G^-1 X)_ii
+    GinvT = Ginv.swapaxes(1, 2).reshape(m, 1, nn)
+    # (A_p)_ij at [p, i, j], and (A_l)_ij (A_p)_ji at [l, p, (j, i)]
+    A = (Ginv @ dG.swapaxes(1, 2).reshape(m, n, nn)).reshape(m, n, n, n).swapaxes(1, 2)
+    AA = A.swapaxes(2, 3).reshape(m, n, 1, nn) * A.reshape(m, 1, n, nn)
+    # d_l log det G_ss at [l, s] and d_l d_p log det G_ss at [(l, p), s]
+    grad = ((dG.reshape(m, n, nn) * GinvT).reshape(m * n, nn) @ index.sigma).reshape(m, n, S)
+    hess = (d2G.reshape(m, nn, nn) * GinvT - AA.reshape(m, nn, nn)).reshape(m * nn, nn) @ index.sigma
+
+    half, kappa = -0.5 / np.maximum(index.rank, 1), index.kappa  # -1 / (2 r)
+    H = ((Ginv @ (grad * half)) * kappa).swapaxes(1, 2)
+    dGH = dG.transpose(0, 2, 1, 3).reshape(m, nn, n) @ H.swapaxes(1, 2)  # ((d_p G) H)_l at [(l, p), s]
+    dH = Ginv @ (hess.reshape(m, nn, S) * half - dGH).reshape(m, n, n * S)  # d_p H^k at [k, (p, s)]
+    dH = (dH.reshape(m, n, n, S) * kappa[:, None]).transpose(0, 3, 1, 2)
+    return H, dH, gamma.reshape(m, n, 1, nn)[..., index.pairs] * kappa[:, :, None]
+
+
+def _frame_algebra(metric: tuple, frame_jets, index: _SpanIndex) -> tuple:
+    """The frame F (X_a as row a), g X over rows i, columns c, the frame's
+    Gram matrix M, H, dH, and the normal parts of C_ab = nabla_{X_a} X_b and
+    of the brackets over rows k, spans and columns (a, b) in index.pairs,
+    (m, n, s, p), for a frame on the tape, read off its jets. Per span of
+    rank r > 0
+
+        H          (I - R g) K / r
+        brackets   [X_a, X_b]^perp
 
     where X holds the span's fields as rows, M = X g X^T is their Gram
     matrix, R = X^T M^-1 X (so R g projects onto the span and I - R g onto
-    its normal space), C_ab = nabla_{X_a} X_b and K = sum_ab (M^-1)_ab C_ab
-    = Gamma : R + sum_b (M^-1 X)_b^i d_i X_b. The partials follow by the
-    product rule, with d(M^-1) = -M^-1 (dM) M^-1:
+    its normal space), C_ab = Gamma(X_a, X_b) + X_a(X_b) and K = sum_ab
+    (M^-1)_ab C_ab = Gamma : R + sum_b (M^-1 X)_b^i d_i X_b. The partials
+    follow by the product rule, with d(M^-1) = -M^-1 (dM) M^-1 and d Gamma
+    from _dgamma:
 
         d_p R = -R (d_p g) R + N_p + N_p^T,   N_p = (I - R g)(d_p X)^T M^-1 X
         d_p H = ((I - R g) d_p K - (d_p R) g K - R (d_p g) K) / r
 
-    A span of rank 0 has H = 0 and residuals 0.
-
-    The coordinate frame takes none of the frame algebra: C_ab is Gamma at
-    (a, b), M = g, R is the inverse of each span's block of g scattered into
-    place, nabla_{X_a} H is column a of (dH) + Gamma(., H), every term with
-    a frame partial vanishes, and so do the brackets (None). Any other frame
-    is read off its jets.
-
-    No step loops over the spans; the work falls in three groups. Once per
-    net: the frame's Gram matrix and pair scale (_pair_scale), C_ab =
-    Gamma(X_a, X_b) + X_a(X_b) over the frame pairs that some span reads
-    (index.pairs). Once per span rank, over the spans of that rank
-    together: M^-1 (_inv) and R, and for a frame on the tape M^-1 X and the
+    The frame's terms are formed once: its Gram matrix, and C_ab over the
+    frame pairs that some span reads (index.pairs). Once per span rank,
+    over the spans of that rank together: M^-1 (_inv), R, M^-1 X and the
     terms with a frame partial of K, d R and d(M^-1 X). Once over all spans
-    stacked: K, d K, d R, I - R g, H, dH and nabla H. The defects, the
-    brackets and <nabla_{X_a} H, X_c> are each one product over all spans
-    and pairs, folded as (m, n s, n) @ (m, n, p), and a residual is the
-    largest value over the pairs of each span (index masks)."""
+    stacked: K, d K, d R, I - R g, H and dH."""
     G, dG, Ginv, gamma, d2G = metric
     m, n = G.shape[:2]
-    index = _span_index(tuple(spans), n)
     rank, pairs = index.rank, index.pairs
     S, P = len(rank), len(pairs)
     pa, pb = np.divmod(pairs, n)
-    coordinate = frame_jets is None
 
     # Gamma over rows k, columns ij, and d Gamma over rows (p, k), columns ij
     gamma = gamma.reshape(m, n, n * n)
     dgamma = _dgamma(Ginv, gamma, dG, d2G).reshape(m, n * n, n * n)
     gammaT = np.ascontiguousarray(gamma.swapaxes(1, 2))  # rows ij, columns k
 
-    # the frame's terms: X^T, its Gram matrix and pair scale, and C_ab over rows
-    # k, columns (a, b) in index.pairs, from X_a^i X_b^j over rows ij
-    if coordinate:
-        F = np.broadcast_to(np.eye(n), (m, n, n))
-        C = gamma[:, :, pairs]
-        Gt = M = G
-    else:
-        iu, ju = _pairs(n, 0)
-        F = frame_jets[:, 0].reshape(m, n, n)
-        dF = frame_jets[:, 1 : n + 1].reshape(m, n, n, n)  # d_p X_a^k
-        d2F = np.empty((m, n, n, n * n))
-        d2F[:, iu, ju] = d2F[:, ju, iu] = frame_jets[:, n + 1 :]
-        d2F = d2F.reshape(m, n, n, n, n)  # d_p d_q X_a^k
-        Ft = F.swapaxes(1, 2)
-        A = (F @ dF.reshape(m, n, n * n)).reshape(m, n, n, n)  # X_a(X_b)^k at [a, b, k]
-        C = gamma @ (Ft[:, :, None, pa] * Ft[:, None, :, pb]).reshape(m, n * n, P)
-        C += A[:, pa, pb].swapaxes(1, 2)
-        Gt = G @ Ft  # g X_c over rows i, columns c
-        M = Gt.swapaxes(1, 2) @ Ft
-    scale = _pair_scale(M)
+    # the frame's terms: X^T, its Gram matrix, and C_ab over rows k, columns
+    # (a, b) in index.pairs, from X_a^i X_b^j over rows ij
+    iu, ju = _pairs(n, 0)
+    F = frame_jets[:, 0].reshape(m, n, n)
+    dF = frame_jets[:, 1 : n + 1].reshape(m, n, n, n)  # d_p X_a^k
+    d2F = np.empty((m, n, n, n * n))
+    d2F[:, iu, ju] = d2F[:, ju, iu] = frame_jets[:, n + 1 :]
+    d2F = d2F.reshape(m, n, n, n, n)  # d_p d_q X_a^k
+    Ft = F.swapaxes(1, 2)
+    A = (F @ dF.reshape(m, n, n * n)).reshape(m, n, n, n)  # X_a(X_b)^k at [a, b, k]
+    C = gamma @ (Ft[:, :, None, pa] * Ft[:, None, :, pb]).reshape(m, n * n, P)
+    C += A[:, pa, pb].swapaxes(1, 2)
+    Gt = G @ Ft  # g X_c over rows i, columns c
+    M = Gt.swapaxes(1, 2) @ Ft
 
-    # per rank, over its spans: M^-1, and R, with M^-1 X for a frame on the tape
+    # per rank, over its spans: M^-1, R and M^-1 X
     R = np.zeros((m, S, n, n))
     terms = []
     for ts, idx in index.groups:
         Minv = _inv(M[:, idx[:, :, None], idx[:, None, :]])
-        if coordinate:
-            R[:, ts[:, None, None], idx[:, :, None], idx[:, None, :]] = Minv
-        else:
-            X = F[:, idx]  # (m, spans, r, n)
-            Y = Minv @ X
-            R[:, ts] = Y.swapaxes(-1, -2) @ X
-            terms.append((ts, idx, X, Minv, Y))
+        X = F[:, idx]  # (m, spans, r, n)
+        Y = Minv @ X
+        R[:, ts] = Y.swapaxes(-1, -2) @ X
+        terms.append((ts, idx, X, Minv, Y))
     Rcols = R.reshape(m, S, n * n).swapaxes(1, 2)
 
     # K = Gamma : R and d_p K = (d_p Gamma) : R + Gamma : d_p R, with
@@ -418,45 +518,25 @@ def _geometry(metric: tuple, frame_jets, spans) -> _Geometry:
     dH = dK - (_mul(dK, G) + dGK) @ R - (dR.reshape(m, S, n * n, n) @ GK[..., None]).reshape(m, S, n, n)
     del dR
     dH = (dH / div[..., None]).swapaxes(2, 3)
-    H[:, rank == 0] = dH[:, rank == 0] = 0.0
 
-    # nabla_{X_a} H = (dH + Gamma(e_i, H)) X_a over rows (k, s), columns a,
-    # and its inner products with the frame
-    gamH = (gamma.reshape(m, n * n, n) @ H.swapaxes(1, 2)).reshape(m, n, n, S)  # Gamma(e_i, H)^k
-    covH = dH.transpose(0, 2, 1, 3) + gamH.swapaxes(2, 3)
-    if not coordinate:
-        covH = _mul(covH, Ft)
-    cross = (Gt.swapaxes(1, 2) @ covH.reshape(m, n, S * n)).reshape(m, n, S, n)
-    cross = (cross / scale[:, :, None]).transpose(2, 1, 3, 0).copy()
-
-    # C_ab^perp - M_ab H and [X_a, X_b]^perp over rows (k, s), columns ab
+    # C_ab^perp and [X_a, X_b]^perp over rows (k, s), columns ab
     Pk = Pis.transpose(0, 2, 1, 3).reshape(m, n * S, n)
-    defects = (Pk @ C).reshape(m, n, S, P)
-    defects -= H.swapaxes(1, 2)[..., None] * M[:, None, None, pa, pb]
-    pair_scale = scale[:, None, pa, pb]
-    res = np.zeros((4, S, m))  # umbilicity, sphericity, geodesy, integrability
-    res[0] = _masked_max((_colnorm(defects, G) / pair_scale).transpose(1, 2, 0), index.defect)
-    member = index.member
-    res[1] = _masked_max(np.abs(cross), member[:, None, :] & ~member[:, :, None])
-    res[2] = res[0] + _colnorm(H.swapaxes(1, 2), G).T
-    brackets = None
-    if not coordinate:
-        brackets = (Pk @ (A[:, pa, pb] - A[:, pb, pa]).swapaxes(1, 2)).reshape(m, n, S, P)
-        res[3] = _masked_max((_colnorm(brackets, G) / pair_scale).transpose(1, 2, 0), index.bracket)
-    return _Geometry(G, gamma.reshape(m, n, n, n), F, M, scale, tuple(spans), index,
-                     H, dH, covH, cross, defects, brackets, res)
+    normal = (Pk @ C).reshape(m, n, S, P)
+    brackets = (Pk @ (A[:, pa, pb] - A[:, pb, pa]).swapaxes(1, 2)).reshape(m, n, S, P)
+    return F, Gt, M, H, dH, normal, brackets
 
 
 class _Samples:
     """A net's metric, frame and span residuals over a batch of sample points.
 
-    metric holds the metric's jets as _metric_jets forms them, and sweep is
-    a jet sweep whose last roots are the frame's entries (_frame_roots):
+    metric holds the metric's jets as _metric_jets forms them and ev the
+    eigenvalues of G over the same samples, and sweep is a jet sweep whose
+    last roots are the frame's entries (_frame_roots) where taped holds:
     that of _net_samples, which also holds the metric's upper triangle and
     has run its checks, or the pass-2 sweep of codazzi._criteria. Only the
-    frame's jets are mended here (Sweep.repair). The coordinate frame stays
-    off the tape: F is the identity broadcast over the samples and its Gram
-    matrix is G.
+    frame's jets are mended here (Sweep.repair). A frame off the tape is the
+    coordinate frame of a block-diagonal metric: F is the identity
+    broadcast over the samples and its Gram matrix is G.
     One stacked pass (_geometry) computes the geometry and the residuals of
     every distinct span of the requested blocks and their complements
     together; sides[i] holds the positions of block i's span and of its
@@ -464,18 +544,18 @@ class _Samples:
     derived value of every span are finite. The net's checks run later,
     when the caller calls check."""
 
-    def __init__(self, net: OrthogonalNet, blocks, metric: tuple, sweep):
-        self.net, self.sweep = net, sweep
+    def __init__(self, net: OrthogonalNet, blocks, metric: tuple, ev: np.ndarray, sweep,
+                 taped: bool):
+        self.net, self.ev, self.sweep, self.taped = net, ev, sweep, taped
         spans_of = {i: (net.blocks[i], net.complement(i)) for i in blocks}
         spans = list(dict.fromkeys(s for pair in spans_of.values() for s in pair))
         self.sides = {i: (spans.index(b), spans.index(c)) for i, (b, c) in spans_of.items()}
 
-        roots = _frame_roots(net)
-        start = len(sweep.tape.root_slots) - len(roots)
+        start = len(sweep.tape.root_slots) - (net.chart.dim**2 if taped else 0)
         # by sample, the error of the frame entries' diff trees where they fail
         self.input_errors = sweep.repair(start=start)
         with np.errstate(all="ignore"):
-            self.geo = _geometry(metric, sweep.jets[:, :, start:] if roots else None, spans)
+            self.geo = _geometry(metric, sweep.jets[:, :, start:] if taped else None, spans)
             self.derived_ok = _finite(self.geo.derived())
 
     def field_error(self, j: int):
@@ -507,7 +587,10 @@ class _Samples:
         m, n = M.shape[:2]
         # the roots before the frame's have evaluated at every sample
         frame_ok = self.sweep.first_bad == self.sweep.tape.size
-        evm = np.linalg.eigvalsh(np.where(frame_ok[:, None, None], M, np.eye(n)))
+        # off the tape M is G, whose eigenvalues the metric's checks took
+        evm = self.ev
+        if self.taped:
+            evm = np.linalg.eigvalsh(np.where(frame_ok[:, None, None], M, np.eye(n)))
         degenerate = frame_ok & (evm[:, 0] <= _GRAM_COND_FLOOR * np.maximum(evm[:, -1], 1e-300))
 
         pairs = [(a, c) for b, d in itertools.combinations(self.net.blocks, 2) for a in b for c in d]
@@ -568,8 +651,9 @@ def _net_samples(g: MetricField, net: OrthogonalNet, blocks, pts) -> _Samples:
     checked in two phases: one jet sweep of the metric and the frame
     entries (chart_calculus._jets) runs the metric's checks and the frame's
     evaluation over all samples, then _Samples.check the net's own."""
-    metric, _, sweep = _jets(g, _frame_roots(net), pts)
-    return _Samples(net, blocks, metric, sweep).check()
+    roots = _frame_roots(g, net)
+    metric, _, sweep, ev = _jets(g, roots, pts)
+    return _Samples(net, blocks, metric, ev, sweep, bool(roots)).check()
 
 
 def _finite(arrays) -> np.ndarray:

@@ -296,7 +296,7 @@ def _connection_residuals(spec: ProductSpec, pts, X, Y) -> np.ndarray:
             lambda G, v, at, r=r, i=i: ConstraintError(f"twist {i} is {v[r]:.6g} <= 0 at {at}"),
         ))
         roots.append(spec.twists[i])
-    (G, _, Ginv, gam, _), J, _ = _jets(g, roots, pts, checks=checks)
+    (G, _, Ginv, gam, _), J, _, _ = _jets(g, roots, pts, checks=checks)
     if fields:
         X, Y = J[:, 0, :n], J[:, 0, n : 2 * n]
     P = J[:, : n + 1, len(fields) : len(fields) + nt]  # the product metric's values and d_p
@@ -773,7 +773,7 @@ def _spherical_residuals(spec: ProductSpec, phi: Expr, i: int, pts) -> np.ndarra
     blk = list(spec.blocks[i])
     other = [a for a in range(n) if a not in blk]
 
-    (G, dG, Ginv, gam, _), J, _ = _jets(g, [log(phi), phi, powc(phi, -1.0), spec.twists[i]], pts)
+    (G, dG, Ginv, gam, _), J, _, _ = _jets(g, [log(phi), phi, powc(phi, -1.0), spec.twists[i]], pts)
     m = len(G)
     dl, df, dinv, drho = np.moveaxis(J[:, 1 : n + 1], 2, 0)
     d2l, d2f, d2inv, _ = np.moveaxis(_symmetric(J[:, n + 1 :].swapaxes(1, 2), n), 1, 0)

@@ -899,7 +899,7 @@ def test_the_metric_jets_and_christoffel_symbols_are_formed_in_one_place():
     # checked sweep; _metric_jets is called there only, and _levi_civita only
     # by _metric_jets and for the product metric of _connection_residuals.
     # d Gamma is formed where it is read: _levi_civita takes no second
-    # partials, and _dgamma is called by nets._geometry only
+    # partials, and _dgamma is called by the frame algebra of nets only
     calls, params = set(), {}
     for path in sorted((SRC / "orthonet").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -918,7 +918,7 @@ def test_the_metric_jets_and_christoffel_symbols_are_formed_in_one_place():
         ("_metric_jets", "chart_calculus", "_jets"),
         ("_levi_civita", "chart_calculus", "_metric_jets"),
         ("_levi_civita", "product_metrics", "_connection_residuals"),
-        ("_dgamma", "nets", "_geometry"),
+        ("_dgamma", "nets", "_frame_algebra"),
     }
     assert params["chart_calculus", "_levi_civita"] == ["G", "dG"]
 
