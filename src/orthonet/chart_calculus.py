@@ -12,15 +12,32 @@ sample (`_root_checks` puts each root's evaluation among them),
 partials takes them from one jet sweep of that tape (`_jets`): the first
 and second partials of the metric and of every root, by forward
 propagation, with `Sweep.repair` as the one rule for a jet that is not
-finite. No derivative tree is built on a clean run. `_jets` also hands back
-G^-1 and the Christoffel symbols from one numpy kernel over the metric's
-jets (`_metric_jets`, `_levi_civita`), so every consumer reads them from
-there, and the metric's second partials (`nets._dgamma` forms d Gamma
-where a net's frame is on the tape), and the eigenvalues of G that the
-positivity check took (`nets._Samples.check` reads them where the frame is
-G's coordinate frame); contractions such as `_cov` are numpy over the sample axis too. The
-single-point functions (`metric_at`, `christoffel`, `cov_deriv`, ...,
-`lc_axiom_residuals`) are that sweep at one point.
+finite. No derivative tree is built on a clean run.
+
+The metric's block structure is read off its entries (`_blocks`): its
+diagonal blocks are the connected components of the coordinates linked by
+the entries off the diagonal that are not the folded zero
+(`scalar_fields._is_zero`), the same test that routes a coordinate net to
+the closed form (`nets._frame_roots`). An entry such as `x0 - x0` links
+its coordinates, which only merges blocks. Every factorization of G runs
+block by block over the blocks of one size together (`_Blocks`): a 1 x 1
+block g in closed form (g is its eigenvalue, 1/g its inverse, 1/sqrt(g)
+its L^-T), a larger one by `_inv`, `np.linalg.eigvalsh` or
+`np.linalg.cholesky` on the stack of those blocks. So the positivity check
+takes the eigenvalues per block, `_levi_civita` assembles G^-1 from the
+blocks' inverses, and `codazzi._Eigen` L^-T from their Cholesky factors;
+the partials of log det G_b per block (`_logdet_jets`) serve
+`nets._block_diagonal`.
+`_jets` hands back the metric's jets (`_metric_jets`): G, its first
+partials, G^-1 and the Christoffel symbols from one numpy kernel
+(`_levi_civita`), so every consumer reads them from there, the second
+partials in the tape's packed layout, (p <= q) x (a <= b), which only a
+frame on the tape unpacks (`nets._frame_algebra`, where `nets._dgamma`
+forms d Gamma), and the blocks; and the eigenvalues of G that the
+positivity check took (`nets._Samples.check` reads them where the frame
+is G's coordinate frame). Contractions such as `_cov` are numpy over the
+sample axis too. The single-point functions (`metric_at`, `christoffel`,
+`cov_deriv`, ..., `lc_axiom_residuals`) are that sweep at one point.
 
 The symbolic determinant, inverse and Christoffel entries (`det_expr`,
 `inverse_exprs` and the cached entries of a MetricField) are the pointwise
@@ -39,10 +56,12 @@ Gamma[k][i][j] multiplies X^i Y^j, and
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import os
 import sys
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,6 +169,7 @@ class MetricField:
         self._inv = None
         self._gamma = None
         self._det = None
+        self._blocks = None
 
     @staticmethod
     def diagonal(chart: Chart, diag_entries) -> "MetricField":
@@ -206,15 +226,20 @@ class MetricField:
 # --- stacked evaluation -------------------------------------------------------
 
 
-def _metric_checks(G: np.ndarray, ok: np.ndarray):
-    """The checks of metric_at over stacked (m, n, n) metric values.
+def _metric_checks(cols: np.ndarray, ok: np.ndarray, blocks: "_Blocks"):
+    """The checks of metric_at over the stacked values of the metric's upper
+    triangle, (m, n(n+1)/2) in np.triu_indices order, whose diagonal blocks
+    are blocks (_blocks).
 
     Samples where ok is false (their evaluation failed) are given the
-    identity. Returns that G, the eigenvalues, the condition numbers and the
-    masks of samples that are not positive definite and of samples that are
-    but are ill-conditioned."""
-    G = np.where(ok[:, None, None], G, np.eye(G.shape[-1]))
-    ev = np.linalg.eigvalsh(G)
+    identity. Returns that G, (m, n, n), the eigenvalues, taken per block,
+    the condition numbers and the masks of samples that are not positive
+    definite and of samples that are but are ill-conditioned."""
+    n = blocks.n
+    if not ok.all():
+        cols = np.where(ok[:, None], cols, np.eye(n)[_pairs(n, 0)])
+    G = _symmetric(cols, n)
+    ev = _eigvalsh(G, blocks)
     not_spd = ok & (ev[:, 0] <= SPD_FLOOR)
     with np.errstate(all="ignore"):
         cond = ev[:, -1] / ev[:, 0]
@@ -286,6 +311,129 @@ def _inv(A: np.ndarray) -> np.ndarray:
         return out
 
 
+@dataclass(frozen=True, eq=False)
+class _Blocks:
+    """The diagonal blocks of a symmetric n x n pattern (_metric_blocks),
+    grouped by size; blocks are ordered by group, then by first coordinate.
+    Every array is read-only, and one pattern gives one object, which hashes
+    by identity."""
+
+    n: int
+    # per block size r, ascending: the blocks' coordinates, each block in
+    # ascending order, (B, r)
+    groups: tuple
+    # (n(n+1)/2, blocks): over the upper triangle, the weight of an entry in
+    # the trace of a product of symmetric matrices of its block, 1 on the
+    # diagonal and 2 off it, and 0 outside the block
+    upper: np.ndarray
+    # (n n, blocks): over every entry (i, j), 1 where it lies in the block
+    entries: np.ndarray
+
+
+@functools.lru_cache(maxsize=256)
+def _metric_blocks(linked: tuple, n: int) -> _Blocks:
+    """The connected components of the coordinates, linked by the entries
+    off the diagonal (a < b, np.triu_indices order) that linked marks,
+    grouped by size. Built once per distinct pattern."""
+    label = list(range(n))
+    for a, b, link in zip(*_pairs(n, 1), linked):
+        if link and label[a] != label[b]:
+            old = label[b]
+            label = [label[a] if t == old else t for t in label]
+    comps = sorted(sorted(a for a in range(n) if label[a] == t) for t in set(label))
+    groups = tuple(np.array([c for c in comps if len(c) == r], dtype=np.intp)
+                   for r in sorted({len(c) for c in comps}))
+    entries = np.zeros((n, n, len(comps)))
+    for b, c in enumerate(c for coords in groups for c in coords):
+        entries[c[:, None], c[None, :], b] = 1.0
+    iu, ju = _pairs(n, 0)
+    upper = entries[iu, ju] * np.where(iu == ju, 1.0, 2.0)[:, None]
+    entries = entries.reshape(n * n, -1)
+    for a in (upper, entries, *groups):
+        a.flags.writeable = False
+    return _Blocks(n, groups, upper, entries)
+
+
+def _blocks(g: MetricField) -> _Blocks:
+    """The diagonal blocks of the metric of g: the components of the entries
+    off the diagonal that are not the folded zero, which is 0 at every
+    sample with all its partials. Cached on g."""
+    if g._blocks is None:
+        n = g.dim
+        g._blocks = _metric_blocks(
+            tuple(not _is_zero(g.entries[a][b]) for a, b in zip(*_pairs(n, 1))), n)
+    return g._blocks
+
+
+def _block(A: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The diagonal blocks of the stacked (..., n, n) matrices A over the
+    coordinates of one size group, (..., B, r, r)."""
+    return A[..., coords[:, :, None], coords[:, None, :]]
+
+
+def _by_block(G: np.ndarray, blocks: _Blocks, one, more) -> np.ndarray:
+    """The stacked (m, n, n) matrix that is one(g) on the 1 x 1 blocks g,
+    (m, B), more(A) on the larger blocks A, (m, B, r, r), and 0 between
+    blocks."""
+    out = np.zeros(G.shape)
+    for coords in blocks.groups:
+        if coords.shape[1] == 1:
+            d = coords[:, 0]
+            out[:, d, d] = one(G[:, d, d])
+        else:
+            out[:, coords[:, :, None], coords[:, None, :]] = more(_block(G, coords))
+    return out
+
+
+def _block_inv(G: np.ndarray, blocks: _Blocks) -> np.ndarray:
+    """G^-1 of the stacked (m, n, n) metric G, block by block (_inv): the
+    reciprocal of a 1 x 1 block, 0 between blocks."""
+    return _by_block(G, blocks, np.reciprocal, _inv)
+
+
+def _block_cholesky_inv_t(G: np.ndarray, blocks: _Blocks) -> np.ndarray:
+    """L^-T, with G = L L^T for the stacked SPD (m, n, n) metric G, block by
+    block: 1 / sqrt(g) for a 1 x 1 block g, 0 between blocks. L is lower
+    triangular, since each block keeps its coordinates in order."""
+    return _by_block(G, blocks, lambda g: 1.0 / np.sqrt(g),
+                     lambda A: np.linalg.inv(np.linalg.cholesky(A)).swapaxes(-1, -2))
+
+
+def _eigvalsh(G: np.ndarray, blocks: _Blocks) -> np.ndarray:
+    """The eigenvalues of the stacked symmetric (m, n, n) G, (m, n) in
+    ascending order per sample, taken block by block: a 1 x 1 block is its
+    own eigenvalue."""
+    m = len(G)
+    parts = [G[:, coords[:, 0], coords[:, 0]] if coords.shape[1] == 1
+             else np.linalg.eigvalsh(_block(G, coords)).reshape(m, -1)
+             for coords in blocks.groups]
+    return np.sort(np.concatenate(parts, axis=1), axis=1)
+
+
+def _logdet_jets(Ginv: np.ndarray, dG: np.ndarray, d2: np.ndarray, upper: np.ndarray,
+                 entries: np.ndarray) -> tuple:
+    """The first and second partials of sums of log det G_b over the
+    diagonal blocks b of G, from G^-1 (m, n, n), dG[:, p] = d_p G and the
+    packed second partials d2 (m, p <= q, a <= b) in np.triu_indices order.
+    A sum is a column of upper and entries, which are blocks.upper and
+    blocks.entries (_Blocks) times a (blocks, sums) matrix: the partials per
+    block for the identity. Returns d_l of the sums, (m, n, sums), and
+    d_p d_l over p <= l, (m, n(n+1)/2, sums). With A_p = G_b^-1 d_p G_b
+
+        d_l log det G_b     = tr(G_b^-1 d_l G_b)
+        d_p d_l log det G_b = tr(G_b^-1 d_p d_l G_b) - tr(A_p A_l)
+
+    G^-1 and the partials vanish between blocks, so each trace is a sum over
+    the entries of every block at once, one product with upper (packed
+    entries) or entries (A_p A_l^T entrywise)."""
+    m, n = dG.shape[:2]
+    iu, ju = _pairs(n, 0)
+    ginv = Ginv[:, None, iu, ju]
+    A = (Ginv @ dG.swapaxes(0, 1)).swapaxes(0, 1)  # A_p at [:, p]
+    AA = (A[:, iu] * A[:, ju].swapaxes(2, 3)).reshape(m, len(iu), n * n) @ entries
+    return (dG[:, :, iu, ju] * ginv) @ upper, (d2 * ginv) @ upper - AA
+
+
 def _slogdet(A: np.ndarray) -> tuple:
     """Signs and logs of |det| of a stack of square matrices, as
     np.linalg.slogdet gives them for finite ones; a 1 x 1 block is its own
@@ -297,38 +445,48 @@ def _slogdet(A: np.ndarray) -> tuple:
     return np.linalg.slogdet(A)
 
 
-def _levi_civita(G, dG):
-    """G^-1 and Gamma (m, k, i, j) from stacked metric jets: G (m, n, n) and
-    dG[:, p] = d_p G (O'Neill, Semi-Riemannian Geometry, 1983, ch. 3):
+def _levi_civita(G, dG, blocks):
+    """G^-1 and Gamma (m, k, i, j) from stacked metric jets: G (m, n, n),
+    dG[:, p] = d_p G, and the diagonal blocks of G (_blocks), which give
+    G^-1 block by block (_block_inv; O'Neill, Semi-Riemannian Geometry,
+    1983, ch. 3):
 
         Gamma^k_ij = g^kl B_lij / 2,  B_lij = d_i g_jl + d_j g_il - d_l g_ij
     """
     m, n = G.shape[:2]
-    Ginv = _inv(G)
+    Ginv = _block_inv(G, blocks)
     B = dG.transpose(0, 3, 1, 2) + dG.transpose(0, 3, 2, 1) - dG
     gamma = 0.5 * (Ginv @ B.reshape(m, n, n * n))  # rows k, columns ij
     return Ginv, gamma.reshape(m, n, n, n)
 
 
-def _metric_jets(J: np.ndarray, n: int) -> tuple:
-    """G, dG, G^-1, Gamma (_levi_civita) and d2G[:, p, q] = d_p d_q G over
-    the samples from the jets J (m, 1 + n + n(n+1)/2, n(n+1)/2) of the
-    metric's upper triangle, rows as Tape.jet_sweep gives them."""
-    iu, ju = _pairs(n, 0)
-    seconds = np.empty((len(J), n, n, J.shape[2]))
-    seconds[:, iu, ju] = seconds[:, ju, iu] = J[:, n + 1 :]
-    G, dG, d2G = (_symmetric(a, n) for a in (J[:, 0], J[:, 1 : n + 1], seconds))
-    return (G, dG, *_levi_civita(G, dG), d2G)
+def _metric_jets(J: np.ndarray, n: int, blocks: _Blocks) -> tuple:
+    """G, dG, G^-1, Gamma (_levi_civita), the second partials d_p d_q g_ab
+    as the tape packs them, (m, p <= q, a <= b) in np.triu_indices order,
+    and the diagonal blocks of the metric (_blocks), which are given, from
+    the jets J (m, 1 + n + n(n+1)/2, n(n+1)/2) of the metric's upper
+    triangle, rows as Tape.jet_sweep gives them. Only a frame on the tape
+    unpacks the second partials (nets._frame_algebra)."""
+    G, dG = _symmetric(J[:, 0], n), _symmetric(J[:, 1 : n + 1], n)
+    return (G, dG, *_levi_civita(G, dG, blocks), J[:, n + 1 :], blocks)
 
 
 def _symmetric(cols: np.ndarray, n: int) -> np.ndarray:
     """The symmetric (..., n, n) matrices whose upper triangles, in
     np.triu_indices order, fill the last axis of cols: G from the values of
     the metric's upper triangle, or d_p G from its first partials."""
+    return cols[..., _packed(n)].reshape(cols.shape[:-1] + (n, n))
+
+
+@functools.cache
+def _packed(n: int) -> np.ndarray:
+    """The packed column (np.triu_indices order) of each entry (p, q) of a
+    symmetric n x n matrix, over p, q, (n n,), read-only."""
     iu, ju = _pairs(n, 0)
-    out = np.empty(cols.shape[:-1] + (n, n))
-    out[..., iu, ju] = out[..., ju, iu] = cols
-    return out
+    column = np.empty((n, n), dtype=np.intp)
+    column[iu, ju] = column[ju, iu] = np.arange(len(iu))
+    column.flags.writeable = False
+    return column.reshape(-1)
 
 
 def _root_checks(sweep, after: dict) -> list:
@@ -363,15 +521,15 @@ def _checked(g: MetricField, roots, pts, checks, jets: bool):
     failing(G, vals) masks the samples that fail, reading roots up to r only,
     and error(G[j], vals[j], _point(pts, j)) is the exception at such a
     sample j. Returns G, (m, n, n), its eigenvalues, (m, n) in ascending
-    order, and the sweep."""
+    order and taken per diagonal block of the metric (_blocks), and the
+    sweep."""
     n = g.dim
     nt = n * (n + 1) // 2
     pts = np.array(pts, dtype=float, ndmin=2)
     tape = compile_tape([g.entries[a][b] for a, b in zip(*_pairs(n, 0))] + list(roots))
     sweep = tape.jet_sweep(pts) if jets else tape.sweep(pts)
     G, ev, cond, not_spd, ill = _metric_checks(
-        _symmetric(sweep.values[:, :nt], n), sweep.first_bad >= tape.bounds[nt]
-    )
+        sweep.values[:, :nt], sweep.first_bad >= tape.bounds[nt], _blocks(g))
     vals = sweep.values[:, nt:]
     after = {nt - 1: [(not_spd, lambda j: NotSPDError(
         f"metric not positive definite at {_point(pts, j)}: smallest eigenvalue {ev[j, 0]:.3e}"))]}
@@ -400,14 +558,14 @@ def _stacked(g: MetricField, roots, pts, checks=()):
 
 def _jets(g: MetricField, roots, pts, checks=()):
     """_stacked on one jet sweep (_checked): the metric's jets as
-    _metric_jets forms them, (G, dG, G^-1, Gamma, d2G), the jets of the
-    roots, (m, 1 + n + n(n+1)/2, roots), rows as Tape.jet_sweep gives them:
-    values, d_p over p, then d_p d_q over p <= q, the sweep, and the
-    eigenvalues of G, (m, n), that the positivity check took."""
+    _metric_jets forms them, (G, dG, G^-1, Gamma, packed d2G, blocks), the
+    jets of the roots, (m, 1 + n + n(n+1)/2, roots), rows as Tape.jet_sweep
+    gives them: values, d_p over p, then d_p d_q over p <= q, the sweep, and
+    the eigenvalues of G, (m, n), that the positivity check took."""
     nt = g.dim * (g.dim + 1) // 2
     _, ev, sweep = _checked(g, roots, pts, checks, jets=True)
     with np.errstate(all="ignore"):  # values that are not finite are left to the consumer
-        metric = _metric_jets(sweep.jets[:, :, :nt], g.dim)
+        metric = _metric_jets(sweep.jets[:, :, :nt], g.dim, _blocks(g))
     return metric, sweep.jets[:, :, nt:], sweep, ev
 
 
@@ -493,7 +651,7 @@ def _lc_axioms(g: MetricField, pts):
     basis = [tuple(ONE if a == i else ZERO for a in range(n)) for i in range(n)]
     linear = [tuple(var((a + s) % n) for a in range(n)) for s in (1, 2)]
     fields = basis + linear
-    (G, dG, _, gam, _), J, _, _ = _jets(g, [c for V in fields for c in V], pts)
+    (G, dG, _, gam, _, _), J, _, _ = _jets(g, [c for V in fields for c in V], pts)
     m = len(G)
     iu, ju = _pairs(n, 0)
     # per field its values V^k and its partials d_i V^k at [k, i]

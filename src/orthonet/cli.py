@@ -290,14 +290,19 @@ def _parse(text: str, chart: Chart, pointer: str) -> Expr:
 def _parse_matrix(rows, chart: Chart, pointer: str, symmetric: bool = False):
     """The expressions of a dim x dim matrix of strings. A symmetric matrix,
     as a metric's must be, is refused at its first lower entry that does not
-    read as the upper one: only the upper triangle of a metric is kept."""
+    read as the upper one: only the upper triangle of a metric is kept. A
+    lower entry whose text is the upper one's takes the upper one's
+    expression, which was parsed first, so errors come in the same order."""
     n = chart.dim
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ManifestError(f"components must form a {n} by {n} matrix", pointer)
-    m = tuple(
-        tuple(_parse(rows[a][b], chart, f"{pointer}/{a}/{b}") for b in range(n))
-        for a in range(n)
-    )
+    m = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if symmetric and b < a and rows[a][b] == rows[b][a]:
+                m[a][b] = m[b][a]
+            else:
+                m[a][b] = _parse(rows[a][b], chart, f"{pointer}/{a}/{b}")
     if symmetric:
         for a in range(n):
             for b in range(a):
@@ -308,7 +313,7 @@ def _parse_matrix(rows, chart: Chart, pointer: str, symmetric: bool = False):
                     raise ManifestError(
                         f"metric components must be symmetric: {lower!r} differs from "
                         f"{upper!r} at {pointer}/{b}/{a}", f"{pointer}/{a}/{b}")
-    return m
+    return tuple(tuple(r) for r in m)
 
 
 def _build_chart(cdata: dict, pointer: str) -> Chart:

@@ -75,6 +75,8 @@ import numpy as np
 
 from .chart_calculus import (
     MetricField,
+    _block_cholesky_inv_t,
+    _blocks,
     _cov,
     _ginner,
     _gnorm,
@@ -207,8 +209,8 @@ class _Fields:
     """Metric, tensor and Codazzi residual over the samples; the residual is
     zero where no pair vectors were evaluated. metric holds, after a jet
     sweep, the metric's jets as _metric_jets gives them, (G, dG, G^-1,
-    Gamma, d2G), and ev the eigenvalues of G its positivity check took;
-    both are None otherwise."""
+    Gamma, packed d2G, blocks), and ev the eigenvalues of G its positivity
+    check took; both are None otherwise."""
 
     points: np.ndarray  # (m, n)
     G: np.ndarray  # (m, n, n)
@@ -223,8 +225,9 @@ def _metric_tensor(g: MetricField, phi: SymTensorField, pts, tol: float,
     """Evaluate the metric and the tensor over the samples with one tape
     run, and with codazzi (and dim > 1) the Codazzi residual: the run is
     then a jet sweep (chart_calculus._jets), whose partials of the metric
-    give Gamma and G^-1 (kept, with d2G, in the result for the eigen-net), and
-    with those of the tensor (nabla_i Phi)e_j - (nabla_j Phi)e_i, i < j, with
+    give Gamma and G^-1 (kept, with the packed d2G and the metric's blocks,
+    in the result for the eigen-net), and with those of the tensor
+    (nabla_i Phi)e_j - (nabla_j Phi)e_i, i < j, with
 
         (nabla_i Phi)^k_j = d_i Phi^k_j + Gamma^k_il Phi^l_j - Phi^k_l Gamma^l_ij.
 
@@ -324,14 +327,17 @@ class _Eigen:
     S v = w G v, S = G Phi symmetrized, is reduced at all samples at once
     as LAPACK sygvd reduces one sample: with G = L L^T (G is SPD, or
     _metric_tensor raised), the eigenvectors U of L^-1 S L^-T give V = L^-T U and
-    V^T G V = I. lam_low[j] says whether lam is the lower cluster at j."""
+    V^T G V = I. L^-T is taken per diagonal block of G, blocks
+    (chart_calculus._blocks, _block_cholesky_inv_t): a 1 x 1 block g gives
+    1 / sqrt(g), a larger one the inverse of its Cholesky factor,
+    transposed. lam_low[j] says whether lam is the lower cluster at j."""
 
-    def __init__(self, G: np.ndarray, P: np.ndarray, gap_min: float):
+    def __init__(self, G: np.ndarray, P: np.ndarray, blocks, gap_min: float):
         m, n = G.shape[:2]
         self.n = n
         S = G @ P
         S = 0.5 * (S + S.swapaxes(-1, -2))
-        Lti = np.linalg.inv(np.linalg.cholesky(G)).swapaxes(-1, -2)  # L^-T
+        Lti = _block_cholesky_inv_t(G, blocks)  # L^-T
         w, U = np.linalg.eigh(Lti.swapaxes(-1, -2) @ S @ Lti)
         self.w, self.V = w, Lti @ U
         self.spread = w[:, -1] - w[:, 0]
@@ -417,7 +423,7 @@ def eigen_two(g: MetricField, phi: SymTensorField, p, gap_min: float = GAP_MIN,
     """Eigenvalues of Phi at p, required to split into exactly two clusters
     separated by at least gap_min."""
     fields = _metric_tensor(g, phi, [p], tol)
-    eig = _Eigen(fields.G, fields.P, gap_min)
+    eig = _Eigen(fields.G, fields.P, _blocks(g), gap_min)
     if eig.failed()[0]:
         raise eig.error(0, fields.points)
     return eig.pair(0, fields.G[0], fields.P[0])
@@ -763,7 +769,7 @@ def _eigen_model(g: MetricField, phi: SymTensorField, fields: _Fields, gap_min: 
     jet sweeps of the samples (_metric_tensor with codazzi), and the eigen
     model anchored at the first sample. Raises the coalescence error of that
     sample before the model is built."""
-    eig = _Eigen(fields.G, fields.P, gap_min)
+    eig = _Eigen(fields.G, fields.P, _blocks(g), gap_min)
     if eig.failed()[0]:
         raise eig.error(0, fields.points)
     anchor = _point(fields.points, 0)

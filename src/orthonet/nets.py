@@ -18,9 +18,11 @@ the mean curvature normal H and its partials, so nabla_X H = (dH) X +
 Gamma(X, H) needs no derivative tree of H (O'Neill, Semi-Riemannian
 Geometry, 1983, ch. 4 and 7). A coordinate net on a block-diagonal metric
 takes them in closed form, H = -grad^perp log det G_ss / (2 r) over a span
-s of rank r and its partials from those of log det G_ss (_block_diagonal;
-Ponge and Reckziegel, 1993, where H = -grad^perp log rho), with no
-projector and no partial of Gamma. Any other frame takes the frame
+s of rank r and its partials from those of log det G_ss, the sum of
+log det G_b over the metric's own diagonal blocks in s, read block by
+block off the packed second partials (_block_diagonal; Ponge and
+Reckziegel, 1993, where H = -grad^perp log rho), with no projector, no
+partial of Gamma and no dense second partials. Any other frame takes the frame
 algebra (_frame_algebra): the projector onto each span, H by the product
 rule and the partials of Gamma (_dgamma), formed here, where they are read.
 Neither cost grows with a loop over the spans: the frame's terms are formed
@@ -79,7 +81,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart_calculus import MetricField, _at, _gnorm, _inv, _jets, _pair_scale
+from .chart_calculus import (
+    MetricField, _at, _gnorm, _inv, _jets, _logdet_jets, _packed, _pair_scale, _symmetric,
+)
 from .errors import (
     ConstraintError,
     DegenerateFrameError,
@@ -205,17 +209,17 @@ def _frame_roots(g: MetricField, net: OrthogonalNet) -> list:
     return [e for f in net.frame for e in f]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SpanIndex:
     """Index tables of a stack of spans, tuples of frame indices, over n
-    frame fields (_span_index); every array is read-only."""
+    frame fields (_span_index); every array is read-only, and one stack of
+    spans gives one object, which hashes by identity."""
 
     rank: np.ndarray  # (s,) the ranks
     member: np.ndarray  # (s, n) whether X_a is in span s
     # per rank r > 0: the spans of that rank (spans,) and their fields in
     # span order (spans, r)
     groups: tuple
-    sigma: np.ndarray  # (n n, s) 1.0 at [j n + i, s] where X_i is in span s, else 0.0
     kappa: np.ndarray  # (n, s) 1.0 where X_k is outside span s, else 0.0
     pairs: np.ndarray  # (p,) the frame pairs (a, b) whose defect some span reads, as a n + b
     defect: np.ndarray  # (s, p) whether the pair's defect counts in span s
@@ -241,9 +245,9 @@ def _span_index(spans: tuple, n: int) -> _SpanIndex:
     pairs = np.flatnonzero(defect.any(axis=0))
     member = pos >= 0
     kappa = (~member.T).astype(float)
-    index = _SpanIndex(rank, member, groups, np.tile(member.T, (n, 1)).astype(float), kappa,
+    index = _SpanIndex(rank, member, groups, kappa,
                        pairs, defect[:, pairs], (both & (pa < pb)).reshape(-1, n * n)[:, pairs])
-    for a in (rank, member, index.sigma, kappa, pairs, index.defect, index.bracket,
+    for a in (rank, member, kappa, pairs, index.defect, index.bracket,
               *(a for g in groups for a in g)):
         a.flags.writeable = False
     return index
@@ -314,10 +318,11 @@ def _dgamma(Ginv, gamma, dG, d2G) -> np.ndarray:
 
 def _geometry(metric: tuple, frame_jets, spans) -> _Geometry:
     """The geometry of the spans, tuples of frame indices, from the metric's
-    jets as _metric_jets gives them, (G, dG, G^-1, Gamma, d2G), and the
-    jets of the frame entries, (m, 1 + n + n(n+1)/2, n^2) as Tape.jet_sweep
-    gives them, or None for the coordinate frame of a metric that is block
-    diagonal over the net's blocks (_frame_roots). Per span of rank r > 0
+    jets as _metric_jets gives them, (G, dG, G^-1, Gamma, packed d2G,
+    blocks), and the jets of the frame entries, (m, 1 + n + n(n+1)/2, n^2)
+    as Tape.jet_sweep gives them, or None for the coordinate frame of a
+    metric that is block diagonal over the net's blocks (_frame_roots). Per
+    span of rank r > 0
 
         H          the mean curvature normal
         dH         d_i H^k at [k, i]
@@ -385,37 +390,54 @@ def _block_diagonal(metric: tuple, index: _SpanIndex) -> tuple:
     diagonal too, and Gamma^k_ab = -g^kl d_l g_ab / 2 for a, b in s and k
     outside it, so that H = -grad^perp log det G_ss / (2 r) (O'Neill,
     Semi-Riemannian Geometry, 1983, ch. 7; Ponge and Reckziegel, Geom.
-    Dedicata 48, 1993, where H = -grad^perp log rho). With sigma and kappa
-    the coordinate masks of the span and of its complement and A_p = G^-1
-    d_p G:
+    Dedicata 48, 1993, where H = -grad^perp log rho). The metric's own
+    diagonal blocks G_b (chart_calculus._blocks) each lie in one span,
+    since every entry between two of the net's blocks is the folded zero,
+    so log det G_ss = sum_{b in s} log det G_b. With kappa the coordinate
+    mask of the complement and A_p = G_b^-1 d_p G_b
+    (chart_calculus._logdet_jets, read off the packed second partials):
 
-        d_l log det G_ss       = sum_{i in s} (A_l)_ii
+        d_l log det G_b        = tr(G_b^-1 d_l G_b)
+        d_p d_l log det G_b    = tr(G_b^-1 d_p d_l G_b) - tr(A_p A_l)
         H                      = -kappa G^-1 grad log det G_ss / (2 r)
-        d_p d_l log det G_ss   = sum_{i in s} ((G^-1 d_p d_l G)_ii - (A_p A_l)_ii)
         d_p H                  = kappa G^-1 (-d_p grad log det G_ss / (2 r) - (d_p G) H)
         (nabla_{e_a} e_b)^perp = kappa Gamma(e_a, e_b)
 
-    Each sum over i in s is one product over all spans with index.sigma, and
-    no projector, inverse of a block, d R or d Gamma is formed. Where the
-    jets are finite, every value outside kappa is exactly 0."""
-    G, dG, Ginv, gamma, d2G = metric
+    Each trace is summed over the blocks of every span at once, by one
+    product with trace weights per span (_span_weights), and no projector,
+    d R or d Gamma is formed. Where the jets are finite, every value outside
+    kappa is exactly 0."""
+    G, dG, Ginv, gamma, d2, blocks = metric
     m, n = G.shape[:2]
     nn, S = n * n, len(index.rank)
-    # X_ji (G^-1)_ij over columns (j, i), times index.sigma, is sum_{i in s} (G^-1 X)_ii
-    GinvT = Ginv.swapaxes(1, 2).reshape(m, 1, nn)
-    # (A_p)_ij at [p, i, j], and (A_l)_ij (A_p)_ji at [l, p, (j, i)]
-    A = (Ginv @ dG.swapaxes(1, 2).reshape(m, n, nn)).reshape(m, n, n, n).swapaxes(1, 2)
-    AA = A.swapaxes(2, 3).reshape(m, n, 1, nn) * A.reshape(m, 1, n, nn)
+    grad, hess = _logdet_jets(Ginv, dG, d2, *_span_weights(blocks, index))
     # d_l log det G_ss at [l, s] and d_l d_p log det G_ss at [(l, p), s]
-    grad = ((dG.reshape(m, n, nn) * GinvT).reshape(m * n, nn) @ index.sigma).reshape(m, n, S)
-    hess = (d2G.reshape(m, nn, nn) * GinvT - AA.reshape(m, nn, nn)).reshape(m * nn, nn) @ index.sigma
+    hess = hess[:, _packed(n)]
 
     half, kappa = -0.5 / np.maximum(index.rank, 1), index.kappa  # -1 / (2 r)
     H = ((Ginv @ (grad * half)) * kappa).swapaxes(1, 2)
     dGH = dG.transpose(0, 2, 1, 3).reshape(m, nn, n) @ H.swapaxes(1, 2)  # ((d_p G) H)_l at [(l, p), s]
-    dH = Ginv @ (hess.reshape(m, nn, S) * half - dGH).reshape(m, n, n * S)  # d_p H^k at [k, (p, s)]
+    dH = Ginv @ (hess * half - dGH).reshape(m, n, n * S)  # d_p H^k at [k, (p, s)]
     dH = (dH.reshape(m, n, n, S) * kappa[:, None]).transpose(0, 3, 1, 2)
-    return H, dH, gamma.reshape(m, n, 1, nn)[..., index.pairs] * kappa[:, :, None]
+    # kappa Gamma(e_a, e_b) as an outer product per row k, which numpy forms
+    # faster than a product broadcast over short trailing axes
+    return H, dH, kappa[:, :, None] @ gamma.reshape(m, n, 1, nn)[..., index.pairs]
+
+
+@functools.lru_cache(maxsize=256)
+def _span_weights(blocks, index: _SpanIndex) -> tuple:
+    """The trace weights of the metric's diagonal blocks (_Blocks.upper and
+    .entries) summed over the blocks of each span: (n(n+1)/2, s) and (n n,
+    s), read-only. Each block lies in one of the net's blocks, since the
+    entries between those are the folded zero (_frame_roots), so wholly
+    inside or outside each span. Built once per distinct pair of blocks and
+    span stack."""
+    firsts = np.concatenate([group[:, 0] for group in blocks.groups])
+    within = index.member[:, firsts].T.astype(float)  # (blocks, s)
+    weights = blocks.upper @ within, blocks.entries @ within
+    for a in weights:
+        a.flags.writeable = False
+    return weights
 
 
 def _frame_algebra(metric: tuple, frame_jets, index: _SpanIndex) -> tuple:
@@ -443,13 +465,15 @@ def _frame_algebra(metric: tuple, frame_jets, index: _SpanIndex) -> tuple:
     over the spans of that rank together: M^-1 (_inv), R, M^-1 X and the
     terms with a frame partial of K, d R and d(M^-1 X). Once over all spans
     stacked: K, d K, d R, I - R g, H and dH."""
-    G, dG, Ginv, gamma, d2G = metric
+    G, dG, Ginv, gamma, d2, _ = metric
     m, n = G.shape[:2]
     rank, pairs = index.rank, index.pairs
     S, P = len(rank), len(pairs)
     pa, pb = np.divmod(pairs, n)
 
-    # Gamma over rows k, columns ij, and d Gamma over rows (p, k), columns ij
+    # Gamma over rows k, columns ij, and d Gamma over rows (p, k), columns ij,
+    # from the second partials unpacked to d2G[:, p, q] = d_p d_q G
+    d2G = _symmetric(d2[:, _packed(n)].reshape(m, n, n, -1), n)
     gamma = gamma.reshape(m, n, n * n)
     dgamma = _dgamma(Ginv, gamma, dG, d2G).reshape(m, n * n, n * n)
     gammaT = np.ascontiguousarray(gamma.swapaxes(1, 2))  # rows ij, columns k

@@ -500,19 +500,27 @@ class Tape:
                 _UFUNC[op](a, instrs[ins[2]][1], out=out)
             elif op == "*" and instrs[ins[1]][0] == "const":
                 np.multiply(instrs[ins[1]][1], J[ins[2]], out=out)
-            elif op == "*" or op == "/":
+            elif op == "*":
+                # a b0 + a0 b over the whole jet, then the value row and the
+                # Hessian's cross terms
                 b = J[ins[2]]
                 ga, gb = a[d1], b[d1]
-                if op == "*":
-                    np.multiply(a[0], b[0], out=out[0])
-                    out[d1] = ga * b[0] + a[0] * gb
-                    out[d2] = a[d2] * b[0] + a[0] * b[d2] + ga[iu] * gb[ju] + ga[ju] * gb[iu]
-                else:
-                    # the quotient q = a/b through a = q b
-                    np.divide(a[0], b[0], out=out[0])
-                    q = out[0]
-                    gq = out[d1] = (ga - q * gb) / b[0]
-                    out[d2] = (a[d2] - q * b[d2] - gq[iu] * gb[ju] - gq[ju] * gb[iu]) / b[0]
+                np.multiply(a, b[0], out=out)
+                out += a[0] * b
+                np.multiply(a[0], b[0], out=out[0])
+                out[d2] += ga[iu] * gb[ju]
+                out[d2] += ga[ju] * gb[iu]
+            elif op == "/":
+                # the quotient q = a/b through a = q b: (a - q b) / b0 over
+                # the partial rows, the Hessian's cross terms taken off first
+                b = J[ins[2]]
+                q = np.divide(a[0], b[0], out=out[0])
+                np.multiply(b[1:], q, out=out[1:])
+                np.subtract(a[1:], out[1:], out=out[1:])
+                gq, gb = np.divide(out[d1], b[0], out=out[d1]), b[d1]
+                out[d2] -= gq[iu] * gb[ju]
+                out[d2] -= gq[ju] * gb[iu]
+                out[d2] /= b[0]
             else:
                 if op == "^":
                     c = ins[2]
@@ -522,9 +530,10 @@ class Tape:
                 else:
                     _UFUNC[op](a[0], out=out[0])
                     f1, f2 = _unary_jets(op, a[0])
+                # f' times every partial row, then f'' times the cross terms
                 ga = a[d1]
-                out[d1] = f1 * ga
-                out[d2] = f1 * a[d2] + f2 * (ga[iu] * ga[ju])
+                np.multiply(a[1:], f1, out=out[1:])
+                out[d2] += f2 * (ga[iu] * ga[ju])
         return J
 
     def sweep(self, points) -> "Sweep":

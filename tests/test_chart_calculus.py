@@ -14,6 +14,7 @@ from orthonet import chart_calculus, codazzi, fixtures, nets, product_metrics
 from orthonet.chart_calculus import (
     CONDITION_WARN,
     MetricField,
+    _blocks,
     _lc_axioms,
     _levi_civita,
     _stacked,
@@ -468,7 +469,7 @@ def test_levi_civita_kernel_matches_christoffel_trees(n, seed):
     G = sym(vals[:, :t])
     dG = sym(vals[:, t : t * (n + 1)].reshape(m, n, t))
     d2G = sym(vals[:, t * (n + 1) :].reshape(m, n, n, t))
-    Ginv, gamma = _levi_civita(G, dG)
+    Ginv, gamma = _levi_civita(G, dG, _blocks(g))
     dgamma = nets._dgamma(Ginv, gamma.reshape(m, n, n * n), dG, d2G)
 
     trees = g.christoffel_entries()
@@ -622,3 +623,96 @@ def test_log_determinant_of_one_by_one_blocks_matches_slogdet():
     A = np.random.default_rng(3).standard_normal((5, 2, 2))
     for got, want in zip(chart_calculus._slogdet(A), np.linalg.slogdet(A)):
         assert np.array_equal(got, want)
+
+
+# --- the metric in blocks ---------------------------------------------------------
+
+
+def _block_stack(sizes, seed, m):
+    """m SPD n x n metrics whose diagonal blocks, of the given sizes, lie on
+    permuted coordinates, with first partials (m, p, n, n) and packed second
+    partials (m, p <= q, a <= b) on the same blocks, the blocks as sets of
+    coordinates, and whether each entry off the diagonal (a < b) links a
+    block."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    block = np.repeat(np.arange(len(sizes)), sizes)[rng.permutation(n)]
+    mask = block[:, None] == block[None, :]
+    X = rng.standard_normal((m, n, n))
+    G = (X @ X.swapaxes(1, 2) + n * np.eye(n)) * mask
+    dG = rng.standard_normal((m, n, n, n))
+    dG = (dG + dG.swapaxes(2, 3)) * mask
+    iu, ju = np.triu_indices(n)
+    d2 = rng.standard_normal((m, len(iu), len(iu))) * mask[iu, ju]
+    want = {frozenset(np.flatnonzero(block == b).tolist()) for b in range(len(sizes))}
+    return G, dG, d2, want, tuple(mask[np.triu_indices(n, 1)].tolist())
+
+
+def _close(got, want, rel=1e-13):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * max(np.abs(want).max(), 1.0)
+
+
+@settings(max_examples=60)
+@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       seed=st.integers(0, 2**16), m=st.integers(1, 4))
+def test_block_helpers_match_dense_numpy(sizes, seed, m):
+    # blocks of sizes 1-3 on permuted coordinates: the components of the
+    # linked entries, and per block G^-1, the eigenvalues, L^-T and the
+    # log-det jets, against dense numpy over the whole matrix
+    G, dG, d2, want, linked = _block_stack(sizes, seed, m)
+    n = len(G[0])
+    iu, ju = np.triu_indices(n)
+    blocks = chart_calculus._metric_blocks(linked, n)
+    got = {frozenset(c.tolist()) for coords in blocks.groups for c in coords}
+    assert got == want
+    assert [coords.shape[1] for coords in blocks.groups] == sorted(set(sizes))
+    _close(chart_calculus._block_inv(G, blocks), np.linalg.inv(G))
+    _close(chart_calculus._eigvalsh(G, blocks), np.linalg.eigvalsh(G))
+    # the Cholesky factor of a matrix that is block diagonal up to a
+    # permutation has no fill between blocks
+    _close(chart_calculus._block_cholesky_inv_t(G, blocks),
+           np.linalg.inv(np.linalg.cholesky(G)).swapaxes(1, 2))
+
+    Ginv = np.linalg.inv(G)
+    grad, hess = chart_calculus._logdet_jets(Ginv, dG, d2, blocks.upper, blocks.entries)
+    d2G = np.empty((m, n, n, n, n))  # d_p d_q g_ab at [:, p, q, a, b]
+    for k, (p, q) in enumerate(zip(iu, ju)):
+        for t, (a, b) in enumerate(zip(iu, ju)):
+            d2G[:, p, q, a, b] = d2G[:, q, p, a, b] = d2G[:, p, q, b, a] = d2G[:, q, p, b, a] = d2[:, k, t]
+    order = [c for coords in blocks.groups for c in coords]
+    for b, c in enumerate(order):
+        inv = np.linalg.inv(G[:, c][:, :, c])
+        A = inv[:, None] @ dG[:, :, c][:, :, :, c]  # A_p at [:, p]
+        _close(grad[:, :, b], np.trace(A, axis1=2, axis2=3))
+        for k, (p, q) in enumerate(zip(iu, ju)):
+            want_pq = (np.trace(inv @ d2G[:, p, q][:, c][:, :, c], axis1=1, axis2=2)
+                       - np.trace(A[:, p] @ A[:, q], axis1=1, axis2=2))
+            _close(hess[:, k, b], want_pq)
+    # d_l log det G by a complex step of slogdet: the blocks add up to it
+    sign, _ = np.linalg.slogdet(G[:, None] + 1e-30j * dG)
+    _close(grad.sum(axis=2), np.angle(sign) / 1e-30)
+
+
+def test_blocks_are_the_components_of_the_entries_that_are_not_the_folded_zero():
+    # an entry that vanishes at a sample, or everywhere without being the
+    # folded zero, still links its coordinates; the checks and the jets read
+    # the blocks of the metric, and Gamma matches the dense kernel
+    ch = Chart.box([(0.0, 1.0)] * 4)
+    e = lambda text: parse_expr(text, ch)
+    rows = [[e("2 + x1^2"), e("x0 - 0.5"), ZERO, ZERO],
+            [e("x0 - 0.5"), e("2 + x0^2"), ZERO, ZERO],
+            [ZERO, ZERO, e("1 + x3^2"), e("x2 - x2")],
+            [ZERO, ZERO, e("x2 - x2"), e("1 + x2^2")]]
+    g = MetricField(ch, rows)
+    blocks = _blocks(g)
+    assert [coords.tolist() for coords in blocks.groups] == [[[0, 1], [2, 3]]]
+    assert _blocks(g) is blocks
+    assert chart_calculus._metric_blocks((False,) * 6, 4).groups[0].shape == (4, 1)
+    pts = [(0.5, 0.3, 0.2, 0.7), (0.5, 0.9, 0.4, 0.1)]
+    (G, dG, Ginv, gamma, _, got), _, _, ev = chart_calculus._jets(g, [], pts)
+    assert got is blocks
+    _close(ev, np.linalg.eigvalsh(G))
+    dense = _levi_civita(G, dG, chart_calculus._metric_blocks((True,) * 6, 4))
+    _close(Ginv, dense[0])
+    _close(gamma, dense[1])

@@ -324,6 +324,33 @@ def test_manifest_metric_must_be_symmetric(tmp_path):
     assert load_manifest(write_manifest(tmp_path, data)).metric.dim == 2
 
 
+def test_each_distinct_symmetric_entry_is_parsed_once(tmp_path, monkeypatch):
+    # a lower entry written as the upper one reuses its expression; one
+    # written another way is parsed, and a parse error is still met at the
+    # first failing entry in row order
+    texts = []
+
+    def counting(text, chart, pointer, real=cli._parse):
+        texts.append(text)
+        return real(text, chart, pointer)
+
+    monkeypatch.setattr(cli, "_parse", counting)
+    rows = [["2 + y^2", "0.3*x*y", "0", "0"], ["0.3*x*y", "2 + x^2", "0", "0"],
+            ["0", "0", "3 + w^2", "0.2*z*w"], ["0", "0", "0.2 * z*w", "3 + z^2"]]
+    data = {"chart": {"names": ["x", "y", "z", "w"], "domain": [[0.2, 1.2]] * 4,
+                      "blocks": [[0, 1], [2, 3]]},
+            "metric": {"components": rows}}
+    man = load_manifest(write_manifest(tmp_path, data))
+    assert len(texts) == 16 - 5  # (3, 2) is written another way
+    assert texts[-3:] == ["0.2*z*w", "0.2 * z*w", "3 + z^2"]
+    assert man.metric.entries[1][0] is man.metric.entries[0][1]
+    rows[0][1] = rows[1][0] = "0.3*x*"
+    texts.clear()
+    with pytest.raises(ManifestError, match=r"\(at /metric/components/0/1\)$"):
+        load_manifest(write_manifest(tmp_path, data))
+    assert texts == ["2 + y^2", "0.3*x*"]
+
+
 @pytest.mark.parametrize("text", ["1e400", "NaN"])
 def test_manifest_tolerance_must_be_finite(tmp_path, capsys, text):
     # as for --tolerance: finite and > 0; inf would pass every flag
@@ -899,7 +926,8 @@ def test_the_metric_jets_and_christoffel_symbols_are_formed_in_one_place():
     # checked sweep; _metric_jets is called there only, and _levi_civita only
     # by _metric_jets and for the product metric of _connection_residuals.
     # d Gamma is formed where it is read: _levi_civita takes no second
-    # partials, and _dgamma is called by the frame algebra of nets only
+    # partials, only the metric's diagonal blocks besides its first-order
+    # jets, and _dgamma is called by the frame algebra of nets only
     calls, params = set(), {}
     for path in sorted((SRC / "orthonet").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -920,7 +948,7 @@ def test_the_metric_jets_and_christoffel_symbols_are_formed_in_one_place():
         ("_levi_civita", "product_metrics", "_connection_residuals"),
         ("_dgamma", "nets", "_frame_algebra"),
     }
-    assert params["chart_calculus", "_levi_civita"] == ["G", "dG"]
+    assert params["chart_calculus", "_levi_civita"] == ["G", "dG", "blocks"]
 
 
 def test_non_finite_constant_manifest_exits_1(tmp_path, capsys):

@@ -172,7 +172,8 @@ def test_stacked_eigensolve_on_random_spd_pencils(n, seed, log_cond):
     G = 0.5 * (G + G.swapaxes(1, 2))
     A = rng.standard_normal((m, n, n))
     P = np.linalg.solve(G, A + A.swapaxes(1, 2))
-    eig = codazzi._Eigen(G, P, codazzi.GAP_MIN)
+    blocks = chart_calculus._metric_blocks((True,) * (n * (n - 1) // 2), n)  # one dense block
+    eig = codazzi._Eigen(G, P, blocks, codazzi.GAP_MIN)
     for j in range(m):
         w, V = eig.w[j], eig.V[j]
         S = G[j] @ P[j]

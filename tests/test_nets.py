@@ -806,6 +806,47 @@ def test_one_inverse_per_span_rank(monkeypatch):
             seen.clear()
 
 
+def _linalg_calls(monkeypatch) -> list:
+    """(name, shape) of every LAPACK inverse, eigensolve and Cholesky
+    factorization numpy runs from here on."""
+    calls = []
+    for name in ("inv", "eigvalsh", "eigh", "cholesky"):
+        def spy(a, *args, real=getattr(np.linalg, name), name=name, **kwargs):
+            calls.append((name, np.shape(a)))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def test_a_diagonal_metric_factorizes_no_g_and_keeps_its_second_partials_packed(monkeypatch):
+    # an all-1 x 1 metric takes its eigenvalues, inverse and L^-T entry by
+    # entry, and its log-determinant jets from the packed second partials:
+    # no LAPACK inverse, eigensolve or Cholesky factor of G, and no frame
+    # algebra, the one place the dense d2G is formed; on a block-diagonal
+    # metric the factorizations run on its blocks only
+    calls = _linalg_calls(monkeypatch)
+
+    def taped(*args):
+        raise AssertionError("the frame algebra ran")
+
+    monkeypatch.setattr(nets, "_frame_algebra", taped)
+    g = fixtures.cqw_three()
+    rep = classify_net(g, _coordinate(g), PLAN)
+    assert rep.flags["CQW"].status == "pass"
+    metric = chart_calculus._jets(g, [], sample_points(g.chart, PLAN))[0]
+    assert metric[4].shape == (rep.n_samples, 6, 6)  # (p <= q, a <= b)
+    assert calls == []
+    # the Codazzi eigensolve: eigh of L^-1 S L^-T, with L^-T read off G's diagonal
+    g, phi = fixtures.torus()
+    codazzi.classify_codazzi(g, phi, plan=SamplePlan(grid=4, random=0))
+    assert {name for name, _ in calls} == {"eigh"}
+    calls.clear()
+    g = _twisted_four()  # blocks (0, 1), (2,), (3,)
+    classify_net(g, _coordinate(g), PLAN)
+    assert calls and all(shape[-2:] == (2, 2) for _, shape in calls)
+
+
 def test_values_outside_a_span_are_not_checked(monkeypatch):
     # nabla_{X_a} H is formed for every frame field, but only the fields of
     # the span are checked for being finite
